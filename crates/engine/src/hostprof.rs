@@ -64,7 +64,7 @@ pub enum HostPhase {
     /// Parallel round join: reassembling bundles and applying cross-node
     /// effects in deterministic node order.
     Commit,
-    /// Serial batch execution — the laggard loop's `run_batch`, where
+    /// Serial batch execution — the laggard loop's fused step, where
     /// every shared op (and every op under the serial policies) runs.
     Serial,
     /// Checkpoint serialization and the sink call at a barrier release.

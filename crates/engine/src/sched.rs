@@ -169,6 +169,27 @@ impl LaggardHeap {
         self.remove(n);
         Some((n, self.key[n as usize]))
     }
+
+    /// The runner-up — second-smallest `(clock, node)` — without touching
+    /// the heap. Heap order puts it at one of the root's two children, so
+    /// this is O(1) where `pop` + `peek` costs a sift.
+    pub fn runner_up(&self) -> Option<(u32, Time)> {
+        let &l = self.heap.get(1)?;
+        let n = match self.heap.get(2) {
+            Some(&r) if self.before(r, l) => r,
+            _ => l,
+        };
+        Some((n, self.key[n as usize]))
+    }
+
+    /// Re-keys the laggard to clock `t` in place: one sift from the root
+    /// instead of the two a `pop` + `insert` pair pays. No-op when empty.
+    pub fn update_top(&mut self, t: Time) {
+        if let Some(&n) = self.heap.first() {
+            self.key[n as usize] = t;
+            self.sift_down(0);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -251,42 +272,96 @@ mod tests {
         assert_eq!(h.pop(), Some((2, ns(1))));
     }
 
+    /// The naive oracle: the `k`-th smallest `(clock, node)` of the model
+    /// (0 is the laggard, 1 the runner-up), by sorting it.
+    fn scan(model: &[Option<Time>], k: usize) -> Option<(u32, Time)> {
+        let mut keys: Vec<(Time, u32)> = model
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| t.map(|t| (t, i as u32)))
+            .collect();
+        keys.sort_unstable();
+        keys.get(k).map(|&(t, i)| (i, t))
+    }
+
     #[test]
     fn matches_linear_scan_reference_on_random_churn() {
-        // Mirror of the machine driver's usage pattern: insert/update/pop
-        // under a seeded churn, checked against a naive scan.
-        let mut rng = crate::Rng::seeded(0x5EED_CAFE);
-        let n = 9u32;
-        let mut h = LaggardHeap::new(n as usize);
-        let mut model: Vec<Option<Time>> = vec![None; n as usize];
-        for _ in 0..4000 {
-            match rng.gen_range(4) {
-                0 | 1 => {
-                    let node = (rng.gen_range(u64::from(n))) as u32;
-                    let t = ns(rng.gen_range(64));
-                    h.insert(node, t);
-                    model[node as usize] = Some(t);
-                }
-                2 => {
-                    let node = (rng.gen_range(u64::from(n))) as u32;
-                    h.remove(node);
-                    model[node as usize] = None;
-                }
-                _ => {
-                    let want = model
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, t)| t.map(|t| (t, i as u32)))
-                        .min()
-                        .map(|(t, i)| (i, t));
-                    assert_eq!(h.peek(), want);
-                    assert_eq!(h.pop(), want);
-                    if let Some((i, _)) = want {
-                        model[i as usize] = None;
+        // Mirror of the machine driver's usage pattern: insert / remove /
+        // re-key the laggard in place / pop under a seeded churn, with the
+        // laggard and the runner-up checked against a naive scan after
+        // every operation. A 3-bit clock range over up to nine nodes keeps
+        // ties (and sizes 0..=3 on the small heaps) constantly in play.
+        for (seed, n, clocks) in [(0x5EED_CAFE, 9u32, 64), (7, 9, 8), (11, 3, 4), (13, 2, 2)] {
+            let mut rng = crate::Rng::seeded(seed);
+            let mut h = LaggardHeap::new(n as usize);
+            let mut model: Vec<Option<Time>> = vec![None; n as usize];
+            for _ in 0..4000 {
+                match rng.gen_range(5) {
+                    0 | 1 => {
+                        let node = (rng.gen_range(u64::from(n))) as u32;
+                        let t = ns(rng.gen_range(clocks));
+                        h.insert(node, t);
+                        model[node as usize] = Some(t);
+                    }
+                    2 => {
+                        let node = (rng.gen_range(u64::from(n))) as u32;
+                        h.remove(node);
+                        model[node as usize] = None;
+                    }
+                    3 => {
+                        let t = ns(rng.gen_range(clocks));
+                        if let Some((top, _)) = scan(&model, 0) {
+                            model[top as usize] = Some(t);
+                        }
+                        h.update_top(t);
+                    }
+                    _ => {
+                        let want = scan(&model, 0);
+                        assert_eq!(h.pop(), want);
+                        if let Some((i, _)) = want {
+                            model[i as usize] = None;
+                        }
                     }
                 }
+                assert_eq!(h.peek(), scan(&model, 0));
+                assert_eq!(h.runner_up(), scan(&model, 1));
+                assert_eq!(h.len(), model.iter().flatten().count());
             }
-            assert_eq!(h.len(), model.iter().flatten().count());
         }
+    }
+
+    #[test]
+    fn runner_up_and_update_top_on_tiny_and_tied_heaps() {
+        let mut h = LaggardHeap::new(4);
+        assert_eq!(h.runner_up(), None);
+        h.update_top(ns(9)); // empty: no-op
+        assert!(h.is_empty());
+        h.insert(2, ns(5));
+        assert_eq!(h.runner_up(), None, "one node has no runner-up");
+        h.update_top(ns(6));
+        assert_eq!(h.peek(), Some((2, ns(6))));
+        h.insert(3, ns(6));
+        assert_eq!(h.runner_up(), Some((3, ns(6))), "only child");
+        // All clocks equal: the lowest node leads, the next-lowest follows.
+        h.insert(0, ns(6));
+        h.insert(1, ns(6));
+        assert_eq!(h.peek(), Some((0, ns(6))));
+        assert_eq!(h.runner_up(), Some((1, ns(6))));
+        // Re-key the laggard to a clock equal to its children's: it stays
+        // on top (node index breaks the tie) ...
+        h.update_top(ns(6));
+        assert_eq!(h.peek(), Some((0, ns(6))));
+        // ... and one tick later it drops behind every tied node.
+        h.update_top(ns(7));
+        let order: Vec<u32> = std::iter::from_fn(|| h.pop().map(|(n, _)| n)).collect();
+        assert_eq!(order, vec![1, 2, 3, 0]);
+        // A higher-numbered laggard re-keyed to a child's clock loses the
+        // tie to that (lower-numbered) child.
+        h.insert(3, ns(1));
+        h.insert(1, ns(4));
+        h.insert(2, ns(8));
+        h.update_top(ns(4));
+        assert_eq!(h.peek(), Some((1, ns(4))));
+        assert_eq!(h.runner_up(), Some((3, ns(4))));
     }
 }

@@ -11,8 +11,8 @@
 //! Two scheduling policies implement that discipline (see
 //! [`SchedPolicy`]): the `Reference` policy re-derives the laggard by
 //! linear scan before every single op, while the default `Batched` policy
-//! keeps node clocks in a [`LaggardHeap`] and lets the popped laggard
-//! execute a *run* of ops per decision — ending the run before any op
+//! keeps node clocks in a [`LaggardHeap`] and lets the laggard at its
+//! root execute a *run* of ops per decision — ending the run before any op
 //! that touches shared state unless the node is still the strict schedule
 //! winner, and bounding private-op overrun by the runner-up's clock plus
 //! the memory model's minimum shared-interaction latency (conservative
@@ -112,18 +112,30 @@ enum NodeStatus {
     Done,
 }
 
-/// Why a batched run of ops on one node ended (see
-/// [`Machine::run_batch`]). Budget exhaustion and program faults surface
-/// as errors instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BatchEnd {
-    /// The node is still runnable but no longer the schedule winner.
-    Reschedule,
-    /// The node hit a sync op (executed by the caller's arm): barrier or
-    /// lock state changed, possibly waking other nodes.
-    Sync,
-    /// The node left the Running set (stream end or injected stall).
-    Parked,
+/// Why a serial epoch (see [`Epoch::run`]) handed control back to the
+/// policy loop: each of these needs the whole `&mut Machine`.
+enum EpochEnd {
+    /// No node is runnable: the run is over, deadlocked, or starved.
+    Idle,
+    /// Node `n` stopped at a sync op, left *unconsumed*: barrier and lock
+    /// state live outside the epoch's borrows, so the policy loop
+    /// executes it and closes the decision opened at `decision_at`.
+    Sync {
+        n: usize,
+        decision_at: Time,
+        ops_before: u64,
+    },
+    /// A fork/join round is due, at this per-node op quota.
+    Fork(u64),
+    /// The next decision's heartbeat tick is the one that reads the
+    /// wall clock.
+    Heartbeat,
+    /// The wall-clock limit expired.
+    Timeout(std::time::Duration),
+    /// The watchdog's op budget expired.
+    Budget,
+    /// A program fault parked by [`MachineEnv::resolve`].
+    Fault(SimError),
 }
 
 #[derive(Debug, Default)]
@@ -170,6 +182,10 @@ impl TelIds {
     }
 }
 
+/// The heartbeat reads the wall clock on every tick whose count has these
+/// bits clear: once per 4096 scheduling decisions.
+const HEARTBEAT_SAMPLE_MASK: u64 = 0xFFF;
+
 /// Live progress, throttled by host wall-clock time. The scheduling
 /// loops tick it once per decision; the `Instant` read is amortized to
 /// once per 4096 ticks so an attached-but-quiet heartbeat stays off the
@@ -206,11 +222,11 @@ struct MachineEnv<'a> {
     segments: &'a [Segment],
     cfg: &'a MachineConfig,
     clock: Clock,
-    tracer: Tracer,
+    tracer: &'a Tracer,
     faults: &'a FaultInjector,
-    profiler: Profiler,
-    telemetry: Telemetry,
-    spans: SpanTracer,
+    profiler: &'a Profiler,
+    telemetry: &'a Telemetry,
+    spans: &'a SpanTracer,
     tel: TelIds,
     /// Whether the current resolution happens inside a core op (charges
     /// subtract from that op's compute residual) or between ops (lock
@@ -657,6 +673,284 @@ const FORK_MAX_QUOTA: f64 = 8192.0;
 const FORK_MIN_YIELD: f64 = 16.0;
 const SERIAL_BACKOFF: u32 = 64;
 
+/// Loop state of the batched and parallel policies: the runnable set
+/// keyed by clock, the dispatch counter, and the loop-invariant knobs the
+/// per-decision path would otherwise re-read from the config.
+struct Sched {
+    heap: LaggardHeap,
+    /// Ops dispatched so far; sync ops and end-of-stream discovery count,
+    /// as in the reference loop.
+    executed: u64,
+    decisions: u64,
+    lookahead: TimeDelta,
+    inject_stalls: bool,
+    budget: Option<u64>,
+    /// The OS timer's `(interval, cost per tick)`.
+    timer: Option<(TimeDelta, TimeDelta)>,
+    wall_start: std::time::Instant,
+    wall_limit: Option<std::time::Duration>,
+    /// Whether fork/join rounds may run at all (parallel policy, two or
+    /// more nodes, transparent scan profiles, no tracer).
+    can_fork: bool,
+    /// Host observability: forking is off because a profile is opaque (or
+    /// a tracer pins the ring order), so every serially run op is a
+    /// rejected-opaque-profile admission outcome.
+    opaque_serial: bool,
+    /// EWMA of per-node ops admitted per round; sets the fork quota.
+    ewma: f64,
+    /// Serial decisions left before the next fork attempt.
+    serial_backoff: u32,
+}
+
+impl Sched {
+    /// Refills the heap from the Running set: after a sync op (which can
+    /// wake any set of parked nodes at new clocks, or park the executor)
+    /// and after a fork/join round (which moved clocks and may have
+    /// parked nodes).
+    fn rebuild(&mut self, status: &[NodeStatus], cores: &[Box<dyn Core>]) {
+        self.heap.clear();
+        for (n, core) in cores.iter().enumerate() {
+            if status[n] == NodeStatus::Running {
+                self.heap.insert(n as u32, core.now());
+            }
+        }
+    }
+
+    /// The per-node quota of the fork/join round due now, if one is. The
+    /// fork phase cannot consult the global dispatch counter mid-round,
+    /// so a round runs only when its worst case fits under the watchdog
+    /// budget — exhaustion then always surfaces in a serial batch, at
+    /// the same dispatch count as under the serial policies.
+    fn fork_quota(&self) -> Option<u64> {
+        if !self.can_fork || self.serial_backoff != 0 || self.heap.len() < 2 {
+            return None;
+        }
+        let quota = (2.0 * self.ewma).clamp(FORK_MIN_QUOTA, FORK_MAX_QUOTA) as u64;
+        let fits = self
+            .budget
+            .is_none_or(|b| self.executed + self.heap.len() as u64 * (quota + 1) <= b);
+        fits.then_some(quota)
+    }
+
+    /// Closes the serial decision opened at `decision_at`: its op count
+    /// goes to the volatile `sched.batch_ops` series (and the host
+    /// profiler's opaque tally when forking is off).
+    fn close_decision(
+        &self,
+        telemetry: &Telemetry,
+        tel: &TelIds,
+        hostprof: &HostProf,
+        decision_at: Time,
+        ops_before: u64,
+    ) {
+        let ops = self.executed - ops_before;
+        if self.opaque_serial {
+            hostprof.count_opaque(ops);
+        }
+        telemetry.count(tel.sched_batch_ops, decision_at, ops);
+    }
+}
+
+/// A borrow-split view of the machine that lives across consecutive
+/// serial decisions: the execution environment plus the per-node vectors
+/// the scheduler steps, built once by [`Machine::epoch`]. An epoch ends
+/// only where the whole `&mut Machine` is needed (see [`EpochEnd`]), so
+/// the split, the clock and the observer handles are not paid for per
+/// decision.
+struct Epoch<'a> {
+    env: MachineEnv<'a>,
+    cores: &'a mut [Box<dyn Core>],
+    streams: &'a mut [ThreadStream],
+    status: &'a mut [NodeStatus],
+    hostprof: &'a HostProf,
+    /// The attached heartbeat's decision-tick counter.
+    hb_ticks: Option<&'a mut u64>,
+}
+
+impl Epoch<'_> {
+    /// Runs serial scheduling decisions until one needs the whole
+    /// machine. Each iteration is the per-decision prologue both policy
+    /// loops have always run — wall-limit cadence, the stall sweep over
+    /// every Running node, the fork gate — then one fused
+    /// [`step`](Epoch::step). The caller ticks the heartbeat for the
+    /// first decision; the ticks for the following ones happen here.
+    fn run(&mut self, s: &mut Sched) -> EpochEnd {
+        loop {
+            s.decisions += 1;
+            if let Some(limit) = s.wall_limit {
+                // Amortized wall-clock check (first decision, then once
+                // per 4096); batches and rounds both bound the time
+                // between decisions.
+                if s.decisions & 0xFFF == 1 && s.wall_start.elapsed() >= limit {
+                    return EpochEnd::Timeout(limit);
+                }
+            }
+            if s.inject_stalls {
+                for n in 0..self.status.len() {
+                    if self.status[n] == NodeStatus::Running
+                        && self
+                            .env
+                            .faults
+                            .node_stalled(n as u32, self.streams[n].consumed())
+                    {
+                        self.status[n] = NodeStatus::Stalled;
+                        s.heap.remove(n as u32);
+                    }
+                }
+            }
+            if let Some(quota) = s.fork_quota() {
+                return EpochEnd::Fork(quota);
+            }
+            s.serial_backoff = s.serial_backoff.saturating_sub(1);
+            if let Some(end) = self.step(s) {
+                return end;
+            }
+            if let Some(ticks) = self.hb_ticks.as_deref_mut() {
+                if (*ticks + 1) & HEARTBEAT_SAMPLE_MASK == 0 {
+                    return EpochEnd::Heartbeat;
+                }
+                *ticks += 1;
+            }
+        }
+    }
+
+    /// One serial decision, fused with its batch: the laggard at the
+    /// heap's root executes a run of ops until a continuation rule
+    /// fails, bounded by the runner-up's `(node, clock)` key (`None`
+    /// when no other node is runnable: then nothing can contest the
+    /// schedule and the batch runs to a sync op, stream end, stall,
+    /// fault, or budget exhaustion), and is then re-keyed in place — or
+    /// popped if it parked. The runner-up's key bounds the whole batch
+    /// because no other node's clock, status, or stream can change while
+    /// only the laggard executes.
+    ///
+    /// Per-op admission reproduces the reference loop's decision order
+    /// exactly: (1) the injector stall check the reference sweep would
+    /// have run before this op; (2) the schedule test — any op may run
+    /// while `(clock, n)` still beats the runner-up (the reference scan
+    /// would pick `n`), and past that point only node-private ops within
+    /// the lookahead window; (3) the watchdog budget; (4) dispatch, with
+    /// OS timer ticks charged inline (per-node state, not a batch
+    /// breaker). The core's clock is read once per op: the post-op
+    /// reading is the next op's start and the next schedule test's key.
+    fn step(&mut self, s: &mut Sched) -> Option<EpochEnd> {
+        let Some((laggard, decision_at)) = s.heap.peek() else {
+            return Some(EpochEnd::Idle);
+        };
+        let limit = s.heap.runner_up();
+        let n = laggard as usize;
+        let ops_before = s.executed;
+        let Epoch {
+            env,
+            cores,
+            streams,
+            status,
+            hostprof,
+            ..
+        } = self;
+        let (core, stream) = (&mut cores[n], &mut streams[n]);
+        debug_assert_eq!(core.now(), decision_at, "heap key is the node clock");
+        env.node = n;
+        // Scheduler-internal telemetry (volatile: the reference policy
+        // has no batches, so these are policy-shaped by construction
+        // and excluded from the stable export).
+        env.telemetry.count(env.tel.sched_batches, decision_at, 1);
+        env.telemetry
+            .gauge(env.tel.sched_heap, decision_at, s.heap.len() as u64);
+        let mut now = decision_at;
+        let serial = hostprof.phase(HostPhase::Serial);
+        let runnable = loop {
+            // (1) The stall sweep the reference loop runs before every
+            // op. Only the executing node's consumed count moves inside
+            // a batch, so checking just `n` here plus all Running nodes
+            // per scheduling decision is equivalent.
+            if s.inject_stalls && env.faults.node_stalled(laggard, stream.consumed()) {
+                status[n] = NodeStatus::Stalled;
+                break false;
+            }
+            let op = stream.peek_op().copied();
+            // (2) Would the reference scan still pick `n`? Past the
+            // strict win only node-private ops may run (they touch no
+            // shared timeline, so they commute with the runner-up's
+            // ops), and only within the conservative lookahead window.
+            if let Some((m, lim)) = limit {
+                if (now, laggard) >= (lim, m)
+                    && !(now < lim + s.lookahead && op.is_some_and(|op| op.class.is_local()))
+                {
+                    break true;
+                }
+            }
+            // (3) The watchdog budget, checked per dispatch as in the
+            // reference loop (sync ops and end-of-stream discovery both
+            // count as dispatches there).
+            if s.budget.is_some_and(|b| s.executed >= b) {
+                return Some(EpochEnd::Budget);
+            }
+            // (4) Dispatch.
+            let Some(op) = op else {
+                s.executed += 1;
+                let t = core.drain();
+                core.set_time(t);
+                status[n] = NodeStatus::Done;
+                break false;
+            };
+            if op.class.is_sync() {
+                return Some(EpochEnd::Sync {
+                    n,
+                    decision_at,
+                    ops_before,
+                });
+            }
+            s.executed += 1;
+            stream.advance();
+            core.execute(&op, env);
+            let done = core.now();
+            env.profiler
+                .mark_op(laggard, now, done.saturating_since(now));
+            if let Some(e) = env.fault.take() {
+                return Some(EpochEnd::Fault(e));
+            }
+            now = done;
+            // OS timer ticks touch only per-node state; charged inline
+            // exactly as `charge_ticks` would.
+            if let Some((interval, cost)) = s.timer {
+                let mem = &mut env.mems[n];
+                while mem.next_tick <= done {
+                    mem.next_tick += interval;
+                    env.profiler.charge_wall(laggard, StallClass::Os, now, cost);
+                    now += cost;
+                    core.set_time(now);
+                }
+            }
+        };
+        drop(serial);
+        if runnable {
+            s.heap.update_top(now);
+        } else {
+            // Done or stalled: the node re-enters the heap only through
+            // a rebuild.
+            s.heap.pop();
+        }
+        s.close_decision(env.telemetry, &env.tel, hostprof, decision_at, ops_before);
+        None
+    }
+}
+
+/// What a fork/join round needs beyond the serial loop's state. Built
+/// once per run, under the parallel policy only.
+struct ForkCtx<'p> {
+    pool: &'p WorkerPool,
+    profiles: Vec<ScanProfile>,
+    /// Cached per-node lookahead bounds (see [`scan_lb`]).
+    lbs: Vec<Time>,
+    cfg: Arc<MachineConfig>,
+    /// Per-worker occupancy counters (volatile: host-shaped by
+    /// construction, excluded from the policy-stable exports) and the
+    /// busy-ns reading each was last advanced to.
+    busy_ids: Vec<MetricId>,
+    busy_prev: Vec<u64>,
+}
+
 /// The private state one node carries into a parallel round. Moved out
 /// of the machine's vectors so a pool job can own it (`'static` jobs),
 /// and moved back — in node order — at the join.
@@ -889,7 +1183,7 @@ impl MemEnv for ForkEnv {
 }
 
 /// One node's private phase of a parallel round, executed by a pool
-/// job. Dispatch order mirrors [`Machine::run_batch`] per op: the
+/// job. Dispatch order mirrors [`Epoch::step`] per op: the
 /// injector stall sweep, the schedule test (here the horizon — the op's
 /// reference key must beat every other runnable node's next
 /// possibly-shared action, so it commutes with everything that can
@@ -945,7 +1239,7 @@ fn run_fork(
             }
         }
         let Some(&op) = stream.peek_op() else {
-            // End-of-stream discovery is a dispatch, as in run_batch;
+            // End-of-stream discovery is a dispatch, as in Epoch::step;
             // drain and park. Per-node state only.
             dispatches += 1;
             let t = core.drain();
@@ -983,7 +1277,7 @@ fn run_fork(
         env.profiler
             .mark_op(n as u32, op_start, core.now().saturating_since(op_start));
         // OS timer ticks touch only per-node state; charged inline
-        // exactly as run_batch does.
+        // exactly as Epoch::step does.
         if let Some(interval) = cfg.os.timer_interval {
             let now = core.now();
             while env.mem.next_tick <= now {
@@ -1173,6 +1467,8 @@ pub type CkptSink = Box<dyn FnMut(u64, Time, &str) + Send>;
 /// A configured machine ready to run one program.
 pub struct Machine {
     cfg: MachineConfig,
+    /// The core clock, derived from `cfg.cpu` once.
+    clock: Clock,
     cores: Vec<Box<dyn Core>>,
     mems: Vec<NodeMem>,
     memsys: Box<dyn MemorySystem>,
@@ -1210,15 +1506,6 @@ pub struct Machine {
     /// checkpoint before any sink is attached; a later attach resumes
     /// from here instead of re-emitting the prefix.
     stream_pos: (u64, u64),
-    /// Live worker-pool occupancy under the parallel policy:
-    /// `(worker count, cumulative busy ns across workers)`, refreshed
-    /// once per scheduling decision so the heartbeat can report a busy
-    /// fraction. `None` under the serial policies.
-    worker_busy: Option<(usize, u64)>,
-    /// Live per-worker cumulative busy ns (same refresh cadence as
-    /// `worker_busy`), reused in place so the refresh never allocates;
-    /// the heartbeat derives advisory per-worker utilization from it.
-    worker_busy_lanes: Vec<u64>,
     /// Host-time self-profiler; see [`Machine::attach_hostprof`].
     /// Disabled by default: one branch per probe.
     hostprof: HostProf,
@@ -1290,6 +1577,7 @@ impl Machine {
         let streams = (0..cfg.nodes as usize).map(|t| program.stream(t)).collect();
 
         let mut machine = Machine {
+            clock: cfg.cpu.clock(),
             cfg,
             cores,
             mems,
@@ -1318,8 +1606,6 @@ impl Machine {
             ckpt_seq: 0,
             stream: None,
             stream_pos: (0, 0),
-            worker_busy: None,
-            worker_busy_lanes: Vec::new(),
             hostprof: HostProf::disabled(),
         };
         if let Some(cadence) = machine.cfg.telemetry {
@@ -1589,15 +1875,15 @@ impl Machine {
     /// per 4096 ticks and a line/event is emitted at most once per
     /// interval. The stderr line and the stream's `progress` event are
     /// rendered from the same [`ProgressMeter`] sample, so they always
-    /// agree.
-    fn heartbeat_tick(&mut self, executed: u64) {
+    /// agree. `pool` is the parallel policy's worker pool, whose busy
+    /// counters are read only when a sample is due.
+    fn heartbeat_tick(&mut self, executed: u64, pool: Option<&WorkerPool>) {
         let budget = self.cfg.watchdog.max_ops;
-        let worker_busy = self.worker_busy;
         let Some(hb) = self.heartbeat.as_mut() else {
             return;
         };
         hb.ticks += 1;
-        if hb.ticks & 0xFFF != 0 {
+        if hb.ticks & HEARTBEAT_SAMPLE_MASK != 0 {
             return;
         }
         let now = std::time::Instant::now();
@@ -1605,19 +1891,20 @@ impl Machine {
             return;
         }
         let mut sample = hb.meter.sample(now, executed, budget);
-        if let Some((workers, busy_ns)) = worker_busy {
+        if let Some(pool) = pool {
             // Average worker occupancy over the window since the last
             // sample: host-side observability only, never simulated
             // state (progress events are advisory by contract).
+            let lanes: Vec<u64> = (0..pool.size()).map(|w| pool.busy_ns(w)).collect();
+            let busy_ns: u64 = lanes.iter().sum();
             if let Some((prev_at, prev_ns)) = hb.last_busy {
                 let wall_ns = now.duration_since(prev_at).as_nanos();
-                if wall_ns > 0 && workers > 0 {
-                    let frac =
-                        busy_ns.saturating_sub(prev_ns) as f64 / (wall_ns as f64 * workers as f64);
+                if wall_ns > 0 && !lanes.is_empty() {
+                    let frac = busy_ns.saturating_sub(prev_ns) as f64
+                        / (wall_ns as f64 * lanes.len() as f64);
                     sample.busy = Some(frac.min(1.0));
-                    if hb.last_worker.len() == self.worker_busy_lanes.len() {
-                        sample.worker_busy = self
-                            .worker_busy_lanes
+                    if hb.last_worker.len() == lanes.len() {
+                        sample.worker_busy = lanes
                             .iter()
                             .zip(&hb.last_worker)
                             .map(|(cur, prev)| {
@@ -1628,8 +1915,7 @@ impl Machine {
                 }
             }
             hb.last_busy = Some((now, busy_ns));
-            hb.last_worker.clear();
-            hb.last_worker.extend_from_slice(&self.worker_busy_lanes);
+            hb.last_worker = lanes;
         }
         let stderr = hb.stderr;
         let lead = self
@@ -1660,6 +1946,38 @@ impl Machine {
                 sample.live,
                 skew.as_ns_f64(),
             );
+        }
+    }
+
+    /// Splits the machine into the execution environment of `node` plus
+    /// the per-node vectors a scheduler steps — the one place the borrow
+    /// split is written. `in_op` says whether resolutions happen inside a
+    /// core op or between ops (see [`MachineEnv::in_op`]).
+    fn epoch(&mut self, node: usize, in_op: bool) -> Epoch<'_> {
+        Epoch {
+            env: MachineEnv {
+                node,
+                mems: &mut self.mems,
+                memsys: &mut *self.memsys,
+                pt: &mut self.pt,
+                alloc: &mut self.alloc,
+                segments: &self.segments,
+                cfg: &self.cfg,
+                clock: self.clock,
+                tracer: &self.tracer,
+                faults: &self.injector,
+                profiler: &self.profiler,
+                telemetry: &self.telemetry,
+                spans: &self.spans,
+                tel: self.tel,
+                in_op,
+                fault: &mut self.fault,
+            },
+            cores: &mut self.cores,
+            streams: &mut self.streams,
+            status: &mut self.status,
+            hostprof: &self.hostprof,
+            hb_ticks: self.heartbeat.as_mut().map(|hb| &mut hb.ticks),
         }
     }
 
@@ -1715,7 +2033,7 @@ impl Machine {
             );
         }
         let ran = match self.cfg.sched {
-            SchedPolicy::Batched => self.run_batched(wall_start),
+            SchedPolicy::Batched => self.run_scheduled(None, wall_start),
             SchedPolicy::Reference => self.run_reference(wall_start),
             SchedPolicy::Parallel { workers } => self.run_parallel(workers, wall_start),
         };
@@ -1754,7 +2072,7 @@ impl Machine {
         let mut executed: u64 = self.streams.iter().map(|s| s.consumed()).sum();
         let mut decisions: u64 = 0;
         loop {
-            self.heartbeat_tick(executed);
+            self.heartbeat_tick(executed, None);
             decisions += 1;
             if let Some(limit) = wall_limit {
                 // Amortized wall-clock check: the `Instant` read happens
@@ -1802,96 +2120,6 @@ impl Machine {
         }
     }
 
-    /// The production schedule: laggard selection through a min-heap, and
-    /// a *batch* of ops per decision under conservative lookahead.
-    ///
-    /// The heap mirrors the set of `Running` nodes keyed by their clocks,
-    /// ordered `(clock, node)` — the reference scan's tie-break. A popped
-    /// laggard runs until [`Machine::run_batch`]'s continuation rules
-    /// fail; the runner-up's key is a valid bound for the whole batch
-    /// because no other node's clock, status, or stream can change while
-    /// only the laggard executes.
-    fn run_batched(&mut self, wall_start: std::time::Instant) -> Result<(), SimError> {
-        let nodes = self.cfg.nodes as usize;
-        let inject_stalls = self.injector.is_active();
-        let lookahead = self.memsys.min_shared_latency();
-        let wall_limit = self.cfg.watchdog.wall_limit;
-        // See run_reference: continues from restored streams on resume.
-        let mut executed: u64 = self.streams.iter().map(|s| s.consumed()).sum();
-        let mut decisions: u64 = 0;
-        let mut heap = LaggardHeap::new(nodes);
-        for n in 0..nodes {
-            heap.insert(n as u32, self.cores[n].now());
-        }
-        loop {
-            self.heartbeat_tick(executed);
-            decisions += 1;
-            if let Some(limit) = wall_limit {
-                // Amortized wall-clock check (first decision, then once
-                // per 4096). A batch bounds the time between decisions.
-                if decisions & 0xFFF == 1 && wall_start.elapsed() >= limit {
-                    return Err(self.timeout_error(wall_start, limit));
-                }
-            }
-            if inject_stalls {
-                for n in 0..nodes {
-                    if self.status[n] == NodeStatus::Running
-                        && self
-                            .injector
-                            .node_stalled(n as u32, self.streams[n].consumed())
-                    {
-                        self.status[n] = NodeStatus::Stalled;
-                        heap.remove(n as u32);
-                    }
-                }
-            }
-
-            let Some((n, _)) = heap.pop() else {
-                if self.status.iter().all(|s| *s == NodeStatus::Done) {
-                    return Ok(());
-                }
-                if self.status.contains(&NodeStatus::Stalled) {
-                    return Err(self.stall_error(executed));
-                }
-                return Err(SimError::Deadlock {
-                    nodes: self.snapshots(),
-                });
-            };
-            let limit = heap.peek();
-            // Scheduler-internal telemetry (volatile: the reference
-            // policy has no batches, so these are policy-shaped by
-            // construction and excluded from the stable export).
-            let decision_at = self.cores[n as usize].now();
-            let ops_before = executed;
-            self.telemetry.count(self.tel.sched_batches, decision_at, 1);
-            self.telemetry
-                .gauge(self.tel.sched_heap, decision_at, heap.len() as u64 + 1);
-            let end = {
-                let _serial = self.hostprof.phase(HostPhase::Serial);
-                self.run_batch(n as usize, limit, lookahead, &mut executed)?
-            };
-            match end {
-                BatchEnd::Reschedule => heap.insert(n, self.cores[n as usize].now()),
-                // The node left the Running set (done or stalled); it
-                // re-enters the heap only via a sync-op rebuild.
-                BatchEnd::Parked => {}
-                BatchEnd::Sync => {
-                    // Sync ops can wake any set of parked nodes at new
-                    // clocks (barrier release, lock hand-off) or park the
-                    // executor; rebuild the heap from the Running set.
-                    heap.clear();
-                    for m in 0..nodes {
-                        if self.status[m] == NodeStatus::Running {
-                            heap.insert(m as u32, self.cores[m].now());
-                        }
-                    }
-                }
-            }
-            self.telemetry
-                .count(self.tel.sched_batch_ops, decision_at, executed - ops_before);
-        }
-    }
-
     /// The parallel schedule: the batched policy's loop, with fork/join
     /// rounds interleaved whenever the conservative lookahead window
     /// covers more than one node's private run.
@@ -1914,184 +2142,150 @@ impl Machine {
     /// no per-op clock floor ([`ScanProfile::OPAQUE`]: no horizon can be
     /// derived) or a tracer is active (the ring's insertion order under
     /// concurrent emission is not deterministic); the loop then behaves
-    /// exactly like [`Machine::run_batched`]. Telemetry-guided
-    /// adaptation: an EWMA of per-round admitted ops (the
-    /// `sched.batch_ops` series) tunes the per-node quota, and a
-    /// low-yield round backs off to serial batches for a while — both
-    /// driven only by simulated state, so the adaptation itself is
-    /// deterministic.
+    /// exactly like the batched policy. Telemetry-guided adaptation: an
+    /// EWMA of per-round admitted ops (the `sched.batch_ops` series)
+    /// tunes the per-node quota, and a low-yield round backs off to
+    /// serial batches for a while — both driven only by simulated state,
+    /// so the adaptation itself is deterministic.
     fn run_parallel(
         &mut self,
         workers: usize,
         wall_start: std::time::Instant,
     ) -> Result<(), SimError> {
         let pool = WorkerPool::new(workers);
-        let out = self.run_parallel_loop(&pool, wall_start);
+        let nodes = self.cfg.nodes as usize;
+        let fork = ForkCtx {
+            pool: &pool,
+            profiles: self.cores.iter().map(|c| c.scan_profile()).collect(),
+            lbs: vec![Time::ZERO; nodes],
+            cfg: Arc::new(self.cfg.clone()),
+            busy_ids: (0..pool.size())
+                .map(|w| {
+                    self.telemetry.register_node_volatile(
+                        "sched.worker_busy_ps",
+                        w as u32,
+                        MetricKind::Counter,
+                    )
+                })
+                .collect(),
+            busy_prev: vec![0; pool.size()],
+        };
+        let out = self.run_scheduled(Some(fork), wall_start);
         // Harvest the pool's per-worker host-time lanes before the pool
         // (and its counters) is dropped. Host observability only.
         self.hostprof.record_workers(pool.lanes());
         out
     }
 
-    /// The decision loop of [`Machine::run_parallel`], split out so the
-    /// pool outlives every early return and its worker lanes can be
-    /// harvested afterwards.
-    fn run_parallel_loop(
+    /// The production schedule, shared by the batched policy (`fork` is
+    /// `None`) and the parallel one: laggard selection through a
+    /// min-heap, and a *batch* of ops per decision under conservative
+    /// lookahead.
+    ///
+    /// The heap mirrors the set of `Running` nodes keyed by their clocks,
+    /// ordered `(clock, node)` — the reference scan's tie-break. Serial
+    /// decisions run back to back inside an [`Epoch`]; this loop handles
+    /// only what ends one: sync ops, fork/join rounds, the heartbeat's
+    /// wall-clock sample, and the run's end.
+    fn run_scheduled(
         &mut self,
-        pool: &WorkerPool,
+        mut fork: Option<ForkCtx<'_>>,
         wall_start: std::time::Instant,
     ) -> Result<(), SimError> {
         let nodes = self.cfg.nodes as usize;
-        let inject_stalls = self.injector.is_active();
-        let lookahead = self.memsys.min_shared_latency();
-        let wall_limit = self.cfg.watchdog.wall_limit;
-        // Per-worker occupancy counters (volatile: host-shaped by
-        // construction, excluded from the policy-stable exports).
-        let busy_ids: Vec<MetricId> = (0..pool.size())
-            .map(|w| {
-                self.telemetry.register_node_volatile(
-                    "sched.worker_busy_ps",
-                    w as u32,
-                    MetricKind::Counter,
-                )
-            })
-            .collect();
-        let mut busy_prev: Vec<u64> = vec![0; pool.size()];
-        let profiles: Vec<ScanProfile> = self.cores.iter().map(|c| c.scan_profile()).collect();
-        let transparent =
-            profiles.iter().all(|p| p.min_ps_per_op > TimeDelta::ZERO) && !self.tracer.is_active();
-        let can_fork = nodes >= 2 && transparent;
-        // Host observability: when forking is off because a profile is
-        // opaque (or a tracer pins the ring order), every serially run
-        // op is a rejected-opaque-profile admission outcome.
-        let opaque_serial = nodes >= 2 && !transparent;
-        let cfg_arc = Arc::new(self.cfg.clone());
-        // See run_reference: continues from restored streams on resume.
-        let mut executed: u64 = self.streams.iter().map(|s| s.consumed()).sum();
-        let mut decisions: u64 = 0;
-        let mut heap = LaggardHeap::new(nodes);
-        for n in 0..nodes {
-            heap.insert(n as u32, self.cores[n].now());
-        }
-        let mut lbs: Vec<Time> = vec![Time::ZERO; nodes];
-        let mut ewma: f64 = FORK_MAX_QUOTA / 2.0;
-        let mut serial_backoff: u32 = 0;
+        let transparent = fork.as_ref().is_some_and(|f| {
+            f.profiles.iter().all(|p| p.min_ps_per_op > TimeDelta::ZERO) && !self.tracer.is_active()
+        });
+        let mut s = Sched {
+            heap: LaggardHeap::new(nodes),
+            // See run_reference: continues from restored streams on resume.
+            executed: self.streams.iter().map(|s| s.consumed()).sum(),
+            decisions: 0,
+            lookahead: self.memsys.min_shared_latency(),
+            inject_stalls: self.injector.is_active(),
+            budget: self.cfg.watchdog.max_ops,
+            timer: self
+                .cfg
+                .os
+                .timer_interval
+                .map(|interval| (interval, self.cfg.os.timer_cost)),
+            wall_start,
+            wall_limit: self.cfg.watchdog.wall_limit,
+            can_fork: nodes >= 2 && transparent,
+            opaque_serial: nodes >= 2 && fork.is_some() && !transparent,
+            ewma: FORK_MAX_QUOTA / 2.0,
+            serial_backoff: 0,
+        };
+        s.rebuild(&self.status, &self.cores);
         loop {
-            // Refresh the live per-worker occupancy snapshot in place
-            // (no allocation on the decision path).
-            self.worker_busy_lanes.resize(pool.size(), 0);
-            let mut busy_total = 0u64;
-            for (w, lane) in self.worker_busy_lanes.iter_mut().enumerate() {
-                *lane = pool.busy_ns(w);
-                busy_total += *lane;
-            }
-            self.worker_busy = Some((pool.size(), busy_total));
-            self.heartbeat_tick(executed);
-            decisions += 1;
-            if let Some(limit) = wall_limit {
-                // Amortized wall-clock check (first decision, then once
-                // per 4096); batches and rounds both bound the time
-                // between decisions.
-                if decisions & 0xFFF == 1 && wall_start.elapsed() >= limit {
-                    return Err(self.timeout_error(wall_start, limit));
-                }
-            }
-            if inject_stalls {
-                for n in 0..nodes {
-                    if self.status[n] == NodeStatus::Running
-                        && self
-                            .injector
-                            .node_stalled(n as u32, self.streams[n].consumed())
+            self.heartbeat_tick(s.executed, fork.as_ref().map(|f| f.pool));
+            // (`step` points the environment at each decision's laggard.)
+            let end = self.epoch(0, true).run(&mut s);
+            match end {
+                EpochEnd::Heartbeat => {}
+                EpochEnd::Sync {
+                    n,
+                    decision_at,
+                    ops_before,
+                } => {
                     {
-                        self.status[n] = NodeStatus::Stalled;
-                        heap.remove(n as u32);
+                        let _serial = self.hostprof.phase(HostPhase::Serial);
+                        s.executed += 1;
+                        let op = self.streams[n].next_op().expect("peeked sync op vanished"); // gate: allow
+                        self.handle_sync(n, &op)?;
                     }
+                    s.rebuild(&self.status, &self.cores);
+                    s.close_decision(
+                        &self.telemetry,
+                        &self.tel,
+                        &self.hostprof,
+                        decision_at,
+                        ops_before,
+                    );
                 }
-            }
-
-            if can_fork && serial_backoff == 0 && heap.len() >= 2 {
-                let quota = (2.0 * ewma).clamp(FORK_MIN_QUOTA, FORK_MAX_QUOTA) as u64;
-                // The fork phase cannot consult the global dispatch
-                // counter mid-round, so fork only when the worst case
-                // fits under the watchdog budget — exhaustion then
-                // always surfaces in the serial phase, at the same
-                // dispatch count as under the serial policies.
-                let budget_ok = match self.cfg.watchdog.max_ops {
-                    None => true,
-                    Some(b) => executed + heap.len() as u64 * (quota + 1) <= b,
-                };
-                if budget_ok {
-                    let running = heap.len() as u64;
-                    let decision_at = heap.peek().map_or(Time::ZERO, |(_, t)| t);
-                    let admitted = self.parallel_round(pool, &profiles, &mut lbs, quota, &cfg_arc);
-                    executed += admitted;
+                EpochEnd::Fork(quota) => {
+                    let Some(f) = fork.as_mut() else {
+                        continue; // the gate never opens without a pool
+                    };
+                    let running = s.heap.len() as u64;
+                    let decision_at = s.heap.peek().map_or(Time::ZERO, |(_, t)| t);
+                    let admitted = self.parallel_round(f, quota);
+                    s.executed += admitted;
                     self.telemetry.count(self.tel.sched_batches, decision_at, 1);
                     self.telemetry
                         .gauge(self.tel.sched_heap, decision_at, running);
                     self.telemetry
                         .count(self.tel.sched_batch_ops, decision_at, admitted);
-                    for (w, prev) in busy_prev.iter_mut().enumerate() {
-                        let b = pool.busy_ns(w);
+                    for (w, prev) in f.busy_prev.iter_mut().enumerate() {
+                        let b = f.pool.busy_ns(w);
                         self.telemetry
-                            .count(busy_ids[w], decision_at, (b - *prev) * 1000);
+                            .count(f.busy_ids[w], decision_at, (b - *prev) * 1000);
                         *prev = b;
                     }
                     let per_node = admitted as f64 / running.max(1) as f64;
-                    ewma = 0.75 * ewma + 0.25 * per_node;
+                    s.ewma = 0.75 * s.ewma + 0.25 * per_node;
                     if per_node < FORK_MIN_YIELD {
-                        serial_backoff = SERIAL_BACKOFF;
+                        s.serial_backoff = SERIAL_BACKOFF;
                     }
-                    // The round moved clocks and may have parked nodes.
-                    heap.clear();
-                    for m in 0..nodes {
-                        if self.status[m] == NodeStatus::Running {
-                            heap.insert(m as u32, self.cores[m].now());
-                        }
+                    s.rebuild(&self.status, &self.cores);
+                }
+                EpochEnd::Idle => {
+                    if self.status.iter().all(|s| *s == NodeStatus::Done) {
+                        return Ok(());
                     }
-                    continue;
-                }
-            }
-            serial_backoff = serial_backoff.saturating_sub(1);
-
-            // Serial decision, identical to run_batched's.
-            let Some((n, _)) = heap.pop() else {
-                if self.status.iter().all(|s| *s == NodeStatus::Done) {
-                    return Ok(());
-                }
-                if self.status.contains(&NodeStatus::Stalled) {
-                    return Err(self.stall_error(executed));
-                }
-                return Err(SimError::Deadlock {
-                    nodes: self.snapshots(),
-                });
-            };
-            let limit = heap.peek();
-            let decision_at = self.cores[n as usize].now();
-            let ops_before = executed;
-            self.telemetry.count(self.tel.sched_batches, decision_at, 1);
-            self.telemetry
-                .gauge(self.tel.sched_heap, decision_at, heap.len() as u64 + 1);
-            let end = {
-                let _serial = self.hostprof.phase(HostPhase::Serial);
-                self.run_batch(n as usize, limit, lookahead, &mut executed)?
-            };
-            match end {
-                BatchEnd::Reschedule => heap.insert(n, self.cores[n as usize].now()),
-                BatchEnd::Parked => {}
-                BatchEnd::Sync => {
-                    heap.clear();
-                    for m in 0..nodes {
-                        if self.status[m] == NodeStatus::Running {
-                            heap.insert(m as u32, self.cores[m].now());
-                        }
+                    // A stalled node is the root cause when present: the
+                    // others are merely waiting for it at barriers/locks.
+                    if self.status.contains(&NodeStatus::Stalled) {
+                        return Err(self.stall_error(s.executed));
                     }
+                    return Err(SimError::Deadlock {
+                        nodes: self.snapshots(),
+                    });
                 }
+                EpochEnd::Timeout(limit) => return Err(self.timeout_error(wall_start, limit)),
+                EpochEnd::Budget => return Err(self.stall_error(s.executed)),
+                EpochEnd::Fault(e) => return Err(e),
             }
-            if opaque_serial {
-                self.hostprof.count_opaque(executed - ops_before);
-            }
-            self.telemetry
-                .count(self.tel.sched_batch_ops, decision_at, executed - ops_before);
         }
     }
 
@@ -2100,14 +2294,14 @@ impl Machine {
     /// horizon, execute every admissible node's private prefix on the
     /// pool, then commit results in deterministic node order. Returns
     /// the number of ops dispatched across all forked nodes.
-    fn parallel_round(
-        &mut self,
-        pool: &WorkerPool,
-        profiles: &[ScanProfile],
-        lbs: &mut [Time],
-        quota: u64,
-        cfg_arc: &Arc<MachineConfig>,
-    ) -> u64 {
+    fn parallel_round(&mut self, f: &mut ForkCtx<'_>, quota: u64) -> u64 {
+        let ForkCtx {
+            pool,
+            profiles,
+            lbs,
+            cfg: cfg_arc,
+            ..
+        } = f;
         let nodes = self.cfg.nodes as usize;
         let inject_stalls = self.injector.is_active();
         let page_bytes = self.cfg.geometry.page_bytes;
@@ -2298,175 +2492,6 @@ impl Machine {
         total
     }
 
-    /// Executes a run of ops on node `n` — the popped laggard — until a
-    /// continuation rule fails. `limit` is the runner-up's `(node, clock)`
-    /// heap key, or `None` when no other node is runnable (then nothing
-    /// can contest the schedule and the batch runs to a sync op, stream
-    /// end, stall, fault, or budget exhaustion).
-    ///
-    /// Per-op admission reproduces the reference loop's decision order
-    /// exactly: (1) the injector stall check the reference sweep would
-    /// have run before this op; (2) the schedule test — any op may run
-    /// while `(clock, n)` still beats the runner-up (the reference scan
-    /// would pick `n`), and past that point only node-private ops within
-    /// the lookahead window; (3) the watchdog budget; (4) dispatch, with
-    /// OS timer ticks charged inline (per-node state, not a batch
-    /// breaker). Sync ops end the batch *unconsumed* and are executed by
-    /// the caller-visible [`BatchEnd::Sync`] arm so barrier/lock state
-    /// changes happen outside the borrow of the execution environment.
-    fn run_batch(
-        &mut self,
-        n: usize,
-        limit: Option<(u32, Time)>,
-        lookahead: TimeDelta,
-        executed: &mut u64,
-    ) -> Result<BatchEnd, SimError> {
-        enum InnerEnd {
-            Reschedule,
-            Sync,
-            Parked,
-            Budget,
-            Fault(SimError),
-        }
-        let budget = self.cfg.watchdog.max_ops;
-        let inject_stalls = self.injector.is_active();
-        let end;
-        {
-            // Split borrows: the core is disjoint from the memory state.
-            // One environment serves the whole batch — the per-op cost is
-            // the loop body, not borrow + Arc traffic.
-            let Machine {
-                cores,
-                mems,
-                memsys,
-                pt,
-                alloc,
-                segments,
-                cfg,
-                tracer,
-                profiler,
-                injector,
-                telemetry,
-                spans,
-                tel,
-                fault,
-                streams,
-                status,
-                ..
-            } = self;
-            let mut env = MachineEnv {
-                node: n,
-                mems,
-                memsys: &mut **memsys,
-                pt,
-                alloc,
-                segments,
-                cfg,
-                clock: cfg.cpu.clock(),
-                tracer: tracer.clone(),
-                faults: injector,
-                profiler: profiler.clone(),
-                telemetry: telemetry.clone(),
-                spans: spans.clone(),
-                tel: *tel,
-                in_op: true,
-                fault,
-            };
-            loop {
-                // (1) The stall sweep the reference loop runs before every
-                // op. Only the executing node's consumed count moves
-                // inside a batch, so checking just `n` here plus all
-                // Running nodes per scheduling decision is equivalent.
-                if inject_stalls && env.faults.node_stalled(n as u32, streams[n].consumed()) {
-                    status[n] = NodeStatus::Stalled;
-                    end = InnerEnd::Parked;
-                    break;
-                }
-                // (2) Would the reference scan still pick `n`?
-                let now = cores[n].now();
-                let strict_win = match limit {
-                    None => true,
-                    Some((m, lim)) => (now, n as u32) < (lim, m),
-                };
-                if !strict_win {
-                    // Past the strict win, only node-private ops may run
-                    // (they touch no shared timeline, so they commute
-                    // with the runner-up's ops), and only within the
-                    // conservative lookahead window.
-                    let Some((_, lim)) = limit else {
-                        unreachable!() // gate: allow
-                    };
-                    let overrun_ok = now < lim + lookahead
-                        && streams[n].peek_op().is_some_and(|op| op.class.is_local());
-                    if !overrun_ok {
-                        end = InnerEnd::Reschedule;
-                        break;
-                    }
-                }
-                // (3) The watchdog budget, checked per dispatch as in the
-                // reference loop (sync ops and end-of-stream discovery
-                // both count as dispatches there).
-                if let Some(b) = budget {
-                    if *executed >= b {
-                        end = InnerEnd::Budget;
-                        break;
-                    }
-                }
-                // (4) Dispatch.
-                let Some(&op) = streams[n].peek_op() else {
-                    *executed += 1;
-                    let t = cores[n].drain();
-                    cores[n].set_time(t);
-                    status[n] = NodeStatus::Done;
-                    end = InnerEnd::Parked;
-                    break;
-                };
-                if op.class.is_sync() {
-                    // Consumed and executed by the caller, outside this
-                    // environment's borrows.
-                    end = InnerEnd::Sync;
-                    break;
-                }
-                *executed += 1;
-                streams[n].advance();
-                let op_start = cores[n].now();
-                cores[n].execute(&op, &mut env);
-                profiler.mark_op(
-                    n as u32,
-                    op_start,
-                    cores[n].now().saturating_since(op_start),
-                );
-                if let Some(e) = env.fault.take() {
-                    end = InnerEnd::Fault(e);
-                    break;
-                }
-                // OS timer ticks touch only per-node state; charge them
-                // inline exactly as `charge_ticks` would.
-                if let Some(interval) = env.cfg.os.timer_interval {
-                    let now = cores[n].now();
-                    while env.mems[n].next_tick <= now {
-                        env.mems[n].next_tick += interval;
-                        let at = cores[n].now();
-                        profiler.charge_wall(n as u32, StallClass::Os, at, env.cfg.os.timer_cost);
-                        cores[n].set_time(at + env.cfg.os.timer_cost);
-                    }
-                }
-            }
-        }
-        match end {
-            InnerEnd::Reschedule => Ok(BatchEnd::Reschedule),
-            InnerEnd::Parked => Ok(BatchEnd::Parked),
-            InnerEnd::Budget => Err(self.stall_error(*executed)),
-            InnerEnd::Fault(e) => Err(e),
-            InnerEnd::Sync => {
-                *executed += 1;
-                let op = self.streams[n].next_op().expect("peeked sync op vanished"); // gate: allow
-                self.handle_sync(n, &op)?;
-                Ok(BatchEnd::Sync)
-            }
-        }
-    }
-
     /// Per-node state snapshots for failure reports.
     fn snapshots(&self) -> Vec<NodeSnapshot> {
         (0..self.cfg.nodes as usize)
@@ -2537,50 +2562,15 @@ impl Machine {
             return self.handle_sync(n, &op);
         }
 
-        // Split borrows: the core is disjoint from the memory state.
-        let Machine {
-            cores,
-            mems,
-            memsys,
-            pt,
-            alloc,
-            segments,
-            cfg,
-            tracer,
-            profiler,
-            injector,
-            telemetry,
-            spans,
-            tel,
-            fault,
-            ..
-        } = self;
-        let mut env = MachineEnv {
-            node: n,
-            mems,
-            memsys: &mut **memsys,
-            pt,
-            alloc,
-            segments,
-            cfg,
-            clock: cfg.cpu.clock(),
-            tracer: tracer.clone(),
-            faults: injector,
-            profiler: profiler.clone(),
-            telemetry: telemetry.clone(),
-            spans: spans.clone(),
-            tel: *tel,
-            in_op: true,
-            fault,
-        };
+        let Epoch { env, cores, .. } = &mut self.epoch(n, true);
         let op_start = cores[n].now();
-        cores[n].execute(&op, &mut env);
-        profiler.mark_op(
+        cores[n].execute(&op, env);
+        env.profiler.mark_op(
             n as u32,
             op_start,
             cores[n].now().saturating_since(op_start),
         );
-        if let Some(e) = self.fault.take() {
+        if let Some(e) = env.fault.take() {
             return Err(e);
         }
         self.charge_ticks(n);
@@ -2755,48 +2745,14 @@ impl Machine {
     /// The coherence transaction behind a lock hand-off: the new holder
     /// takes the lock line exclusive.
     fn acquire_lock_line(&mut self, n: usize, addr: VAddr, t: Time) -> Result<(), SimError> {
-        let Machine {
-            mems,
-            memsys,
-            pt,
-            alloc,
-            segments,
-            cfg,
-            cores,
-            tracer,
-            profiler,
-            injector,
-            telemetry,
-            spans,
-            tel,
-            fault,
-            ..
-        } = self;
-        let mut env = MachineEnv {
-            node: n,
-            mems,
-            memsys: &mut **memsys,
-            pt,
-            alloc,
-            segments,
-            cfg,
-            clock: cfg.cpu.clock(),
-            tracer: tracer.clone(),
-            faults: injector,
-            profiler: profiler.clone(),
-            telemetry: telemetry.clone(),
-            spans: spans.clone(),
-            tel: *tel,
-            in_op: false,
-            fault,
-        };
+        let Epoch { env, cores, .. } = &mut self.epoch(n, false);
         let res = env.resolve(addr, MemAccessKind::Write, t);
-        if let Some(e) = self.fault.take() {
+        if let Some(e) = env.fault.take() {
             return Err(e);
         }
         // The hand-off's coherence transaction is synchronization cost
         // (minus the TLB refill the environment already charged).
-        profiler.charge_wall(
+        env.profiler.charge_wall(
             n as u32,
             StallClass::Sync,
             t,

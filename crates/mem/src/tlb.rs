@@ -18,10 +18,13 @@ use flashsim_isa::VAddr;
 pub struct Tlb {
     entries: usize,
     page_bytes: u64,
-    // vpn -> (pfn, last_used). LRU ticks are strictly monotonic, so the
-    // eviction scan below has a unique minimum and never depends on map
-    // iteration order — which makes the fast fixed-seed hasher safe here.
-    map: FxHashMap<u64, (u64, u64)>,
+    // vpn -> index into `slots`. Point lookups only (never iterated), so
+    // the fast fixed-seed hasher is behaviour-neutral.
+    map: FxHashMap<u64, usize>,
+    // Dense `(vpn, pfn, last_used)` entries: eviction scans this, not the
+    // map. LRU ticks are strictly monotonic, so the scan has a unique
+    // minimum and the victim never depends on slot order.
+    slots: Vec<(u64, u64, u64)>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -43,6 +46,7 @@ impl Tlb {
             entries,
             page_bytes,
             map: FxHashMap::with_capacity_and_hasher(entries, Default::default()),
+            slots: Vec::with_capacity(entries),
             tick: 0,
             hits: 0,
             misses: 0,
@@ -70,8 +74,9 @@ impl Tlb {
     pub fn translate(&mut self, vaddr: VAddr) -> Option<u64> {
         self.tick += 1;
         let vpn = vaddr.vpn(self.page_bytes);
-        match self.map.get_mut(&vpn) {
-            Some((pfn, last)) => {
+        match self.map.get(&vpn) {
+            Some(&slot) => {
+                let (_, pfn, last) = &mut self.slots[slot];
                 *last = self.tick;
                 self.hits += 1;
                 Some(*pfn)
@@ -87,21 +92,29 @@ impl Tlb {
     /// full. Re-inserting an existing vpn updates its frame.
     pub fn insert(&mut self, vpn: u64, pfn: u64) {
         self.tick += 1;
-        if self.map.len() >= self.entries && !self.map.contains_key(&vpn) {
-            let lru = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, last))| *last)
-                .map(|(k, _)| *k)
-                .expect("full TLB is non-empty"); // gate: allow
-            self.map.remove(&lru);
+        let entry = (vpn, pfn, self.tick);
+        if let Some(&slot) = self.map.get(&vpn) {
+            self.slots[slot] = entry;
+        } else if self.slots.len() < self.entries {
+            self.map.insert(vpn, self.slots.len());
+            self.slots.push(entry);
+        } else {
+            let mut lru = 0;
+            for (i, s) in self.slots.iter().enumerate() {
+                if s.2 < self.slots[lru].2 {
+                    lru = i;
+                }
+            }
+            self.map.remove(&self.slots[lru].0);
+            self.map.insert(vpn, lru);
+            self.slots[lru] = entry;
         }
-        self.map.insert(vpn, (pfn, self.tick));
     }
 
     /// Drops every entry (context switch / flush).
     pub fn flush(&mut self) {
         self.map.clear();
+        self.slots.clear();
     }
 
     /// Hit count.
@@ -115,18 +128,14 @@ impl Tlb {
     }
 
     /// Serializes the translation entries (sorted by virtual page, so
-    /// the bytes never depend on hash-map iteration order), the LRU
+    /// the bytes never depend on which slot an entry landed in), the LRU
     /// clock, and the hit/miss counters into the current section.
     pub fn save_ckpt(&self, w: &mut CkptWriter) {
         w.u64s("shape", &[self.entries as u64, self.page_bytes]);
         w.u64("tick", self.tick);
         w.u64("hits", self.hits);
         w.u64("misses", self.misses);
-        let mut entries: Vec<(u64, u64, u64)> = self
-            .map
-            .iter()
-            .map(|(vpn, (pfn, last))| (*vpn, *pfn, *last))
-            .collect();
+        let mut entries = self.slots.clone();
         entries.sort_unstable();
         w.u64("mapped", entries.len() as u64);
         for (vpn, pfn, last) in entries {
@@ -135,7 +144,8 @@ impl Tlb {
     }
 
     /// Restores the state saved by [`Tlb::save_ckpt`]. Fails closed on a
-    /// different entry count or page size.
+    /// different entry count or page size, a repeated page, or more
+    /// entries than the TLB holds.
     pub fn load_ckpt(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
         let shape = r.u64s("shape")?;
         if shape != [self.entries as u64, self.page_bytes] {
@@ -147,16 +157,22 @@ impl Tlb {
         self.tick = r.u64("tick")?;
         self.hits = r.u64("hits")?;
         self.misses = r.u64("misses")?;
-        self.map.clear();
+        self.flush();
         let mapped = r.u64("mapped")?;
         for _ in 0..mapped {
             let vals = r.u64s("ent")?;
-            let [vpn, pfn, last] =
-                <[u64; 3]>::try_from(vals.as_slice()).map_err(|_| CkptError::Parse {
-                    key: "ent".to_string(),
-                    value: format!("{vals:?}"),
-                })?;
-            self.map.insert(vpn, (pfn, last));
+            let bad = || CkptError::Parse {
+                key: "ent".to_string(),
+                value: format!("{vals:?}"),
+            };
+            let [vpn, pfn, last] = <[u64; 3]>::try_from(vals.as_slice()).map_err(|_| bad())?;
+            // One slot per vpn and at most `entries` of them, or the
+            // dense scan and the map would disagree about what is mapped.
+            if self.slots.len() == self.entries || self.map.insert(vpn, self.slots.len()).is_some()
+            {
+                return Err(bad());
+            }
+            self.slots.push((vpn, pfn, last));
         }
         Ok(())
     }
@@ -284,5 +300,55 @@ mod tests {
             other.load_ckpt(&mut r),
             Err(CkptError::Parse { .. })
         ));
+    }
+
+    #[test]
+    fn ckpt_with_repeated_or_surplus_entries_is_rejected() {
+        for ents in [
+            vec![[1, 10, 1], [1, 11, 2]],
+            vec![[1, 10, 1], [2, 20, 2], [3, 30, 3]],
+        ] {
+            let mut w = CkptWriter::new("tlb-test");
+            w.u64s("shape", &[2, 4096]);
+            for key in ["tick", "hits", "misses"] {
+                w.u64(key, 3);
+            }
+            w.u64("mapped", ents.len() as u64);
+            for e in &ents {
+                w.u64s("ent", e);
+            }
+            let text = w.finish();
+            let mut r = CkptReader::open(&text).expect("open");
+            assert!(matches!(
+                Tlb::new(2, 4096).load_ckpt(&mut r),
+                Err(CkptError::Parse { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn eviction_order_matches_a_naive_lru_model() {
+        // Seeded translate/insert churn over more pages than slots, checked
+        // against a list kept in recency order.
+        let mut rng = flashsim_engine::Rng::seeded(0x71B);
+        let mut t = Tlb::new(8, 4096);
+        let mut model: Vec<(u64, u64)> = Vec::new(); // LRU first
+        for i in 0..20_000u64 {
+            let vpn = rng.gen_range(24);
+            let at = model.iter().position(|&(v, _)| v == vpn);
+            let got = t.translate(VAddr(vpn * 4096));
+            assert_eq!(got, at.map(|k| model[k].1));
+            let pfn = match at {
+                Some(k) => model.remove(k).1,
+                None => {
+                    t.insert(vpn, i);
+                    if model.len() == 8 {
+                        model.remove(0);
+                    }
+                    i
+                }
+            };
+            model.push((vpn, pfn));
+        }
     }
 }

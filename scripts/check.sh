@@ -11,6 +11,13 @@ cargo build --release --workspace
 echo "== cargo test -q =="
 cargo test -q --workspace
 
+echo "== benchmark package (its own workspace) =="
+# benchmark/ drives crates/* through their public API (LaggardHeap,
+# ThreadStream, Core::execute, FixedEnv, ...) but is a workspace of its
+# own, so `--workspace` above never compiles it: without this step a
+# public-API change would first fail in the benchmark pipeline.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "== scheduler equivalence worker sweep (1, 2, host parallelism) =="
 # The parallel policy must be byte-identical to the reference
 # interleaving at *every* worker count, not just the suite's default of

@@ -12,9 +12,10 @@
 
 use flashsim::attrib::run_profiled;
 use flashsim::engine::{FaultPlan, SpanPlan, Time, TimeDelta};
-use flashsim::machine::{run_program, Machine, MachineConfig, RunResult, SchedPolicy};
+use flashsim::machine::{run_program, Machine, MachineConfig, RunResult, SchedPolicy, Watchdog};
 use flashsim::platform::{MemModel, Sim, Study};
 use flashsim::workloads::{Fft, FftBlocking, ProblemScale, SnCase, Snbench, SyncStorm};
+use flashsim_isa::{Placement, Program, Segment, Sink, VAddr};
 use std::sync::{Arc, Mutex};
 
 /// Worker count for the `Parallel` policy under test. `scripts/check.sh`
@@ -304,4 +305,214 @@ fn parallel_restore_from_checkpoint_matches_reference() {
     let mut m = Machine::restore(observed(par), &program, &mid.1).expect("parallel ckpt restores");
     let resumed = m.run().expect("resumed parallel run completes");
     assert_identical("parallel restore vs reference", &resumed, &ref_straight);
+}
+
+/// A program made of the places where the optimized schedulers' serial
+/// epoch has to end or the laggard has to leave the heap: every thread's
+/// first op is a barrier, barriers come back to back, a lock ping-pongs
+/// with zero to two ops between acquire and release, a contested phase
+/// long enough for thousands of scheduling decisions, and a solo phase in
+/// which only thread 0 is runnable (one unbounded batch).
+#[derive(Debug, Clone, Copy)]
+struct EpochEdges {
+    threads: usize,
+    /// Ops per thread in the contested phase.
+    grind: u64,
+    /// Ops thread 0 runs alone while the others wait at the last barrier.
+    solo: u64,
+}
+
+const EDGE_LOCK: u64 = 0x10000;
+const EDGE_DATA: u64 = 0x100000;
+const EDGE_BYTES: u64 = 32 * 1024;
+
+impl EpochEdges {
+    /// Loads, stores and ALU ops over the thread's own region, at a pace
+    /// that differs per thread so the laggard keeps changing.
+    fn work(sink: &mut Sink, tid: usize, ops: u64) {
+        let base = EDGE_DATA + tid as u64 * EDGE_BYTES;
+        for k in 0..ops {
+            match (k + tid as u64) % 4 {
+                0 => {
+                    sink.load(VAddr(base + (k * 72) % EDGE_BYTES));
+                }
+                1 => sink.store(VAddr(base + (k * 40) % EDGE_BYTES)),
+                _ => sink.alu(1),
+            }
+        }
+    }
+}
+
+impl Program for EpochEdges {
+    fn name(&self) -> String {
+        "epoch-edges".into()
+    }
+
+    fn num_threads(&self) -> usize {
+        self.threads
+    }
+
+    fn segments(&self) -> Vec<Segment> {
+        vec![
+            Segment::new(
+                "data",
+                VAddr(EDGE_DATA),
+                EDGE_BYTES * self.threads as u64,
+                Placement::Blocked,
+            ),
+            Segment::new("lock", VAddr(EDGE_LOCK), 4096, Placement::Node(0)),
+        ]
+    }
+
+    fn thread_body(&self, tid: usize) -> Box<dyn FnOnce(&mut Sink) + Send + 'static> {
+        let prog = *self;
+        Box::new(move |sink| {
+            sink.barrier();
+            sink.barrier();
+            for round in 0..9 {
+                sink.lock(1, VAddr(EDGE_LOCK));
+                for _ in 0..(round + tid) % 3 {
+                    sink.store(VAddr(EDGE_LOCK + 0x80));
+                }
+                sink.unlock(1, VAddr(EDGE_LOCK));
+            }
+            sink.barrier();
+            EpochEdges::work(sink, tid, prog.grind);
+            sink.barrier();
+            sink.barrier();
+            if tid == 0 {
+                EpochEdges::work(sink, tid, prog.solo);
+            }
+            sink.barrier();
+        })
+    }
+
+    fn timing_barrier(&self) -> Option<u32> {
+        Some(1)
+    }
+}
+
+#[test]
+fn candidates_match_reference_across_epoch_boundaries() {
+    let study = Study::scaled();
+    let prog = EpochEdges {
+        threads: 4,
+        grind: 600,
+        solo: 900,
+    };
+    let mut clean_ops = Vec::new();
+    for (label, cfg) in platforms(&study, 4) {
+        let r = run_profiled(with_policy(cfg.clone(), SchedPolicy::Reference), &prog)
+            .expect("reference run completes");
+        for (pname, policy) in candidates() {
+            let c = run_profiled(with_policy(cfg.clone(), policy), &prog)
+                .expect("candidate run completes");
+            assert_identical(&format!("{label}/{pname}"), &c, &r);
+        }
+        clean_ops = r.ops_per_node;
+    }
+
+    // Failures must be the same structured error — same dispatch count,
+    // same per-node clocks, op counts and blocked-on states.
+    let total: u64 = clean_ops.iter().sum();
+    let mut failures: Vec<(String, Option<FaultPlan>, Watchdog)> = Vec::new();
+    // A stall that parks the current laggard mid-batch: thread 0 inside
+    // its solo run (the only runnable node), thread 2 in the middle of
+    // the contested phase, thread 1 inside the lock ping-pong.
+    for (node, after) in [(0, clean_ops[0] - prog.solo / 2), (2, 350), (1, 12)] {
+        let plan = FaultPlan {
+            seed: 3,
+            stall_node: Some(node),
+            stall_after_ops: after,
+            ..FaultPlan::none()
+        };
+        failures.push((
+            format!("stall node {node} after {after}"),
+            Some(plan),
+            Watchdog::default(),
+        ));
+    }
+    // A watchdog budget that expires mid-batch. Mid-flight state is
+    // policy-invariant only where one node is runnable (elsewhere the
+    // optimized policies legitimately reorder private ops), so the
+    // budgets land inside thread 0's solo batch; the last one expires
+    // on the barrier op that ends it.
+    for short in [prog.solo / 2, 2, 1] {
+        failures.push((
+            format!("budget {}", total - short),
+            None,
+            Watchdog::with_budget(total - short),
+        ));
+    }
+    for (label, base) in [
+        ("hardware", study.hardware(4)),
+        (
+            "simos-mipsy",
+            study.sim(Sim::SimosMipsy(150), 4, MemModel::FlashLite),
+        ),
+    ] {
+        for (what, plan, watchdog) in &failures {
+            let mut cfg = base.clone();
+            cfg.faults = *plan;
+            cfg.watchdog = *watchdog;
+            let r = run_program(with_policy(cfg.clone(), SchedPolicy::Reference), &prog)
+                .expect_err("run must fail");
+            for (pname, policy) in candidates() {
+                let c = run_program(with_policy(cfg.clone(), policy), &prog)
+                    .expect_err("run must fail");
+                assert_eq!(
+                    format!("{c:?}"),
+                    format!("{r:?}"),
+                    "{label}/{pname}/{what}: structured failures must be identical"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn attaching_a_heartbeat_changes_no_simulated_byte() {
+    // An attached heartbeat samples the wall clock every 4096th
+    // scheduling decision, which ends the optimized schedulers' serial
+    // epoch there. The interval is an hour, so nothing is ever printed.
+    let study = Study::scaled();
+    let prog = EpochEdges {
+        threads: 4,
+        grind: 9000,
+        solo: 50,
+    };
+    for (label, mut cfg) in [
+        ("hardware", study.hardware(4)),
+        (
+            "simos-mipsy",
+            study.sim(Sim::SimosMipsy(150), 4, MemModel::FlashLite),
+        ),
+    ] {
+        cfg.profile = true;
+        cfg.telemetry = Some(TimeDelta::from_us(1));
+        cfg.spans = Some(SpanPlan::all(7));
+        let r = run_program(with_policy(cfg.clone(), SchedPolicy::Reference), &prog)
+            .expect("reference run completes");
+        for (pname, policy) in candidates() {
+            let quiet = run_program(with_policy(cfg.clone(), policy), &prog)
+                .expect("candidate run completes");
+            cfg.heartbeat = Some(std::time::Duration::from_secs(3600));
+            let beating = run_program(with_policy(cfg.clone(), policy), &prog)
+                .expect("candidate run with a heartbeat completes");
+            cfg.heartbeat = None;
+            assert_identical(&format!("{label}/{pname}/heartbeat"), &beating, &quiet);
+            assert_identical(&format!("{label}/{pname}"), &beating, &r);
+            if policy == SchedPolicy::Batched {
+                let decisions = beating
+                    .telemetry
+                    .as_ref()
+                    .and_then(|t| t.get("sched.batches"))
+                    .map_or(0, |m| m.total);
+                assert!(
+                    decisions > 2 * 4096,
+                    "{label}: {decisions} decisions never reach the heartbeat's cadence"
+                );
+            }
+        }
+    }
 }
