@@ -291,16 +291,10 @@ fn main() {
         }
     }
 
-    match flag_value(&args, "--out") {
-        Some(path) => {
-            std::fs::write(&path, &report).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!("wrote {path}");
-        }
-        None => print!("{report}"),
-    }
+    let mut wrote = String::new();
     if let Some(path) = flag_value(&args, "--html") {
         std::fs::write(&path, to_html(&report)).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("wrote {path}");
+        wrote.push_str(&format!("wrote {path}\n"));
     }
     // Machine-readable exports come from the simulator cell (the last
     // one); the hardware cell is the reference platform in the report.
@@ -308,7 +302,7 @@ fn main() {
         if let Some(path) = flag_value(&args, "--jsonl") {
             std::fs::write(&path, series.to_jsonl())
                 .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!("wrote {path}");
+            wrote.push_str(&format!("wrote {path}\n"));
         }
         if let Some(path) = flag_value(&args, "--prom") {
             let mut text = series.to_prometheus();
@@ -320,7 +314,7 @@ fn main() {
                 text.push_str(&host.to_prometheus());
             }
             std::fs::write(&path, text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-            println!("wrote {path}");
+            wrote.push_str(&format!("wrote {path}\n"));
         }
     }
     if let Some(path) = flag_value(&args, "--spans-jsonl") {
@@ -331,12 +325,22 @@ fn main() {
                     failures.push(format!("span JSONL invalid: {e}"));
                 }
                 std::fs::write(&path, jsonl).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-                println!("wrote {path}");
+                wrote.push_str(&format!("wrote {path}\n"));
             }
             None => failures.push("no span trees attached to the simulator cell".to_owned()),
         }
     }
 
+    // Stdout comes last, after every file is written: a reader that
+    // closes the pipe early (`report … | head`) must not cost an export.
+    match flag_value(&args, "--out") {
+        Some(path) => {
+            std::fs::write(&path, &report).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+            wrote.push_str(&format!("wrote {path}\n"));
+        }
+        None => print!("{report}"),
+    }
+    print!("{wrote}");
     if !failures.is_empty() {
         for f in &failures {
             eprintln!("FAIL: {f}");

@@ -7,8 +7,7 @@
 //!
 //! ```text
 //! simspeed [--app snbench|fft|radix|lu|ocean] [--threads N] [--workers N]
-//!          [--iters N] [--full] [--json PATH] [--baseline PATH]
-//!          [--tolerance FRAC] [--hostprof] [--hostprof-jsonl PATH]
+//!          [--iters N] [--full] [--hostprof] [--hostprof-jsonl PATH]
 //!          [--hostprof-overhead FRAC]
 //! ```
 //!
@@ -45,16 +44,9 @@
 //! compares best-of events/sec, and exits nonzero if attachment costs
 //! more than `FRAC` (e.g. `0.05` = 5 %) on any platform.
 //!
-//! `--json PATH` writes the per-platform numbers as a
-//! `flashsim-simspeed-v3` document (every row records its host worker
-//! thread count; profiled rows carry a `host` phase summary; v2
-//! baselines still parse). `--baseline PATH` compares the fresh
-//! measurement against a previously saved report and exits nonzero if
-//! any platform fell more than `--tolerance` (default 0.30 = 30 %)
-//! below its baseline events/sec — the perf-regression gate used by
-//! `scripts/check.sh`.
+//! The printed rows are for reading, not gating: throughput regressions
+//! are judged by the repo benchmark (`benchmark/`, seconds-long runs).
 
-use flashsim_bench::speed::{HostSummary, PlatformSpeed, SpeedReport};
 use flashsim_bench::{header, setup_from_args};
 use flashsim_core::platform::{MemModel, Sim, Study};
 use flashsim_engine::{hostprof, CategoryMask, HostPhase, HostReport, Tracer};
@@ -100,18 +92,6 @@ fn best_run(
     tracer: Option<&Tracer>,
 ) -> RunManifest {
     best_run_full(cfg, prog, iters, tracer).0
-}
-
-/// Condenses a full host report into the JSON row summary.
-fn host_summary(r: &HostReport) -> HostSummary {
-    HostSummary {
-        total_ns: r.total_ns,
-        idle_ns: r.workers.iter().map(|w| w.idle_ns).sum(),
-        phases: HostPhase::ALL
-            .iter()
-            .map(|&p| (p.key().to_owned(), r.phase(p)))
-            .collect(),
-    }
 }
 
 /// Prints the per-phase host-time table, wall-clock reconciliation,
@@ -279,33 +259,6 @@ fn report(name: &str, m: &RunManifest) {
 }
 
 fn main() {
-    // `--validate PATH` parses a previously written report and exits:
-    // schema validation for CI without re-running the benchmark.
-    let raw_args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = raw_args.iter().position(|a| a == "--validate") {
-        let path = raw_args
-            .get(i + 1)
-            .expect("--validate takes a file path")
-            .clone();
-        let text = std::fs::read_to_string(&path).expect("read --validate file");
-        match SpeedReport::parse(&text) {
-            Ok(r) => {
-                println!(
-                    "{path}: valid {} report ({} over {} nodes, {} platforms)",
-                    flashsim_bench::speed::SCHEMA,
-                    r.app,
-                    r.nodes,
-                    r.platforms.len()
-                );
-                return;
-            }
-            Err(e) => {
-                eprintln!("{path}: invalid: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
     let setup = setup_from_args();
     header("simulator speed (events/sec, simulated MIPS)", &setup);
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -373,18 +326,8 @@ fn main() {
             Box::new(move || study.sim(Sim::SimosMipsy(150), nodes, MemModel::Numa)),
         ),
     ];
-    let mut measured: Vec<PlatformSpeed> = Vec::with_capacity(platforms.len() * 2);
     for (name, cfg) in &platforms {
-        let best = best_run(cfg, bench, iters, None);
-        report(name, &best);
-        measured.push(PlatformSpeed {
-            label: (*name).to_owned(),
-            threads: 1,
-            events_per_sec: best.events_per_sec,
-            sim_mips: best.sim_mips,
-            wall_seconds: best.wall_seconds,
-            host: None,
-        });
+        report(name, &best_run(cfg, bench, iters, None));
     }
     let mut first_profile: Option<HostReport> = None;
     if workers > 0 {
@@ -406,14 +349,6 @@ fn main() {
             if first_profile.is_none() {
                 first_profile.clone_from(&host);
             }
-            measured.push(PlatformSpeed {
-                label,
-                threads: workers as u32,
-                events_per_sec: best.events_per_sec,
-                sim_mips: best.sim_mips,
-                wall_seconds: best.wall_seconds,
-                host: host.as_ref().map(host_summary),
-            });
         }
     }
     if let Some(frac) = flag("--hostprof-overhead") {
@@ -447,51 +382,6 @@ fn main() {
         println!();
         println!("wrote {path} ({})", hostprof::HOSTPROF_SCHEMA);
     }
-    let speed_report = SpeedReport {
-        app: app.clone(),
-        nodes,
-        iters: iters as u32,
-        platforms: measured,
-    };
-
-    if let Some(path) = flag("--json") {
-        std::fs::write(&path, speed_report.to_json()).expect("write --json output");
-        println!();
-        println!("wrote {path}");
-    }
-
-    if let Some(path) = flag("--baseline") {
-        let tolerance: f64 = flag("--tolerance")
-            .map(|s| s.parse().expect("--tolerance takes a fraction"))
-            .unwrap_or(0.30);
-        let text = std::fs::read_to_string(&path).expect("read --baseline file");
-        let baseline = match SpeedReport::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("baseline {path} is invalid: {e}");
-                std::process::exit(2);
-            }
-        };
-        let regressions = speed_report.regressions_vs(&baseline, tolerance);
-        println!();
-        if regressions.is_empty() {
-            println!(
-                "perf gate: all {} baseline platforms within {:.0}% of {path}",
-                baseline.platforms.len(),
-                tolerance * 100.0
-            );
-        } else {
-            eprintln!(
-                "perf gate FAILED against {path} (tolerance {:.0}%):",
-                tolerance * 100.0
-            );
-            for r in &regressions {
-                eprintln!("  {r}");
-            }
-            std::process::exit(1);
-        }
-    }
-
     println!();
     println!("tracing overhead (hardware platform):");
     let hw: ConfigFn<'_> = Box::new(move || study.hardware(nodes));

@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
-pub mod speed;
 pub mod streamview;
 
 use flashsim_core::platform::Study;

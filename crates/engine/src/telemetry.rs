@@ -52,8 +52,8 @@
 //!
 //! [`Telemetry`] follows the [`crate::trace::Tracer`] /
 //! [`crate::account::Profiler`] handle pattern: a disabled handle is
-//! `None` inside, and every record call is a single branch. The
-//! `simspeed` perf gate runs with telemetry compiled in but off.
+//! `None` inside, and every record call is a single branch. The repo
+//! benchmark (`benchmark/`) runs with telemetry compiled in but off.
 //!
 //! # Examples
 //!

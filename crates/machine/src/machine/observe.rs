@@ -1,0 +1,391 @@
+//! The observer attachments — tracer, profiler, telemetry, spans, host
+//! profiler, live stream, heartbeat — and the machine-layer probes that
+//! feed them.
+
+use super::Machine;
+use flashsim_engine::stream::{FileSink, ProgressMeter, RunInfo, StreamEmitter, StreamSink};
+use flashsim_engine::{
+    HostPhase, HostProf, HostReport, MetricId, MetricKind, Profiler, SpanSet, SpanTracer,
+    Telemetry, Time, Tracer, WorkerPool,
+};
+
+/// Metric ids for the machine layer's own telemetry probes. All
+/// [`MetricId::NONE`] until [`Machine::attach_telemetry`]; each probe
+/// site then costs exactly the registry handle's disabled-path branch.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct TelIds {
+    pub(super) l1_hits: MetricId,
+    pub(super) l1_misses: MetricId,
+    pub(super) l2_hits: MetricId,
+    pub(super) l2_misses: MetricId,
+    pub(super) pending_depth: MetricId,
+    pub(super) barrier_skew: MetricId,
+    /// Scheduler-internal (volatile: excluded from the stable export
+    /// because batching reshapes it by design).
+    pub(super) sched_batches: MetricId,
+    /// Scheduler-internal (volatile): ops admitted per batch.
+    pub(super) sched_batch_ops: MetricId,
+    /// Scheduler-internal (volatile): runnable nodes in the laggard heap.
+    pub(super) sched_heap: MetricId,
+}
+
+impl TelIds {
+    pub(super) fn none() -> TelIds {
+        TelIds {
+            l1_hits: MetricId::NONE,
+            l1_misses: MetricId::NONE,
+            l2_hits: MetricId::NONE,
+            l2_misses: MetricId::NONE,
+            pending_depth: MetricId::NONE,
+            barrier_skew: MetricId::NONE,
+            sched_batches: MetricId::NONE,
+            sched_batch_ops: MetricId::NONE,
+            sched_heap: MetricId::NONE,
+        }
+    }
+}
+
+/// The heartbeat reads the wall clock on every tick whose count has these
+/// bits clear: once per 4096 scheduling decisions.
+pub(super) const HEARTBEAT_SAMPLE_MASK: u64 = 0xFFF;
+
+/// Live progress, throttled by host wall-clock time. The scheduling
+/// loops tick it once per decision; the `Instant` read is amortized to
+/// once per 4096 ticks so an attached-but-quiet heartbeat stays off the
+/// hot path. The windowed rate/budget computation lives in the shared
+/// [`ProgressMeter`], so the stderr line and the stream's advisory
+/// `progress` events can never report different numbers.
+pub(super) struct Heartbeat {
+    every: std::time::Duration,
+    /// Whether to print the stderr line (false for the silent
+    /// stream-only heartbeat a stream sink auto-attaches).
+    stderr: bool,
+    pub(super) ticks: u64,
+    meter: ProgressMeter,
+    /// Baseline for the parallel policy's worker-occupancy fraction:
+    /// `(wall instant, cumulative busy ns across workers)` at the last
+    /// emitted sample. `None` until the first sample under a worker
+    /// pool (the fraction needs a window to average over).
+    last_busy: Option<(std::time::Instant, u64)>,
+    /// Per-worker counterpart of `last_busy`: cumulative busy ns per
+    /// worker at the last emitted sample, for the advisory per-worker
+    /// utilization array on progress events. Empty until the first
+    /// sample under a worker pool.
+    last_worker: Vec<u64>,
+}
+
+impl Heartbeat {
+    fn new(every: std::time::Duration, stderr: bool) -> Heartbeat {
+        Heartbeat {
+            every,
+            stderr,
+            ticks: 0,
+            meter: ProgressMeter::start(),
+            last_busy: None,
+            last_worker: Vec::new(),
+        }
+    }
+}
+
+impl Machine {
+    /// Attaches a flight recorder to every layer of the machine: each core
+    /// (`cpu` events, tagged with its node id), the cache/TLB path (`mem`
+    /// events), the memory system (`proto` events, plus `net` events if the
+    /// model has a network), and the machine itself (`machine` events:
+    /// run phases, barrier releases, lock hand-offs).
+    ///
+    /// Attach *before* [`Machine::run`]; a disabled tracer (the default)
+    /// costs a single masked branch per potential event.
+    pub fn attach_tracer(&mut self, tracer: Tracer) {
+        for (n, core) in self.cores.iter_mut().enumerate() {
+            core.attach_tracer(tracer.clone(), n as u32);
+        }
+        self.memsys.attach_tracer(tracer.clone());
+        self.tracer = tracer;
+    }
+
+    /// Attaches a cycle-accounting profiler: each core charges its
+    /// internal pipeline stalls, while the machine itself charges memory
+    /// latency (split per the model's [`LatencyBreakdown`]), TLB refills,
+    /// OS costs, synchronization waits, and marks per-op boundaries so
+    /// uncharged time lands in the compute residual.
+    ///
+    /// Attach *before* [`Machine::run`]; a disabled profiler (the
+    /// default) costs one branch per potential charge.
+    pub fn attach_profiler(&mut self, profiler: Profiler) {
+        for (n, core) in self.cores.iter_mut().enumerate() {
+            core.attach_profiler(profiler.clone(), n as u32);
+        }
+        self.profiler = profiler;
+    }
+
+    /// Attaches a sim-time telemetry registry to every layer of the
+    /// machine: cache hit/miss counters, pending-miss depth, and barrier
+    /// clock skew here, plus whatever the memory-system model registers
+    /// (directory-pool occupancy, MAGIC inbound queue, NACK/retry rates,
+    /// link utilization, …). Scheduler-internal metrics are registered
+    /// volatile: available for inspection, excluded from the stable
+    /// export because batching reshapes them by design.
+    ///
+    /// Attach *before* [`Machine::run`]; a disabled registry (the
+    /// default) costs one branch per potential sample. Setting
+    /// [`MachineConfig::telemetry`] attaches one automatically at
+    /// construction.
+    pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
+        self.tel = TelIds {
+            l1_hits: telemetry.register("mem.l1_hits", MetricKind::Counter),
+            l1_misses: telemetry.register("mem.l1_misses", MetricKind::Counter),
+            l2_hits: telemetry.register("mem.l2_hits", MetricKind::Counter),
+            l2_misses: telemetry.register("mem.l2_misses", MetricKind::Counter),
+            pending_depth: telemetry.register("mem.pending_depth", MetricKind::Gauge),
+            barrier_skew: telemetry.register("machine.barrier_skew_ps", MetricKind::Gauge),
+            sched_batches: telemetry.register_volatile("sched.batches", MetricKind::Counter),
+            sched_batch_ops: telemetry.register_volatile("sched.batch_ops", MetricKind::Counter),
+            sched_heap: telemetry.register_volatile("sched.heap_nodes", MetricKind::Gauge),
+        };
+        self.memsys.attach_telemetry(telemetry.clone());
+        self.telemetry = telemetry;
+    }
+
+    /// The attached telemetry registry (disabled until
+    /// [`Machine::attach_telemetry`] — directly or via
+    /// [`MachineConfig::telemetry`]).
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
+    /// Attaches a causal span tracer: the machine roots one span tree per
+    /// sampled L2-missing access (issue time → data back in the cache)
+    /// and the memory-system model appends the legs it traverses —
+    /// handler occupancies, per-hop network legs, NACK/retry loops, bank
+    /// accesses, reply path. Per-leg charges mirror the model's
+    /// [`LatencyBreakdown`] accumulators exactly, so each tree's charges
+    /// tile its end-to-end latency in integer picoseconds.
+    ///
+    /// Attach *before* [`Machine::run`]; a disabled tracer (the default)
+    /// costs one branch per miss. Setting [`MachineConfig::spans`]
+    /// attaches one automatically at construction.
+    pub fn attach_spans(&mut self, spans: SpanTracer) {
+        self.memsys.attach_spans(spans.clone());
+        self.spans = spans;
+    }
+
+    /// The sampled span trees collected so far (`None` when no span
+    /// tracer is attached).
+    pub fn spans(&self) -> Option<SpanSet> {
+        self.spans.snapshot()
+    }
+
+    /// Enables a live stderr heartbeat: at most one line per `every` of
+    /// host wall-clock time reporting sim time, ops executed, host
+    /// throughput, watchdog-budget progress, and the current spread
+    /// between the fastest and slowest node clocks.
+    pub fn attach_heartbeat(&mut self, every: std::time::Duration) {
+        self.heartbeat = Some(Heartbeat::new(every, true));
+    }
+
+    /// Attaches a host-time self-profiler: the scheduling loops drive
+    /// its scoped phase timers (scan / fork / commit / serial /
+    /// checkpoint / stream over a `drive` base), the parallel rounds
+    /// tally fork-admission outcomes into it, and the worker pool's
+    /// per-worker lanes are harvested into its report.
+    ///
+    /// Attach *before* [`Machine::run`]; a disabled profiler (the
+    /// default) costs one branch per probe. Setting
+    /// [`MachineConfig::hostprof`] attaches one automatically at
+    /// construction.
+    ///
+    /// Isolation contract: the profiler only ever *absorbs* host clock
+    /// readings — no machine code path reads time back out of it — so
+    /// attachment cannot change a single simulated byte
+    /// (`tests/hostprof_isolation.rs` proves it per platform and
+    /// policy), and the knob is excluded from [`Machine::provenance`].
+    pub fn attach_hostprof(&mut self, hostprof: HostProf) {
+        self.hostprof = hostprof;
+    }
+
+    /// The finalized host-time report of the last completed run
+    /// (`None` when no profiler is attached or no run has finished).
+    pub fn hostprof_report(&self) -> Option<HostReport> {
+        self.hostprof.report()
+    }
+
+    /// Attaches a live `flashsim-stream-v1` event sink: the machine
+    /// emits a `start` header, one closed telemetry bucket per barrier
+    /// release, checkpoint-written markers, advisory progress
+    /// heartbeats, and an `end` terminator (see
+    /// [`flashsim_engine::stream`]). Streaming never perturbs simulated
+    /// state — the deterministic events are a pure function of the
+    /// run's provenance, and a sink error silently stops the stream
+    /// rather than failing the run.
+    ///
+    /// On a machine restored from a checkpoint the emitter resumes at
+    /// the stored stream position, so the continuation appends exactly
+    /// the events the uninterrupted run would have produced. Setting
+    /// [`MachineConfig::stream`] attaches a durable [`FileSink`]
+    /// automatically at [`Machine::run`] (create on a fresh run, append
+    /// on resume).
+    pub fn attach_stream_sink(&mut self, sink: Box<dyn StreamSink>) {
+        let mut em = StreamEmitter::new(sink);
+        em.set_position(self.stream_pos.0, self.stream_pos.1);
+        self.stream = Some(em);
+    }
+
+    /// The stream emitter's `(next_seq, last_emitted_ps)` position —
+    /// what checkpoints store, and what the journal truncates a
+    /// restored cell's stream file back to.
+    pub fn stream_position(&self) -> (u64, u64) {
+        self.stream
+            .as_ref()
+            .map_or(self.stream_pos, StreamEmitter::position)
+    }
+
+    /// Run-entry stream setup: opens the configured file sink if none
+    /// is attached yet, auto-attaches a silent heartbeat so progress
+    /// events flow even without [`MachineConfig::heartbeat`], and emits
+    /// the `start` header (fresh streams only) with the bucket
+    /// baselines seeded from current cumulative totals — zeros on a
+    /// fresh run, the restored quiescent-point totals on resume.
+    pub(super) fn open_stream(&mut self) {
+        if self.stream.is_none() {
+            if let Some(path) = self.cfg.stream.clone() {
+                let opened = if self.stream_pos.0 == 0 {
+                    FileSink::create(&path)
+                } else {
+                    FileSink::append(&path)
+                };
+                match opened {
+                    Ok(sink) => self.attach_stream_sink(Box::new(sink)),
+                    Err(e) => {
+                        eprintln!("[flashsim] stream sink {} unavailable: {e}", path.display());
+                    }
+                }
+            }
+        }
+        if self.stream.is_none() {
+            return;
+        }
+        if self.heartbeat.is_none() {
+            let every = std::time::Duration::from_millis(250);
+            self.heartbeat = Some(Heartbeat::new(every, false));
+        }
+        let at = Time::from_ps(self.stream_position().1);
+        let metrics = self.stream_totals(at);
+        let account = self.stream_account(at);
+        let info = RunInfo {
+            provenance: flashsim_engine::ckpt::provenance_hash(&self.provenance()),
+            config: self.cfg.label(),
+            workload: self.workload.clone(),
+            seed: self.workload_seed,
+            nodes: self.cfg.nodes,
+            sched: self.cfg.sched.key().to_owned(),
+            budget_ops: self.cfg.watchdog.max_ops,
+        };
+        if let Some(em) = self.stream.as_mut() {
+            let _stream = self.hostprof.phase(HostPhase::Stream);
+            em.begin(&info, &metrics, account.as_deref());
+        }
+    }
+
+    /// The stable metric set at quiescent time `at` as `(key, kind,
+    /// cumulative total)` — the stream emitter's bucket basis. Volatile
+    /// (scheduler-shaped) metrics are excluded, exactly as in the
+    /// stable JSONL export, so the stream stays policy-invariant.
+    pub(super) fn stream_totals(&self, at: Time) -> Vec<(String, MetricKind, u64)> {
+        self.telemetry
+            .snapshot(at)
+            .map(|snap| {
+                snap.metrics
+                    .iter()
+                    .filter(|m| !m.volatile)
+                    .map(|m| (m.key(), m.kind, m.total))
+                    .collect()
+            })
+            .unwrap_or_default()
+    }
+
+    /// Cumulative per-class accounting ledger at quiescent time `at`,
+    /// when a profiler is attached. At a barrier release every node
+    /// clock equals `at`, so the snapshot is exact and policy-invariant.
+    pub(super) fn stream_account(&self, at: Time) -> Option<Vec<u64>> {
+        let ends = vec![at; self.cfg.nodes as usize];
+        self.profiler
+            .snapshot(&ends)
+            .map(|acc| acc.class_totals().to_vec())
+    }
+
+    /// One scheduling-decision tick of the heartbeat. One branch when no
+    /// heartbeat is attached; when attached, the wall clock is read once
+    /// per 4096 ticks and a line/event is emitted at most once per
+    /// interval. The stderr line and the stream's `progress` event are
+    /// rendered from the same [`ProgressMeter`] sample, so they always
+    /// agree. `pool` is the parallel policy's worker pool, whose busy
+    /// counters are read only when a sample is due.
+    pub(super) fn heartbeat_tick(&mut self, executed: u64, pool: Option<&WorkerPool>) {
+        let budget = self.cfg.watchdog.max_ops;
+        let Some(hb) = self.heartbeat.as_mut() else {
+            return;
+        };
+        hb.ticks += 1;
+        if hb.ticks & HEARTBEAT_SAMPLE_MASK != 0 {
+            return;
+        }
+        let now = std::time::Instant::now();
+        if !hb.meter.due(now, hb.every) {
+            return;
+        }
+        let mut sample = hb.meter.sample(now, executed, budget);
+        if let Some(pool) = pool {
+            // Average worker occupancy over the window since the last
+            // sample: host-side observability only, never simulated
+            // state (progress events are advisory by contract).
+            let lanes: Vec<u64> = (0..pool.size()).map(|w| pool.busy_ns(w)).collect();
+            let busy_ns: u64 = lanes.iter().sum();
+            if let Some((prev_at, prev_ns)) = hb.last_busy {
+                let wall_ns = now.duration_since(prev_at).as_nanos();
+                if wall_ns > 0 && !lanes.is_empty() {
+                    let frac = busy_ns.saturating_sub(prev_ns) as f64
+                        / (wall_ns as f64 * lanes.len() as f64);
+                    sample.busy = Some(frac.min(1.0));
+                    if hb.last_worker.len() == lanes.len() {
+                        sample.worker_busy = lanes
+                            .iter()
+                            .zip(&hb.last_worker)
+                            .map(|(cur, prev)| {
+                                (cur.saturating_sub(*prev) as f64 / wall_ns as f64).min(1.0)
+                            })
+                            .collect();
+                    }
+                }
+            }
+            hb.last_busy = Some((now, busy_ns));
+            hb.last_worker = lanes;
+        }
+        let stderr = hb.stderr;
+        let lead = self.lead_clock();
+        let lag = self.cores.iter().map(|c| c.now()).fold(lead, Time::min);
+        let skew = lead.saturating_since(lag);
+        if let Some(em) = self.stream.as_mut() {
+            let _stream = self.hostprof.phase(HostPhase::Stream);
+            em.progress(lead.as_ps(), &sample, skew.as_ps());
+        }
+        if stderr {
+            let budget = match sample.budget_frac {
+                Some(f) => format!("{:.1}%", 100.0 * f),
+                None => "-".to_owned(),
+            };
+            let busy = match sample.busy {
+                Some(f) => format!(" busy={:.0}%", 100.0 * f),
+                None => String::new(),
+            };
+            eprintln!(
+                "[flashsim] sim={:.3}ms ops={executed} rate={:.0}/s live={:.0}/s \
+                 budget={budget} skew={}ns{busy}",
+                (lead - Time::ZERO).as_ns_f64() / 1e6,
+                sample.rate,
+                sample.live,
+                skew.as_ns_f64(),
+            );
+        }
+    }
+}

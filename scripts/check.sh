@@ -62,33 +62,6 @@ if [ -n "$violations" ]; then
     exit 1
 fi
 
-echo "== simspeed perf gate (events/sec vs committed baseline) =="
-# Best-of-N snbench throughput per platform — serial rows plus the
-# parallel scheduling policy under 4 host workers — emitted as JSON,
-# schema-validated, and compared against
-# results/BENCH_simspeed_baseline.json: any row more than 30% below its
-# baseline events/sec fails the gate. These configs leave telemetry
-# compiled in but disabled, so the comparison also asserts the
-# telemetry disabled path (one branch per probe site) has not regressed
-# the hot loop; the parallel rows additionally gate the fork/join
-# round machinery's overhead. Wall-clock numbers are host-dependent and
-# noisy — on a loaded or much slower machine, skip with
-# FLASHSIM_SKIP_PERF=1 (the benchmark still runs as a smoke test; only
-# the comparison is skipped).
-cargo build --release -q -p flashsim-bench --bin simspeed
-perf_json="$(mktemp)"
-if [ "${FLASHSIM_SKIP_PERF:-0}" = "1" ]; then
-    ./target/release/simspeed --app snbench --iters 3 --workers 4 --json "$perf_json" > /dev/null
-    ./target/release/simspeed --validate "$perf_json"
-    echo "FLASHSIM_SKIP_PERF=1: baseline comparison skipped"
-else
-    ./target/release/simspeed --app snbench --iters 10 --workers 4 --json "$perf_json" \
-        --baseline results/BENCH_simspeed_baseline.json --tolerance 0.30 > /dev/null
-    ./target/release/simspeed --validate "$perf_json"
-    echo "within 30% of committed baseline"
-fi
-rm -f "$perf_json"
-
 echo "== hostprof gate (flashsim-hostprof-v1 schema + reconciliation + overhead) =="
 # The host-time self-profiler must (a) emit schema-valid
 # flashsim-hostprof-v1 JSONL — the binary self-validates the export

@@ -117,9 +117,22 @@ fn candidates_match_reference_on_every_platform() {
         let r = run_program(with_policy(cfg.clone(), SchedPolicy::Reference), &prog)
             .expect("reference run completes");
         for (pname, policy) in candidates() {
-            let c = run_program(with_policy(cfg.clone(), policy), &prog)
-                .expect("candidate run completes");
+            let mut cand = with_policy(cfg.clone(), policy);
+            cand.hostprof = true;
+            let c = run_program(cand, &prog).expect("candidate run completes");
             assert_identical(&format!("{label}/{pname}"), &c, &r);
+            if matches!(policy, SchedPolicy::Parallel { .. }) {
+                // Every core model here publishes a transparent scan
+                // profile, so the parallel run must really have forked —
+                // admitted ops through the fork-side environment and met
+                // its shared-op stop — or the equivalence above never
+                // exercised the private path on the fork side.
+                let a = c.hostprof.as_ref().expect("hostprof attached").admission;
+                assert!(
+                    a.rounds > 0 && a.admitted_ops > 0 && a.rejected_shared > 0,
+                    "{label}/{pname}: forking never happened: {a:?}"
+                );
+            }
         }
     }
 }
