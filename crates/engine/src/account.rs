@@ -27,7 +27,10 @@
 //! execution (subtracted from the op's span before the remainder goes to
 //! Compute), and [`Profiler::charge_wall`] for spans *between* ops
 //! (barrier waits, lock queues, timer ticks) that the op spans never
-//! cover.
+//! cover. The machine's run loops mark ops through
+//! [`Profiler::mark_op_in`], which keeps the residual of ops that charged
+//! nothing in a caller-held [`Window`] and takes the ledger's lock once
+//! per phase bucket instead of once per op.
 //!
 //! # Examples
 //!
@@ -48,8 +51,10 @@
 use crate::ckpt::{CkptError, CkptReader, CkptWriter};
 use crate::time::{Time, TimeDelta};
 use crate::trace::push_json_escaped;
+use crate::window::Window;
 use core::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Number of time-phase buckets an [`Accounting`] samples a run into.
 pub const PHASES: usize = 64;
@@ -148,8 +153,10 @@ struct Book {
     op_charged: Vec<u64>,
     /// Per-phase per-class charged picoseconds.
     phases: [[u64; StallClass::COUNT]; PHASES],
-    /// Current phase-bucket width in picoseconds.
-    phase_ps: u64,
+    /// log2 of the current phase-bucket width in picoseconds: the width
+    /// starts a power of two and only doubles, so a phase index is a
+    /// shift.
+    phase_shift: u32,
 }
 
 impl Book {
@@ -158,22 +165,29 @@ impl Book {
             classes: Vec::new(),
             op_charged: Vec::new(),
             phases: [[0; StallClass::COUNT]; PHASES],
-            phase_ps: INITIAL_PHASE_PS,
+            phase_shift: INITIAL_PHASE_PS.trailing_zeros(),
         }
     }
 
+    #[inline]
     fn ensure(&mut self, node: usize) {
         if node >= self.classes.len() {
-            self.classes.resize(node + 1, [0; StallClass::COUNT]);
-            self.op_charged.resize(node + 1, 0);
+            self.grow(node);
         }
     }
 
-    /// The phase bucket for `at`, doubling the bucket width (merging
-    /// adjacent pairs) until `at` fits.
-    fn phase_of(&mut self, at: Time) -> usize {
-        let ps = at.as_ps();
-        while ps / self.phase_ps >= PHASES as u64 {
+    /// Off the charge path for every node [`Profiler::reserve_nodes`]
+    /// sized the ledger for.
+    #[cold]
+    fn grow(&mut self, node: usize) {
+        self.classes.resize(node + 1, [0; StallClass::COUNT]);
+        self.op_charged.resize(node + 1, 0);
+    }
+
+    /// The phase bucket for time `ps`, doubling the bucket width
+    /// (merging adjacent pairs) until it fits.
+    fn phase_of(&mut self, ps: u64) -> usize {
+        while ps >> self.phase_shift >= PHASES as u64 {
             for i in 0..PHASES / 2 {
                 let mut merged = self.phases[2 * i];
                 for (m, c) in merged.iter_mut().zip(self.phases[2 * i + 1]) {
@@ -184,20 +198,86 @@ impl Book {
             for slot in &mut self.phases[PHASES / 2..] {
                 *slot = [0; StallClass::COUNT];
             }
-            self.phase_ps *= 2;
+            self.phase_shift += 1;
         }
-        (ps / self.phase_ps) as usize
+        (ps >> self.phase_shift) as usize
     }
 
-    fn add(&mut self, node: u32, class: StallClass, at: Time, ps: u64, in_op: bool) {
+    fn add(&mut self, node: u32, class: StallClass, at_ps: u64, ps: u64, in_op: bool) {
         let n = node as usize;
         self.ensure(n);
         self.classes[n][class as usize] += ps;
         if in_op {
             self.op_charged[n] += ps;
         }
-        let phase = self.phase_of(at);
+        let phase = self.phase_of(at_ps);
         self.phases[phase][class as usize] += ps;
+    }
+
+    /// Adds what a [`Window`] folded for `node` — compute residual, at the
+    /// largest op start it absorbed.
+    fn publish(&mut self, node: u32, (last, fold): (u64, u64)) {
+        self.add(node, StallClass::Compute, last, fold, false);
+    }
+}
+
+/// What the clones of an enabled [`Profiler`] share.
+#[derive(Debug)]
+struct Ledger {
+    book: Mutex<Book>,
+    /// Per node, whether `Book::op_charged` is nonzero — what
+    /// [`Profiler::mark_op_in`] must know to keep an op's residual out of
+    /// the book. Written only with the book locked, so flag and amount
+    /// never disagree; read without it by the thread that executes the
+    /// node, which is also the thread that made the charges (a node
+    /// changes threads only across a fork or join of the worker pool,
+    /// which orders everything before it). Unset until
+    /// [`Profiler::reserve_nodes`]; nodes it does not cover are marked
+    /// under the lock every time.
+    in_op: OnceLock<Box<[AtomicBool]>>,
+}
+
+impl Ledger {
+    fn book(&self) -> MutexGuard<'_, Book> {
+        self.book.lock().expect("accounting book poisoned") // gate: allow
+    }
+
+    /// (`#[inline]`: [`Profiler::mark_op_in`] is inlined into other
+    /// crates, and from there this would otherwise be a call per op.)
+    #[inline]
+    fn in_op(&self, node: u32) -> Option<&AtomicBool> {
+        self.in_op.get()?.get(node as usize)
+    }
+
+    /// The lock-taking half of [`Profiler::mark_op_in`]'s window path, out
+    /// of line so that the inlined half is two compares and an add:
+    /// publishes `w`'s fold, if it holds one, and re-aims it at the phase
+    /// bucket of the residual `(at_ps, first)` that fell outside it.
+    #[cold]
+    #[inline(never)]
+    fn turn(&self, w: &mut Window, node: u32, at_ps: u64, first: u64) {
+        let mut b = self.book();
+        if let Some(held) = w.take() {
+            b.publish(node, held);
+        }
+        let lo = (b.phase_of(at_ps) as u64) << b.phase_shift;
+        w.aim(lo, lo.saturating_add(1 << b.phase_shift), at_ps, first);
+    }
+
+    /// The per-op path: the residual of `busy` over what was charged
+    /// in-op since the last mark goes straight to Compute.
+    fn mark_op(&self, node: u32, at: Time, busy: TimeDelta) {
+        let mut b = self.book();
+        let n = node as usize;
+        b.ensure(n);
+        let charged = std::mem::take(&mut b.op_charged[n]);
+        if let Some(flag) = self.in_op(node) {
+            flag.store(false, Ordering::Release);
+        }
+        let residual = busy.as_ps().saturating_sub(charged);
+        if residual > 0 {
+            b.add(node, StallClass::Compute, at.as_ps(), residual, false);
+        }
     }
 }
 
@@ -212,7 +292,7 @@ impl Book {
 /// [`disabled`]: Profiler::disabled
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
-    book: Option<Arc<Mutex<Book>>>,
+    ledger: Option<Arc<Ledger>>,
 }
 
 impl Profiler {
@@ -224,14 +304,35 @@ impl Profiler {
     /// An enabled profiler with an empty ledger.
     pub fn new() -> Profiler {
         Profiler {
-            book: Some(Arc::new(Mutex::new(Book::new()))),
+            ledger: Some(Arc::new(Ledger {
+                book: Mutex::new(Book::new()),
+                in_op: OnceLock::new(),
+            })),
         }
     }
 
     /// True if charges are being recorded.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.book.is_some()
+        self.ledger.is_some()
+    }
+
+    /// Sizes the ledger for nodes `0..nodes` up front, which takes ledger
+    /// growth off the charge path and lets [`mark_op_in`] skip the lock
+    /// for those nodes. The first call fixes the lock-free range; charges
+    /// to nodes beyond it still work, one lock per mark.
+    ///
+    /// [`mark_op_in`]: Profiler::mark_op_in
+    pub fn reserve_nodes(&self, nodes: u32) {
+        let Some(ledger) = &self.ledger else { return };
+        let mut b = ledger.book();
+        if nodes > 0 {
+            b.ensure(nodes as usize - 1);
+        }
+        ledger.in_op.get_or_init(|| {
+            let pending = b.op_charged.iter().take(nodes as usize);
+            pending.map(|&ps| AtomicBool::new(ps != 0)).collect()
+        });
     }
 
     /// Charges `dur` of node `node`'s timeline at time `at` to `class`,
@@ -241,16 +342,13 @@ impl Profiler {
     /// [`mark_op`]: Profiler::mark_op
     #[inline]
     pub fn charge(&self, node: u32, class: StallClass, at: Time, dur: TimeDelta) {
-        if let Some(book) = &self.book {
+        if let Some(ledger) = &self.ledger {
             if !dur.is_zero() {
-                // gate: allow — a poisoned book lock is a prior panic
-                book.lock().expect("accounting book poisoned").add(
-                    node,
-                    class,
-                    at,
-                    dur.as_ps(),
-                    true,
-                );
+                let mut b = ledger.book();
+                b.add(node, class, at.as_ps(), dur.as_ps(), true);
+                if let Some(flag) = ledger.in_op(node) {
+                    flag.store(true, Ordering::Release);
+                }
             }
         }
     }
@@ -260,16 +358,11 @@ impl Profiler {
     /// op's compute residual.
     #[inline]
     pub fn charge_wall(&self, node: u32, class: StallClass, at: Time, dur: TimeDelta) {
-        if let Some(book) = &self.book {
+        if let Some(ledger) = &self.ledger {
             if !dur.is_zero() {
-                // gate: allow — a poisoned book lock is a prior panic
-                book.lock().expect("accounting book poisoned").add(
-                    node,
-                    class,
-                    at,
-                    dur.as_ps(),
-                    false,
-                );
+                ledger
+                    .book()
+                    .add(node, class, at.as_ps(), dur.as_ps(), false);
             }
         }
     }
@@ -287,15 +380,43 @@ impl Profiler {
     /// [`snapshot`]: Profiler::snapshot
     #[inline]
     pub fn mark_op(&self, node: u32, at: Time, busy: TimeDelta) {
-        if let Some(book) = &self.book {
-            let mut b = book.lock().expect("accounting book poisoned"); // gate: allow
-            let n = node as usize;
-            b.ensure(n);
-            let charged = std::mem::take(&mut b.op_charged[n]);
-            let residual = busy.as_ps().saturating_sub(charged);
-            if residual > 0 {
-                b.add(node, StallClass::Compute, at, residual, false);
-            }
+        if let Some(ledger) = &self.ledger {
+            ledger.mark_op(node, at, busy);
+        }
+    }
+
+    /// [`mark_op`] for the run loops, which mark every simulated op. When
+    /// nothing was charged in-op on `node` since its last mark — the
+    /// common case — the whole of `busy` is compute, and it is folded
+    /// into the caller's [`Window`] `w` (which must serve only `node`)
+    /// without the ledger's lock; the fold reaches the ledger when a
+    /// later op leaves the window's phase bucket or at [`publish`].
+    /// Otherwise this is [`mark_op`] itself, so the per-op saturation of
+    /// the residual is the same on both paths.
+    ///
+    /// [`mark_op`]: Profiler::mark_op
+    /// [`publish`]: Profiler::publish
+    #[inline]
+    pub fn mark_op_in(&self, w: &mut Window, node: u32, at: Time, busy: TimeDelta) {
+        let Some(ledger) = &self.ledger else { return };
+        let uncharged = ledger
+            .in_op(node)
+            .is_some_and(|flag| !flag.load(Ordering::Acquire));
+        if !uncharged {
+            ledger.mark_op(node, at, busy);
+        } else if !busy.is_zero() && !w.sum(at.as_ps(), busy.as_ps()) {
+            ledger.turn(w, node, at.as_ps(), busy.as_ps());
+        }
+    }
+
+    /// Moves whatever compute residual `w` holds for `node` into the
+    /// ledger and empties it. Every window must be published before the
+    /// ledger is read ([`snapshot`](Profiler::snapshot),
+    /// [`save_ckpt`](Profiler::save_ckpt)).
+    pub fn publish(&self, w: &mut Window, node: u32) {
+        let Some(ledger) = &self.ledger else { return };
+        if let Some(held) = w.take() {
+            ledger.book().publish(node, held);
         }
     }
 
@@ -309,8 +430,7 @@ impl Profiler {
     ///
     /// Returns `None` on a disabled profiler.
     pub fn snapshot(&self, node_ends: &[Time]) -> Option<Accounting> {
-        let book = self.book.as_ref()?;
-        let mut b = book.lock().expect("accounting book poisoned"); // gate: allow
+        let mut b = self.ledger.as_ref()?.book();
         b.ensure(node_ends.len().saturating_sub(1));
         let nodes = node_ends
             .iter()
@@ -328,7 +448,7 @@ impl Profiler {
         Some(Accounting {
             nodes,
             phases: b.phases.to_vec(),
-            phase_ps: b.phase_ps,
+            phase_ps: 1 << b.phase_shift,
         })
     }
 
@@ -338,18 +458,18 @@ impl Profiler {
     /// conservation is applied only at [`Profiler::snapshot`].
     pub fn save_ckpt(&self, w: &mut CkptWriter) {
         w.section("profiler");
-        let Some(book) = &self.book else {
+        let Some(ledger) = &self.ledger else {
             w.u64("enabled", 0);
             return;
         };
-        let b = book.lock().expect("accounting book poisoned"); // gate: allow
+        let b = ledger.book();
         w.u64("enabled", 1);
         w.u64("nodes", b.classes.len() as u64);
         for classes in &b.classes {
             w.u64s("classes", classes);
         }
         w.u64s("op_charged", &b.op_charged);
-        w.u64("phase_ps", b.phase_ps);
+        w.u64("phase_ps", 1 << b.phase_shift);
         for row in &b.phases {
             w.u64s("phase", row);
         }
@@ -365,13 +485,13 @@ impl Profiler {
         }
         r.section("profiler")?;
         let enabled = r.u64("enabled")?;
-        if (enabled == 1) != self.book.is_some() {
+        if (enabled == 1) != self.ledger.is_some() {
             return Err(CkptError::Parse {
                 key: "enabled".to_string(),
                 value: enabled.to_string(),
             });
         }
-        let Some(book) = &self.book else {
+        let Some(ledger) = &self.ledger else {
             return Ok(());
         };
         let nodes = r.u64("nodes")? as usize;
@@ -387,15 +507,25 @@ impl Profiler {
             });
         }
         let phase_ps = r.u64("phase_ps")?;
+        if !phase_ps.is_power_of_two() {
+            return Err(CkptError::Parse {
+                key: "phase_ps".to_string(),
+                value: phase_ps.to_string(),
+            });
+        }
         let mut phases = [[0u64; StallClass::COUNT]; PHASES];
         for row in &mut phases {
             *row = classes_row(r.u64s("phase")?, "phase")?;
         }
-        let mut b = book.lock().expect("accounting book poisoned"); // gate: allow
+        let mut b = ledger.book();
+        for (n, flag) in ledger.in_op.get().into_iter().flatten().enumerate() {
+            let pending = op_charged.get(n).is_some_and(|&ps| ps != 0);
+            flag.store(pending, Ordering::Release);
+        }
         b.classes = classes;
         b.op_charged = op_charged;
         b.phases = phases;
-        b.phase_ps = phase_ps;
+        b.phase_shift = phase_ps.trailing_zeros();
         Ok(())
     }
 }

@@ -58,7 +58,10 @@
 //! - [`prom`]: the single shared Prometheus text-exposition formatter
 //!   used by every exporter in the workspace,
 //! - [`jsonl`]: the shared JSONL field scanners behind every
-//!   `validate_jsonl` schema checker (telemetry, spans, stream).
+//!   `validate_jsonl` schema checker (telemetry, spans, stream),
+//! - [`window`]: the caller-held accumulator the per-op observer sites
+//!   write through — a sum or max over one cached bucket, published to
+//!   its telemetry or accounting handle once per bucket.
 //!
 //! # Examples
 //!
@@ -97,6 +100,7 @@ pub mod stream;
 pub mod telemetry;
 pub mod time;
 pub mod trace;
+pub mod window;
 
 pub use account::{Accounting, NodeAccount, Profiler, StallClass};
 pub use ckpt::{CkptError, CkptReader, CkptWriter};
@@ -117,3 +121,4 @@ pub use stream::{
 pub use telemetry::{MetricId, MetricKind, MetricSeries, Telemetry, TelemetrySeries};
 pub use time::{Clock, Time, TimeDelta};
 pub use trace::{CategoryMask, Trace, TraceCategory, TraceEvent, Tracer};
+pub use window::Window;

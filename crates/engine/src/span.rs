@@ -505,9 +505,125 @@ struct SpanState {
     cur: Option<Build>,
 }
 
+/// Locks an attached tracer's state.
+fn lock(state: &Mutex<SpanState>) -> std::sync::MutexGuard<'_, SpanState> {
+    // gate: allow — a poisoned lock means a prior panic; propagating
+    // here cannot lose more than that panic already did.
+    state.lock().unwrap()
+}
+
+/// What the [`SpanTracer`] probes do once a state is attached; kept out
+/// of line so the probes' inlined guards stay one branch.
+impl SpanState {
+    fn txn_try_begin(&mut self, node: u32, line: u64, kind: &'static str, start: Time) -> bool {
+        let index = {
+            let c = self.counters.entry((node, line)).or_insert(0);
+            let index = *c;
+            *c += 1;
+            index
+        };
+        if self.cur.is_some() || !sampled(&self.plan, node, line, index) {
+            return false;
+        }
+        if self.txns.len() >= self.plan.max_txns as usize {
+            self.truncated += 1;
+            return false;
+        }
+        self.cur = Some(Build {
+            txn: SpanTxn {
+                node,
+                line,
+                index,
+                kind,
+                case: "",
+                spans: vec![SpanRecord {
+                    id: 0,
+                    parent: None,
+                    kind,
+                    node,
+                    start,
+                    end: start,
+                    class: None,
+                    charge: TimeDelta::ZERO,
+                }],
+            },
+            stack: vec![Frame {
+                id: 0,
+                offpath: false,
+            }],
+            offpath: 0,
+        });
+        true
+    }
+
+    fn push(&mut self, kind: &'static str, node: u32, start: Time, offpath: bool) {
+        if let Some(b) = self.cur.as_mut() {
+            let id = b.txn.spans.len() as u32;
+            let parent = b.stack.last().map(|f| f.id);
+            b.txn.spans.push(SpanRecord {
+                id,
+                parent,
+                kind,
+                node,
+                start,
+                end: start,
+                class: None,
+                charge: TimeDelta::ZERO,
+            });
+            b.stack.push(Frame { id, offpath });
+            if offpath {
+                b.offpath += 1;
+            }
+        }
+    }
+
+    fn end(&mut self, end: Time, class: Option<SpanClass>, charge: TimeDelta) {
+        if let Some(b) = self.cur.as_mut() {
+            if b.stack.len() <= 1 {
+                return; // root is closed by txn_end, never here
+            }
+            let frame = match b.stack.pop() {
+                Some(f) => f,
+                None => return,
+            };
+            if frame.offpath {
+                b.offpath -= 1;
+            }
+            if let Some(span) = b.txn.spans.get_mut(frame.id as usize) {
+                span.end = end;
+                span.class = class;
+                span.charge = if b.offpath > 0 {
+                    TimeDelta::ZERO
+                } else {
+                    charge
+                };
+            }
+        }
+    }
+
+    fn txn_end(&mut self, end: Time, case: &'static str) {
+        if let Some(mut b) = self.cur.take() {
+            while b.stack.len() > 1 {
+                if let Some(f) = b.stack.pop() {
+                    if let Some(span) = b.txn.spans.get_mut(f.id as usize) {
+                        span.end = end;
+                    }
+                }
+            }
+            if let Some(root) = b.txn.spans.first_mut() {
+                root.end = end;
+            }
+            b.txn.case = case;
+            self.txns.push(b.txn);
+        }
+    }
+}
+
 /// A cloneable span-tracer handle.
 ///
-/// The default handle is disabled and every probe is a single branch.
+/// The default handle is disabled and every probe is a single branch:
+/// the probes are `#[inline]` guards, so a caller in another crate tests
+/// the handle in place and makes a call only when a state is attached.
 /// The simulation is single-threaded per run, so the handle tracks one
 /// transaction at a time: the machine (or a bench drive) opens it with
 /// [`txn_try_begin`](SpanTracer::txn_try_begin) around the memory-system
@@ -543,101 +659,33 @@ impl SpanTracer {
     }
 
     fn with<R>(&self, f: impl FnOnce(&mut SpanState) -> R) -> Option<R> {
-        let state = self.inner.as_ref()?;
-        // gate: allow — a poisoned lock means a prior panic; propagating
-        // here cannot lose more than that panic already did.
-        Some(f(&mut state.lock().unwrap()))
+        self.inner.as_deref().map(|state| f(&mut lock(state)))
     }
 
     /// Counts one demand miss by `node` on `line` and, if the sampler
     /// picks it, opens a transaction rooted at `[start, start]` (the root
     /// end is patched by [`txn_end`](SpanTracer::txn_end)). Returns
     /// whether a transaction is now recording.
+    #[inline]
     pub fn txn_try_begin(&self, node: u32, line: u64, kind: &'static str, start: Time) -> bool {
-        if self.inner.is_none() {
-            return false;
+        match &self.inner {
+            Some(state) => lock(state).txn_try_begin(node, line, kind, start),
+            None => false,
         }
-        self.with(|s| {
-            let index = {
-                let c = s.counters.entry((node, line)).or_insert(0);
-                let index = *c;
-                *c += 1;
-                index
-            };
-            if s.cur.is_some() || !sampled(&s.plan, node, line, index) {
-                return false;
-            }
-            if s.txns.len() >= s.plan.max_txns as usize {
-                s.truncated += 1;
-                return false;
-            }
-            s.cur = Some(Build {
-                txn: SpanTxn {
-                    node,
-                    line,
-                    index,
-                    kind,
-                    case: "",
-                    spans: vec![SpanRecord {
-                        id: 0,
-                        parent: None,
-                        kind,
-                        node,
-                        start,
-                        end: start,
-                        class: None,
-                        charge: TimeDelta::ZERO,
-                    }],
-                },
-                stack: vec![Frame {
-                    id: 0,
-                    offpath: false,
-                }],
-                offpath: 0,
-            });
-            true
-        })
-        .unwrap_or(false)
     }
 
     /// True if a sampled transaction is currently recording.
     pub fn active(&self) -> bool {
-        if self.inner.is_none() {
-            return false;
-        }
         self.with(|s| s.cur.is_some()).unwrap_or(false)
-    }
-
-    fn push(&self, kind: &'static str, node: u32, start: Time, offpath: bool) {
-        if self.inner.is_none() {
-            return;
-        }
-        self.with(|s| {
-            if let Some(b) = s.cur.as_mut() {
-                let id = b.txn.spans.len() as u32;
-                let parent = b.stack.last().map(|f| f.id);
-                b.txn.spans.push(SpanRecord {
-                    id,
-                    parent,
-                    kind,
-                    node,
-                    start,
-                    end: start,
-                    class: None,
-                    charge: TimeDelta::ZERO,
-                });
-                b.stack.push(Frame { id, offpath });
-                if offpath {
-                    b.offpath += 1;
-                }
-            }
-        });
     }
 
     /// Opens a structural span; subsequent legs nest under it until
     /// [`end`](SpanTracer::end).
+    #[inline]
     pub fn begin(&self, kind: &'static str, node: u32, start: Time) {
-        self.push(kind, node, start, false);
+        if let Some(state) = &self.inner {
+            lock(state).push(kind, node, start, false);
+        }
     }
 
     /// Opens a structural span whose *descendants* are off the critical
@@ -646,42 +694,24 @@ impl SpanTracer {
     /// itself may still carry a charge at [`end`](SpanTracer::end) — an
     /// upgrade's invalidation round is charged wholesale even though its
     /// per-sharer legs are not.
+    #[inline]
     pub fn begin_offpath(&self, kind: &'static str, node: u32, start: Time) {
-        self.push(kind, node, start, true);
+        if let Some(state) = &self.inner {
+            lock(state).push(kind, node, start, true);
+        }
     }
 
     /// Closes the innermost open span, recording its end, class, and
     /// charge (suppressed to zero inside an off-path subtree).
+    #[inline]
     pub fn end(&self, end: Time, class: Option<SpanClass>, charge: TimeDelta) {
-        if self.inner.is_none() {
-            return;
+        if let Some(state) = &self.inner {
+            lock(state).end(end, class, charge);
         }
-        self.with(|s| {
-            if let Some(b) = s.cur.as_mut() {
-                if b.stack.len() <= 1 {
-                    return; // root is closed by txn_end, never here
-                }
-                let frame = match b.stack.pop() {
-                    Some(f) => f,
-                    None => return,
-                };
-                if frame.offpath {
-                    b.offpath -= 1;
-                }
-                if let Some(span) = b.txn.spans.get_mut(frame.id as usize) {
-                    span.end = end;
-                    span.class = class;
-                    span.charge = if b.offpath > 0 {
-                        TimeDelta::ZERO
-                    } else {
-                        charge
-                    };
-                }
-            }
-        });
     }
 
     /// Records one leaf leg under the innermost open span.
+    #[inline]
     pub fn leg(
         &self,
         kind: &'static str,
@@ -691,36 +721,21 @@ impl SpanTracer {
         class: Option<SpanClass>,
         charge: TimeDelta,
     ) {
-        if self.inner.is_none() {
-            return;
+        if let Some(state) = &self.inner {
+            let mut s = lock(state);
+            s.push(kind, node, start, false);
+            s.end(end, class, charge);
         }
-        self.push(kind, node, start, false);
-        self.end(end, class, charge);
     }
 
     /// Completes the current transaction: patches the root's end, closes
     /// any spans left open, records the protocol case, and appends the
     /// transaction to the set.
+    #[inline]
     pub fn txn_end(&self, end: Time, case: &'static str) {
-        if self.inner.is_none() {
-            return;
+        if let Some(state) = &self.inner {
+            lock(state).txn_end(end, case);
         }
-        self.with(|s| {
-            if let Some(mut b) = s.cur.take() {
-                while b.stack.len() > 1 {
-                    if let Some(f) = b.stack.pop() {
-                        if let Some(span) = b.txn.spans.get_mut(f.id as usize) {
-                            span.end = end;
-                        }
-                    }
-                }
-                if let Some(root) = b.txn.spans.first_mut() {
-                    root.end = end;
-                }
-                b.txn.case = case;
-                s.txns.push(b.txn);
-            }
-        });
     }
 
     /// A copy of everything recorded so far (`None` when disabled).

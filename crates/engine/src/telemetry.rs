@@ -55,6 +55,16 @@
 //! `None` inside, and every record call is a single branch. The repo
 //! benchmark (`benchmark/`) runs with telemetry compiled in but off.
 //!
+//! # Per-op sites
+//!
+//! A counter or gauge written once per simulated op goes through a
+//! caller-held [`Window`] ([`Telemetry::count_in`],
+//! [`Telemetry::gauge_in`]): events inside the window's bucket are folded
+//! without the registry's lock, and the fold is published when an event
+//! leaves the bucket or a reader is due ([`Telemetry::publish`]). Sums
+//! and maxima commute and buckets only ever merge, so the exports cannot
+//! tell the difference (see [`crate::window`]).
+//!
 //! # Examples
 //!
 //! ```
@@ -79,6 +89,7 @@ use crate::jsonl::{leading_u64, scan_strings_after};
 use crate::prom;
 use crate::time::{Time, TimeDelta};
 use crate::trace::push_json_escaped;
+use crate::window::Window;
 
 /// Schema identifier stamped on the JSONL header line.
 pub const SCHEMA: &str = "flashsim-telemetry-v1";
@@ -146,6 +157,13 @@ struct Registry {
     /// High-water mark of any recorded timestamp, so a snapshot taken
     /// at the final core clock still covers late memory-system events.
     high_ps: u64,
+    /// The bucket `[cur_lo, cur_hi)` the last counter or gauge event fell
+    /// in, and its index: consecutive events mostly share a bucket, and
+    /// finding it again then takes no division. Empty (`cur_hi == 0`)
+    /// until the first event and after every change of `bucket_ps`.
+    cur_lo: u64,
+    cur_hi: u64,
+    cur_idx: usize,
     metrics: Vec<Metric>,
 }
 
@@ -154,6 +172,9 @@ impl Registry {
         Registry {
             bucket_ps: cadence_ps.max(1),
             high_ps: 0,
+            cur_lo: 0,
+            cur_hi: 0,
+            cur_idx: 0,
             metrics: Vec::new(),
         }
     }
@@ -204,26 +225,52 @@ impl Registry {
                 }
             }
             self.bucket_ps = self.bucket_ps.saturating_mul(2);
+            self.cur_hi = 0;
         }
     }
 
-    fn count(&mut self, id: MetricId, at: Time, n: u64) {
-        let ps = at.as_ps();
+    /// The bucket index of `ps`, growing the buffer to hold it.
+    #[inline]
+    fn slot(&mut self, ps: u64) -> usize {
+        self.high_ps = self.high_ps.max(ps);
+        if !(self.cur_lo..self.cur_hi).contains(&ps) {
+            self.seek(ps);
+        }
+        self.cur_idx
+    }
+
+    /// Moves the cached bucket to the one holding `ps`.
+    #[cold]
+    fn seek(&mut self, ps: u64) {
         self.grow_to(ps);
-        let idx = (ps / self.bucket_ps) as usize;
+        let idx = ps / self.bucket_ps;
+        self.cur_idx = idx as usize;
+        self.cur_lo = idx * self.bucket_ps;
+        self.cur_hi = self.cur_lo.saturating_add(self.bucket_ps);
+    }
+
+    fn count(&mut self, id: MetricId, ps: u64, n: u64) {
+        let idx = self.slot(ps);
         if let Some(m) = self.metrics.get_mut(id.0 as usize) {
             m.total = m.total.saturating_add(n);
             m.buckets[idx] = m.buckets[idx].saturating_add(n);
         }
     }
 
-    fn gauge(&mut self, id: MetricId, at: Time, value: u64) {
-        let ps = at.as_ps();
-        self.grow_to(ps);
-        let idx = (ps / self.bucket_ps) as usize;
+    fn gauge(&mut self, id: MetricId, ps: u64, value: u64) {
+        let idx = self.slot(ps);
         if let Some(m) = self.metrics.get_mut(id.0 as usize) {
             m.total = m.total.max(value);
             m.buckets[idx] = m.buckets[idx].max(value);
+        }
+    }
+
+    /// Publishes what a [`Window`] folded — a sum for a counter, a
+    /// maximum for a gauge — at `ps`, the largest timestamp it absorbed.
+    fn publish(&mut self, id: MetricId, (ps, fold): (u64, u64)) {
+        match self.metrics.get(id.0 as usize).map(|m| m.kind) {
+            Some(MetricKind::Gauge) => self.gauge(id, ps, fold),
+            _ => self.count(id, ps, fold),
         }
     }
 
@@ -286,6 +333,22 @@ fn integrate(bucket_ps: u64, m: &mut Metric, to_ps: u64) {
         cur = stop;
     }
     m.last_at = to_ps;
+}
+
+/// The lock-taking half of [`Telemetry::count_in`] and
+/// [`Telemetry::gauge_in`], out of line so that the inlined half is two
+/// compares and an add: publishes `w`'s fold, if it holds one, and
+/// re-aims it at the bucket of the event `(ps, first)` that fell outside
+/// it.
+#[cold]
+#[inline(never)]
+fn turn(inner: &Mutex<Registry>, w: &mut Window, id: MetricId, ps: u64, first: u64) {
+    let mut reg = inner.lock().expect("telemetry registry poisoned"); // gate: allow
+    if let Some(held) = w.take() {
+        reg.publish(id, held);
+    }
+    reg.slot(ps);
+    w.aim(reg.cur_lo, reg.cur_hi, ps, first);
 }
 
 /// Handle to the sim-time telemetry registry. Clones share one
@@ -393,7 +456,7 @@ impl Telemetry {
         inner
             .lock()
             .expect("telemetry registry poisoned") // gate: allow
-            .count(id, at, n);
+            .count(id, at.as_ps(), n);
     }
 
     /// Records an instantaneous gauge level at simulated time `at`.
@@ -403,7 +466,42 @@ impl Telemetry {
         inner
             .lock()
             .expect("telemetry registry poisoned") // gate: allow
-            .gauge(id, at, value);
+            .gauge(id, at.as_ps(), value);
+    }
+
+    /// [`count`](Telemetry::count) for a site that fires per simulated
+    /// op: the event is folded into the caller's [`Window`] `w` (which
+    /// must serve only `id`) and reaches the registry when a later event
+    /// leaves the window's bucket or at [`publish`](Telemetry::publish).
+    #[inline]
+    pub fn count_in(&self, w: &mut Window, id: MetricId, at: Time, n: u64) {
+        let Some(inner) = &self.inner else { return };
+        if !w.sum(at.as_ps(), n) {
+            turn(inner, w, id, at.as_ps(), n);
+        }
+    }
+
+    /// [`gauge`](Telemetry::gauge) through a caller-held [`Window`]; see
+    /// [`count_in`](Telemetry::count_in).
+    #[inline]
+    pub fn gauge_in(&self, w: &mut Window, id: MetricId, at: Time, value: u64) {
+        let Some(inner) = &self.inner else { return };
+        if !w.max(at.as_ps(), value) {
+            turn(inner, w, id, at.as_ps(), value);
+        }
+    }
+
+    /// Moves whatever `w` holds for `id` into the registry and empties
+    /// it. Every window must be published before the registry is read
+    /// ([`snapshot`](Telemetry::snapshot), [`save_ckpt`](Telemetry::save_ckpt)).
+    pub fn publish(&self, w: &mut Window, id: MetricId) {
+        let Some(inner) = &self.inner else { return };
+        if let Some(held) = w.take() {
+            inner
+                .lock()
+                .expect("telemetry registry poisoned") // gate: allow
+                .publish(id, held);
+        }
     }
 
     /// Establishes a new occupancy level at simulated time `at`,
@@ -477,7 +575,15 @@ impl Telemetry {
             return Ok(());
         };
         let mut reg = inner.lock().expect("telemetry registry poisoned"); // gate: allow
-        reg.bucket_ps = r.u64("bucket_ps")?;
+        let bucket_ps = r.u64("bucket_ps")?;
+        if bucket_ps == 0 {
+            return Err(CkptError::Parse {
+                key: "bucket_ps".to_string(),
+                value: bucket_ps.to_string(),
+            });
+        }
+        reg.bucket_ps = bucket_ps;
+        reg.cur_hi = 0;
         reg.high_ps = r.u64("high_ps")?;
         let count = r.u64("metrics")?;
         let stable = reg.metrics.iter().filter(|m| !m.volatile).count();

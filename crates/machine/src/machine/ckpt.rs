@@ -103,6 +103,10 @@ impl Machine {
             self.barrier_arrivals.is_empty(),
             "checkpoint outside a quiescent point"
         );
+        debug_assert!(
+            self.observers_published(),
+            "checkpoint with observer windows unpublished"
+        );
         let mut w = CkptWriter::new(&self.provenance());
         w.section("machine");
         w.u64("ckpt_seq", self.ckpt_seq);

@@ -155,16 +155,18 @@ pub(super) fn resolve_private(
 
     // Hit/miss telemetry counters are bucket-summed, so recording them
     // here — covering the fast path below too — is safe under every
-    // scheduling policy (per-window sums commute).
+    // scheduling policy (per-window sums commute), and so is folding
+    // them in the node's windows first.
+    let (tel, ids, obs) = (sink.telemetry, &sink.tel, &mut mem.obs);
     match probe {
-        HierProbe::L1Hit => sink.telemetry.count(sink.tel.l1_hits, t, 1),
+        HierProbe::L1Hit => tel.count_in(&mut obs.l1_hits, ids.l1_hits, t, 1),
         HierProbe::L2Hit => {
-            sink.telemetry.count(sink.tel.l1_misses, t, 1);
-            sink.telemetry.count(sink.tel.l2_hits, t, 1);
+            tel.count_in(&mut obs.l1_misses, ids.l1_misses, t, 1);
+            tel.count_in(&mut obs.l2_hits, ids.l2_hits, t, 1);
         }
         HierProbe::L2Upgrade | HierProbe::L2Miss => {
-            sink.telemetry.count(sink.tel.l1_misses, t, 1);
-            sink.telemetry.count(sink.tel.l2_misses, t, 1);
+            tel.count_in(&mut obs.l1_misses, ids.l1_misses, t, 1);
+            tel.count_in(&mut obs.l2_misses, ids.l2_misses, t, 1);
         }
     }
 

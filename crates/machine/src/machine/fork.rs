@@ -252,9 +252,10 @@ fn run_fork(
         slot.stream.advance();
         slot.core.execute(&op, &mut env);
         let done = slot.core.now();
+        let busy = done.saturating_since(now);
         env.sink
             .profiler
-            .mark_op(n as u32, now, done.saturating_since(now));
+            .mark_op_in(&mut env.mem.obs.compute, n as u32, now, busy);
         env.sink.timer_ticks(env.mem, &mut *slot.core, done);
     }
 }

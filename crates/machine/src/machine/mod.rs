@@ -53,7 +53,7 @@ use flashsim_mem::{
     CacheHierarchy, FrameAllocator, LatencyBreakdown, LineAddr, MemorySystem, PageTable, Tlb,
 };
 use flashsim_os::TlbModel;
-use observe::{Heartbeat, TelIds};
+use observe::{Heartbeat, NodeObs, SchedObs, TelIds};
 use std::collections::HashMap;
 use std::fmt;
 use sync::LockState;
@@ -109,6 +109,8 @@ struct NodeMem {
     /// out (per-node op keys are monotone), which keeps a stale bound
     /// conservative but sound.
     lb_dirty: bool,
+    /// Where this node's per-op observer writes accumulate.
+    obs: NodeObs,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,6 +147,7 @@ pub struct Machine {
     telemetry: Telemetry,
     spans: SpanTracer,
     tel: TelIds,
+    sched_obs: SchedObs,
     heartbeat: Option<Heartbeat>,
     fault: Option<SimError>,
     workload: String,
@@ -204,6 +207,7 @@ impl Machine {
                 tlb_refills: 0,
                 next_tick: Time::ZERO + cfg.os.timer_interval.unwrap_or(TimeDelta::ZERO),
                 lb_dirty: true,
+                obs: NodeObs::default(),
             })
             .collect();
 
@@ -255,6 +259,7 @@ impl Machine {
             telemetry: Telemetry::disabled(),
             spans: SpanTracer::disabled(),
             tel: TelIds::none(),
+            sched_obs: SchedObs::none(),
             heartbeat: None,
             fault: None,
             workload: program.name(),
@@ -333,6 +338,7 @@ impl Machine {
             SchedPolicy::Parallel { workers } => self.run_parallel(workers, wall_start),
         };
         self.hostprof.run_end();
+        self.publish_observers();
         if let Err(e) = ran {
             let at = self.lead_clock();
             let ops: u64 = self.streams.iter().map(ThreadStream::consumed).sum();

@@ -6,7 +6,7 @@ use super::Machine;
 use flashsim_engine::stream::{FileSink, ProgressMeter, RunInfo, StreamEmitter, StreamSink};
 use flashsim_engine::{
     HostPhase, HostProf, HostReport, MetricId, MetricKind, Profiler, SpanSet, SpanTracer,
-    Telemetry, Time, Tracer, WorkerPool,
+    Telemetry, Time, Tracer, Window, WorkerPool,
 };
 
 /// Metric ids for the machine layer's own telemetry probes. All
@@ -20,13 +20,6 @@ pub(super) struct TelIds {
     pub(super) l2_misses: MetricId,
     pub(super) pending_depth: MetricId,
     pub(super) barrier_skew: MetricId,
-    /// Scheduler-internal (volatile: excluded from the stable export
-    /// because batching reshapes it by design).
-    pub(super) sched_batches: MetricId,
-    /// Scheduler-internal (volatile): ops admitted per batch.
-    pub(super) sched_batch_ops: MetricId,
-    /// Scheduler-internal (volatile): runnable nodes in the laggard heap.
-    pub(super) sched_heap: MetricId,
 }
 
 impl TelIds {
@@ -38,9 +31,83 @@ impl TelIds {
             l2_misses: MetricId::NONE,
             pending_depth: MetricId::NONE,
             barrier_skew: MetricId::NONE,
-            sched_batches: MetricId::NONE,
-            sched_batch_ops: MetricId::NONE,
-            sched_heap: MetricId::NONE,
+        }
+    }
+}
+
+/// One node's [`Window`]s onto the series written per simulated op: the
+/// four hit/miss counters of [`resolve_private`](super::env) and the
+/// compute residual of the per-op mark. They live in the node's
+/// [`NodeMem`](super::NodeMem), so whoever executes the node — the serial
+/// loops through `Machine::mems`, a forked phase through its slot — holds
+/// them exclusively, and they move with the node across fork and join.
+#[derive(Debug, Default)]
+pub(super) struct NodeObs {
+    pub(super) l1_hits: Window,
+    pub(super) l1_misses: Window,
+    pub(super) l2_hits: Window,
+    pub(super) l2_misses: Window,
+    pub(super) compute: Window,
+}
+
+impl NodeObs {
+    fn publish(&mut self, telemetry: &Telemetry, tel: &TelIds, profiler: &Profiler, node: u32) {
+        telemetry.publish(&mut self.l1_hits, tel.l1_hits);
+        telemetry.publish(&mut self.l1_misses, tel.l1_misses);
+        telemetry.publish(&mut self.l2_hits, tel.l2_hits);
+        telemetry.publish(&mut self.l2_misses, tel.l2_misses);
+        profiler.publish(&mut self.compute, node);
+    }
+
+    fn is_empty(&self) -> bool {
+        let counters = [
+            &self.l1_hits,
+            &self.l1_misses,
+            &self.l2_hits,
+            &self.l2_misses,
+        ];
+        counters.into_iter().all(Window::is_empty) && self.compute.is_empty()
+    }
+}
+
+/// The scheduler's own series, written once per decision, each with its
+/// [`Window`]. Volatile: the reference policy has no batches, so these
+/// are policy-shaped by construction and excluded from the stable export.
+#[derive(Debug)]
+pub(super) struct SchedObs {
+    /// `sched.batches`: decisions taken.
+    batches: (MetricId, Window),
+    /// `sched.batch_ops`: ops admitted per decision.
+    batch_ops: (MetricId, Window),
+    /// `sched.heap_nodes`: runnable nodes in the laggard heap.
+    heap: (MetricId, Window),
+}
+
+impl SchedObs {
+    pub(super) fn none() -> SchedObs {
+        SchedObs {
+            batches: (MetricId::NONE, Window::new()),
+            batch_ops: (MetricId::NONE, Window::new()),
+            heap: (MetricId::NONE, Window::new()),
+        }
+    }
+
+    /// Records a decision taken at `at` with `runnable` nodes in the heap.
+    #[inline]
+    pub(super) fn open(&mut self, telemetry: &Telemetry, at: Time, runnable: u64) {
+        telemetry.count_in(&mut self.batches.1, self.batches.0, at, 1);
+        telemetry.gauge_in(&mut self.heap.1, self.heap.0, at, runnable);
+    }
+
+    /// Records that the decision taken at `at` admitted `ops` ops.
+    #[inline]
+    pub(super) fn close(&mut self, telemetry: &Telemetry, at: Time, ops: u64) {
+        telemetry.count_in(&mut self.batch_ops.1, self.batch_ops.0, at, ops);
+    }
+
+    fn publish(&mut self, telemetry: &Telemetry) {
+        for (id, w) in [&mut self.batches, &mut self.batch_ops, &mut self.heap] {
+            telemetry.publish(w, *id);
         }
     }
 }
@@ -116,6 +183,7 @@ impl Machine {
         for (n, core) in self.cores.iter_mut().enumerate() {
             core.attach_profiler(profiler.clone(), n as u32);
         }
+        profiler.reserve_nodes(self.cfg.nodes);
         self.profiler = profiler;
     }
 
@@ -139,12 +207,34 @@ impl Machine {
             l2_misses: telemetry.register("mem.l2_misses", MetricKind::Counter),
             pending_depth: telemetry.register("mem.pending_depth", MetricKind::Gauge),
             barrier_skew: telemetry.register("machine.barrier_skew_ps", MetricKind::Gauge),
-            sched_batches: telemetry.register_volatile("sched.batches", MetricKind::Counter),
-            sched_batch_ops: telemetry.register_volatile("sched.batch_ops", MetricKind::Counter),
-            sched_heap: telemetry.register_volatile("sched.heap_nodes", MetricKind::Gauge),
+        };
+        let volatile = |name, kind| (telemetry.register_volatile(name, kind), Window::new());
+        self.sched_obs = SchedObs {
+            batches: volatile("sched.batches", MetricKind::Counter),
+            batch_ops: volatile("sched.batch_ops", MetricKind::Counter),
+            heap: volatile("sched.heap_nodes", MetricKind::Gauge),
         };
         self.memsys.attach_telemetry(telemetry.clone());
         self.telemetry = telemetry;
+    }
+
+    /// Moves everything the run loops hold in [`Window`]s into the
+    /// telemetry registry and the accounting ledger. Runs before every
+    /// reader of either: the stream bucket and the checkpoint cut at a
+    /// barrier release, and the end of the run, failed or not.
+    pub(super) fn publish_observers(&mut self) {
+        for (n, mem) in self.mems.iter_mut().enumerate() {
+            mem.obs
+                .publish(&self.telemetry, &self.tel, &self.profiler, n as u32);
+        }
+        self.sched_obs.publish(&self.telemetry);
+    }
+
+    /// Whether [`publish_observers`](Machine::publish_observers) has
+    /// nothing to move (the scheduler's volatile series aside: no
+    /// checkpoint or stable export carries them).
+    pub(super) fn observers_published(&self) -> bool {
+        self.mems.iter().all(|mem| mem.obs.is_empty())
     }
 
     /// The attached telemetry registry (disabled until

@@ -6,7 +6,7 @@
 
 use super::env::{ChargeSink, MachineEnv};
 use super::fork::ForkCtx;
-use super::observe::{TelIds, HEARTBEAT_SAMPLE_MASK};
+use super::observe::{SchedObs, HEARTBEAT_SAMPLE_MASK};
 use super::{Machine, NodeStatus};
 use crate::error::{NodeSnapshot, NodeState, SimError};
 use flashsim_cpu::env::Core;
@@ -111,8 +111,8 @@ impl Sched {
     /// profiler's opaque tally when forking is off).
     fn close_decision(
         &self,
+        obs: &mut SchedObs,
         telemetry: &Telemetry,
-        tel: &TelIds,
         hostprof: &HostProf,
         decision_at: Time,
         ops_before: u64,
@@ -121,7 +121,7 @@ impl Sched {
         if self.opaque_serial {
             hostprof.count_opaque(ops);
         }
-        telemetry.count(tel.sched_batch_ops, decision_at, ops);
+        obs.close(telemetry, decision_at, ops);
     }
 }
 
@@ -136,6 +136,7 @@ pub(super) struct Epoch<'a> {
     pub(super) cores: &'a mut [Box<dyn Core>],
     streams: &'a mut [ThreadStream],
     status: &'a mut [NodeStatus],
+    sched_obs: &'a mut SchedObs,
     hostprof: &'a HostProf,
     /// The attached heartbeat's decision-tick counter.
     hb_ticks: Option<&'a mut u64>,
@@ -219,19 +220,14 @@ impl Epoch<'_> {
             cores,
             streams,
             status,
+            sched_obs,
             hostprof,
             ..
         } = self;
         let (core, stream) = (&mut cores[n], &mut streams[n]);
         debug_assert_eq!(core.now(), decision_at, "heap key is the node clock");
         env.sink.node = n;
-        // Scheduler-internal telemetry (volatile: the reference policy
-        // has no batches, so these are policy-shaped by construction
-        // and excluded from the stable export).
-        let sink = &env.sink;
-        sink.telemetry.count(sink.tel.sched_batches, decision_at, 1);
-        sink.telemetry
-            .gauge(sink.tel.sched_heap, decision_at, s.heap.len() as u64);
+        sched_obs.open(env.sink.telemetry, decision_at, s.heap.len() as u64);
         let mut now = decision_at;
         let serial = hostprof.phase(HostPhase::Serial);
         let runnable = loop {
@@ -280,9 +276,10 @@ impl Epoch<'_> {
             stream.advance();
             core.execute(&op, env);
             let done = core.now();
+            let busy = done.saturating_since(now);
             env.sink
                 .profiler
-                .mark_op(laggard, now, done.saturating_since(now));
+                .mark_op_in(&mut env.mems[n].obs.compute, laggard, now, busy);
             if let Some(e) = env.fault.take() {
                 return Some(EpochEnd::Fault(e));
             }
@@ -297,8 +294,8 @@ impl Epoch<'_> {
             s.heap.pop();
         }
         s.close_decision(
+            sched_obs,
             env.sink.telemetry,
-            &env.sink.tel,
             hostprof,
             decision_at,
             ops_before,
@@ -337,6 +334,7 @@ impl Machine {
             cores: &mut self.cores,
             streams: &mut self.streams,
             status: &mut self.status,
+            sched_obs: &mut self.sched_obs,
             hostprof: &self.hostprof,
             hb_ticks: self.heartbeat.as_mut().map(|hb| &mut hb.ticks),
         }
@@ -453,8 +451,8 @@ impl Machine {
                     }
                     s.rebuild(&self.status, &self.cores);
                     s.close_decision(
+                        &mut self.sched_obs,
                         &self.telemetry,
-                        &self.tel,
                         &self.hostprof,
                         decision_at,
                         ops_before,
@@ -468,11 +466,8 @@ impl Machine {
                     let decision_at = s.heap.peek().map_or(Time::ZERO, |(_, t)| t);
                     let admitted = self.parallel_round(f, quota);
                     s.executed += admitted;
-                    self.telemetry.count(self.tel.sched_batches, decision_at, 1);
-                    self.telemetry
-                        .gauge(self.tel.sched_heap, decision_at, running);
-                    self.telemetry
-                        .count(self.tel.sched_batch_ops, decision_at, admitted);
+                    self.sched_obs.open(&self.telemetry, decision_at, running);
+                    self.sched_obs.close(&self.telemetry, decision_at, admitted);
                     for (w, prev) in f.busy_prev.iter_mut().enumerate() {
                         let b = f.pool.busy_ns(w);
                         self.telemetry
@@ -588,9 +583,10 @@ impl Machine {
         let op_start = core.now();
         core.execute(&op, env);
         let done = core.now();
+        let busy = done.saturating_since(op_start);
         env.sink
             .profiler
-            .mark_op(n as u32, op_start, done.saturating_since(op_start));
+            .mark_op_in(&mut env.mems[n].obs.compute, n as u32, op_start, busy);
         if let Some(e) = env.fault.take() {
             return Err(e);
         }

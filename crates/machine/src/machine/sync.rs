@@ -76,6 +76,8 @@ impl Machine {
                     // total is policy-invariant, which is what makes the
                     // stream's closed bucket (deltas since the previous
                     // release) prefix-stable across reruns and policies.
+                    // Both readers below need the totals complete.
+                    self.publish_observers();
                     if self.stream.is_some() {
                         let _stream = self.hostprof.phase(HostPhase::Stream);
                         let totals = self.stream_totals(release);

@@ -30,7 +30,7 @@ enum DirState {
 }
 
 /// A directory header: state + inline first sharer + chained extras.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Header {
     state: DirState,
     /// Owner when `Owned`; the inline head sharer when `Shared`.
@@ -184,7 +184,15 @@ impl Directory {
     }
 
     fn sharer_listed(&self, header: &Header, node: NodeId) -> bool {
-        self.collect_sharers(header).contains(&node)
+        let mut cur = header.list;
+        while let Some(idx) = cur {
+            let slot = self.pool[idx as usize];
+            if slot.node == node {
+                return true;
+            }
+            cur = slot.next;
+        }
+        header.head == node
     }
 
     /// Adds `node` to a Shared line's list. If the pointer pool is
@@ -192,11 +200,11 @@ impl Directory {
     /// pointer; the victim is returned so the caller can send the
     /// invalidation.
     fn add_sharer(&mut self, line: LineAddr, node: NodeId) -> Option<NodeId> {
-        // Take the header out to sidestep aliasing with the pool.
-        let mut header = self.headers.remove(&line).expect("header exists"); // gate: allow
+        // Work on a copy of the header (the pool is borrowed meanwhile)
+        // and write it back in place.
+        let mut header = *self.headers.get(&line).expect("header exists"); // gate: allow
         debug_assert_eq!(header.state, DirState::Shared);
         if self.sharer_listed(&header, node) {
-            self.headers.insert(line, header);
             return None;
         }
         let mut victim = None;
@@ -221,7 +229,9 @@ impl Directory {
                 }
             }
         }
-        self.headers.insert(line, header);
+        if let Some(slot) = self.headers.get_mut(&line) {
+            *slot = header;
+        }
         victim.filter(|v| *v != node)
     }
 

@@ -22,10 +22,14 @@ echo "== scheduler equivalence worker sweep (1, 2, host parallelism) =="
 # The parallel policy must be byte-identical to the reference
 # interleaving at *every* worker count, not just the suite's default of
 # 2: one worker (pure fork overhead, no concurrency), two (the smallest
-# real interleaving), and 0 = one per available host core.
+# real interleaving), and 0 = one per available host core. That includes
+# the runs with telemetry, the profiler and a stream attached (the per-op
+# observer writes ride in per-node windows across every fork and join:
+# `observer_windows_lose_nothing_across_forks_and_barrier_cuts`), and the
+# host profiler's isolation suite, which reads the same variable.
 for w in 1 2 0; do
     echo "-- FLASHSIM_EQ_WORKERS=$w --"
-    FLASHSIM_EQ_WORKERS=$w cargo test -q --test sched_equivalence
+    FLASHSIM_EQ_WORKERS=$w cargo test -q --test sched_equivalence --test hostprof_isolation
 done
 
 echo "== cargo fmt --check =="
