@@ -31,6 +31,7 @@
 //! just that structural validation over an existing directory.
 
 use flashsim_bench::chaos::{survival_matrix, CELL_BUDGET};
+use flashsim_bench::Args;
 use flashsim_core::journal::{self, run_matrix_journaled};
 use flashsim_core::platform::{MemModel, Sim, Study};
 use flashsim_core::runner::MatrixCell;
@@ -280,35 +281,26 @@ fn kill_resume(kills: u64, seed: u64, base: &Path) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
+    let args = Args::parse(&[]);
 
     // Internal self-exec entry point; must not print the banner.
-    if let Some(dir) = flag("--kill-resume-child") {
-        kill_resume_child(Path::new(&dir));
+    if let Some(dir) = args.value("--kill-resume-child") {
+        kill_resume_child(Path::new(dir));
     }
 
-    if let Some(dir) = flag("--validate-ckpt") {
+    if let Some(dir) = args.value("--validate-ckpt") {
         println!("validating flashsim-ckpt-v1 files in {dir}");
-        let (valid, invalid) = validate_ckpts(Path::new(&dir));
+        let (valid, invalid) = validate_ckpts(Path::new(dir));
         println!("checkpoints: {valid} valid, {invalid} invalid");
         std::process::exit(i32::from(invalid > 0));
     }
 
-    let setup = flashsim_bench::setup_from_args();
-    if args.iter().any(|a| a == "--kill-resume") {
+    let setup = args.setup();
+    if args.has("--kill-resume") {
         flashsim_bench::header("chaos kill-and-resume (crash-consistency gate)", &setup);
-        let kills: u64 = flag("--kills")
-            .map(|s| s.parse().expect("--kills takes a number"))
-            .unwrap_or(3);
-        let seed: u64 = flag("--seed")
-            .map(|s| s.parse().expect("--seed takes a number"))
-            .unwrap_or(0xC0FFEE);
-        let base = flag("--dir").map(PathBuf::from).unwrap_or_else(|| {
+        let kills: u64 = args.get("--kills").unwrap_or(3);
+        let seed: u64 = args.get("--seed").unwrap_or(0xC0FFEE);
+        let base = args.value("--dir").map(PathBuf::from).unwrap_or_else(|| {
             std::env::temp_dir().join(format!("flashsim-kill-resume-{}", std::process::id()))
         });
         kill_resume(kills, seed, &base);
@@ -316,12 +308,8 @@ fn main() {
     }
 
     flashsim_bench::header("chaos sweep (fault-injection survival matrix)", &setup);
-    let n: u64 = flag("--seeds")
-        .map(|s| s.parse().expect("--seeds takes a number"))
-        .unwrap_or(20);
-    let base: u64 = flag("--base")
-        .map(|s| s.parse().expect("--base takes a number"))
-        .unwrap_or(0);
+    let n: u64 = args.get("--seeds").unwrap_or(20);
+    let base: u64 = args.get("--base").unwrap_or(0);
     let seeds: Vec<u64> = (base..base + n).collect();
 
     println!(

@@ -1,28 +1,40 @@
 //! Diagnostic: dump run statistics for one app on chosen platforms.
-use flashsim_core::platform::{MemModel, Sim, Study};
+//!
+//! Usage:
+//!
+//! ```text
+//! diag [APP] [THREADS] [--full]
+//! ```
+//!
+//! `APP` is `fft` (default), `fftc`, `radix`, `radix256`, `lu` or `ocean`.
+use flashsim_bench::{fail, Args};
+use flashsim_core::platform::{MemModel, Sim};
 use flashsim_core::runner::run_once;
 use flashsim_isa::Program;
 use flashsim_workloads::*;
 
 fn main() {
-    let app = std::env::args().nth(1).unwrap_or_else(|| "fft".into());
-    let threads: usize = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    let study = Study::scaled();
-    let prog: Box<dyn Program> = match app.as_str() {
-        "fft" => Box::new(Fft::sized(ProblemScale::Scaled, threads, FftBlocking::Tlb)),
-        "fftc" => Box::new(Fft::sized(
-            ProblemScale::Scaled,
-            threads,
-            FftBlocking::Cache,
+    let args = Args::parse(&[]);
+    let setup = args.setup();
+    let (study, scale) = (setup.study, setup.scale);
+    let mut positionals = args.positionals();
+    let app = positionals.next().unwrap_or("fft");
+    let threads: usize = match positionals.next() {
+        Some(text) => text
+            .parse()
+            .unwrap_or_else(|_| fail("THREADS takes a number")),
+        None => 1,
+    };
+    let prog: Box<dyn Program> = match app {
+        "fft" => Box::new(Fft::sized(scale, threads, FftBlocking::Tlb)),
+        "fftc" => Box::new(Fft::sized(scale, threads, FftBlocking::Cache)),
+        "radix" => Box::new(Radix::tuned(scale, threads)),
+        "radix256" => Box::new(Radix::untuned(scale, threads)),
+        "lu" => Box::new(Lu::sized(scale, threads)),
+        "ocean" => Box::new(Ocean::sized(scale, threads)),
+        other => fail(&format!(
+            "unknown app {other} (fft|fftc|radix|radix256|lu|ocean)"
         )),
-        "radix" => Box::new(Radix::tuned(ProblemScale::Scaled, threads)),
-        "radix256" => Box::new(Radix::untuned(ProblemScale::Scaled, threads)),
-        "lu" => Box::new(Lu::sized(ProblemScale::Scaled, threads)),
-        "ocean" => Box::new(Ocean::sized(ProblemScale::Scaled, threads)),
-        other => panic!("unknown app {other}"),
     };
     let n = threads as u32;
     let hw = run_once(study.hardware(n), prog.as_ref());

@@ -19,9 +19,8 @@
 //! the protocol/network/machine deltas, and the Chrome traces carry the
 //! sampled transactions' flow arrows.
 
-use flashsim_bench::{header, setup_from_args};
+use flashsim_bench::{fail, header, platform_from_args, Args};
 use flashsim_core::diverge::diff_traces;
-use flashsim_core::platform::{MemModel, Sim};
 use flashsim_engine::{CategoryMask, SpanPlan, Trace, Tracer};
 use flashsim_isa::Program;
 use flashsim_machine::{Machine, MachineConfig, RunManifest};
@@ -43,57 +42,26 @@ fn traced_run(
     (tracer.snapshot(), result.manifest, label)
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
-    let setup = setup_from_args();
+    let args = Args::parse(&["--mem", "--case", "--capacity", "--json"]);
+    let setup = args.setup();
     header(
         "divergence diff (gold-standard hardware vs simulator)",
         &setup,
     );
-    let args: Vec<String> = std::env::args().skip(1).collect();
-
-    // The positional SIM argument: the first token that is neither a
-    // flag nor a value consumed by a value-taking flag.
-    let value_flags = ["--mem", "--case", "--capacity", "--json"];
-    let mut positional = None;
-    let mut i = 0;
-    while i < args.len() {
-        if value_flags.contains(&args[i].as_str()) {
-            i += 2;
-        } else if args[i].starts_with("--") {
-            i += 1;
-        } else {
-            positional = Some(args[i].as_str());
-            break;
-        }
-    }
-    let sim = match positional {
-        None | Some("simos-mipsy") => Sim::SimosMipsy(150),
-        Some("solo-mipsy") => Sim::SoloMipsy(150),
-        Some("simos-mxs") => Sim::SimosMxs,
-        Some(other) => panic!("unknown simulator {other} (simos-mipsy|solo-mipsy|simos-mxs)"),
-    };
-    let mem = match flag_value(&args, "--mem").as_deref() {
-        None | Some("flashlite") => MemModel::FlashLite,
-        Some("numa") => MemModel::Numa,
-        Some(other) => panic!("unknown memory model {other} (flashlite|numa)"),
-    };
-    let case_key = flag_value(&args, "--case").unwrap_or_else(|| "remote_clean".into());
+    let (sim, mem, _) = platform_from_args(&args);
+    let case_key = args.value("--case").unwrap_or("remote_clean");
     let case = SnCase::all()
         .into_iter()
         .find(|c| c.case().key() == case_key)
         .unwrap_or_else(|| {
             let keys: Vec<&str> = SnCase::all().iter().map(|c| c.case().key()).collect();
-            panic!("unknown snbench case {case_key} ({})", keys.join("|"))
+            fail(&format!(
+                "unknown snbench case {case_key} ({})",
+                keys.join("|")
+            ))
         });
-    let capacity: usize = flag_value(&args, "--capacity")
-        .map(|s| s.parse().expect("--capacity takes a number"))
-        .unwrap_or(1 << 20);
+    let capacity: usize = args.get("--capacity").unwrap_or(1 << 20);
 
     let bench = Snbench::new(case, setup.study.geometry.l2.bytes);
     let nodes = Snbench::NODES as u32;
@@ -115,7 +83,7 @@ fn main() {
     let report = diff_traces(&trace_a, &trace_b);
     print!("{}", report.render(&label_a, &label_b));
 
-    if let Some(prefix) = flag_value(&args, "--json") {
+    if let Some(prefix) = args.value("--json") {
         for (suffix, trace) in [("a", &trace_a), ("b", &trace_b)] {
             let path = format!("{prefix}-{suffix}.json");
             std::fs::write(&path, trace.to_chrome_json())

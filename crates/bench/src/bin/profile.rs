@@ -22,19 +22,12 @@
 //! below 1e-9) and exits nonzero on violation — `scripts/check.sh` runs
 //! this as a gate.
 
-use flashsim_bench::{header, setup_from_args};
+use flashsim_bench::{header, platform_from_args, Args};
 use flashsim_core::attrib::{attribute, run_profiled};
-use flashsim_core::platform::{MemModel, Sim};
 use flashsim_engine::Accounting;
 use flashsim_isa::Program;
 use flashsim_machine::MachineConfig;
 use flashsim_workloads::{Fft, FftBlocking};
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
 
 fn profiled(cfg: MachineConfig, prog: &dyn Program) -> (Accounting, String) {
     let label = cfg.label();
@@ -44,38 +37,11 @@ fn profiled(cfg: MachineConfig, prog: &dyn Program) -> (Accounting, String) {
 }
 
 fn main() {
-    let setup = setup_from_args();
+    let args = Args::parse(&["--mem", "--nodes", "--csv", "--prom"]);
+    let setup = args.setup();
     header("cycle-accounting profile + error attribution", &setup);
-    let args: Vec<String> = std::env::args().skip(1).collect();
-
-    let value_flags = ["--mem", "--nodes", "--csv", "--prom"];
-    let mut positional = None;
-    let mut i = 0;
-    while i < args.len() {
-        if value_flags.contains(&args[i].as_str()) {
-            i += 2;
-        } else if args[i].starts_with("--") {
-            i += 1;
-        } else {
-            positional = Some(args[i].as_str());
-            break;
-        }
-    }
-    let sim = match positional {
-        None | Some("simos-mipsy") => Sim::SimosMipsy(150),
-        Some("solo-mipsy") => Sim::SoloMipsy(150),
-        Some("simos-mxs") => Sim::SimosMxs,
-        Some(other) => panic!("unknown simulator {other} (simos-mipsy|solo-mipsy|simos-mxs)"),
-    };
-    let mem = match flag_value(&args, "--mem").as_deref() {
-        None | Some("flashlite") => MemModel::FlashLite,
-        Some("numa") => MemModel::Numa,
-        Some(other) => panic!("unknown memory model {other} (flashlite|numa)"),
-    };
-    let nodes: u32 = flag_value(&args, "--nodes")
-        .map(|s| s.parse().expect("--nodes takes a number"))
-        .unwrap_or(4);
-    let show_phases = args.iter().any(|a| a == "--phases");
+    let (sim, mem, nodes) = platform_from_args(&args);
+    let show_phases = args.has("--phases");
 
     let fft = Fft::sized(setup.scale, nodes as usize, FftBlocking::Cache);
     println!("workload: {} over {nodes} nodes", fft.name());
@@ -96,7 +62,7 @@ fn main() {
     let report = attribute(&sim_acc, &sim_label, &hw_acc, &hw_label);
     print!("{}", report.render());
 
-    if let Some(prefix) = flag_value(&args, "--csv") {
+    if let Some(prefix) = args.value("--csv") {
         let files = [
             (format!("{prefix}-hw.csv"), hw_acc.to_csv()),
             (format!("{prefix}-sim.csv"), sim_acc.to_csv()),
@@ -109,8 +75,8 @@ fn main() {
             println!("wrote {path}");
         }
     }
-    if let Some(path) = flag_value(&args, "--prom") {
-        std::fs::write(&path, sim_acc.to_prometheus())
+    if let Some(path) = args.value("--prom") {
+        std::fs::write(path, sim_acc.to_prometheus())
             .unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("wrote {path}");
     }

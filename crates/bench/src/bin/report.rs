@@ -48,19 +48,12 @@
 //! export must validate. Any violation exits nonzero.
 
 use flashsim_bench::streamview::TailSummary;
-use flashsim_bench::{header, setup_from_args};
-use flashsim_core::platform::{MemModel, Sim};
+use flashsim_bench::{header, platform_from_args, Args};
 use flashsim_core::runner::{run_matrix, CellOutcome, MatrixCell};
 use flashsim_engine::{span, telemetry, HostPhase, HostReport, SpanPlan, TimeDelta};
 use flashsim_isa::Program;
 use flashsim_workloads::{Fft, FftBlocking};
 use std::sync::Arc;
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
 
 /// Renders one matrix cell's section of the report.
 fn render_cell(outcome: &CellOutcome, failures: &mut Vec<String>) -> String {
@@ -172,11 +165,21 @@ fn to_html(text: &str) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&[
+        "--mem",
+        "--nodes",
+        "--cadence-us",
+        "--heartbeat",
+        "--out",
+        "--html",
+        "--jsonl",
+        "--prom",
+        "--spans-jsonl",
+    ]);
 
     // Validation-only mode: no simulation, just the schema gate.
-    if let Some(path) = flag_value(&args, "--validate") {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
+    if let Some(path) = args.value("--validate") {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
         match telemetry::validate_jsonl(&text) {
             Ok(()) => println!("telemetry schema OK: {path}"),
             Err(e) => {
@@ -190,8 +193,8 @@ fn main() {
     // Partial-report mode: stitch a report from a stream tail. Tolerant
     // of torn tails by construction — this is the post-mortem view of a
     // crashed or still-running cell.
-    if let Some(path) = flag_value(&args, "--from-stream") {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
+    if let Some(path) = args.value("--from-stream") {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
         println!("== flashsim :: partial report from a live stream tail ==");
         println!("source: {path}");
         println!();
@@ -199,55 +202,16 @@ fn main() {
         return;
     }
 
-    let setup = setup_from_args();
+    let setup = args.setup();
     header(
         "unified run report (manifest + accounting + telemetry)",
         &setup,
     );
 
-    let value_flags = [
-        "--mem",
-        "--nodes",
-        "--cadence-us",
-        "--heartbeat",
-        "--out",
-        "--html",
-        "--jsonl",
-        "--prom",
-        "--spans-jsonl",
-    ];
-    let mut positional = None;
-    let mut i = 0;
-    while i < args.len() {
-        if value_flags.contains(&args[i].as_str()) {
-            i += 2;
-        } else if args[i].starts_with("--") {
-            i += 1;
-        } else {
-            positional = Some(args[i].as_str());
-            break;
-        }
-    }
-    let sim = match positional {
-        None | Some("simos-mipsy") => Sim::SimosMipsy(150),
-        Some("solo-mipsy") => Sim::SoloMipsy(150),
-        Some("simos-mxs") => Sim::SimosMxs,
-        Some(other) => panic!("unknown simulator {other} (simos-mipsy|solo-mipsy|simos-mxs)"),
-    };
-    let mem = match flag_value(&args, "--mem").as_deref() {
-        None | Some("flashlite") => MemModel::FlashLite,
-        Some("numa") => MemModel::Numa,
-        Some(other) => panic!("unknown memory model {other} (flashlite|numa)"),
-    };
-    let nodes: u32 = flag_value(&args, "--nodes")
-        .map(|s| s.parse().expect("--nodes takes a number"))
-        .unwrap_or(4);
-    let cadence_us: u64 = flag_value(&args, "--cadence-us")
-        .map(|s| s.parse().expect("--cadence-us takes a number"))
-        .unwrap_or(1);
-    let heartbeat_ms: Option<u64> = flag_value(&args, "--heartbeat")
-        .map(|s| s.parse().expect("--heartbeat takes milliseconds"));
-    let hostprof = args.iter().any(|a| a == "--hostprof");
+    let (sim, mem, nodes) = platform_from_args(&args);
+    let cadence_us: u64 = args.get("--cadence-us").unwrap_or(1);
+    let heartbeat_ms: Option<u64> = args.get("--heartbeat");
+    let hostprof = args.has("--hostprof");
 
     let fft = Fft::sized(setup.scale, nodes as usize, FftBlocking::Cache);
     println!("workload: {} over {nodes} nodes", fft.name());
@@ -292,19 +256,19 @@ fn main() {
     }
 
     let mut wrote = String::new();
-    if let Some(path) = flag_value(&args, "--html") {
-        std::fs::write(&path, to_html(&report)).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    if let Some(path) = args.value("--html") {
+        std::fs::write(path, to_html(&report)).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         wrote.push_str(&format!("wrote {path}\n"));
     }
     // Machine-readable exports come from the simulator cell (the last
     // one); the hardware cell is the reference platform in the report.
     if let Some(series) = outcomes.last().and_then(|o| o.telemetry()) {
-        if let Some(path) = flag_value(&args, "--jsonl") {
-            std::fs::write(&path, series.to_jsonl())
+        if let Some(path) = args.value("--jsonl") {
+            std::fs::write(path, series.to_jsonl())
                 .unwrap_or_else(|e| panic!("writing {path}: {e}"));
             wrote.push_str(&format!("wrote {path}\n"));
         }
-        if let Some(path) = flag_value(&args, "--prom") {
+        if let Some(path) = args.value("--prom") {
             let mut text = series.to_prometheus();
             if let Some(host) = outcomes
                 .last()
@@ -313,18 +277,18 @@ fn main() {
             {
                 text.push_str(&host.to_prometheus());
             }
-            std::fs::write(&path, text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+            std::fs::write(path, text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
             wrote.push_str(&format!("wrote {path}\n"));
         }
     }
-    if let Some(path) = flag_value(&args, "--spans-jsonl") {
+    if let Some(path) = args.value("--spans-jsonl") {
         match outcomes.last().and_then(|o| o.spans()) {
             Some(set) => {
                 let jsonl = set.to_jsonl();
                 if let Err(e) = span::validate_jsonl(&jsonl) {
                     failures.push(format!("span JSONL invalid: {e}"));
                 }
-                std::fs::write(&path, jsonl).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+                std::fs::write(path, jsonl).unwrap_or_else(|e| panic!("writing {path}: {e}"));
                 wrote.push_str(&format!("wrote {path}\n"));
             }
             None => failures.push("no span trees attached to the simulator cell".to_owned()),
@@ -333,9 +297,9 @@ fn main() {
 
     // Stdout comes last, after every file is written: a reader that
     // closes the pipe early (`report … | head`) must not cost an export.
-    match flag_value(&args, "--out") {
+    match args.value("--out") {
         Some(path) => {
-            std::fs::write(&path, &report).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+            std::fs::write(path, &report).unwrap_or_else(|e| panic!("writing {path}: {e}"));
             wrote.push_str(&format!("wrote {path}\n"));
         }
         None => print!("{report}"),

@@ -47,7 +47,7 @@
 //! The printed rows are for reading, not gating: throughput regressions
 //! are judged by the repo benchmark (`benchmark/`, seconds-long runs).
 
-use flashsim_bench::{header, setup_from_args};
+use flashsim_bench::{fail, header, Args};
 use flashsim_core::platform::{MemModel, Sim, Study};
 use flashsim_engine::{hostprof, CategoryMask, HostPhase, HostReport, Tracer};
 use flashsim_isa::Program;
@@ -259,28 +259,19 @@ fn report(name: &str, m: &RunManifest) {
 }
 
 fn main() {
-    let setup = setup_from_args();
+    let args = Args::parse(&[]);
+    let setup = args.setup();
     header("simulator speed (events/sec, simulated MIPS)", &setup);
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let iters: usize = flag("--iters")
-        .map(|s| s.parse().expect("--iters takes a number"))
-        .unwrap_or(3);
-    let threads: usize = flag("--threads")
-        .map(|s| s.parse().expect("--threads takes a number"))
-        .unwrap_or(Snbench::NODES);
-    let hostprof = args.iter().any(|a| a == "--hostprof");
-    let workers: usize = flag("--workers")
-        .map(|s| s.parse().expect("--workers takes a host thread count"))
-        // The self-profiler's attribution story is about the parallel
-        // policy, so `--hostprof` alone implies a small worker pool.
+    let iters: usize = args.get("--iters").unwrap_or(3);
+    let threads: usize = args.get("--threads").unwrap_or(Snbench::NODES);
+    let hostprof = args.has("--hostprof");
+    // The self-profiler's attribution story is about the parallel
+    // policy, so `--hostprof` alone implies a small worker pool.
+    let workers: usize = args
+        .get("--workers")
         .unwrap_or(if hostprof { 2 } else { 0 });
-    let app = flag("--app").unwrap_or_else(|| "snbench".into());
-    let bench: Box<dyn Program> = match app.as_str() {
+    let app = args.value("--app").unwrap_or("snbench");
+    let bench: Box<dyn Program> = match app {
         "snbench" => Box::new(Snbench::new(
             SnCase::all()[2],
             setup.study.geometry.l2.bytes,
@@ -289,7 +280,7 @@ fn main() {
         "radix" => Box::new(Radix::tuned(setup.scale, threads)),
         "lu" => Box::new(Lu::sized(setup.scale, threads)),
         "ocean" => Box::new(Ocean::sized(setup.scale, threads)),
-        other => panic!("unknown app {other} (snbench|fft|radix|lu|ocean)"),
+        other => fail(&format!("unknown app {other} (snbench|fft|radix|lu|ocean)")),
     };
     let bench = bench.as_ref();
     let nodes = if app == "snbench" {
@@ -351,8 +342,7 @@ fn main() {
             }
         }
     }
-    if let Some(frac) = flag("--hostprof-overhead") {
-        let frac: f64 = frac.parse().expect("--hostprof-overhead takes a fraction");
+    if let Some(frac) = args.get::<f64>("--hostprof-overhead") {
         // The gate measures the parallel policy; without --workers it
         // uses the same small default pool as --hostprof.
         let gate_workers = if workers > 0 { workers } else { 2 };
@@ -368,17 +358,17 @@ fn main() {
             std::process::exit(1);
         }
     }
-    if let Some(path) = flag("--hostprof-jsonl") {
+    if let Some(path) = args.value("--hostprof-jsonl") {
         let Some(profile) = &first_profile else {
-            eprintln!("--hostprof-jsonl needs --hostprof (no profile was collected)");
-            std::process::exit(2);
+            fail("--hostprof-jsonl needs --hostprof (no profile was collected)");
         };
         let text = profile.to_jsonl();
         if let Err(e) = hostprof::validate_jsonl(&text) {
-            eprintln!("internal error: emitted host profile fails its own schema: {e}");
-            std::process::exit(2);
+            fail(&format!(
+                "internal error: emitted host profile fails its own schema: {e}"
+            ));
         }
-        std::fs::write(&path, &text).expect("write --hostprof-jsonl output");
+        std::fs::write(path, &text).expect("write --hostprof-jsonl output");
         println!();
         println!("wrote {path} ({})", hostprof::HOSTPROF_SCHEMA);
     }

@@ -29,19 +29,14 @@
 //! (`pi_request`, NACK/backoff, NI handlers) on FlashLite that have no
 //! counterpart on the NUMA side, and both exports must validate.
 
-use flashsim_engine::{span, SpanPlan, SpanSet, SpanTracer, Time, TimeDelta};
+use flashsim_bench::Args;
+use flashsim_engine::{span, Observers, SpanPlan, SpanSet, SpanTracer, Time, TimeDelta};
 use flashsim_flashlite::{FlashLite, FlashLiteParams};
 use flashsim_mem::{AccessKind, LineAddr, MemRequest, MemorySystem};
 use flashsim_numa::{Numa, NumaParams};
 
 const NODES: u32 = 8;
 const NODE_MEM: u64 = 1 << 24;
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
 
 /// The hotspot drive: each round, nodes `1..=degree` read distinct lines
 /// all homed at node 0. The driver opens/closes the span transaction the
@@ -75,7 +70,10 @@ fn collect(flashlite: bool, plan: SpanPlan, rounds: u64, degree: u32) -> SpanSet
     } else {
         Box::new(Numa::new(NODES, NODE_MEM, NumaParams::matched()))
     };
-    mem.attach_spans(tracer.clone());
+    mem.attach(&Observers {
+        spans: tracer.clone(),
+        ..Observers::disabled()
+    });
     drive(&mut *mem, &tracer, rounds, degree);
     tracer.snapshot().expect("tracer is enabled")
 }
@@ -111,11 +109,11 @@ fn render_txn(label: &str, t: &flashsim_engine::SpanTxn) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&[]);
 
     // Validation-only mode: no simulation, just the schema gate.
-    if let Some(path) = flag_value(&args, "--validate") {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
+    if let Some(path) = args.value("--validate") {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
         match span::validate_jsonl(&text) {
             Ok(()) => println!("span schema OK: {path}"),
             Err(e) => {
@@ -126,20 +124,11 @@ fn main() {
         return;
     }
 
-    let full = args.iter().any(|a| a == "--full");
-    let degree: u32 = flag_value(&args, "--degree")
-        .map(|s| s.parse().expect("--degree takes a number"))
-        .unwrap_or(7)
-        .clamp(1, NODES - 1);
-    let rounds: u64 = flag_value(&args, "--rounds")
-        .map(|s| s.parse().expect("--rounds takes a number"))
-        .unwrap_or(if full { 400 } else { 40 });
-    let seed: u64 = flag_value(&args, "--seed")
-        .map(|s| s.parse().expect("--seed takes a number"))
-        .unwrap_or(7);
-    let period: u64 = flag_value(&args, "--period")
-        .map(|s| s.parse().expect("--period takes a number"))
-        .unwrap_or(4);
+    let full = args.has("--full");
+    let degree: u32 = args.get("--degree").unwrap_or(7).clamp(1, NODES - 1);
+    let rounds: u64 = args.get("--rounds").unwrap_or(if full { 400 } else { 40 });
+    let seed: u64 = args.get("--seed").unwrap_or(7);
+    let period: u64 = args.get("--period").unwrap_or(4);
     let plan = SpanPlan::sampled(seed, period);
 
     println!("== flashsim :: span diff (FlashLite vs NUMA) ==");
@@ -201,12 +190,12 @@ fn main() {
         }
     }
 
-    if let Some(path) = flag_value(&args, "--jsonl-fl") {
-        std::fs::write(&path, fl.to_jsonl()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    if let Some(path) = args.value("--jsonl-fl") {
+        std::fs::write(path, fl.to_jsonl()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("wrote {path}");
     }
-    if let Some(path) = flag_value(&args, "--jsonl-numa") {
-        std::fs::write(&path, nu.to_jsonl()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    if let Some(path) = args.value("--jsonl-numa") {
+        std::fs::write(path, nu.to_jsonl()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("wrote {path}");
     }
 

@@ -33,6 +33,7 @@
 //! produces.
 
 use flashsim_bench::streamview::{sparkline, worker_bars, SparkFold, TailSummary};
+use flashsim_bench::{fail, Args};
 use flashsim_engine::{prom, stream};
 use std::path::{Path, PathBuf};
 
@@ -306,40 +307,20 @@ fn write_atomic(path: &str, text: &str) -> std::io::Result<()> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let value_flags = ["--interval", "--prom"];
-    let mut files: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if value_flags.contains(&args[i].as_str()) {
-            i += 2;
-        } else {
-            if !args[i].starts_with("--") {
-                files.push(args[i].clone());
-            }
-            i += 1;
-        }
-    }
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
+    let args = Args::parse(&["--interval", "--prom"]);
+    let files: Vec<String> = args.positionals().map(str::to_owned).collect();
     if files.is_empty() {
-        eprintln!("usage: watch [--validate] [--follow] [--interval MS] [--prom PATH] FILE...");
-        std::process::exit(2);
+        fail("usage: watch [--validate] [--follow] [--interval MS] [--prom PATH] FILE...");
     }
 
-    if args.iter().any(|a| a == "--validate") {
+    if args.has("--validate") {
         println!("validating flashsim-stream-v1 files");
         validate(&files);
     }
 
-    let follow = args.iter().any(|a| a == "--follow");
-    let interval_ms: u64 = flag_value("--interval")
-        .map(|s| s.parse().expect("--interval takes milliseconds"))
-        .unwrap_or(500);
-    let prom_path = flag_value("--prom");
+    let follow = args.has("--follow");
+    let interval_ms: u64 = args.get("--interval").unwrap_or(500);
+    let prom_path = args.value("--prom");
 
     loop {
         let rows = read_rows(&files);
@@ -349,7 +330,7 @@ fn main() {
             print!("\x1b[H\x1b[2J");
         }
         print!("{frame}");
-        if let Some(path) = &prom_path {
+        if let Some(path) = prom_path {
             write_atomic(path, &render_prom(&rows))
                 .unwrap_or_else(|e| panic!("writing {path}: {e}"));
         }

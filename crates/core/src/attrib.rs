@@ -5,8 +5,8 @@
 //! asks which mis-modelled mechanism is responsible (TLB refills the
 //! processor models skip, MAGIC occupancy the NUMA model omits, network
 //! contention, ...). This module answers that question mechanically: run
-//! the same program on two platforms with a cycle-accounting
-//! [`Profiler`] attached, and [`attribute`] decomposes the total relative
+//! the same program on two platforms with cycle accounting on
+//! ([`profiled`]), and [`attribute`] decomposes the total relative
 //! error into signed per-class contributions — "18% optimistic, of which
 //! 11 points TLB, 5 occupancy, 2 network".
 //!
@@ -16,8 +16,8 @@
 //! residual`] exposes the (floating-point-only) difference, which is
 //! bounded by a few ulps.
 
-use crate::machine::{Machine, MachineConfig, RunResult, SimError};
-use flashsim_engine::{Accounting, Profiler, StallClass};
+use crate::machine::{run_program, MachineConfig, RunResult, SimError};
+use flashsim_engine::{Accounting, StallClass};
 use flashsim_isa::Program;
 use std::fmt::Write as _;
 
@@ -180,22 +180,28 @@ pub fn attribute(
     }
 }
 
-/// Builds and runs `program` under `cfg` with a cycle-accounting profiler
-/// attached, so `result.accounting` is populated.
+/// `cfg` with the cycle-accounting profiler switched on — the exact
+/// config [`run_profiled`] runs, so a machine built from it writes
+/// checkpoints whose provenance says `profile=true` and restores.
+pub fn profiled(mut cfg: MachineConfig) -> MachineConfig {
+    cfg.profile = true;
+    cfg
+}
+
+/// Builds and runs `program` under [`profiled`]`(cfg)`, so
+/// `result.accounting` is populated.
 ///
 /// # Errors
 ///
-/// Propagates every structured failure from [`Machine::run`].
+/// Propagates every structured failure from [`run_program`].
 pub fn run_profiled(cfg: MachineConfig, program: &dyn Program) -> Result<RunResult, SimError> {
-    let mut machine = Machine::new(cfg, program)?;
-    machine.attach_profiler(Profiler::new());
-    machine.run()
+    run_program(profiled(cfg), program)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flashsim_engine::{Time, TimeDelta};
+    use flashsim_engine::{Profiler, Time, TimeDelta};
 
     /// A synthetic conserved accounting: charge known spans, snapshot.
     fn acct(charges: &[(StallClass, u64)], end_ns: u64) -> Accounting {

@@ -56,7 +56,7 @@ pub mod platform;
 pub mod report;
 pub mod runner;
 
-pub use attrib::{attribute, run_profiled, AttributionReport, ClassContribution};
+pub use attrib::{attribute, profiled, run_profiled, AttributionReport, ClassContribution};
 pub use calibrate::{calibrate, Calibration, Table3Row, TlbCalibration};
 pub use diverge::{diff_traces, CategoryDelta, Divergence, DivergenceReport};
 pub use figures::{

@@ -79,7 +79,7 @@ impl Core for Embra {
         }
     }
 
-    // Embra keeps the default no-op `attach_profiler` deliberately: it
+    // Embra keeps the default no-op `attach` deliberately: it
     // never stalls, so the accounting profiler's per-op compute residual
     // attributes every one of its cycles to StallClass::Compute — which
     // is exactly the truth for a functional model.

@@ -9,9 +9,7 @@
 //! parameterized refill cost), FlashLite, or NUMA — exactly the
 //! plug-compatibility the paper's simulator family has.
 
-use flashsim_engine::{
-    CkptError, CkptReader, CkptWriter, Profiler, StatSet, Time, TimeDelta, Tracer,
-};
+use flashsim_engine::{CkptError, CkptReader, CkptWriter, Observers, StatSet, Time, TimeDelta};
 use flashsim_isa::{Op, VAddr};
 use flashsim_mem::ProtocolCase;
 
@@ -141,23 +139,14 @@ pub trait Core: Send {
         ScanProfile::OPAQUE
     }
 
-    /// Attaches a flight-recorder handle; the core emits `cpu`-category
-    /// events (instructions, stalls, TLB refills) tagged with `node`.
-    /// Default: no instrumentation (e.g. Embra, test doubles).
-    fn attach_tracer(&mut self, tracer: Tracer, node: u32) {
-        let _ = (tracer, node);
-    }
-
-    /// Attaches a cycle-accounting handle; the core charges its
-    /// *core-internal* stalls (write-buffer drains, prefetch-slot waits,
-    /// cache-interface occupancy) to the matching stall class. Memory
-    /// latency and TLB refills are charged by the environment, not the
-    /// core, so the two never double-charge the same span. Default: no
-    /// instrumentation — every cycle of an uninstrumented core lands in
-    /// the compute residual (correct for Embra, whose every cycle *is*
-    /// compute by construction).
-    fn attach_profiler(&mut self, profiler: Profiler, node: u32) {
-        let _ = (profiler, node);
+    /// Attaches the machine's observers. A model stores the bundle and
+    /// `node`, the id it tags its trace events and accounting charges
+    /// with; what a core writes to each handle is documented on
+    /// [`Observers`]. Default: no instrumentation (Embra, test doubles) —
+    /// every cycle of an uninstrumented core lands in the compute
+    /// residual.
+    fn attach(&mut self, obs: &Observers, node: u32) {
+        let _ = (obs, node);
     }
 
     /// Serializes the core's mutable timing state — clocks, buffered

@@ -15,8 +15,8 @@
 use crate::env::{Core, MemAccessKind, MemEnv};
 use crate::lat::LatencyTable;
 use flashsim_engine::{
-    CkptError, CkptReader, CkptWriter, Clock, Profiler, StallClass, StatSet, Time, TimeDelta,
-    TraceCategory, Tracer,
+    CkptError, CkptReader, CkptWriter, Clock, Observers, StallClass, StatSet, Time, TimeDelta,
+    TraceCategory,
 };
 use flashsim_isa::{Op, OpClass};
 use std::collections::VecDeque;
@@ -70,8 +70,7 @@ pub struct Mipsy {
     loads: u64,
     stores: u64,
     load_misses: u64,
-    tracer: Tracer,
-    profiler: Profiler,
+    obs: Observers,
     node: u32,
 }
 
@@ -92,8 +91,7 @@ impl Mipsy {
             loads: 0,
             stores: 0,
             load_misses: 0,
-            tracer: Tracer::disabled(),
-            profiler: Profiler::disabled(),
+            obs: Observers::disabled(),
             node: 0,
         }
     }
@@ -146,7 +144,7 @@ impl Mipsy {
 impl Core for Mipsy {
     fn execute(&mut self, op: &Op, env: &mut dyn MemEnv) {
         self.ops += 1;
-        let traced = self.tracer.enabled(TraceCategory::Cpu);
+        let traced = self.obs.tracer.enabled(TraceCategory::Cpu);
         match op.class {
             OpClass::IntAlu
             | OpClass::IntMul
@@ -169,7 +167,7 @@ impl Core for Mipsy {
                 }
                 self.tlb_stall += res.tlb_refill;
                 if traced && !res.tlb_refill.is_zero() {
-                    self.tracer.emit(
+                    self.obs.tracer.emit(
                         self.t,
                         TraceCategory::Cpu,
                         "tlb_refill",
@@ -183,7 +181,7 @@ impl Core for Mipsy {
                 // environment's latency (which the environment accounts
                 // itself): exactly the §3.1.2 occupancy effect.
                 if done > res.done_at {
-                    self.profiler.charge(
+                    self.obs.profiler.charge(
                         self.node,
                         StallClass::DirOccupancy,
                         self.t,
@@ -195,7 +193,7 @@ impl Core for Mipsy {
                     let stall = done - self.t;
                     self.mem_stall += stall;
                     if traced {
-                        self.tracer.emit(
+                        self.obs.tracer.emit(
                             done,
                             TraceCategory::Cpu,
                             "stall",
@@ -219,7 +217,7 @@ impl Core for Mipsy {
                         // this drain wait; the hidden part is never
                         // charged (the environment only accounts demand
                         // reads).
-                        self.profiler.charge(
+                        self.obs.profiler.charge(
                             self.node,
                             StallClass::L2Miss,
                             self.t,
@@ -235,7 +233,7 @@ impl Core for Mipsy {
                 // on the main pipeline).
                 if !res.tlb_refill.is_zero() {
                     if traced {
-                        self.tracer.emit(
+                        self.obs.tracer.emit(
                             self.t,
                             TraceCategory::Cpu,
                             "tlb_refill",
@@ -255,7 +253,7 @@ impl Core for Mipsy {
                 if self.prefetches.len() >= self.cfg.prefetch_slots {
                     let free_at = self.prefetches.pop_front().expect("non-empty"); // gate: allow
                     if free_at > self.t {
-                        self.profiler.charge(
+                        self.obs.profiler.charge(
                             self.node,
                             StallClass::L2Miss,
                             self.t,
@@ -274,7 +272,7 @@ impl Core for Mipsy {
             }
         }
         if traced {
-            self.tracer.emit(
+            self.obs.tracer.emit(
                 self.t,
                 TraceCategory::Cpu,
                 "instr",
@@ -332,13 +330,8 @@ impl Core for Mipsy {
         }
     }
 
-    fn attach_tracer(&mut self, tracer: Tracer, node: u32) {
-        self.tracer = tracer;
-        self.node = node;
-    }
-
-    fn attach_profiler(&mut self, profiler: Profiler, node: u32) {
-        self.profiler = profiler;
+    fn attach(&mut self, obs: &Observers, node: u32) {
+        self.obs = obs.clone();
         self.node = node;
     }
 

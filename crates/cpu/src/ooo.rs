@@ -32,8 +32,8 @@ use crate::branch::BranchPredictor;
 use crate::env::{Core, MemAccessKind, MemEnv};
 use crate::lat::LatencyTable;
 use flashsim_engine::{
-    CkptError, CkptReader, CkptWriter, Clock, Profiler, StallClass, StatSet, Time, TimeDelta,
-    TraceCategory, Tracer,
+    CkptError, CkptReader, CkptWriter, Clock, Observers, StallClass, StatSet, Time, TimeDelta,
+    TraceCategory,
 };
 use flashsim_isa::{Op, OpClass, Reg};
 use std::collections::VecDeque;
@@ -167,8 +167,7 @@ pub struct OooCore {
     interlock_stalls: u64,
     exceptions: u64,
     tlb_stall: TimeDelta,
-    tracer: Tracer,
-    profiler: Profiler,
+    obs: Observers,
     node: u32,
 }
 
@@ -198,8 +197,7 @@ impl OooCore {
             interlock_stalls: 0,
             exceptions: 0,
             tlb_stall: TimeDelta::ZERO,
-            tracer: Tracer::disabled(),
-            profiler: Profiler::disabled(),
+            obs: Observers::disabled(),
             node: 0,
         }
     }
@@ -278,7 +276,7 @@ impl OooCore {
 impl Core for OooCore {
     fn execute(&mut self, op: &Op, env: &mut dyn MemEnv) {
         self.ops += 1;
-        let traced = self.tracer.enabled(TraceCategory::Cpu);
+        let traced = self.obs.tracer.enabled(TraceCategory::Cpu);
         self.advance_fetch();
         let entry = self.window_entry();
         // Stores issue to the address/LS slot as soon as their ADDRESS is
@@ -333,7 +331,7 @@ impl Core for OooCore {
                     ready += delay;
                     self.interlock_stalls += 1;
                     if traced {
-                        self.tracer.emit(
+                        self.obs.tracer.emit(
                             ready,
                             TraceCategory::Cpu,
                             "stall",
@@ -354,7 +352,7 @@ impl Core for OooCore {
                 {
                     // §3.1.2 secondary-cache interface occupancy: the
                     // tag check waited out the streaming fill.
-                    self.profiler.charge(
+                    self.obs.profiler.charge(
                         self.node,
                         StallClass::DirOccupancy,
                         issue,
@@ -383,7 +381,8 @@ impl Core for OooCore {
                         // Cap the port-queue penalty: beyond ~100 queued
                         // accesses the frontend would have stalled anyway.
                         let wait = start.saturating_since(issue).min(self.cycles(port) * 100);
-                        self.profiler
+                        self.obs
+                            .profiler
                             .charge(self.node, StallClass::DirOccupancy, issue, wait);
                         res.done_at += wait;
                     }
@@ -409,7 +408,7 @@ impl Core for OooCore {
                 if !res.tlb_refill.is_zero() {
                     self.exceptions += 1;
                     if traced {
-                        self.tracer.emit(
+                        self.obs.tracer.emit(
                             issue,
                             TraceCategory::Cpu,
                             "tlb_refill",
@@ -435,7 +434,7 @@ impl Core for OooCore {
         if traced {
             // The op's completion time was just pushed by `complete`.
             let at = self.window.back().copied().unwrap_or(self.fetch);
-            self.tracer.emit(
+            self.obs.tracer.emit(
                 at,
                 TraceCategory::Cpu,
                 "instr",
@@ -503,13 +502,8 @@ impl Core for OooCore {
         }
     }
 
-    fn attach_tracer(&mut self, tracer: Tracer, node: u32) {
-        self.tracer = tracer;
-        self.node = node;
-    }
-
-    fn attach_profiler(&mut self, profiler: Profiler, node: u32) {
-        self.profiler = profiler;
+    fn attach(&mut self, obs: &Observers, node: u32) {
+        self.obs = obs.clone();
         self.node = node;
     }
 

@@ -54,11 +54,11 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Attaches sim-time telemetry: `metric` (typically a volatile
-    /// gauge — delivery order is a scheduling artifact) tracks the
-    /// pending-event depth at every push and pop. Costs one branch per
-    /// operation while detached.
-    pub fn attach_telemetry(&mut self, telemetry: Telemetry, metric: MetricId) {
+    /// Records the pending-event depth into `metric` (typically a
+    /// volatile gauge — delivery order is a scheduling artifact) of
+    /// `telemetry` at every push and pop. Costs one branch per operation
+    /// while no depth is tracked.
+    pub fn track_depth(&mut self, telemetry: Telemetry, metric: MetricId) {
         self.telemetry = telemetry;
         self.depth_metric = metric;
     }
@@ -230,7 +230,7 @@ mod tests {
         let tel = Telemetry::with_cadence(TimeDelta::from_ns(100));
         let id = tel.register_volatile("engine.event_queue_depth", MetricKind::Gauge);
         let mut q = EventQueue::new();
-        q.attach_telemetry(tel.clone(), id);
+        q.track_depth(tel.clone(), id);
         q.push(Time::from_ns(10), 'a');
         q.push(Time::from_ns(20), 'b');
         q.push(Time::from_ns(30), 'c');

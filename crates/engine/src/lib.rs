@@ -61,7 +61,10 @@
 //!   `validate_jsonl` schema checker (telemetry, spans, stream),
 //! - [`window`]: the caller-held accumulator the per-op observer sites
 //!   write through — a sum or max over one cached bucket, published to
-//!   its telemetry or accounting handle once per bucket.
+//!   its telemetry or accounting handle once per bucket,
+//! - [`observers`]: the bundle of the five recording handles (tracer,
+//!   profiler, telemetry, spans, hostprof) a layer stores and is attached
+//!   to as one value.
 //!
 //! # Examples
 //!
@@ -89,6 +92,7 @@ pub mod fault;
 pub mod fxhash;
 pub mod hostprof;
 pub mod jsonl;
+pub mod observers;
 pub mod pool;
 pub mod prom;
 pub mod resource;
@@ -108,6 +112,7 @@ pub use event::EventQueue;
 pub use fault::{FaultInjector, FaultPlan, MessageFate};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use hostprof::{ForkAdmission, HostPhase, HostProf, HostReport, RoundTally};
+pub use observers::Observers;
 pub use pool::{WorkerLane, WorkerPool};
 pub use resource::{Grant, Resource, ResourcePool};
 pub use rng::Rng;

@@ -46,8 +46,8 @@ pub use params::FlashLiteParams;
 
 use flashsim_engine::ckpt::{CkptError, CkptReader, CkptWriter};
 use flashsim_engine::{
-    FaultInjector, MessageFate, MetricId, MetricKind, Resource, ResourcePool, SpanClass,
-    SpanTracer, StatSet, Telemetry, Time, TimeDelta, TraceCategory, Tracer,
+    FaultInjector, MessageFate, MetricId, MetricKind, Observers, Resource, ResourcePool, SpanClass,
+    StatSet, Time, TimeDelta, TraceCategory,
 };
 use flashsim_mem::system::{
     AccessKind, CoherenceActions, LatencyBreakdown, MemOutcome, MemRequest, MemorySystem, NodeId,
@@ -71,10 +71,8 @@ pub struct FlashLite {
     mem: Vec<ResourcePool>,
     case_counts: BTreeMap<ProtocolCase, u64>,
     case_latency_ns: BTreeMap<ProtocolCase, f64>,
-    tracer: Tracer,
+    obs: Observers,
     faults: FaultInjector,
-    telemetry: Telemetry,
-    spans: SpanTracer,
     tel_queue: MetricId,
     tel_pool: MetricId,
     /// Per-home-node variants of `magic.queue_ps` / `proto.dir_pool_used`
@@ -124,10 +122,8 @@ impl FlashLite {
                 .collect(),
             case_counts: BTreeMap::new(),
             case_latency_ns: BTreeMap::new(),
-            tracer: Tracer::disabled(),
+            obs: Observers::disabled(),
             faults: FaultInjector::inert(),
-            telemetry: Telemetry::disabled(),
-            spans: SpanTracer::disabled(),
             tel_queue: MetricId::NONE,
             tel_pool: MetricId::NONE,
             tel_queue_node: Vec::new(),
@@ -155,9 +151,7 @@ impl FlashLite {
     pub fn set_params(&mut self, params: FlashLiteParams) {
         self.params = params;
         self.net = Network::new(self.net.topology(), params.net);
-        self.net.attach_tracer(self.tracer.clone());
-        self.net.attach_telemetry(self.telemetry.clone());
-        self.net.attach_spans(self.spans.clone());
+        self.net.attach(&self.obs);
     }
 
     /// Charges a protocol handler: the full cycle count contributes to the
@@ -175,7 +169,8 @@ impl FlashLite {
         // The span charge mirrors the accumulator charge exactly (queue
         // wait + handler run), so per-class span sums reconcile with the
         // transaction's LatencyBreakdown to the picosecond.
-        self.spans
+        self.obs
+            .spans
             .leg(kind, node, t, done, Some(SpanClass::Occupancy), done - t);
         done
     }
@@ -190,7 +185,7 @@ impl FlashLite {
         let grant = self.pi[node as usize].acquire(t, self.params.pp(cycles.div_ceil(2)));
         let done = grant.start + self.params.pp(cycles);
         self.txn_occ += done - t;
-        self.spans.leg(
+        self.obs.spans.leg(
             "pi_request",
             node,
             t,
@@ -203,12 +198,14 @@ impl FlashLite {
 
     fn mem_acquire(&mut self, node: NodeId, t: Time) -> Time {
         let grant = self.mem[node as usize].acquire(t, self.params.mem_busy);
-        self.telemetry
+        self.obs
+            .telemetry
             .count(self.tel_bank_wait, grant.start, grant.wait.as_ps());
         let done = grant.start + self.params.mem_access;
         // Bank wait + access: the part of the data path the breakdown's
         // `memory` residual covers (zero-charged off the critical path).
-        self.spans
+        self.obs
+            .spans
             .leg("mem_bank", node, t, done, Some(SpanClass::Memory), done - t);
         done
     }
@@ -230,9 +227,10 @@ impl FlashLite {
         }
         // The network leg carries the whole transit charge; the router
         // emits zero-charge per-hop children nested inside it.
-        self.spans.begin(kind, from, t);
+        self.obs.spans.begin(kind, from, t);
         let arrival = self.net.send(from, to, bytes, depart);
-        self.spans
+        self.obs
+            .spans
             .end(arrival, Some(SpanClass::Network), arrival - t);
         // Fault-injected delays/retransmits count as transit: they are
         // time the message spends "in" the network from the charger's
@@ -255,7 +253,7 @@ impl FlashLite {
         let mut retries: u32 = 0;
         while self.pp[home as usize].wait_at(t) > p.nack_threshold && retries < p.nack_max_retries {
             self.nacks += 1;
-            self.telemetry.count(self.tel_nacks, t, 1);
+            self.obs.telemetry.count(self.tel_nacks, t, 1);
             retries += 1;
             let mut rt = self.send(home, requester, p.header_bytes, "nack", t);
             let backoff = p.nack_retry_base * (1u64 << (retries - 1).min(6));
@@ -263,7 +261,7 @@ impl FlashLite {
             // Backoff is time spent waiting out home-MAGIC saturation:
             // occupancy, not transit.
             self.txn_occ += backoff;
-            self.spans.leg(
+            self.obs.spans.leg(
                 "backoff",
                 requester,
                 rt,
@@ -277,7 +275,8 @@ impl FlashLite {
         }
         self.retries += u64::from(retries);
         if retries > 0 {
-            self.telemetry
+            self.obs
+                .telemetry
                 .count(self.tel_retries, t, u64::from(retries));
         }
         t
@@ -315,8 +314,8 @@ impl FlashLite {
     ) {
         *self.case_counts.entry(case).or_insert(0) += 1;
         *self.case_latency_ns.entry(case).or_insert(0.0) += latency.as_ns_f64();
-        if self.tracer.enabled(TraceCategory::Proto) {
-            self.tracer.emit(
+        if self.obs.tracer.enabled(TraceCategory::Proto) {
+            self.obs.tracer.emit(
                 done_at,
                 TraceCategory::Proto,
                 case.key(),
@@ -363,7 +362,7 @@ impl FlashLite {
 
         // Processor detects the miss and crosses the pins.
         let mut t = req.now + p.proc_miss_detect;
-        self.spans.leg(
+        self.obs.spans.leg(
             "miss_detect",
             requester,
             req.now,
@@ -393,9 +392,9 @@ impl FlashLite {
         // ahead of this request. This is the series the paper's hotspot
         // study turns on — the latency-only NUMA model has no such queue.
         let queued = self.pp[home as usize].wait_at(t).as_ps();
-        self.telemetry.occupy(self.tel_queue, t, queued);
+        self.obs.telemetry.occupy(self.tel_queue, t, queued);
         if let Some(&id) = self.tel_queue_node.get(home as usize) {
-            self.telemetry.occupy(id, t, queued);
+            self.obs.telemetry.occupy(id, t, queued);
         }
         t = self.pp_acquire(home, dir_cycles, "dir_lookup", t);
 
@@ -406,12 +405,14 @@ impl FlashLite {
             self.dirs[home as usize].read(req.line, requester)
         };
         let dir_occ = self.dirs[home as usize].occupancy_sample();
-        self.telemetry
+        self.obs
+            .telemetry
             .gauge(self.tel_pool, t, u64::from(dir_occ.used));
         if let Some(&id) = self.tel_pool_node.get(home as usize) {
-            self.telemetry.gauge(id, t, u64::from(dir_occ.used));
+            self.obs.telemetry.gauge(id, t, u64::from(dir_occ.used));
         }
-        self.telemetry
+        self.obs
+            .telemetry
             .count(self.tel_reclaims, t, dir_occ.reclaims - reclaims_before);
         let case = classify_read(requester, home, resp.source);
 
@@ -432,9 +433,9 @@ impl FlashLite {
             // per-leg charges must not count toward the requester's
             // critical path (only its *exposed* tail does, below).
             let saved = (self.txn_occ, self.txn_net);
-            self.spans.begin_offpath("inval_round", home, t);
+            self.obs.spans.begin_offpath("inval_round", home, t);
             let done = self.invalidate_round(home, &sharers, t);
-            self.spans.end(done, None, TimeDelta::ZERO);
+            self.obs.spans.end(done, None, TimeDelta::ZERO);
             (self.txn_occ, self.txn_net) = saved;
             done
         };
@@ -463,7 +464,7 @@ impl FlashLite {
                 dt = self.pp_acquire(owner, p.pp_intervention, "pp_intervention", dt);
                 // The owning processor supplies the line from its
                 // secondary cache (through the processor on an R10000).
-                self.spans.leg(
+                self.obs.spans.leg(
                     "proc_intervention",
                     owner,
                     dt,
@@ -481,11 +482,11 @@ impl FlashLite {
                 // so excluded from the requester's decomposition).
                 if owner != home {
                     let saved = (self.txn_occ, self.txn_net);
-                    self.spans.begin_offpath("sharing_wb", owner, dt);
+                    self.obs.spans.begin_offpath("sharing_wb", owner, dt);
                     let wb = self.send(owner, home, p.line_bytes + p.header_bytes, "net", dt);
                     let wb = self.pp_acquire(home, p.pp_writeback, "pp_writeback", wb);
                     let wb_done = self.mem_acquire(home, wb);
-                    self.spans.end(wb_done, None, TimeDelta::ZERO);
+                    self.obs.spans.end(wb_done, None, TimeDelta::ZERO);
                     (self.txn_occ, self.txn_net) = saved;
                 }
                 dt
@@ -496,7 +497,7 @@ impl FlashLite {
         // protocol work at the home: occupancy.
         if ack_done > data_t {
             self.txn_occ += ack_done - data_t;
-            self.spans.leg(
+            self.obs.spans.leg(
                 "exposed_inval",
                 home,
                 data_t,
@@ -508,7 +509,7 @@ impl FlashLite {
         data_t = data_t.max(ack_done);
         // Reply crosses the bus and the processor restarts.
         let done_at = data_t + p.reply_fill;
-        self.spans.leg(
+        self.obs.spans.leg(
             "reply_fill",
             requester,
             data_t,
@@ -537,7 +538,7 @@ impl FlashLite {
         self.txn_begin();
 
         let mut t = req.now + p.proc_miss_detect;
-        self.spans.leg(
+        self.obs.spans.leg(
             "miss_detect",
             requester,
             req.now,
@@ -557,21 +558,23 @@ impl FlashLite {
             p.pp_dir_remote
         };
         let queued = self.pp[home as usize].wait_at(t).as_ps();
-        self.telemetry.occupy(self.tel_queue, t, queued);
+        self.obs.telemetry.occupy(self.tel_queue, t, queued);
         if let Some(&id) = self.tel_queue_node.get(home as usize) {
-            self.telemetry.occupy(id, t, queued);
+            self.obs.telemetry.occupy(id, t, queued);
         }
         t = self.pp_acquire(home, dir_cycles, "dir_lookup", t);
 
         let reclaims_before = self.dirs[home as usize].reclaims();
         let resp = self.dirs[home as usize].upgrade(req.line, requester);
         let dir_occ = self.dirs[home as usize].occupancy_sample();
-        self.telemetry
+        self.obs
+            .telemetry
             .gauge(self.tel_pool, t, u64::from(dir_occ.used));
         if let Some(&id) = self.tel_pool_node.get(home as usize) {
-            self.telemetry.gauge(id, t, u64::from(dir_occ.used));
+            self.obs.telemetry.gauge(id, t, u64::from(dir_occ.used));
         }
-        self.telemetry
+        self.obs
+            .telemetry
             .count(self.tel_reclaims, t, dir_occ.reclaims - reclaims_before);
         // For an upgrade, the invalidation round IS the critical path;
         // its whole duration is exposed protocol work at the home, so it
@@ -581,9 +584,11 @@ impl FlashLite {
         // itself carries the wholesale occupancy charge.
         let inv_start = t;
         let saved = (self.txn_occ, self.txn_net);
-        self.spans.begin_offpath("inval_round", home, inv_start);
+        self.obs.spans.begin_offpath("inval_round", home, inv_start);
         let t = self.invalidate_round(home, &resp.invalidate, t);
-        self.spans.end(t, Some(SpanClass::Occupancy), t - inv_start);
+        self.obs
+            .spans
+            .end(t, Some(SpanClass::Occupancy), t - inv_start);
         (self.txn_occ, self.txn_net) = saved;
         self.txn_occ += t - inv_start;
         let mut t = t;
@@ -593,7 +598,7 @@ impl FlashLite {
             t = self.pp_acquire(requester, p.pp_ni_reply, "ni_reply", t);
         }
         let done_at = t + p.reply_fill;
-        self.spans.leg(
+        self.obs.spans.leg(
             "reply_fill",
             requester,
             t,
@@ -694,16 +699,12 @@ impl MemorySystem for FlashLite {
         s
     }
 
-    fn attach_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer.clone();
-        self.net.attach_tracer(tracer);
-    }
-
     fn attach_faults(&mut self, faults: FaultInjector) {
         self.faults = faults;
     }
 
-    fn attach_telemetry(&mut self, telemetry: Telemetry) {
+    fn attach(&mut self, obs: &Observers) {
+        let telemetry = &obs.telemetry;
         // `magic.queue_ps` is the paper's omitted-queueing signature:
         // FlashLite registers it, the NUMA model does not.
         self.tel_queue = telemetry.register("magic.queue_ps", MetricKind::Occupancy);
@@ -718,7 +719,7 @@ impl MemorySystem for FlashLite {
         // the aggregates.
         self.tel_queue_node.clear();
         self.tel_pool_node.clear();
-        if self.nodes <= 64 {
+        if telemetry.enabled() && self.nodes <= 64 {
             for n in 0..self.nodes {
                 self.tel_queue_node.push(telemetry.register_node(
                     "magic.queue_ps",
@@ -732,13 +733,8 @@ impl MemorySystem for FlashLite {
                 ));
             }
         }
-        self.net.attach_telemetry(telemetry.clone());
-        self.telemetry = telemetry;
-    }
-
-    fn attach_spans(&mut self, spans: SpanTracer) {
-        self.spans = spans.clone();
-        self.net.attach_spans(spans);
+        self.net.attach(obs);
+        self.obs = obs.clone();
     }
 
     fn model_name(&self) -> &'static str {

@@ -377,27 +377,31 @@ mod tests {
         let prog = small_prog(2);
         let c = || cfg(2, mipsy(150), OsModel::simos_tuned(), fl());
         let plain = run_program(c(), &prog).unwrap();
-        let mut m = Machine::new(c(), &prog).unwrap();
-        m.attach_profiler(flashsim_engine::Profiler::disabled());
-        let profiled = m.run().unwrap();
+        assert!(plain.accounting.is_none());
+        assert!(plain.manifest.account.is_none());
+        let mut on = c();
+        on.profile = true;
+        let profiled = run_program(on, &prog).unwrap();
+        assert!(profiled.accounting.is_some());
         assert_eq!(plain.total_time, profiled.total_time);
-        assert_eq!(plain.stats, profiled.stats);
-        assert!(profiled.accounting.is_none());
-        assert!(profiled.manifest.account.is_none());
+        // Accounting adds its `account.*` stats and changes no other.
+        for (key, value) in plain.stats.iter() {
+            assert_eq!(profiled.stats.get(key), Some(value), "{key}");
+        }
     }
 
     #[test]
     fn profiled_run_conserves_every_cycle() {
-        use flashsim_engine::{Profiler, StallClass};
+        use flashsim_engine::StallClass;
         let prog = BlockWalk {
             threads: 4,
             bytes_per_thread: 32 * 1024,
             use_lock: true,
         };
-        let mut m = Machine::new(cfg(4, mipsy(150), OsModel::simos_tuned(), fl()), &prog).unwrap();
-        m.attach_profiler(Profiler::new());
-        let r = m.run().unwrap();
-        let acc = r.accounting.as_ref().expect("profiler attached");
+        let mut c = cfg(4, mipsy(150), OsModel::simos_tuned(), fl());
+        c.profile = true;
+        let r = run_program(c, &prog).unwrap();
+        let acc = r.accounting.as_ref().expect("profile is on");
         assert!(acc.conserved(), "per-node class sums must equal totals");
         // Every node's total is the machine end time (idle => Compute).
         for node in &acc.nodes {

@@ -175,9 +175,9 @@ impl Machine {
         w.section("memsys");
         self.memsys.save_ckpt(&mut w);
         self.injector.save_ckpt(&mut w);
-        self.profiler.save_ckpt(&mut w);
-        self.telemetry.save_ckpt(&mut w);
-        self.spans.save_ckpt(&mut w);
+        self.obs.profiler.save_ckpt(&mut w);
+        self.obs.telemetry.save_ckpt(&mut w);
+        self.obs.spans.save_ckpt(&mut w);
         w.finish()
     }
 
@@ -279,9 +279,9 @@ impl Machine {
         r.section("memsys")?;
         m.memsys.load_ckpt(&mut r)?;
         m.injector.load_ckpt(&mut r)?;
-        m.profiler.load_ckpt(&mut r)?;
-        m.telemetry.load_ckpt(&mut r)?;
-        m.spans.load_ckpt(&mut r)?;
+        m.obs.profiler.load_ckpt(&mut r)?;
+        m.obs.telemetry.load_ckpt(&mut r)?;
+        m.obs.spans.load_ckpt(&mut r)?;
         r.finish()?;
         Ok(m)
     }

@@ -10,8 +10,7 @@ use crate::config::MachineConfig;
 use crate::error::SimError;
 use flashsim_cpu::env::{AccessLevel, Core, MemAccessKind, MemEnv, Resolution};
 use flashsim_engine::{
-    Clock, FaultInjector, Profiler, SpanTracer, StallClass, Telemetry, Time, TimeDelta,
-    TraceCategory, Tracer,
+    Clock, FaultInjector, Observers, StallClass, Time, TimeDelta, TraceCategory,
 };
 use flashsim_isa::{Placement, Segment, VAddr};
 use flashsim_mem::{
@@ -20,8 +19,8 @@ use flashsim_mem::{
 };
 use flashsim_os::TlbModel;
 
-/// Where one node's execution sends its charges: the accounting and
-/// telemetry handles plus the constants that price them. The single
+/// Where one node's execution sends its charges: the observer bundle
+/// plus the constants that price them. The single
 /// charging authority for memory latency, TLB refills, and OS costs
 /// exposed to the core; cores charge only their internal pipeline stalls,
 /// so no span is charged twice.
@@ -33,8 +32,7 @@ pub(super) struct ChargeSink<'a> {
     pub(super) in_op: bool,
     pub(super) cfg: &'a MachineConfig,
     pub(super) clock: Clock,
-    pub(super) profiler: &'a Profiler,
-    pub(super) telemetry: &'a Telemetry,
+    pub(super) obs: &'a Observers,
     pub(super) tel: TelIds,
 }
 
@@ -47,9 +45,11 @@ impl ChargeSink<'_> {
             return;
         }
         if self.in_op {
-            self.profiler.charge(self.node as u32, class, at, dur);
+            self.obs.profiler.charge(self.node as u32, class, at, dur);
         } else {
-            self.profiler.charge_wall(self.node as u32, class, at, dur);
+            self.obs
+                .profiler
+                .charge_wall(self.node as u32, class, at, dur);
         }
     }
 
@@ -86,7 +86,8 @@ impl ChargeSink<'_> {
             let cost = self.cfg.os.timer_cost;
             while mem.next_tick <= done {
                 mem.next_tick += interval;
-                self.profiler
+                self.obs
+                    .profiler
                     .charge_wall(self.node as u32, StallClass::Os, now, cost);
                 now += cost;
                 core.set_time(now);
@@ -157,7 +158,7 @@ pub(super) fn resolve_private(
     // here — covering the fast path below too — is safe under every
     // scheduling policy (per-window sums commute), and so is folding
     // them in the node's windows first.
-    let (tel, ids, obs) = (sink.telemetry, &sink.tel, &mut mem.obs);
+    let (tel, ids, obs) = (&sink.obs.telemetry, &sink.tel, &mut mem.obs);
     match probe {
         HierProbe::L1Hit => tel.count_in(&mut obs.l1_hits, ids.l1_hits, t, 1),
         HierProbe::L2Hit => {
@@ -230,9 +231,7 @@ pub(super) struct MachineEnv<'a> {
     pub(super) pt: &'a mut PageTable,
     pub(super) alloc: &'a mut FrameAllocator,
     pub(super) segments: &'a [Segment],
-    pub(super) tracer: &'a Tracer,
     pub(super) faults: &'a FaultInjector,
-    pub(super) spans: &'a SpanTracer,
     /// Failure slot: `MemEnv::resolve` cannot return an error through the
     /// core's execute path, so faults are parked here and harvested by the
     /// scheduler immediately after the op completes.
@@ -323,15 +322,15 @@ impl MachineEnv<'_> {
         fault: TimeDelta,
     ) -> bool {
         let node = self.sink.node as u32;
-        if !self.spans.txn_try_begin(node, line.get(), kind.key(), at) {
+        let spans = &self.sink.obs.spans;
+        if !spans.txn_try_begin(node, line.get(), kind.key(), at) {
             return false;
         }
         if refill > TimeDelta::ZERO {
-            self.spans
-                .leg("tlb_refill", node, at, at + refill, None, refill);
+            spans.leg("tlb_refill", node, at, at + refill, None, refill);
         }
         if fault > TimeDelta::ZERO {
-            self.spans.leg(
+            spans.leg(
                 "page_fault",
                 node,
                 at + refill,
@@ -348,15 +347,14 @@ impl MachineEnv<'_> {
     /// traces draw an arrow across the transaction's extent. The id is
     /// derived deterministically from (node, line, issue time).
     fn span_mark(&mut self, line: LineAddr, at: Time, done: Time) {
-        if !self.tracer.enabled(TraceCategory::Span) {
+        let tracer = &self.sink.obs.tracer;
+        if !tracer.enabled(TraceCategory::Span) {
             return;
         }
         let node = self.sink.node as u32;
         let id = flashsim_engine::span::mix(line.get() ^ (u64::from(node) << 40) ^ at.as_ps());
-        self.tracer
-            .emit(at, TraceCategory::Span, "span_begin", node, id, line.get());
-        self.tracer
-            .emit(done, TraceCategory::Span, "span_end", node, id, line.get());
+        tracer.emit(at, TraceCategory::Span, "span_begin", node, id, line.get());
+        tracer.emit(done, TraceCategory::Span, "span_end", node, id, line.get());
     }
 
     /// Issues a full memory-system transaction and installs the line.
@@ -385,7 +383,7 @@ impl MachineEnv<'_> {
         // Injected latency perturbation reads as extra memory time.
         out.breakdown.memory += perturb;
         if perturb > TimeDelta::ZERO {
-            self.spans.leg(
+            self.sink.obs.spans.leg(
                 "fault_perturb",
                 node as u32,
                 pre_perturb,
@@ -397,7 +395,7 @@ impl MachineEnv<'_> {
         // Close the sampled span tree (no-op when this access was not
         // sampled) BEFORE the victim writeback below, so background
         // writeback legs never attach to the demand transaction.
-        self.spans.txn_end(out.done_at, out.case.key());
+        self.sink.obs.spans.txn_end(out.done_at, out.case.key());
         self.apply_actions(line, &out.actions);
         let victim = self.mems[node]
             .hier
@@ -411,8 +409,8 @@ impl MachineEnv<'_> {
                     kind: AccessKind::Writeback,
                     now: out.done_at,
                 });
-                if self.tracer.enabled(TraceCategory::Mem) {
-                    self.tracer.emit(
+                if self.sink.obs.tracer.enabled(TraceCategory::Mem) {
+                    self.sink.obs.tracer.emit(
                         out.done_at,
                         TraceCategory::Mem,
                         "writeback",
@@ -427,7 +425,7 @@ impl MachineEnv<'_> {
         self.mems[node]
             .pending
             .insert(line, (out.done_at, out.breakdown));
-        self.sink.telemetry.gauge(
+        self.sink.obs.telemetry.gauge(
             self.sink.tel.pending_depth,
             t,
             self.mems[node].pending.len() as u64,
@@ -461,7 +459,7 @@ impl MachineEnv<'_> {
                 if out.done_at > pre_perturb {
                     // The upgrade arm leaves the breakdown untouched
                     // by perturbation, so the leg is unclassed.
-                    self.spans.leg(
+                    self.sink.obs.spans.leg(
                         "fault_perturb",
                         node as u32,
                         pre_perturb,
@@ -470,7 +468,7 @@ impl MachineEnv<'_> {
                         out.done_at - pre_perturb,
                     );
                 }
-                self.spans.txn_end(out.done_at, out.case.key());
+                self.sink.obs.spans.txn_end(out.done_at, out.case.key());
                 self.span_mark(line, at, out.done_at);
             }
             self.apply_actions(line, &out.actions);
@@ -516,14 +514,14 @@ impl MemEnv for MachineEnv<'_> {
             None => self.resolve_shared(&p, kind, at, fault),
         };
 
-        if self.tracer.enabled(TraceCategory::Mem) {
+        if self.sink.obs.tracer.enabled(TraceCategory::Mem) {
             let event = match p.probe {
                 HierProbe::L1Hit => "l1_hit",
                 HierProbe::L2Hit => "l2_hit",
                 HierProbe::L2Upgrade => "l2_upgrade",
                 HierProbe::L2Miss => "l2_miss",
             };
-            self.tracer.emit(
+            self.sink.obs.tracer.emit(
                 done_at,
                 TraceCategory::Mem,
                 event,

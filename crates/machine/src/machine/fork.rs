@@ -10,8 +10,8 @@ use crate::error::SimError;
 use flashsim_cpu::env::{Core, MemAccessKind, MemEnv, Resolution, ScanProfile};
 use flashsim_engine::pool::Job;
 use flashsim_engine::{
-    Clock, FaultInjector, HostPhase, MetricId, MetricKind, Profiler, RoundTally, Telemetry, Time,
-    TimeDelta, WorkerPool,
+    Clock, FaultInjector, HostPhase, MetricId, MetricKind, Observers, RoundTally, Time, TimeDelta,
+    WorkerPool,
 };
 use flashsim_isa::{Op, OpClass, ThreadStream, VAddr};
 use flashsim_mem::{CacheHierarchy, HierProbe, PageTable};
@@ -36,12 +36,11 @@ pub(super) struct ForkCtx<'p> {
 }
 
 /// What every pool job of a run reads and no round changes: the config,
-/// the observer handles forked charges go to, each core's scan profile.
+/// the observer bundle forked charges go to, each core's scan profile.
 pub(super) struct ForkShared {
     cfg: MachineConfig,
     clock: Clock,
-    profiler: Profiler,
-    telemetry: Telemetry,
+    obs: Observers,
     tel: TelIds,
     faults: FaultInjector,
     pub(super) profiles: Vec<ScanProfile>,
@@ -203,8 +202,7 @@ fn run_fork(
             in_op: true,
             cfg: &shared.cfg,
             clock: shared.clock,
-            profiler: &shared.profiler,
-            telemetry: &shared.telemetry,
+            obs: &shared.obs,
             tel: shared.tel,
         },
         mem: &mut slot.mem,
@@ -253,7 +251,8 @@ fn run_fork(
         slot.core.execute(&op, &mut env);
         let done = slot.core.now();
         let busy = done.saturating_since(now);
-        env.sink
+        shared
+            .obs
             .profiler
             .mark_op_in(&mut env.mem.obs.compute, n as u32, now, busy);
         env.sink.timer_ticks(env.mem, &mut *slot.core, done);
@@ -299,8 +298,7 @@ impl Machine {
             shared: Arc::new(ForkShared {
                 cfg: self.cfg.clone(),
                 clock: self.clock,
-                profiler: self.profiler.clone(),
-                telemetry: self.telemetry.clone(),
+                obs: self.obs.clone(),
                 tel: self.tel,
                 faults: self.injector.clone(),
                 profiles: self.cores.iter().map(|c| c.scan_profile()).collect(),
@@ -308,7 +306,7 @@ impl Machine {
             lbs: vec![Time::ZERO; self.cfg.nodes as usize],
             busy_ids: (0..pool.size())
                 .map(|w| {
-                    self.telemetry.register_node_volatile(
+                    self.obs.telemetry.register_node_volatile(
                         "sched.worker_busy_ps",
                         w as u32,
                         MetricKind::Counter,
@@ -320,7 +318,7 @@ impl Machine {
         let out = self.run_scheduled(Some(fork), wall_start);
         // Harvest the pool's per-worker host-time lanes before the pool
         // (and its counters) is dropped. Host observability only.
-        self.hostprof.record_workers(pool.lanes());
+        self.obs.hostprof.record_workers(pool.lanes());
         out
     }
 
@@ -376,7 +374,7 @@ impl Machine {
 
         // Phase A: refresh stale bounds, one scan job per node.
         if !rescan.is_empty() {
-            let _scan = self.hostprof.phase(HostPhase::Scan);
+            let _scan = self.obs.hostprof.phase(HostPhase::Scan);
             let jobs: Vec<Job> = rescan
                 .iter()
                 .map(|&n| {
@@ -448,14 +446,14 @@ impl Machine {
             }));
         }
         if !jobs.is_empty() {
-            let _fork = self.hostprof.phase(HostPhase::Fork);
+            let _fork = self.obs.hostprof.phase(HostPhase::Fork);
             pool.run_all(jobs);
         }
 
         // Join: reassemble the machine and apply cross-node effects in
         // deterministic node order. (All job clones of the Arc are
         // dropped once run_all returns.)
-        let _commit = self.hostprof.phase(HostPhase::Commit);
+        let _commit = self.obs.hostprof.phase(HostPhase::Commit);
         let Round { pt, slots } = Arc::try_unwrap(round)
             .map_err(|_| ())
             .expect("fork jobs still hold round state"); // gate: allow
@@ -483,7 +481,7 @@ impl Machine {
             }
         }
         tally.admitted_ops = total;
-        self.hostprof.round(tally);
+        self.obs.hostprof.round(tally);
         total
     }
 }

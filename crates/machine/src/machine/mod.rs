@@ -45,8 +45,8 @@ use flashsim_cpu::env::Core;
 use flashsim_engine::fxhash::FxHashMap;
 use flashsim_engine::stream::StreamEmitter;
 use flashsim_engine::{
-    Clock, FaultInjector, HostProf, Profiler, SpanTracer, Telemetry, Time, TimeDelta,
-    TraceCategory, Tracer,
+    Clock, FaultInjector, HostProf, Observers, Profiler, SpanTracer, Telemetry, Time, TimeDelta,
+    TraceCategory,
 };
 use flashsim_isa::{check_segments, Program, Segment, ThreadStream, VAddr};
 use flashsim_mem::{
@@ -141,11 +141,10 @@ pub struct Machine {
     locks: HashMap<u32, LockState>,
     lock_addr: HashMap<u32, VAddr>,
     timing_start: Option<u32>,
-    tracer: Tracer,
-    profiler: Profiler,
+    /// The one observer bundle, built in [`Machine::new`] from the
+    /// config and handed to every layer by [`Machine::broadcast`].
+    obs: Observers,
     injector: FaultInjector,
-    telemetry: Telemetry,
-    spans: SpanTracer,
     tel: TelIds,
     sched_obs: SchedObs,
     heartbeat: Option<Heartbeat>,
@@ -166,9 +165,6 @@ pub struct Machine {
     /// checkpoint before any sink is attached; a later attach resumes
     /// from here instead of re-emitting the prefix.
     stream_pos: (u64, u64),
-    /// Host-time self-profiler; see [`Machine::attach_hostprof`].
-    /// Disabled by default: one branch per probe.
-    hostprof: HostProf,
 }
 
 impl fmt::Debug for Machine {
@@ -178,7 +174,11 @@ impl fmt::Debug for Machine {
 }
 
 impl Machine {
-    /// Builds a machine for `program` under `cfg`.
+    /// Builds a machine for `program` under `cfg`. The config is the only
+    /// switch for the profiler ([`MachineConfig::profile`]), telemetry,
+    /// spans, the host profiler and the stderr heartbeat: each is built
+    /// here, attached to every layer once, and covered by
+    /// [`Machine::provenance`] where it can change a checkpoint.
     ///
     /// # Errors
     ///
@@ -237,8 +237,25 @@ impl Machine {
         let cores = (0..cfg.nodes).map(|_| cfg.cpu.build()).collect();
         let streams = (0..cfg.nodes as usize).map(|t| program.stream(t)).collect();
 
+        let obs = Observers {
+            profiler: cfg.profile.then(Profiler::new).unwrap_or_default(),
+            telemetry: cfg
+                .telemetry
+                .map(Telemetry::with_cadence)
+                .unwrap_or_default(),
+            spans: cfg.spans.map(SpanTracer::new).unwrap_or_default(),
+            hostprof: cfg.hostprof.then(HostProf::new).unwrap_or_default(),
+            ..Observers::disabled()
+        };
+        obs.profiler.reserve_nodes(cfg.nodes);
+        // Registration order is export order: the machine's own series,
+        // the scheduler's, then (in `broadcast`) memory system and network.
+        let tel = TelIds::register(&obs.telemetry);
+        let sched_obs = SchedObs::register(&obs.telemetry);
+
         let mut machine = Machine {
             clock: cfg.cpu.clock(),
+            heartbeat: cfg.heartbeat.map(|every| Heartbeat::new(every, true)),
             cfg,
             cores,
             mems,
@@ -253,14 +270,10 @@ impl Machine {
             locks: HashMap::new(),
             lock_addr: HashMap::new(),
             timing_start: program.timing_barrier(),
-            tracer: Tracer::disabled(),
-            profiler: Profiler::disabled(),
+            obs,
             injector,
-            telemetry: Telemetry::disabled(),
-            spans: SpanTracer::disabled(),
-            tel: TelIds::none(),
-            sched_obs: SchedObs::none(),
-            heartbeat: None,
+            tel,
+            sched_obs,
             fault: None,
             workload: program.name(),
             workload_seed: program.seed(),
@@ -268,23 +281,8 @@ impl Machine {
             ckpt_seq: 0,
             stream: None,
             stream_pos: (0, 0),
-            hostprof: HostProf::disabled(),
         };
-        if let Some(cadence) = machine.cfg.telemetry {
-            machine.attach_telemetry(Telemetry::with_cadence(cadence));
-        }
-        if machine.cfg.profile {
-            machine.attach_profiler(Profiler::new());
-        }
-        if let Some(every) = machine.cfg.heartbeat {
-            machine.attach_heartbeat(every);
-        }
-        if let Some(plan) = machine.cfg.spans {
-            machine.attach_spans(SpanTracer::new(plan));
-        }
-        if machine.cfg.hostprof {
-            machine.attach_hostprof(HostProf::new());
-        }
+        machine.broadcast();
         Ok(machine)
     }
 
@@ -318,12 +316,12 @@ impl Machine {
         // loop returns, so the phase decomposition tiles (within the
         // few trace/stream-terminator statements outside it) the same
         // wall clock the manifest reports.
-        self.hostprof.run_begin();
+        self.obs.hostprof.run_begin();
         let nodes = self.cfg.nodes as usize;
         self.status = vec![NodeStatus::Running; nodes];
         self.open_stream();
-        if self.tracer.enabled(TraceCategory::Machine) {
-            self.tracer.emit(
+        if self.obs.tracer.enabled(TraceCategory::Machine) {
+            self.obs.tracer.emit(
                 Time::ZERO,
                 TraceCategory::Machine,
                 "run_start",
@@ -337,7 +335,7 @@ impl Machine {
             SchedPolicy::Reference => self.run_reference(wall_start),
             SchedPolicy::Parallel { workers } => self.run_parallel(workers, wall_start),
         };
-        self.hostprof.run_end();
+        self.obs.hostprof.run_end();
         self.publish_observers();
         if let Err(e) = ran {
             let at = self.lead_clock();

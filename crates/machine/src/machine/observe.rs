@@ -1,17 +1,18 @@
-//! The observer attachments — tracer, profiler, telemetry, spans, host
-//! profiler, live stream, heartbeat — and the machine-layer probes that
-//! feed them.
+//! The machine's side of the observer spine: the one broadcast of its
+//! [`Observers`] bundle, the attaches whose argument is a host object the
+//! caller owns (tracer ring, stream sink), the heartbeat, and the
+//! machine-layer probes that feed the handles.
 
 use super::Machine;
 use flashsim_engine::stream::{FileSink, ProgressMeter, RunInfo, StreamEmitter, StreamSink};
 use flashsim_engine::{
-    HostPhase, HostProf, HostReport, MetricId, MetricKind, Profiler, SpanSet, SpanTracer,
-    Telemetry, Time, Tracer, Window, WorkerPool,
+    HostPhase, MetricId, MetricKind, Observers, Telemetry, Time, Tracer, Window, WorkerPool,
 };
 
-/// Metric ids for the machine layer's own telemetry probes. All
-/// [`MetricId::NONE`] until [`Machine::attach_telemetry`]; each probe
-/// site then costs exactly the registry handle's disabled-path branch.
+/// Metric ids for the machine layer's own telemetry probes: cache
+/// hit/miss counters, pending-miss depth, barrier clock skew. All
+/// [`MetricId::NONE`] under a disabled registry; each probe site then
+/// costs exactly the registry handle's disabled-path branch.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct TelIds {
     pub(super) l1_hits: MetricId,
@@ -23,14 +24,14 @@ pub(super) struct TelIds {
 }
 
 impl TelIds {
-    pub(super) fn none() -> TelIds {
+    pub(super) fn register(telemetry: &Telemetry) -> TelIds {
         TelIds {
-            l1_hits: MetricId::NONE,
-            l1_misses: MetricId::NONE,
-            l2_hits: MetricId::NONE,
-            l2_misses: MetricId::NONE,
-            pending_depth: MetricId::NONE,
-            barrier_skew: MetricId::NONE,
+            l1_hits: telemetry.register("mem.l1_hits", MetricKind::Counter),
+            l1_misses: telemetry.register("mem.l1_misses", MetricKind::Counter),
+            l2_hits: telemetry.register("mem.l2_hits", MetricKind::Counter),
+            l2_misses: telemetry.register("mem.l2_misses", MetricKind::Counter),
+            pending_depth: telemetry.register("mem.pending_depth", MetricKind::Gauge),
+            barrier_skew: telemetry.register("machine.barrier_skew_ps", MetricKind::Gauge),
         }
     }
 }
@@ -51,12 +52,12 @@ pub(super) struct NodeObs {
 }
 
 impl NodeObs {
-    fn publish(&mut self, telemetry: &Telemetry, tel: &TelIds, profiler: &Profiler, node: u32) {
-        telemetry.publish(&mut self.l1_hits, tel.l1_hits);
-        telemetry.publish(&mut self.l1_misses, tel.l1_misses);
-        telemetry.publish(&mut self.l2_hits, tel.l2_hits);
-        telemetry.publish(&mut self.l2_misses, tel.l2_misses);
-        profiler.publish(&mut self.compute, node);
+    fn publish(&mut self, obs: &Observers, tel: &TelIds, node: u32) {
+        obs.telemetry.publish(&mut self.l1_hits, tel.l1_hits);
+        obs.telemetry.publish(&mut self.l1_misses, tel.l1_misses);
+        obs.telemetry.publish(&mut self.l2_hits, tel.l2_hits);
+        obs.telemetry.publish(&mut self.l2_misses, tel.l2_misses);
+        obs.profiler.publish(&mut self.compute, node);
     }
 
     fn is_empty(&self) -> bool {
@@ -84,11 +85,14 @@ pub(super) struct SchedObs {
 }
 
 impl SchedObs {
-    pub(super) fn none() -> SchedObs {
+    /// Registered volatile: available for inspection, excluded from the
+    /// stable export because batching reshapes them by design.
+    pub(super) fn register(telemetry: &Telemetry) -> SchedObs {
+        let volatile = |name, kind| (telemetry.register_volatile(name, kind), Window::new());
         SchedObs {
-            batches: (MetricId::NONE, Window::new()),
-            batch_ops: (MetricId::NONE, Window::new()),
-            heap: (MetricId::NONE, Window::new()),
+            batches: volatile("sched.batches", MetricKind::Counter),
+            batch_ops: volatile("sched.batch_ops", MetricKind::Counter),
+            heap: volatile("sched.heap_nodes", MetricKind::Gauge),
         }
     }
 
@@ -116,7 +120,11 @@ impl SchedObs {
 /// bits clear: once per 4096 scheduling decisions.
 pub(super) const HEARTBEAT_SAMPLE_MASK: u64 = 0xFFF;
 
-/// Live progress, throttled by host wall-clock time. The scheduling
+/// Live progress, throttled by host wall-clock time: with
+/// [`MachineConfig::heartbeat`](crate::MachineConfig::heartbeat) set, at
+/// most one stderr line per interval reporting sim time, ops executed,
+/// host throughput, watchdog-budget progress, and the current spread
+/// between the fastest and slowest node clocks. The scheduling
 /// loops tick it once per decision; the `Instant` read is amortized to
 /// once per 4096 ticks so an attached-but-quiet heartbeat stays off the
 /// hot path. The windowed rate/budget computation lives in the shared
@@ -142,7 +150,7 @@ pub(super) struct Heartbeat {
 }
 
 impl Heartbeat {
-    fn new(every: std::time::Duration, stderr: bool) -> Heartbeat {
+    pub(super) fn new(every: std::time::Duration, stderr: bool) -> Heartbeat {
         Heartbeat {
             every,
             stderr,
@@ -155,67 +163,28 @@ impl Heartbeat {
 }
 
 impl Machine {
-    /// Attaches a flight recorder to every layer of the machine: each core
-    /// (`cpu` events, tagged with its node id), the cache/TLB path (`mem`
-    /// events), the memory system (`proto` events, plus `net` events if the
-    /// model has a network), and the machine itself (`machine` events:
-    /// run phases, barrier releases, lock hand-offs).
+    /// Hands the machine's observer bundle to every layer below it: each
+    /// core (tagged with its node id) and the memory system, which
+    /// forwards it to its network. The machine's own telemetry series are
+    /// registered before the first broadcast (see [`Machine::new`]).
+    pub(super) fn broadcast(&mut self) {
+        for (n, core) in self.cores.iter_mut().enumerate() {
+            core.attach(&self.obs, n as u32);
+        }
+        self.memsys.attach(&self.obs);
+    }
+
+    /// Attaches a flight recorder to every layer of the machine (see
+    /// [`Observers::tracer`] for what each layer emits). The one public
+    /// observer attach: the ring's capacity and category mask are the
+    /// caller's, who keeps a clone to read the trace back; every other
+    /// observer is switched on through [`MachineConfig`](crate::MachineConfig).
     ///
     /// Attach *before* [`Machine::run`]; a disabled tracer (the default)
     /// costs a single masked branch per potential event.
     pub fn attach_tracer(&mut self, tracer: Tracer) {
-        for (n, core) in self.cores.iter_mut().enumerate() {
-            core.attach_tracer(tracer.clone(), n as u32);
-        }
-        self.memsys.attach_tracer(tracer.clone());
-        self.tracer = tracer;
-    }
-
-    /// Attaches a cycle-accounting profiler: each core charges its
-    /// internal pipeline stalls, while the machine itself charges memory
-    /// latency (split per the model's [`LatencyBreakdown`]), TLB refills,
-    /// OS costs, synchronization waits, and marks per-op boundaries so
-    /// uncharged time lands in the compute residual.
-    ///
-    /// Attach *before* [`Machine::run`]; a disabled profiler (the
-    /// default) costs one branch per potential charge.
-    pub fn attach_profiler(&mut self, profiler: Profiler) {
-        for (n, core) in self.cores.iter_mut().enumerate() {
-            core.attach_profiler(profiler.clone(), n as u32);
-        }
-        profiler.reserve_nodes(self.cfg.nodes);
-        self.profiler = profiler;
-    }
-
-    /// Attaches a sim-time telemetry registry to every layer of the
-    /// machine: cache hit/miss counters, pending-miss depth, and barrier
-    /// clock skew here, plus whatever the memory-system model registers
-    /// (directory-pool occupancy, MAGIC inbound queue, NACK/retry rates,
-    /// link utilization, …). Scheduler-internal metrics are registered
-    /// volatile: available for inspection, excluded from the stable
-    /// export because batching reshapes them by design.
-    ///
-    /// Attach *before* [`Machine::run`]; a disabled registry (the
-    /// default) costs one branch per potential sample. Setting
-    /// [`MachineConfig::telemetry`] attaches one automatically at
-    /// construction.
-    pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
-        self.tel = TelIds {
-            l1_hits: telemetry.register("mem.l1_hits", MetricKind::Counter),
-            l1_misses: telemetry.register("mem.l1_misses", MetricKind::Counter),
-            l2_hits: telemetry.register("mem.l2_hits", MetricKind::Counter),
-            l2_misses: telemetry.register("mem.l2_misses", MetricKind::Counter),
-            pending_depth: telemetry.register("mem.pending_depth", MetricKind::Gauge),
-            barrier_skew: telemetry.register("machine.barrier_skew_ps", MetricKind::Gauge),
-        };
-        let volatile = |name, kind| (telemetry.register_volatile(name, kind), Window::new());
-        self.sched_obs = SchedObs {
-            batches: volatile("sched.batches", MetricKind::Counter),
-            batch_ops: volatile("sched.batch_ops", MetricKind::Counter),
-            heap: volatile("sched.heap_nodes", MetricKind::Gauge),
-        };
-        self.memsys.attach_telemetry(telemetry.clone());
-        self.telemetry = telemetry;
+        self.obs.tracer = tracer;
+        self.broadcast();
     }
 
     /// Moves everything the run loops hold in [`Window`]s into the
@@ -224,10 +193,9 @@ impl Machine {
     /// barrier release, and the end of the run, failed or not.
     pub(super) fn publish_observers(&mut self) {
         for (n, mem) in self.mems.iter_mut().enumerate() {
-            mem.obs
-                .publish(&self.telemetry, &self.tel, &self.profiler, n as u32);
+            mem.obs.publish(&self.obs, &self.tel, n as u32);
         }
-        self.sched_obs.publish(&self.telemetry);
+        self.sched_obs.publish(&self.obs.telemetry);
     }
 
     /// Whether [`publish_observers`](Machine::publish_observers) has
@@ -237,67 +205,11 @@ impl Machine {
         self.mems.iter().all(|mem| mem.obs.is_empty())
     }
 
-    /// The attached telemetry registry (disabled until
-    /// [`Machine::attach_telemetry`] — directly or via
-    /// [`MachineConfig::telemetry`]).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// Attaches a causal span tracer: the machine roots one span tree per
-    /// sampled L2-missing access (issue time → data back in the cache)
-    /// and the memory-system model appends the legs it traverses —
-    /// handler occupancies, per-hop network legs, NACK/retry loops, bank
-    /// accesses, reply path. Per-leg charges mirror the model's
-    /// [`LatencyBreakdown`] accumulators exactly, so each tree's charges
-    /// tile its end-to-end latency in integer picoseconds.
-    ///
-    /// Attach *before* [`Machine::run`]; a disabled tracer (the default)
-    /// costs one branch per miss. Setting [`MachineConfig::spans`]
-    /// attaches one automatically at construction.
-    pub fn attach_spans(&mut self, spans: SpanTracer) {
-        self.memsys.attach_spans(spans.clone());
-        self.spans = spans;
-    }
-
-    /// The sampled span trees collected so far (`None` when no span
-    /// tracer is attached).
-    pub fn spans(&self) -> Option<SpanSet> {
-        self.spans.snapshot()
-    }
-
-    /// Enables a live stderr heartbeat: at most one line per `every` of
-    /// host wall-clock time reporting sim time, ops executed, host
-    /// throughput, watchdog-budget progress, and the current spread
-    /// between the fastest and slowest node clocks.
-    pub fn attach_heartbeat(&mut self, every: std::time::Duration) {
-        self.heartbeat = Some(Heartbeat::new(every, true));
-    }
-
-    /// Attaches a host-time self-profiler: the scheduling loops drive
-    /// its scoped phase timers (scan / fork / commit / serial /
-    /// checkpoint / stream over a `drive` base), the parallel rounds
-    /// tally fork-admission outcomes into it, and the worker pool's
-    /// per-worker lanes are harvested into its report.
-    ///
-    /// Attach *before* [`Machine::run`]; a disabled profiler (the
-    /// default) costs one branch per probe. Setting
-    /// [`MachineConfig::hostprof`] attaches one automatically at
-    /// construction.
-    ///
-    /// Isolation contract: the profiler only ever *absorbs* host clock
-    /// readings — no machine code path reads time back out of it — so
-    /// attachment cannot change a single simulated byte
-    /// (`tests/hostprof_isolation.rs` proves it per platform and
-    /// policy), and the knob is excluded from [`Machine::provenance`].
-    pub fn attach_hostprof(&mut self, hostprof: HostProf) {
-        self.hostprof = hostprof;
-    }
-
-    /// The finalized host-time report of the last completed run
-    /// (`None` when no profiler is attached or no run has finished).
-    pub fn hostprof_report(&self) -> Option<HostReport> {
-        self.hostprof.report()
+    /// The machine's observer bundle. A completed run returns every
+    /// handle's snapshot in its [`RunResult`](super::RunResult); this is
+    /// how to read what a failed run recorded.
+    pub fn observers(&self) -> &Observers {
+        &self.obs
     }
 
     /// Attaches a live `flashsim-stream-v1` event sink: the machine
@@ -372,7 +284,7 @@ impl Machine {
             budget_ops: self.cfg.watchdog.max_ops,
         };
         if let Some(em) = self.stream.as_mut() {
-            let _stream = self.hostprof.phase(HostPhase::Stream);
+            let _stream = self.obs.hostprof.phase(HostPhase::Stream);
             em.begin(&info, &metrics, account.as_deref());
         }
     }
@@ -382,7 +294,8 @@ impl Machine {
     /// (scheduler-shaped) metrics are excluded, exactly as in the
     /// stable JSONL export, so the stream stays policy-invariant.
     pub(super) fn stream_totals(&self, at: Time) -> Vec<(String, MetricKind, u64)> {
-        self.telemetry
+        self.obs
+            .telemetry
             .snapshot(at)
             .map(|snap| {
                 snap.metrics
@@ -399,7 +312,8 @@ impl Machine {
     /// clock equals `at`, so the snapshot is exact and policy-invariant.
     pub(super) fn stream_account(&self, at: Time) -> Option<Vec<u64>> {
         let ends = vec![at; self.cfg.nodes as usize];
-        self.profiler
+        self.obs
+            .profiler
             .snapshot(&ends)
             .map(|acc| acc.class_totals().to_vec())
     }
@@ -456,7 +370,7 @@ impl Machine {
         let lag = self.cores.iter().map(|c| c.now()).fold(lead, Time::min);
         let skew = lead.saturating_since(lag);
         if let Some(em) = self.stream.as_mut() {
-            let _stream = self.hostprof.phase(HostPhase::Stream);
+            let _stream = self.obs.hostprof.phase(HostPhase::Stream);
             em.progress(lead.as_ps(), &sample, skew.as_ps());
         }
         if stderr {

@@ -167,8 +167,8 @@ impl RunResult {
 impl Machine {
     pub(super) fn collect_result(&mut self, wall_seconds: f64) -> RunResult {
         let end = self.lead_clock();
-        if self.tracer.enabled(TraceCategory::Machine) {
-            self.tracer.emit(
+        if self.obs.tracer.enabled(TraceCategory::Machine) {
+            self.obs.tracer.emit(
                 end,
                 TraceCategory::Machine,
                 "run_end",
@@ -212,7 +212,7 @@ impl Machine {
         // the machine end time, so per-node class totals all sum to the
         // same total and trailing idle reads as compute.
         let ends = vec![end; self.cfg.nodes as usize];
-        let accounting = self.profiler.snapshot(&ends);
+        let accounting = self.obs.profiler.snapshot(&ends);
         if let Some(acc) = &accounting {
             for (class, total) in StallClass::ALL.iter().zip(acc.class_totals()) {
                 stats.set(format!("account.{}.ps", class.key()), total as f64);
@@ -258,9 +258,9 @@ impl Machine {
             stats,
             manifest,
             accounting,
-            telemetry: self.telemetry.snapshot(end),
-            spans: self.spans.snapshot(),
-            hostprof: self.hostprof.report(),
+            telemetry: self.obs.telemetry.snapshot(end),
+            spans: self.obs.spans.snapshot(),
+            hostprof: self.obs.hostprof.report(),
         }
     }
 }

@@ -10,7 +10,7 @@ use super::observe::{SchedObs, HEARTBEAT_SAMPLE_MASK};
 use super::{Machine, NodeStatus};
 use crate::error::{NodeSnapshot, NodeState, SimError};
 use flashsim_cpu::env::Core;
-use flashsim_engine::{HostPhase, HostProf, LaggardHeap, Telemetry, Time, TimeDelta, TraceEvent};
+use flashsim_engine::{HostPhase, LaggardHeap, Observers, Time, TimeDelta, TraceEvent};
 use flashsim_isa::ThreadStream;
 
 /// Why a serial epoch (see [`Epoch::run`]) handed control back to the
@@ -111,17 +111,16 @@ impl Sched {
     /// profiler's opaque tally when forking is off).
     fn close_decision(
         &self,
-        obs: &mut SchedObs,
-        telemetry: &Telemetry,
-        hostprof: &HostProf,
+        sched_obs: &mut SchedObs,
+        obs: &Observers,
         decision_at: Time,
         ops_before: u64,
     ) {
         let ops = self.executed - ops_before;
         if self.opaque_serial {
-            hostprof.count_opaque(ops);
+            obs.hostprof.count_opaque(ops);
         }
-        obs.close(telemetry, decision_at, ops);
+        sched_obs.close(&obs.telemetry, decision_at, ops);
     }
 }
 
@@ -137,7 +136,6 @@ pub(super) struct Epoch<'a> {
     streams: &'a mut [ThreadStream],
     status: &'a mut [NodeStatus],
     sched_obs: &'a mut SchedObs,
-    hostprof: &'a HostProf,
     /// The attached heartbeat's decision-tick counter.
     hb_ticks: Option<&'a mut u64>,
 }
@@ -221,15 +219,15 @@ impl Epoch<'_> {
             streams,
             status,
             sched_obs,
-            hostprof,
             ..
         } = self;
+        let obs = env.sink.obs;
         let (core, stream) = (&mut cores[n], &mut streams[n]);
         debug_assert_eq!(core.now(), decision_at, "heap key is the node clock");
         env.sink.node = n;
-        sched_obs.open(env.sink.telemetry, decision_at, s.heap.len() as u64);
+        sched_obs.open(&obs.telemetry, decision_at, s.heap.len() as u64);
         let mut now = decision_at;
-        let serial = hostprof.phase(HostPhase::Serial);
+        let serial = obs.hostprof.phase(HostPhase::Serial);
         let runnable = loop {
             // (1) The stall sweep the reference loop runs before every
             // op. Only the executing node's consumed count moves inside
@@ -277,8 +275,7 @@ impl Epoch<'_> {
             core.execute(&op, env);
             let done = core.now();
             let busy = done.saturating_since(now);
-            env.sink
-                .profiler
+            obs.profiler
                 .mark_op_in(&mut env.mems[n].obs.compute, laggard, now, busy);
             if let Some(e) = env.fault.take() {
                 return Some(EpochEnd::Fault(e));
@@ -293,13 +290,7 @@ impl Epoch<'_> {
             // a rebuild.
             s.heap.pop();
         }
-        s.close_decision(
-            sched_obs,
-            env.sink.telemetry,
-            hostprof,
-            decision_at,
-            ops_before,
-        );
+        s.close_decision(sched_obs, obs, decision_at, ops_before);
         None
     }
 }
@@ -317,8 +308,7 @@ impl Machine {
                     in_op,
                     cfg: &self.cfg,
                     clock: self.clock,
-                    profiler: &self.profiler,
-                    telemetry: &self.telemetry,
+                    obs: &self.obs,
                     tel: self.tel,
                 },
                 mems: &mut self.mems,
@@ -326,16 +316,13 @@ impl Machine {
                 pt: &mut self.pt,
                 alloc: &mut self.alloc,
                 segments: &self.segments,
-                tracer: &self.tracer,
                 faults: &self.injector,
-                spans: &self.spans,
                 fault: &mut self.fault,
             },
             cores: &mut self.cores,
             streams: &mut self.streams,
             status: &mut self.status,
             sched_obs: &mut self.sched_obs,
-            hostprof: &self.hostprof,
             hb_ticks: self.heartbeat.as_mut().map(|hb| &mut hb.ticks),
         }
     }
@@ -414,7 +401,7 @@ impl Machine {
                 .profiles
                 .iter()
                 .all(|p| p.min_ps_per_op > TimeDelta::ZERO)
-                && !self.tracer.is_active()
+                && !self.obs.tracer.is_active()
         });
         let mut s = Sched {
             heap: LaggardHeap::new(nodes),
@@ -444,19 +431,13 @@ impl Machine {
                     ops_before,
                 } => {
                     {
-                        let _serial = self.hostprof.phase(HostPhase::Serial);
+                        let _serial = self.obs.hostprof.phase(HostPhase::Serial);
                         s.executed += 1;
                         let op = self.streams[n].next_op().expect("peeked sync op vanished"); // gate: allow
                         self.handle_sync(n, &op)?;
                     }
                     s.rebuild(&self.status, &self.cores);
-                    s.close_decision(
-                        &mut self.sched_obs,
-                        &self.telemetry,
-                        &self.hostprof,
-                        decision_at,
-                        ops_before,
-                    );
+                    s.close_decision(&mut self.sched_obs, &self.obs, decision_at, ops_before);
                 }
                 EpochEnd::Fork(quota) => {
                     let Some(f) = fork.as_mut() else {
@@ -466,12 +447,12 @@ impl Machine {
                     let decision_at = s.heap.peek().map_or(Time::ZERO, |(_, t)| t);
                     let admitted = self.parallel_round(f, quota);
                     s.executed += admitted;
-                    self.sched_obs.open(&self.telemetry, decision_at, running);
-                    self.sched_obs.close(&self.telemetry, decision_at, admitted);
+                    let telemetry = &self.obs.telemetry;
+                    self.sched_obs.open(telemetry, decision_at, running);
+                    self.sched_obs.close(telemetry, decision_at, admitted);
                     for (w, prev) in f.busy_prev.iter_mut().enumerate() {
                         let b = f.pool.busy_ns(w);
-                        self.telemetry
-                            .count(f.busy_ids[w], decision_at, (b - *prev) * 1000);
+                        telemetry.count(f.busy_ids[w], decision_at, (b - *prev) * 1000);
                         *prev = b;
                     }
                     let per_node = admitted as f64 / running.max(1) as f64;
@@ -539,7 +520,7 @@ impl Machine {
 
     /// The flight recorder's tail, for failure reports.
     fn recent_events(&self) -> Vec<TraceEvent> {
-        let snap = self.tracer.snapshot();
+        let snap = self.obs.tracer.snapshot();
         let tail = self.cfg.watchdog.trace_tail.min(snap.events.len());
         snap.events[snap.events.len() - tail..].to_vec()
     }
@@ -585,6 +566,7 @@ impl Machine {
         let done = core.now();
         let busy = done.saturating_since(op_start);
         env.sink
+            .obs
             .profiler
             .mark_op_in(&mut env.mems[n].obs.compute, n as u32, op_start, busy);
         if let Some(e) = env.fault.take() {

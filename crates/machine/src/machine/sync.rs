@@ -44,13 +44,13 @@ impl Machine {
                     // policy-invariant, so the gauge is too.
                     let first = woken.iter().map(|(_, t)| *t).fold(release, Time::min);
                     let last = woken.iter().map(|(_, t)| *t).fold(Time::ZERO, Time::max);
-                    self.telemetry.gauge(
+                    self.obs.telemetry.gauge(
                         self.tel.barrier_skew,
                         release,
                         last.saturating_since(first).as_ps(),
                     );
-                    if self.tracer.enabled(TraceCategory::Machine) {
-                        self.tracer.emit(
+                    if self.obs.tracer.enabled(TraceCategory::Machine) {
+                        self.obs.tracer.emit(
                             release,
                             TraceCategory::Machine,
                             "barrier_release",
@@ -61,7 +61,7 @@ impl Machine {
                     }
                     for (m, arrived) in woken {
                         // Arrival-to-release is synchronization stall.
-                        self.profiler.charge_wall(
+                        self.obs.profiler.charge_wall(
                             m as u32,
                             StallClass::Sync,
                             arrived,
@@ -79,7 +79,7 @@ impl Machine {
                     // Both readers below need the totals complete.
                     self.publish_observers();
                     if self.stream.is_some() {
-                        let _stream = self.hostprof.phase(HostPhase::Stream);
+                        let _stream = self.obs.hostprof.phase(HostPhase::Stream);
                         let totals = self.stream_totals(release);
                         let account = self.stream_account(release);
                         if let Some(em) = self.stream.as_mut() {
@@ -93,11 +93,11 @@ impl Machine {
                     // emitter position *after* the event, so a resume
                     // continues past it instead of re-emitting it.
                     if let Some(mut sink) = self.ckpt_sink.take() {
-                        let _ckpt = self.hostprof.phase(HostPhase::Ckpt);
+                        let _ckpt = self.obs.hostprof.phase(HostPhase::Ckpt);
                         let seq = self.ckpt_seq;
                         self.ckpt_seq += 1;
                         if let Some(em) = self.stream.as_mut() {
-                            let _stream = self.hostprof.phase(HostPhase::Stream);
+                            let _stream = self.obs.hostprof.phase(HostPhase::Stream);
                             em.ckpt(seq, release.as_ps());
                         }
                         let text = self.checkpoint();
@@ -120,8 +120,8 @@ impl Machine {
                     }
                 };
                 if acquired {
-                    if self.tracer.enabled(TraceCategory::Machine) {
-                        self.tracer.emit(
+                    if self.obs.tracer.enabled(TraceCategory::Machine) {
+                        self.obs.tracer.emit(
                             t,
                             TraceCategory::Machine,
                             "lock_acquire",
@@ -165,15 +165,15 @@ impl Machine {
                     self.status[next] = NodeStatus::Running;
                     let at = self.cores[next].now().max(t);
                     // Queue time on the lock is synchronization stall.
-                    self.profiler.charge_wall(
+                    self.obs.profiler.charge_wall(
                         next as u32,
                         StallClass::Sync,
                         since,
                         at.saturating_since(since),
                     );
                     self.cores[next].set_time(at);
-                    if self.tracer.enabled(TraceCategory::Machine) {
-                        self.tracer.emit(
+                    if self.obs.tracer.enabled(TraceCategory::Machine) {
+                        self.obs.tracer.emit(
                             at,
                             TraceCategory::Machine,
                             "lock_handoff",
@@ -201,7 +201,7 @@ impl Machine {
         }
         // The hand-off's coherence transaction is synchronization cost
         // (minus the TLB refill the environment already charged).
-        env.sink.profiler.charge_wall(
+        env.sink.obs.profiler.charge_wall(
             n as u32,
             StallClass::Sync,
             t,

@@ -12,7 +12,7 @@
 use crate::addr::LineAddr;
 use core::fmt;
 use flashsim_engine::ckpt::{CkptError, CkptReader, CkptWriter};
-use flashsim_engine::{FaultInjector, SpanTracer, StatSet, Telemetry, Time, TimeDelta, Tracer};
+use flashsim_engine::{FaultInjector, Observers, StatSet, Time, TimeDelta};
 
 /// A node identifier (0-based).
 pub type NodeId = u32;
@@ -231,12 +231,13 @@ pub trait MemorySystem {
     /// A short human-readable model name (e.g. `"flashlite"`, `"numa"`).
     fn model_name(&self) -> &'static str;
 
-    /// Attaches a flight-recorder handle; implementations emit
-    /// `proto`-category directory-transition events (and forward the
-    /// tracer to their network, which emits `net` link-occupancy events).
+    /// Attaches the machine's observers. A model stores the bundle,
+    /// registers its telemetry series (registration order is export
+    /// order) and forwards the bundle to its network, if it has one; what
+    /// a model writes to each handle is documented on [`Observers`].
     /// Default: no instrumentation.
-    fn attach_tracer(&mut self, tracer: Tracer) {
-        let _ = tracer;
+    fn attach(&mut self, obs: &Observers) {
+        let _ = obs;
     }
 
     /// Attaches a fault injector. Models that route protocol messages
@@ -245,31 +246,6 @@ pub trait MemorySystem {
     /// perturbation centrally. Default: ignored.
     fn attach_faults(&mut self, faults: FaultInjector) {
         let _ = faults;
-    }
-
-    /// Attaches a sim-time telemetry registry. Implementations register
-    /// the occupancy series that carry the paper's story — MAGIC
-    /// inbound-queue occupancy, directory-pool fill, NACK/retry rates —
-    /// and forward the handle to their network. A model that *omits* a
-    /// metric is itself a diagnostic: the latency-only NUMA model
-    /// registers no `magic.queue_ps`, which is exactly the queueing the
-    /// paper shows it cannot see. Default: no instrumentation.
-    fn attach_telemetry(&mut self, telemetry: Telemetry) {
-        let _ = telemetry;
-    }
-
-    /// Attaches a causal span tracer. Models append per-leg spans —
-    /// protocol-processor occupancy, per-hop network legs, NACK/retry
-    /// loops, bank access, the reply path — to whatever transaction the
-    /// tracer currently has open (see
-    /// [`flashsim_engine::span::SpanTracer`]); each leg's charge equals
-    /// exactly what the model added to its [`LatencyBreakdown`]
-    /// accumulators inside that leg, so span trees reconcile against the
-    /// breakdown in integer picoseconds. A model that appends *no* legs
-    /// for work it does not model is itself the diagnostic the span diff
-    /// surfaces. Default: no instrumentation.
-    fn attach_spans(&mut self, spans: SpanTracer) {
-        let _ = spans;
     }
 
     /// Serializes the model's mutable state — directory entries,

@@ -28,8 +28,7 @@
 use core::fmt;
 use flashsim_engine::ckpt::{CkptError, CkptReader, CkptWriter};
 use flashsim_engine::{
-    MetricId, MetricKind, Resource, SpanTracer, StatSet, Telemetry, Time, TimeDelta, TraceCategory,
-    Tracer,
+    MetricId, MetricKind, Observers, Resource, StatSet, Time, TimeDelta, TraceCategory,
 };
 
 /// A hypercube topology over a power-of-two number of nodes.
@@ -179,9 +178,7 @@ pub struct Network {
     messages: u64,
     total_hops: u64,
     total_wait: TimeDelta,
-    tracer: Tracer,
-    telemetry: Telemetry,
-    spans: SpanTracer,
+    obs: Observers,
     tel_messages: MetricId,
     tel_link_busy: MetricId,
     tel_link_wait: MetricId,
@@ -201,9 +198,7 @@ impl Network {
             messages: 0,
             total_hops: 0,
             total_wait: TimeDelta::ZERO,
-            tracer: Tracer::disabled(),
-            telemetry: Telemetry::disabled(),
-            spans: SpanTracer::disabled(),
+            obs: Observers::disabled(),
             tel_messages: MetricId::NONE,
             tel_link_busy: MetricId::NONE,
             tel_link_wait: MetricId::NONE,
@@ -212,31 +207,19 @@ impl Network {
         }
     }
 
-    /// Attaches a flight-recorder handle; every contended hop emits a
-    /// `net`-category `"link"` event (payload: wait, occupancy, both ps).
-    pub fn attach_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Attaches sim-time telemetry: message rate (`net.messages`),
-    /// per-window link utilization in busy picoseconds
-    /// (`net.link_busy_ps`), peak per-hop queueing (`net.link_wait_ps`),
-    /// and in-flight message depth (`net.inflight`). All are driven from
-    /// protocol-message order, which is scheduling-policy-invariant.
-    pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
+    /// Attaches the owning model's observers and registers the network's
+    /// telemetry series: message rate (`net.messages`), per-window link
+    /// utilization in busy picoseconds (`net.link_busy_ps`), peak per-hop
+    /// queueing (`net.link_wait_ps`) and in-flight message depth
+    /// (`net.inflight`). What goes to the tracer and the span tracer is
+    /// documented on [`Observers`].
+    pub fn attach(&mut self, obs: &Observers) {
+        let telemetry = &obs.telemetry;
         self.tel_messages = telemetry.register("net.messages", MetricKind::Counter);
         self.tel_link_busy = telemetry.register("net.link_busy_ps", MetricKind::Counter);
         self.tel_link_wait = telemetry.register("net.link_wait_ps", MetricKind::Gauge);
         self.tel_inflight = telemetry.register("net.inflight", MetricKind::Gauge);
-        self.telemetry = telemetry;
-    }
-
-    /// Attaches a causal span tracer: while a sampled transaction is
-    /// open, every hop appends a zero-charge `"hop"` child span under
-    /// the message's enclosing `"net"` leg (the leg itself carries the
-    /// network charge; hops show *where* the flight time went).
-    pub fn attach_spans(&mut self, spans: SpanTracer) {
-        self.spans = spans;
+        self.obs = obs.clone();
     }
 
     /// The topology.
@@ -264,7 +247,7 @@ impl Network {
     /// can decompose the delivery for cycle accounting.
     pub fn deliver(&mut self, from: u32, to: u32, bytes: u64, now: Time) -> Delivery {
         self.messages += 1;
-        self.telemetry.count(self.tel_messages, now, 1);
+        self.obs.telemetry.count(self.tel_messages, now, 1);
         if from == to {
             return Delivery {
                 arrival: now,
@@ -274,7 +257,7 @@ impl Network {
         let mut t = now;
         let mut cur = from;
         let mut waited = TimeDelta::ZERO;
-        let spans_on = self.spans.is_enabled();
+        let spans_on = self.obs.spans.is_enabled();
         // Walk the e-cube route inline (least- to most-significant differing
         // bit) rather than materializing it: deliver() runs once per protocol
         // message and a per-call route Vec was measurable in profiles.
@@ -290,12 +273,14 @@ impl Network {
                 let grant = self.links[idx].acquire(t, occupancy);
                 self.total_wait += grant.wait;
                 waited += grant.wait;
-                self.telemetry
+                self.obs
+                    .telemetry
                     .count(self.tel_link_busy, grant.start, occupancy.as_ps());
-                self.telemetry
+                self.obs
+                    .telemetry
                     .gauge(self.tel_link_wait, grant.start, grant.wait.as_ps());
-                if self.tracer.enabled(TraceCategory::Net) {
-                    self.tracer.emit(
+                if self.obs.tracer.enabled(TraceCategory::Net) {
+                    self.obs.tracer.emit(
                         grant.start,
                         TraceCategory::Net,
                         "link",
@@ -312,19 +297,21 @@ impl Network {
                 // Zero-charge: the enclosing "net" leg carries the
                 // transaction's network charge; hops only localize it
                 // (the hop span covers link wait plus flight).
-                self.spans
+                self.obs
+                    .spans
                     .leg("hop", cur, hop_from, t, None, TimeDelta::ZERO);
             }
             self.total_hops += 1;
             cur ^= bit;
         }
-        if self.telemetry.enabled() {
+        if self.obs.telemetry.enabled() {
             // In-flight depth: messages sent but not yet arrived as of
             // this send's start. The vec exists only while telemetry is
             // attached, so the disabled path stays one branch.
             self.inflight.retain(|&arrival| arrival > now);
             self.inflight.push(t);
-            self.telemetry
+            self.obs
+                .telemetry
                 .gauge(self.tel_inflight, now, self.inflight.len() as u64);
         }
         Delivery {
@@ -550,9 +537,12 @@ mod tests {
 
     #[test]
     fn telemetry_tracks_messages_links_and_inflight() {
-        let tel = Telemetry::new();
+        let tel = flashsim_engine::Telemetry::new();
         let mut net = Network::new(Topology::hypercube(8).unwrap(), NetworkParams::flash());
-        net.attach_telemetry(tel.clone());
+        net.attach(&Observers {
+            telemetry: tel.clone(),
+            ..Observers::disabled()
+        });
         // Two overlapping messages over the same first link contend.
         net.send(0, 7, 64, Time::ZERO);
         net.send(0, 1, 64, Time::from_ns(1));

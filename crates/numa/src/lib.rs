@@ -42,8 +42,8 @@
 
 use flashsim_engine::ckpt::{CkptError, CkptReader, CkptWriter};
 use flashsim_engine::{
-    MetricId, MetricKind, ResourcePool, SpanClass, SpanTracer, StatSet, Telemetry, Time, TimeDelta,
-    TraceCategory, Tracer,
+    MetricId, MetricKind, Observers, ResourcePool, SpanClass, StatSet, Time, TimeDelta,
+    TraceCategory,
 };
 use flashsim_mem::system::{
     AccessKind, CoherenceActions, LatencyBreakdown, MemOutcome, MemRequest, MemorySystem, NodeId,
@@ -130,9 +130,7 @@ pub struct Numa {
     mem: Vec<ResourcePool>,
     case_counts: BTreeMap<ProtocolCase, u64>,
     case_latency_ns: BTreeMap<ProtocolCase, f64>,
-    tracer: Tracer,
-    telemetry: Telemetry,
-    spans: SpanTracer,
+    obs: Observers,
     tel_pool: MetricId,
     tel_reclaims: MetricId,
     tel_bank_wait: MetricId,
@@ -161,9 +159,7 @@ impl Numa {
                 .collect(),
             case_counts: BTreeMap::new(),
             case_latency_ns: BTreeMap::new(),
-            tracer: Tracer::disabled(),
-            telemetry: Telemetry::disabled(),
-            spans: SpanTracer::disabled(),
+            obs: Observers::disabled(),
             tel_pool: MetricId::NONE,
             tel_reclaims: MetricId::NONE,
             tel_bank_wait: MetricId::NONE,
@@ -194,10 +190,12 @@ impl Numa {
 
     fn mem_acquire(&mut self, node: NodeId, t: Time) -> Time {
         let grant = self.mem[node as usize].acquire(t, self.params.mem_busy);
-        self.telemetry
+        self.obs
+            .telemetry
             .count(self.tel_bank_wait, grant.start, grant.wait.as_ps());
         let done = grant.start + self.params.mem_access;
-        self.spans
+        self.obs
+            .spans
             .leg("mem_bank", node, t, done, Some(SpanClass::Memory), done - t);
         done
     }
@@ -212,7 +210,7 @@ impl Numa {
         class: SpanClass,
     ) -> Time {
         let end = t + d;
-        self.spans.leg(kind, node, t, end, Some(class), d);
+        self.obs.spans.leg(kind, node, t, end, Some(class), d);
         end
     }
 
@@ -226,8 +224,8 @@ impl Numa {
     ) {
         *self.case_counts.entry(case).or_insert(0) += 1;
         *self.case_latency_ns.entry(case).or_insert(0.0) += latency.as_ns_f64();
-        if self.tracer.enabled(TraceCategory::Proto) {
-            self.tracer.emit(
+        if self.obs.tracer.enabled(TraceCategory::Proto) {
+            self.obs.tracer.emit(
                 done_at,
                 TraceCategory::Proto,
                 case.key(),
@@ -290,19 +288,21 @@ impl Numa {
             self.dirs[home as usize].read(req.line, requester)
         };
         let dir_occ = self.dirs[home as usize].occupancy_sample();
-        self.telemetry
+        self.obs
+            .telemetry
             .gauge(self.tel_pool, t, u64::from(dir_occ.used));
         if let Some(&id) = self.tel_pool_node.get(home as usize) {
-            self.telemetry.gauge(id, t, u64::from(dir_occ.used));
+            self.obs.telemetry.gauge(id, t, u64::from(dir_occ.used));
         }
-        self.telemetry
+        self.obs
+            .telemetry
             .count(self.tel_reclaims, t, dir_occ.reclaims - reclaims_before);
         let case = classify_read(requester, home, resp.source);
 
         // Invalidation round trips, pure latency.
         let mut ack_done = t;
         if !resp.invalidate.is_empty() {
-            self.spans.begin_offpath("inval_round", home, t);
+            self.obs.spans.begin_offpath("inval_round", home, t);
             for &v in &resp.invalidate {
                 let mut tv = self.span_leg("ctrl_out", home, t, p.ctrl_out, SpanClass::Occupancy);
                 tv = self.span_leg(
@@ -322,7 +322,7 @@ impl Numa {
                 tv = self.span_leg("net", v, tv, self.net(v, home, false), SpanClass::Network);
                 ack_done = ack_done.max(tv);
             }
-            self.spans.end(ack_done, None, TimeDelta::ZERO);
+            self.obs.spans.end(ack_done, None, TimeDelta::ZERO);
         }
 
         let mut data_t = match resp.source {
@@ -394,7 +394,7 @@ impl Numa {
         // directory work: occupancy.
         if ack_done > data_t {
             occ += ack_done - data_t;
-            self.spans.leg(
+            self.obs.spans.leg(
                 "exposed_inval",
                 home,
                 data_t,
@@ -465,15 +465,17 @@ impl Numa {
         let reclaims_before = self.dirs[home as usize].reclaims();
         let resp = self.dirs[home as usize].upgrade(req.line, requester);
         let dir_occ = self.dirs[home as usize].occupancy_sample();
-        self.telemetry
+        self.obs
+            .telemetry
             .gauge(self.tel_pool, t, u64::from(dir_occ.used));
         if let Some(&id) = self.tel_pool_node.get(home as usize) {
-            self.telemetry.gauge(id, t, u64::from(dir_occ.used));
+            self.obs.telemetry.gauge(id, t, u64::from(dir_occ.used));
         }
-        self.telemetry
+        self.obs
+            .telemetry
             .count(self.tel_reclaims, t, dir_occ.reclaims - reclaims_before);
         let mut ack_done = t;
-        self.spans.begin_offpath("inval_round", home, t);
+        self.obs.spans.begin_offpath("inval_round", home, t);
         for &v in &resp.invalidate {
             let mut tv = self.span_leg("ctrl_out", home, t, p.ctrl_out, SpanClass::Occupancy);
             tv = self.span_leg(
@@ -497,7 +499,8 @@ impl Numa {
         // wholesale as directory occupancy (legs run in parallel, so
         // per-leg itemization would over-count). The round's span carries
         // the wholesale charge; its legs are zero-charged.
-        self.spans
+        self.obs
+            .spans
             .end(ack_done, Some(SpanClass::Occupancy), ack_done - t);
         occ += ack_done - t;
         let mut t = ack_done;
@@ -593,11 +596,8 @@ impl MemorySystem for Numa {
         s
     }
 
-    fn attach_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    fn attach_telemetry(&mut self, telemetry: Telemetry) {
+    fn attach(&mut self, obs: &Observers) {
+        let telemetry = &obs.telemetry;
         // Deliberately NO `magic.queue_ps` registration: this model has
         // no controller inbound queue to measure. Its absence from the
         // telemetry series is the paper's omitted-queueing signature
@@ -607,7 +607,7 @@ impl MemorySystem for Numa {
         self.tel_bank_wait = telemetry.register("mem.bank_wait_ps", MetricKind::Counter);
         // Per-home-node pool variants (bounded cardinality, as FlashLite).
         self.tel_pool_node.clear();
-        if self.nodes <= 64 {
+        if telemetry.enabled() && self.nodes <= 64 {
             for n in 0..self.nodes {
                 self.tel_pool_node.push(telemetry.register_node(
                     "proto.dir_pool_used",
@@ -616,11 +616,7 @@ impl MemorySystem for Numa {
                 ));
             }
         }
-        self.telemetry = telemetry;
-    }
-
-    fn attach_spans(&mut self, spans: SpanTracer) {
-        self.spans = spans;
+        self.obs = obs.clone();
     }
 
     fn model_name(&self) -> &'static str {

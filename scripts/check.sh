@@ -66,6 +66,18 @@ if [ -n "$violations" ]; then
     exit 1
 fi
 
+echo "== observer-spine gate (one attach per layer) =="
+# Observers reach a layer as one engine::Observers bundle through its one
+# `attach`; the only per-handle attach is Machine::attach_tracer, whose
+# argument (ring capacity + category mask) is the caller's to own.
+strays=$(grep -rnE 'fn attach_(tracer|profiler|telemetry|spans|hostprof)\b' crates/*/src \
+    | grep -v '^crates/machine/src/machine/observe.rs:.*pub fn attach_tracer(' || true)
+if [ -n "$strays" ]; then
+    echo "per-handle observer attach outside Machine::attach_tracer:"
+    echo "$strays"
+    exit 1
+fi
+
 echo "== hostprof gate (flashsim-hostprof-v1 schema + reconciliation + overhead) =="
 # The host-time self-profiler must (a) emit schema-valid
 # flashsim-hostprof-v1 JSONL — the binary self-validates the export

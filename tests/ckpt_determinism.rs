@@ -148,6 +148,26 @@ fn batched_restore_still_matches_reference_policy() {
 }
 
 #[test]
+fn a_run_profiled_machine_checkpoints_under_the_config_it_ran() {
+    use flashsim::attrib::{profiled, run_profiled};
+    let study = Study::scaled();
+    let program = prog();
+    let base = study.sim(Sim::SimosMipsy(150), 2, MemModel::FlashLite);
+    let straight = run_profiled(base.clone(), &program).expect("straight profiled run");
+    assert!(straight.accounting.is_some());
+    // `profiled(cfg)` is the config `run_profiled` builds its machine
+    // from, so the checkpoint's provenance says `profile=true` and the
+    // restored machine has a ledger to load into. (A profiler attached
+    // behind a `profile=false` config passed the provenance check and
+    // then failed in the ledger with `Parse { key: "enabled" }`.)
+    let (_, ckpts) = run_with_ckpts(profiled(base.clone()), &program);
+    let mid = &ckpts[ckpts.len() / 2];
+    let mut m = Machine::restore(profiled(base), &program, &mid.1).expect("profiled ckpt restores");
+    let resumed = m.run().expect("resumed profiled run completes");
+    assert_identical("run_profiled restore", &straight, &resumed);
+}
+
+#[test]
 fn restore_under_active_fault_plan_preserves_the_fault_schedule() {
     let study = Study::scaled();
     let program = prog();

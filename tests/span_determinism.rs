@@ -9,7 +9,7 @@
 
 use flashsim::engine::span::{kinds_only_in, validate_jsonl};
 use flashsim::engine::{
-    CategoryMask, SpanPlan, SpanSet, SpanTracer, Time, TimeDelta, TraceCategory, Tracer,
+    CategoryMask, Observers, SpanPlan, SpanSet, SpanTracer, Time, TimeDelta, TraceCategory, Tracer,
 };
 use flashsim::flashlite::{FlashLite, FlashLiteParams};
 use flashsim::machine::{run_program, Machine, SchedPolicy};
@@ -91,7 +91,10 @@ fn trace_protocol_mix(
     plan: SpanPlan,
 ) -> (SpanSet, Vec<MemOutcome>) {
     let tracer = SpanTracer::new(plan);
-    mem.attach_spans(tracer.clone());
+    mem.attach(&Observers {
+        spans: tracer.clone(),
+        ..Observers::disabled()
+    });
     let outs = drive_protocol_mix(&mut *mem, &tracer);
     (tracer.snapshot().expect("tracer is enabled"), outs)
 }
@@ -230,7 +233,10 @@ fn span_diff_shows_magic_legs_only_on_flashlite_for_the_same_txn() {
     let plan = SpanPlan::sampled(7, 4);
     let collect = |mem: &mut dyn MemorySystem| {
         let tracer = SpanTracer::new(plan);
-        mem.attach_spans(tracer.clone());
+        mem.attach(&Observers {
+            spans: tracer.clone(),
+            ..Observers::disabled()
+        });
         for round in 0..40u64 {
             let now = Time::ZERO + TimeDelta::from_us(10) * round;
             for n in 1..=7u32 {

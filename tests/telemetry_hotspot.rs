@@ -5,7 +5,7 @@
 //! all — the model deliberately registers no `magic.queue_ps`, because
 //! it models no inbound queueing to occupy.
 
-use flashsim::engine::{Telemetry, Time, TimeDelta};
+use flashsim::engine::{Observers, Telemetry, Time, TimeDelta};
 use flashsim::flashlite::{FlashLite, FlashLiteParams};
 use flashsim::mem::{AccessKind, LineAddr, MemRequest, MemorySystem};
 use flashsim::numa::{Numa, NumaParams};
@@ -19,7 +19,10 @@ const ROUNDS: u64 = 40;
 /// the sampled telemetry.
 fn drive_hotspot(mem: &mut dyn MemorySystem, degree: u32) -> Telemetry {
     let telemetry = Telemetry::with_cadence(TimeDelta::from_us(1));
-    mem.attach_telemetry(telemetry.clone());
+    mem.attach(&Observers {
+        telemetry: telemetry.clone(),
+        ..Observers::disabled()
+    });
     for round in 0..ROUNDS {
         // Space rounds far enough apart that each round's backlog fully
         // drains: the occupancy each round then isolates the simultaneous
