@@ -55,8 +55,7 @@ use flashsim_mem::system::{
 };
 use flashsim_mem::LineAddr;
 use flashsim_net::{Network, Topology, TopologyError};
-use flashsim_proto::{classify_read, DataSource, Directory};
-use std::collections::BTreeMap;
+use flashsim_proto::{classify_read, CaseLedger, DataSource, Directory};
 
 /// The detailed FLASH memory-system model.
 #[derive(Debug)]
@@ -69,8 +68,7 @@ pub struct FlashLite {
     pp: Vec<Resource>,
     pi: Vec<Resource>,
     mem: Vec<ResourcePool>,
-    case_counts: BTreeMap<ProtocolCase, u64>,
-    case_latency_ns: BTreeMap<ProtocolCase, f64>,
+    cases: CaseLedger,
     obs: Observers,
     faults: FaultInjector,
     tel_queue: MetricId,
@@ -112,7 +110,7 @@ impl FlashLite {
             node_mem_bytes,
             nodes,
             dirs: (0..nodes)
-                .map(|_| Directory::new(params.dir_pool))
+                .map(|n| Directory::for_home(params.dir_pool, n, node_mem_bytes, params.line_bytes))
                 .collect(),
             net: Network::new(topo, params.net),
             pp: (0..nodes).map(|_| Resource::new("magic-pp")).collect(),
@@ -120,8 +118,7 @@ impl FlashLite {
             mem: (0..nodes)
                 .map(|_| ResourcePool::new("mem-banks", params.mem_banks))
                 .collect(),
-            case_counts: BTreeMap::new(),
-            case_latency_ns: BTreeMap::new(),
+            cases: CaseLedger::default(),
             obs: Observers::disabled(),
             faults: FaultInjector::inert(),
             tel_queue: MetricId::NONE,
@@ -312,8 +309,7 @@ impl FlashLite {
         done_at: Time,
         latency: TimeDelta,
     ) {
-        *self.case_counts.entry(case).or_insert(0) += 1;
-        *self.case_latency_ns.entry(case).or_insert(0.0) += latency.as_ns_f64();
+        self.cases.record(case, latency);
         if self.obs.tracer.enabled(TraceCategory::Proto) {
             self.obs.tracer.emit(
                 done_at,
@@ -350,8 +346,7 @@ impl FlashLite {
 
     /// Mean demand latency observed for `case`, if any occurred.
     pub fn mean_latency_ns(&self, case: ProtocolCase) -> Option<f64> {
-        let n = *self.case_counts.get(&case)? as f64;
-        Some(self.case_latency_ns.get(&case).copied().unwrap_or(0.0) / n)
+        self.cases.mean_latency_ns(case)
     }
 
     fn demand_read(&mut self, req: MemRequest, exclusive_intent: bool) -> MemOutcome {
@@ -673,12 +668,7 @@ impl MemorySystem for FlashLite {
 
     fn stats(&self) -> StatSet {
         let mut s = StatSet::new();
-        for (case, count) in &self.case_counts {
-            s.set(format!("proto.{}.count", case.key()), *count as f64);
-            if let Some(mean) = self.mean_latency_ns(*case) {
-                s.set(format!("proto.{}.mean_ns", case.key()), mean);
-            }
-        }
+        self.cases.stats_into(&mut s);
         let pp_busy: f64 = self.pp.iter().map(|r| r.busy_total().as_ns_f64()).sum();
         let pp_wait: f64 = self.pp.iter().map(|r| r.wait_total().as_ns_f64()).sum();
         s.set("magic.pp_busy_ns", pp_busy);
@@ -749,15 +739,7 @@ impl MemorySystem for FlashLite {
         // The per-transaction decomposition scratch (txn_occ/txn_net) is
         // reset at the start of every demand transaction, and checkpoints
         // only happen between transactions — nothing to save.
-        w.u64("cases", self.case_counts.len() as u64);
-        for (case, count) in &self.case_counts {
-            w.str("case", case.key());
-            w.u64("count", *count);
-            w.f64(
-                "latency_ns",
-                self.case_latency_ns.get(case).copied().unwrap_or(0.0),
-            );
-        }
+        self.cases.save_ckpt(w);
         for dir in &self.dirs {
             dir.save_ckpt(w);
         }
@@ -784,18 +766,7 @@ impl MemorySystem for FlashLite {
         self.nacks = r.u64("nacks")?;
         self.retries = r.u64("retries")?;
         self.nack_backoff = r.delta("nack_backoff")?;
-        self.case_counts.clear();
-        self.case_latency_ns.clear();
-        let cases = r.u64("cases")?;
-        for _ in 0..cases {
-            let key = r.str_field("case")?;
-            let case = ProtocolCase::from_key(&key).ok_or_else(|| CkptError::Parse {
-                key: "case".to_string(),
-                value: key.clone(),
-            })?;
-            self.case_counts.insert(case, r.u64("count")?);
-            self.case_latency_ns.insert(case, r.f64("latency_ns")?);
-        }
+        self.cases.load_ckpt(r)?;
         for dir in self.dirs.iter_mut() {
             dir.load_ckpt(r)?;
         }

@@ -7,6 +7,7 @@ use crate::config::MachineConfig;
 use flashsim_engine::{CkptError, CkptReader, CkptWriter, Time, TimeDelta};
 use flashsim_isa::{Program, VAddr};
 use flashsim_mem::{LatencyBreakdown, LineAddr};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// A checkpoint consumer: called at every barrier release with
@@ -146,19 +147,16 @@ impl Machine {
             if let Some(tlb) = &mem.tlb {
                 tlb.save_ckpt(&mut w);
             }
-            let mut pend: Vec<(u64, Time, LatencyBreakdown)> = mem
-                .pending
-                .iter()
-                .map(|(l, &(t, bd))| (l.get(), t, bd))
-                .collect();
-            pend.sort_unstable_by_key(|&(l, _, _)| l);
+            let mut pend = mem.pending.fills().to_vec();
+            pend.sort_unstable_by_key(|f| f.line.get());
             w.u64("pending", pend.len() as u64);
-            for (line, arrives, bd) in pend {
+            for f in pend {
+                let bd = f.breakdown;
                 w.u64s(
                     "pend",
                     &[
-                        line,
-                        arrives.as_ps(),
+                        f.line.get(),
+                        f.arrives.as_ps(),
                         bd.occupancy.as_ps(),
                         bd.network.as_ps(),
                         bd.memory.as_ps(),
@@ -226,7 +224,7 @@ impl Machine {
                 id as u32,
                 LockState {
                     held_by: (held != u64::MAX).then_some(held as usize),
-                    queue: Vec::new(),
+                    queue: VecDeque::new(),
                 },
             );
             if addr != u64::MAX {
@@ -259,14 +257,12 @@ impl Machine {
                     .map_err(|_| parse("pend", format!("{v:?}")))?;
                 m.mems[n].pending.insert(
                     LineAddr(line),
-                    (
-                        Time::from_ps(arrives),
-                        LatencyBreakdown {
-                            occupancy: TimeDelta::from_ps(occ),
-                            network: TimeDelta::from_ps(net),
-                            memory: TimeDelta::from_ps(memory),
-                        },
-                    ),
+                    Time::from_ps(arrives),
+                    LatencyBreakdown {
+                        occupancy: TimeDelta::from_ps(occ),
+                        network: TimeDelta::from_ps(net),
+                        memory: TimeDelta::from_ps(memory),
+                    },
                 );
             }
             m.mems[n].page_faults = r.u64("page_faults")?;

@@ -1,7 +1,8 @@
 //! Memory resolution. [`resolve_private`] is the one node-private path
-//! (TLB refill, cache probe, hits, waits on the node's own in-flight
-//! fills), run by serial and forked execution alike; [`MachineEnv`] adds
-//! what needs the whole machine: first-touch page faults, memory-system
+//! (translation through the TLB, cache probe, hits, waits on the node's
+//! own in-flight fills), run by serial and forked execution alike;
+//! [`MachineEnv`] adds what needs the whole machine: the page-table walk
+//! behind a TLB miss with its first-touch page faults, memory-system
 //! transactions, coherence actions, spans, memory tracing.
 
 use super::observe::TelIds;
@@ -97,6 +98,13 @@ impl ChargeSink<'_> {
     }
 }
 
+/// What a page-table walk found: the frame backing the page, and whether
+/// this access was the page's first touch (a page fault mapped it).
+pub(super) struct Walk {
+    pub(super) pfn: u64,
+    pub(super) first_touch: bool,
+}
+
 /// What [`resolve_private`] concluded about one access.
 pub(super) struct Private {
     pub(super) paddr: PAddr,
@@ -105,36 +113,61 @@ pub(super) struct Private {
     /// and page-fault time before it.
     pub(super) t: Time,
     pub(super) refill: TimeDelta,
+    /// Page-fault time (zero unless this was the page's first touch).
+    pub(super) fault: TimeDelta,
     /// Completion time and level of an L1 or L2 hit. `None` for an
     /// upgrade or a miss: those need the shared path.
     pub(super) hit: Option<(Time, AccessLevel)>,
 }
 
-/// Resolves as much of an access to the mapped page `pfn` as touches only
-/// node `sink.node`'s own state: TLB refill, cache probe, hit/miss
-/// telemetry, the L1 and L2 hit paths, and the wait on one of the node's
-/// own in-flight fills. `fault` is the page-fault time the caller already
-/// took for this access (zero unless it was the first touch).
+/// Resolves as much of an access as touches only node `sink.node`'s own
+/// state: translation, cache probe, hit/miss telemetry, the L1 and L2 hit
+/// paths, and the wait on one of the node's own in-flight fills.
+///
+/// Translation asks the TLB first. Pages are never unmapped, so a TLB hit
+/// is a mapping and cannot fault; only a TLB miss — or every access, when
+/// no TLB is modelled — takes `walk`, the caller's page-table lookup for
+/// the access's virtual page. `None` when the walk fails (the caller
+/// reports why).
 #[inline]
 pub(super) fn resolve_private(
     mem: &mut NodeMem,
     sink: &ChargeSink<'_>,
-    pfn: u64,
-    fault: TimeDelta,
+    walk: impl FnOnce(u64) -> Option<Walk>,
     addr: VAddr,
     kind: MemAccessKind,
     at: Time,
-) -> Private {
+) -> Option<Private> {
+    debug_assert!(
+        at >= mem.pending.floor(),
+        "access issued before its op's start clock"
+    );
     let page_bytes = sink.cfg.geometry.page_bytes;
-    let mut refill = TimeDelta::ZERO;
-    if let TlbModel::Modeled { refill_cycles, .. } = sink.cfg.os.tlb {
-        let tlb = mem.tlb.as_mut().expect("TLB modelled but absent"); // gate: allow
-        if tlb.translate(addr).is_none() {
-            tlb.insert(addr.vpn(page_bytes), pfn);
-            refill = sink.clock.cycles(refill_cycles);
-            mem.tlb_refills += 1;
+    // The walk, with the page-fault time it cost this node.
+    let walked = |page_faults: &mut u64| {
+        let w = walk(addr.vpn(page_bytes))?;
+        let mut fault = TimeDelta::ZERO;
+        if w.first_touch {
+            *page_faults += 1;
+            fault = sink.cfg.os.page_fault_cost;
         }
-    }
+        Some((w.pfn, fault))
+    };
+    let (pfn, refill, fault) = if let TlbModel::Modeled { refill_cycles, .. } = sink.cfg.os.tlb {
+        let tlb = mem.tlb.as_mut().expect("TLB modelled but absent"); // gate: allow
+        match tlb.translate(addr) {
+            Some(pfn) => (pfn, TimeDelta::ZERO, TimeDelta::ZERO),
+            None => {
+                let (pfn, fault) = walked(&mut mem.page_faults)?;
+                tlb.insert(addr.vpn(page_bytes), pfn);
+                mem.tlb_refills += 1;
+                (pfn, sink.clock.cycles(refill_cycles), fault)
+            }
+        }
+    } else {
+        let (pfn, fault) = walked(&mut mem.page_faults)?;
+        (pfn, TimeDelta::ZERO, fault)
+    };
     let paddr = flashsim_mem::addr::translate(addr, pfn, page_bytes);
     let t = at + refill + fault;
     let write = kind == MemAccessKind::Write;
@@ -172,10 +205,6 @@ pub(super) fn resolve_private(
     }
 
     let hit = match probe {
-        // Fast path for the overwhelmingly common case: an L1 hit with no
-        // in-flight fills to wait on completes at `t` — skip the line
-        // math and the pending-fill lookup.
-        HierProbe::L1Hit if mem.pending.is_empty() => Some((t, AccessLevel::L1)),
         HierProbe::L1Hit => Some((mem.await_fill(sink, paddr, t, demand_read), AccessLevel::L1)),
         HierProbe::L2Hit => {
             mem.hier.fill_l1_from_l2(paddr, write);
@@ -187,58 +216,55 @@ pub(super) fn resolve_private(
         }
         HierProbe::L2Upgrade | HierProbe::L2Miss => None,
     };
-    Private {
+    Some(Private {
         paddr,
         probe,
         t,
         refill,
+        fault,
         hit,
-    }
+    })
 }
 
 impl NodeMem {
     /// When a hit that would complete at `done_at` really does: a hit on
     /// a line whose fill is still in flight (e.g. behind a prefetch)
-    /// waits for the data to arrive; a fill that has landed is retired.
+    /// waits for the data to arrive. The overwhelmingly common case — no
+    /// fill in flight at all — skips the line math and the search.
+    #[inline]
     fn await_fill(
         &mut self,
         sink: &ChargeSink<'_>,
         paddr: PAddr,
-        mut done_at: Time,
+        done_at: Time,
         demand_read: bool,
     ) -> Time {
+        if self.pending.is_empty() {
+            return done_at;
+        }
         let line = self.hier.l2_line(paddr);
-        if let Some(&(arrives, bd)) = self.pending.get(&line) {
-            if arrives > done_at {
+        match self.pending.wait_for(line, done_at) {
+            Some((arrives, bd)) => {
                 if demand_read {
                     sink.charge_exposed_wait(done_at, arrives - done_at, bd);
                 }
-                done_at = arrives;
-            } else {
-                self.pending.remove(&line);
+                arrives
             }
+            None => done_at,
         }
-        done_at
     }
 }
 
-/// The environment one node's core executes against (see
-/// [`flashsim_cpu::env::MemEnv`]).
-pub(super) struct MachineEnv<'a> {
-    pub(super) sink: ChargeSink<'a>,
-    pub(super) mems: &'a mut [NodeMem],
-    pub(super) memsys: &'a mut dyn MemorySystem,
+/// The shared half of translation: the page table, the frame allocator
+/// behind first-touch faults, and the segments that say where a page
+/// belongs.
+pub(super) struct Pager<'a> {
     pub(super) pt: &'a mut PageTable,
     pub(super) alloc: &'a mut FrameAllocator,
     pub(super) segments: &'a [Segment],
-    pub(super) faults: &'a FaultInjector,
-    /// Failure slot: `MemEnv::resolve` cannot return an error through the
-    /// core's execute path, so faults are parked here and harvested by the
-    /// scheduler immediately after the op completes.
-    pub(super) fault: &'a mut Option<SimError>,
 }
 
-impl MachineEnv<'_> {
+impl Pager<'_> {
     /// The node whose memory should back `addr`, per the containing
     /// segment's placement request.
     ///
@@ -246,13 +272,9 @@ impl MachineEnv<'_> {
     ///
     /// Returns [`SimError::UnmappedAddress`] if no declared segment
     /// contains `addr`.
-    fn placement_node(&self, addr: VAddr) -> Result<u32, SimError> {
-        let cfg = self.sink.cfg;
+    fn placement_node(&self, cfg: &MachineConfig, node: u32, addr: VAddr) -> Result<u32, SimError> {
         let Some(seg) = self.segments.iter().find(|s| s.contains(addr)) else {
-            return Err(SimError::UnmappedAddress {
-                node: self.sink.node as u32,
-                addr,
-            });
+            return Err(SimError::UnmappedAddress { node, addr });
         };
         let nodes = u64::from(cfg.nodes);
         Ok(match seg.placement {
@@ -265,39 +287,61 @@ impl MachineEnv<'_> {
         })
     }
 
-    /// The frame backing `addr`'s page and the page-fault time charged:
-    /// a first touch allocates and maps the page (page table and frame
-    /// allocator are shared state), any later one is a lookup.
+    /// The frame backing `addr`'s page `vpn`, for node `node`: a first
+    /// touch allocates and maps the page (page table and frame allocator
+    /// are shared state), any later one is a lookup.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::UnmappedAddress`] for addresses outside every
     /// declared segment and [`SimError::OutOfPhysicalMemory`] when the
     /// frame allocator cannot back the page.
-    fn map_page(&mut self, addr: VAddr) -> Result<(u64, TimeDelta), SimError> {
-        let vpn = addr.vpn(self.sink.cfg.geometry.page_bytes);
+    fn walk(
+        &mut self,
+        cfg: &MachineConfig,
+        node: u32,
+        addr: VAddr,
+        vpn: u64,
+    ) -> Result<Walk, SimError> {
         if let Some(pfn) = self.pt.lookup(vpn) {
-            return Ok((pfn, TimeDelta::ZERO));
-        }
-        let home = self.placement_node(addr)?;
-        let Some(pfn) = self.alloc.alloc(home, vpn) else {
-            return Err(SimError::OutOfPhysicalMemory {
-                node: self.sink.node as u32,
-                home,
-                vpn,
+            return Ok(Walk {
+                pfn,
+                first_touch: false,
             });
+        }
+        let home = self.placement_node(cfg, node, addr)?;
+        let Some(pfn) = self.alloc.alloc(home, vpn) else {
+            return Err(SimError::OutOfPhysicalMemory { node, home, vpn });
         };
         self.pt.map(vpn, pfn);
-        self.mems[self.sink.node].page_faults += 1;
-        Ok((pfn, self.sink.cfg.os.page_fault_cost))
+        Ok(Walk {
+            pfn,
+            first_touch: true,
+        })
     }
+}
 
+/// The environment one node's core executes against (see
+/// [`flashsim_cpu::env::MemEnv`]).
+pub(super) struct MachineEnv<'a> {
+    pub(super) sink: ChargeSink<'a>,
+    pub(super) mems: &'a mut [NodeMem],
+    pub(super) memsys: &'a mut dyn MemorySystem,
+    pub(super) pager: Pager<'a>,
+    pub(super) faults: &'a FaultInjector,
+    /// Failure slot: `MemEnv::resolve` cannot return an error through the
+    /// core's execute path, so faults are parked here and harvested by the
+    /// scheduler immediately after the op completes.
+    pub(super) fault: &'a mut Option<SimError>,
+}
+
+impl MachineEnv<'_> {
     /// Applies directory-mandated coherence actions to the *other* nodes.
     fn apply_actions(&mut self, line: LineAddr, actions: &flashsim_mem::CoherenceActions) {
         for &v in &actions.invalidate {
             if v as usize != self.sink.node {
                 self.mems[v as usize].hier.invalidate_line(line);
-                self.mems[v as usize].pending.remove(&line);
+                self.mems[v as usize].pending.remove(line);
                 self.mems[v as usize].lb_dirty = true;
             }
         }
@@ -420,11 +464,11 @@ impl MachineEnv<'_> {
                     );
                 }
             }
-            self.mems[node].pending.remove(&v.line);
+            self.mems[node].pending.remove(v.line);
         }
         self.mems[node]
             .pending
-            .insert(line, (out.done_at, out.breakdown));
+            .insert(line, out.done_at, out.breakdown);
         self.sink.obs.telemetry.gauge(
             self.sink.tel.pending_depth,
             t,
@@ -441,11 +485,10 @@ impl MachineEnv<'_> {
         p: &Private,
         kind: MemAccessKind,
         at: Time,
-        fault: TimeDelta,
     ) -> (Time, AccessLevel) {
         let node = self.sink.node;
         let line = self.mems[node].hier.l2_line(p.paddr);
-        let sampled = self.span_txn_open(line, kind, at, p.refill, fault);
+        let sampled = self.span_txn_open(line, kind, at, p.refill, p.fault);
         if p.probe == HierProbe::L2Upgrade {
             let mut out = self.memsys.access(MemRequest {
                 node: node as u32,
@@ -493,25 +536,28 @@ impl MachineEnv<'_> {
 
 impl MemEnv for MachineEnv<'_> {
     fn resolve(&mut self, addr: VAddr, kind: MemAccessKind, at: Time) -> Resolution {
-        let (pfn, fault) = match self.map_page(addr) {
-            Ok(v) => v,
+        let node = self.sink.node;
+        let (sink, pager, parked) = (&self.sink, &mut self.pager, &mut *self.fault);
+        let walk = |vpn| match pager.walk(sink.cfg, node as u32, addr, vpn) {
+            Ok(w) => Some(w),
             Err(e) => {
-                // The core's execute path has no error channel; park the
-                // failure and return a zero-cost resolution — the
-                // scheduler aborts the run before the next op.
-                *self.fault = Some(e);
-                return Resolution {
-                    done_at: at,
-                    level: AccessLevel::L1,
-                    tlb_refill: TimeDelta::ZERO,
-                };
+                *parked = Some(e);
+                None
             }
         };
-        let node = self.sink.node;
-        let p = resolve_private(&mut self.mems[node], &self.sink, pfn, fault, addr, kind, at);
+        let Some(p) = resolve_private(&mut self.mems[node], sink, walk, addr, kind, at) else {
+            // The core's execute path has no error channel; the failure
+            // is parked and this zero-cost resolution returned — the
+            // scheduler aborts the run before the next op.
+            return Resolution {
+                done_at: at,
+                level: AccessLevel::L1,
+                tlb_refill: TimeDelta::ZERO,
+            };
+        };
         let (done_at, level) = match p.hit {
             Some(hit) => hit,
-            None => self.resolve_shared(&p, kind, at, fault),
+            None => self.resolve_shared(&p, kind, at),
         };
 
         if self.sink.obs.tracer.enabled(TraceCategory::Mem) {

@@ -2,7 +2,7 @@
 //! private phase (the same [`resolve_private`] path the serial loop runs,
 //! behind a thin [`ForkEnv`] adapter), and the node-ordered join.
 
-use super::env::{resolve_private, ChargeSink};
+use super::env::{resolve_private, ChargeSink, Walk};
 use super::observe::TelIds;
 use super::{Machine, NodeMem, NodeStatus};
 use crate::config::MachineConfig;
@@ -10,8 +10,7 @@ use crate::error::SimError;
 use flashsim_cpu::env::{Core, MemAccessKind, MemEnv, Resolution, ScanProfile};
 use flashsim_engine::pool::Job;
 use flashsim_engine::{
-    Clock, FaultInjector, HostPhase, MetricId, MetricKind, Observers, RoundTally, Time, TimeDelta,
-    WorkerPool,
+    Clock, FaultInjector, HostPhase, MetricId, MetricKind, Observers, RoundTally, Time, WorkerPool,
 };
 use flashsim_isa::{Op, OpClass, ThreadStream, VAddr};
 use flashsim_mem::{CacheHierarchy, HierProbe, PageTable};
@@ -162,9 +161,16 @@ struct ForkEnv<'a> {
 
 impl MemEnv for ForkEnv<'_> {
     fn resolve(&mut self, addr: VAddr, kind: MemAccessKind, at: Time) -> Resolution {
-        let vpn = addr.vpn(self.sink.cfg.geometry.page_bytes);
-        let pfn = self.pt.lookup(vpn).expect("fork op on unmapped page"); // gate: allow
-        let p = resolve_private(self.mem, &self.sink, pfn, TimeDelta::ZERO, addr, kind, at);
+        let walk = |vpn| {
+            let pfn = self.pt.lookup(vpn)?;
+            Some(Walk {
+                pfn,
+                first_touch: false,
+            })
+        };
+        let p = resolve_private(self.mem, &self.sink, walk, addr, kind, at)
+            .expect("fork op on unmapped page"); // gate: allow
+
         // Private execution can only preserve or upgrade hit-ness.
         let (done_at, level) = p.hit.expect("fork op left its node"); // gate: allow
         Resolution {
@@ -248,6 +254,7 @@ fn run_fork(
         }
         slot.dispatches += 1;
         slot.stream.advance();
+        env.mem.pending.retire(now);
         slot.core.execute(&op, &mut env);
         let done = slot.core.now();
         let busy = done.saturating_since(now);

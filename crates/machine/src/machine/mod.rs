@@ -32,6 +32,7 @@ mod ckpt;
 mod env;
 mod fork;
 mod observe;
+mod pending;
 mod result;
 mod sched;
 mod sync;
@@ -42,18 +43,16 @@ pub use result::{RunManifest, RunResult};
 use crate::config::{MachineConfig, MemSysKind, SchedPolicy};
 use crate::error::SimError;
 use flashsim_cpu::env::Core;
-use flashsim_engine::fxhash::FxHashMap;
 use flashsim_engine::stream::StreamEmitter;
 use flashsim_engine::{
     Clock, FaultInjector, HostProf, Observers, Profiler, SpanTracer, Telemetry, Time, TimeDelta,
     TraceCategory,
 };
 use flashsim_isa::{check_segments, Program, Segment, ThreadStream, VAddr};
-use flashsim_mem::{
-    CacheHierarchy, FrameAllocator, LatencyBreakdown, LineAddr, MemorySystem, PageTable, Tlb,
-};
+use flashsim_mem::{CacheHierarchy, FrameAllocator, MemorySystem, PageTable, Tlb};
 use flashsim_os::TlbModel;
 use observe::{Heartbeat, NodeObs, SchedObs, TelIds};
+use pending::Pending;
 use std::collections::HashMap;
 use std::fmt;
 use sync::LockState;
@@ -92,12 +91,7 @@ struct NodeMem {
     hier: CacheHierarchy,
     tlb: Option<Tlb>,
     /// In-flight line fills: probes to these lines wait for arrival.
-    /// The breakdown of the originating transaction rides along so an
-    /// exposed wait (e.g. a demand load catching up to its prefetch) can
-    /// be attributed to the same stall classes pro rata.
-    // Checked on every memory reference; point lookups only (never
-    // iterated), so the fast fixed-seed hasher is behaviour-neutral.
-    pending: FxHashMap<LineAddr, (Time, LatencyBreakdown)>,
+    pending: Pending,
     page_faults: u64,
     tlb_refills: u64,
     next_tick: Time,
@@ -202,7 +196,7 @@ impl Machine {
             .map(|_| NodeMem {
                 hier: CacheHierarchy::new(cfg.geometry.l1, cfg.geometry.l2),
                 tlb: tlb_entries.map(|e| Tlb::new(e, cfg.geometry.page_bytes)),
-                pending: FxHashMap::default(),
+                pending: Pending::default(),
                 page_faults: 0,
                 tlb_refills: 0,
                 next_tick: Time::ZERO + cfg.os.timer_interval.unwrap_or(TimeDelta::ZERO),
@@ -336,6 +330,7 @@ impl Machine {
             SchedPolicy::Parallel { workers } => self.run_parallel(workers, wall_start),
         };
         self.obs.hostprof.run_end();
+        self.settle_pending();
         self.publish_observers();
         if let Err(e) = ran {
             let at = self.lead_clock();

@@ -4,7 +4,7 @@
 //! ops per decision under conservative lookahead, run inside a
 //! borrow-split [`Epoch`].
 
-use super::env::{ChargeSink, MachineEnv};
+use super::env::{ChargeSink, MachineEnv, Pager};
 use super::fork::ForkCtx;
 use super::observe::{SchedObs, HEARTBEAT_SAMPLE_MASK};
 use super::{Machine, NodeStatus};
@@ -77,10 +77,10 @@ pub(super) struct Sched {
 }
 
 impl Sched {
-    /// Refills the heap from the Running set: after a sync op (which can
-    /// wake any set of parked nodes at new clocks, or park the executor)
-    /// and after a fork/join round (which moved clocks and may have
-    /// parked nodes).
+    /// Refills the heap from the Running set: after a sync op that woke
+    /// parked nodes at new clocks or moved the executor's (a sync op that
+    /// only parks the executor pops it instead), and after a fork/join
+    /// round (which moved clocks and may have parked nodes).
     fn rebuild(&mut self, status: &[NodeStatus], cores: &[Box<dyn Core>]) {
         self.heap.clear();
         for (n, core) in cores.iter().enumerate() {
@@ -272,6 +272,7 @@ impl Epoch<'_> {
             }
             s.executed += 1;
             stream.advance();
+            env.mems[n].pending.retire(now);
             core.execute(&op, env);
             let done = core.now();
             let busy = done.saturating_since(now);
@@ -313,9 +314,11 @@ impl Machine {
                 },
                 mems: &mut self.mems,
                 memsys: &mut *self.memsys,
-                pt: &mut self.pt,
-                alloc: &mut self.alloc,
-                segments: &self.segments,
+                pager: Pager {
+                    pt: &mut self.pt,
+                    alloc: &mut self.alloc,
+                    segments: &self.segments,
+                },
                 faults: &self.injector,
                 fault: &mut self.fault,
             },
@@ -436,7 +439,17 @@ impl Machine {
                         let op = self.streams[n].next_op().expect("peeked sync op vanished"); // gate: allow
                         self.handle_sync(n, &op)?;
                     }
-                    s.rebuild(&self.status, &self.cores);
+                    if matches!(
+                        self.status[n],
+                        NodeStatus::AtBarrier(_) | NodeStatus::WaitingLock(_)
+                    ) {
+                        // A barrier arrival that does not release, or a
+                        // lock acquire that queues: only `n` changed — it
+                        // parked. Every other key in the heap still stands.
+                        s.heap.remove(n as u32);
+                    } else {
+                        s.rebuild(&self.status, &self.cores);
+                    }
                     s.close_decision(&mut self.sched_obs, &self.obs, decision_at, ops_before);
                 }
                 EpochEnd::Fork(quota) => {
@@ -562,6 +575,7 @@ impl Machine {
         let Epoch { env, cores, .. } = &mut self.epoch(n, true);
         let core = &mut *cores[n];
         let op_start = core.now();
+        env.mems[n].pending.retire(op_start);
         core.execute(&op, env);
         let done = core.now();
         let busy = done.saturating_since(op_start);

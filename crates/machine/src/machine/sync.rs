@@ -10,13 +10,14 @@ use crate::error::SimError;
 use flashsim_cpu::env::{MemAccessKind, MemEnv};
 use flashsim_engine::{HostPhase, StallClass, Time, TimeDelta, TraceCategory};
 use flashsim_isa::{OpClass, VAddr};
+use std::collections::VecDeque;
 
 #[derive(Debug, Default)]
 pub(super) struct LockState {
     pub(super) held_by: Option<usize>,
     /// Waiters in arrival order, with the time each started waiting (for
     /// synchronization-stall accounting).
-    pub(super) queue: Vec<(usize, Time)>,
+    pub(super) queue: VecDeque<(usize, Time)>,
 }
 
 impl Machine {
@@ -76,7 +77,9 @@ impl Machine {
                     // total is policy-invariant, which is what makes the
                     // stream's closed bucket (deltas since the previous
                     // release) prefix-stable across reruns and policies.
-                    // Both readers below need the totals complete.
+                    // Both readers below need the totals complete, and the
+                    // checkpoint only the fills still in flight.
+                    self.settle_pending();
                     self.publish_observers();
                     if self.stream.is_some() {
                         let _stream = self.obs.hostprof.phase(HostPhase::Stream);
@@ -115,7 +118,7 @@ impl Machine {
                         lock.held_by = Some(n);
                         true
                     } else {
-                        lock.queue.push((n, t));
+                        lock.queue.push_back((n, t));
                         false
                     }
                 };
@@ -152,14 +155,9 @@ impl Machine {
                             holder: lock.held_by.map(|h| h as u32),
                         });
                     }
-                    lock.held_by = None;
-                    if lock.queue.is_empty() {
-                        None
-                    } else {
-                        let (nx, since) = lock.queue.remove(0);
-                        lock.held_by = Some(nx);
-                        Some((nx, since))
-                    }
+                    let next = lock.queue.pop_front();
+                    lock.held_by = next.map(|(nx, _)| nx);
+                    next
                 };
                 if let Some((next, since)) = next {
                     self.status[next] = NodeStatus::Running;

@@ -92,20 +92,27 @@ impl ProtocolCase {
         }
     }
 
+    /// Every case, in declaration (and `Ord`) order: `ALL[c.index()] == c`.
+    pub const ALL: [ProtocolCase; 7] = [
+        ProtocolCase::LocalClean,
+        ProtocolCase::LocalDirtyRemote,
+        ProtocolCase::RemoteClean,
+        ProtocolCase::RemoteDirtyHome,
+        ProtocolCase::RemoteDirtyRemote,
+        ProtocolCase::UpgradeOwnership,
+        ProtocolCase::WritebackCase,
+    ];
+
+    /// The case's position in [`ALL`](ProtocolCase::ALL): a dense index
+    /// for per-case tables.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// The inverse of [`key`](ProtocolCase::key), used when restoring
     /// serialized protocol-case ledgers from checkpoints.
     pub fn from_key(key: &str) -> Option<ProtocolCase> {
-        [
-            ProtocolCase::LocalClean,
-            ProtocolCase::LocalDirtyRemote,
-            ProtocolCase::RemoteClean,
-            ProtocolCase::RemoteDirtyHome,
-            ProtocolCase::RemoteDirtyRemote,
-            ProtocolCase::UpgradeOwnership,
-            ProtocolCase::WritebackCase,
-        ]
-        .into_iter()
-        .find(|c| c.key() == key)
+        ProtocolCase::ALL.into_iter().find(|c| c.key() == key)
     }
 
     /// A short statistics key.

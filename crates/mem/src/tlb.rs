@@ -25,6 +25,10 @@ pub struct Tlb {
     // map. LRU ticks are strictly monotonic, so the scan has a unique
     // minimum and the victim never depends on slot order.
     slots: Vec<(u64, u64, u64)>,
+    // The `(vpn, slot)` the last hit or insert resolved to: a repeat
+    // lookup of the same page skips the hash probe. Whatever moves or
+    // drops a slot (`insert`, `flush`, `load_ckpt`) re-aims or clears it.
+    memo: Option<(u64, usize)>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -47,6 +51,7 @@ impl Tlb {
             page_bytes,
             map: FxHashMap::with_capacity_and_hasher(entries, Default::default()),
             slots: Vec::with_capacity(entries),
+            memo: None,
             tick: 0,
             hits: 0,
             misses: 0,
@@ -74,18 +79,23 @@ impl Tlb {
     pub fn translate(&mut self, vaddr: VAddr) -> Option<u64> {
         self.tick += 1;
         let vpn = vaddr.vpn(self.page_bytes);
-        match self.map.get(&vpn) {
-            Some(&slot) => {
-                let (_, pfn, last) = &mut self.slots[slot];
-                *last = self.tick;
-                self.hits += 1;
-                Some(*pfn)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let slot = match self.memo {
+            Some((last_vpn, slot)) if last_vpn == vpn => slot,
+            _ => match self.map.get(&vpn) {
+                Some(&slot) => {
+                    self.memo = Some((vpn, slot));
+                    slot
+                }
+                None => {
+                    self.misses += 1;
+                    return None;
+                }
+            },
+        };
+        let (_, pfn, last) = &mut self.slots[slot];
+        *last = self.tick;
+        self.hits += 1;
+        Some(*pfn)
     }
 
     /// Installs a translation after a refill, evicting the LRU entry if
@@ -93,11 +103,13 @@ impl Tlb {
     pub fn insert(&mut self, vpn: u64, pfn: u64) {
         self.tick += 1;
         let entry = (vpn, pfn, self.tick);
-        if let Some(&slot) = self.map.get(&vpn) {
+        let slot = if let Some(&slot) = self.map.get(&vpn) {
             self.slots[slot] = entry;
+            slot
         } else if self.slots.len() < self.entries {
             self.map.insert(vpn, self.slots.len());
             self.slots.push(entry);
+            self.slots.len() - 1
         } else {
             let mut lru = 0;
             for (i, s) in self.slots.iter().enumerate() {
@@ -108,13 +120,17 @@ impl Tlb {
             self.map.remove(&self.slots[lru].0);
             self.map.insert(vpn, lru);
             self.slots[lru] = entry;
-        }
+            lru
+        };
+        // The access that took the refill repeats on this page next.
+        self.memo = Some((vpn, slot));
     }
 
     /// Drops every entry (context switch / flush).
     pub fn flush(&mut self) {
         self.map.clear();
         self.slots.clear();
+        self.memo = None;
     }
 
     /// Hit count.

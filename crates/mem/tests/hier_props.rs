@@ -1,13 +1,18 @@
-//! Property-style tests for the cache hierarchy: inclusion,
+//! Property-style tests for the cache hierarchy and the TLB: inclusion,
 //! coherence-state sanity, and no-panic under arbitrary interleavings of
-//! accesses, fills, invalidations and downgrades. Randomized cases come
+//! accesses, fills, invalidations and downgrades; the TLB's last-hit memo
+//! against an always-hashed model. Randomized cases come
 //! from seeded loops over the in-tree [`flashsim_engine::Rng`] (this
 //! workspace builds offline, so no external property-testing framework).
 
+use flashsim_engine::ckpt::{CkptReader, CkptWriter};
 use flashsim_engine::Rng;
+use flashsim_isa::VAddr;
 use flashsim_mem::addr::{LineAddr, PAddr};
 use flashsim_mem::cache::{Cache, CacheGeometry, LineState, Probe};
 use flashsim_mem::hier::{CacheHierarchy, HierProbe};
+use flashsim_mem::tlb::Tlb;
+use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
 enum Action {
@@ -148,5 +153,155 @@ fn small_working_set_never_misses_after_warmup() {
                 assert_ne!(c.probe(line, false), Probe::Miss);
             }
         }
+    }
+}
+
+/// The TLB as it was before the last-hit memo: every lookup probes the
+/// `vpn -> slot` map. Same slots, same LRU clock, same checkpoint rows.
+struct HashedTlb {
+    entries: usize,
+    page_bytes: u64,
+    map: HashMap<u64, usize>,
+    slots: Vec<(u64, u64, u64)>,
+    tick: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl HashedTlb {
+    fn new(entries: usize, page_bytes: u64) -> HashedTlb {
+        HashedTlb {
+            entries,
+            page_bytes,
+            map: HashMap::new(),
+            slots: Vec::new(),
+            tick: 0,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn translate(&mut self, vaddr: VAddr) -> Option<u64> {
+        self.tick += 1;
+        match self.map.get(&vaddr.vpn(self.page_bytes)) {
+            Some(&slot) => {
+                self.slots[slot].2 = self.tick;
+                self.hits += 1;
+                Some(self.slots[slot].1)
+            }
+            None => {
+                self.misses += 1;
+                None
+            }
+        }
+    }
+
+    fn insert(&mut self, vpn: u64, pfn: u64) {
+        self.tick += 1;
+        let entry = (vpn, pfn, self.tick);
+        if let Some(&slot) = self.map.get(&vpn) {
+            self.slots[slot] = entry;
+        } else if self.slots.len() < self.entries {
+            self.map.insert(vpn, self.slots.len());
+            self.slots.push(entry);
+        } else {
+            let lru = (0..self.slots.len())
+                .min_by_key(|&i| self.slots[i].2)
+                .expect("full TLB has slots");
+            self.map.remove(&self.slots[lru].0);
+            self.map.insert(vpn, lru);
+            self.slots[lru] = entry;
+        }
+    }
+
+    fn flush(&mut self) {
+        self.map.clear();
+        self.slots.clear();
+    }
+
+    fn ckpt(&self) -> String {
+        let mut w = CkptWriter::new("tlb-props");
+        w.u64s("shape", &[self.entries as u64, self.page_bytes]);
+        w.u64("tick", self.tick);
+        w.u64("hits", self.hits);
+        w.u64("misses", self.misses);
+        let mut entries = self.slots.clone();
+        entries.sort_unstable();
+        w.u64("mapped", entries.len() as u64);
+        for (vpn, pfn, last) in entries {
+            w.u64s("ent", &[vpn, pfn, last]);
+        }
+        w.finish()
+    }
+}
+
+fn tlb_ckpt(tlb: &Tlb) -> String {
+    let mut w = CkptWriter::new("tlb-props");
+    tlb.save_ckpt(&mut w);
+    w.finish()
+}
+
+/// The memo is invisible: under random lookups (with runs on one page, so
+/// the memo is live across inserts, evictions of the memoised slot,
+/// flushes and checkpoint restores) the TLB returns what the always-hashed
+/// one returns, counts the same hits and misses, and checkpoints to the
+/// same bytes after every step.
+#[test]
+fn tlb_memo_is_invisible_against_an_always_hashed_model() {
+    const PAGE: u64 = 4096;
+    for seed in 0..16u64 {
+        let mut rng = Rng::seeded(0x71b0 ^ seed);
+        let entries = 1 + rng.gen_range(8) as usize;
+        let mut tlb = Tlb::new(entries, PAGE);
+        let mut model = HashedTlb::new(entries, PAGE);
+        let mut vpn = 0;
+        let mut memo_hits = 0;
+        for step in 0..3000u64 {
+            // Stay on the last page two times in three.
+            let repeat = rng.gen_range(3) != 0;
+            if !repeat {
+                vpn = rng.gen_range(3 * entries as u64);
+            }
+            match rng.gen_range(16) {
+                0..=10 => {
+                    let vaddr = VAddr(vpn * PAGE + rng.gen_range(PAGE));
+                    let got = tlb.translate(vaddr);
+                    assert_eq!(got, model.translate(vaddr), "seed {seed} step {step}");
+                    match got {
+                        Some(_) => memo_hits += u64::from(repeat),
+                        None => {
+                            tlb.insert(vpn, step);
+                            model.insert(vpn, step);
+                        }
+                    }
+                }
+                // An insert the lookups did not ask for: re-maps a page
+                // or evicts the LRU slot, which may be the memoised one.
+                11..=13 => {
+                    let other = rng.gen_range(3 * entries as u64);
+                    tlb.insert(other, step ^ 0x5555);
+                    model.insert(other, step ^ 0x5555);
+                }
+                14 => {
+                    tlb.flush();
+                    model.flush();
+                }
+                // Restore over the live TLB: the rows come back sorted by
+                // page, so slots move under whatever the memo held.
+                _ => {
+                    let text = tlb_ckpt(&tlb);
+                    let mut r = CkptReader::open(&text).expect("open");
+                    tlb.load_ckpt(&mut r).expect("load");
+                    r.finish().expect("fully consumed");
+                }
+            }
+            assert_eq!(
+                (tlb.hits(), tlb.misses()),
+                (model.hits, model.misses),
+                "seed {seed} step {step}"
+            );
+            assert_eq!(tlb_ckpt(&tlb), model.ckpt(), "seed {seed} step {step}");
+        }
+        assert!(memo_hits > 500, "seed {seed}: only {memo_hits} repeat hits");
     }
 }

@@ -50,8 +50,7 @@ use flashsim_mem::system::{
     ProtocolCase,
 };
 use flashsim_mem::LineAddr;
-use flashsim_proto::{classify_read, DataSource, Directory};
-use std::collections::BTreeMap;
+use flashsim_proto::{classify_read, CaseLedger, DataSource, Directory, LINE_BYTES};
 
 /// Latency constants for the NUMA model.
 ///
@@ -128,8 +127,7 @@ pub struct Numa {
     nodes: u32,
     dirs: Vec<Directory>,
     mem: Vec<ResourcePool>,
-    case_counts: BTreeMap<ProtocolCase, u64>,
-    case_latency_ns: BTreeMap<ProtocolCase, f64>,
+    cases: CaseLedger,
     obs: Observers,
     tel_pool: MetricId,
     tel_reclaims: MetricId,
@@ -152,13 +150,12 @@ impl Numa {
             node_mem_bytes,
             nodes,
             dirs: (0..nodes)
-                .map(|_| Directory::new(params.dir_pool))
+                .map(|n| Directory::for_home(params.dir_pool, n, node_mem_bytes, LINE_BYTES))
                 .collect(),
             mem: (0..nodes)
                 .map(|_| ResourcePool::new("mem-banks", params.mem_banks))
                 .collect(),
-            case_counts: BTreeMap::new(),
-            case_latency_ns: BTreeMap::new(),
+            cases: CaseLedger::default(),
             obs: Observers::disabled(),
             tel_pool: MetricId::NONE,
             tel_reclaims: MetricId::NONE,
@@ -222,8 +219,7 @@ impl Numa {
         done_at: Time,
         latency: TimeDelta,
     ) {
-        *self.case_counts.entry(case).or_insert(0) += 1;
-        *self.case_latency_ns.entry(case).or_insert(0.0) += latency.as_ns_f64();
+        self.cases.record(case, latency);
         if self.obs.tracer.enabled(TraceCategory::Proto) {
             self.obs.tracer.emit(
                 done_at,
@@ -238,8 +234,7 @@ impl Numa {
 
     /// Mean demand latency observed for `case`, if any occurred.
     pub fn mean_latency_ns(&self, case: ProtocolCase) -> Option<f64> {
-        let n = *self.case_counts.get(&case)? as f64;
-        Some(self.case_latency_ns.get(&case).copied().unwrap_or(0.0) / n)
+        self.cases.mean_latency_ns(case)
     }
 
     fn demand_read(&mut self, req: MemRequest, exclusive_intent: bool) -> MemOutcome {
@@ -585,12 +580,7 @@ impl MemorySystem for Numa {
 
     fn stats(&self) -> StatSet {
         let mut s = StatSet::new();
-        for (case, count) in &self.case_counts {
-            s.set(format!("proto.{}.count", case.key()), *count as f64);
-            if let Some(mean) = self.mean_latency_ns(*case) {
-                s.set(format!("proto.{}.mean_ns", case.key()), mean);
-            }
-        }
+        self.cases.stats_into(&mut s);
         let mem_wait: f64 = self.mem.iter().map(|m| m.wait_total().as_ns_f64()).sum();
         s.set("mem.bank_wait_ns", mem_wait);
         s
@@ -625,15 +615,7 @@ impl MemorySystem for Numa {
 
     fn save_ckpt(&self, w: &mut CkptWriter) {
         w.u64s("shape", &[u64::from(self.nodes), self.node_mem_bytes]);
-        w.u64("cases", self.case_counts.len() as u64);
-        for (case, count) in &self.case_counts {
-            w.str("case", case.key());
-            w.u64("count", *count);
-            w.f64(
-                "latency_ns",
-                self.case_latency_ns.get(case).copied().unwrap_or(0.0),
-            );
-        }
+        self.cases.save_ckpt(w);
         for dir in &self.dirs {
             dir.save_ckpt(w);
         }
@@ -650,18 +632,7 @@ impl MemorySystem for Numa {
                 value: format!("{shape:?}"),
             });
         }
-        self.case_counts.clear();
-        self.case_latency_ns.clear();
-        let cases = r.u64("cases")?;
-        for _ in 0..cases {
-            let key = r.str_field("case")?;
-            let case = ProtocolCase::from_key(&key).ok_or_else(|| CkptError::Parse {
-                key: "case".to_string(),
-                value: key.clone(),
-            })?;
-            self.case_counts.insert(case, r.u64("count")?);
-            self.case_latency_ns.insert(case, r.f64("latency_ns")?);
-        }
+        self.cases.load_ckpt(r)?;
         for dir in self.dirs.iter_mut() {
             dir.load_ckpt(r)?;
         }

@@ -16,7 +16,6 @@
 //! used in FlashLite and on the real hardware".
 
 use flashsim_engine::ckpt::{CkptError, CkptReader, CkptWriter};
-use flashsim_engine::fxhash::FxHashMap;
 use flashsim_mem::addr::LineAddr;
 use flashsim_mem::system::NodeId;
 
@@ -90,13 +89,156 @@ pub struct DirOccupancy {
     pub reclaims: u64,
 }
 
+/// FLASH's coherence unit: the 128-byte secondary-cache line. A
+/// directory built without a geometry ([`Directory::new`]) keeps one
+/// header per line of this size.
+pub const LINE_BYTES: u64 = 128;
+
+/// Header blocks never shrink below one 4 KiB page of 128-byte lines.
+const MIN_BLOCK_SHIFT: u32 = 5;
+/// A sized directory's block index holds at most this many entries
+/// (32 KiB of `u32`s per node): larger node memories get larger blocks.
+const MAX_INDEX: u64 = 8192;
+/// The index never grows past this many blocks; a line further out is
+/// beyond any memory a node can be home to.
+const MAX_BLOCKS: usize = 1 << 22;
+
+/// The headers of one home node: a two-level table indexed by the line's
+/// offset from the home's first byte. The first level maps each block of
+/// consecutive lines to a block of headers, allocated when a line in it
+/// is first cached; the second level is that block. Finding a header is
+/// two array reads and no hashing, and the table reallocates only when a
+/// block is touched for the first time.
+#[derive(Debug, Clone)]
+struct HeaderTable {
+    /// Address of the first line this directory is home to.
+    base: u64,
+    /// log2 of the line size.
+    line_shift: u32,
+    /// log2 of the lines per block.
+    block_shift: u32,
+    /// Per block of the home's memory: one more than its position in
+    /// `slots` (counted in blocks), or 0 while no line in it was cached.
+    index: Vec<u32>,
+    /// The allocated blocks back to back, `1 << block_shift` headers
+    /// each; `None` is an uncached line.
+    slots: Vec<Option<Header>>,
+}
+
+impl HeaderTable {
+    fn new(base: u64, span_bytes: u64, line_bytes: u64) -> HeaderTable {
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
+        let lines = span_bytes / line_bytes;
+        let mut block_shift = MIN_BLOCK_SHIFT;
+        while (lines >> block_shift) > MAX_INDEX {
+            block_shift += 1;
+        }
+        HeaderTable {
+            base,
+            line_shift: line_bytes.trailing_zeros(),
+            block_shift,
+            index: vec![0; lines.div_ceil(1 << block_shift) as usize],
+            slots: Vec::new(),
+        }
+    }
+
+    /// `(block, offset in block)` of `line`; `None` for a line the table
+    /// cannot hold a header for: misaligned (two lines inside one granule
+    /// would share a header), below the home's base, or beyond the
+    /// index's reach. Every line a memory system asks about has a place;
+    /// a checkpoint row need not.
+    #[inline]
+    fn try_locate(&self, line: LineAddr) -> Option<(usize, usize)> {
+        if line.get() & ((1 << self.line_shift) - 1) != 0 {
+            return None;
+        }
+        let n = line.get().checked_sub(self.base)? >> self.line_shift;
+        let block = n >> self.block_shift;
+        let offset = n & ((1 << self.block_shift) - 1);
+        (block < MAX_BLOCKS as u64).then_some((block as usize, offset as usize))
+    }
+
+    /// [`try_locate`](HeaderTable::try_locate) for a line that must have
+    /// a place: refuses loudly (release builds too) rather than corrupt
+    /// the protocol.
+    #[inline]
+    fn locate(&self, line: LineAddr) -> (usize, usize) {
+        self.try_locate(line)
+            // gate: allow
+            .unwrap_or_else(|| panic!("{line} is not a line of this directory"))
+    }
+
+    /// Position in `slots` of `line`'s header, if its block exists.
+    #[inline]
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        let (block, offset) = self.locate(line);
+        match self.index.get(block) {
+            Some(&at) if at != 0 => Some(((at as usize - 1) << self.block_shift) + offset),
+            _ => None,
+        }
+    }
+
+    /// The header of `line`, `None` if uncached.
+    fn get(&self, line: LineAddr) -> Option<Header> {
+        self.find(line).and_then(|at| self.slots[at])
+    }
+
+    /// Position in `slots` of `line`'s header, allocating its block on
+    /// first touch: the one table walk of a directory operation, which
+    /// then reads and writes `slots[at]` directly.
+    #[inline]
+    fn entry(&mut self, line: LineAddr) -> usize {
+        match self.find(line) {
+            Some(at) => at,
+            None => self.allocate(line),
+        }
+    }
+
+    #[cold]
+    fn allocate(&mut self, line: LineAddr) -> usize {
+        let (block, offset) = self.locate(line);
+        if block >= self.index.len() {
+            self.index.resize(block + 1, 0);
+        }
+        let start = self.slots.len();
+        self.slots.resize(start + (1 << self.block_shift), None);
+        self.index[block] = ((start >> self.block_shift) + 1) as u32;
+        start + offset
+    }
+
+    /// Every cached line with its header, in line-address order.
+    fn iter(&self) -> impl Iterator<Item = (LineAddr, Header)> + '_ {
+        let block_lines = 1usize << self.block_shift;
+        self.index
+            .iter()
+            .enumerate()
+            .filter(|(_, &at)| at != 0)
+            .flat_map(move |(block, &at)| {
+                let start = (at as usize - 1) << self.block_shift;
+                self.slots[start..start + block_lines]
+                    .iter()
+                    .enumerate()
+                    .filter_map(move |(offset, h)| {
+                        let n = ((block << self.block_shift) + offset) as u64;
+                        h.map(|h| (LineAddr(self.base + (n << self.line_shift)), h))
+                    })
+            })
+    }
+
+    fn clear(&mut self) {
+        self.index.fill(0);
+        self.slots.clear();
+    }
+}
+
 /// One node's directory: headers for lines homed at this node plus the
 /// node's pointer/link store.
 #[derive(Debug, Clone)]
 pub struct Directory {
-    // Probed twice per home transaction; point lookups only (never
-    // iterated), so the fast fixed-seed hasher is behaviour-neutral.
-    headers: FxHashMap<LineAddr, Header>,
+    headers: HeaderTable,
     pool: Vec<PoolSlot>,
     free: Option<u32>,
     pool_capacity: u32,
@@ -105,10 +247,39 @@ pub struct Directory {
 }
 
 impl Directory {
-    /// Creates a directory with a pointer store of `pool_capacity` slots.
+    /// Creates a directory with a pointer store of `pool_capacity` slots
+    /// for [`LINE_BYTES`]-aligned lines anywhere in the address space: the
+    /// header index grows to the highest line it is asked about (4 bytes
+    /// per 4 KiB). Memory-system models know their node's extent and use
+    /// [`Directory::for_home`].
     pub fn new(pool_capacity: u32) -> Directory {
+        Directory::with_headers(pool_capacity, HeaderTable::new(0, 0, LINE_BYTES))
+    }
+
+    /// Creates the directory of node `home` in a machine whose nodes each
+    /// own `node_mem_bytes` of physical memory in `line_bytes` lines: the
+    /// header index is sized once for that extent (at most 32 KiB) and
+    /// addressed by the line's offset from the node's first byte.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line_bytes` is not a power of two.
+    pub fn for_home(
+        pool_capacity: u32,
+        home: NodeId,
+        node_mem_bytes: u64,
+        line_bytes: u64,
+    ) -> Directory {
+        let base = u64::from(home) * node_mem_bytes;
+        Directory::with_headers(
+            pool_capacity,
+            HeaderTable::new(base, node_mem_bytes, line_bytes),
+        )
+    }
+
+    fn with_headers(pool_capacity: u32, headers: HeaderTable) -> Directory {
         Directory {
-            headers: FxHashMap::default(),
+            headers,
             pool: Vec::new(),
             free: None,
             pool_capacity,
@@ -183,6 +354,13 @@ impl Directory {
         nodes
     }
 
+    /// The listed sharers other than `node`, head first.
+    fn sharers_but(&self, header: &Header, node: NodeId) -> Vec<NodeId> {
+        let mut nodes = self.collect_sharers(header);
+        nodes.retain(|n| *n != node);
+        nodes
+    }
+
     fn sharer_listed(&self, header: &Header, node: NodeId) -> bool {
         let mut cur = header.list;
         while let Some(idx) = cur {
@@ -195,14 +373,12 @@ impl Directory {
         header.head == node
     }
 
-    /// Adds `node` to a Shared line's list. If the pointer pool is
-    /// exhausted, an existing chained sharer is invalidated to reclaim its
-    /// pointer; the victim is returned so the caller can send the
-    /// invalidation.
-    fn add_sharer(&mut self, line: LineAddr, node: NodeId) -> Option<NodeId> {
-        // Work on a copy of the header (the pool is borrowed meanwhile)
-        // and write it back in place.
-        let mut header = *self.headers.get(&line).expect("header exists"); // gate: allow
+    /// Adds `node` to the list of the Shared line whose header (`header`,
+    /// a copy: the pool is borrowed meanwhile) sits at `at`, and writes
+    /// the header back. If the pointer pool is exhausted, an existing
+    /// chained sharer is invalidated to reclaim its pointer; the victim
+    /// is returned so the caller can send the invalidation.
+    fn add_sharer(&mut self, at: usize, mut header: Header, node: NodeId) -> Option<NodeId> {
         debug_assert_eq!(header.state, DirState::Shared);
         if self.sharer_listed(&header, node) {
             return None;
@@ -229,25 +405,26 @@ impl Directory {
                 }
             }
         }
-        if let Some(slot) = self.headers.get_mut(&line) {
-            *slot = header;
-        }
+        self.headers.slots[at] = Some(header);
         victim.filter(|v| *v != node)
+    }
+
+    /// Makes `requester` the owner of the line whose header sits at `at`.
+    fn set_owner(&mut self, at: usize, requester: NodeId) {
+        self.headers.slots[at] = Some(Header {
+            state: DirState::Owned,
+            head: requester,
+            list: None,
+        });
     }
 
     /// A read-shared request from `requester` for a line homed here.
     pub fn read(&mut self, line: LineAddr, requester: NodeId) -> DirResponse {
-        match self.headers.get(&line).cloned() {
+        let at = self.headers.entry(line);
+        match self.headers.slots[at] {
             None => {
                 // Uncached: grant exclusive-clean (MESI E), track as owned.
-                self.headers.insert(
-                    line,
-                    Header {
-                        state: DirState::Owned,
-                        head: requester,
-                        list: None,
-                    },
-                );
+                self.set_owner(at, requester);
                 DirResponse {
                     source: DataSource::Memory,
                     exclusive: true,
@@ -288,7 +465,7 @@ impl Directory {
                         header.head = requester;
                     }
                 }
-                self.headers.insert(line, header);
+                self.headers.slots[at] = Some(header);
                 DirResponse {
                     source: DataSource::Owner(owner),
                     exclusive: false,
@@ -296,8 +473,8 @@ impl Directory {
                     downgrade,
                 }
             }
-            Some(_) => {
-                let victim = self.add_sharer(line, requester);
+            Some(h) => {
+                let victim = self.add_sharer(at, h, requester);
                 DirResponse {
                     source: DataSource::Memory,
                     exclusive: false,
@@ -310,67 +487,33 @@ impl Directory {
 
     /// A read-exclusive request from `requester`.
     pub fn read_exclusive(&mut self, line: LineAddr, requester: NodeId) -> DirResponse {
-        match self.headers.get(&line).cloned() {
-            None => {
-                self.headers.insert(
-                    line,
-                    Header {
-                        state: DirState::Owned,
-                        head: requester,
-                        list: None,
-                    },
-                );
-                DirResponse {
-                    source: DataSource::Memory,
-                    exclusive: true,
-                    invalidate: Vec::new(),
-                    downgrade: None,
-                }
-            }
+        let at = self.headers.entry(line);
+        self.read_exclusive_at(at, requester)
+    }
+
+    /// [`read_exclusive`](Directory::read_exclusive) on the header at `at`.
+    fn read_exclusive_at(&mut self, at: usize, requester: NodeId) -> DirResponse {
+        let (source, invalidate) = match self.headers.slots[at] {
+            None => (DataSource::Memory, Vec::new()),
             Some(h) if h.state == DirState::Owned => {
-                let owner = h.head;
-                self.headers.insert(
-                    line,
-                    Header {
-                        state: DirState::Owned,
-                        head: requester,
-                        list: None,
-                    },
-                );
-                if owner == requester {
-                    DirResponse {
-                        source: DataSource::Memory,
-                        exclusive: true,
-                        invalidate: Vec::new(),
-                        downgrade: None,
-                    }
+                if h.head == requester {
+                    (DataSource::Memory, Vec::new())
                 } else {
-                    DirResponse {
-                        source: DataSource::Owner(owner),
-                        exclusive: true,
-                        invalidate: vec![owner],
-                        downgrade: None,
-                    }
+                    (DataSource::Owner(h.head), vec![h.head])
                 }
             }
             Some(h) => {
-                let sharers = self.collect_sharers(&h);
+                let invalidate = self.sharers_but(&h, requester);
                 self.free_list(h.list);
-                self.headers.insert(
-                    line,
-                    Header {
-                        state: DirState::Owned,
-                        head: requester,
-                        list: None,
-                    },
-                );
-                DirResponse {
-                    source: DataSource::Memory,
-                    exclusive: true,
-                    invalidate: sharers.into_iter().filter(|n| *n != requester).collect(),
-                    downgrade: None,
-                }
+                (DataSource::Memory, invalidate)
             }
+        };
+        self.set_owner(at, requester);
+        DirResponse {
+            source,
+            exclusive: true,
+            invalidate,
+            downgrade: None,
         }
     }
 
@@ -379,26 +522,20 @@ impl Directory {
     /// copy was reclaimed), this degenerates to a read-exclusive and
     /// `source` indicates the data transfer that must happen.
     pub fn upgrade(&mut self, line: LineAddr, requester: NodeId) -> DirResponse {
-        match self.headers.get(&line).cloned() {
+        let at = self.headers.entry(line);
+        match self.headers.slots[at] {
             Some(h) if h.state == DirState::Shared && self.sharer_listed(&h, requester) => {
-                let sharers = self.collect_sharers(&h);
+                let invalidate = self.sharers_but(&h, requester);
                 self.free_list(h.list);
-                self.headers.insert(
-                    line,
-                    Header {
-                        state: DirState::Owned,
-                        head: requester,
-                        list: None,
-                    },
-                );
+                self.set_owner(at, requester);
                 DirResponse {
                     source: DataSource::Memory, // no data actually moves
                     exclusive: true,
-                    invalidate: sharers.into_iter().filter(|n| *n != requester).collect(),
+                    invalidate,
                     downgrade: None,
                 }
             }
-            _ => self.read_exclusive(line, requester),
+            _ => self.read_exclusive_at(at, requester),
         }
     }
 
@@ -406,9 +543,10 @@ impl Directory {
     /// directory has already reassigned the line) are ignored, as in the
     /// real protocol where the races are resolved at the home.
     pub fn writeback(&mut self, line: LineAddr, owner: NodeId) {
-        if let Some(h) = self.headers.get(&line) {
-            if h.state == DirState::Owned && h.head == owner {
-                self.headers.remove(&line);
+        if let Some(at) = self.headers.find(line) {
+            if matches!(self.headers.slots[at], Some(h) if h.state == DirState::Owned && h.head == owner)
+            {
+                self.headers.slots[at] = None;
             }
         }
     }
@@ -416,10 +554,10 @@ impl Directory {
     /// The sharer set the directory currently lists for `line` (owner only
     /// if owned). Empty if uncached. For tests and invariant checks.
     pub fn sharers(&self, line: LineAddr) -> Vec<NodeId> {
-        match self.headers.get(&line) {
+        match self.headers.get(line) {
             None => Vec::new(),
             Some(h) => {
-                let mut v = self.collect_sharers(h);
+                let mut v = self.collect_sharers(&h);
                 v.sort_unstable();
                 v.dedup();
                 v
@@ -427,9 +565,9 @@ impl Directory {
         }
     }
 
-    /// Serializes the headers (sorted by line address, so the bytes
-    /// never depend on hash-map iteration order), the pointer store in
-    /// slot order (indices are links), and the free-list head.
+    /// Serializes the headers (sorted by line address, which is the
+    /// table's own order), the pointer store in slot order (indices are
+    /// links), and the free-list head.
     pub fn save_ckpt(&self, w: &mut CkptWriter) {
         w.u64("pool_capacity", u64::from(self.pool_capacity));
         w.u64("pool_used", u64::from(self.pool_used));
@@ -442,11 +580,8 @@ impl Directory {
                 &[u64::from(slot.node), slot.next.map_or(u64::MAX, u64::from)],
             );
         }
-        let mut lines: Vec<LineAddr> = self.headers.keys().copied().collect();
-        lines.sort_unstable_by_key(|l| l.get());
-        w.u64("headers", lines.len() as u64);
-        for line in lines {
-            let h = &self.headers[&line];
+        w.u64("headers", self.headers.iter().count() as u64);
+        for (line, h) in self.headers.iter() {
             w.u64s(
                 "hdr",
                 &[
@@ -507,32 +642,27 @@ impl Directory {
                 1 => DirState::Owned,
                 _ => return Err(bad(&vals)),
             };
-            self.headers.insert(
-                LineAddr(line),
-                Header {
-                    state,
-                    head: head as NodeId,
-                    list: (list != u64::MAX).then_some(list as u32),
-                },
-            );
+            if self.headers.try_locate(LineAddr(line)).is_none() {
+                return Err(bad(&vals));
+            }
+            let at = self.headers.entry(LineAddr(line));
+            self.headers.slots[at] = Some(Header {
+                state,
+                head: head as NodeId,
+                list: (list != u64::MAX).then_some(list as u32),
+            });
         }
         Ok(())
     }
 
     /// True if `line` is owned dirty-exclusive by some node.
     pub fn is_owned(&self, line: LineAddr) -> bool {
-        matches!(
-            self.headers.get(&line),
-            Some(Header {
-                state: DirState::Owned,
-                ..
-            })
-        )
+        self.owner(line).is_some()
     }
 
     /// The owner of `line`, if owned.
     pub fn owner(&self, line: LineAddr) -> Option<NodeId> {
-        match self.headers.get(&line) {
+        match self.headers.get(line) {
             Some(h) if h.state == DirState::Owned => Some(h.head),
             _ => None,
         }
@@ -746,5 +876,62 @@ mod tests {
         d.read(L, 1);
         assert_eq!(d.sharers(L), vec![0, 1]);
         assert_eq!(d.pool_used(), 1);
+    }
+
+    #[test]
+    fn sized_header_index_is_small_and_blocks_appear_on_first_touch() {
+        for node_mem in [1u64 << 24, 32 << 20, 256 << 20, 1 << 32, 3 * 4096] {
+            let mut d = Directory::for_home(16, 2, node_mem, 128);
+            assert!(
+                d.headers.index.len() * std::mem::size_of::<u32>() <= 64 * 1024,
+                "{node_mem}: {} index entries",
+                d.headers.index.len()
+            );
+            assert!(d.headers.slots.is_empty());
+            let (first, last) = (LineAddr(2 * node_mem), LineAddr(3 * node_mem - 128));
+            d.read(last, 1);
+            d.read(first, 4);
+            assert_eq!(d.owner(last), Some(1));
+            assert_eq!(d.owner(first), Some(4));
+            assert_eq!(d.headers.slots.len(), 2 << d.headers.block_shift);
+            // Save order is address order, not allocation order.
+            let lines: Vec<LineAddr> = d.headers.iter().map(|(l, _)| l).collect();
+            assert_eq!(lines, [first, last]);
+        }
+    }
+
+    #[test]
+    fn a_line_past_the_sized_extent_grows_the_index() {
+        // The last node is also home to every line above its own memory
+        // (`home_of` clamps), and an unsized directory to any line at all.
+        for mut d in [Directory::for_home(4, 1, 1 << 20, 128), Directory::new(4)] {
+            let far = LineAddr((1 << 30) + 0x80);
+            assert!(d.sharers(far).is_empty());
+            d.writeback(far, 0); // uncached: nothing to do, nothing allocated
+            assert!(d.headers.slots.is_empty());
+            d.read_exclusive(far, 2);
+            assert_eq!(d.owner(far), Some(2));
+        }
+    }
+
+    #[test]
+    fn ckpt_rows_the_table_cannot_hold_are_rejected() {
+        // Below the home's base, misaligned, and beyond the index's reach.
+        for line in [0u64, (1 << 24) + 64, !127u64] {
+            let mut w = CkptWriter::new("dir-test");
+            w.u64("pool_capacity", 2);
+            w.u64("pool_used", 0);
+            w.u64("reclaims", 0);
+            w.u64("free", u64::MAX);
+            w.u64("pool", 0);
+            w.u64("headers", 1);
+            w.u64s("hdr", &[line, 1, 0, u64::MAX]);
+            let text = w.finish();
+            let mut r = CkptReader::open(&text).expect("open");
+            assert!(matches!(
+                Directory::for_home(2, 1, 1 << 24, 128).load_ckpt(&mut r),
+                Err(CkptError::Parse { .. })
+            ));
+        }
     }
 }

@@ -26,8 +26,10 @@
 #![warn(missing_docs)]
 
 pub mod directory;
+pub mod ledger;
 
-pub use directory::{DataSource, DirOccupancy, DirResponse, Directory};
+pub use directory::{DataSource, DirOccupancy, DirResponse, Directory, LINE_BYTES};
+pub use ledger::CaseLedger;
 
 use flashsim_mem::system::{NodeId, ProtocolCase};
 

@@ -6,6 +6,7 @@
 //! (this workspace builds offline, so no external property-testing
 //! framework).
 
+use flashsim_engine::ckpt::CkptWriter;
 use flashsim_engine::Rng;
 use flashsim_mem::LineAddr;
 use flashsim_proto::{DataSource, Directory};
@@ -166,4 +167,71 @@ fn requester_is_always_listed() {
             }
         }
     }
+}
+
+/// A fixed transaction sequence over lines of home node 3 (16 MiB per
+/// node) that are touched out of address order, in blocks far apart, with
+/// a three-slot pointer pool so sharers are reclaimed; returns the
+/// directory's checkpoint text.
+fn recorded_scenario(mut dir: Directory) -> String {
+    const BASE: u64 = 3 << 24;
+    const OFFSETS: [u64; 10] = [
+        0xff_ff80, 0x10_0000, 0x1000, 0x1f80, 0x0, 0x80, 0x8_0000, 0x10_0080, 0x7f_ff80, 0x2000,
+    ];
+    let mut rng = Rng::seeded(0xc0de_d1c7);
+    for _ in 0..400 {
+        let line = LineAddr(BASE + OFFSETS[rng.gen_range(OFFSETS.len() as u64) as usize]);
+        let node = rng.gen_range(8) as u32;
+        match rng.gen_range(8) {
+            0..=3 => drop(dir.read(line, node)),
+            4 => drop(dir.read_exclusive(line, node)),
+            5 => drop(dir.upgrade(line, node)),
+            _ => {
+                if let Some(owner) = dir.owner(line) {
+                    dir.writeback(line, owner);
+                }
+            }
+        }
+    }
+    let mut w = CkptWriter::new("recorded-scenario");
+    dir.save_ckpt(&mut w);
+    w.finish()
+}
+
+/// The header table writes the bytes the hash map it replaced wrote: the
+/// scenario's checkpoint, captured from the build before the table (PR 15,
+/// `Directory::new(3)`), is reproduced by a directory that grows its index
+/// on demand and by one sized for its home node.
+#[test]
+fn recorded_scenario_checkpoints_to_the_recorded_bytes() {
+    const RECORDED: &str = "\
+flashsim-ckpt-v1
+provenance=recorded-scenario
+provenance_hash=70c6d8e0a71b359f
+pool_capacity=3
+pool_used=3
+reclaims=127
+free=18446744073709551615
+pool=3
+slot=0,18446744073709551615
+slot=3,18446744073709551615
+slot=2,18446744073709551615
+headers=10
+hdr=50331648,0,1,0
+hdr=50331776,1,0,18446744073709551615
+hdr=50335744,0,5,18446744073709551615
+hdr=50339712,0,5,1
+hdr=50339840,0,1,2
+hdr=50855936,1,6,18446744073709551615
+hdr=51380224,1,2,18446744073709551615
+hdr=51380352,0,1,18446744073709551615
+hdr=58720128,0,0,18446744073709551615
+hdr=67108736,0,2,18446744073709551615
+checksum=624c7929fbd7390c
+";
+    assert_eq!(recorded_scenario(Directory::new(3)), RECORDED);
+    assert_eq!(
+        recorded_scenario(Directory::for_home(3, 3, 1 << 24, 128)),
+        RECORDED
+    );
 }

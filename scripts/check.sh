@@ -78,6 +78,36 @@ if [ -n "$strays" ]; then
     exit 1
 fi
 
+echo "== memory-path gate (no per-access hash map) =="
+# A node's in-flight fills are an arrival-ordered table retired against
+# the node clock, and a directory's headers a two-level table indexed by
+# home-local line: neither may quietly become a hash map again. (The
+# barrier/lock maps in machine/mod.rs are probed per sync op and stay.)
+maps=$(grep -rnE '\b(pending|headers): *(Fx)?HashMap' crates/machine/src crates/proto/src || true)
+if [ -n "$maps" ]; then
+    echo "per-access hash map on the memory path:"
+    echo "$maps"
+    exit 1
+fi
+
+echo "== bench history (commit backfill) =="
+# A PR's history line is written before its commit exists, so it lands
+# with "commit":null; fill each from the commit whose subject starts
+# "PR N:" once there is one. Only the newest line may stay null.
+hist=results/BENCH_history.jsonl
+if git rev-parse --git-dir > /dev/null 2>&1; then
+    for pr in $(sed -n 's/.*"pr":\([0-9]*\),"commit":null.*/\1/p' "$hist"); do
+        hash=$(git log --format=%h --grep "^PR $pr:" | tail -n 1)
+        if [ -n "$hash" ]; then
+            sed -i "s/\"pr\":$pr,\"commit\":null/\"pr\":$pr,\"commit\":\"$hash\"/" "$hist"
+        fi
+    done
+fi
+if sed '$d' "$hist" | grep -q '"commit":null'; then
+    echo "FAIL: $hist has a line with no commit before its newest line"
+    exit 1
+fi
+
 echo "== hostprof gate (flashsim-hostprof-v1 schema + reconciliation + overhead) =="
 # The host-time self-profiler must (a) emit schema-valid
 # flashsim-hostprof-v1 JSONL — the binary self-validates the export

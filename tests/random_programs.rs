@@ -108,7 +108,10 @@ fn random_program(rng: &mut Rng) -> RandomProgram {
 }
 
 /// Any well-formed program completes on every platform with the same op
-/// stream, and repeated runs are bit-identical.
+/// stream, and repeated runs are bit-identical. In debug builds (tier-1's)
+/// every run also passes the machine's quiescent check at each barrier
+/// release and at its end: each node's pending-fill table holds only
+/// lines its L2 holds, and a finished node's is empty.
 #[test]
 fn random_programs_run_everywhere() {
     let mut rng = Rng::seeded(0xf1a5);
@@ -121,14 +124,17 @@ fn random_programs_run_everywhere() {
         assert!(hw.total_time.as_ns() > 0);
         assert!(hw.parallel_time <= hw.total_time);
 
-        let solo = run_once(
-            study.sim(Sim::SoloMipsy(300), nodes, MemModel::FlashLite),
-            &prog,
-        );
-        assert_eq!(&solo.ops_per_node, &hw.ops_per_node, "same binary violated");
-
-        let numa = run_once(study.sim(Sim::SimosMxs, nodes, MemModel::Numa), &prog);
-        assert_eq!(&numa.ops_per_node, &hw.ops_per_node);
+        for sim in [Sim::SimosMipsy(150), Sim::SoloMipsy(300), Sim::SimosMxs] {
+            for mem in [MemModel::FlashLite, MemModel::Numa] {
+                let cfg = study.sim(sim, nodes, mem);
+                let label = cfg.label();
+                let run = run_once(cfg, &prog);
+                assert_eq!(
+                    &run.ops_per_node, &hw.ops_per_node,
+                    "{label}: same binary violated"
+                );
+            }
+        }
 
         // Every barrier released exactly once, in id order.
         let ids: Vec<u32> = hw.barrier_releases.iter().map(|(id, _)| *id).collect();

@@ -557,6 +557,94 @@ fn candidates_match_reference_across_epoch_boundaries() {
     }
 }
 
+/// Sixty-four threads that meet at a barrier every few hundred ops and,
+/// in between, queue on one lock: most sync ops only park their node (a
+/// barrier arrival that does not release, an acquire that queues), which
+/// the production schedule handles by popping that node off the heap
+/// instead of rebuilding it.
+#[derive(Debug, Clone, Copy)]
+struct SyncGrid {
+    threads: usize,
+    rounds: u64,
+}
+
+impl Program for SyncGrid {
+    fn name(&self) -> String {
+        "sync-grid".into()
+    }
+
+    fn num_threads(&self) -> usize {
+        self.threads
+    }
+
+    fn segments(&self) -> Vec<Segment> {
+        EpochEdges {
+            threads: self.threads,
+            grind: 0,
+            solo: 0,
+        }
+        .segments()
+    }
+
+    fn thread_body(&self, tid: usize) -> Box<dyn FnOnce(&mut Sink) + Send + 'static> {
+        let prog = *self;
+        Box::new(move |sink| {
+            sink.barrier();
+            for round in 0..prog.rounds {
+                // Uneven paces, so arrivals and lock requests interleave.
+                EpochEdges::work(sink, tid, 150 + 5 * ((tid as u64 + round) % 29));
+                if (tid as u64 + round).is_multiple_of(3) {
+                    sink.lock(1, VAddr(EDGE_LOCK));
+                    sink.store(VAddr(EDGE_LOCK + 0x80));
+                    sink.unlock(1, VAddr(EDGE_LOCK));
+                }
+                sink.barrier();
+            }
+        })
+    }
+
+    fn timing_barrier(&self) -> Option<u32> {
+        Some(0)
+    }
+}
+
+#[test]
+fn candidates_match_reference_at_64_nodes_with_parking_sync_ops() {
+    let study = Study::scaled();
+    let prog = SyncGrid {
+        threads: 64,
+        rounds: 6,
+    };
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut policies = vec![("batched".to_owned(), SchedPolicy::Batched)];
+    for workers in [1, 2, host] {
+        let parallel = SchedPolicy::Parallel { workers };
+        policies.push((format!("parallel(workers={workers})"), parallel));
+    }
+    for (label, cfg) in [
+        ("hardware".to_owned(), study.hardware(64)),
+        (
+            "simos-mipsy".to_owned(),
+            study.sim(Sim::SimosMipsy(150), 64, MemModel::FlashLite),
+        ),
+    ] {
+        let r = run_profiled(with_policy(cfg.clone(), SchedPolicy::Reference), &prog)
+            .expect("reference run completes");
+        assert_eq!(r.barrier_releases.len() as u64, 1 + prog.rounds);
+        assert!(
+            r.stats.get_or_zero("proto.upgrade.count")
+                + r.stats.get_or_zero("proto.remote_dirty_remote.count")
+                > 0.0,
+            "{label}: the lock line never moved between nodes"
+        );
+        for (pname, policy) in &policies {
+            let c = run_profiled(with_policy(cfg.clone(), *policy), &prog)
+                .expect("candidate run completes");
+            assert_identical(&format!("{label}/{pname}"), &c, &r);
+        }
+    }
+}
+
 #[test]
 fn attaching_a_heartbeat_changes_no_simulated_byte() {
     // An attached heartbeat samples the wall clock every 4096th
