@@ -90,6 +90,19 @@ if [ -n "$maps" ]; then
     exit 1
 fi
 
+echo "== results gate (results/*.txt regenerate byte-for-byte) =="
+# The committed tables and figures are the repo's accuracy artifact: each
+# must be exactly what this build prints. `figures` is deterministic, so
+# the tolerance is zero; a change that moves a number regenerates the
+# file (`./target/release/figures NAME > results/NAME.txt`) and says why.
+for name in table1 table2 table3 fig1 fig2 fig3 fig4 fig5 fig6 fig7 ablate_latency; do
+    if ! ./target/release/figures "$name" | cmp -s - "results/$name.txt"; then
+        echo "FAIL: \`figures $name\` no longer prints results/$name.txt"
+        exit 1
+    fi
+done
+echo "all eleven results files reproduce"
+
 echo "== bench history (commit backfill) =="
 # A PR's history line is written before its commit exists, so it lands
 # with "commit":null; fill each from the commit whose subject starts
