@@ -17,7 +17,9 @@
 //!   occupancy (router/network contention),
 //! - the directory protocol is the real dynamic-pointer-allocation state
 //!   machine from `flashsim-proto` — the same protocol the gold standard
-//!   runs, as in the paper.
+//!   runs, as in the paper — and so is the transaction sequence: this
+//!   crate is the `Timing` the shared `flashsim_proto::Walk` runs against,
+//!   nothing else.
 //!
 //! # Examples
 //!
@@ -46,50 +48,40 @@ pub use params::FlashLiteParams;
 
 use flashsim_engine::ckpt::{CkptError, CkptReader, CkptWriter};
 use flashsim_engine::{
-    FaultInjector, MessageFate, MetricId, MetricKind, Observers, Resource, ResourcePool, SpanClass,
-    StatSet, Time, TimeDelta, TraceCategory,
+    FaultInjector, MessageFate, MetricId, MetricKind, Observers, Resource, StatSet, Time, TimeDelta,
 };
-use flashsim_mem::system::{
-    AccessKind, CoherenceActions, LatencyBreakdown, MemOutcome, MemRequest, MemorySystem, NodeId,
-    ProtocolCase,
-};
+use flashsim_mem::system::{MemOutcome, MemRequest, MemorySystem, NodeId};
 use flashsim_mem::LineAddr;
 use flashsim_net::{Network, Topology, TopologyError};
-use flashsim_proto::{classify_read, CaseLedger, DataSource, Directory};
+use flashsim_proto::walk::{Common, Step, Timing, Walk};
 
-/// The detailed FLASH memory-system model.
+/// The detailed FLASH memory-system model: the shared directory
+/// transaction [`Walk`], timed by MAGIC.
 #[derive(Debug)]
 pub struct FlashLite {
+    walk: Walk,
+    magic: Magic,
+}
+
+/// What FlashLite charges for the walk's steps: MAGIC's protocol processor
+/// and processor interface as occupancy resources, the contended network,
+/// and the bounded inbound queue's NACK/retry admission.
+#[derive(Debug)]
+struct Magic {
     params: FlashLiteParams,
-    node_mem_bytes: u64,
-    nodes: u32,
-    dirs: Vec<Directory>,
     net: Network,
     pp: Vec<Resource>,
     pi: Vec<Resource>,
-    mem: Vec<ResourcePool>,
-    cases: CaseLedger,
-    obs: Observers,
     faults: FaultInjector,
     tel_queue: MetricId,
-    tel_pool: MetricId,
-    /// Per-home-node variants of `magic.queue_ps` / `proto.dir_pool_used`
-    /// (bounded cardinality: registered up front, one id per node, and
-    /// only for machines small enough to keep the label set bounded).
+    /// Per-home-node variants of `magic.queue_ps`: hotspot studies see
+    /// WHICH MAGIC is saturated, not just that one is.
     tel_queue_node: Vec<MetricId>,
-    tel_pool_node: Vec<MetricId>,
-    tel_reclaims: MetricId,
     tel_nacks: MetricId,
     tel_retries: MetricId,
-    tel_bank_wait: MetricId,
     nacks: u64,
     retries: u64,
     nack_backoff: TimeDelta,
-    // Per-transaction latency decomposition, accumulated by the acquire/
-    // send helpers along the requester's critical path and reset at the
-    // start of each demand transaction.
-    txn_occ: TimeDelta,
-    txn_net: TimeDelta,
 }
 
 impl FlashLite {
@@ -105,109 +97,86 @@ impl FlashLite {
         params: FlashLiteParams,
     ) -> Result<FlashLite, TopologyError> {
         let topo = Topology::hypercube(nodes)?;
+        let common = Common {
+            dir_pool: params.dir_pool,
+            line_bytes: params.line_bytes,
+            mem_banks: params.mem_banks,
+            mem_access: params.mem_access,
+            mem_busy: params.mem_busy,
+            miss_detect: params.proc_miss_detect,
+            proc_intervention: params.proc_intervention,
+            reply_fill: params.reply_fill,
+        };
         Ok(FlashLite {
-            params,
-            node_mem_bytes,
-            nodes,
-            dirs: (0..nodes)
-                .map(|n| Directory::for_home(params.dir_pool, n, node_mem_bytes, params.line_bytes))
-                .collect(),
-            net: Network::new(topo, params.net),
-            pp: (0..nodes).map(|_| Resource::new("magic-pp")).collect(),
-            pi: (0..nodes).map(|_| Resource::new("magic-pi")).collect(),
-            mem: (0..nodes)
-                .map(|_| ResourcePool::new("mem-banks", params.mem_banks))
-                .collect(),
-            cases: CaseLedger::default(),
-            obs: Observers::disabled(),
-            faults: FaultInjector::inert(),
-            tel_queue: MetricId::NONE,
-            tel_pool: MetricId::NONE,
-            tel_queue_node: Vec::new(),
-            tel_pool_node: Vec::new(),
-            tel_reclaims: MetricId::NONE,
-            tel_nacks: MetricId::NONE,
-            tel_retries: MetricId::NONE,
-            tel_bank_wait: MetricId::NONE,
-            nacks: 0,
-            retries: 0,
-            nack_backoff: TimeDelta::ZERO,
-            txn_occ: TimeDelta::ZERO,
-            txn_net: TimeDelta::ZERO,
+            walk: Walk::new(nodes, node_mem_bytes, common),
+            magic: Magic {
+                params,
+                net: Network::new(topo, params.net),
+                pp: (0..nodes).map(|_| Resource::new("magic-pp")).collect(),
+                pi: (0..nodes).map(|_| Resource::new("magic-pi")).collect(),
+                faults: FaultInjector::inert(),
+                tel_queue: MetricId::NONE,
+                tel_queue_node: Vec::new(),
+                tel_nacks: MetricId::NONE,
+                tel_retries: MetricId::NONE,
+                nacks: 0,
+                retries: 0,
+                nack_backoff: TimeDelta::ZERO,
+            },
         })
     }
 
-    /// Current parameters.
-    pub fn params(&self) -> &FlashLiteParams {
-        &self.params
+    /// The protocol state: directories, banks, case ledger.
+    pub fn walk(&self) -> &Walk {
+        &self.walk
+    }
+}
+
+/// Runs a `cycles`-cycle handler on `unit` from `t`. The full cycle count
+/// contributes to the transaction's LATENCY, but only half of it OCCUPIES
+/// the unit — the other half of the path (SRAM lookups, queue and bus
+/// crossings) overlaps with the next handler's dispatch. The handler cycle
+/// values are calibrated against end-to-end snbench latencies, which fold
+/// in those components; charging them all as occupancy would roughly
+/// double MAGIC's real service demand.
+fn handler(p: &FlashLiteParams, unit: &mut Resource, cycles: u64, t: Time) -> Time {
+    let grant = unit.acquire(t, p.pp(cycles.div_ceil(2)));
+    grant.start + p.pp(cycles)
+}
+
+impl Timing for Magic {
+    fn leg(&self, step: Step) -> &'static str {
+        match step {
+            Step::Request => "pi_request",
+            Step::Out => "ni_out",
+            Step::DirLocal | Step::DirRemote => "dir_lookup",
+            Step::Intervention => "pp_intervention",
+            Step::DirtyExtra => "dirty_extra",
+            Step::Reply => "ni_reply",
+        }
     }
 
-    /// Replaces the timing parameters (used by the calibration loop
-    /// between runs). Directory state is preserved; the idle network is
-    /// rebuilt with the new link timing.
-    pub fn set_params(&mut self, params: FlashLiteParams) {
-        self.params = params;
-        self.net = Network::new(self.net.topology(), params.net);
-        self.net.attach(&self.obs);
-    }
-
-    /// Charges a protocol handler: the full cycle count contributes to the
-    /// transaction's LATENCY, but only half of it OCCUPIES the protocol
-    /// processor — the other half of the path (SRAM lookups, queue and
-    /// bus crossings) overlaps with the next handler's dispatch. The
-    /// handler cycle values are calibrated against end-to-end snbench
-    /// latencies, which fold in those non-PP components; charging them
-    /// all as occupancy would roughly double MAGIC's real service demand.
-    fn pp_acquire(&mut self, node: NodeId, cycles: u64, kind: &'static str, t: Time) -> Time {
-        let occupancy = self.params.pp(cycles.div_ceil(2));
-        let grant = self.pp[node as usize].acquire(t, occupancy);
-        let done = grant.start + self.params.pp(cycles);
-        self.txn_occ += done - t;
-        // The span charge mirrors the accumulator charge exactly (queue
-        // wait + handler run), so per-class span sums reconcile with the
-        // transaction's LatencyBreakdown to the picosecond.
-        self.obs
-            .spans
-            .leg(kind, node, t, done, Some(SpanClass::Occupancy), done - t);
-        done
-    }
-
-    /// The processor-interface handler runs on MAGIC's PI stage, which is
-    /// separate hardware from the protocol processor: local requests do
-    /// not occupy the PP for their inbound decode, so a burst of
-    /// lockup-free misses queues far less than if one engine did
+    /// Every handler occupies the node's protocol processor, except the
+    /// request decode: the processor interface is separate hardware, so a
+    /// burst of lockup-free misses queues far less than if one engine did
     /// everything.
-    fn pi_acquire(&mut self, node: NodeId, t: Time) -> Time {
-        let cycles = self.params.pp_pi_request;
-        let grant = self.pi[node as usize].acquire(t, self.params.pp(cycles.div_ceil(2)));
-        let done = grant.start + self.params.pp(cycles);
-        self.txn_occ += done - t;
-        self.obs.spans.leg(
-            "pi_request",
-            node,
-            t,
-            done,
-            Some(SpanClass::Occupancy),
-            done - t,
-        );
-        done
+    fn run(&mut self, step: Step, node: NodeId, t: Time) -> Time {
+        let p = &self.params;
+        let (unit, cycles) = match step {
+            Step::Request => (&mut self.pi, p.pp_pi_request),
+            Step::Out => (&mut self.pp, p.pp_ni_out),
+            Step::DirLocal => (&mut self.pp, p.pp_dir_local),
+            Step::DirRemote => (&mut self.pp, p.pp_dir_remote),
+            Step::Intervention => (&mut self.pp, p.pp_intervention),
+            Step::DirtyExtra => (&mut self.pp, p.pp_dirty_extra),
+            Step::Reply => (&mut self.pp, p.pp_ni_reply),
+        };
+        handler(p, &mut unit[node as usize], cycles, t)
     }
 
-    fn mem_acquire(&mut self, node: NodeId, t: Time) -> Time {
-        let grant = self.mem[node as usize].acquire(t, self.params.mem_busy);
-        self.obs
-            .telemetry
-            .count(self.tel_bank_wait, grant.start, grant.wait.as_ps());
-        let done = grant.start + self.params.mem_access;
-        // Bank wait + access: the part of the data path the breakdown's
-        // `memory` residual covers (zero-charged off the critical path).
-        self.obs
-            .spans
-            .leg("mem_bank", node, t, done, Some(SpanClass::Memory), done - t);
-        done
-    }
-
-    fn send(&mut self, from: NodeId, to: NodeId, bytes: u64, kind: &'static str, t: Time) -> Time {
+    fn send(&mut self, from: NodeId, to: NodeId, data: bool, t: Time) -> Time {
+        let p = &self.params;
+        let bytes = p.header_bytes + if data { p.line_bytes } else { 0 };
         let mut depart = t;
         // Fault injection: a dropped message is retransmitted after the
         // plan's timeout; a delayed one leaves late. Bounded so even a
@@ -222,509 +191,135 @@ impl FlashLite {
                 MessageFate::Drop => depart += self.faults.plan().drop_timeout,
             }
         }
-        // The network leg carries the whole transit charge; the router
-        // emits zero-charge per-hop children nested inside it.
-        self.obs.spans.begin(kind, from, t);
-        let arrival = self.net.send(from, to, bytes, depart);
-        self.obs
-            .spans
-            .end(arrival, Some(SpanClass::Network), arrival - t);
-        // Fault-injected delays/retransmits count as transit: they are
-        // time the message spends "in" the network from the charger's
-        // point of view.
-        self.txn_net += arrival - t;
-        arrival
+        // The router emits zero-charge per-hop spans nested in the leg.
+        self.net.send(from, to, bytes, depart)
     }
 
     /// The bounded-inbound-queue NACK path: a remote request arriving at a
     /// saturated home MAGIC is bounced back and retried with exponential
-    /// backoff, as on real FLASH. Returns when the request is finally
-    /// accepted at the home. Each bounce costs a NACK header back to the
-    /// requester, the backoff wait, and a fresh outbound send (the bounce
-    /// itself is handled in MAGIC's inbound hardware, not the PP).
-    fn nack_retry(&mut self, requester: NodeId, home: NodeId, mut t: Time) -> Time {
+    /// backoff, as on real FLASH, until the home accepts it. Each bounce
+    /// costs a NACK header back to the requester, the backoff wait, and a
+    /// fresh outbound send (the bounce itself is handled in MAGIC's
+    /// inbound hardware, not the PP).
+    fn admit(&mut self, w: &mut Walk, requester: NodeId, home: NodeId, mut t: Time) -> Time {
         let p = self.params;
-        if requester == home || p.nack_max_retries == 0 {
-            return t;
-        }
+        let pp = home as usize;
         let mut retries: u32 = 0;
-        while self.pp[home as usize].wait_at(t) > p.nack_threshold && retries < p.nack_max_retries {
+        while requester != home
+            && retries < p.nack_max_retries
+            && self.pp[pp].wait_at(t) > p.nack_threshold
+        {
             self.nacks += 1;
-            self.obs.telemetry.count(self.tel_nacks, t, 1);
+            w.obs().telemetry.count(self.tel_nacks, t, 1);
             retries += 1;
-            let mut rt = self.send(home, requester, p.header_bytes, "nack", t);
+            let bounced = w.send_as(self, "nack", home, requester, false, t);
             let backoff = p.nack_retry_base * (1u64 << (retries - 1).min(6));
             self.nack_backoff += backoff;
             // Backoff is time spent waiting out home-MAGIC saturation:
             // occupancy, not transit.
-            self.txn_occ += backoff;
-            self.obs.spans.leg(
-                "backoff",
-                requester,
-                rt,
-                rt + backoff,
-                Some(SpanClass::Occupancy),
-                backoff,
-            );
-            rt += backoff;
-            rt = self.pp_acquire(requester, p.pp_ni_out, "ni_out", rt);
-            t = self.send(requester, home, p.header_bytes, "net", rt);
+            let resend = w.charge("backoff", requester, bounced, bounced + backoff);
+            t = w.post(self, requester, home, false, resend);
         }
         self.retries += u64::from(retries);
+        let telemetry = &w.obs().telemetry;
         if retries > 0 {
-            self.obs
-                .telemetry
-                .count(self.tel_retries, t, u64::from(retries));
+            telemetry.count(self.tel_retries, t, u64::from(retries));
         }
-        t
-    }
-
-    /// Time for the home to invalidate `sharers` and collect all acks,
-    /// starting at `t`. Also charges the relevant occupancies.
-    fn invalidate_round(&mut self, home: NodeId, sharers: &[NodeId], t: Time) -> Time {
-        let mut done = t;
-        for &v in sharers {
-            let mut tv = self.pp_acquire(home, self.params.pp_ni_out, "ni_out", t);
-            if v != home {
-                tv = self.send(home, v, self.params.header_bytes, "net", tv);
-            }
-            tv = self.pp_acquire(v, self.params.pp_intervention, "pp_intervention", tv);
-            if v != home {
-                tv = self.send(v, home, self.params.header_bytes, "net", tv);
-            }
-            done = done.max(tv);
-        }
-        if !sharers.is_empty() {
-            // Ack collection handler at the home.
-            done = self.pp_acquire(home, self.params.pp_dir_local, "dir_lookup", done);
-        }
-        done
-    }
-
-    fn record(
-        &mut self,
-        case: ProtocolCase,
-        requester: NodeId,
-        home: NodeId,
-        done_at: Time,
-        latency: TimeDelta,
-    ) {
-        self.cases.record(case, latency);
-        if self.obs.tracer.enabled(TraceCategory::Proto) {
-            self.obs.tracer.emit(
-                done_at,
-                TraceCategory::Proto,
-                case.key(),
-                requester,
-                latency.as_ps(),
-                home as u64,
-            );
-        }
-    }
-
-    /// Resets the per-transaction decomposition accumulators.
-    fn txn_begin(&mut self) {
-        self.txn_occ = TimeDelta::ZERO;
-        self.txn_net = TimeDelta::ZERO;
-    }
-
-    /// Folds the accumulated critical-path components into a
-    /// [`LatencyBreakdown`] for a transaction of the given total latency.
-    /// Components are clamped so they never exceed the total (overlapped
-    /// protocol work can otherwise over-count); whatever is left —
-    /// memory-bank time, handler remainders, un-itemized overlap — lands
-    /// in `memory`.
-    fn txn_breakdown(&self, total: TimeDelta) -> LatencyBreakdown {
-        let occupancy = self.txn_occ.min(total);
-        let network = self.txn_net.min(total.saturating_sub(occupancy));
-        LatencyBreakdown {
-            occupancy,
-            network,
-            memory: total.saturating_sub(occupancy + network),
-        }
-    }
-
-    /// Mean demand latency observed for `case`, if any occurred.
-    pub fn mean_latency_ns(&self, case: ProtocolCase) -> Option<f64> {
-        self.cases.mean_latency_ns(case)
-    }
-
-    fn demand_read(&mut self, req: MemRequest, exclusive_intent: bool) -> MemOutcome {
-        let home = self.home_of(req.line);
-        let requester = req.node;
-        let p = self.params;
-        self.txn_begin();
-
-        // Processor detects the miss and crosses the pins.
-        let mut t = req.now + p.proc_miss_detect;
-        self.obs.spans.leg(
-            "miss_detect",
-            requester,
-            req.now,
-            t,
-            Some(SpanClass::Memory),
-            p.proc_miss_detect,
-        );
-        // Requester MAGIC: processor-interface handler (PI stage).
-        t = self.pi_acquire(requester, t);
-
-        // Request travels to the home; a saturated home MAGIC NACKs it
-        // back for retry-with-backoff before accepting it.
-        if requester != home {
-            t = self.pp_acquire(requester, p.pp_ni_out, "ni_out", t);
-            t = self.send(requester, home, p.header_bytes, "net", t);
-            t = self.nack_retry(requester, home, t);
-        }
-
-        // Home MAGIC: directory handler.
-        let dir_cycles = if requester == home {
-            p.pp_dir_local
-        } else {
-            p.pp_dir_remote
-        };
         // MAGIC inbound-queue occupancy at the home, sampled as each
         // demand reaches the directory handler: the queued work (in ps)
         // ahead of this request. This is the series the paper's hotspot
         // study turns on — the latency-only NUMA model has no such queue.
-        let queued = self.pp[home as usize].wait_at(t).as_ps();
-        self.obs.telemetry.occupy(self.tel_queue, t, queued);
-        if let Some(&id) = self.tel_queue_node.get(home as usize) {
-            self.obs.telemetry.occupy(id, t, queued);
+        let queued = self.pp[pp].wait_at(t).as_ps();
+        telemetry.occupy(self.tel_queue, t, queued);
+        if let Some(&id) = self.tel_queue_node.get(pp) {
+            telemetry.occupy(id, t, queued);
         }
-        t = self.pp_acquire(home, dir_cycles, "dir_lookup", t);
-
-        let reclaims_before = self.dirs[home as usize].reclaims();
-        let resp = if exclusive_intent {
-            self.dirs[home as usize].read_exclusive(req.line, requester)
-        } else {
-            self.dirs[home as usize].read(req.line, requester)
-        };
-        let dir_occ = self.dirs[home as usize].occupancy_sample();
-        self.obs
-            .telemetry
-            .gauge(self.tel_pool, t, u64::from(dir_occ.used));
-        if let Some(&id) = self.tel_pool_node.get(home as usize) {
-            self.obs.telemetry.gauge(id, t, u64::from(dir_occ.used));
-        }
-        self.obs
-            .telemetry
-            .count(self.tel_reclaims, t, dir_occ.reclaims - reclaims_before);
-        let case = classify_read(requester, home, resp.source);
-
-        // Invalidations (read-exclusive on a shared line, or pointer
-        // reclamation) run concurrently with the data fetch; the grant
-        // waits for both. The data-supplying owner is not in this round —
-        // its intervention is the data path itself.
-        let sharers: Vec<NodeId> = resp
-            .invalidate
-            .iter()
-            .copied()
-            .filter(|v| Some(*v) != resp.source.owner())
-            .collect();
-        let ack_done = if sharers.is_empty() {
-            t
-        } else {
-            // The round's legs run in parallel with the data path; its
-            // per-leg charges must not count toward the requester's
-            // critical path (only its *exposed* tail does, below).
-            let saved = (self.txn_occ, self.txn_net);
-            self.obs.spans.begin_offpath("inval_round", home, t);
-            let done = self.invalidate_round(home, &sharers, t);
-            self.obs.spans.end(done, None, TimeDelta::ZERO);
-            (self.txn_occ, self.txn_net) = saved;
-            done
-        };
-
-        // Data path.
-        let mut data_t = match resp.source {
-            DataSource::Memory => {
-                let ready = self.mem_acquire(home, t);
-                if requester != home {
-                    let out = self.pp_acquire(home, p.pp_ni_out, "ni_out", ready);
-                    let arrived =
-                        self.send(home, requester, p.line_bytes + p.header_bytes, "net", out);
-                    self.pp_acquire(requester, p.pp_ni_reply, "ni_reply", arrived)
-                } else {
-                    ready
-                }
-            }
-            DataSource::Owner(owner) => {
-                let mut dt = self.pp_acquire(home, p.pp_dirty_extra, "dirty_extra", t);
-                if owner != home {
-                    dt = self.pp_acquire(home, p.pp_ni_out, "ni_out", dt);
-                    dt = self.send(home, owner, p.header_bytes, "net", dt);
-                }
-                // The intervention handler runs at the owner's MAGIC even
-                // when the owner is the home itself (PI intervention).
-                dt = self.pp_acquire(owner, p.pp_intervention, "pp_intervention", dt);
-                // The owning processor supplies the line from its
-                // secondary cache (through the processor on an R10000).
-                self.obs.spans.leg(
-                    "proc_intervention",
-                    owner,
-                    dt,
-                    dt + p.proc_intervention,
-                    Some(SpanClass::Memory),
-                    p.proc_intervention,
-                );
-                dt += p.proc_intervention;
-                if owner != requester {
-                    dt = self.pp_acquire(owner, p.pp_ni_out, "ni_out", dt);
-                    dt = self.send(owner, requester, p.line_bytes + p.header_bytes, "net", dt);
-                    dt = self.pp_acquire(requester, p.pp_ni_reply, "ni_reply", dt);
-                }
-                // Sharing writeback to the home (off the critical path,
-                // so excluded from the requester's decomposition).
-                if owner != home {
-                    let saved = (self.txn_occ, self.txn_net);
-                    self.obs.spans.begin_offpath("sharing_wb", owner, dt);
-                    let wb = self.send(owner, home, p.line_bytes + p.header_bytes, "net", dt);
-                    let wb = self.pp_acquire(home, p.pp_writeback, "pp_writeback", wb);
-                    let wb_done = self.mem_acquire(home, wb);
-                    self.obs.spans.end(wb_done, None, TimeDelta::ZERO);
-                    (self.txn_occ, self.txn_net) = saved;
-                }
-                dt
-            }
-        };
-
-        // Invalidation time the data path did not hide is exposed
-        // protocol work at the home: occupancy.
-        if ack_done > data_t {
-            self.txn_occ += ack_done - data_t;
-            self.obs.spans.leg(
-                "exposed_inval",
-                home,
-                data_t,
-                ack_done,
-                Some(SpanClass::Occupancy),
-                ack_done - data_t,
-            );
-        }
-        data_t = data_t.max(ack_done);
-        // Reply crosses the bus and the processor restarts.
-        let done_at = data_t + p.reply_fill;
-        self.obs.spans.leg(
-            "reply_fill",
-            requester,
-            data_t,
-            done_at,
-            Some(SpanClass::Memory),
-            p.reply_fill,
-        );
-        self.record(case, requester, home, done_at, done_at - req.now);
-
-        MemOutcome {
-            done_at,
-            case,
-            exclusive: resp.exclusive,
-            actions: CoherenceActions {
-                invalidate: resp.invalidate,
-                downgrade: resp.downgrade,
-            },
-            breakdown: self.txn_breakdown(done_at - req.now),
-        }
+        t
     }
 
-    fn upgrade(&mut self, req: MemRequest) -> MemOutcome {
-        let home = self.home_of(req.line);
-        let requester = req.node;
-        let p = self.params;
-        self.txn_begin();
-
-        let mut t = req.now + p.proc_miss_detect;
-        self.obs.spans.leg(
-            "miss_detect",
-            requester,
-            req.now,
-            t,
-            Some(SpanClass::Memory),
-            p.proc_miss_detect,
-        );
-        t = self.pi_acquire(requester, t);
-        if requester != home {
-            t = self.pp_acquire(requester, p.pp_ni_out, "ni_out", t);
-            t = self.send(requester, home, p.header_bytes, "net", t);
-            t = self.nack_retry(requester, home, t);
-        }
-        let dir_cycles = if requester == home {
-            p.pp_dir_local
-        } else {
-            p.pp_dir_remote
-        };
-        let queued = self.pp[home as usize].wait_at(t).as_ps();
-        self.obs.telemetry.occupy(self.tel_queue, t, queued);
-        if let Some(&id) = self.tel_queue_node.get(home as usize) {
-            self.obs.telemetry.occupy(id, t, queued);
-        }
-        t = self.pp_acquire(home, dir_cycles, "dir_lookup", t);
-
-        let reclaims_before = self.dirs[home as usize].reclaims();
-        let resp = self.dirs[home as usize].upgrade(req.line, requester);
-        let dir_occ = self.dirs[home as usize].occupancy_sample();
-        self.obs
-            .telemetry
-            .gauge(self.tel_pool, t, u64::from(dir_occ.used));
-        if let Some(&id) = self.tel_pool_node.get(home as usize) {
-            self.obs.telemetry.gauge(id, t, u64::from(dir_occ.used));
-        }
-        self.obs
-            .telemetry
-            .count(self.tel_reclaims, t, dir_occ.reclaims - reclaims_before);
-        // For an upgrade, the invalidation round IS the critical path;
-        // its whole duration is exposed protocol work at the home, so it
-        // is charged wholesale as occupancy (per-leg charges inside the
-        // round would over-count the parallel legs). The round's span
-        // mirrors that: the subtree's legs are zero-charged, the round
-        // itself carries the wholesale occupancy charge.
-        let inv_start = t;
-        let saved = (self.txn_occ, self.txn_net);
-        self.obs.spans.begin_offpath("inval_round", home, inv_start);
-        let t = self.invalidate_round(home, &resp.invalidate, t);
-        self.obs
-            .spans
-            .end(t, Some(SpanClass::Occupancy), t - inv_start);
-        (self.txn_occ, self.txn_net) = saved;
-        self.txn_occ += t - inv_start;
-        let mut t = t;
-        if requester != home {
-            t = self.pp_acquire(home, p.pp_ni_out, "ni_out", t);
-            t = self.send(home, requester, p.header_bytes, "net", t);
-            t = self.pp_acquire(requester, p.pp_ni_reply, "ni_reply", t);
-        }
-        let done_at = t + p.reply_fill;
-        self.obs.spans.leg(
-            "reply_fill",
-            requester,
-            t,
-            done_at,
-            Some(SpanClass::Memory),
-            p.reply_fill,
-        );
-        self.record(
-            ProtocolCase::UpgradeOwnership,
-            requester,
-            home,
-            done_at,
-            done_at - req.now,
-        );
-        MemOutcome {
-            done_at,
-            case: ProtocolCase::UpgradeOwnership,
-            exclusive: true,
-            actions: CoherenceActions {
-                invalidate: resp.invalidate,
-                downgrade: resp.downgrade,
-            },
-            breakdown: self.txn_breakdown(done_at - req.now),
-        }
+    fn collect_acks(&mut self, w: &mut Walk, home: NodeId, t: Time) -> Time {
+        w.step(self, Step::DirLocal, home, t)
     }
 
-    fn writeback(&mut self, req: MemRequest) -> MemOutcome {
-        let home = self.home_of(req.line);
-        let p = self.params;
-        // Victim writebacks drain from MAGIC's outbound/victim queues in
-        // spare cycles (demand misses are prioritized), so they charge
-        // the network and the memory banks but do not occupy the PI or
-        // the protocol processor ahead of the next demand miss.
-        let mut t = req.now + p.pp(p.pp_writeback);
-        if req.node != home {
-            t = self.send(req.node, home, p.line_bytes + p.header_bytes, "net", t);
-        }
-        let done_at = self.mem_acquire(home, t);
-        self.dirs[home as usize].writeback(req.line, req.node);
-        self.record(
-            ProtocolCase::WritebackCase,
-            req.node,
-            home,
-            done_at,
-            done_at - req.now,
-        );
-        MemOutcome {
-            done_at,
-            case: ProtocolCase::WritebackCase,
-            exclusive: false,
-            actions: CoherenceActions::none(),
-            // Writebacks never stall the processor, so nothing is ever
-            // charged from this decomposition.
-            breakdown: LatencyBreakdown::default(),
-        }
+    fn sharing_writeback(&mut self, w: &mut Walk, owner: NodeId, home: NodeId, t: Time) {
+        w.offpath(self, "sharing_wb", owner, t, None, |w, magic| {
+            let arrived = w.send_as(magic, "net", owner, home, true, t);
+            let (p, pp) = (&magic.params, &mut magic.pp[home as usize]);
+            let written = handler(p, pp, p.pp_writeback, arrived);
+            w.charge("pp_writeback", home, arrived, written);
+            w.mem_acquire(home, written)
+        });
+    }
+
+    /// Victim writebacks drain from MAGIC's outbound/victim queues in
+    /// spare cycles (demand misses are prioritized), so they charge the
+    /// network and the memory banks but do not occupy the PI or the
+    /// protocol processor ahead of the next demand miss.
+    fn victim_delay(&self) -> TimeDelta {
+        self.params.pp(self.params.pp_writeback)
     }
 }
 
 impl MemorySystem for FlashLite {
     fn access(&mut self, req: MemRequest) -> MemOutcome {
-        match req.kind {
-            AccessKind::ReadShared => self.demand_read(req, false),
-            AccessKind::ReadExclusive => self.demand_read(req, true),
-            AccessKind::Upgrade => self.upgrade(req),
-            AccessKind::Writeback => self.writeback(req),
-        }
+        self.walk.access(&mut self.magic, req)
     }
 
     fn home_of(&self, line: LineAddr) -> NodeId {
-        ((line.get() / self.node_mem_bytes) as u32).min(self.nodes - 1)
+        self.walk.home_of(line)
     }
 
     fn stats(&self) -> StatSet {
         let mut s = StatSet::new();
-        self.cases.stats_into(&mut s);
-        let pp_busy: f64 = self.pp.iter().map(|r| r.busy_total().as_ns_f64()).sum();
-        let pp_wait: f64 = self.pp.iter().map(|r| r.wait_total().as_ns_f64()).sum();
+        self.walk.stats_into(&mut s);
+        let m = &self.magic;
+        let pp_busy: f64 = m.pp.iter().map(|r| r.busy_total().as_ns_f64()).sum();
+        let pp_wait: f64 = m.pp.iter().map(|r| r.wait_total().as_ns_f64()).sum();
         s.set("magic.pp_busy_ns", pp_busy);
         s.set("magic.pp_wait_ns", pp_wait);
         // Retry-storm visibility: NACK bounces, retried sends, and the
         // total backoff charged to requesters.
-        s.set("magic.nacks", self.nacks as f64);
-        s.set("magic.retries", self.retries as f64);
-        s.set("magic.nack_backoff_ns", self.nack_backoff.as_ns_f64());
-        let mem_wait: f64 = self.mem.iter().map(|m| m.wait_total().as_ns_f64()).sum();
-        s.set("mem.bank_wait_ns", mem_wait);
+        s.set("magic.nacks", m.nacks as f64);
+        s.set("magic.retries", m.retries as f64);
+        s.set("magic.nack_backoff_ns", m.nack_backoff.as_ns_f64());
         // Directory pointer-storage pressure.
-        let reclaims: u64 = self.dirs.iter().map(|d| d.reclaims()).sum();
-        let pool_used: u32 = self.dirs.iter().map(|d| d.pool_used()).sum();
+        let dirs = self.walk.dirs();
+        let reclaims: u64 = dirs.iter().map(|d| d.reclaims()).sum();
+        let pool_used: u32 = dirs.iter().map(|d| d.pool_used()).sum();
         s.set("proto.dir_reclaims", reclaims as f64);
         s.set("proto.dir_pool_used", f64::from(pool_used));
-        s.absorb_flat(&self.net.stats());
+        s.absorb_flat(&m.net.stats());
         s
     }
 
     fn attach_faults(&mut self, faults: FaultInjector) {
-        self.faults = faults;
+        self.magic.faults = faults;
     }
 
     fn attach(&mut self, obs: &Observers) {
         let telemetry = &obs.telemetry;
+        let m = &mut self.magic;
+        // Registration order is export order, and registering a name again
+        // returns its id: the walk's series are named here, in the places
+        // they have always had among MAGIC's, before the walk attaches.
         // `magic.queue_ps` is the paper's omitted-queueing signature:
         // FlashLite registers it, the NUMA model does not.
-        self.tel_queue = telemetry.register("magic.queue_ps", MetricKind::Occupancy);
-        self.tel_pool = telemetry.register("proto.dir_pool_used", MetricKind::Gauge);
-        self.tel_reclaims = telemetry.register("proto.dir_reclaims", MetricKind::Counter);
-        self.tel_nacks = telemetry.register("magic.nacks", MetricKind::Counter);
-        self.tel_retries = telemetry.register("magic.retries", MetricKind::Counter);
-        self.tel_bank_wait = telemetry.register("mem.bank_wait_ps", MetricKind::Counter);
-        // Per-home-node variants let hotspot studies see WHICH MAGIC is
-        // saturated, not just that one is. The label cardinality is
-        // bounded by the node count; machines past 64 nodes keep only
-        // the aggregates.
-        self.tel_queue_node.clear();
-        self.tel_pool_node.clear();
-        if telemetry.enabled() && self.nodes <= 64 {
-            for n in 0..self.nodes {
-                self.tel_queue_node.push(telemetry.register_node(
-                    "magic.queue_ps",
-                    n,
-                    MetricKind::Occupancy,
-                ));
-                self.tel_pool_node.push(telemetry.register_node(
-                    "proto.dir_pool_used",
-                    n,
-                    MetricKind::Gauge,
-                ));
+        m.tel_queue = telemetry.register("magic.queue_ps", MetricKind::Occupancy);
+        telemetry.register("proto.dir_pool_used", MetricKind::Gauge);
+        telemetry.register("proto.dir_reclaims", MetricKind::Counter);
+        m.tel_nacks = telemetry.register("magic.nacks", MetricKind::Counter);
+        m.tel_retries = telemetry.register("magic.retries", MetricKind::Counter);
+        telemetry.register("mem.bank_wait_ps", MetricKind::Counter);
+        m.tel_queue_node.clear();
+        if self.walk.labels_nodes(telemetry) {
+            for n in 0..m.pp.len() as u32 {
+                let queue = telemetry.register_node("magic.queue_ps", n, MetricKind::Occupancy);
+                m.tel_queue_node.push(queue);
+                telemetry.register_node("proto.dir_pool_used", n, MetricKind::Gauge);
             }
         }
-        self.net.attach(obs);
-        self.obs = obs.clone();
+        self.walk.attach(obs);
+        m.net.attach(obs);
     }
 
     fn model_name(&self) -> &'static str {
@@ -732,53 +327,26 @@ impl MemorySystem for FlashLite {
     }
 
     fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.u64s("shape", &[u64::from(self.nodes), self.node_mem_bytes]);
-        w.u64("nacks", self.nacks);
-        w.u64("retries", self.retries);
-        w.delta("nack_backoff", self.nack_backoff);
-        // The per-transaction decomposition scratch (txn_occ/txn_net) is
-        // reset at the start of every demand transaction, and checkpoints
-        // only happen between transactions — nothing to save.
-        self.cases.save_ckpt(w);
-        for dir in &self.dirs {
-            dir.save_ckpt(w);
-        }
-        self.net.save_ckpt(w);
-        for r in &self.pp {
+        self.walk.save_ckpt(w);
+        let m = &self.magic;
+        w.u64("nacks", m.nacks);
+        w.u64("retries", m.retries);
+        w.delta("nack_backoff", m.nack_backoff);
+        m.net.save_ckpt(w);
+        for r in m.pp.iter().chain(&m.pi) {
             r.save_ckpt(w);
-        }
-        for r in &self.pi {
-            r.save_ckpt(w);
-        }
-        for m in &self.mem {
-            m.save_ckpt(w);
         }
     }
 
     fn load_ckpt(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let shape = r.u64s("shape")?;
-        if shape != [u64::from(self.nodes), self.node_mem_bytes] {
-            return Err(CkptError::Parse {
-                key: "shape".to_string(),
-                value: format!("{shape:?}"),
-            });
-        }
-        self.nacks = r.u64("nacks")?;
-        self.retries = r.u64("retries")?;
-        self.nack_backoff = r.delta("nack_backoff")?;
-        self.cases.load_ckpt(r)?;
-        for dir in self.dirs.iter_mut() {
-            dir.load_ckpt(r)?;
-        }
-        self.net.load_ckpt(r)?;
-        for res in self.pp.iter_mut() {
+        self.walk.load_ckpt(r)?;
+        let m = &mut self.magic;
+        m.nacks = r.u64("nacks")?;
+        m.retries = r.u64("retries")?;
+        m.nack_backoff = r.delta("nack_backoff")?;
+        m.net.load_ckpt(r)?;
+        for res in m.pp.iter_mut().chain(&mut m.pi) {
             res.load_ckpt(r)?;
-        }
-        for res in self.pi.iter_mut() {
-            res.load_ckpt(r)?;
-        }
-        for m in self.mem.iter_mut() {
-            m.load_ckpt(r)?;
         }
         Ok(())
     }
@@ -787,7 +355,7 @@ impl MemorySystem for FlashLite {
         // Every demand path charges miss detection, the requester MAGIC's
         // PI handler, and at least the local directory handler before any
         // reply can exist; occupancy waits only lengthen it.
-        let p = &self.params;
+        let p = &self.magic.params;
         p.proc_miss_detect + p.pp(p.pp_pi_request + p.pp_dir_local)
     }
 }
@@ -795,6 +363,7 @@ impl MemorySystem for FlashLite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flashsim_mem::system::{AccessKind, ProtocolCase};
 
     fn fl(nodes: u32) -> FlashLite {
         FlashLite::new(nodes, 1 << 24, FlashLiteParams::hardware()).unwrap()
@@ -1002,7 +571,7 @@ mod tests {
         let s = m.stats();
         assert_eq!(s.get_or_zero("proto.local_clean.count"), 2.0);
         assert!(s.get_or_zero("proto.local_clean.mean_ns") > 400.0);
-        assert!(m.mean_latency_ns(ProtocolCase::RemoteClean).is_none());
+        assert_eq!(s.get("proto.remote_clean.count"), None);
     }
 
     #[test]

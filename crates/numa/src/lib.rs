@@ -10,7 +10,8 @@
 //!
 //! Concretely, relative to FlashLite this model:
 //!
-//! - runs the **same directory protocol** (state transitions are identical),
+//! - runs the **same directory protocol** and the same transaction
+//!   sequence (`flashsim_proto::Walk`, literally the same code),
 //! - charges **pure latency** for every controller handler and network hop
 //!   (no occupancy timelines → a hotspot home node never queues),
 //! - *does* model **memory-bank contention** (an occupancy pool), per the
@@ -41,16 +42,11 @@
 #![warn(missing_docs)]
 
 use flashsim_engine::ckpt::{CkptError, CkptReader, CkptWriter};
-use flashsim_engine::{
-    MetricId, MetricKind, Observers, ResourcePool, SpanClass, StatSet, Time, TimeDelta,
-    TraceCategory,
-};
-use flashsim_mem::system::{
-    AccessKind, CoherenceActions, LatencyBreakdown, MemOutcome, MemRequest, MemorySystem, NodeId,
-    ProtocolCase,
-};
+use flashsim_engine::{Observers, StatSet, Time, TimeDelta};
+use flashsim_mem::system::{MemOutcome, MemRequest, MemorySystem, NodeId};
 use flashsim_mem::LineAddr;
-use flashsim_proto::{classify_read, CaseLedger, DataSource, Directory, LINE_BYTES};
+use flashsim_proto::walk::{Common, Step, Timing, Walk};
+use flashsim_proto::LINE_BYTES;
 
 /// Latency constants for the NUMA model.
 ///
@@ -119,20 +115,12 @@ impl NumaParams {
     }
 }
 
-/// The generic latency-only NUMA memory system.
+/// The generic latency-only NUMA memory system: the shared directory
+/// transaction [`Walk`], timed by [`NumaParams`] alone.
 #[derive(Debug)]
 pub struct Numa {
+    walk: Walk,
     params: NumaParams,
-    node_mem_bytes: u64,
-    nodes: u32,
-    dirs: Vec<Directory>,
-    mem: Vec<ResourcePool>,
-    cases: CaseLedger,
-    obs: Observers,
-    tel_pool: MetricId,
-    tel_reclaims: MetricId,
-    tel_bank_wait: MetricId,
-    tel_pool_node: Vec<MetricId>,
 }
 
 impl Numa {
@@ -145,468 +133,107 @@ impl Numa {
     /// Panics if `nodes` is zero.
     pub fn new(nodes: u32, node_mem_bytes: u64, params: NumaParams) -> Numa {
         assert!(nodes > 0, "need at least one node");
+        let common = Common {
+            dir_pool: params.dir_pool,
+            line_bytes: LINE_BYTES,
+            mem_banks: params.mem_banks,
+            mem_access: params.mem_access,
+            mem_busy: params.mem_busy,
+            miss_detect: params.miss_detect,
+            proc_intervention: params.proc_intervention,
+            reply_fill: params.reply_fill,
+        };
         Numa {
+            walk: Walk::new(nodes, node_mem_bytes, common),
             params,
-            node_mem_bytes,
-            nodes,
-            dirs: (0..nodes)
-                .map(|n| Directory::for_home(params.dir_pool, n, node_mem_bytes, LINE_BYTES))
-                .collect(),
-            mem: (0..nodes)
-                .map(|_| ResourcePool::new("mem-banks", params.mem_banks))
-                .collect(),
-            cases: CaseLedger::default(),
-            obs: Observers::disabled(),
-            tel_pool: MetricId::NONE,
-            tel_reclaims: MetricId::NONE,
-            tel_bank_wait: MetricId::NONE,
-            tel_pool_node: Vec::new(),
         }
     }
 
-    /// Current parameters.
-    pub fn params(&self) -> &NumaParams {
-        &self.params
+    /// The protocol state: directories, banks, case ledger.
+    pub fn walk(&self) -> &Walk {
+        &self.walk
     }
+}
 
-    fn hops(&self, a: NodeId, b: NodeId) -> u32 {
-        (a ^ b).count_ones()
-    }
-
-    fn net(&self, a: NodeId, b: NodeId, data: bool) -> TimeDelta {
-        if a == b {
-            return TimeDelta::ZERO;
-        }
-        let base = self.params.hop_latency * u64::from(self.hops(a, b));
-        if data {
-            base + self.params.data_transfer
-        } else {
-            base
-        }
-    }
-
-    fn mem_acquire(&mut self, node: NodeId, t: Time) -> Time {
-        let grant = self.mem[node as usize].acquire(t, self.params.mem_busy);
-        self.obs
-            .telemetry
-            .count(self.tel_bank_wait, grant.start, grant.wait.as_ps());
-        let done = grant.start + self.params.mem_access;
-        self.obs
-            .spans
-            .leg("mem_bank", node, t, done, Some(SpanClass::Memory), done - t);
-        done
-    }
-
-    /// Span-only helper: a pure-latency leg covering `[t, t + d]`.
-    fn span_leg(
-        &mut self,
-        kind: &'static str,
-        node: NodeId,
-        t: Time,
-        d: TimeDelta,
-        class: SpanClass,
-    ) -> Time {
-        let end = t + d;
-        self.obs.spans.leg(kind, node, t, end, Some(class), d);
-        end
-    }
-
-    fn record(
-        &mut self,
-        case: ProtocolCase,
-        requester: NodeId,
-        home: NodeId,
-        done_at: Time,
-        latency: TimeDelta,
-    ) {
-        self.cases.record(case, latency);
-        if self.obs.tracer.enabled(TraceCategory::Proto) {
-            self.obs.tracer.emit(
-                done_at,
-                TraceCategory::Proto,
-                case.key(),
-                requester,
-                latency.as_ps(),
-                home as u64,
-            );
+/// What the NUMA model charges for the walk's steps — and, read against
+/// FlashLite's impl, the paper's list of what it omits (§3.3: "it does
+/// not model occupancy of the directory controller beyond the normal
+/// latency path, nor does it model contention in the network or the
+/// routers"). Memory-bank contention IS modelled: the banks belong to the
+/// walk.
+impl Timing for NumaParams {
+    fn leg(&self, step: Step) -> &'static str {
+        match step {
+            Step::Request => "ctrl_request",
+            Step::Out => "ctrl_out",
+            Step::DirLocal | Step::DirRemote => "dir_lookup",
+            Step::Intervention => "ctrl_intervention",
+            Step::DirtyExtra => "dirty_extra",
+            Step::Reply => "ctrl_reply",
         }
     }
 
-    /// Mean demand latency observed for `case`, if any occurred.
-    pub fn mean_latency_ns(&self, case: ProtocolCase) -> Option<f64> {
-        self.cases.mean_latency_ns(case)
-    }
-
-    fn demand_read(&mut self, req: MemRequest, exclusive_intent: bool) -> MemOutcome {
-        let home = self.home_of(req.line);
-        let requester = req.node;
-        let p = self.params;
-
-        // Latency decomposition for cycle accounting: controller/directory
-        // handler delays are occupancy (the same work FlashLite queues on;
-        // here it never queues, which is exactly the difference the
-        // attribution differ should expose), `net` legs are network, and
-        // miss detection / DRAM / reply fill land in the memory remainder.
-        let mut occ = p.ctrl_request;
-        let mut net_d = TimeDelta::ZERO;
-
-        let mut t = self.span_leg(
-            "miss_detect",
-            requester,
-            req.now,
-            p.miss_detect,
-            SpanClass::Memory,
-        );
-        t = self.span_leg(
-            "ctrl_request",
-            requester,
-            t,
-            p.ctrl_request,
-            SpanClass::Occupancy,
-        );
-        if requester != home {
-            let leg = self.net(requester, home, false);
-            t = self.span_leg("ctrl_out", requester, t, p.ctrl_out, SpanClass::Occupancy);
-            t = self.span_leg("net", requester, t, leg, SpanClass::Network);
-            t = self.span_leg("dir_lookup", home, t, p.dir_remote, SpanClass::Occupancy);
-            occ += p.ctrl_out + p.dir_remote;
-            net_d += leg;
-        } else {
-            t = self.span_leg("dir_lookup", home, t, p.dir_local, SpanClass::Occupancy);
-            occ += p.dir_local;
-        }
-
-        let reclaims_before = self.dirs[home as usize].reclaims();
-        let resp = if exclusive_intent {
-            self.dirs[home as usize].read_exclusive(req.line, requester)
-        } else {
-            self.dirs[home as usize].read(req.line, requester)
-        };
-        let dir_occ = self.dirs[home as usize].occupancy_sample();
-        self.obs
-            .telemetry
-            .gauge(self.tel_pool, t, u64::from(dir_occ.used));
-        if let Some(&id) = self.tel_pool_node.get(home as usize) {
-            self.obs.telemetry.gauge(id, t, u64::from(dir_occ.used));
-        }
-        self.obs
-            .telemetry
-            .count(self.tel_reclaims, t, dir_occ.reclaims - reclaims_before);
-        let case = classify_read(requester, home, resp.source);
-
-        // Invalidation round trips, pure latency.
-        let mut ack_done = t;
-        if !resp.invalidate.is_empty() {
-            self.obs.spans.begin_offpath("inval_round", home, t);
-            for &v in &resp.invalidate {
-                let mut tv = self.span_leg("ctrl_out", home, t, p.ctrl_out, SpanClass::Occupancy);
-                tv = self.span_leg(
-                    "net",
-                    home,
-                    tv,
-                    self.net(home, v, false),
-                    SpanClass::Network,
-                );
-                tv = self.span_leg(
-                    "ctrl_intervention",
-                    v,
-                    tv,
-                    p.ctrl_intervention,
-                    SpanClass::Occupancy,
-                );
-                tv = self.span_leg("net", v, tv, self.net(v, home, false), SpanClass::Network);
-                ack_done = ack_done.max(tv);
-            }
-            self.obs.spans.end(ack_done, None, TimeDelta::ZERO);
-        }
-
-        let mut data_t = match resp.source {
-            DataSource::Memory => {
-                let ready = self.mem_acquire(home, t);
-                if requester != home {
-                    let leg = self.net(home, requester, true);
-                    occ += p.ctrl_out + p.ctrl_reply;
-                    net_d += leg;
-                    let co =
-                        self.span_leg("ctrl_out", home, ready, p.ctrl_out, SpanClass::Occupancy);
-                    let nt = self.span_leg("net", home, co, leg, SpanClass::Network);
-                    self.span_leg(
-                        "ctrl_reply",
-                        requester,
-                        nt,
-                        p.ctrl_reply,
-                        SpanClass::Occupancy,
-                    )
-                } else {
-                    ready
-                }
-            }
-            DataSource::Owner(owner) => {
-                let mut dt =
-                    self.span_leg("dirty_extra", home, t, p.dirty_extra, SpanClass::Occupancy);
-                occ += p.dirty_extra;
-                if owner != home {
-                    let leg = self.net(home, owner, false);
-                    dt = self.span_leg("ctrl_out", home, dt, p.ctrl_out, SpanClass::Occupancy);
-                    dt = self.span_leg("net", home, dt, leg, SpanClass::Network);
-                    occ += p.ctrl_out;
-                    net_d += leg;
-                }
-                dt = self.span_leg(
-                    "ctrl_intervention",
-                    owner,
-                    dt,
-                    p.ctrl_intervention,
-                    SpanClass::Occupancy,
-                );
-                dt = self.span_leg(
-                    "proc_intervention",
-                    owner,
-                    dt,
-                    p.proc_intervention,
-                    SpanClass::Memory,
-                );
-                occ += p.ctrl_intervention;
-                if owner != requester {
-                    let leg = self.net(owner, requester, true);
-                    dt = self.span_leg("ctrl_out", owner, dt, p.ctrl_out, SpanClass::Occupancy);
-                    dt = self.span_leg("net", owner, dt, leg, SpanClass::Network);
-                    dt = self.span_leg(
-                        "ctrl_reply",
-                        requester,
-                        dt,
-                        p.ctrl_reply,
-                        SpanClass::Occupancy,
-                    );
-                    occ += p.ctrl_out + p.ctrl_reply;
-                    net_d += leg;
-                }
-                dt
-            }
-        };
-
-        // Invalidation time the data path did not hide is exposed
-        // directory work: occupancy.
-        if ack_done > data_t {
-            occ += ack_done - data_t;
-            self.obs.spans.leg(
-                "exposed_inval",
-                home,
-                data_t,
-                ack_done,
-                Some(SpanClass::Occupancy),
-                ack_done - data_t,
-            );
-        }
-        data_t = data_t.max(ack_done);
-        let done_at = self.span_leg(
-            "reply_fill",
-            requester,
-            data_t,
-            p.reply_fill,
-            SpanClass::Memory,
-        );
-        self.record(case, requester, home, done_at, done_at - req.now);
-        let total = done_at - req.now;
-        let occupancy = occ.min(total);
-        let network = net_d.min(total.saturating_sub(occupancy));
-        MemOutcome {
-            done_at,
-            case,
-            exclusive: resp.exclusive,
-            actions: CoherenceActions {
-                invalidate: resp.invalidate,
-                downgrade: resp.downgrade,
-            },
-            breakdown: LatencyBreakdown {
-                occupancy,
-                network,
-                memory: total.saturating_sub(occupancy + network),
-            },
+    /// No controller occupancy, and no separate processor-interface stage:
+    /// a handler is a pure delay wherever and whenever it runs, so
+    /// back-to-back requests to one home overlap freely.
+    fn run(&mut self, step: Step, _node: NodeId, t: Time) -> Time {
+        t + match step {
+            Step::Request => self.ctrl_request,
+            Step::Out => self.ctrl_out,
+            Step::DirLocal => self.dir_local,
+            Step::DirRemote => self.dir_remote,
+            Step::Intervention => self.ctrl_intervention,
+            Step::DirtyExtra => self.dirty_extra,
+            Step::Reply => self.ctrl_reply,
         }
     }
 
-    fn upgrade(&mut self, req: MemRequest) -> MemOutcome {
-        let home = self.home_of(req.line);
-        let requester = req.node;
-        let p = self.params;
-        let mut occ = p.ctrl_request;
-        let mut net_d = TimeDelta::ZERO;
-        let mut t = self.span_leg(
-            "miss_detect",
-            requester,
-            req.now,
-            p.miss_detect,
-            SpanClass::Memory,
-        );
-        t = self.span_leg(
-            "ctrl_request",
-            requester,
-            t,
-            p.ctrl_request,
-            SpanClass::Occupancy,
-        );
-        if requester != home {
-            let leg = self.net(requester, home, false);
-            t = self.span_leg("ctrl_out", requester, t, p.ctrl_out, SpanClass::Occupancy);
-            t = self.span_leg("net", requester, t, leg, SpanClass::Network);
-            t = self.span_leg("dir_lookup", home, t, p.dir_remote, SpanClass::Occupancy);
-            occ += p.ctrl_out + p.dir_remote;
-            net_d += leg;
-        } else {
-            t = self.span_leg("dir_lookup", home, t, p.dir_local, SpanClass::Occupancy);
-            occ += p.dir_local;
-        }
-        let reclaims_before = self.dirs[home as usize].reclaims();
-        let resp = self.dirs[home as usize].upgrade(req.line, requester);
-        let dir_occ = self.dirs[home as usize].occupancy_sample();
-        self.obs
-            .telemetry
-            .gauge(self.tel_pool, t, u64::from(dir_occ.used));
-        if let Some(&id) = self.tel_pool_node.get(home as usize) {
-            self.obs.telemetry.gauge(id, t, u64::from(dir_occ.used));
-        }
-        self.obs
-            .telemetry
-            .count(self.tel_reclaims, t, dir_occ.reclaims - reclaims_before);
-        let mut ack_done = t;
-        self.obs.spans.begin_offpath("inval_round", home, t);
-        for &v in &resp.invalidate {
-            let mut tv = self.span_leg("ctrl_out", home, t, p.ctrl_out, SpanClass::Occupancy);
-            tv = self.span_leg(
-                "net",
-                home,
-                tv,
-                self.net(home, v, false),
-                SpanClass::Network,
-            );
-            tv = self.span_leg(
-                "ctrl_intervention",
-                v,
-                tv,
-                p.ctrl_intervention,
-                SpanClass::Occupancy,
-            );
-            tv = self.span_leg("net", v, tv, self.net(v, home, false), SpanClass::Network);
-            ack_done = ack_done.max(tv);
-        }
-        // The invalidation round is the upgrade's critical path: charged
-        // wholesale as directory occupancy (legs run in parallel, so
-        // per-leg itemization would over-count). The round's span carries
-        // the wholesale charge; its legs are zero-charged.
-        self.obs
-            .spans
-            .end(ack_done, Some(SpanClass::Occupancy), ack_done - t);
-        occ += ack_done - t;
-        let mut t = ack_done;
-        if requester != home {
-            let leg = self.net(home, requester, false);
-            t = self.span_leg("ctrl_out", home, t, p.ctrl_out, SpanClass::Occupancy);
-            t = self.span_leg("net", home, t, leg, SpanClass::Network);
-            t = self.span_leg(
-                "ctrl_reply",
-                requester,
-                t,
-                p.ctrl_reply,
-                SpanClass::Occupancy,
-            );
-            occ += p.ctrl_out + p.ctrl_reply;
-            net_d += leg;
-        }
-        let done_at = self.span_leg("reply_fill", requester, t, p.reply_fill, SpanClass::Memory);
-        self.record(
-            ProtocolCase::UpgradeOwnership,
-            requester,
-            home,
-            done_at,
-            done_at - req.now,
-        );
-        let total = done_at - req.now;
-        let occupancy = occ.min(total);
-        let network = net_d.min(total.saturating_sub(occupancy));
-        MemOutcome {
-            done_at,
-            case: ProtocolCase::UpgradeOwnership,
-            exclusive: true,
-            actions: CoherenceActions {
-                invalidate: resp.invalidate,
-                downgrade: resp.downgrade,
-            },
-            breakdown: LatencyBreakdown {
-                occupancy,
-                network,
-                memory: total.saturating_sub(occupancy + network),
-            },
-        }
+    /// No link or router contention: hop latency times the hypercube
+    /// distance, plus one serialization of the line for a data message.
+    fn send(&mut self, from: NodeId, to: NodeId, data: bool, t: Time) -> Time {
+        let hops = u64::from((from ^ to).count_ones());
+        t + self.hop_latency * hops + self.data_transfer * u64::from(data)
     }
 
-    fn writeback(&mut self, req: MemRequest) -> MemOutcome {
-        let home = self.home_of(req.line);
-        let p = self.params;
-        let t = req.now + p.ctrl_request + self.net(req.node, home, true);
-        let done_at = self.mem_acquire(home, t);
-        self.dirs[home as usize].writeback(req.line, req.node);
-        self.record(
-            ProtocolCase::WritebackCase,
-            req.node,
-            home,
-            done_at,
-            done_at - req.now,
-        );
-        MemOutcome {
-            done_at,
-            case: ProtocolCase::WritebackCase,
-            exclusive: false,
-            actions: CoherenceActions::none(),
-            // Writebacks never stall the processor; nothing is charged.
-            breakdown: LatencyBreakdown::default(),
-        }
+    /// No inbound queue: nothing is NACKed or retried, and there is no
+    /// queue to sample (`magic.queue_ps` does not exist on this model;
+    /// `tests/telemetry_hotspot.rs` asserts its absence).
+    fn admit(&mut self, _: &mut Walk, _requester: NodeId, _home: NodeId, t: Time) -> Time {
+        t
+    }
+
+    /// No acknowledgement-collection handler at the home.
+    fn collect_acks(&mut self, _: &mut Walk, _home: NodeId, t: Time) -> Time {
+        t
+    }
+
+    /// No sharing-writeback traffic: neither the message nor the home's
+    /// handler nor its bank access.
+    fn sharing_writeback(&mut self, _: &mut Walk, _owner: NodeId, _home: NodeId, _t: Time) {}
+
+    /// A victim writeback costs one request decode before it leaves.
+    fn victim_delay(&self) -> TimeDelta {
+        self.ctrl_request
     }
 }
 
 impl MemorySystem for Numa {
     fn access(&mut self, req: MemRequest) -> MemOutcome {
-        match req.kind {
-            AccessKind::ReadShared => self.demand_read(req, false),
-            AccessKind::ReadExclusive => self.demand_read(req, true),
-            AccessKind::Upgrade => self.upgrade(req),
-            AccessKind::Writeback => self.writeback(req),
-        }
+        self.walk.access(&mut self.params, req)
     }
 
     fn home_of(&self, line: LineAddr) -> NodeId {
-        ((line.get() / self.node_mem_bytes) as u32).min(self.nodes - 1)
+        self.walk.home_of(line)
     }
 
     fn stats(&self) -> StatSet {
         let mut s = StatSet::new();
-        self.cases.stats_into(&mut s);
-        let mem_wait: f64 = self.mem.iter().map(|m| m.wait_total().as_ns_f64()).sum();
-        s.set("mem.bank_wait_ns", mem_wait);
+        self.walk.stats_into(&mut s);
         s
     }
 
     fn attach(&mut self, obs: &Observers) {
-        let telemetry = &obs.telemetry;
-        // Deliberately NO `magic.queue_ps` registration: this model has
-        // no controller inbound queue to measure. Its absence from the
-        // telemetry series is the paper's omitted-queueing signature
-        // (asserted by `tests/telemetry_hotspot.rs`).
-        self.tel_pool = telemetry.register("proto.dir_pool_used", MetricKind::Gauge);
-        self.tel_reclaims = telemetry.register("proto.dir_reclaims", MetricKind::Counter);
-        self.tel_bank_wait = telemetry.register("mem.bank_wait_ps", MetricKind::Counter);
-        // Per-home-node pool variants (bounded cardinality, as FlashLite).
-        self.tel_pool_node.clear();
-        if telemetry.enabled() && self.nodes <= 64 {
-            for n in 0..self.nodes {
-                self.tel_pool_node.push(telemetry.register_node(
-                    "proto.dir_pool_used",
-                    n,
-                    MetricKind::Gauge,
-                ));
-            }
-        }
-        self.obs = obs.clone();
+        self.walk.attach(obs);
     }
 
     fn model_name(&self) -> &'static str {
@@ -614,32 +241,11 @@ impl MemorySystem for Numa {
     }
 
     fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.u64s("shape", &[u64::from(self.nodes), self.node_mem_bytes]);
-        self.cases.save_ckpt(w);
-        for dir in &self.dirs {
-            dir.save_ckpt(w);
-        }
-        for m in &self.mem {
-            m.save_ckpt(w);
-        }
+        self.walk.save_ckpt(w);
     }
 
     fn load_ckpt(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let shape = r.u64s("shape")?;
-        if shape != [u64::from(self.nodes), self.node_mem_bytes] {
-            return Err(CkptError::Parse {
-                key: "shape".to_string(),
-                value: format!("{shape:?}"),
-            });
-        }
-        self.cases.load_ckpt(r)?;
-        for dir in self.dirs.iter_mut() {
-            dir.load_ckpt(r)?;
-        }
-        for m in self.mem.iter_mut() {
-            m.load_ckpt(r)?;
-        }
-        Ok(())
+        self.walk.load_ckpt(r)
     }
 
     fn min_shared_latency(&self) -> TimeDelta {
@@ -653,6 +259,7 @@ impl MemorySystem for Numa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flashsim_mem::system::{AccessKind, ProtocolCase};
 
     fn numa(nodes: u32) -> Numa {
         Numa::new(nodes, 1 << 24, NumaParams::matched())
@@ -731,21 +338,6 @@ mod tests {
         // 8 simultaneous accesses over 4 banks: the last must wait.
         assert!(latencies[7] > latencies[0]);
         assert!(m.stats().get_or_zero("mem.bank_wait_ns") > 0.0);
-    }
-
-    #[test]
-    fn protocol_state_identical_to_flashlite_semantics() {
-        let mut m = numa(4);
-        read(&mut m, 1, 0x100, 0);
-        read(&mut m, 2, 0x100, 10_000);
-        let out = m.access(MemRequest {
-            node: 1,
-            line: LineAddr(0x100),
-            kind: AccessKind::Upgrade,
-            now: Time::from_ns(50_000),
-        });
-        assert!(out.exclusive);
-        assert!(out.actions.invalidate.contains(&2));
     }
 
     #[test]

@@ -27,9 +27,11 @@
 
 pub mod directory;
 pub mod ledger;
+pub mod walk;
 
 pub use directory::{DataSource, DirOccupancy, DirResponse, Directory, LINE_BYTES};
 pub use ledger::CaseLedger;
+pub use walk::{Common, Step, Timing, Walk};
 
 use flashsim_mem::system::{NodeId, ProtocolCase};
 

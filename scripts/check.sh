@@ -90,6 +90,18 @@ if [ -n "$maps" ]; then
     exit 1
 fi
 
+echo "== one-walk gate (directory transactions live in proto::walk) =="
+# FlashLite and NUMA run ONE copy of the transaction sequence and differ
+# only in their `Timing` impl. A model crate that calls the directory's
+# demand operations or samples its pool has grown a walk of its own.
+walks=$(grep -rnE '\.read_exclusive\(|\.occupancy_sample\(\)' crates/*/src \
+    | grep -v '^crates/proto/src/' || true)
+if [ -n "$walks" ]; then
+    echo "directory transaction outside crates/proto/src:"
+    echo "$walks"
+    exit 1
+fi
+
 echo "== results gate (results/*.txt regenerate byte-for-byte) =="
 # The committed tables and figures are the repo's accuracy artifact: each
 # must be exactly what this build prints. `figures` is deterministic, so

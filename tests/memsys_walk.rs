@@ -58,7 +58,7 @@ fn faults() -> FaultInjector {
 /// nodes that read it and writebacks from the node that dirtied it (most
 /// of the time: a reclaim or an intervening request makes some of them
 /// stale, which the protocol must absorb too).
-#[derive(Default, Clone)]
+#[derive(Default)]
 struct Touched {
     readers: Vec<u32>,
     writer: Option<u32>,
@@ -273,6 +273,15 @@ fn both_models_run_one_protocol_and_tile_every_demand_latency() {
                     );
                 }
             }
+        }
+        for req in &script {
+            let home = fl.home_of(req.line) as usize;
+            assert_eq!(
+                fl.walk().dirs()[home].sharers(req.line),
+                nm.walk().dirs()[home].sharers(req.line),
+                "{label}: final sharers of {:?}",
+                req.line
+            );
         }
         if label == "two readers then an upgrade" {
             let last = on_numa.last().expect("three accesses");
