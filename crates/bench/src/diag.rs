@@ -3,18 +3,18 @@
 //! Usage:
 //!
 //! ```text
-//! diag [APP] [THREADS] [--full]
+//! flashsim diag [APP] [THREADS] [--full]
 //! ```
 //!
 //! `APP` is `fft` (default), `fftc`, `radix`, `radix256`, `lu` or `ocean`.
-use flashsim_bench::{fail, Args};
+use crate::{fail, Args};
 use flashsim_core::platform::{MemModel, Sim};
 use flashsim_core::runner::run_once;
 use flashsim_isa::Program;
 use flashsim_workloads::*;
 
-fn main() {
-    let args = Args::parse(&[]);
+/// `flashsim diag`: see the module documentation.
+pub fn run(args: &Args) {
     let setup = args.setup();
     let (study, scale) = (setup.study, setup.scale);
     let mut positionals = args.positionals();

@@ -6,7 +6,7 @@
 //! Usage:
 //!
 //! ```text
-//! diverge [SIM] [--mem numa] [--case KEY] [--capacity N] [--json PREFIX] [--full]
+//! flashsim diverge [SIM] [--mem numa] [--case KEY] [--capacity N] [--json PREFIX] [--full]
 //! ```
 //!
 //! `SIM` is one of `simos-mipsy` (default), `solo-mipsy`, `simos-mxs`.
@@ -19,7 +19,7 @@
 //! the protocol/network/machine deltas, and the Chrome traces carry the
 //! sampled transactions' flow arrows.
 
-use flashsim_bench::{fail, header, platform_from_args, Args};
+use crate::{fail, header, platform_from_args, Args};
 use flashsim_core::diverge::diff_traces;
 use flashsim_engine::{CategoryMask, SpanPlan, Trace, Tracer};
 use flashsim_isa::Program;
@@ -42,14 +42,17 @@ fn traced_run(
     (tracer.snapshot(), result.manifest, label)
 }
 
-fn main() {
-    let args = Args::parse(&["--mem", "--case", "--capacity", "--json"]);
+/// The flags of `diverge` that take a value.
+pub const VALUE_FLAGS: &[&str] = &["--mem", "--case", "--capacity", "--json"];
+
+/// `flashsim diverge`: see the module documentation.
+pub fn run(args: &Args) {
     let setup = args.setup();
     header(
         "divergence diff (gold-standard hardware vs simulator)",
         &setup,
     );
-    let (sim, mem, _) = platform_from_args(&args);
+    let (sim, mem, _) = platform_from_args(args);
     let case_key = args.value("--case").unwrap_or("remote_clean");
     let case = SnCase::all()
         .into_iter()

@@ -4,13 +4,13 @@
 //! Usage:
 //!
 //! ```text
-//! figures NAME [--full]
+//! flashsim figures NAME [--full]
 //! ```
 //!
 //! `NAME` is `table1`..`table3`, `fig1`..`fig7`, `ablate_latency`,
 //! `trends`, or `all` (every one, in that order, under one calibration).
 
-use flashsim_bench::{fail, header, Args, Setup};
+use crate::{fail, header, Args, Setup};
 use flashsim_core::calibrate::{calibrate, Calibration};
 use flashsim_core::metrics::{render_scorecards, scorecards, trend_fidelity};
 use flashsim_core::platform::Tuning;
@@ -194,8 +194,8 @@ fn trends(c: &Ctx) {
     );
 }
 
-fn main() {
-    let args = Args::parse(&[]);
+/// `flashsim figures`: see the module documentation.
+pub fn run(args: &Args) {
     let ctx = Ctx {
         setup: args.setup(),
         cal: OnceCell::new(),
@@ -205,7 +205,10 @@ fn main() {
         format!("{}|all", names.join("|"))
     };
     let Some(want) = args.positional() else {
-        fail(&format!("usage: figures NAME [--full]   NAME: {}", names()));
+        fail(&format!(
+            "usage: flashsim figures NAME [--full]   NAME: {}",
+            names()
+        ));
     };
     let chosen: Vec<_> = TARGETS
         .iter()

@@ -1,30 +1,40 @@
-//! `flashsim-bench` — the experiment harness: the `figures` binary
-//! regenerates every table and figure of the paper, the others are
-//! observability tools (divergence diffing, simulator-speed timing, …).
+//! `flashsim-bench` — the experiment harness behind the one `flashsim`
+//! command-line tool: `flashsim figures` regenerates every table and
+//! figure of the paper, the other subcommands are observability tools
+//! (run report, divergence and span diffing, stream dashboard, chaos
+//! sweep, export validation).
 //!
-//! Every binary accepts `--full` to run at the paper's Table-1/Table-2
-//! sizes instead of the default proportionally scaled configuration (see
-//! DESIGN.md §1 and EXPERIMENTS.md); `figures` prints the regenerated
-//! table/figure next to the paper's published values where the paper
-//! gives them. All of them read their command line through [`Args`].
+//! Every simulating subcommand accepts `--full` to run at the paper's
+//! Table-1/Table-2 sizes instead of the default proportionally scaled
+//! configuration (see DESIGN.md §1 and EXPERIMENTS.md); `figures` prints
+//! the regenerated table/figure next to the paper's published values
+//! where the paper gives them. Each subcommand is a module here with a
+//! `run(&Args)` entry point, listed in [`TOOLS`]; `flashsim` strips the
+//! subcommand and hands over the rest of the command line as [`Args`].
 //!
-//! | Binary | Regenerates |
+//! | Subcommand | Does |
 //! |---|---|
 //! | `figures NAME` | `table1` (hardware configuration), `table2` (problem sizes), `table3` (snbench latencies, calibration loop), `fig1`..`fig7`, `ablate_latency` (the §3.1.3 instruction-latency experiment), `trends` (the §3.4 accuracy/trend summary), or `all` |
-//! | `diag` | per-run statistics for one app on hardware, SimOS-Mipsy and Solo-Mipsy |
-//! | `diverge` | flight-recorder divergence diff: hardware vs a simulator |
-//! | `simspeed` | simulator throughput (events/sec, simulated MIPS) |
-//! | `chaos` | fault-injection survival matrix (seeded fault plans × platforms) |
-//! | `profile` | cycle-accounting breakdown + per-class error attribution vs hardware |
-//! | `report` | unified run report: manifest + accounting + sim-time telemetry (text/HTML/JSONL/Prometheus) |
+//! | `report` | unified run report, hardware vs a simulator: manifest + cycle accounting + sim-time telemetry per cell, per-class error attribution, optional host-time profile (text/HTML/JSONL/CSV/Prometheus) |
 //! | `spans` | span diff: the same sampled transaction traced causally on FlashLite vs NUMA |
-//! | `watch` | multi-run stream supervisor: live matrix dashboard over `flashsim-stream-v1` files, Prometheus textfile export, strict stream validation |
+//! | `diverge` | flight-recorder divergence diff: hardware vs a simulator |
+//! | `watch` | multi-run stream supervisor: live matrix dashboard over `flashsim-stream-v1` files, Prometheus textfile export |
+//! | `chaos` | fault-injection survival matrix (seeded fault plans × platforms); `--kill-resume` crash-consistency gate |
+//! | `diag` | per-run statistics for one app on hardware, SimOS-Mipsy and Solo-Mipsy |
+//! | `validate KIND PATH...` | strict validation of `flashsim-*-v1` exports through `engine::Schema` |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chaos;
+pub mod diag;
+pub mod diverge;
+pub mod figures;
+pub mod report;
+pub mod spans;
 pub mod streamview;
+pub mod validate;
+pub mod watch;
 
 use flashsim_core::platform::{MemModel, Sim, Study};
 use flashsim_workloads::ProblemScale;
@@ -36,6 +46,44 @@ pub fn fail(message: &str) -> ! {
     std::process::exit(2);
 }
 
+/// One `flashsim` subcommand: its name, the flags whose next token is
+/// their value (what tells a value from a positional), and its entry
+/// point, given the command line after the subcommand.
+pub type Tool = (&'static str, &'static [&'static str], fn(&Args));
+
+/// Every subcommand of `flashsim`.
+pub const TOOLS: [Tool; 8] = [
+    ("figures", &[], figures::run),
+    ("report", report::VALUE_FLAGS, report::run),
+    ("spans", &[], spans::run),
+    ("diverge", diverge::VALUE_FLAGS, diverge::run),
+    ("watch", watch::VALUE_FLAGS, watch::run),
+    ("chaos", &[], chaos::run),
+    ("diag", &[], diag::run),
+    ("validate", &[], validate::run),
+];
+
+/// Splits `flashsim`'s command line (without the program name) into the
+/// tool its first token names and that tool's own [`Args`]; the
+/// subcommand token is consumed here and is never a tool's positional.
+///
+/// # Errors
+///
+/// The usage message listing every subcommand, when the first token is
+/// missing or names none of them.
+pub fn select(mut argv: Vec<String>) -> Result<(&'static Tool, Args), String> {
+    let names: Vec<&str> = TOOLS.iter().map(|t| t.0).collect();
+    let usage = format!("usage: flashsim {} [ARGS]", names.join("|"));
+    if argv.is_empty() {
+        return Err(usage);
+    }
+    let name = argv.remove(0);
+    match TOOLS.iter().find(|t| t.0 == name) {
+        Some(tool) => Ok((tool, Args::new(argv, tool.1))),
+        None => Err(format!("unknown subcommand {name}\n{usage}")),
+    }
+}
+
 /// One tool's command line: flags that take a value (`--nodes 4`),
 /// switches (`--full`), and positional tokens.
 #[derive(Debug, Clone)]
@@ -45,13 +93,8 @@ pub struct Args {
 }
 
 impl Args {
-    /// The process's own arguments. `value_flags` names the flags whose
-    /// next token is their value — what tells a value from a positional.
-    pub fn parse(value_flags: &'static [&'static str]) -> Args {
-        Args::new(std::env::args().skip(1).collect(), value_flags)
-    }
-
-    /// [`Args::parse`] over an explicit argument list.
+    /// `args` read with `value_flags` naming the flags whose next token
+    /// is their value.
     pub fn new(args: Vec<String>, value_flags: &'static [&'static str]) -> Args {
         Args { args, value_flags }
     }
@@ -182,6 +225,40 @@ mod tests {
         );
         let (sim, mem, nodes) = platform_from_args(&args);
         assert_eq!((sim, mem, nodes), (Sim::SimosMxs, MemModel::Numa, 2));
+    }
+
+    fn argv(line: &[&str]) -> Vec<String> {
+        line.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    #[test]
+    fn select_consumes_the_subcommand_before_a_tool_sees_positionals() {
+        let (tool, args) = select(argv(&["report", "--nodes", "2"])).expect("a subcommand");
+        assert_eq!(tool.0, "report");
+        // `report` is not read as the SIM positional.
+        assert_eq!(args.positional(), None);
+        assert_eq!(
+            platform_from_args(&args),
+            (Sim::SimosMipsy(150), MemModel::FlashLite, 2)
+        );
+        let (_, args) = select(argv(&["diverge", "solo-mipsy", "--json", "p"])).expect("diverge");
+        assert_eq!(args.positionals().collect::<Vec<_>>(), ["solo-mipsy"]);
+        let (tool, args) = select(argv(&["chaos", "--kill-resume-child", "d"])).expect("chaos");
+        assert_eq!(
+            (tool.0, args.value("--kill-resume-child")),
+            ("chaos", Some("d"))
+        );
+    }
+
+    #[test]
+    fn select_lists_every_subcommand_when_it_cannot_pick_one() {
+        for line in [&["profile"][..], &["--nodes", "2"], &[]] {
+            let message = select(argv(line)).expect_err("not a subcommand");
+            assert!(
+                message.contains("figures|report|spans|diverge|watch|chaos|diag|validate"),
+                "{message}"
+            );
+        }
     }
 
     #[test]

@@ -13,24 +13,20 @@
 //! Usage:
 //!
 //! ```text
-//! spans [--degree N] [--rounds N] [--seed N] [--period N]
+//! flashsim spans [--degree N] [--rounds N] [--seed N] [--period N]
 //!       [--jsonl-fl PATH] [--jsonl-numa PATH] [--full]
-//! spans --validate PATH
 //! ```
 //!
-//! `--validate PATH` runs nothing: it checks an existing
-//! `flashsim-span-v1` JSONL export against the schema — including the
-//! charge-tiling invariant (per-transaction charges sum to the
-//! end-to-end latency in integer picoseconds) — and exits nonzero on
-//! violation; `scripts/check.sh` uses it as a gate.
-//!
-//! The run itself gates on the paper's omitted-occupancy signature: the
+//! The run gates on the paper's omitted-occupancy signature: the
 //! aligned hotspot transaction must carry MAGIC occupancy legs
 //! (`pi_request`, NACK/backoff, NI handlers) on FlashLite that have no
-//! counterpart on the NUMA side, and both exports must validate.
+//! counterpart on the NUMA side, and both exports must validate as
+//! `flashsim-span-v1` — including the charge-tiling invariant
+//! (per-transaction charges sum to the end-to-end latency in integer
+//! picoseconds). `scripts/check.sh` runs it as a gate.
 
-use flashsim_bench::Args;
-use flashsim_engine::{span, Observers, SpanPlan, SpanSet, SpanTracer, Time, TimeDelta};
+use crate::Args;
+use flashsim_engine::{span, Observers, Schema, SpanPlan, SpanSet, SpanTracer, Time, TimeDelta};
 use flashsim_flashlite::{FlashLite, FlashLiteParams};
 use flashsim_mem::{AccessKind, LineAddr, MemRequest, MemorySystem};
 use flashsim_numa::{Numa, NumaParams};
@@ -108,22 +104,8 @@ fn render_txn(label: &str, t: &flashsim_engine::SpanTxn) -> String {
     out
 }
 
-fn main() {
-    let args = Args::parse(&[]);
-
-    // Validation-only mode: no simulation, just the schema gate.
-    if let Some(path) = args.value("--validate") {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        match span::validate_jsonl(&text) {
-            Ok(()) => println!("span schema OK: {path}"),
-            Err(e) => {
-                eprintln!("FAIL: {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
+/// `flashsim spans`: see the module documentation.
+pub fn run(args: &Args) {
     let full = args.has("--full");
     let degree: u32 = args.get("--degree").unwrap_or(7).clamp(1, NODES - 1);
     let rounds: u64 = args.get("--rounds").unwrap_or(if full { 400 } else { 40 });
@@ -148,7 +130,7 @@ fn main() {
             set.txns.len(),
             set.truncated
         );
-        if let Err(e) = span::validate_jsonl(&set.to_jsonl()) {
+        if let Err(e) = Schema::Span.validate(&set.to_jsonl()) {
             failures.push(format!("{name}: span JSONL invalid: {e}"));
         }
     }

@@ -1,12 +1,10 @@
 //! Multi-run stream supervisor: tail `flashsim-stream-v1` files from
-//! journaled matrix cells and render a live aggregated dashboard — or
-//! strictly validate them as a CI gate.
+//! journaled matrix cells and render a live aggregated dashboard.
 //!
 //! Usage:
 //!
 //! ```text
-//! watch [--follow] [--interval MS] [--prom PATH] FILE...
-//! watch --validate FILE...
+//! flashsim watch [--follow] [--interval MS] [--prom PATH] FILE...
 //! ```
 //!
 //! The default mode renders one dashboard frame and exits: one row per
@@ -20,22 +18,14 @@
 //! `--follow` re-reads and re-renders every `--interval` ms (default
 //! 500) until every stream has ended. `--prom PATH` rewrites a
 //! Prometheus textfile (temp-then-rename, so scrapers never see a torn
-//! file) on every frame.
-//!
-//! `--validate` runs nothing live: each file is checked against the
-//! full `flashsim-stream-v1` contract (header, dense sequence numbers,
-//! gapless bucket chaining, checkpoint placement, monotone progress,
-//! torn-tail tolerance), and files sharing a provenance hash — reruns
-//! of the same cell, including mid-kill snapshots — are checked for
-//! *prefix stability*: their deterministic event lines must agree on
-//! every common position. Exits nonzero on any violation;
-//! `scripts/check.sh` runs it over every stream the kill-resume gate
-//! produces.
+//! file) on every frame. Strict validation of the same files is
+//! `flashsim validate stream FILE...`.
 
-use flashsim_bench::streamview::{sparkline, worker_bars, SparkFold, TailSummary};
-use flashsim_bench::{fail, Args};
-use flashsim_engine::{prom, stream};
-use std::path::{Path, PathBuf};
+use crate::streamview::{sparkline, worker_bars, SparkFold, TailSummary};
+use crate::{fail, Args};
+use flashsim_core::journal::write_atomic;
+use flashsim_engine::prom;
+use std::path::Path;
 
 /// Short display name for a stream file: file name without a trailing
 /// `.stream`, plus the parent directory when there is one (matrix runs
@@ -51,83 +41,6 @@ fn display_name(path: &str) -> String {
         Some(dir) => format!("{}/{name}", dir.to_string_lossy()),
         None => name,
     }
-}
-
-/// One validated stream inside a provenance group: file path plus its
-/// deterministic lines.
-type GroupMember = (String, Vec<String>);
-
-/// Strict validation gate over every file, plus cross-file prefix
-/// stability within each provenance group.
-fn validate(files: &[String]) -> ! {
-    let mut invalid = 0usize;
-    // provenance -> [(file, deterministic lines)]
-    let mut groups: Vec<(String, Vec<GroupMember>)> = Vec::new();
-    for path in files {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                invalid += 1;
-                println!("  {path}: UNREADABLE ({e})");
-                continue;
-            }
-        };
-        match stream::validate_jsonl(&text) {
-            Ok(()) => {
-                let det = stream::deterministic_lines(&text);
-                println!("  {path}: ok ({} deterministic events)", det.len());
-                if let Some(prov) = stream::provenance_of(&text) {
-                    match groups.iter_mut().find(|(p, _)| *p == prov) {
-                        Some((_, members)) => members.push((path.clone(), det)),
-                        None => groups.push((prov, vec![(path.clone(), det)])),
-                    }
-                }
-            }
-            Err(e) => {
-                invalid += 1;
-                println!("  {path}: INVALID ({e})");
-            }
-        }
-    }
-    let mut unstable = 0usize;
-    for (prov, members) in &groups {
-        if members.len() < 2 {
-            continue;
-        }
-        let mut ok = true;
-        for (i, (a_path, a)) in members.iter().enumerate() {
-            for (b_path, b) in &members[i + 1..] {
-                let common = a.len().min(b.len());
-                if let Some(k) = (0..common).find(|&k| a[k] != b[k]) {
-                    ok = false;
-                    println!(
-                        "  provenance {prov}: PREFIX DIVERGED at deterministic event {k}:\n    {a_path}: {}\n    {b_path}: {}",
-                        a[k], b[k]
-                    );
-                }
-            }
-        }
-        if ok {
-            let longest = members.iter().map(|(_, d)| d.len()).max().unwrap_or(0);
-            println!(
-                "  provenance {prov}: {} stream(s) prefix-stable over {longest} deterministic events",
-                members.len()
-            );
-        } else {
-            unstable += 1;
-        }
-    }
-    println!(
-        "{} stream file(s): {} valid, {invalid} invalid; {} provenance group(s), {unstable} unstable",
-        files.len(),
-        files.len() - invalid,
-        groups.len(),
-    );
-    if invalid > 0 || unstable > 0 {
-        eprintln!("FAIL: {invalid} invalid stream(s), {unstable} unstable provenance group(s)");
-        std::process::exit(1);
-    }
-    std::process::exit(0);
 }
 
 /// Reads every stream (a missing file is an empty stream — the cell
@@ -297,25 +210,14 @@ fn render_prom(rows: &[(String, TailSummary)]) -> String {
     out
 }
 
-/// Temp-then-rename write so a scraper never reads a torn textfile.
-fn write_atomic(path: &str, text: &str) -> std::io::Result<()> {
-    let mut tmp_name = std::ffi::OsString::from(path);
-    tmp_name.push(".tmp");
-    let tmp = PathBuf::from(tmp_name);
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
-}
+/// The flags of `watch` that take a value.
+pub const VALUE_FLAGS: &[&str] = &["--interval", "--prom"];
 
-fn main() {
-    let args = Args::parse(&["--interval", "--prom"]);
+/// `flashsim watch`: see the module documentation.
+pub fn run(args: &Args) {
     let files: Vec<String> = args.positionals().map(str::to_owned).collect();
     if files.is_empty() {
-        fail("usage: watch [--validate] [--follow] [--interval MS] [--prom PATH] FILE...");
-    }
-
-    if args.has("--validate") {
-        println!("validating flashsim-stream-v1 files");
-        validate(&files);
+        fail("usage: flashsim watch [--follow] [--interval MS] [--prom PATH] FILE...");
     }
 
     let follow = args.has("--follow");
@@ -331,7 +233,7 @@ fn main() {
         }
         print!("{frame}");
         if let Some(path) = prom_path {
-            write_atomic(path, &render_prom(&rows))
+            write_atomic(Path::new(path), &render_prom(&rows))
                 .unwrap_or_else(|e| panic!("writing {path}: {e}"));
         }
         let all_ended = rows.iter().all(|(_, s)| s.ended.is_some());

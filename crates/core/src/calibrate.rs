@@ -214,9 +214,6 @@ pub fn calibrate_flashlite(study: &Study) -> (FlashLiteParams, Vec<Table3Row>, u
             break;
         }
         rounds += 1;
-        if std::env::var_os("FLASHSIM_CAL_DEBUG").is_some() {
-            eprintln!("round {rounds}: hw={hardware:.0?} cur={current:.0?}");
-        }
 
         // Finite-difference Jacobian: jac[case][knob].
         let knobs = read_knobs(&params);

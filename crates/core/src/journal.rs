@@ -36,9 +36,9 @@
 //! `progress` lines are wall-clock-driven and excluded).
 
 use crate::runner::{failed_manifest, parallel_map, supervise, CellOutcome, MatrixCell};
-use flashsim_engine::{ckpt, stream};
+use flashsim_engine::{ckpt, stream, Schema};
 use flashsim_isa::Program;
-use flashsim_machine::{Machine, MachineConfig, RestoreError};
+use flashsim_machine::{Machine, MachineConfig};
 use std::fmt;
 use std::fs;
 use std::io::Write;
@@ -221,8 +221,12 @@ fn parse_journal(text: &str, cells: usize) -> Vec<Prior> {
 
 /// Writes `text` to `path` via a temp file and an atomic rename, so a
 /// crash mid-write can never leave a half-written file under the final
-/// name.
-fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
+/// name (and a scraper never reads a torn one).
+///
+/// # Errors
+///
+/// The I/O error of the write or the rename.
+pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
     let mut tmp_name = path.as_os_str().to_owned();
     tmp_name.push(".tmp");
     let tmp = PathBuf::from(tmp_name);
@@ -384,7 +388,9 @@ pub fn run_matrix_journaled(
                 let attempt = fs::read_to_string(ckpt_path(dir, idx, seq))
                     .map_err(|e| e.to_string())
                     .and_then(|text| {
-                        ckpt::validate(&text).map_err(|e| RestoreError::Ckpt(e).to_string())?;
+                        Schema::Ckpt
+                            .validate(&text)
+                            .map_err(|e| format!("checkpoint rejected: {e}"))?;
                         Machine::restore(cfg.clone(), prog.as_ref(), &text)
                             .map_err(|e| e.to_string())
                     });
@@ -508,7 +514,7 @@ mod tests {
         assert!(journal.contains("finish 0 ok") && journal.contains("finish 1 ok"));
         for idx in 0..2 {
             let text = fs::read_to_string(stream_path(&dir, idx)).unwrap();
-            stream::validate_jsonl(&text).unwrap();
+            Schema::Stream.validate(&text).unwrap();
             assert!(
                 text.contains("\"ev\":\"end\"") && text.contains("\"kind\":\"ok\""),
                 "journaled cell stream must terminate cleanly"
@@ -624,7 +630,7 @@ mod tests {
             .is_some_and(CellOutcome::is_completed));
         let gold_bytes = fs::read_to_string(artifacts_path(&gold_dir, 0)).unwrap();
         let gold_stream = fs::read_to_string(stream_path(&gold_dir, 0)).unwrap();
-        stream::validate_jsonl(&gold_stream).unwrap();
+        Schema::Stream.validate(&gold_stream).unwrap();
         let n_ckpts = fs::read_to_string(journal_path(&gold_dir))
             .unwrap()
             .lines()
@@ -646,7 +652,7 @@ mod tests {
             "resumed artifacts must be byte-identical to the straight run"
         );
         let resumed_stream = fs::read_to_string(stream_path(&dir, 0)).unwrap();
-        stream::validate_jsonl(&resumed_stream).unwrap();
+        Schema::Stream.validate(&resumed_stream).unwrap();
         assert_eq!(
             stream::deterministic_lines(&resumed_stream),
             stream::deterministic_lines(&gold_stream),
@@ -723,7 +729,7 @@ mod tests {
             .as_ref()
             .is_some_and(CellOutcome::is_completed));
         let text = fs::read_to_string(hostprof_path(&dir, 0)).unwrap();
-        flashsim_engine::hostprof::validate_jsonl(&text).unwrap();
+        Schema::HostProf.validate(&text).unwrap();
         // The artifacts stay simulation-deterministic: no host numbers.
         let artifacts = fs::read_to_string(artifacts_path(&dir, 0)).unwrap();
         assert!(!artifacts.contains("hostprof"));

@@ -535,8 +535,8 @@ pub struct CkptStats {
 
 /// Structural validation of a `flashsim-ckpt-v1` text: magic, checksum,
 /// provenance header, and every body line either a `[section]` header
-/// or a `key=value` field. This is the check.sh / `chaos
-/// --validate-ckpt` gate; it does not (and cannot) check the semantic
+/// or a `key=value` field. This is the `flashsim validate ckpt` /
+/// check.sh gate; it does not (and cannot) check the semantic
 /// field layout — [`CkptReader`]'s strict sequential keys do that
 /// during an actual restore.
 pub fn validate(text: &str) -> Result<CkptStats, CkptError> {

@@ -614,7 +614,10 @@ pub fn validate_jsonl(text: &str) -> Result<(), String> {
                 expect.key()
             ));
         }
-        sum += field_u64(line, "ns").ok_or_else(|| format!("line {ln}: missing ns"))?;
+        let ns = field_u64(line, "ns").ok_or_else(|| format!("line {ln}: missing ns"))?;
+        sum = sum
+            .checked_add(ns)
+            .ok_or_else(|| format!("line {ln}: phase sum overflows"))?;
     }
     if sum != total_ns {
         return Err(format!(
@@ -828,6 +831,15 @@ mod tests {
         // Reorder phases.
         let swapped = good.replacen("\"phase\":\"drive\"", "\"phase\":\"scan\"", 1);
         assert!(validate_jsonl(&swapped).is_err());
+    }
+
+    #[test]
+    fn validator_rejects_an_overflowing_phase_sum() {
+        let mut hostile = sample_report();
+        hostile.phase_ns = [u64::MAX; HostPhase::COUNT];
+        assert!(validate_jsonl(&hostile.to_jsonl())
+            .expect_err("phase sum does not fit")
+            .contains("overflows"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Shared JSONL line-framing and field-extraction helpers.
 //!
 //! Three export formats in this workspace are machine-written JSONL with
-//! a line-by-line validator behind a `--validate` CLI entry point:
+//! a line-by-line validator behind `flashsim validate`:
 //! `flashsim-telemetry-v1` ([`crate::telemetry::validate_jsonl`]),
 //! `flashsim-span-v1` ([`crate::span::validate_jsonl`]), and
 //! `flashsim-stream-v1` ([`crate::stream::validate_jsonl`]). Each

@@ -59,6 +59,8 @@
 //!   used by every exporter in the workspace,
 //! - [`jsonl`]: the shared JSONL field scanners behind every
 //!   `validate_jsonl` schema checker (telemetry, spans, stream),
+//! - [`schema`]: the registry of the five `flashsim-*-v1` formats — name,
+//!   schema id and validator — behind `flashsim validate`,
 //! - [`window`]: the caller-held accumulator the per-op observer sites
 //!   write through — a sum or max over one cached bucket, published to
 //!   its telemetry or accounting handle once per bucket,
@@ -98,6 +100,7 @@ pub mod prom;
 pub mod resource;
 pub mod rng;
 pub mod sched;
+pub mod schema;
 pub mod span;
 pub mod stats;
 pub mod stream;
@@ -117,6 +120,7 @@ pub use pool::{WorkerLane, WorkerPool};
 pub use resource::{Grant, Resource, ResourcePool};
 pub use rng::Rng;
 pub use sched::LaggardHeap;
+pub use schema::Schema;
 pub use span::{SpanClass, SpanPlan, SpanRecord, SpanSet, SpanTracer, SpanTxn};
 pub use stats::{Counter, Histogram, StatSet};
 pub use stream::{

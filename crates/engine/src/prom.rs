@@ -1,9 +1,9 @@
 //! Shared Prometheus text-exposition formatting.
 //!
-//! Both the cycle-accounting profiler ([`crate::account::Accounting`],
-//! surfaced by the `profile` bench bin) and the sim-time telemetry
-//! exporter ([`crate::telemetry::TelemetrySeries`], surfaced by the
-//! `report` bench bin) emit Prometheus text format. The byte-level
+//! Both the cycle-accounting profiler ([`crate::account::Accounting`])
+//! and the sim-time telemetry exporter
+//! ([`crate::telemetry::TelemetrySeries`]), surfaced together by
+//! `flashsim report --prom`, emit Prometheus text format. The byte-level
 //! rules — `name{label="value"} sample\n`, `# TYPE` headers, and the
 //! exposition-format label escaping (`\\`, `\"`, `\n`) — live here so
 //! there is exactly one authority and the two exporters cannot drift.

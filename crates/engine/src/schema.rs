@@ -1,0 +1,99 @@
+//! The registry of `flashsim-*-v1` export formats: one name, one schema
+//! id and one validator per format, so a tool (or a fuzzer) that wants
+//! "every format" iterates [`Schema::ALL`] instead of knowing five
+//! modules.
+
+use crate::{ckpt, hostprof, span, stream, telemetry};
+
+/// One export format of the workspace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Schema {
+    /// Sim-time telemetry series ([`telemetry::SCHEMA`]).
+    Telemetry,
+    /// Sampled span trees ([`span::SCHEMA`]).
+    Span,
+    /// Live per-barrier event stream ([`stream::SCHEMA`]).
+    Stream,
+    /// Host-time self-profile ([`hostprof::HOSTPROF_SCHEMA`]).
+    HostProf,
+    /// Machine checkpoint ([`ckpt::MAGIC`]).
+    Ckpt,
+}
+
+impl Schema {
+    /// Every format, in the order tools list them.
+    pub const ALL: [Schema; 5] = [
+        Schema::Telemetry,
+        Schema::Span,
+        Schema::Stream,
+        Schema::HostProf,
+        Schema::Ckpt,
+    ];
+
+    /// The short name a command line uses for this format.
+    pub fn key(self) -> &'static str {
+        match self {
+            Schema::Telemetry => "telemetry",
+            Schema::Span => "span",
+            Schema::Stream => "stream",
+            Schema::HostProf => "hostprof",
+            Schema::Ckpt => "ckpt",
+        }
+    }
+
+    /// The versioned identifier the format's documents declare.
+    pub fn id(self) -> &'static str {
+        match self {
+            Schema::Telemetry => telemetry::SCHEMA,
+            Schema::Span => span::SCHEMA,
+            Schema::Stream => stream::SCHEMA,
+            Schema::HostProf => hostprof::HOSTPROF_SCHEMA,
+            Schema::Ckpt => ckpt::MAGIC,
+        }
+    }
+
+    /// The format named `key`, if there is one. The kind of a document
+    /// is always named, never sniffed from its text: an empty stream is
+    /// valid (a kill can land before the first flush) while an empty
+    /// document of any other kind is an error.
+    pub fn from_key(key: &str) -> Option<Schema> {
+        Schema::ALL.into_iter().find(|s| s.key() == key)
+    }
+
+    /// Strictly validates `text` as one document of this format.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violation. Total on any input: hostile
+    /// text is an `Err`, never a panic (`tests/hostile_exports.rs`).
+    pub fn validate(self, text: &str) -> Result<(), String> {
+        match self {
+            Schema::Telemetry => telemetry::validate_jsonl(text),
+            Schema::Span => span::validate_jsonl(text),
+            Schema::Stream => stream::validate_jsonl(text),
+            Schema::HostProf => hostprof::validate_jsonl(text),
+            Schema::Ckpt => ckpt::validate(text).map(|_| ()).map_err(|e| e.to_string()),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn keys_round_trip_and_ids_are_the_declared_strings() {
+        for s in Schema::ALL {
+            assert_eq!(Schema::from_key(s.key()), Some(s));
+            assert!(s.id().starts_with("flashsim-") && s.id().ends_with("-v1"));
+        }
+        assert_eq!(Schema::from_key("journal"), None);
+    }
+
+    #[test]
+    fn only_an_empty_stream_is_valid() {
+        for s in Schema::ALL {
+            assert_eq!(s.validate("").is_ok(), s == Schema::Stream, "{s:?}");
+        }
+    }
+}

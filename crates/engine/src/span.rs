@@ -31,8 +31,8 @@
 //! demand-miss ordinal. The decision never consults host state or
 //! scheduling order, so the same transactions are sampled across reruns,
 //! across `Batched`/`Reference` scheduling, and — the point of the
-//! exercise — across *platforms*, which is what lets the `spans` bench
-//! bin align the same transaction on FlashLite and NUMA and diff the
+//! exercise — across *platforms*, which is what lets `flashsim
+//! spans` align the same transaction on FlashLite and NUMA and diff the
 //! legs.
 
 use crate::ckpt::{CkptError, CkptReader, CkptWriter};
@@ -347,7 +347,7 @@ impl SpanSet {
 /// nest exactly within their parents, every charge fits inside its span,
 /// and the charges of each transaction sum to its end-to-end latency in
 /// integer picoseconds. `scripts/check.sh` runs it as a CI gate via
-/// `spans --validate`.
+/// `flashsim validate span`.
 pub fn validate_jsonl(text: &str) -> Result<(), String> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines.next().ok_or("empty export")?;
@@ -383,11 +383,15 @@ pub fn validate_jsonl(text: &str) -> Result<(), String> {
             field_u64(line, "start_ps").unwrap_or(0),
             field_u64(line, "end_ps").unwrap_or(0),
         );
+        let latency = t_end
+            .checked_sub(t_start)
+            .ok_or_else(|| err(format!("transaction runs backwards: {t_start} > {t_end}")))?;
         if field_str(line, "kind").is_none() || field_str(line, "case").is_none() {
             return Err(err("missing \"kind\"/\"case\"".to_string()));
         }
 
-        let mut bounds: Vec<(u64, u64)> = Vec::with_capacity(nspans as usize);
+        // `nspans` is input: grow as lines arrive, never reserve for it.
+        let mut bounds: Vec<(u64, u64)> = Vec::new();
         let mut charge_sum: u64 = 0;
         for want_span in 0..nspans {
             let (no, line) = lines
@@ -441,15 +445,16 @@ pub fn validate_jsonl(text: &str) -> Result<(), String> {
                         "span [{start},{end}] escapes parent [{ps},{pe}]"
                     )));
                 }
-                charge_sum += charge;
+                charge_sum = charge_sum
+                    .checked_add(charge)
+                    .ok_or_else(|| err("charge sum overflows".to_string()))?;
             }
             bounds.push((start, end));
         }
-        if nspans > 0 && charge_sum != t_end - t_start {
+        if nspans > 0 && charge_sum != latency {
             return Err(format!(
                 "txn {want_txn}: charges sum to {charge_sum} ps but end-to-end \
-                 latency is {} ps — legs do not tile the transaction",
-                t_end - t_start
+                 latency is {latency} ps — legs do not tile the transaction"
             ));
         }
     }
@@ -1083,6 +1088,39 @@ mod tests {
         let truncated: String = good.lines().take(2).map(|l| format!("{l}\n")).collect();
         assert!(validate_jsonl(&truncated).is_err());
         assert!(validate_jsonl("{\"schema\":\"nope\"}\n").is_err());
+    }
+
+    #[test]
+    fn validator_rejects_overflowing_charges() {
+        // Two children each charged u64::MAX under a [0, u64::MAX] root:
+        // every per-span check passes, the sum does not fit.
+        let max = u64::MAX;
+        let span = |id: u64, parent: &str, charge: u64| {
+            format!(
+                "{{\"txn\":0,\"span\":{id},\"parent\":{parent},\"kind\":\"leg\",\"node\":0,\
+                 \"class\":\"none\",\"start_ps\":0,\"end_ps\":{max},\"charge_ps\":{charge}}}\n"
+            )
+        };
+        let hostile = format!(
+            "{{\"schema\":\"{SCHEMA}\",\"seed\":1,\"period\":1,\"txns\":1,\"truncated\":0}}\n\
+             {{\"txn\":0,\"node\":0,\"line\":0,\"index\":0,\"kind\":\"read\",\"case\":\"c\",\
+             \"start_ps\":0,\"end_ps\":{max},\"spans\":3}}\n{}{}{}",
+            span(0, "null", 0),
+            span(1, "0", max),
+            span(2, "0", max),
+        );
+        assert!(validate_jsonl(&hostile)
+            .expect_err("overflowing charge sum")
+            .contains("overflows"));
+        // A summary whose end precedes its start has no latency to tile.
+        let summary: String = hostile.lines().take(2).map(|l| format!("{l}\n")).collect();
+        let backwards = summary.replace(
+            &format!("\"start_ps\":0,\"end_ps\":{max},\"spans\":3"),
+            "\"start_ps\":9,\"end_ps\":1,\"spans\":0",
+        );
+        assert!(validate_jsonl(&backwards)
+            .expect_err("backwards transaction")
+            .contains("backwards"));
     }
 
     #[test]

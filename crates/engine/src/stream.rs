@@ -5,7 +5,7 @@
 //! had to finish before its telemetry, accounting, or spans were
 //! inspectable. The stream makes those artifacts *incremental* — a
 //! machine with a sink attached appends one JSON line per event while
-//! it runs, and a supervisor (the `watch` bench bin) can tail many
+//! it runs, and a supervisor (`flashsim watch`) can tail many
 //! streams and render a live matrix dashboard, long before any cell
 //! finishes.
 //!
@@ -729,7 +729,7 @@ pub fn read_events(text: &str) -> StreamReadout {
 /// the `end` terminator. A parse failure on the final line is
 /// tolerated (torn tail, like the journal); anywhere else it is an
 /// error. An empty file is valid — a kill can land before the first
-/// flush. This is the `watch --validate` / `check.sh` gate.
+/// flush. This is the `flashsim validate stream` / `check.sh` gate.
 pub fn validate_jsonl(text: &str) -> Result<(), String> {
     let lines: Vec<(usize, &str)> = numbered_lines(text).collect();
     let Some(((n1, first), rest)) = lines.split_first() else {
@@ -859,8 +859,8 @@ pub fn provenance_of(text: &str) -> Option<String> {
 /// `start` line is excluded because it embeds per-run labels such as
 /// the scheduling policy), stopping at the torn tail. Two streams with
 /// the same provenance hash must agree on these lines up to the length
-/// of the shorter — the prefix-stability contract `watch --validate`
-/// checks across files.
+/// of the shorter — the prefix-stability contract `flashsim validate
+/// stream` checks across files.
 pub fn deterministic_lines(text: &str) -> Vec<String> {
     let mut out = Vec::new();
     for (_, line) in numbered_lines(text) {

@@ -850,8 +850,8 @@ impl TelemetrySeries {
 /// Validates `flashsim-telemetry-v1` JSONL structure: schema header,
 /// metric declarations, strictly increasing in-range bucket lines whose
 /// value keys all refer to declared metrics. Returns a description of
-/// the first violation. This is the `report --validate` / `check.sh`
-/// gate, hand-rolled like the rest of the JSON layer.
+/// the first violation. This is the `flashsim validate telemetry` /
+/// `check.sh` gate, hand-rolled like the rest of the JSON layer.
 pub fn validate_jsonl(text: &str) -> Result<(), String> {
     let mut lines = text
         .lines()

@@ -7,6 +7,7 @@ cd "$(dirname "$0")/.."
 
 echo "== cargo build --release =="
 cargo build --release --workspace
+flashsim=./target/release/flashsim
 
 echo "== cargo test -q =="
 cargo test -q --workspace
@@ -102,14 +103,31 @@ if [ -n "$walks" ]; then
     exit 1
 fi
 
+echo "== one-tool gate (one binary, one validate entry point) =="
+# Every command-line surface is a subcommand of `flashsim`; a second file
+# under src/bin is a second tool, and a format validator called past the
+# engine::Schema registry is a second validation entry point.
+bins=$(ls crates/bench/src/bin)
+if [ "$bins" != "flashsim.rs" ]; then
+    echo "crates/bench/src/bin must hold exactly flashsim.rs, found:"
+    echo "$bins"
+    exit 1
+fi
+direct=$(grep -rn 'validate_jsonl\|ckpt::validate' crates/bench crates/core || true)
+if [ -n "$direct" ]; then
+    echo "format validator called directly instead of through Schema::validate:"
+    echo "$direct"
+    exit 1
+fi
 echo "== results gate (results/*.txt regenerate byte-for-byte) =="
 # The committed tables and figures are the repo's accuracy artifact: each
 # must be exactly what this build prints. `figures` is deterministic, so
 # the tolerance is zero; a change that moves a number regenerates the
-# file (`./target/release/figures NAME > results/NAME.txt`) and says why.
+# file (`./target/release/flashsim figures NAME > results/NAME.txt`) and
+# says why.
 for name in table1 table2 table3 fig1 fig2 fig3 fig4 fig5 fig6 fig7 ablate_latency; do
-    if ! ./target/release/figures "$name" | cmp -s - "results/$name.txt"; then
-        echo "FAIL: \`figures $name\` no longer prints results/$name.txt"
+    if ! $flashsim figures "$name" | cmp -s - "results/$name.txt"; then
+        echo "FAIL: \`flashsim figures $name\` no longer prints results/$name.txt"
         exit 1
     fi
 done
@@ -133,59 +151,68 @@ if sed '$d' "$hist" | grep -q '"commit":null'; then
     exit 1
 fi
 
-echo "== hostprof gate (flashsim-hostprof-v1 schema + reconciliation + overhead) =="
-# The host-time self-profiler must (a) emit schema-valid
-# flashsim-hostprof-v1 JSONL — the binary self-validates the export
-# through engine::hostprof::validate_jsonl before writing and exits
-# nonzero on a bad report; (b) reconcile every per-phase table against
-# the row's measured wall time within 1% (boundary tiling; a failed
-# reconciliation prints `SKEW` instead of `reconciled`); and (c) cost
-# at most 5% of throughput when attached: `--hostprof-overhead 0.05`
-# interleaves detached/attached runs of the parallel policy pair by
-# pair on every platform (so host frequency drift hits both sides
-# equally) and compares best-of events/sec. The overhead half is
-# wall-clock and host-dependent, so FLASHSIM_SKIP_PERF=1 skips it —
-# the schema and reconciliation gates still run.
-hp_out="$(mktemp)"
-hp_jsonl="$(mktemp)"
-./target/release/simspeed --app snbench --iters 1 --workers 2 \
-    --hostprof --hostprof-jsonl "$hp_jsonl" > "$hp_out"
-grep -q '"schema":"flashsim-hostprof-v1"' "$hp_jsonl" \
-    || { echo "FAIL: hostprof export missing the v1 schema header"; exit 1; }
-grep -q "reconciled" "$hp_out" \
-    || { echo "FAIL: no reconciled hostprof table in simspeed output"; exit 1; }
-if grep -q "SKEW" "$hp_out"; then
-    echo "FAIL: hostprof phase sum does not reconcile with wall time:"
-    grep "SKEW" "$hp_out"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+echo "== report smoke (conservation + attribution + telemetry/span schemas) =="
+# Gold-standard hardware + one simulator over a 2-node FFT through the
+# supervised matrix, accounting profiler, telemetry and span sampler
+# attached. The tool itself gates on accounting conservation (per-node
+# per-class sums equal total cycles on both platforms), exact integer-ps
+# telemetry conservation, the attribution residual (per-class
+# contributions sum to the total relative error within 1e-9) and the
+# validity of every export, exiting nonzero on any violation. Both JSONL
+# exports are then re-checked through `flashsim validate`, the entry
+# point external consumers get.
+$flashsim report --nodes 2 --jsonl "$tmp/report.jsonl" \
+    --spans-jsonl "$tmp/report-spans.jsonl" > "$tmp/report.out"
+grep -q "^attribution OK" "$tmp/report.out" \
+    || { echo "FAIL: report printed no closed attribution"; exit 1; }
+$flashsim validate telemetry "$tmp/report.jsonl"
+
+echo "== hostprof gate (flashsim-hostprof-v1 schema + wall-clock reconciliation) =="
+# The host-time self-profiler, attached to both cells under the parallel
+# policy, must emit a schema-valid flashsim-hostprof-v1 document (phase
+# nanoseconds tile the window exactly) and reconcile every per-phase
+# table against the cell's measured wall time within 1% (a failed
+# reconciliation prints `SKEW` instead of `reconciled`). What attaching
+# the profiler costs is read from the benchmark's traced run
+# (`trace.overhead_frac`, `machine.observe.*`, `machine.host.*.frac`),
+# not timed here.
+$flashsim report --nodes 2 --workers 2 --hostprof \
+    --hostprof-jsonl "$tmp/hostprof.jsonl" > "$tmp/hostprof.out"
+$flashsim validate hostprof "$tmp/hostprof.jsonl"
+[ "$(grep -c "reconciled" "$tmp/hostprof.out")" = 2 ] \
+    || { echo "FAIL: expected one reconciled hostprof table per cell"; exit 1; }
+if grep "SKEW" "$tmp/hostprof.out"; then
+    echo "FAIL: hostprof phase sum does not reconcile with wall time"
     exit 1
 fi
-if [ "${FLASHSIM_SKIP_PERF:-0}" = "1" ]; then
-    echo "schema + reconciliation ok; FLASHSIM_SKIP_PERF=1: overhead comparison skipped"
-else
-    ./target/release/simspeed --app snbench --iters 8 --workers 2 \
-        --hostprof-overhead 0.05 > /dev/null
-    echo "schema + reconciliation ok; hostprof overhead within 5% of detached"
-fi
-rm -f "$hp_out" "$hp_jsonl"
+
+echo "== spans smoke (span diff + flashsim-span-v1 schema gate) =="
+# Span diff over the hotspot drive: the tool gates on schema validity,
+# exact charge tiling, sampler alignment across platforms, and the
+# MAGIC-occupancy-leg signature (present on FlashLite, absent on NUMA),
+# exiting nonzero on any violation. Its export and the report's
+# machine-layer export are re-checked through `flashsim validate`.
+$flashsim spans --jsonl-fl "$tmp/spans.jsonl" > /dev/null
+$flashsim validate span "$tmp/spans.jsonl" "$tmp/report-spans.jsonl"
 
 echo "== chaos smoke (fault-injection survival) =="
 # 20 seeded fault plans x all platforms; exits nonzero if any cell
 # panics or the sweep hangs past the watchdog.
-cargo run --release -q -p flashsim-bench --bin chaos
+$flashsim chaos
 
 echo "== kill-and-resume smoke (crash-consistent journal + ckpt schema) =="
 # Runs a journaled multi-barrier matrix straight, re-runs it while
 # hard-killing the process (exit 137, no destructors) at a seeded
 # checkpoint count, resumes to convergence, and byte-compares every
-# cell's artifacts against the straight run. Every flashsim-ckpt-v1
-# file left on disk is then structurally re-validated through the
-# standalone --validate-ckpt entry point (the same one external
-# consumers get). Exits nonzero on any divergence or invalid file.
-kr_dir="$(mktemp -d)"
-cargo run --release -q -p flashsim-bench --bin chaos -- \
-    --kill-resume --kills 1 --dir "$kr_dir" > /dev/null
-cargo run --release -q -p flashsim-bench --bin chaos -- \
-    --validate-ckpt "$kr_dir/killed" > /dev/null
+# cell's artifacts and deterministic stream events against the straight
+# run. Every flashsim-ckpt-v1 file left on disk is then structurally
+# validated. Exits nonzero on any divergence or invalid file.
+kr_dir="$tmp/kill-resume"
+$flashsim chaos --kill-resume --kills 1 --dir "$kr_dir" > /dev/null
+$flashsim validate ckpt "$kr_dir"/killed/cell*.ckpt-* > /dev/null
 echo "kill-and-resume converged byte-identically; checkpoints validate"
 
 echo "== stream smoke (flashsim-stream-v1 validation + prefix stability) =="
@@ -200,46 +227,10 @@ stream_files="$(ls "$kr_dir"/straight/cell*.stream "$kr_dir"/killed/cell*.stream
     "$kr_dir"/killed/cell*.stream.killed 2>/dev/null)"
 [ -n "$stream_files" ] || { echo "FAIL: kill-resume matrix produced no stream files"; exit 1; }
 # shellcheck disable=SC2086
-cargo run --release -q -p flashsim-bench --bin watch -- --validate $stream_files
+$flashsim validate stream $stream_files
 torn="$(ls "$kr_dir"/killed/cell*.stream.killed 2>/dev/null | head -n 1)"
 [ -n "$torn" ] || torn="$kr_dir/straight/cell0.stream"
-cargo run --release -q -p flashsim-bench --bin report -- --from-stream "$torn" > /dev/null
+$flashsim report --from-stream "$torn" > /dev/null
 echo "streams validate, prefix-stable per provenance; partial report stitches from a torn tail"
-rm -rf "$kr_dir"
-
-echo "== profile smoke (cycle-accounting conservation) =="
-# GoldenMachine + one simulator over FFT with the accounting profiler
-# attached; the binary itself verifies conservation (per-node per-class
-# sums equal total cycles on both platforms) and that the attribution's
-# per-class contributions sum to the total relative error, exiting
-# nonzero on any violation.
-cargo run --release -q -p flashsim-bench --bin profile
-
-echo "== report smoke (manifest + accounting + telemetry stitching) =="
-# Unified run report over a 2-node FFT through the supervised matrix:
-# the binary gates on accounting conservation, exact integer-ps
-# telemetry conservation, and flashsim-telemetry-v1 schema validity,
-# exiting nonzero on any violation. The JSONL export is then re-checked
-# through the standalone --validate mode (the same entry point external
-# consumers get).
-report_jsonl="$(mktemp)"
-report_spans="$(mktemp)"
-cargo run --release -q -p flashsim-bench --bin report -- --nodes 2 \
-    --jsonl "$report_jsonl" --spans-jsonl "$report_spans" > /dev/null
-cargo run --release -q -p flashsim-bench --bin report -- --validate "$report_jsonl"
-
-echo "== spans smoke (span diff + flashsim-span-v1 schema gate) =="
-# Span diff over the hotspot drive: the binary gates on schema validity,
-# exact charge tiling, sampler alignment across platforms, and the
-# MAGIC-occupancy-leg signature (present on FlashLite, absent on NUMA),
-# exiting nonzero on any violation. Both its export and the report's
-# machine-layer export are re-checked through the standalone --validate
-# mode (the same entry point external consumers get).
-spans_jsonl="$(mktemp)"
-cargo run --release -q -p flashsim-bench --bin spans -- \
-    --jsonl-fl "$spans_jsonl" > /dev/null
-cargo run --release -q -p flashsim-bench --bin spans -- --validate "$spans_jsonl"
-cargo run --release -q -p flashsim-bench --bin spans -- --validate "$report_spans"
-rm -f "$report_jsonl" "$report_spans" "$spans_jsonl"
 
 echo "== all checks passed =="
