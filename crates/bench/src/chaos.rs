@@ -420,6 +420,16 @@ fn kill_resume(kills: u64, seed: u64, base: &Path) {
     println!("OK: kill-and-resume converged byte-identically");
 }
 
+/// The flags of `chaos` that take a value.
+pub const VALUE_FLAGS: &[&str] = &[
+    "--kills",
+    "--seed",
+    "--dir",
+    "--seeds",
+    "--base",
+    "--kill-resume-child",
+];
+
 /// `flashsim chaos`: see the module documentation.
 pub fn run(args: &Args) {
     // Internal self-exec entry point; must not print the banner.

@@ -1,8 +1,8 @@
 //! `flashsim-bench` — the experiment harness behind the one `flashsim`
 //! command-line tool: `flashsim figures` regenerates every table and
 //! figure of the paper, the other subcommands are observability tools
-//! (run report, divergence and span diffing, stream dashboard, chaos
-//! sweep, export validation).
+//! (run report, span diffing, stream dashboard, chaos sweep, export
+//! validation).
 //!
 //! Every simulating subcommand accepts `--full` to run at the paper's
 //! Table-1/Table-2 sizes instead of the default proportionally scaled
@@ -16,8 +16,7 @@
 //! |---|---|
 //! | `figures NAME` | `table1` (hardware configuration), `table2` (problem sizes), `table3` (snbench latencies, calibration loop), `fig1`..`fig7`, `ablate_latency` (the §3.1.3 instruction-latency experiment), `trends` (the §3.4 accuracy/trend summary), or `all` |
 //! | `report` | unified run report, hardware vs a simulator: manifest + cycle accounting + sim-time telemetry per cell, per-class error attribution, optional host-time profile (text/HTML/JSONL/CSV/Prometheus) |
-//! | `spans` | span diff: the same sampled transaction traced causally on FlashLite vs NUMA |
-//! | `diverge` | flight-recorder divergence diff: hardware vs a simulator |
+//! | `spans [SIM]` | span diff: the same sampled transaction traced causally on hardware vs `SIM` (which legs own the latency gap), or on FlashLite vs NUMA without `SIM` |
 //! | `watch` | multi-run stream supervisor: live matrix dashboard over `flashsim-stream-v1` files, Prometheus textfile export |
 //! | `chaos` | fault-injection survival matrix (seeded fault plans × platforms); `--kill-resume` crash-consistency gate |
 //! | `diag` | per-run statistics for one app on hardware, SimOS-Mipsy and Solo-Mipsy |
@@ -28,7 +27,6 @@
 
 pub mod chaos;
 pub mod diag;
-pub mod diverge;
 pub mod figures;
 pub mod report;
 pub mod spans;
@@ -52,13 +50,12 @@ pub fn fail(message: &str) -> ! {
 pub type Tool = (&'static str, &'static [&'static str], fn(&Args));
 
 /// Every subcommand of `flashsim`.
-pub const TOOLS: [Tool; 8] = [
+pub const TOOLS: [Tool; 7] = [
     ("figures", &[], figures::run),
     ("report", report::VALUE_FLAGS, report::run),
-    ("spans", &[], spans::run),
-    ("diverge", diverge::VALUE_FLAGS, diverge::run),
+    ("spans", spans::VALUE_FLAGS, spans::run),
     ("watch", watch::VALUE_FLAGS, watch::run),
-    ("chaos", &[], chaos::run),
+    ("chaos", chaos::VALUE_FLAGS, chaos::run),
     ("diag", &[], diag::run),
     ("validate", &[], validate::run),
 ];
@@ -99,10 +96,15 @@ impl Args {
         Args { args, value_flags }
     }
 
-    /// The token after `flag`, if `flag` was given.
+    /// The token after `flag`, if `flag` was given; a flag given last or
+    /// followed by another `--flag` is reported as `--flag takes a value`
+    /// and exits with status 2.
     pub fn value(&self, flag: &str) -> Option<&str> {
         let at = self.args.iter().position(|a| a == flag)?;
-        self.args.get(at + 1).map(String::as_str)
+        match self.args.get(at + 1) {
+            Some(value) if !value.starts_with("--") => Some(value),
+            _ => fail(&format!("{flag} takes a value")),
+        }
     }
 
     /// [`Args::value`] parsed as a number; a value that does not parse
@@ -119,11 +121,12 @@ impl Args {
         self.args.iter().any(|a| a == flag)
     }
 
-    /// The tokens that are neither a flag nor a value flag's value.
+    /// The tokens that are neither a flag nor a value flag's value (a
+    /// `--flag` is never a value: [`Args::value`] rejects it).
     pub fn positionals(&self) -> impl Iterator<Item = &str> {
         let mut is_value = false;
         self.args.iter().map(String::as_str).filter(move |a| {
-            let skip = is_value;
+            let skip = is_value && !a.starts_with("--");
             is_value = !skip && self.value_flags.contains(a);
             !skip && !a.starts_with("--")
         })
@@ -241,21 +244,31 @@ mod tests {
             platform_from_args(&args),
             (Sim::SimosMipsy(150), MemModel::FlashLite, 2)
         );
-        let (_, args) = select(argv(&["diverge", "solo-mipsy", "--json", "p"])).expect("diverge");
+        // A value flag's value is never the SIM positional.
+        let (_, args) = select(argv(&["spans", "--degree", "3"])).expect("spans");
+        assert_eq!(args.positional(), None);
+        let (_, args) =
+            select(argv(&["spans", "--seed", "9", "solo-mipsy", "--case", "k"])).expect("spans");
         assert_eq!(args.positionals().collect::<Vec<_>>(), ["solo-mipsy"]);
+        // ...and a value flag missing its value does not swallow the next flag.
+        let (_, args) = select(argv(&["spans", "--jsonl-fl", "--degree", "3"])).expect("spans");
+        assert_eq!(args.positional(), None);
         let (tool, args) = select(argv(&["chaos", "--kill-resume-child", "d"])).expect("chaos");
         assert_eq!(
             (tool.0, args.value("--kill-resume-child")),
             ("chaos", Some("d"))
         );
+        assert_eq!(args.positional(), None);
     }
 
     #[test]
     fn select_lists_every_subcommand_when_it_cannot_pick_one() {
-        for line in [&["profile"][..], &["--nodes", "2"], &[]] {
+        for line in [&["diverge"][..], &["--nodes", "2"], &[]] {
             let message = select(argv(line)).expect_err("not a subcommand");
             assert!(
-                message.contains("figures|report|spans|diverge|watch|chaos|diag|validate"),
+                message.ends_with(
+                    "usage: flashsim figures|report|spans|watch|chaos|diag|validate [ARGS]"
+                ),
                 "{message}"
             );
         }

@@ -162,7 +162,6 @@ mod tests {
                 phase_ns: [0; HostPhase::COUNT],
                 admission: ForkAdmission::default(),
                 workers: Vec::new(),
-                segments: Vec::new(),
             }
             .to_jsonl(),
             Schema::Ckpt => CkptWriter::new("validate-test").finish(),

@@ -25,6 +25,94 @@ fn unknown_subcommands_and_formats_list_the_choices_and_exit_2() {
     assert_eq!(code, Some(2));
     assert!(err.contains("telemetry|span|stream|hostprof|ckpt"), "{err}");
     assert_eq!(flashsim(&[]).0, Some(2));
+    let (code, _, err) = flashsim(&["diverge"]);
+    assert_eq!(code, Some(2));
+    assert_eq!(
+        err.lines().last(),
+        Some("usage: flashsim figures|report|spans|watch|chaos|diag|validate [ARGS]")
+    );
+}
+
+#[test]
+fn a_value_flag_without_its_value_exits_2() {
+    for (line, flag) in [
+        (&["spans", "--jsonl-fl"][..], "--jsonl-fl"),
+        (&["spans", "--jsonl-fl", "--degree", "3"], "--jsonl-fl"),
+        (&["chaos", "--seeds"], "--seeds"),
+    ] {
+        let (code, _, err) = flashsim(line);
+        assert_eq!(code, Some(2), "{line:?}");
+        assert!(err.contains(&format!("{flag} takes a value")), "{err}");
+    }
+}
+
+/// The rows of `spans SIM`'s per-leg table: (leg, hardware, simulator,
+/// simulator - hardware), the last row being `end to end`.
+fn leg_rows(out: &str) -> Vec<(String, u64, u64, i128)> {
+    out.lines()
+        .skip_while(|l| !l.starts_with("per-leg charge over "))
+        .skip(2)
+        .take_while(|l| !l.is_empty())
+        .map(|l| {
+            let mut fields: Vec<&str> = l.split_whitespace().collect();
+            let mut number = || fields.pop().expect("a number column");
+            let (delta, sim, hw) = (number(), number(), number());
+            (
+                fields.join(" "),
+                hw.parse().expect("hardware ps"),
+                sim.parse().expect("simulator ps"),
+                delta.parse().expect("signed delta"),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn spans_sim_names_the_legs_that_own_the_gap_and_reruns_byte_identically() {
+    let (code, out, err) = flashsim(&["spans", "simos-mipsy"]);
+    assert_eq!(code, Some(0), "{err}");
+    let aligned: u64 = out
+        .lines()
+        .find_map(|l| l.strip_prefix("aligned transactions: "))
+        .and_then(|n| n.parse().ok())
+        .expect("an aligned-transactions line");
+    assert!(aligned > 0);
+    assert!(
+        out.contains("per-leg deltas sum to the end-to-end gap exactly"),
+        "{out}"
+    );
+    // The printed table closes: every row's delta is its own difference,
+    // and the legs' deltas sum to the end-to-end row's.
+    let mut rows = leg_rows(&out);
+    let (label, _, _, gap) = rows.pop().expect("an end-to-end row");
+    assert_eq!(label, "end to end");
+    assert!(rows.iter().any(|r| r.3 != 0), "no leg owns any gap: {out}");
+    for (leg, hw, sim, delta) in &rows {
+        assert_eq!(i128::from(*sim) - i128::from(*hw), *delta, "{leg}");
+    }
+    assert_eq!(rows.iter().map(|r| r.3).sum::<i128>(), gap);
+    // Reproducibility at the span level: no wall-clock byte in the output.
+    assert_eq!(flashsim(&["spans", "simos-mipsy"]).1, out);
+}
+
+#[test]
+fn spans_sim_lists_the_numa_controller_legs_as_simulator_only() {
+    let (code, out, err) = flashsim(&[
+        "spans",
+        "solo-mipsy",
+        "--mem",
+        "numa",
+        "--case",
+        "local_dirty_remote",
+    ]);
+    assert_eq!(code, Some(0), "{err}");
+    let only = out
+        .lines()
+        .find(|l| l.starts_with("  legs only on simulator:"))
+        .expect("a simulator-only line");
+    for leg in ["ctrl_request", "ctrl_out", "ctrl_reply"] {
+        assert!(only.contains(leg), "{only}");
+    }
 }
 
 #[test]

@@ -22,10 +22,7 @@
 //! 4. **Experiments** ([`figures`], [`report`]): the exact matrices
 //!    behind Figures 1–7, Tables 1–3, and the §3.1.3 instruction-latency
 //!    ablation, plus text rendering and the paper's published numbers.
-//! 5. **Divergence diffing** ([`diverge`]): replays two platforms'
-//!    flight-recorder event streams side by side, locating the first
-//!    event where the models disagree and the per-category count deltas.
-//! 6. **Error attribution** ([`attrib`]): decomposes a simulator's total
+//! 5. **Error attribution** ([`attrib`]): decomposes a simulator's total
 //!    relative error against the gold standard into signed per-stall-class
 //!    contributions using the cycle-accounting profiler — "18% optimistic,
 //!    of which 11 points TLB, 5 occupancy, 2 network".
@@ -48,7 +45,6 @@
 
 pub mod attrib;
 pub mod calibrate;
-pub mod diverge;
 pub mod figures;
 pub mod journal;
 pub mod metrics;
@@ -58,7 +54,6 @@ pub mod runner;
 
 pub use attrib::{attribute, profiled, run_profiled, AttributionReport, ClassContribution};
 pub use calibrate::{calibrate, Calibration, Table3Row, TlbCalibration};
-pub use diverge::{diff_traces, CategoryDelta, Divergence, DivergenceReport};
 pub use figures::{
     apps_tuned, apps_untuned, fig1, fig2, fig3, fig4, fig5, fig6, fig7, latency_ablation,
     RelativeFigure, RelativePoint, SpeedupCurve, SpeedupFigure, SPEEDUP_COUNTS,

@@ -140,8 +140,7 @@ pub trait Core: Send {
     }
 
     /// Attaches the machine's observers. A model stores the bundle and
-    /// `node`, the id it tags its trace events and accounting charges
-    /// with; what a core writes to each handle is documented on
+    /// `node`, the id it tags its accounting charges with; what a core writes to each handle is documented on
     /// [`Observers`]. Default: no instrumentation (Embra, test doubles) —
     /// every cycle of an uninstrumented core lands in the compute
     /// residual.

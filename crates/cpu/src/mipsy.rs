@@ -16,7 +16,6 @@ use crate::env::{Core, MemAccessKind, MemEnv};
 use crate::lat::LatencyTable;
 use flashsim_engine::{
     CkptError, CkptReader, CkptWriter, Clock, Observers, StallClass, StatSet, Time, TimeDelta,
-    TraceCategory,
 };
 use flashsim_isa::{Op, OpClass};
 use std::collections::VecDeque;
@@ -144,7 +143,6 @@ impl Mipsy {
 impl Core for Mipsy {
     fn execute(&mut self, op: &Op, env: &mut dyn MemEnv) {
         self.ops += 1;
-        let traced = self.obs.tracer.enabled(TraceCategory::Cpu);
         match op.class {
             OpClass::IntAlu
             | OpClass::IntMul
@@ -166,16 +164,6 @@ impl Core for Mipsy {
                     self.load_misses += 1;
                 }
                 self.tlb_stall += res.tlb_refill;
-                if traced && !res.tlb_refill.is_zero() {
-                    self.obs.tracer.emit(
-                        self.t,
-                        TraceCategory::Cpu,
-                        "tlb_refill",
-                        self.node,
-                        res.tlb_refill.as_ps(),
-                        0,
-                    );
-                }
                 let done = self.gate_l2_iface(self.t, &res);
                 // The interface-gating wait is core-added on top of the
                 // environment's latency (which the environment accounts
@@ -192,16 +180,6 @@ impl Core for Mipsy {
                     // Blocking read: the whole stall is exposed.
                     let stall = done - self.t;
                     self.mem_stall += stall;
-                    if traced {
-                        self.obs.tracer.emit(
-                            done,
-                            TraceCategory::Cpu,
-                            "stall",
-                            self.node,
-                            stall.as_ps(),
-                            0,
-                        );
-                    }
                     self.t = done;
                 }
             }
@@ -231,19 +209,7 @@ impl Core for Mipsy {
                 self.tlb_stall += res.tlb_refill;
                 // TLB refills are exposed even on stores (the handler runs
                 // on the main pipeline).
-                if !res.tlb_refill.is_zero() {
-                    if traced {
-                        self.obs.tracer.emit(
-                            self.t,
-                            TraceCategory::Cpu,
-                            "tlb_refill",
-                            self.node,
-                            res.tlb_refill.as_ps(),
-                            0,
-                        );
-                    }
-                    self.t += res.tlb_refill;
-                }
+                self.t += res.tlb_refill;
                 let done = self.gate_l2_iface(self.t, &res);
                 self.write_buffer.push_back(done);
             }
@@ -270,16 +236,6 @@ impl Core for Mipsy {
             OpClass::Barrier | OpClass::LockAcquire | OpClass::LockRelease => {
                 unreachable!("sync ops are handled by the machine layer") // gate: allow
             }
-        }
-        if traced {
-            self.obs.tracer.emit(
-                self.t,
-                TraceCategory::Cpu,
-                "instr",
-                self.node,
-                self.ops,
-                op.class as u64,
-            );
         }
     }
 

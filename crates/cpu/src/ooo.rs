@@ -33,7 +33,6 @@ use crate::env::{Core, MemAccessKind, MemEnv};
 use crate::lat::LatencyTable;
 use flashsim_engine::{
     CkptError, CkptReader, CkptWriter, Clock, Observers, StallClass, StatSet, Time, TimeDelta,
-    TraceCategory,
 };
 use flashsim_isa::{Op, OpClass, Reg};
 use std::collections::VecDeque;
@@ -276,7 +275,6 @@ impl OooCore {
 impl Core for OooCore {
     fn execute(&mut self, op: &Op, env: &mut dyn MemEnv) {
         self.ops += 1;
-        let traced = self.obs.tracer.enabled(TraceCategory::Cpu);
         self.advance_fetch();
         let entry = self.window_entry();
         // Stores issue to the address/LS slot as soon as their ADDRESS is
@@ -327,19 +325,8 @@ impl Core for OooCore {
                     && !op.src_a.is_zero()
                     && self.reg_ready[op.src_a.index()] + self.cycles(4) > ready
                 {
-                    let delay = self.cycles(self.cfg.address_interlock);
-                    ready += delay;
+                    ready += self.cycles(self.cfg.address_interlock);
                     self.interlock_stalls += 1;
-                    if traced {
-                        self.obs.tracer.emit(
-                            ready,
-                            TraceCategory::Cpu,
-                            "stall",
-                            self.node,
-                            delay.as_ps(),
-                            0,
-                        );
-                    }
                 }
                 let issue = self.unit_issue(UnitClass::Ls, ready);
                 let issue = self.mshr_gate(issue);
@@ -407,16 +394,6 @@ impl Core for OooCore {
 
                 if !res.tlb_refill.is_zero() {
                     self.exceptions += 1;
-                    if traced {
-                        self.obs.tracer.emit(
-                            issue,
-                            TraceCategory::Cpu,
-                            "tlb_refill",
-                            self.node,
-                            res.tlb_refill.as_ps(),
-                            0,
-                        );
-                    }
                     if self.cfg.exception_serialize {
                         // The exception drains the pipeline: fetch resumes
                         // after the refill completes plus the flush cost.
@@ -430,18 +407,6 @@ impl Core for OooCore {
             OpClass::Barrier | OpClass::LockAcquire | OpClass::LockRelease => {
                 unreachable!("sync ops are handled by the machine layer") // gate: allow
             }
-        }
-        if traced {
-            // The op's completion time was just pushed by `complete`.
-            let at = self.window.back().copied().unwrap_or(self.fetch);
-            self.obs.tracer.emit(
-                at,
-                TraceCategory::Cpu,
-                "instr",
-                self.node,
-                self.ops,
-                op.class as u64,
-            );
         }
     }
 

@@ -10,7 +10,7 @@
 //! final [`Accounting`] snapshot *conserves time exactly*: per node, the
 //! per-class picoseconds sum to the node's total simulated picoseconds.
 //!
-//! Design mirrors [`crate::trace::Tracer`]:
+//! Design:
 //!
 //! - [`Profiler`] is a cheaply-cloneable handle every component holds; a
 //!   disabled profiler costs one branch per call site — no lock, no
@@ -49,8 +49,8 @@
 //! ```
 
 use crate::ckpt::{CkptError, CkptReader, CkptWriter};
+use crate::jsonl::push_json_escaped;
 use crate::time::{Time, TimeDelta};
-use crate::trace::push_json_escaped;
 use crate::window::Window;
 use core::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -286,8 +286,7 @@ impl Ledger {
 /// Every instrumented component (core, memory system, machine driver)
 /// holds a clone. The [`disabled`] profiler — the default every component
 /// starts with — has no book at all, so every charge call is a single
-/// always-true early return: no lock, no arithmetic, same discipline as
-/// [`crate::trace::Tracer`].
+/// always-true early return: no lock, no arithmetic.
 ///
 /// [`disabled`]: Profiler::disabled
 #[derive(Debug, Clone, Default)]

@@ -193,7 +193,7 @@ struct Inner {
 /// The live fault-decision handle built from a [`FaultPlan`].
 ///
 /// Clones share one decision stream and one set of counters, exactly like
-/// [`crate::trace::Tracer`] clones share a ring: the machine layer and the
+/// [`crate::account::Profiler`] clones share a book: the machine layer and the
 /// memory system consult the same injector, and the interleaving of their
 /// queries is fixed by the (deterministic) simulation itself.
 #[derive(Debug, Clone, Default)]

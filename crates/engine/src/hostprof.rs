@@ -3,7 +3,7 @@
 //! Every other observability layer in this workspace accounts for
 //! simulated picoseconds (profiler, telemetry, spans, streams); this one
 //! accounts for host nanoseconds. A [`HostProf`] is a monotonic-clock
-//! phase timer with the Tracer/Profiler attachment idiom — always
+//! phase timer with the Profiler attachment idiom — always
 //! compiled, one branch per probe when detached — that the machine's
 //! scheduling loops drive through *switch semantics*: every clock read
 //! closes the outgoing phase and opens the incoming one, so the per-phase
@@ -29,24 +29,18 @@
 //! it on every platform under every policy).
 //!
 //! Exports: a versioned [`HOSTPROF_SCHEMA`] JSONL with a strict
-//! [`validate_jsonl`] (shared scanners from [`crate::jsonl`]), host-lane
-//! events spliced into the existing Chrome-trace JSON
-//! ([`HostReport::merge_into_chrome`]), and Prometheus text exposition
-//! via [`crate::prom`] ([`HostReport::to_prometheus`]).
+//! [`validate_jsonl`] (shared scanners from [`crate::jsonl`]) and
+//! Prometheus text exposition via [`crate::prom`]
+//! ([`HostReport::to_prometheus`]).
 
 use crate::jsonl::{field_str, field_u64, numbered_lines};
 use crate::pool::WorkerLane;
 use crate::prom;
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Schema identifier of the JSONL export.
 pub const HOSTPROF_SCHEMA: &str = "flashsim-hostprof-v1";
-
-/// Recent phase segments kept for the Chrome-trace splice. Bounds memory
-/// on long runs; the per-phase totals are exact regardless.
-const SEGMENT_CAP: usize = 4096;
 
 /// One bucket of the host-time taxonomy. The machine switches phases at
 /// round boundaries; everything between explicit phases is `Drive`.
@@ -163,10 +157,6 @@ pub struct RoundTally {
     pub stopped_end: u64,
 }
 
-/// One recorded phase segment: `(phase, start_ns, dur_ns)` relative to
-/// the run window's start.
-type Segment = (HostPhase, u64, u64);
-
 #[derive(Debug)]
 struct State {
     /// Monotonic epoch every timestamp is measured against.
@@ -181,7 +171,6 @@ struct State {
     phase_ns: [u64; HostPhase::COUNT],
     adm: ForkAdmission,
     workers: Vec<WorkerLane>,
-    segments: VecDeque<Segment>,
     /// Finalized run-window length (set by `run_end`).
     total_ns: u64,
 }
@@ -197,7 +186,6 @@ impl State {
             phase_ns: [0; HostPhase::COUNT],
             adm: ForkAdmission::default(),
             workers: Vec::new(),
-            segments: VecDeque::new(),
             total_ns: 0,
         }
     }
@@ -211,15 +199,7 @@ impl State {
     /// is what makes the phase totals tile the window exactly.
     fn touch(&mut self, now: u64) {
         let cur = self.stack.last().copied().unwrap_or(HostPhase::Drive);
-        let dur = now.saturating_sub(self.last_ns);
-        self.phase_ns[cur.index()] += dur;
-        if dur > 0 {
-            if self.segments.len() == SEGMENT_CAP {
-                self.segments.pop_front();
-            }
-            self.segments
-                .push_back((cur, self.last_ns - self.started_ns, dur));
-        }
+        self.phase_ns[cur.index()] += now.saturating_sub(self.last_ns);
         self.last_ns = now;
     }
 }
@@ -269,7 +249,6 @@ impl HostProf {
         s.phase_ns = [0; HostPhase::COUNT];
         s.adm = ForkAdmission::default();
         s.workers.clear();
-        s.segments.clear();
         s.total_ns = 0;
     }
 
@@ -320,7 +299,7 @@ impl HostProf {
     }
 
     /// Counts `ops` executed serially because forking is disabled for
-    /// the whole run (opaque scan profile or active tracer).
+    /// the whole run (opaque scan profile).
     pub fn count_opaque(&self, ops: u64) {
         let Some(inner) = &self.inner else { return };
         lock_state(inner).adm.rejected_opaque += ops;
@@ -346,7 +325,6 @@ impl HostProf {
             phase_ns: s.phase_ns,
             admission: s.adm,
             workers: s.workers.clone(),
-            segments: s.segments.iter().copied().collect(),
         })
     }
 }
@@ -379,9 +357,6 @@ pub struct HostReport {
     pub admission: ForkAdmission,
     /// Per-worker pool lanes (empty under the serial policies).
     pub workers: Vec<WorkerLane>,
-    /// Most recent phase segments `(phase, start_ns, dur_ns)` relative
-    /// to the window start, oldest first; bounded, for timeline export.
-    pub segments: Vec<Segment>,
 }
 
 impl HostReport {
@@ -516,53 +491,6 @@ impl HostReport {
                 lane.steals,
             );
         }
-        out
-    }
-
-    /// Splices the recorded host phase segments into an existing
-    /// Chrome-trace JSON (as produced by
-    /// [`crate::trace::to_chrome_json`]): host lanes appear as complete
-    /// events under `pid` 1 so sim spans and host phases open in one
-    /// viewer. Timestamps are microseconds from the run-window start
-    /// (the sim timeline keeps its own simulated-time base). Returns the
-    /// input unchanged if it has no `traceEvents` array to splice into.
-    pub fn merge_into_chrome(&self, chrome: &str) -> String {
-        let Some(close) = chrome.rfind(']') else {
-            return chrome.to_owned();
-        };
-        let mut events = String::new();
-        let empty = chrome[..close].trim_end().ends_with('[');
-        let mut first = empty;
-        let mut push = |e: &str, first: &mut bool| {
-            if !*first {
-                events.push(',');
-            }
-            *first = false;
-            events.push_str(e);
-        };
-        push(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{\"name\":\"host (wall clock)\"}}",
-            &mut first,
-        );
-        for &(phase, start_ns, dur_ns) in &self.segments {
-            push(
-                &format!(
-                    "{{\"name\":\"{}\",\"cat\":\"host\",\"ph\":\"X\",\
-                     \"ts\":{}.{:03},\"dur\":{}.{:03},\"pid\":1,\"tid\":0}}",
-                    phase.key(),
-                    start_ns / 1_000,
-                    start_ns % 1_000,
-                    dur_ns / 1_000,
-                    dur_ns % 1_000,
-                ),
-                &mut first,
-            );
-        }
-        let mut out = String::with_capacity(chrome.len() + events.len());
-        out.push_str(&chrome[..close]);
-        out.push_str(&events);
-        out.push_str(&chrome[close..]);
         out
     }
 }
@@ -850,24 +778,6 @@ mod tests {
         assert!(text.contains("flashsim_host_fork_outcomes_total{outcome=\"admitted_ops\"} 10"));
         assert!(text.contains("flashsim_host_worker_lane_ns{worker=\"0\",lane=\"execute\"} 1000"));
         assert!(text.contains("flashsim_host_worker_jobs_total{worker=\"1\",kind=\"stolen\"} 0"));
-    }
-
-    #[test]
-    fn chrome_splice_preserves_sim_events_and_adds_host_lane() {
-        let r = sample_report();
-        let chrome = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[{\"name\":\"x\",\"ph\":\"i\"}]}";
-        let merged = r.merge_into_chrome(chrome);
-        assert!(merged.contains("{\"name\":\"x\",\"ph\":\"i\"}"));
-        assert!(merged.contains("\"name\":\"host (wall clock)\""));
-        assert!(merged.contains("\"cat\":\"host\""));
-        assert!(merged.ends_with("]}"));
-        // An empty sim trace still gains the host lane without a
-        // leading comma.
-        let merged = r.merge_into_chrome("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[]}");
-        assert!(!merged.contains("[,"));
-        assert!(merged.contains("\"cat\":\"host\""));
-        // Junk passes through untouched.
-        assert_eq!(r.merge_into_chrome("not json"), "not json");
     }
 
     #[test]

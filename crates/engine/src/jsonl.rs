@@ -1,4 +1,5 @@
-//! Shared JSONL line-framing and field-extraction helpers.
+//! Shared JSONL string escaping, line-framing and field-extraction
+//! helpers.
 //!
 //! Three export formats in this workspace are machine-written JSONL with
 //! a line-by-line validator behind `flashsim validate`:
@@ -11,6 +12,25 @@
 //! machine-written by this workspace's own exporters, and the
 //! validators' job is to reject structural damage cheaply, not to
 //! accept arbitrary JSON.
+
+/// Appends `s` to `out` with JSON string escaping (quotes, backslashes,
+/// and control characters) — what every hand-rolled exporter in the
+/// workspace writes string values through.
+pub fn push_json_escaped(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+}
 
 /// Iterates non-empty lines with 1-based line numbers — the framing
 /// every JSONL validator in the workspace uses, so "line N" in an error
@@ -144,6 +164,20 @@ pub fn field_map_u64(line: &str, name: &str) -> Option<Vec<(String, u64)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_escaping_handles_specials() {
+        let escaped = |s: &str| {
+            let mut out = String::new();
+            push_json_escaped(&mut out, s);
+            out
+        };
+        assert_eq!(escaped(r#"a"b"#), r#"a\"b"#);
+        assert_eq!(escaped("back\\slash"), "back\\\\slash");
+        assert_eq!(escaped("nl\ntab\t"), "nl\\ntab\\t");
+        assert_eq!(escaped("ctl\u{1}"), "ctl\\u0001");
+        assert_eq!(escaped("plain"), "plain");
+    }
 
     #[test]
     fn numbered_lines_skip_blanks_and_number_from_one() {

@@ -3,8 +3,10 @@
 //!
 //! The FLASH validation study compares many simulators against one gold
 //! standard; for the comparisons to be meaningful, all of them must agree on
-//! the primitive notions of time, contention, randomness, and statistics.
-//! This crate provides exactly those four things and nothing else:
+//! the primitive notions of time, contention, randomness, and statistics
+//! — and on how a run is observed, exported, checkpointed and scheduled
+//! onto host threads. This crate provides the four primitives, then the
+//! observation and host-execution layers every simulator shares:
 //!
 //! - [`time`]: picosecond-resolution [`time::Time`]/[`time::TimeDelta`]
 //!   newtypes and [`time::Clock`] domains (150/225/300 MHz CPUs, 75 MHz
@@ -18,9 +20,6 @@
 //! - [`rng`]: a pinned, reproducible PRNG for workload data and hardware
 //!   run-to-run jitter,
 //! - [`stats`]: counters, histograms, and labelled stat sets,
-//! - [`trace`]: a category-masked flight recorder every simulator layer
-//!   emits into, with a Chrome-trace-event exporter — the substrate for
-//!   event-level divergence diffing between platforms,
 //! - [`fault`]: deterministic, seeded fault injection (latency
 //!   perturbation, dropped/delayed messages, stalled nodes, resource
 //!   pressure) so robustness paths can be exercised reproducibly,
@@ -53,20 +52,23 @@
 //! - [`hostprof`]: host-time self-profiling — monotonic-clock scoped
 //!   phase timers over the scheduler's round structure, fork-admission
 //!   outcome counters, and per-worker pool lanes, with JSONL /
-//!   Chrome-trace / Prometheus export and a hard isolation contract
-//!   (host clock reads never feed simulated state),
+//!   Prometheus export and a hard isolation contract (host clock reads
+//!   never feed simulated state),
 //! - [`prom`]: the single shared Prometheus text-exposition formatter
 //!   used by every exporter in the workspace,
-//! - [`jsonl`]: the shared JSONL field scanners behind every
-//!   `validate_jsonl` schema checker (telemetry, spans, stream),
+//! - [`jsonl`]: the JSON string escaping every exporter writes through
+//!   and the shared JSONL field scanners behind every `validate_jsonl`
+//!   schema checker (telemetry, spans, stream),
 //! - [`schema`]: the registry of the five `flashsim-*-v1` formats — name,
 //!   schema id and validator — behind `flashsim validate`,
 //! - [`window`]: the caller-held accumulator the per-op observer sites
 //!   write through — a sum or max over one cached bucket, published to
 //!   its telemetry or accounting handle once per bucket,
-//! - [`observers`]: the bundle of the five recording handles (tracer,
-//!   profiler, telemetry, spans, hostprof) a layer stores and is attached
-//!   to as one value.
+//! - [`fxhash`]: the fast fixed-function hasher behind the hot-path maps
+//!   (page table, TLB), with no per-process random seed,
+//! - [`observers`]: the bundle of the four recording handles (profiler,
+//!   telemetry, spans, hostprof) a layer stores and is attached to as
+//!   one value.
 //!
 //! # Examples
 //!
@@ -129,5 +131,4 @@ pub use stream::{
 };
 pub use telemetry::{MetricId, MetricKind, MetricSeries, Telemetry, TelemetrySeries};
 pub use time::{Clock, Time, TimeDelta};
-pub use trace::{CategoryMask, Trace, TraceCategory, TraceEvent, Tracer};
 pub use window::Window;

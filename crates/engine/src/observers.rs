@@ -1,4 +1,4 @@
-//! The observer bundle: the five recording handles every layer may write
+//! The observer bundle: the four recording handles every layer may write
 //! to, carried and attached as one value.
 //!
 //! A layer (core, memory system, network, machine) stores one
@@ -8,22 +8,12 @@
 //! costs one branch per probe, so a layer uses whichever handles concern
 //! it and ignores the rest.
 
-use crate::{HostProf, Profiler, SpanTracer, Telemetry, Tracer};
+use crate::{HostProf, Profiler, SpanTracer, Telemetry};
 
 /// The recording handles of one machine. `Observers::default()` is
 /// [`Observers::disabled`].
 #[derive(Debug, Clone, Default)]
 pub struct Observers {
-    /// Flight recorder. Each core emits `cpu`-category events
-    /// (instructions, stalls, TLB refills) tagged with its node id; the
-    /// cache/TLB path emits `mem` events; memory-system models emit
-    /// `proto` directory-transition events; the network emits a `net`
-    /// `"link"` event per contended hop (payload: wait, occupancy, both
-    /// ps); the machine emits `machine` events (run phases, barrier
-    /// releases, lock hand-offs) and the `span` flow pairs of sampled
-    /// transactions. A disabled category costs one masked branch per
-    /// potential event.
-    pub tracer: Tracer,
     /// Cycle accounting. Each core charges its *core-internal* stalls
     /// (write-buffer drains, prefetch-slot waits, cache-interface
     /// occupancy) to the matching stall class; the machine charges memory

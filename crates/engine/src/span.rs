@@ -21,10 +21,9 @@
 //! components exactly. The critical path is then simply the charged spans
 //! in start order.
 //!
-//! Like [`Tracer`](crate::trace::Tracer) and
-//! [`Profiler`](crate::account::Profiler), [`SpanTracer`] is a cloneable
-//! handle whose disabled default costs one branch per probe site, so
-//! full-speed runs pay nothing.
+//! Like [`Profiler`](crate::account::Profiler), [`SpanTracer`] is a
+//! cloneable handle whose disabled default costs one branch per probe
+//! site, so full-speed runs pay nothing.
 //!
 //! Determinism is a hard requirement: sampling decides by hashing
 //! `(seed, node, line, index)` where `index` is the per-(node, line)
@@ -464,10 +463,9 @@ pub fn validate_jsonl(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// The splitmix64 finalizer behind the sampler. Public so instrumentation
-/// layers can derive stable flow-event ids from the same deterministic
-/// mixer (no host randomness anywhere in the trace path).
-pub fn mix(mut z: u64) -> u64 {
+/// The splitmix64 finalizer behind the sampler (no host randomness
+/// anywhere in the sampling decision).
+fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -287,7 +287,7 @@ impl StatSet {
                 out.push(',');
             }
             out.push('"');
-            crate::trace::push_json_escaped(&mut out, k);
+            crate::jsonl::push_json_escaped(&mut out, k);
             out.push_str("\":");
             if v.is_finite() {
                 out.push_str(&format!("{v}"));

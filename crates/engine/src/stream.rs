@@ -63,10 +63,10 @@ use std::time::Instant;
 
 use crate::account::StallClass;
 use crate::jsonl::{
-    field_f64, field_map_u64, field_str, field_u64, numbered_lines, scan_strings_after,
+    field_f64, field_map_u64, field_str, field_u64, numbered_lines, push_json_escaped,
+    scan_strings_after,
 };
 use crate::telemetry::MetricKind;
-use crate::trace::push_json_escaped;
 
 /// Schema identifier embedded in every stream's `start` event.
 pub const SCHEMA: &str = "flashsim-stream-v1";

@@ -50,10 +50,10 @@
 //!
 //! # Disabled path
 //!
-//! [`Telemetry`] follows the [`crate::trace::Tracer`] /
-//! [`crate::account::Profiler`] handle pattern: a disabled handle is
-//! `None` inside, and every record call is a single branch. The repo
-//! benchmark (`benchmark/`) runs with telemetry compiled in but off.
+//! [`Telemetry`] follows the [`crate::account::Profiler`] handle
+//! pattern: a disabled handle is `None` inside, and every record call is
+//! a single branch. The repo benchmark (`benchmark/`) runs with
+//! telemetry compiled in but off.
 //!
 //! # Per-op sites
 //!
@@ -85,10 +85,9 @@
 use std::sync::{Arc, Mutex};
 
 use crate::ckpt::{CkptError, CkptReader, CkptWriter};
-use crate::jsonl::{leading_u64, scan_strings_after};
+use crate::jsonl::{leading_u64, push_json_escaped, scan_strings_after};
 use crate::prom;
 use crate::time::{Time, TimeDelta};
-use crate::trace::push_json_escaped;
 use crate::window::Window;
 
 /// Schema identifier stamped on the JSONL header line.
@@ -352,7 +351,7 @@ fn turn(inner: &Mutex<Registry>, w: &mut Window, id: MetricId, ps: u64, first: u
 }
 
 /// Handle to the sim-time telemetry registry. Clones share one
-/// registry (like [`crate::trace::Tracer`]); the default handle is
+/// registry (like [`crate::account::Profiler`]); the default handle is
 /// disabled and every record call through it costs exactly one branch.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {

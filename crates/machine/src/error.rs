@@ -12,7 +12,7 @@
 
 use crate::config::MachineConfig;
 use crate::machine::MachineError;
-use flashsim_engine::{Time, TraceEvent};
+use flashsim_engine::Time;
 use flashsim_isa::VAddr;
 use std::fmt;
 
@@ -140,13 +140,11 @@ pub enum SimError {
         ops_executed: u64,
         /// Where each node was.
         nodes: Vec<NodeSnapshot>,
-        /// Tail of the flight-recorder ring (empty if no tracer attached).
-        recent: Vec<TraceEvent>,
     },
     /// The run exceeded its wall-clock budget. Unlike [`Stalled`]
     /// (simulated progress lost), the simulation may be perfectly healthy
-    /// — just too slow for the harness's patience; the snapshot and trace
-    /// tail say where the time went.
+    /// — just too slow for the harness's patience; the snapshots say
+    /// where the time went.
     ///
     /// [`Stalled`]: SimError::Stalled
     Timeout {
@@ -156,8 +154,6 @@ pub enum SimError {
         budget: std::time::Duration,
         /// Where each node was.
         nodes: Vec<NodeSnapshot>,
-        /// Tail of the flight-recorder ring (empty if no tracer attached).
-        recent: Vec<TraceEvent>,
     },
     /// A panic escaped a supervised cell; the payload message is kept.
     Panic(String),
@@ -209,29 +205,20 @@ impl fmt::Display for SimError {
             SimError::Stalled {
                 ops_executed,
                 nodes,
-                recent,
             } => {
-                write!(
-                    f,
-                    "stalled: no forward progress after {ops_executed} ops \
-                     ({} recent trace events)",
-                    recent.len()
-                )?;
+                write!(f, "stalled: no forward progress after {ops_executed} ops")?;
                 write_nodes(f, nodes)
             }
             SimError::Timeout {
                 elapsed,
                 budget,
                 nodes,
-                recent,
             } => {
                 write!(
                     f,
-                    "timeout: wall clock {:.1}s exceeded budget {:.1}s \
-                     ({} recent trace events)",
+                    "timeout: wall clock {:.1}s exceeded budget {:.1}s",
                     elapsed.as_secs_f64(),
-                    budget.as_secs_f64(),
-                    recent.len()
+                    budget.as_secs_f64()
                 )?;
                 write_nodes(f, nodes)
             }
@@ -252,10 +239,9 @@ impl From<MachineError> for SimError {
 ///
 /// The watchdog bounds a run by total ops executed machine-wide; when the
 /// budget expires the run ends in [`SimError::Stalled`] carrying per-node
-/// snapshots and the last events of the trace ring, instead of spinning
-/// forever. The default is unbounded, preserving the exact behaviour of
-/// unsupervised runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// snapshots, instead of spinning forever. The default is unbounded,
+/// preserving the exact behaviour of unsupervised runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Watchdog {
     /// Maximum ops executed across all nodes before the run is declared
     /// stalled. `None` disables the watchdog.
@@ -265,22 +251,10 @@ pub struct Watchdog {
     /// Checked amortized (every few thousand scheduling decisions), so
     /// actual overshoot is bounded by one scheduling quantum.
     pub wall_limit: Option<std::time::Duration>,
-    /// How many trailing trace-ring events to attach to a stall report.
-    pub trace_tail: usize,
-}
-
-impl Default for Watchdog {
-    fn default() -> Watchdog {
-        Watchdog {
-            max_ops: None,
-            wall_limit: None,
-            trace_tail: 32,
-        }
-    }
 }
 
 impl Watchdog {
-    /// A watchdog with the given op budget and the default trace tail.
+    /// A watchdog with the given op budget.
     pub fn with_budget(max_ops: u64) -> Watchdog {
         Watchdog {
             max_ops: Some(max_ops),
@@ -310,35 +284,50 @@ mod tests {
 
     #[test]
     fn display_names_blocked_barrier_and_lock() {
-        let e = SimError::Deadlock {
-            nodes: vec![
-                NodeSnapshot {
-                    node: 0,
-                    at: Time::from_ns(100),
-                    ops: 10,
-                    state: NodeState::AtBarrier {
-                        id: 3,
-                        arrived: 1,
-                        expected: 2,
-                    },
+        let nodes = vec![
+            NodeSnapshot {
+                node: 0,
+                at: Time::from_ns(100),
+                ops: 10,
+                state: NodeState::AtBarrier {
+                    id: 3,
+                    arrived: 1,
+                    expected: 2,
                 },
-                NodeSnapshot {
-                    node: 1,
-                    at: Time::from_ns(90),
-                    ops: 8,
-                    state: NodeState::WaitingLock {
-                        id: 7,
-                        holder: Some(0),
-                        queue_len: 1,
-                    },
+            },
+            NodeSnapshot {
+                node: 1,
+                at: Time::from_ns(90),
+                ops: 8,
+                state: NodeState::WaitingLock {
+                    id: 7,
+                    holder: Some(0),
+                    queue_len: 1,
                 },
-            ],
-        };
-        let msg = format!("{e}");
-        assert!(msg.contains("barrier 3"), "{msg}");
-        assert!(msg.contains("1/2 arrived"), "{msg}");
-        assert!(msg.contains("lock 7"), "{msg}");
-        assert!(msg.contains("held by node 0"), "{msg}");
+            },
+        ];
+        // Every report that carries snapshots names each node's state.
+        for e in [
+            SimError::Deadlock {
+                nodes: nodes.clone(),
+            },
+            SimError::Stalled {
+                ops_executed: 18,
+                nodes: nodes.clone(),
+            },
+            SimError::Timeout {
+                elapsed: std::time::Duration::from_secs(2),
+                budget: std::time::Duration::from_secs(1),
+                nodes: nodes.clone(),
+            },
+        ] {
+            let msg = format!("{e}");
+            assert!(msg.contains("barrier 3"), "{msg}");
+            assert!(msg.contains("1/2 arrived"), "{msg}");
+            assert!(msg.contains("lock 7"), "{msg}");
+            assert!(msg.contains("held by node 0"), "{msg}");
+            assert_eq!(msg.lines().count(), 1 + nodes.len(), "{msg}");
+        }
     }
 
     #[test]
@@ -365,14 +354,12 @@ mod tests {
             SimError::Stalled {
                 ops_executed: 0,
                 nodes: vec![],
-                recent: vec![],
             }
             .kind(),
             SimError::Timeout {
                 elapsed: std::time::Duration::ZERO,
                 budget: std::time::Duration::ZERO,
                 nodes: vec![],
-                recent: vec![],
             }
             .kind(),
             SimError::Panic(String::new()).kind(),

@@ -332,47 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_emits_every_category() {
-        use flashsim_engine::{CategoryMask, TraceCategory, Tracer};
-        let prog = BlockWalk {
-            threads: 2,
-            bytes_per_thread: 16 * 1024,
-            use_lock: true,
-        };
-        let tracer = Tracer::new(1 << 16, CategoryMask::ALL);
-        let mut c = cfg(2, mipsy(150), OsModel::simos_tuned(), fl());
-        // Span markers only exist when a sampling plan is attached.
-        c.spans = Some(flashsim_engine::SpanPlan::all(7));
-        let mut m = Machine::new(c, &prog).unwrap();
-        m.attach_tracer(tracer.clone());
-        m.run().unwrap();
-        let trace = tracer.snapshot();
-        for (cat, count) in trace.counts_by_category() {
-            assert!(count > 0, "no {cat} events recorded");
-        }
-        // Node ids must distinguish the two cores' cpu streams.
-        let nodes: std::collections::HashSet<u32> = trace
-            .events
-            .iter()
-            .filter(|e| e.category == TraceCategory::Cpu)
-            .map(|e| e.node)
-            .collect();
-        assert_eq!(nodes.len(), 2);
-    }
-
-    #[test]
-    fn disabled_tracer_changes_nothing() {
-        let prog = small_prog(2);
-        let c = || cfg(2, mipsy(150), OsModel::solo(), fl());
-        let plain = run_program(c(), &prog).unwrap();
-        let mut m = Machine::new(c(), &prog).unwrap();
-        m.attach_tracer(flashsim_engine::Tracer::disabled());
-        let traced = m.run().unwrap();
-        assert_eq!(plain.total_time, traced.total_time);
-        assert_eq!(plain.stats, traced.stats);
-    }
-
-    #[test]
     fn disabled_profiler_changes_nothing() {
         let prog = small_prog(2);
         let c = || cfg(2, mipsy(150), OsModel::simos_tuned(), fl());
@@ -548,6 +507,15 @@ mod tests {
         );
     }
 
+    /// What follows a failure report's header: every node's state, one
+    /// line each.
+    fn assert_one_line_per_node(mut lines: std::str::Lines<'_>, nodes: &[NodeSnapshot]) {
+        for snap in nodes {
+            assert_eq!(lines.next(), Some(format!("  {snap}").as_str()));
+        }
+        assert_eq!(lines.next(), None);
+    }
+
     #[test]
     fn watchdog_budget_trips_as_stalled_with_snapshots() {
         let mut c = cfg(2, mipsy(150), OsModel::solo(), fl());
@@ -556,13 +524,20 @@ mod tests {
         let SimError::Stalled {
             ops_executed,
             nodes,
-            ..
         } = &err
         else {
             panic!("expected Stalled, got {err}");
         };
         assert_eq!(*ops_executed, 50);
         assert_eq!(nodes.len(), 2);
+        // The report is the header plus one line per node's state.
+        let msg = err.to_string();
+        let mut lines = msg.lines();
+        assert_eq!(
+            lines.next(),
+            Some("stalled: no forward progress after 50 ops")
+        );
+        assert_one_line_per_node(lines, nodes);
     }
 
     #[test]
@@ -733,7 +708,6 @@ mod tests {
             elapsed,
             budget,
             nodes,
-            ..
         } = &err
         else {
             panic!("expected Timeout, got {err}");
@@ -741,6 +715,12 @@ mod tests {
         assert!(*elapsed >= *budget);
         assert_eq!(nodes.len(), 2);
         assert_eq!(err.kind(), "timeout");
+        let msg = err.to_string();
+        let mut lines = msg.lines();
+        let header = lines.next().expect("a header line");
+        assert!(header.starts_with("timeout: wall clock "), "{msg}");
+        assert!(header.ends_with(" exceeded budget 0.0s"), "{msg}");
+        assert_one_line_per_node(lines, nodes);
     }
 
     #[test]

@@ -3,16 +3,14 @@
 //! own in-flight fills), run by serial and forked execution alike;
 //! [`MachineEnv`] adds what needs the whole machine: the page-table walk
 //! behind a TLB miss with its first-touch page faults, memory-system
-//! transactions, coherence actions, spans, memory tracing.
+//! transactions, coherence actions, spans.
 
 use super::observe::TelIds;
 use super::NodeMem;
 use crate::config::MachineConfig;
 use crate::error::SimError;
 use flashsim_cpu::env::{AccessLevel, Core, MemAccessKind, MemEnv, Resolution};
-use flashsim_engine::{
-    Clock, FaultInjector, Observers, StallClass, Time, TimeDelta, TraceCategory,
-};
+use flashsim_engine::{Clock, FaultInjector, Observers, StallClass, Time, TimeDelta};
 use flashsim_isa::{Placement, Segment, VAddr};
 use flashsim_mem::{
     AccessKind, FrameAllocator, HierProbe, LatencyBreakdown, LineAddr, MemRequest, MemorySystem,
@@ -386,21 +384,6 @@ impl MachineEnv<'_> {
         true
     }
 
-    /// Emits the paired `span`-category flow events (begin at issue, end
-    /// at completion) for a sampled transaction, so exported Chrome
-    /// traces draw an arrow across the transaction's extent. The id is
-    /// derived deterministically from (node, line, issue time).
-    fn span_mark(&mut self, line: LineAddr, at: Time, done: Time) {
-        let tracer = &self.sink.obs.tracer;
-        if !tracer.enabled(TraceCategory::Span) {
-            return;
-        }
-        let node = self.sink.node as u32;
-        let id = flashsim_engine::span::mix(line.get() ^ (u64::from(node) << 40) ^ at.as_ps());
-        tracer.emit(at, TraceCategory::Span, "span_begin", node, id, line.get());
-        tracer.emit(done, TraceCategory::Span, "span_end", node, id, line.get());
-    }
-
     /// Issues a full memory-system transaction and installs the line.
     fn miss_transaction(
         &mut self,
@@ -453,16 +436,6 @@ impl MachineEnv<'_> {
                     kind: AccessKind::Writeback,
                     now: out.done_at,
                 });
-                if self.sink.obs.tracer.enabled(TraceCategory::Mem) {
-                    self.sink.obs.tracer.emit(
-                        out.done_at,
-                        TraceCategory::Mem,
-                        "writeback",
-                        node as u32,
-                        v.line.get(),
-                        0,
-                    );
-                }
             }
             self.mems[node].pending.remove(v.line);
         }
@@ -512,7 +485,6 @@ impl MachineEnv<'_> {
                     );
                 }
                 self.sink.obs.spans.txn_end(out.done_at, out.case.key());
-                self.span_mark(line, at, out.done_at);
             }
             self.apply_actions(line, &out.actions);
             self.mems[node].hier.complete_upgrade(p.paddr);
@@ -520,9 +492,6 @@ impl MachineEnv<'_> {
         } else {
             let write = kind == MemAccessKind::Write;
             let (done, level, bd) = self.miss_transaction(p.paddr, write, p.t);
-            if sampled {
-                self.span_mark(line, at, done);
-            }
             if kind == MemAccessKind::Read {
                 self.sink
                     .account(StallClass::DirOccupancy, p.t, bd.occupancy);
@@ -559,23 +528,6 @@ impl MemEnv for MachineEnv<'_> {
             Some(hit) => hit,
             None => self.resolve_shared(&p, kind, at),
         };
-
-        if self.sink.obs.tracer.enabled(TraceCategory::Mem) {
-            let event = match p.probe {
-                HierProbe::L1Hit => "l1_hit",
-                HierProbe::L2Hit => "l2_hit",
-                HierProbe::L2Upgrade => "l2_upgrade",
-                HierProbe::L2Miss => "l2_miss",
-            };
-            self.sink.obs.tracer.emit(
-                done_at,
-                TraceCategory::Mem,
-                event,
-                node as u32,
-                self.mems[node].hier.l2_line(p.paddr).get(),
-                (kind == MemAccessKind::Write) as u64,
-            );
-        }
 
         Resolution {
             done_at,

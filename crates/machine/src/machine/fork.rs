@@ -148,8 +148,8 @@ fn scan_lb(
 
 /// The environment a forked node's core executes against during the
 /// parallel policy's private phase: [`resolve_private`] and nothing
-/// else. The shared paths (page faults, upgrades, misses, tracing,
-/// spans) are unreachable by construction: the dispatcher admits a
+/// else. The shared paths (page faults, upgrades, misses, spans) are
+/// unreachable by construction: the dispatcher admits a
 /// memory op only after [`private_hit`] proves it a hit on a mapped page,
 /// pages are never unmapped, and no private path evicts or downgrades an
 /// L2 line, so the prediction cannot degrade before the op executes.
@@ -287,9 +287,8 @@ impl Machine {
     ///
     /// Forking is disabled for the whole run when a core model promises
     /// no per-op clock floor ([`ScanProfile::OPAQUE`]: no horizon can be
-    /// derived) or a tracer is active (the ring's insertion order under
-    /// concurrent emission is not deterministic); the loop then behaves
-    /// exactly like the batched policy. Telemetry-guided adaptation: an
+    /// derived); the loop then behaves exactly like the batched policy.
+    /// Telemetry-guided adaptation: an
     /// EWMA of per-round admitted ops (the `sched.batch_ops` series)
     /// tunes the per-node quota, and a low-yield round backs off to
     /// serial batches for a while — both driven only by simulated state,

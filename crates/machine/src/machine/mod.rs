@@ -46,7 +46,6 @@ use flashsim_cpu::env::Core;
 use flashsim_engine::stream::StreamEmitter;
 use flashsim_engine::{
     Clock, FaultInjector, HostProf, Observers, Profiler, SpanTracer, Telemetry, Time, TimeDelta,
-    TraceCategory,
 };
 use flashsim_isa::{check_segments, Program, Segment, ThreadStream, VAddr};
 use flashsim_mem::{CacheHierarchy, FrameAllocator, MemorySystem, PageTable, Tlb};
@@ -239,7 +238,6 @@ impl Machine {
                 .unwrap_or_default(),
             spans: cfg.spans.map(SpanTracer::new).unwrap_or_default(),
             hostprof: cfg.hostprof.then(HostProf::new).unwrap_or_default(),
-            ..Observers::disabled()
         };
         obs.profiler.reserve_nodes(cfg.nodes);
         // Registration order is export order: the machine's own series,
@@ -308,22 +306,12 @@ impl Machine {
         let wall_start = std::time::Instant::now();
         // Host-time window: opened here, closed right after the policy
         // loop returns, so the phase decomposition tiles (within the
-        // few trace/stream-terminator statements outside it) the same
-        // wall clock the manifest reports.
+        // few stream-terminator statements outside it) the same wall
+        // clock the manifest reports.
         self.obs.hostprof.run_begin();
         let nodes = self.cfg.nodes as usize;
         self.status = vec![NodeStatus::Running; nodes];
         self.open_stream();
-        if self.obs.tracer.enabled(TraceCategory::Machine) {
-            self.obs.tracer.emit(
-                Time::ZERO,
-                TraceCategory::Machine,
-                "run_start",
-                0,
-                u64::from(self.cfg.nodes),
-                0,
-            );
-        }
         let ran = match self.cfg.sched {
             SchedPolicy::Batched => self.run_scheduled(None, wall_start),
             SchedPolicy::Reference => self.run_reference(wall_start),

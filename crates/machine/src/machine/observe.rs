@@ -1,12 +1,12 @@
 //! The machine's side of the observer spine: the one broadcast of its
-//! [`Observers`] bundle, the attaches whose argument is a host object the
-//! caller owns (tracer ring, stream sink), the heartbeat, and the
-//! machine-layer probes that feed the handles.
+//! [`Observers`] bundle, the attach whose argument is a host object the
+//! caller owns (the stream sink), the heartbeat, and the machine-layer
+//! probes that feed the handles.
 
 use super::Machine;
 use flashsim_engine::stream::{FileSink, ProgressMeter, RunInfo, StreamEmitter, StreamSink};
 use flashsim_engine::{
-    HostPhase, MetricId, MetricKind, Observers, Telemetry, Time, Tracer, Window, WorkerPool,
+    HostPhase, MetricId, MetricKind, Observers, Telemetry, Time, Window, WorkerPool,
 };
 
 /// Metric ids for the machine layer's own telemetry probes: cache
@@ -172,19 +172,6 @@ impl Machine {
             core.attach(&self.obs, n as u32);
         }
         self.memsys.attach(&self.obs);
-    }
-
-    /// Attaches a flight recorder to every layer of the machine (see
-    /// [`Observers::tracer`] for what each layer emits). The one public
-    /// observer attach: the ring's capacity and category mask are the
-    /// caller's, who keeps a clone to read the trace back; every other
-    /// observer is switched on through [`MachineConfig`](crate::MachineConfig).
-    ///
-    /// Attach *before* [`Machine::run`]; a disabled tracer (the default)
-    /// costs a single masked branch per potential event.
-    pub fn attach_tracer(&mut self, tracer: Tracer) {
-        self.obs.tracer = tracer;
-        self.broadcast();
     }
 
     /// Moves everything the run loops hold in [`Window`]s into the

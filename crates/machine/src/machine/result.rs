@@ -4,7 +4,6 @@
 use super::Machine;
 use flashsim_engine::{
     Accounting, HostReport, SpanSet, StallClass, StatSet, TelemetrySeries, Time, TimeDelta,
-    TraceCategory,
 };
 
 /// Machine-readable provenance record for one run: what was simulated,
@@ -66,7 +65,7 @@ impl RunManifest {
             match v {
                 Some(s) => {
                     out.push('"');
-                    flashsim_engine::trace::push_json_escaped(out, s);
+                    flashsim_engine::jsonl::push_json_escaped(out, s);
                     out.push('"');
                 }
                 None => out.push_str("null"),
@@ -74,18 +73,18 @@ impl RunManifest {
         }
         let mut out = String::with_capacity(256);
         out.push_str("{\"config\":\"");
-        flashsim_engine::trace::push_json_escaped(&mut out, &self.config);
+        flashsim_engine::jsonl::push_json_escaped(&mut out, &self.config);
         out.push_str("\",\"nodes\":");
         out.push_str(&self.nodes.to_string());
         out.push_str(",\"workload\":\"");
-        flashsim_engine::trace::push_json_escaped(&mut out, &self.workload);
+        flashsim_engine::jsonl::push_json_escaped(&mut out, &self.workload);
         out.push_str("\",\"seed\":");
         match self.seed {
             Some(s) => out.push_str(&s.to_string()),
             None => out.push_str("null"),
         }
         out.push_str(",\"sched\":\"");
-        flashsim_engine::trace::push_json_escaped(&mut out, &self.sched);
+        flashsim_engine::jsonl::push_json_escaped(&mut out, &self.sched);
         out.push_str("\",\"faults\":");
         opt_str(&mut out, &self.faults);
         out.push_str(",\"wall_seconds\":");
@@ -167,16 +166,6 @@ impl RunResult {
 impl Machine {
     pub(super) fn collect_result(&mut self, wall_seconds: f64) -> RunResult {
         let end = self.lead_clock();
-        if self.obs.tracer.enabled(TraceCategory::Machine) {
-            self.obs.tracer.emit(
-                end,
-                TraceCategory::Machine,
-                "run_end",
-                0,
-                u64::from(self.cfg.nodes),
-                0,
-            );
-        }
         self.barrier_releases.sort_by_key(|(id, _)| *id);
 
         let start = match self.timing_start {

@@ -10,7 +10,7 @@ use super::observe::{SchedObs, HEARTBEAT_SAMPLE_MASK};
 use super::{Machine, NodeStatus};
 use crate::error::{NodeSnapshot, NodeState, SimError};
 use flashsim_cpu::env::Core;
-use flashsim_engine::{HostPhase, LaggardHeap, Observers, Time, TimeDelta, TraceEvent};
+use flashsim_engine::{HostPhase, LaggardHeap, Observers, Time, TimeDelta};
 use flashsim_isa::ThreadStream;
 
 /// Why a serial epoch (see [`Epoch::run`]) handed control back to the
@@ -64,11 +64,11 @@ pub(super) struct Sched {
     wall_start: std::time::Instant,
     wall_limit: Option<std::time::Duration>,
     /// Whether fork/join rounds may run at all (parallel policy, two or
-    /// more nodes, transparent scan profiles, no tracer).
+    /// more nodes, transparent scan profiles).
     can_fork: bool,
-    /// Host observability: forking is off because a profile is opaque (or
-    /// a tracer pins the ring order), so every serially run op is a
-    /// rejected-opaque-profile admission outcome.
+    /// Host observability: forking is off because a profile is opaque, so
+    /// every serially run op is a rejected-opaque-profile admission
+    /// outcome.
     opaque_serial: bool,
     /// EWMA of per-node ops admitted per round; sets the fork quota.
     ewma: f64,
@@ -404,7 +404,6 @@ impl Machine {
                 .profiles
                 .iter()
                 .all(|p| p.min_ps_per_op > TimeDelta::ZERO)
-                && !self.obs.tracer.is_active()
         });
         let mut s = Sched {
             heap: LaggardHeap::new(nodes),
@@ -531,18 +530,10 @@ impl Machine {
             .collect()
     }
 
-    /// The flight recorder's tail, for failure reports.
-    fn recent_events(&self) -> Vec<TraceEvent> {
-        let snap = self.obs.tracer.snapshot();
-        let tail = self.cfg.watchdog.trace_tail.min(snap.events.len());
-        snap.events[snap.events.len() - tail..].to_vec()
-    }
-
     fn stall_error(&self, executed: u64) -> SimError {
         SimError::Stalled {
             ops_executed: executed,
             nodes: self.snapshots(),
-            recent: self.recent_events(),
         }
     }
 
@@ -555,7 +546,6 @@ impl Machine {
             elapsed: wall_start.elapsed(),
             budget,
             nodes: self.snapshots(),
-            recent: self.recent_events(),
         }
     }
 

@@ -8,7 +8,7 @@ use super::sched::Epoch;
 use super::{Machine, NodeStatus};
 use crate::error::SimError;
 use flashsim_cpu::env::{MemAccessKind, MemEnv};
-use flashsim_engine::{HostPhase, StallClass, Time, TimeDelta, TraceCategory};
+use flashsim_engine::{HostPhase, StallClass, Time, TimeDelta};
 use flashsim_isa::{OpClass, VAddr};
 use std::collections::VecDeque;
 
@@ -50,16 +50,6 @@ impl Machine {
                         release,
                         last.saturating_since(first).as_ps(),
                     );
-                    if self.obs.tracer.enabled(TraceCategory::Machine) {
-                        self.obs.tracer.emit(
-                            release,
-                            TraceCategory::Machine,
-                            "barrier_release",
-                            n as u32,
-                            u64::from(op.id),
-                            u64::from(self.cfg.nodes),
-                        );
-                    }
                     for (m, arrived) in woken {
                         // Arrival-to-release is synchronization stall.
                         self.obs.profiler.charge_wall(
@@ -123,16 +113,6 @@ impl Machine {
                     }
                 };
                 if acquired {
-                    if self.obs.tracer.enabled(TraceCategory::Machine) {
-                        self.obs.tracer.emit(
-                            t,
-                            TraceCategory::Machine,
-                            "lock_acquire",
-                            n as u32,
-                            u64::from(op.id),
-                            0,
-                        );
-                    }
                     self.acquire_lock_line(n, op.addr, t)?;
                 } else {
                     self.status[n] = NodeStatus::WaitingLock(op.id);
@@ -170,16 +150,6 @@ impl Machine {
                         at.saturating_since(since),
                     );
                     self.cores[next].set_time(at);
-                    if self.obs.tracer.enabled(TraceCategory::Machine) {
-                        self.obs.tracer.emit(
-                            at,
-                            TraceCategory::Machine,
-                            "lock_handoff",
-                            next as u32,
-                            u64::from(op.id),
-                            n as u64,
-                        );
-                    }
                     let addr = self.lock_addr[&op.id];
                     self.acquire_lock_line(next, addr, at)?;
                 }

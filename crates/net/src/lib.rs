@@ -27,9 +27,7 @@
 
 use core::fmt;
 use flashsim_engine::ckpt::{CkptError, CkptReader, CkptWriter};
-use flashsim_engine::{
-    MetricId, MetricKind, Observers, Resource, StatSet, Time, TimeDelta, TraceCategory,
-};
+use flashsim_engine::{MetricId, MetricKind, Observers, Resource, StatSet, Time, TimeDelta};
 
 /// A hypercube topology over a power-of-two number of nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,8 +209,8 @@ impl Network {
     /// telemetry series: message rate (`net.messages`), per-window link
     /// utilization in busy picoseconds (`net.link_busy_ps`), peak per-hop
     /// queueing (`net.link_wait_ps`) and in-flight message depth
-    /// (`net.inflight`). What goes to the tracer and the span tracer is
-    /// documented on [`Observers`].
+    /// (`net.inflight`). What goes to the span tracer is documented on
+    /// [`Observers`].
     pub fn attach(&mut self, obs: &Observers) {
         let telemetry = &obs.telemetry;
         self.tel_messages = telemetry.register("net.messages", MetricKind::Counter);
@@ -279,16 +277,6 @@ impl Network {
                 self.obs
                     .telemetry
                     .gauge(self.tel_link_wait, grant.start, grant.wait.as_ps());
-                if self.obs.tracer.enabled(TraceCategory::Net) {
-                    self.obs.tracer.emit(
-                        grant.start,
-                        TraceCategory::Net,
-                        "link",
-                        cur,
-                        grant.wait.as_ps(),
-                        occupancy.as_ps(),
-                    );
-                }
                 t = grant.start + self.params.hop_latency;
             } else {
                 t += self.params.hop_latency;

@@ -24,7 +24,6 @@
 use flashsim_engine::ckpt::{CkptError, CkptReader, CkptWriter};
 use flashsim_engine::{
     MetricId, MetricKind, Observers, ResourcePool, SpanClass, StatSet, Telemetry, Time, TimeDelta,
-    TraceCategory,
 };
 use flashsim_mem::system::{
     AccessKind, CoherenceActions, LatencyBreakdown, MemOutcome, MemRequest, NodeId, ProtocolCase,
@@ -408,14 +407,13 @@ impl Walk {
     fn finish(
         &mut self,
         req: &MemRequest,
-        home: NodeId,
         case: ProtocolCase,
         t: Time,
         resp: DirResponse,
     ) -> MemOutcome {
         let done_at = self.delay("reply_fill", req.node, t, self.common.reply_fill);
-        self.record(req, home, case, done_at);
         let total = done_at - req.now;
+        self.cases.record(case, total);
         let occupancy = self.occ.min(total);
         let network = self.net.min(total.saturating_sub(occupancy));
         MemOutcome {
@@ -431,23 +429,6 @@ impl Walk {
                 network,
                 memory: total.saturating_sub(occupancy + network),
             },
-        }
-    }
-
-    /// The case ledger and the protocol trace event of one transaction.
-    #[inline]
-    fn record(&mut self, req: &MemRequest, home: NodeId, case: ProtocolCase, done_at: Time) {
-        let latency = done_at - req.now;
-        self.cases.record(case, latency);
-        if self.obs.tracer.enabled(TraceCategory::Proto) {
-            self.obs.tracer.emit(
-                done_at,
-                TraceCategory::Proto,
-                case.key(),
-                req.node,
-                latency.as_ps(),
-                u64::from(home),
-            );
         }
     }
 
@@ -519,7 +500,7 @@ impl Walk {
         if acked > data {
             self.charge("exposed_inval", home, data, acked);
         }
-        self.finish(&req, home, case, data.max(acked), resp)
+        self.finish(&req, case, data.max(acked), resp)
     }
 
     fn upgrade<T: Timing>(&mut self, tm: &mut T, req: MemRequest) -> MemOutcome {
@@ -536,7 +517,7 @@ impl Walk {
             acked = self.post(tm, home, req.node, false, acked);
             acked = self.step(tm, Step::Reply, req.node, acked);
         }
-        self.finish(&req, home, ProtocolCase::UpgradeOwnership, acked, resp)
+        self.finish(&req, ProtocolCase::UpgradeOwnership, acked, resp)
     }
 
     fn writeback<T: Timing>(&mut self, tm: &mut T, req: MemRequest) -> MemOutcome {
@@ -547,7 +528,8 @@ impl Walk {
         }
         let done_at = self.mem_acquire(home, t);
         self.dirs[home as usize].writeback(req.line, req.node);
-        self.record(&req, home, ProtocolCase::WritebackCase, done_at);
+        self.cases
+            .record(ProtocolCase::WritebackCase, done_at - req.now);
         MemOutcome {
             done_at,
             case: ProtocolCase::WritebackCase,

@@ -69,13 +69,28 @@ fi
 
 echo "== observer-spine gate (one attach per layer) =="
 # Observers reach a layer as one engine::Observers bundle through its one
-# `attach`; the only per-handle attach is Machine::attach_tracer, whose
-# argument (ring capacity + category mask) is the caller's to own.
-strays=$(grep -rnE 'fn attach_(tracer|profiler|telemetry|spans|hostprof)\b' crates/*/src \
-    | grep -v '^crates/machine/src/machine/observe.rs:.*pub fn attach_tracer(' || true)
+# `attach`, built from MachineConfig only: there is no per-handle attach.
+strays=$(grep -rnE 'fn attach_(tracer|profiler|telemetry|spans|hostprof)\b' crates/*/src || true)
 if [ -n "$strays" ]; then
-    echo "per-handle observer attach outside Machine::attach_tracer:"
+    echo "per-handle observer attach:"
     echo "$strays"
+    exit 1
+fi
+
+echo "== one-recorder gate (spans are the only per-transaction timeline) =="
+# engine::span is the one per-transaction recorder and `flashsim spans
+# SIM` the hardware-vs-simulator diff: no event ring, no Chrome export.
+# engine::trace is only the re-export `benchmark/src/spans.rs` imports
+# `push_json_escaped` through. (`-w` keeps `SpanTracer` out.)
+ring=$(grep -rnwE 'Tracer|TraceEvent|TraceCategory|CategoryMask|to_chrome_json|attach_tracer|merge_into_chrome' \
+    crates/*/src tests examples || true)
+if [ -n "$ring" ]; then
+    echo "flight-recorder API is back:"
+    echo "$ring"
+    exit 1
+fi
+if [ "$(wc -l < crates/engine/src/trace.rs)" -gt 10 ]; then
+    echo "crates/engine/src/trace.rs must stay a re-export (<= 10 lines)"
     exit 1
 fi
 
@@ -195,7 +210,10 @@ echo "== spans smoke (span diff + flashsim-span-v1 schema gate) =="
 # MAGIC-occupancy-leg signature (present on FlashLite, absent on NUMA),
 # exiting nonzero on any violation. Its export and the report's
 # machine-layer export are re-checked through `flashsim validate`.
+# Hardware vs a simulator over snbench gates on the same schema and
+# alignment, and on the per-leg deltas summing to the end-to-end gap.
 $flashsim spans --jsonl-fl "$tmp/spans.jsonl" > /dev/null
+$flashsim spans simos-mipsy > /dev/null
 $flashsim validate span "$tmp/spans.jsonl" "$tmp/report-spans.jsonl"
 
 echo "== chaos smoke (fault-injection survival) =="

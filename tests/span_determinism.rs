@@ -8,11 +8,9 @@
 //! counterpart on the contention-free NUMA model.
 
 use flashsim::engine::span::{kinds_only_in, validate_jsonl};
-use flashsim::engine::{
-    CategoryMask, Observers, SpanPlan, SpanSet, SpanTracer, Time, TimeDelta, TraceCategory, Tracer,
-};
+use flashsim::engine::{Observers, SpanPlan, SpanSet, SpanTracer, Time, TimeDelta};
 use flashsim::flashlite::{FlashLite, FlashLiteParams};
-use flashsim::machine::{run_program, Machine, SchedPolicy};
+use flashsim::machine::{run_program, SchedPolicy};
 use flashsim::mem::{AccessKind, LineAddr, MemOutcome, MemRequest, MemorySystem};
 use flashsim::numa::{Numa, NumaParams};
 use flashsim::platform::{MemModel, Sim, Study};
@@ -196,35 +194,6 @@ fn machine_span_export_is_byte_identical_across_reruns_and_policies() {
         assert_eq!(a, c, "{mem:?}: export must not depend on scheduling policy");
         validate_jsonl(&a).unwrap_or_else(|e| panic!("{mem:?}: machine export invalid: {e}"));
     }
-}
-
-#[test]
-fn span_flow_events_survive_trace_ring_wraparound() {
-    let study = Study::scaled();
-    let fft = Fft::sized(ProblemScale::Tiny, 2, FftBlocking::Cache);
-    let mut cfg = study.sim(Sim::SimosMipsy(150), 2, MemModel::FlashLite);
-    cfg.spans = Some(SpanPlan::all(7));
-    // A ring far smaller than the span-marker stream alone (every
-    // transaction is sampled): even filtered to the span category the
-    // recorder must wrap, keeping the most recent markers.
-    let tracer = Tracer::new(256, CategoryMask::only(TraceCategory::Span));
-    let mut machine = Machine::new(cfg, &fft).expect("valid configuration");
-    machine.attach_tracer(tracer.clone());
-    machine.run().expect("traced run completes");
-    let trace = tracer.snapshot();
-    assert!(trace.dropped > 0, "ring must have wrapped");
-    assert_eq!(trace.events.len(), 256);
-    let json = trace.to_chrome_json();
-    // The surviving tail still carries span flow events, and every
-    // span_end maps to a flow-finish phase.
-    assert!(
-        trace.events.iter().any(|e| e.kind == "span_end"),
-        "span markers must appear in the surviving tail"
-    );
-    assert!(
-        json.contains("\"ph\":\"f\",\"bp\":\"e\""),
-        "flow finish phase"
-    );
 }
 
 #[test]
