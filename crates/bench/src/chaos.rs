@@ -30,19 +30,16 @@
 //! multi-barrier matrix straight, then re-runs it while killing the
 //! process (SIGKILL-style `exit(137)`, no destructors) at seeded points
 //! mid-matrix, resumes until convergence, and byte-compares every cell's
-//! artifacts *and* the deterministic events of each live
-//! `flashsim-stream-v1` file against the straight run's (advisory
-//! `progress` lines are wall-clock-driven and excluded). Each kill also
-//! snapshots the streams it interrupted as `cell<i>.stream.killed` — the
-//! torn files a real crash leaves. The streams and the `cell<i>.ckpt-<n>`
-//! files it leaves under `--dir` are what `flashsim validate stream` and
-//! `flashsim validate ckpt` check next (`scripts/check.sh` does).
+//! `flashsim-artifacts-v1` file (accounting, telemetry and span exports)
+//! against the straight run's. The `cell<i>.ckpt-<n>` files it leaves
+//! under `--dir` are what `flashsim validate ckpt` checks next
+//! (`scripts/check.sh` does).
 
 use crate::{header, Args};
 use flashsim_core::journal::{self, run_matrix_journaled};
 use flashsim_core::platform::{MemModel, Sim, Study};
 use flashsim_core::runner::{run_matrix, CellOutcome, MatrixCell};
-use flashsim_engine::{stream, FaultPlan, Rng, TimeDelta};
+use flashsim_engine::{FaultPlan, Rng, TimeDelta};
 use flashsim_isa::Program;
 use flashsim_machine::{MachineConfig, SchedPolicy, Watchdog};
 use flashsim_workloads::micro::{SnCase, Snbench};
@@ -236,9 +233,8 @@ const KILL_STATUS: i32 = 137;
 
 /// The journaled matrix the kill-resume gate runs: a multi-barrier FFT
 /// on three platforms, covering the gold standard, a simulator, and the
-/// Reference scheduling policy. Telemetry and profiling are on so each
-/// cell's live stream carries real bucket values and per-class
-/// accounting deltas through the kill/resume byte-compare.
+/// Reference scheduling policy. Telemetry and profiling are on so their
+/// checkpointed state goes through the kill/resume byte-compare.
 fn kill_resume_cells() -> Vec<MatrixCell> {
     let study = Study::scaled();
     let fft: Arc<dyn Program> = Arc::new(Fft::new(1 << 10, 2, FftBlocking::Tlb));
@@ -288,8 +284,7 @@ fn kill_resume_child(dir: &Path) -> ! {
 }
 
 /// Parent mode: straight run, then kill-and-resume until convergence,
-/// then byte-compare artifacts and streams. Exits nonzero on any
-/// divergence.
+/// then byte-compare artifacts. Exits nonzero on any divergence.
 fn kill_resume(kills: u64, seed: u64, base: &Path) {
     let straight_dir = base.join("straight");
     let killed_dir = base.join("killed");
@@ -337,22 +332,7 @@ fn kill_resume(kills: u64, seed: u64, base: &Path) {
                 println!("attempt {attempt}: matrix converged");
                 break;
             }
-            Ok(status) if status.code() == Some(KILL_STATUS) => {
-                // Snapshot each cell's stream before the resume trims it:
-                // these `.stream.killed` files are exactly what a crashed
-                // run leaves behind (possibly with a torn tail and events
-                // past the durable checkpoint), and the stream validator
-                // must accept them as-is.
-                for idx in 0..n_cells {
-                    let spath = journal::stream_path(&killed_dir, idx);
-                    if spath.exists() {
-                        let mut killed = spath.clone().into_os_string();
-                        killed.push(".killed");
-                        let _ = std::fs::copy(&spath, PathBuf::from(killed));
-                    }
-                }
-                continue;
-            }
+            Ok(status) if status.code() == Some(KILL_STATUS) => continue,
             Ok(status) => {
                 eprintln!("FAIL: child exited with unexpected status {status}");
                 std::process::exit(1);
@@ -385,36 +365,9 @@ fn kill_resume(kills: u64, seed: u64, base: &Path) {
                 );
             }
         }
-        let a = std::fs::read_to_string(journal::stream_path(&straight_dir, idx));
-        let b = std::fs::read_to_string(journal::stream_path(&killed_dir, idx));
-        match (a, b) {
-            // Advisory `progress` lines are wall-clock-driven (a resumed run
-            // may heartbeat where the straight run did not); the contract is
-            // over the deterministic events only.
-            (Ok(a), Ok(b))
-                if stream::deterministic_lines(&a) == stream::deterministic_lines(&b) =>
-            {
-                println!(
-                    "cell {idx}: stream deterministic events identical ({})",
-                    stream::deterministic_lines(&a).len()
-                );
-            }
-            (Ok(_), Ok(_)) => {
-                mismatches += 1;
-                eprintln!("cell {idx}: STREAM DIVERGED after kill-and-resume");
-            }
-            (a, b) => {
-                mismatches += 1;
-                eprintln!(
-                    "cell {idx}: missing stream (straight: {}, killed: {})",
-                    a.is_ok(),
-                    b.is_ok()
-                );
-            }
-        }
     }
     if mismatches > 0 {
-        eprintln!("FAIL: {mismatches} artifact or stream mismatch(es)");
+        eprintln!("FAIL: {mismatches} artifact mismatch(es)");
         std::process::exit(1);
     }
     println!("OK: kill-and-resume converged byte-identically");

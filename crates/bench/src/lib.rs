@@ -1,8 +1,7 @@
 //! `flashsim-bench` — the experiment harness behind the one `flashsim`
 //! command-line tool: `flashsim figures` regenerates every table and
 //! figure of the paper, the other subcommands are observability tools
-//! (run report, span diffing, stream dashboard, chaos sweep, export
-//! validation).
+//! (run report, span diffing, chaos sweep, export validation).
 //!
 //! Every simulating subcommand accepts `--full` to run at the paper's
 //! Table-1/Table-2 sizes instead of the default proportionally scaled
@@ -17,7 +16,6 @@
 //! | `figures NAME` | `table1` (hardware configuration), `table2` (problem sizes), `table3` (snbench latencies, calibration loop), `fig1`..`fig7`, `ablate_latency` (the §3.1.3 instruction-latency experiment), `trends` (the §3.4 accuracy/trend summary), or `all` |
 //! | `report` | unified run report, hardware vs a simulator: manifest + cycle accounting + sim-time telemetry per cell, per-class error attribution, optional host-time profile (text/HTML/JSONL/CSV/Prometheus) |
 //! | `spans [SIM]` | span diff: the same sampled transaction traced causally on hardware vs `SIM` (which legs own the latency gap), or on FlashLite vs NUMA without `SIM` |
-//! | `watch` | multi-run stream supervisor: live matrix dashboard over `flashsim-stream-v1` files, Prometheus textfile export |
 //! | `chaos` | fault-injection survival matrix (seeded fault plans × platforms); `--kill-resume` crash-consistency gate |
 //! | `diag` | per-run statistics for one app on hardware, SimOS-Mipsy and Solo-Mipsy |
 //! | `validate KIND PATH...` | strict validation of `flashsim-*-v1` exports through `engine::Schema` |
@@ -30,9 +28,7 @@ pub mod diag;
 pub mod figures;
 pub mod report;
 pub mod spans;
-pub mod streamview;
 pub mod validate;
-pub mod watch;
 
 use flashsim_core::platform::{MemModel, Sim, Study};
 use flashsim_workloads::ProblemScale;
@@ -50,11 +46,10 @@ pub fn fail(message: &str) -> ! {
 pub type Tool = (&'static str, &'static [&'static str], fn(&Args));
 
 /// Every subcommand of `flashsim`.
-pub const TOOLS: [Tool; 7] = [
+pub const TOOLS: [Tool; 6] = [
     ("figures", &[], figures::run),
     ("report", report::VALUE_FLAGS, report::run),
     ("spans", spans::VALUE_FLAGS, spans::run),
-    ("watch", watch::VALUE_FLAGS, watch::run),
     ("chaos", chaos::VALUE_FLAGS, chaos::run),
     ("diag", &[], diag::run),
     ("validate", &[], validate::run),
@@ -158,7 +153,8 @@ impl Args {
 /// The simulated platform a tool compares against hardware, from its
 /// `[SIM] [--mem flashlite|numa] [--nodes N]` arguments: `SIM` is
 /// `simos-mipsy` (default), `solo-mipsy` or `simos-mxs`; 4 nodes unless
-/// given. Anything else is reported and exits with status 2.
+/// given. Anything else, `--nodes 0` included, is reported and exits
+/// with status 2.
 pub fn platform_from_args(args: &Args) -> (Sim, MemModel, u32) {
     let sim = match args.positional() {
         None | Some("simos-mipsy") => Sim::SimosMipsy(150),
@@ -173,7 +169,11 @@ pub fn platform_from_args(args: &Args) -> (Sim, MemModel, u32) {
         Some("numa") => MemModel::Numa,
         Some(other) => fail(&format!("unknown memory model {other} (flashlite|numa)")),
     };
-    (sim, mem, args.get("--nodes").unwrap_or(4))
+    let nodes = args.get("--nodes").unwrap_or(4);
+    if nodes == 0 {
+        fail("--nodes takes a node count of at least 1");
+    }
+    (sim, mem, nodes)
 }
 
 /// The experiment setup selected by command-line flags.
@@ -263,12 +263,11 @@ mod tests {
 
     #[test]
     fn select_lists_every_subcommand_when_it_cannot_pick_one() {
-        for line in [&["diverge"][..], &["--nodes", "2"], &[]] {
+        for line in [&["watch"][..], &["--nodes", "2"], &[]] {
             let message = select(argv(line)).expect_err("not a subcommand");
             assert!(
-                message.ends_with(
-                    "usage: flashsim figures|report|spans|watch|chaos|diag|validate [ARGS]"
-                ),
+                message
+                    .ends_with("usage: flashsim figures|report|spans|chaos|diag|validate [ARGS]"),
                 "{message}"
             );
         }

@@ -13,7 +13,6 @@
 //!        [--cadence-us N] [--heartbeat MS] [--phases] [--hostprof]
 //!        [--out PATH] [--html PATH] [--jsonl PATH] [--prom PATH]
 //!        [--spans-jsonl PATH] [--csv PREFIX] [--hostprof-jsonl PATH] [--full]
-//! flashsim report --from-stream PATH
 //! ```
 //!
 //! `SIM` is one of `simos-mipsy` (default), `solo-mipsy`, `simos-mxs`.
@@ -43,21 +42,14 @@
 //! `PREFIX-attrib.csv`. Every JSONL export is validated through
 //! [`Schema`] before it is written; `flashsim validate` re-checks a file.
 //!
-//! `--from-stream PATH` runs nothing: it stitches a *partial* report
-//! from a `flashsim-stream-v1` tail — run header, phase, per-barrier
-//! metric sparklines, and the per-class accounting ledger accumulated so
-//! far. It works on the torn file a crashed or killed run leaves behind,
-//! which is the point: the report you can still get when there is no
-//! finished run to report on.
-//!
 //! The report gates on conservation: cycle accounting must be conserved
 //! on both platforms, every telemetry occupancy integral must equal its
 //! bucket sum exactly (integer picoseconds), the attribution's per-class
 //! contributions must sum to the total error (residual < 1e-9), and
 //! every export must validate. Any violation exits nonzero —
-//! `scripts/check.sh` runs it as a gate.
+//! `scripts/check.sh` runs it as a gate. An export that cannot be
+//! written is `writing PATH: <io error>` on stderr and exit status 1.
 
-use crate::streamview::TailSummary;
 use crate::{header, platform_from_args, Args};
 use flashsim_core::attrib::attribute;
 use flashsim_core::runner::{run_matrix, CellOutcome, MatrixCell};
@@ -189,18 +181,17 @@ fn render_host(r: &HostReport, wall_seconds: f64) -> String {
     // count.
     let driver_serial =
         r.phase(HostPhase::Drive) + r.phase(HostPhase::Serial) + r.phase(HostPhase::Scan);
-    let services = r.phase(HostPhase::Ckpt) + r.phase(HostPhase::Stream);
     let rejections = a.rejected_horizon + a.rejected_shared + a.rejected_opaque;
     out.push_str(&format!(
         "  why parallel didn't scale:\n\
          \x20   driver-serial execution {:>5.1}% of host time (drive+serial+scan)\n\
          \x20   join/commit barrier     {:>5.1}% of host time\n\
-         \x20   ckpt/stream services    {:>5.1}% of host time\n\
+         \x20   checkpoint services     {:>5.1}% of host time\n\
          \x20   worker idle             {:>5.1}% of observed worker time\n\
          \x20   admission rejections    {rejections} over {} rounds ({:.2}/round)\n",
         pct(driver_serial, r.total_ns),
         r.fraction(HostPhase::Commit) * 100.0,
-        pct(services, r.total_ns),
+        r.fraction(HostPhase::Ckpt) * 100.0,
         pct(idle, observed),
         a.rounds,
         rejections as f64 / a.rounds as f64
@@ -231,9 +222,13 @@ fn accounting(outcome: &CellOutcome) -> Option<&Accounting> {
     outcome.result()?.accounting.as_ref()
 }
 
-/// Writes one export file and records it in the `wrote` list.
+/// Writes one export file and records it in the `wrote` list; a path
+/// that cannot be written ends the report with exit status 1.
 fn write(path: &str, body: &str, wrote: &mut String) {
-    std::fs::write(path, body).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    if let Err(e) = std::fs::write(path, body) {
+        eprintln!("writing {path}: {e}");
+        std::process::exit(1);
+    }
     wrote.push_str(&format!("wrote {path}\n"));
 }
 
@@ -251,30 +246,17 @@ pub const VALUE_FLAGS: &[&str] = &[
     "--spans-jsonl",
     "--csv",
     "--hostprof-jsonl",
-    "--from-stream",
 ];
 
 /// `flashsim report`: see the module documentation.
 pub fn run(args: &Args) {
-    // Partial-report mode: stitch a report from a stream tail. Tolerant
-    // of torn tails by construction — this is the post-mortem view of a
-    // crashed or still-running cell.
-    if let Some(path) = args.value("--from-stream") {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        println!("== flashsim :: partial report from a live stream tail ==");
-        println!("source: {path}");
-        println!();
-        print!("{}", TailSummary::from_text(&text).render());
-        return;
-    }
-
     let setup = args.setup();
+    let (sim, mem, nodes) = platform_from_args(args);
     header(
         "unified run report (manifest + accounting + telemetry)",
         &setup,
     );
 
-    let (sim, mem, nodes) = platform_from_args(args);
     let cadence_us: u64 = args.get("--cadence-us").unwrap_or(1);
     let heartbeat_ms: Option<u64> = args.get("--heartbeat");
     let workers: Option<usize> = args.get("--workers");

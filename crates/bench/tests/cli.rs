@@ -1,6 +1,7 @@
 //! The `flashsim` binary's exit statuses: 2 (through `fail`) for a
 //! command line it cannot read, 1 for a validation that found a
-//! violation — an unreadable file is a violation, not a panic.
+//! violation or an export it could not write — an unreadable file or an
+//! unwritable path is a reported failure, not a panic.
 
 use std::process::Command;
 
@@ -23,14 +24,46 @@ fn unknown_subcommands_and_formats_list_the_choices_and_exit_2() {
     assert!(err.contains("unknown subcommand profile") && err.contains("report|"));
     let (code, _, err) = flashsim(&["validate", "journal", "x"]);
     assert_eq!(code, Some(2));
-    assert!(err.contains("telemetry|span|stream|hostprof|ckpt"), "{err}");
+    assert!(err.contains("telemetry|span|hostprof|ckpt"), "{err}");
     assert_eq!(flashsim(&[]).0, Some(2));
-    let (code, _, err) = flashsim(&["diverge"]);
+    for gone in ["diverge", "watch"] {
+        let (code, _, err) = flashsim(&[gone]);
+        assert_eq!(code, Some(2));
+        assert_eq!(
+            err.lines().last(),
+            Some("usage: flashsim figures|report|spans|chaos|diag|validate [ARGS]")
+        );
+    }
+    // The live stream is gone with its tool: no format, no report mode.
+    let (code, _, err) = flashsim(&["validate", "stream", "x"]);
     assert_eq!(code, Some(2));
-    assert_eq!(
-        err.lines().last(),
-        Some("usage: flashsim figures|report|spans|watch|chaos|diag|validate [ARGS]")
-    );
+    assert!(err.contains("unknown format stream"), "{err}");
+    assert!(!flashsim_bench::report::VALUE_FLAGS.contains(&"--from-stream"));
+    assert!(!include_str!("../src/report.rs").contains("from-stream"));
+}
+
+#[test]
+fn report_rejects_node_counts_it_cannot_run_without_panicking() {
+    let (code, out, err) = flashsim(&["report", "--nodes", "0"]);
+    assert_eq!(code, Some(2), "{out}{err}");
+    assert!(err.contains("--nodes takes a node count"), "{err}");
+    // FlashLite's hypercube cannot span three nodes: both cells fail to
+    // build, and say so, instead of panicking under the supervisor.
+    let (code, out, err) = flashsim(&["report", "--nodes", "3"]);
+    assert_eq!(code, Some(1), "{out}{err}");
+    assert_eq!(out.matches("RUN FAILED: machine build failed").count(), 2);
+    assert!(out.contains("power-of-two node count, got 3"), "{out}");
+    assert!(!out.contains("panicked") && !err.contains("panicked"));
+}
+
+#[test]
+fn an_export_that_cannot_be_written_exits_1_with_one_line() {
+    let path = "/no/such/dir/x.jsonl";
+    let (code, _, err) = flashsim(&["report", "--nodes", "2", "--jsonl", path]);
+    assert_eq!(code, Some(1), "{err}");
+    let lines: Vec<&str> = err.lines().collect();
+    assert_eq!(lines.len(), 1, "{err}");
+    assert!(lines[0].starts_with(&format!("writing {path}: ")), "{err}");
 }
 
 #[test]
@@ -116,15 +149,18 @@ fn spans_sim_lists_the_numa_controller_legs_as_simulator_only() {
 }
 
 #[test]
-fn validate_counts_an_unreadable_file_and_accepts_an_empty_stream() {
+fn validate_counts_an_unreadable_file_and_rejects_an_empty_one() {
     let dir = std::env::temp_dir().join(format!("flashsim-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let empty = dir.join("empty").to_string_lossy().into_owned();
     std::fs::write(&empty, "").expect("write");
     let missing = dir.join("missing").to_string_lossy().into_owned();
 
-    assert_eq!(flashsim(&["validate", "stream", &empty]).0, Some(0));
-    assert_eq!(flashsim(&["validate", "telemetry", &empty]).0, Some(1));
+    for kind in ["telemetry", "span", "hostprof", "ckpt"] {
+        let (code, out, _) = flashsim(&["validate", kind, &empty]);
+        assert_eq!(code, Some(1), "{kind}");
+        assert!(out.contains("INVALID"), "{out}");
+    }
     let (code, out, _) = flashsim(&["validate", "span", &missing]);
     assert_eq!(code, Some(1));
     assert!(out.contains("UNREADABLE"), "{out}");

@@ -27,16 +27,13 @@
 //! finish byte-identical to an uninterrupted run, which is what lets the
 //! chaos harness assert kill-and-resume equivalence at the file level.
 //!
-//! Every journaled cell also writes a live `flashsim-stream-v1` event
-//! file (`cell<i>.stream`) so a `watch` supervisor can follow progress
-//! from outside the process. On resume the file is trimmed back to the
-//! prefix the restored checkpoint is consistent with before the machine
-//! re-opens it in append mode, so a converged cell's deterministic
-//! stream events equal an uninterrupted run's byte for byte (advisory
-//! `progress` lines are wall-clock-driven and excluded).
+//! This is the one way a long run survives: there is no live event
+//! protocol and no dashboard. A run is observed after it ends (its
+//! artifacts, `flashsim report`); while it runs, progress is the stderr
+//! line of [`MachineConfig::heartbeat`].
 
 use crate::runner::{failed_manifest, parallel_map, supervise, CellOutcome, MatrixCell};
-use flashsim_engine::{ckpt, stream, Schema};
+use flashsim_engine::{ckpt, Schema};
 use flashsim_isa::Program;
 use flashsim_machine::{Machine, MachineConfig};
 use std::fmt;
@@ -63,12 +60,6 @@ pub fn artifacts_path(dir: &Path, idx: usize) -> PathBuf {
 /// Path of cell `idx`'s checkpoint `seq` inside a run directory.
 pub fn ckpt_path(dir: &Path, idx: usize, seq: u64) -> PathBuf {
     dir.join(format!("cell{idx}.ckpt-{seq}"))
-}
-
-/// Path of cell `idx`'s live `flashsim-stream-v1` event file inside a
-/// run directory.
-pub fn stream_path(dir: &Path, idx: usize) -> PathBuf {
-    dir.join(format!("cell{idx}.stream"))
 }
 
 /// Path of cell `idx`'s host-time self-profile (`flashsim-hostprof-v1`
@@ -221,12 +212,8 @@ fn parse_journal(text: &str, cells: usize) -> Vec<Prior> {
 
 /// Writes `text` to `path` via a temp file and an atomic rename, so a
 /// crash mid-write can never leave a half-written file under the final
-/// name (and a scraper never reads a torn one).
-///
-/// # Errors
-///
-/// The I/O error of the write or the rename.
-pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
+/// name.
+fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
     let mut tmp_name = path.as_os_str().to_owned();
     tmp_name.push(".tmp");
     let tmp = PathBuf::from(tmp_name);
@@ -363,7 +350,6 @@ pub fn run_matrix_journaled(
                 cfg.watchdog.max_ops = Some(b);
             }
         }
-        cfg.stream = Some(stream_path(dir, idx));
         let apath = artifacts_path(dir, idx);
         let expected = cell_identity(&cfg, prog.as_ref());
         let identity_matches = prior.hash.as_deref() == Some(expected.as_str());
@@ -419,19 +405,6 @@ pub fn run_matrix_journaled(
             resume = ResumeNote::RestartedFromZero {
                 reason: "journal identity mismatch".to_owned(),
             };
-        }
-        // A restored machine re-opens its stream file in append mode, so
-        // first trim the file back to the prefix the checkpoint is
-        // consistent with: a crash can leave stream events emitted after
-        // the newest durable checkpoint, and the resumed emitter will
-        // re-emit exactly those. (A restart from zero re-creates the
-        // file, which truncates on its own.)
-        if let Some(m) = &machine {
-            let spath = stream_path(dir, idx);
-            if let Ok(text) = fs::read_to_string(&spath) {
-                let trimmed = stream::consistent_prefix(&text, m.stream_position().0);
-                let _ = write_atomic(&spath, &trimmed);
-            }
         }
         journal.append(&format!("start {idx} {expected}"));
         let manifest = Box::new(failed_manifest(&cfg, prog.as_ref()));
@@ -512,14 +485,6 @@ mod tests {
         assert!(journal.starts_with(JOURNAL_MAGIC));
         assert!(journal.contains("start 0 ") && journal.contains("start 1 "));
         assert!(journal.contains("finish 0 ok") && journal.contains("finish 1 ok"));
-        for idx in 0..2 {
-            let text = fs::read_to_string(stream_path(&dir, idx)).unwrap();
-            Schema::Stream.validate(&text).unwrap();
-            assert!(
-                text.contains("\"ev\":\"end\"") && text.contains("\"kind\":\"ok\""),
-                "journaled cell stream must terminate cleanly"
-            );
-        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -568,10 +533,8 @@ mod tests {
     }
 
     /// One 2-node FFT cell: multi-barrier, so it emits several
-    /// checkpoints per run. Telemetry and profiling are on so the
-    /// stream's bucket values and per-class accounting deltas are
-    /// exercised by the kill/resume byte-compare, not just the bare
-    /// protocol framing.
+    /// checkpoints per run. Telemetry and profiling are on so their
+    /// checkpointed state is exercised by the kill/resume byte-compare.
     fn fft_cells() -> Vec<MatrixCell> {
         use flashsim_workloads::{Fft, FftBlocking};
         let study = Study::scaled();
@@ -594,10 +557,6 @@ mod tests {
         for seq in 0..keep {
             fs::copy(ckpt_path(gold_dir, 0, seq), ckpt_path(&dir, 0, seq)).unwrap();
         }
-        // The kill left the cell's full stream on disk — the emitter ran
-        // ahead of the durable checkpoint. Resume must trim it back to
-        // the consistent prefix and then converge to the gold bytes.
-        fs::copy(stream_path(gold_dir, 0), stream_path(&dir, 0)).unwrap();
         let gold_journal = fs::read_to_string(journal_path(gold_dir)).unwrap();
         let mut journal = String::new();
         for line in gold_journal.lines() {
@@ -629,8 +588,6 @@ mod tests {
             .as_ref()
             .is_some_and(CellOutcome::is_completed));
         let gold_bytes = fs::read_to_string(artifacts_path(&gold_dir, 0)).unwrap();
-        let gold_stream = fs::read_to_string(stream_path(&gold_dir, 0)).unwrap();
-        Schema::Stream.validate(&gold_stream).unwrap();
         let n_ckpts = fs::read_to_string(journal_path(&gold_dir))
             .unwrap()
             .lines()
@@ -651,13 +608,6 @@ mod tests {
             gold_bytes,
             "resumed artifacts must be byte-identical to the straight run"
         );
-        let resumed_stream = fs::read_to_string(stream_path(&dir, 0)).unwrap();
-        Schema::Stream.validate(&resumed_stream).unwrap();
-        assert_eq!(
-            stream::deterministic_lines(&resumed_stream),
-            stream::deterministic_lines(&gold_stream),
-            "resumed stream's deterministic events must equal the straight run's"
-        );
 
         // Newest checkpoint corrupted: falls back to the older one.
         let dir = forge_crash_dir("crash-corrupt", &gold_dir, 2);
@@ -676,10 +626,6 @@ mod tests {
             fs::read_to_string(artifacts_path(&dir, 0)).unwrap(),
             gold_bytes
         );
-        assert_eq!(
-            stream::deterministic_lines(&fs::read_to_string(stream_path(&dir, 0)).unwrap()),
-            stream::deterministic_lines(&gold_stream)
-        );
 
         // Every checkpoint destroyed: restart from zero, still identical.
         let dir = forge_crash_dir("crash-zero", &gold_dir, 2);
@@ -695,11 +641,6 @@ mod tests {
         assert_eq!(
             fs::read_to_string(artifacts_path(&dir, 0)).unwrap(),
             gold_bytes
-        );
-        assert_eq!(
-            stream::deterministic_lines(&fs::read_to_string(stream_path(&dir, 0)).unwrap()),
-            stream::deterministic_lines(&gold_stream),
-            "a from-zero rerun re-creates the same deterministic events"
         );
         for tag in ["gold", "crash", "crash-corrupt", "crash-zero"] {
             let _ = fs::remove_dir_all(tmpdir(tag));
@@ -751,5 +692,66 @@ mod tests {
             .is_none());
         let noisy = parse_journal("flashsim-journal-v1\nwat\nstart zero abc\n", 1);
         assert!(noisy[0].hash.is_none());
+    }
+
+    /// Whether `line` is a well-formed `tag <cell> <arg>` journal line.
+    fn is_line(line: &str, tag: &str, cell: usize) -> bool {
+        let f: Vec<&str> = line.split_ascii_whitespace().collect();
+        f.len() >= 3 && f[0] == tag && f[1].parse() == Ok(cell)
+    }
+
+    #[test]
+    fn a_hostile_journal_never_resurrects_a_finish_behind_a_later_start() {
+        // Three cells: one finished, one finished then restarted (so it is
+        // mid-run), one mid-run with checkpoints.
+        let good = "flashsim-journal-v1\nstart 0 aaaa\nstart 1 bbbb\nckpt 0 0 500\n\
+                    start 2 cccc\nckpt 1 0 700\nfinish 0 ok\nckpt 2 0 900\nfinish 1 stalled\n\
+                    ckpt 2 1 1800\nstart 1 bbbb\nckpt 1 0 700\n";
+        let lines: Vec<&str> = good.lines().collect();
+        let join = |ls: &[&str]| ls.join("\n") + "\n";
+        let mut hostile: Vec<String> = (0..=good.len()).map(|i| good[..i].to_owned()).collect();
+        for i in 0..lines.len() {
+            let mut deleted = lines.clone();
+            deleted.remove(i);
+            hostile.push(join(&deleted));
+            let mut duplicated = lines.clone();
+            duplicated.insert(i, lines[i]);
+            hostile.push(join(&duplicated));
+            for j in 0..i {
+                let mut swapped = lines.clone();
+                swapped.swap(i, j);
+                hostile.push(join(&swapped));
+            }
+        }
+        let mut rng = flashsim_engine::Rng::seeded(0x10A1);
+        for _ in 0..2_000 {
+            let mut bytes = good.as_bytes().to_vec();
+            let at = rng.gen_range(bytes.len() as u64) as usize;
+            bytes[at] = match rng.gen_range(3) {
+                0 => b'0' + rng.gen_range(10) as u8,
+                1 => b'\n',
+                _ => b' ' + rng.gen_range(95) as u8,
+            };
+            hostile.push(String::from_utf8(bytes).expect("ASCII stays UTF-8"));
+        }
+        for text in &hostile {
+            let prior = parse_journal(text, 3);
+            // Only whole lines count; the last element is the torn tail.
+            let whole: Vec<&str> = text.split('\n').collect();
+            let whole = &whole[..whole.len() - 1];
+            for (cell, p) in prior.iter().enumerate() {
+                let last = |tag| whole.iter().rposition(|l| is_line(l, tag, cell));
+                if p.finished.is_some() {
+                    assert!(
+                        last("finish") > last("start"),
+                        "cell {cell} reported finished behind a later start:\n{text}"
+                    );
+                }
+            }
+        }
+        let prior = parse_journal(good, 3);
+        assert_eq!(prior[0].finished.as_deref(), Some("ok"));
+        assert_eq!(prior[1].finished, None, "restarted after its finish");
+        assert_eq!(prior[2].ckpts, vec![(0, 900), (1, 1800)]);
     }
 }

@@ -150,7 +150,6 @@ pub(crate) fn failed_manifest(cfg: &MachineConfig, program: &dyn Program) -> Run
         sim_mips: f64::NAN,
         account: None,
         spans: cfg.spans.as_ref().map(|p| p.describe()),
-        stream: cfg.stream.as_ref().map(|p| p.display().to_string()),
     }
 }
 

@@ -1,7 +1,7 @@
 //! Host-time self-profiling: where the simulator's *own* wall-clock goes.
 //!
 //! Every other observability layer in this workspace accounts for
-//! simulated picoseconds (profiler, telemetry, spans, streams); this one
+//! simulated picoseconds (profiler, telemetry, spans); this one
 //! accounts for host nanoseconds. A [`HostProf`] is a monotonic-clock
 //! phase timer with the Profiler attachment idiom — always
 //! compiled, one branch per probe when detached — that the machine's
@@ -13,14 +13,14 @@
 //! scheduler bookkeeping — never in an unaccounted residual.
 //!
 //! The phase taxonomy follows the parallel policy's round structure
-//! (scan / fork / commit, with serial batches, checkpoint serialization,
-//! and stream flushes as the other places a run can spend host time),
+//! (scan / fork / commit, with serial batches and checkpoint
+//! serialization as the other places a run can spend host time),
 //! plus per-round fork-admission outcome counters ([`ForkAdmission`]:
 //! admitted vs rejected-horizon vs rejected-opaque-profile vs
 //! rejected-predicted-shared) and per-worker lanes harvested from the
 //! [`crate::pool::WorkerPool`] (execute / steal / idle — the pool's
 //! always-on [`crate::pool::WorkerLane`] counters, which also back the
-//! stream's advisory `busy` fraction, so there is one source of truth).
+//! heartbeat's `busy` fraction, so there is one source of truth).
 //!
 //! The hard invariant is **isolation**: host clock reads never feed
 //! simulated state. No [`HostProf`] method returns a time into the
@@ -63,7 +63,12 @@ pub enum HostPhase {
     Serial,
     /// Checkpoint serialization and the sink call at a barrier release.
     Ckpt,
-    /// Stream event rendering and the per-line durable flush.
+    /// A lane nothing writes: it timed the live event stream, which is
+    /// deleted. The variant (and its zero row in the export) stays only
+    /// because `benchmark/src/traced.rs` reports `machine.host.<phase>.frac`
+    /// over [`HostPhase::ALL`] and `BENCHMARK.json` lists
+    /// `machine.host.stream.frac`; the `benchmark`-archetype PR that drops
+    /// that row deletes the variant.
     Stream,
 }
 
@@ -267,7 +272,7 @@ impl HostProf {
 
     /// Enters `phase`, pausing the current one; the returned guard
     /// resumes it on drop. Nesting is explicit via the phase stack, so
-    /// e.g. a stream flush inside a serial batch charges `Stream`, not
+    /// e.g. a checkpoint cut inside a serial batch charges `Ckpt`, not
     /// `Serial`.
     pub fn phase(&self, phase: HostPhase) -> PhaseGuard {
         if let Some(inner) = &self.inner {
@@ -640,7 +645,7 @@ mod tests {
             let _g = hp.phase(HostPhase::Serial);
             spin_ns(100_000);
             {
-                let _inner = hp.phase(HostPhase::Stream);
+                let _inner = hp.phase(HostPhase::Ckpt);
                 spin_ns(100_000);
             }
         }
@@ -648,11 +653,11 @@ mod tests {
         let r = hp.report().expect("finalized report");
         assert_eq!(r.unaccounted_ns(), 0, "phases must tile the window");
         assert!(r.phase(HostPhase::Scan) >= 200_000);
-        assert!(r.phase(HostPhase::Stream) >= 100_000);
+        assert!(r.phase(HostPhase::Ckpt) >= 100_000);
         assert!(r.phase(HostPhase::Serial) >= 100_000);
         assert!(r.total_ns >= 400_000);
-        // Nested Stream time is not double-charged to Serial.
-        assert!(r.phase(HostPhase::Serial) < r.total_ns - r.phase(HostPhase::Stream));
+        // Nested Ckpt time is not double-charged to Serial.
+        assert!(r.phase(HostPhase::Serial) < r.total_ns - r.phase(HostPhase::Ckpt));
     }
 
     #[test]

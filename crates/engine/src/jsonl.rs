@@ -5,7 +5,7 @@
 //! a line-by-line validator behind `flashsim validate`:
 //! `flashsim-telemetry-v1` ([`crate::telemetry::validate_jsonl`]),
 //! `flashsim-span-v1` ([`crate::span::validate_jsonl`]), and
-//! `flashsim-stream-v1` ([`crate::stream::validate_jsonl`]). Each
+//! `flashsim-hostprof-v1` ([`crate::hostprof::validate_jsonl`]). Each
 //! validator grew its own copy of the same primitive scanners; this
 //! module is the single shared implementation. The scanners are
 //! deliberately not a JSON parser: every line they see is flat,
@@ -59,20 +59,6 @@ pub fn field_str<'a>(line: &'a str, name: &str) -> Option<&'a str> {
     rest.split('"').next()
 }
 
-/// The (possibly fractional/negative) number following `"name":` on a
-/// JSONL line, if present.
-pub fn field_f64(line: &str, name: &str) -> Option<f64> {
-    let tag = format!("\"{name}\":");
-    let rest = &line[line.find(&tag)? + tag.len()..];
-    let len = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    if len == 0 {
-        return None;
-    }
-    rest[..len].parse().ok()
-}
-
 /// Parses the leading decimal digits of `s`, if any.
 pub fn leading_u64(s: &str) -> Option<u64> {
     let digits: String = s.chars().take_while(|c| c.is_ascii_digit()).collect();
@@ -113,54 +99,6 @@ pub fn scan_strings_after(text: &str, prefix: &str) -> Vec<String> {
     out
 }
 
-/// Parses the flat `{"key":123,…}` object following `"name":` on a
-/// JSONL line into `(decoded_key, value)` pairs. `None` when the field
-/// is absent or the object is malformed; keys may contain backslash
-/// escapes (per-node metric labels do).
-pub fn field_map_u64(line: &str, name: &str) -> Option<Vec<(String, u64)>> {
-    let tag = format!("\"{name}\":{{");
-    let mut rest = &line[line.find(&tag)? + tag.len()..];
-    let mut out = Vec::new();
-    if let Some(r) = rest.strip_prefix('}') {
-        let _ = r;
-        return Some(out);
-    }
-    loop {
-        // One `"key":value` pair, then `,` to continue or `}` to stop.
-        let mut chars = rest.char_indices();
-        if chars.next().map(|(_, c)| c) != Some('"') {
-            return None;
-        }
-        let mut key = String::new();
-        let mut key_end = None;
-        while let Some((j, c)) = chars.next() {
-            match c {
-                '\\' => {
-                    if let Some((_, escaped)) = chars.next() {
-                        key.push(escaped);
-                    }
-                }
-                '"' => {
-                    key_end = Some(j + 1);
-                    break;
-                }
-                _ => key.push(c),
-            }
-        }
-        rest = &rest[key_end?..];
-        rest = rest.strip_prefix(':')?;
-        let value = leading_u64(rest)?;
-        out.push((key, value));
-        let digits = rest.chars().take_while(char::is_ascii_digit).count();
-        rest = &rest[digits..];
-        match rest.chars().next() {
-            Some(',') => rest = &rest[1..],
-            Some('}') => return Some(out),
-            _ => return None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,9 +130,6 @@ mod tests {
         assert_eq!(field_u64(line, "seq"), Some(7));
         assert_eq!(field_u64(line, "missing"), None);
         assert_eq!(field_str(line, "ev"), Some("bucket"));
-        assert_eq!(field_f64(line, "rate"), Some(12.5));
-        assert_eq!(field_f64(line, "neg"), Some(-3.25));
-        assert_eq!(field_f64(line, "ev"), None);
         assert_eq!(leading_u64("123abc"), Some(123));
         assert_eq!(leading_u64("abc"), None);
     }
@@ -206,21 +141,5 @@ mod tests {
             scan_strings_after(text, "\"name\":"),
             vec!["a{node=\"3\"}".to_string(), "plain".to_string()]
         );
-    }
-
-    #[test]
-    fn field_map_parses_flat_objects() {
-        let line = "{\"values\":{\"a\":1,\"q{node=\\\"2\\\"}\":30},\"gauges\":{}}";
-        assert_eq!(
-            field_map_u64(line, "values"),
-            Some(vec![
-                ("a".to_string(), 1),
-                ("q{node=\"2\"}".to_string(), 30)
-            ])
-        );
-        assert_eq!(field_map_u64(line, "gauges"), Some(vec![]));
-        assert_eq!(field_map_u64(line, "missing"), None);
-        assert_eq!(field_map_u64("{\"values\":{\"a\":}}", "values"), None);
-        assert_eq!(field_map_u64("{\"values\":{\"a\":1", "values"), None);
     }
 }

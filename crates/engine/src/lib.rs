@@ -39,12 +39,6 @@
 //!   occupancy integrators in integer picoseconds) sampled into bounded
 //!   time series with JSONL/Prometheus export — how queue depths and
 //!   utilization *evolve* over a run, not just where the cycles went,
-//! - [`stream`]: the `flashsim-stream-v1` live event protocol —
-//!   incrementally emitted closed telemetry buckets, checkpoint
-//!   markers, advisory progress heartbeats, and run terminators behind
-//!   a durable torn-tail-tolerant file sink, with a prefix-stability
-//!   contract that makes the deterministic events byte-identical
-//!   across reruns, scheduling policies, and kill-resume,
 //! - [`pool`]: a bounded pool of persistent host worker threads with
 //!   per-worker run queues and work stealing — the fan-out substrate
 //!   shared by the study runner's matrix cells and the machine's
@@ -58,8 +52,8 @@
 //!   used by every exporter in the workspace,
 //! - [`jsonl`]: the JSON string escaping every exporter writes through
 //!   and the shared JSONL field scanners behind every `validate_jsonl`
-//!   schema checker (telemetry, spans, stream),
-//! - [`schema`]: the registry of the five `flashsim-*-v1` formats — name,
+//!   schema checker (telemetry, spans, hostprof),
+//! - [`schema`]: the registry of the four `flashsim-*-v1` formats — name,
 //!   schema id and validator — behind `flashsim validate`,
 //! - [`window`]: the caller-held accumulator the per-op observer sites
 //!   write through — a sum or max over one cached bucket, published to
@@ -105,7 +99,6 @@ pub mod sched;
 pub mod schema;
 pub mod span;
 pub mod stats;
-pub mod stream;
 pub mod telemetry;
 pub mod time;
 pub mod trace;
@@ -125,10 +118,6 @@ pub use sched::LaggardHeap;
 pub use schema::Schema;
 pub use span::{SpanClass, SpanPlan, SpanRecord, SpanSet, SpanTracer, SpanTxn};
 pub use stats::{Counter, Histogram, StatSet};
-pub use stream::{
-    FileSink, MemorySink, ProgressMeter, ProgressSample, RunInfo, StreamEmitter, StreamEvent,
-    StreamSink,
-};
 pub use telemetry::{MetricId, MetricKind, MetricSeries, Telemetry, TelemetrySeries};
 pub use time::{Clock, Time, TimeDelta};
 pub use window::Window;

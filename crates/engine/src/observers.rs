@@ -49,7 +49,7 @@ pub struct Observers {
     pub spans: SpanTracer,
     /// Host-time self-profiler, driven by the machine's scheduling loops
     /// only: scoped phase timers (scan / fork / commit / serial /
-    /// checkpoint / stream over a `drive` base), fork-admission tallies,
+    /// checkpoint over a `drive` base), fork-admission tallies,
     /// and the worker pool's per-worker lanes. Isolation contract: it
     /// only ever *absorbs* host clock readings — nothing reads time back
     /// out of it — so it cannot change a simulated byte.

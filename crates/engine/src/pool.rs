@@ -31,7 +31,7 @@
 //! nanoseconds split into *execute* (inside jobs), *steal* (winning a
 //! job from a sibling's queue), and *idle* (parked waiting for
 //! tickets), plus job/steal counts. These lanes are the single source
-//! of truth for host-side occupancy — the stream's advisory `busy`
+//! of truth for host-side occupancy — the stderr heartbeat's `busy`
 //! fraction reads the execute lane via [`WorkerPool::busy_ns`], and the
 //! host-time profiler (`crate::hostprof`) harvests full snapshots via
 //! [`WorkerPool::lanes`].

@@ -1,9 +1,13 @@
 //! The registry of `flashsim-*-v1` export formats: one name, one schema
 //! id and one validator per format, so a tool (or a fuzzer) that wants
-//! "every format" iterates [`Schema::ALL`] instead of knowing five
+//! "every format" iterates [`Schema::ALL`] instead of knowing four
 //! modules.
+//!
+//! `core::journal`'s `journal.log` is deliberately not a registry
+//! format: it is advisory state, and resume re-verifies every claim it
+//! makes against the artifact and checkpoint files it names.
 
-use crate::{ckpt, hostprof, span, stream, telemetry};
+use crate::{ckpt, hostprof, span, telemetry};
 
 /// One export format of the workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -12,8 +16,6 @@ pub enum Schema {
     Telemetry,
     /// Sampled span trees ([`span::SCHEMA`]).
     Span,
-    /// Live per-barrier event stream ([`stream::SCHEMA`]).
-    Stream,
     /// Host-time self-profile ([`hostprof::HOSTPROF_SCHEMA`]).
     HostProf,
     /// Machine checkpoint ([`ckpt::MAGIC`]).
@@ -22,10 +24,9 @@ pub enum Schema {
 
 impl Schema {
     /// Every format, in the order tools list them.
-    pub const ALL: [Schema; 5] = [
+    pub const ALL: [Schema; 4] = [
         Schema::Telemetry,
         Schema::Span,
-        Schema::Stream,
         Schema::HostProf,
         Schema::Ckpt,
     ];
@@ -35,7 +36,6 @@ impl Schema {
         match self {
             Schema::Telemetry => "telemetry",
             Schema::Span => "span",
-            Schema::Stream => "stream",
             Schema::HostProf => "hostprof",
             Schema::Ckpt => "ckpt",
         }
@@ -46,16 +46,13 @@ impl Schema {
         match self {
             Schema::Telemetry => telemetry::SCHEMA,
             Schema::Span => span::SCHEMA,
-            Schema::Stream => stream::SCHEMA,
             Schema::HostProf => hostprof::HOSTPROF_SCHEMA,
             Schema::Ckpt => ckpt::MAGIC,
         }
     }
 
     /// The format named `key`, if there is one. The kind of a document
-    /// is always named, never sniffed from its text: an empty stream is
-    /// valid (a kill can land before the first flush) while an empty
-    /// document of any other kind is an error.
+    /// is always named, never sniffed from its text.
     pub fn from_key(key: &str) -> Option<Schema> {
         Schema::ALL.into_iter().find(|s| s.key() == key)
     }
@@ -64,13 +61,13 @@ impl Schema {
     ///
     /// # Errors
     ///
-    /// A description of the first violation. Total on any input: hostile
-    /// text is an `Err`, never a panic (`tests/hostile_exports.rs`).
+    /// A description of the first violation; an empty document is one in
+    /// every format. Total on any input: hostile text is an `Err`, never
+    /// a panic (`tests/hostile_exports.rs`).
     pub fn validate(self, text: &str) -> Result<(), String> {
         match self {
             Schema::Telemetry => telemetry::validate_jsonl(text),
             Schema::Span => span::validate_jsonl(text),
-            Schema::Stream => stream::validate_jsonl(text),
             Schema::HostProf => hostprof::validate_jsonl(text),
             Schema::Ckpt => ckpt::validate(text).map(|_| ()).map_err(|e| e.to_string()),
         }
@@ -91,9 +88,10 @@ mod tests {
     }
 
     #[test]
-    fn only_an_empty_stream_is_valid() {
+    fn every_format_rejects_an_empty_document() {
         for s in Schema::ALL {
-            assert_eq!(s.validate("").is_ok(), s == Schema::Stream, "{s:?}");
+            assert!(s.validate("").is_err(), "{s:?}");
         }
+        assert_eq!(Schema::from_key("stream"), None);
     }
 }

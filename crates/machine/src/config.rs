@@ -105,11 +105,22 @@ pub enum MemSysKind {
 }
 
 impl MemSysKind {
+    /// Whether the model can be built over `nodes` nodes: FlashLite's
+    /// hypercube needs a power of two, NUMA takes any count.
+    pub(crate) fn supports_nodes(&self, nodes: u32) -> bool {
+        match self {
+            MemSysKind::FlashLite(_) => nodes.is_power_of_two(),
+            MemSysKind::Numa(_) => true,
+        }
+    }
+
     /// Builds the memory system for `nodes` nodes of `node_mem_bytes`.
     ///
     /// # Panics
     ///
-    /// Panics if FlashLite is requested with a non-power-of-two node count.
+    /// Panics if FlashLite is requested with a non-power-of-two node
+    /// count; [`Machine::new`](crate::Machine::new) checks that first and
+    /// returns an error instead.
     pub fn build(&self, nodes: u32, node_mem_bytes: u64) -> Box<dyn MemorySystem> {
         match self {
             MemSysKind::FlashLite(p) => Box::new(
@@ -210,7 +221,7 @@ pub enum SchedPolicy {
         /// Host worker threads (`0` = one per available host core). The
         /// count shapes only wall-clock speed, never simulated results,
         /// and is deliberately excluded from [`SchedPolicy::key`] — so
-        /// checkpoint/stream provenance is worker-count-invariant and a
+        /// checkpoint provenance is worker-count-invariant and a
         /// run may be restored under a different worker count.
         workers: usize,
     },
@@ -269,23 +280,14 @@ pub struct MachineConfig {
     /// at construction, records the plan in the run manifest, and the
     /// run result carries the sampled span trees.
     pub spans: Option<flashsim_engine::SpanPlan>,
-    /// Path of the live `flashsim-stream-v1` event file (default: none).
-    /// When set, the machine opens a durable
-    /// [`flashsim_engine::FileSink`] at run start — creating the file
-    /// for a fresh run, appending for a restored one — and emits the
-    /// stream protocol into it. A host-side observability knob:
-    /// excluded from the provenance string, so streams from reruns of
-    /// the same cell share a provenance hash and can be prefix-checked
-    /// against each other.
-    pub stream: Option<std::path::PathBuf>,
     /// Attach a host-time self-profiler at construction (default: off).
     /// When set, the machine drives an enabled
     /// [`flashsim_engine::HostProf`] through its scheduling loops and
     /// the run result carries the finalized
-    /// [`flashsim_engine::HostReport`]. A host-side observability knob
-    /// like `stream`: host clock reads never feed simulated state, so it
-    /// is excluded from the provenance string and attachment changes
-    /// zero simulated bytes (`tests/hostprof_isolation.rs`).
+    /// [`flashsim_engine::HostReport`]. A host-side observability knob:
+    /// host clock reads never feed simulated state, so it is excluded
+    /// from the provenance string and attachment changes zero simulated
+    /// bytes (`tests/hostprof_isolation.rs`).
     pub hostprof: bool,
 }
 
@@ -315,7 +317,6 @@ impl MachineConfig {
             profile: false,
             heartbeat: None,
             spans: None,
-            stream: None,
             hostprof: false,
         }
     }

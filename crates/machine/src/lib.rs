@@ -272,6 +272,22 @@ mod tests {
     }
 
     #[test]
+    fn a_node_count_flashlite_cannot_span_is_an_error_not_a_panic() {
+        for nodes in [3u32, 0] {
+            let prog = small_prog(nodes as usize);
+            let err = Machine::new(cfg(nodes, mipsy(150), OsModel::solo(), fl()), &prog)
+                .expect_err("FlashLite needs a power-of-two node count");
+            assert_eq!(err, MachineError::Topology { nodes });
+            assert!(format!("{err}").contains(&nodes.to_string()));
+            let run = run_program(cfg(nodes, mipsy(150), OsModel::solo(), fl()), &prog);
+            assert!(matches!(run, Err(SimError::Build(_))), "{run:?}");
+        }
+        let numa = MemSysKind::Numa(NumaParams::matched());
+        run_program(cfg(3, mipsy(150), OsModel::solo(), numa), &small_prog(3))
+            .expect("NUMA takes any node count");
+    }
+
+    #[test]
     fn numa_and_flashlite_agree_on_protocol_counts() {
         let prog = small_prog(2);
         let a = run_program(cfg(2, mipsy(150), OsModel::simos_tuned(), fl()), &prog).unwrap();

@@ -66,11 +66,8 @@ impl Machine {
     /// simulated behaviour — config, workload, seed, scheduling policy,
     /// fault plan, telemetry cadence, span plan — so a checkpoint can
     /// never restore against the wrong run. Host-side knobs (watchdog,
-    /// heartbeat, stream sink, hostprof) are deliberately excluded:
-    /// resuming with a different wall-clock budget or stream destination is
-    /// legitimate, and two runs that differ only in observability sinks
-    /// share a provenance hash — which is exactly the grouping key the
-    /// stream's cross-file prefix-stability check relies on.
+    /// heartbeat, hostprof) are deliberately excluded: resuming with a
+    /// different wall-clock budget is legitimate.
     pub fn provenance(&self) -> String {
         format!(
             "flashsim nodes={} cpu={:?} os={:?} memsys={:?} geometry={:?} l2_hit={:?} \
@@ -111,12 +108,6 @@ impl Machine {
         let mut w = CkptWriter::new(&self.provenance());
         w.section("machine");
         w.u64("ckpt_seq", self.ckpt_seq);
-        // Stream emitter position, so a resumed run continues the live
-        // event stream exactly where this snapshot left it (the ckpt
-        // event for this very snapshot is already behind the position).
-        let (stream_seq, stream_last_ps) = self.stream_position();
-        w.u64("stream_seq", stream_seq);
-        w.u64("stream_last_ps", stream_last_ps);
         w.u64("nodes", u64::from(self.cfg.nodes));
         w.u64("barrier_releases", self.barrier_releases.len() as u64);
         for (id, t) in &self.barrier_releases {
@@ -205,7 +196,6 @@ impl Machine {
         r.expect_provenance(&m.provenance())?;
         r.section("machine")?;
         m.ckpt_seq = r.u64("ckpt_seq")?;
-        m.stream_pos = (r.u64("stream_seq")?, r.u64("stream_last_ps")?);
         let nodes = r.u64("nodes")?;
         if nodes != u64::from(m.cfg.nodes) {
             return Err(parse("nodes", nodes.to_string()).into());

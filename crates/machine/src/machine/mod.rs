@@ -43,7 +43,6 @@ pub use result::{RunManifest, RunResult};
 use crate::config::{MachineConfig, MemSysKind, SchedPolicy};
 use crate::error::SimError;
 use flashsim_cpu::env::Core;
-use flashsim_engine::stream::StreamEmitter;
 use flashsim_engine::{
     Clock, FaultInjector, HostProf, Observers, Profiler, SpanTracer, Telemetry, Time, TimeDelta,
 };
@@ -68,6 +67,11 @@ pub enum MachineError {
     },
     /// The program's segment declaration is invalid.
     BadSegments(String),
+    /// The memory-system model cannot be built over this many nodes.
+    Topology {
+        /// Nodes the machine was asked for.
+        nodes: u32,
+    },
 }
 
 impl fmt::Display for MachineError {
@@ -78,6 +82,10 @@ impl fmt::Display for MachineError {
                 "program has {program} threads but the machine has {nodes} nodes"
             ),
             MachineError::BadSegments(msg) => write!(f, "invalid segments: {msg}"),
+            MachineError::Topology { nodes } => write!(
+                f,
+                "the memory system needs a power-of-two node count, got {nodes}"
+            ),
         }
     }
 }
@@ -151,13 +159,6 @@ pub struct Machine {
     /// Sequence number of the next checkpoint this machine will emit;
     /// restored from checkpoints so resumed runs continue the numbering.
     ckpt_seq: u64,
-    /// Live `flashsim-stream-v1` event emitter; see
-    /// [`Machine::attach_stream_sink`].
-    stream: Option<StreamEmitter>,
-    /// Stream position `(next_seq, last_emitted_ps)` restored from a
-    /// checkpoint before any sink is attached; a later attach resumes
-    /// from here instead of re-emitting the prefix.
-    stream_pos: (u64, u64),
 }
 
 impl fmt::Debug for Machine {
@@ -176,13 +177,17 @@ impl Machine {
     /// # Errors
     ///
     /// Returns [`MachineError`] if the program's thread count does not
-    /// match `cfg.nodes` or its segments are malformed.
+    /// match `cfg.nodes`, its segments are malformed, or the memory
+    /// system cannot span `cfg.nodes` nodes.
     pub fn new(cfg: MachineConfig, program: &dyn Program) -> Result<Machine, MachineError> {
         if program.num_threads() != cfg.nodes as usize {
             return Err(MachineError::ThreadMismatch {
                 program: program.num_threads(),
                 nodes: cfg.nodes,
             });
+        }
+        if !cfg.memsys.supports_nodes(cfg.nodes) {
+            return Err(MachineError::Topology { nodes: cfg.nodes });
         }
         let segments =
             check_segments(program, cfg.geometry.page_bytes).map_err(MachineError::BadSegments)?;
@@ -247,7 +252,7 @@ impl Machine {
 
         let mut machine = Machine {
             clock: cfg.cpu.clock(),
-            heartbeat: cfg.heartbeat.map(|every| Heartbeat::new(every, true)),
+            heartbeat: cfg.heartbeat.map(Heartbeat::new),
             cfg,
             cores,
             mems,
@@ -271,8 +276,6 @@ impl Machine {
             workload_seed: program.seed(),
             ckpt_sink: None,
             ckpt_seq: 0,
-            stream: None,
-            stream_pos: (0, 0),
         };
         machine.broadcast();
         Ok(machine)
@@ -305,13 +308,11 @@ impl Machine {
     pub fn run(&mut self) -> Result<RunResult, SimError> {
         let wall_start = std::time::Instant::now();
         // Host-time window: opened here, closed right after the policy
-        // loop returns, so the phase decomposition tiles (within the
-        // few stream-terminator statements outside it) the same wall
+        // loop returns, so the phase decomposition tiles the same wall
         // clock the manifest reports.
         self.obs.hostprof.run_begin();
         let nodes = self.cfg.nodes as usize;
         self.status = vec![NodeStatus::Running; nodes];
-        self.open_stream();
         let ran = match self.cfg.sched {
             SchedPolicy::Batched => self.run_scheduled(None, wall_start),
             SchedPolicy::Reference => self.run_reference(wall_start),
@@ -320,19 +321,8 @@ impl Machine {
         self.obs.hostprof.run_end();
         self.settle_pending();
         self.publish_observers();
-        if let Err(e) = ran {
-            let at = self.lead_clock();
-            let ops: u64 = self.streams.iter().map(ThreadStream::consumed).sum();
-            if let Some(em) = self.stream.as_mut() {
-                em.failed(at.as_ps(), ops, e.kind());
-            }
-            return Err(e);
-        }
-        let result = self.collect_result(wall_start.elapsed().as_secs_f64());
-        if let Some(em) = self.stream.as_mut() {
-            em.finished(result.total_time.as_ps(), result.manifest.total_ops);
-        }
-        Ok(result)
+        ran?;
+        Ok(self.collect_result(wall_start.elapsed().as_secs_f64()))
     }
 }
 

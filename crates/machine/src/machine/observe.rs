@@ -1,13 +1,10 @@
 //! The machine's side of the observer spine: the one broadcast of its
-//! [`Observers`] bundle, the attach whose argument is a host object the
-//! caller owns (the stream sink), the heartbeat, and the machine-layer
-//! probes that feed the handles.
+//! [`Observers`] bundle, the heartbeat, and the machine-layer probes that
+//! feed the handles.
 
 use super::Machine;
-use flashsim_engine::stream::{FileSink, ProgressMeter, RunInfo, StreamEmitter, StreamSink};
-use flashsim_engine::{
-    HostPhase, MetricId, MetricKind, Observers, Telemetry, Time, Window, WorkerPool,
-};
+use flashsim_engine::{MetricId, MetricKind, Observers, Telemetry, Time, Window, WorkerPool};
+use std::time::{Duration, Instant};
 
 /// Metric ids for the machine layer's own telemetry probes: cache
 /// hit/miss counters, pending-miss depth, barrier clock skew. All
@@ -120,6 +117,66 @@ impl SchedObs {
 /// bits clear: once per 4096 scheduling decisions.
 pub(super) const HEARTBEAT_SAMPLE_MASK: u64 = 0xFFF;
 
+/// One windowed progress sample: what a heartbeat line reports.
+struct ProgressSample {
+    /// Whole-run average events/sec.
+    rate: f64,
+    /// Windowed (since previous sample) live events/sec.
+    live: f64,
+    /// Fraction of the watchdog op budget consumed, when armed.
+    budget_frac: Option<f64>,
+}
+
+/// Wall-clock window tracker producing [`ProgressSample`]s.
+struct ProgressMeter {
+    started: Instant,
+    last: Instant,
+    last_ops: u64,
+}
+
+impl ProgressMeter {
+    /// Starts the meter now; the first sample's window spans from here.
+    fn start() -> ProgressMeter {
+        let now = Instant::now();
+        ProgressMeter {
+            started: now,
+            last: now,
+            last_ops: 0,
+        }
+    }
+
+    /// Whether at least `every` has elapsed since the previous sample.
+    fn due(&self, now: Instant, every: Duration) -> bool {
+        now.duration_since(self.last) >= every
+    }
+
+    /// Closes the current window and returns its sample.
+    fn sample(&mut self, now: Instant, ops: u64, budget: Option<u64>) -> ProgressSample {
+        let total_secs = now.duration_since(self.started).as_secs_f64();
+        let window_secs = now.duration_since(self.last).as_secs_f64();
+        let rate = if total_secs > 0.0 {
+            ops as f64 / total_secs
+        } else {
+            0.0
+        };
+        let live = if window_secs > 0.0 {
+            ops.saturating_sub(self.last_ops) as f64 / window_secs
+        } else {
+            rate
+        };
+        self.last = now;
+        self.last_ops = ops;
+        ProgressSample {
+            rate: if rate.is_finite() { rate } else { 0.0 },
+            live: if live.is_finite() { live } else { 0.0 },
+            budget_frac: budget
+                .filter(|b| *b > 0)
+                .map(|b| ops as f64 / b as f64)
+                .filter(|f| f.is_finite()),
+        }
+    }
+}
+
 /// Live progress, throttled by host wall-clock time: with
 /// [`MachineConfig::heartbeat`](crate::MachineConfig::heartbeat) set, at
 /// most one stderr line per interval reporting sim time, ops executed,
@@ -127,37 +184,25 @@ pub(super) const HEARTBEAT_SAMPLE_MASK: u64 = 0xFFF;
 /// between the fastest and slowest node clocks. The scheduling
 /// loops tick it once per decision; the `Instant` read is amortized to
 /// once per 4096 ticks so an attached-but-quiet heartbeat stays off the
-/// hot path. The windowed rate/budget computation lives in the shared
-/// [`ProgressMeter`], so the stderr line and the stream's advisory
-/// `progress` events can never report different numbers.
+/// hot path.
 pub(super) struct Heartbeat {
-    every: std::time::Duration,
-    /// Whether to print the stderr line (false for the silent
-    /// stream-only heartbeat a stream sink auto-attaches).
-    stderr: bool,
+    every: Duration,
     pub(super) ticks: u64,
     meter: ProgressMeter,
     /// Baseline for the parallel policy's worker-occupancy fraction:
     /// `(wall instant, cumulative busy ns across workers)` at the last
     /// emitted sample. `None` until the first sample under a worker
     /// pool (the fraction needs a window to average over).
-    last_busy: Option<(std::time::Instant, u64)>,
-    /// Per-worker counterpart of `last_busy`: cumulative busy ns per
-    /// worker at the last emitted sample, for the advisory per-worker
-    /// utilization array on progress events. Empty until the first
-    /// sample under a worker pool.
-    last_worker: Vec<u64>,
+    last_busy: Option<(Instant, u64)>,
 }
 
 impl Heartbeat {
-    pub(super) fn new(every: std::time::Duration, stderr: bool) -> Heartbeat {
+    pub(super) fn new(every: Duration) -> Heartbeat {
         Heartbeat {
             every,
-            stderr,
             ticks: 0,
             meter: ProgressMeter::start(),
             last_busy: None,
-            last_worker: Vec::new(),
         }
     }
 }
@@ -176,8 +221,8 @@ impl Machine {
 
     /// Moves everything the run loops hold in [`Window`]s into the
     /// telemetry registry and the accounting ledger. Runs before every
-    /// reader of either: the stream bucket and the checkpoint cut at a
-    /// barrier release, and the end of the run, failed or not.
+    /// reader of either: the checkpoint cut at a barrier release, and the
+    /// end of the run, failed or not.
     pub(super) fn publish_observers(&mut self) {
         for (n, mem) in self.mems.iter_mut().enumerate() {
             mem.obs.publish(&self.obs, &self.tel, n as u32);
@@ -199,119 +244,11 @@ impl Machine {
         &self.obs
     }
 
-    /// Attaches a live `flashsim-stream-v1` event sink: the machine
-    /// emits a `start` header, one closed telemetry bucket per barrier
-    /// release, checkpoint-written markers, advisory progress
-    /// heartbeats, and an `end` terminator (see
-    /// [`flashsim_engine::stream`]). Streaming never perturbs simulated
-    /// state — the deterministic events are a pure function of the
-    /// run's provenance, and a sink error silently stops the stream
-    /// rather than failing the run.
-    ///
-    /// On a machine restored from a checkpoint the emitter resumes at
-    /// the stored stream position, so the continuation appends exactly
-    /// the events the uninterrupted run would have produced. Setting
-    /// [`MachineConfig::stream`] attaches a durable [`FileSink`]
-    /// automatically at [`Machine::run`] (create on a fresh run, append
-    /// on resume).
-    pub fn attach_stream_sink(&mut self, sink: Box<dyn StreamSink>) {
-        let mut em = StreamEmitter::new(sink);
-        em.set_position(self.stream_pos.0, self.stream_pos.1);
-        self.stream = Some(em);
-    }
-
-    /// The stream emitter's `(next_seq, last_emitted_ps)` position —
-    /// what checkpoints store, and what the journal truncates a
-    /// restored cell's stream file back to.
-    pub fn stream_position(&self) -> (u64, u64) {
-        self.stream
-            .as_ref()
-            .map_or(self.stream_pos, StreamEmitter::position)
-    }
-
-    /// Run-entry stream setup: opens the configured file sink if none
-    /// is attached yet, auto-attaches a silent heartbeat so progress
-    /// events flow even without [`MachineConfig::heartbeat`], and emits
-    /// the `start` header (fresh streams only) with the bucket
-    /// baselines seeded from current cumulative totals — zeros on a
-    /// fresh run, the restored quiescent-point totals on resume.
-    pub(super) fn open_stream(&mut self) {
-        if self.stream.is_none() {
-            if let Some(path) = self.cfg.stream.clone() {
-                let opened = if self.stream_pos.0 == 0 {
-                    FileSink::create(&path)
-                } else {
-                    FileSink::append(&path)
-                };
-                match opened {
-                    Ok(sink) => self.attach_stream_sink(Box::new(sink)),
-                    Err(e) => {
-                        eprintln!("[flashsim] stream sink {} unavailable: {e}", path.display());
-                    }
-                }
-            }
-        }
-        if self.stream.is_none() {
-            return;
-        }
-        if self.heartbeat.is_none() {
-            let every = std::time::Duration::from_millis(250);
-            self.heartbeat = Some(Heartbeat::new(every, false));
-        }
-        let at = Time::from_ps(self.stream_position().1);
-        let metrics = self.stream_totals(at);
-        let account = self.stream_account(at);
-        let info = RunInfo {
-            provenance: flashsim_engine::ckpt::provenance_hash(&self.provenance()),
-            config: self.cfg.label(),
-            workload: self.workload.clone(),
-            seed: self.workload_seed,
-            nodes: self.cfg.nodes,
-            sched: self.cfg.sched.key().to_owned(),
-            budget_ops: self.cfg.watchdog.max_ops,
-        };
-        if let Some(em) = self.stream.as_mut() {
-            let _stream = self.obs.hostprof.phase(HostPhase::Stream);
-            em.begin(&info, &metrics, account.as_deref());
-        }
-    }
-
-    /// The stable metric set at quiescent time `at` as `(key, kind,
-    /// cumulative total)` — the stream emitter's bucket basis. Volatile
-    /// (scheduler-shaped) metrics are excluded, exactly as in the
-    /// stable JSONL export, so the stream stays policy-invariant.
-    pub(super) fn stream_totals(&self, at: Time) -> Vec<(String, MetricKind, u64)> {
-        self.obs
-            .telemetry
-            .snapshot(at)
-            .map(|snap| {
-                snap.metrics
-                    .iter()
-                    .filter(|m| !m.volatile)
-                    .map(|m| (m.key(), m.kind, m.total))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Cumulative per-class accounting ledger at quiescent time `at`,
-    /// when a profiler is attached. At a barrier release every node
-    /// clock equals `at`, so the snapshot is exact and policy-invariant.
-    pub(super) fn stream_account(&self, at: Time) -> Option<Vec<u64>> {
-        let ends = vec![at; self.cfg.nodes as usize];
-        self.obs
-            .profiler
-            .snapshot(&ends)
-            .map(|acc| acc.class_totals().to_vec())
-    }
-
     /// One scheduling-decision tick of the heartbeat. One branch when no
     /// heartbeat is attached; when attached, the wall clock is read once
-    /// per 4096 ticks and a line/event is emitted at most once per
-    /// interval. The stderr line and the stream's `progress` event are
-    /// rendered from the same [`ProgressMeter`] sample, so they always
-    /// agree. `pool` is the parallel policy's worker pool, whose busy
-    /// counters are read only when a sample is due.
+    /// per 4096 ticks and a line is printed at most once per interval.
+    /// `pool` is the parallel policy's worker pool, whose busy counters
+    /// are read only when a sample is due.
     pub(super) fn heartbeat_tick(&mut self, executed: u64, pool: Option<&WorkerPool>) {
         let budget = self.cfg.watchdog.max_ops;
         let Some(hb) = self.heartbeat.as_mut() else {
@@ -321,62 +258,63 @@ impl Machine {
         if hb.ticks & HEARTBEAT_SAMPLE_MASK != 0 {
             return;
         }
-        let now = std::time::Instant::now();
+        let now = Instant::now();
         if !hb.meter.due(now, hb.every) {
             return;
         }
-        let mut sample = hb.meter.sample(now, executed, budget);
+        let sample = hb.meter.sample(now, executed, budget);
+        let mut busy = String::new();
         if let Some(pool) = pool {
             // Average worker occupancy over the window since the last
             // sample: host-side observability only, never simulated
-            // state (progress events are advisory by contract).
-            let lanes: Vec<u64> = (0..pool.size()).map(|w| pool.busy_ns(w)).collect();
-            let busy_ns: u64 = lanes.iter().sum();
+            // state.
+            let busy_ns: u64 = (0..pool.size()).map(|w| pool.busy_ns(w)).sum();
             if let Some((prev_at, prev_ns)) = hb.last_busy {
                 let wall_ns = now.duration_since(prev_at).as_nanos();
-                if wall_ns > 0 && !lanes.is_empty() {
+                if wall_ns > 0 && pool.size() > 0 {
                     let frac = busy_ns.saturating_sub(prev_ns) as f64
-                        / (wall_ns as f64 * lanes.len() as f64);
-                    sample.busy = Some(frac.min(1.0));
-                    if hb.last_worker.len() == lanes.len() {
-                        sample.worker_busy = lanes
-                            .iter()
-                            .zip(&hb.last_worker)
-                            .map(|(cur, prev)| {
-                                (cur.saturating_sub(*prev) as f64 / wall_ns as f64).min(1.0)
-                            })
-                            .collect();
-                    }
+                        / (wall_ns as f64 * pool.size() as f64);
+                    busy = format!(" busy={:.0}%", 100.0 * frac.min(1.0));
                 }
             }
             hb.last_busy = Some((now, busy_ns));
-            hb.last_worker = lanes;
         }
-        let stderr = hb.stderr;
         let lead = self.lead_clock();
         let lag = self.cores.iter().map(|c| c.now()).fold(lead, Time::min);
         let skew = lead.saturating_since(lag);
-        if let Some(em) = self.stream.as_mut() {
-            let _stream = self.obs.hostprof.phase(HostPhase::Stream);
-            em.progress(lead.as_ps(), &sample, skew.as_ps());
-        }
-        if stderr {
-            let budget = match sample.budget_frac {
-                Some(f) => format!("{:.1}%", 100.0 * f),
-                None => "-".to_owned(),
-            };
-            let busy = match sample.busy {
-                Some(f) => format!(" busy={:.0}%", 100.0 * f),
-                None => String::new(),
-            };
-            eprintln!(
-                "[flashsim] sim={:.3}ms ops={executed} rate={:.0}/s live={:.0}/s \
-                 budget={budget} skew={}ns{busy}",
-                (lead - Time::ZERO).as_ns_f64() / 1e6,
-                sample.rate,
-                sample.live,
-                skew.as_ns_f64(),
-            );
-        }
+        let budget = match sample.budget_frac {
+            Some(f) => format!("{:.1}%", 100.0 * f),
+            None => "-".to_owned(),
+        };
+        eprintln!(
+            "[flashsim] sim={:.3}ms ops={executed} rate={:.0}/s live={:.0}/s \
+             budget={budget} skew={}ns{busy}",
+            (lead - Time::ZERO).as_ns_f64() / 1e6,
+            sample.rate,
+            sample.live,
+            skew.as_ns_f64(),
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn progress_meter_windows_are_exact() {
+        let mut meter = ProgressMeter::start();
+        let t0 = meter.started;
+        let s1 = meter.sample(t0 + Duration::from_secs(2), 100, Some(1000));
+        assert!((s1.rate - 50.0).abs() < 1e-9);
+        assert!((s1.live - 50.0).abs() < 1e-9);
+        assert!((s1.budget_frac.unwrap_or(0.0) - 0.1).abs() < 1e-12);
+        // Second window: 2s more, 300 new ops → live 150/s, rate 100/s.
+        let s2 = meter.sample(t0 + Duration::from_secs(4), 400, None);
+        assert!((s2.rate - 100.0).abs() < 1e-9);
+        assert!((s2.live - 150.0).abs() < 1e-9);
+        assert!(s2.budget_frac.is_none());
+        assert!(meter.due(t0 + Duration::from_secs(5), Duration::from_millis(900)));
+        assert!(!meter.due(t0 + Duration::from_secs(4), Duration::from_millis(900)));
     }
 }

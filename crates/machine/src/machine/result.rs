@@ -44,9 +44,6 @@ pub struct RunManifest {
     /// Span-sampling plan summary (`"seed=… period=… max_txns=…"`);
     /// `None` when the run had no span tracer attached.
     pub spans: Option<String>,
-    /// Path of the live `flashsim-stream-v1` event stream, when
-    /// [`MachineConfig::stream`] directed one to a file.
-    pub stream: Option<String>,
 }
 
 impl RunManifest {
@@ -99,8 +96,6 @@ impl RunManifest {
         out.push_str(&num(self.sim_mips));
         out.push_str(",\"spans\":");
         opt_str(&mut out, &self.spans);
-        out.push_str(",\"stream\":");
-        opt_str(&mut out, &self.stream);
         out.push_str(",\"account\":");
         match &self.account {
             None => out.push_str("null"),
@@ -236,7 +231,6 @@ impl Machine {
                 .as_ref()
                 .map(|acc| StallClass::ALL.map(|c| acc.fraction(c))),
             spans: self.cfg.spans.as_ref().map(|p| p.describe()),
-            stream: self.cfg.stream.as_ref().map(|p| p.display().to_string()),
         };
 
         RunResult {

@@ -2,7 +2,7 @@
 //! barriers collect all nodes and release them together, locks serialize
 //! holders with a real read-exclusive transaction on the lock's line per
 //! hand-off. Barrier releases are the machine's quiescent points, where
-//! the stream bucket and the checkpoint are emitted.
+//! the checkpoint is cut.
 
 use super::sched::Epoch;
 use super::{Machine, NodeStatus};
@@ -64,35 +64,18 @@ impl Machine {
                     // The machine is now quiescent: every node Running at
                     // the release time, no arrival or lock queues, no
                     // transaction mid-flight — and every stable cumulative
-                    // total is policy-invariant, which is what makes the
-                    // stream's closed bucket (deltas since the previous
-                    // release) prefix-stable across reruns and policies.
-                    // Both readers below need the totals complete, and the
-                    // checkpoint only the fills still in flight.
+                    // total is policy-invariant. The checkpoint cut needs
+                    // those totals complete and only the fills still in
+                    // flight.
                     self.settle_pending();
                     self.publish_observers();
-                    if self.stream.is_some() {
-                        let _stream = self.obs.hostprof.phase(HostPhase::Stream);
-                        let totals = self.stream_totals(release);
-                        let account = self.stream_account(release);
-                        if let Some(em) = self.stream.as_mut() {
-                            em.bucket(op.id, release.as_ps(), &totals, account.as_deref());
-                        }
-                    }
                     // Emit a checkpoint if a sink is attached (take/put-
                     // back so the sink can borrow the machine-produced
-                    // text without aliasing `self`). The stream's ckpt
-                    // event goes first: the snapshot then stores the
-                    // emitter position *after* the event, so a resume
-                    // continues past it instead of re-emitting it.
+                    // text without aliasing `self`).
                     if let Some(mut sink) = self.ckpt_sink.take() {
                         let _ckpt = self.obs.hostprof.phase(HostPhase::Ckpt);
                         let seq = self.ckpt_seq;
                         self.ckpt_seq += 1;
-                        if let Some(em) = self.stream.as_mut() {
-                            let _stream = self.obs.hostprof.phase(HostPhase::Stream);
-                            em.ckpt(seq, release.as_ps());
-                        }
                         let text = self.checkpoint();
                         sink(seq, release, &text);
                         self.ckpt_sink = Some(sink);

@@ -3,41 +3,49 @@
 //! `Err` — and never panics. One valid document per [`Schema::ALL`]
 //! comes from a real 2-node run; each is then cut at every line
 //! boundary and hit with seeded single-byte mutations, and every
-//! variant goes through `Schema::validate` and the two lenient stream
-//! readers.
+//! variant goes through `Schema::validate`. A checkpoint's checksum
+//! stops almost all of those at the door, so a second pass reseals each
+//! mutated checkpoint and hands it to `Machine::restore` as well.
 
-use flashsim::engine::stream::{self, MemorySink};
-use flashsim::engine::{Rng, Schema, SpanPlan, TimeDelta};
-use flashsim::machine::Machine;
+use flashsim::engine::{ckpt, Rng, Schema, SpanPlan, Time, TimeDelta};
+use flashsim::machine::{Machine, MachineConfig, RestoreError};
 use flashsim::platform::{MemModel, Sim, Study};
 use flashsim::workloads::{Fft, FftBlocking, ProblemScale};
 use std::panic::catch_unwind;
+use std::sync::{Arc, Mutex};
 
 /// Mutations per document.
 const MUTATIONS: u64 = 2_000;
 
-/// One valid document of every format, from one observed 2-node run.
-fn documents() -> Vec<(Schema, String)> {
-    let program = Fft::sized(ProblemScale::Tiny, 2, FftBlocking::Cache);
+/// The observed 2-node configuration every document comes from.
+fn observed() -> MachineConfig {
     let mut cfg = Study::scaled().sim(Sim::SimosMipsy(150), 2, MemModel::FlashLite);
     cfg.profile = true;
     cfg.telemetry = Some(TimeDelta::from_ns(500));
     cfg.spans = Some(SpanPlan::sampled(7, 256));
     cfg.hostprof = true;
-    let (sink, stream_text) = MemorySink::new();
-    let mut m = Machine::new(cfg, &program).expect("machine builds");
-    m.attach_stream_sink(Box::new(sink));
-    let ckpt = m.checkpoint();
+    cfg
+}
+
+/// One valid document of every format, from one observed run of
+/// `program`; the checkpoint is the one cut at the run's middle barrier.
+fn documents(cfg: MachineConfig, program: &Fft) -> Vec<(Schema, String)> {
+    let ckpts = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&ckpts);
+    let mut m = Machine::new(cfg, program).expect("machine builds");
+    m.attach_ckpt_sink(Box::new(move |_seq, _at: Time, text: &str| {
+        sink.lock().expect("sink lock").push(text.to_owned());
+    }));
     let result = m.run().expect("run completes");
     drop(m);
-    let stream_text = stream_text.lock().expect("stream buffer").clone();
+    let mut ckpts = std::mem::take(&mut *ckpts.lock().expect("sink lock"));
+    let ckpt = ckpts.swap_remove(ckpts.len() / 2);
     Schema::ALL
         .into_iter()
         .map(|schema| {
             let text = match schema {
                 Schema::Telemetry => result.telemetry.as_ref().expect("telemetry").to_jsonl(),
                 Schema::Span => result.spans.as_ref().expect("spans").to_jsonl(),
-                Schema::Stream => stream_text.clone(),
                 Schema::HostProf => result.hostprof.as_ref().expect("hostprof").to_jsonl(),
                 Schema::Ckpt => ckpt.clone(),
             };
@@ -46,15 +54,10 @@ fn documents() -> Vec<(Schema, String)> {
         .collect()
 }
 
-/// Runs every reader over `text`; a panic in any of them fails the test
-/// with the offending input.
+/// Validates `text`; a panic fails the test with the offending input.
 fn readers_return(schema: Schema, text: &str, what: &str) {
     let outcome = catch_unwind(|| {
         let _ = schema.validate(text);
-        let _ = stream::read_events(text);
-        for next_seq in [0, 3, u64::MAX] {
-            let _ = stream::consistent_prefix(text, next_seq);
-        }
     });
     assert!(
         outcome.is_ok(),
@@ -63,10 +66,44 @@ fn readers_return(schema: Schema, text: &str, what: &str) {
     );
 }
 
+/// One seeded single-byte mutation of `good`. Half the mutations write a
+/// digit, so numeric fields get damaged into other numbers, not only
+/// into parse failures.
+fn mutated(good: &str, rng: &mut Rng) -> String {
+    let mut bytes = good.to_owned().into_bytes();
+    let at = rng.gen_range(bytes.len() as u64) as usize;
+    bytes[at] = if rng.gen_range(2) == 0 {
+        b'0' + rng.gen_range(10) as u8
+    } else {
+        b' ' + rng.gen_range(95) as u8
+    };
+    String::from_utf8(bytes).expect("ASCII stays UTF-8")
+}
+
+/// `good` with each number in turn (an even sample of about `samples`)
+/// replaced by `u64::MAX`: the sums and differences a reader takes over
+/// parsed fields must not overflow, and a parsed count must not size an
+/// allocation.
+fn saturated(good: &str, samples: usize) -> impl Iterator<Item = String> + '_ {
+    let bytes = good.as_bytes();
+    let starts: Vec<usize> = (0..bytes.len())
+        .filter(|&i| bytes[i].is_ascii_digit() && (i == 0 || !bytes[i - 1].is_ascii_digit()))
+        .collect();
+    let step = starts.len() / samples + 1;
+    starts.into_iter().step_by(step).map(move |at| {
+        let len = bytes[at..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        format!("{}{}{}", &good[..at], u64::MAX, &good[at + len..])
+    })
+}
+
 #[test]
 fn truncated_and_mutated_documents_never_panic_a_reader() {
     let mut rng = Rng::seeded(0x5EED);
-    for (schema, good) in documents() {
+    let program = Fft::sized(ProblemScale::Tiny, 2, FftBlocking::Cache);
+    for (schema, good) in documents(observed(), &program) {
         schema
             .validate(&good)
             .unwrap_or_else(|e| panic!("pristine {} document is invalid: {e}", schema.key()));
@@ -80,33 +117,75 @@ fn truncated_and_mutated_documents_never_panic_a_reader() {
         }
 
         for _ in 0..MUTATIONS {
-            let mut bytes = good.clone().into_bytes();
-            let at = rng.gen_range(bytes.len() as u64) as usize;
-            // Half the mutations write a digit, so numeric fields get
-            // damaged into other numbers, not only into parse failures.
-            bytes[at] = if rng.gen_range(2) == 0 {
-                b'0' + rng.gen_range(10) as u8
-            } else {
-                b' ' + rng.gen_range(95) as u8
-            };
-            let mutated = String::from_utf8(bytes).expect("ASCII stays UTF-8");
-            readers_return(schema, &mutated, "a single-byte mutation");
+            readers_return(schema, &mutated(&good, &mut rng), "a single-byte mutation");
         }
-
-        // Numbers in turn (an even sample of ~150) become u64::MAX: the
-        // sums and differences a validator takes over parsed fields must
-        // not overflow.
-        let bytes = good.as_bytes();
-        let starts: Vec<usize> = (0..bytes.len())
-            .filter(|&i| bytes[i].is_ascii_digit() && (i == 0 || !bytes[i - 1].is_ascii_digit()))
-            .collect();
-        for &at in starts.iter().step_by(starts.len() / 150 + 1) {
-            let len = bytes[at..]
-                .iter()
-                .take_while(|b| b.is_ascii_digit())
-                .count();
-            let saturated = format!("{}{}{}", &good[..at], u64::MAX, &good[at + len..]);
-            readers_return(schema, &saturated, "a number saturated to u64::MAX");
+        for text in saturated(&good, 150) {
+            readers_return(schema, &text, "a number saturated to u64::MAX");
         }
     }
+}
+
+/// A checkpoint body sealed with the trailer `CkptWriter::finish` would
+/// give it (`provenance_hash` is the same fxhash, rendered the same way).
+fn resealed(body: &str) -> String {
+    format!("{body}checksum={}\n", ckpt::provenance_hash(body))
+}
+
+#[test]
+fn checkpoint_mutations_that_survive_the_checksum_never_panic_restore() {
+    // A 256-point FFT: every restore spawns the program's generator
+    // threads and replays the ops consumed so far, 2 400 times over.
+    let (cfg, program) = (observed(), Fft::new(1 << 8, 2, FftBlocking::Cache));
+    let (_, good) = documents(cfg.clone(), &program)
+        .into_iter()
+        .find(|(schema, _)| *schema == Schema::Ckpt)
+        .expect("a checkpoint document");
+    let body = &good[..good.rfind("checksum=").expect("a trailer")];
+    assert_eq!(resealed(body), good, "the trailer is recomputed as written");
+    Machine::restore(cfg.clone(), &program, &good).expect("the pristine checkpoint restores");
+
+    // Damage below the provenance header only: a mutated header is
+    // rejected before any field parser runs.
+    let header = body
+        .match_indices('\n')
+        .nth(2)
+        .expect("three header lines")
+        .0
+        + 1;
+    let (header, state) = body.split_at(header);
+    let mut rng = Rng::seeded(0xC4A7);
+    let hostile = (0..MUTATIONS)
+        .map(|_| mutated(state, &mut rng))
+        .chain(saturated(state, 400));
+    let (mut tried, mut past_the_door) = (0u64, 0u64);
+    for state in hostile {
+        let text = resealed(&format!("{header}{state}"));
+        let outcome = catch_unwind(|| {
+            let valid = Schema::Ckpt.validate(&text).is_ok();
+            let _ = Machine::restore(cfg.clone(), &program, &text);
+            valid
+        });
+        match outcome {
+            Ok(valid) => past_the_door += u64::from(valid),
+            Err(_) => panic!("a resealed checkpoint panicked a reader:\n{text}"),
+        }
+        tried += 1;
+    }
+    assert!(tried >= 2_000, "{tried} mutations");
+    assert!(
+        past_the_door * 2 > tried,
+        "only {past_the_door} of {tried} mutations reached the field parsers"
+    );
+
+    // The parent format: two stream-position fields after `ckpt_seq`.
+    let old = body.replacen("\nnodes=", "\nstream_seq=7\nstream_last_ps=1000\nnodes=", 1);
+    assert_ne!(old, body);
+    let old = resealed(&old);
+    Schema::Ckpt
+        .validate(&old)
+        .expect("structurally a checkpoint");
+    assert!(matches!(
+        Machine::restore(cfg, &program, &old),
+        Err(RestoreError::Ckpt(_))
+    ));
 }

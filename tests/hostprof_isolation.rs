@@ -4,15 +4,17 @@
 //! the profiler attached must be *byte-identical* to the same run
 //! without it on every simulated observable — stats JSON, accounting,
 //! cycle times, per-node op counts, barrier releases, telemetry JSONL,
-//! span JSONL, and the stream's deterministic event lines — on every
-//! platform, under both the serial Reference policy and the Parallel
-//! policy (where the profiler instruments the fork/join rounds
-//! themselves).
+//! span JSONL, and every per-barrier checkpoint — on every platform,
+//! under both the serial Reference policy and the Parallel policy (where
+//! the profiler instruments the fork/join rounds themselves).
 
-use flashsim::engine::{stream, SpanPlan, TimeDelta};
-use flashsim::machine::{run_program, MachineConfig, RunResult, SchedPolicy};
+use flashsim::engine::{SpanPlan, Time, TimeDelta};
+use flashsim::journal::render_artifacts;
+use flashsim::machine::{run_program, Machine, MachineConfig, RunResult, SchedPolicy};
 use flashsim::platform::{MemModel, Sim, Study};
+use flashsim::runner::CellOutcome;
 use flashsim::workloads::{Fft, FftBlocking, ProblemScale};
+use std::sync::{Arc, Mutex};
 
 /// Worker count for the `Parallel` policy under test (same variable the
 /// sched-equivalence suite sweeps in CI).
@@ -109,15 +111,11 @@ fn attaching_hostprof_changes_no_simulated_byte() {
 }
 
 #[test]
-fn hostprof_leaves_deterministic_stream_events_untouched() {
-    // The stream emitter is instrumented from inside (the `Stream`
-    // phase guard wraps every flush), so the live protocol is where an
-    // isolation bug would leak first. Advisory progress lines carry
-    // host occupancy by design; the *deterministic* lines must not
-    // move a byte.
-    let dir = std::env::temp_dir().join(format!("flashsim-hostprof-iso-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create tmp dir");
+fn hostprof_leaves_checkpoints_and_artifacts_untouched() {
+    // The checkpoint cut is instrumented from inside (the `Ckpt` phase
+    // guard wraps the serialization and the sink call), so it is where
+    // an isolation bug would leak first: every per-barrier checkpoint and
+    // the cell's `flashsim-artifacts-v1` rendering must not move a byte.
     let study = Study::scaled();
     let prog = Fft::sized(ProblemScale::Tiny, 2, FftBlocking::Cache);
     let mut cfg = study.sim(Sim::SimosMipsy(150), 2, MemModel::FlashLite);
@@ -126,21 +124,30 @@ fn hostprof_leaves_deterministic_stream_events_untouched() {
     };
     cfg.telemetry = Some(TimeDelta::from_us(1));
     cfg.profile = true;
-    let mut texts = Vec::new();
-    for hostprof in [false, true] {
-        let path = dir.join(if hostprof { "on.stream" } else { "off.stream" });
+    let run = |hostprof: bool| {
         let mut c = cfg.clone();
         c.hostprof = hostprof;
-        c.stream = Some(path.clone());
-        run_program(c, &prog).expect("streamed run completes");
-        let text = std::fs::read_to_string(&path).expect("stream file written");
-        stream::validate_jsonl(&text).expect("stream validates");
-        texts.push(text);
-    }
-    assert_eq!(
-        stream::deterministic_lines(&texts[0]),
-        stream::deterministic_lines(&texts[1]),
-        "hostprof must not perturb the deterministic stream events"
+        let ckpts = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&ckpts);
+        let mut m = Machine::new(c, &prog).expect("machine builds");
+        m.attach_ckpt_sink(Box::new(move |seq, _at: Time, text: &str| {
+            sink.lock().expect("sink lock").push((seq, text.to_owned()));
+        }));
+        let result = m.run().expect("checkpointed run completes");
+        drop(m);
+        let ckpts = std::mem::take(&mut *ckpts.lock().expect("sink lock"));
+        let artifacts = render_artifacts(&CellOutcome::Completed(Box::new(result)));
+        (ckpts, artifacts)
+    };
+    let (off_ckpts, off_artifacts) = run(false);
+    let (on_ckpts, on_artifacts) = run(true);
+    assert!(off_ckpts.len() > 1, "a multi-barrier run cuts checkpoints");
+    assert!(
+        on_ckpts == off_ckpts,
+        "hostprof must not perturb any per-barrier checkpoint"
     );
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        on_artifacts, off_artifacts,
+        "hostprof must not perturb the artifacts"
+    );
 }

@@ -11,7 +11,6 @@
 //! move, at any worker count (`FLASHSIM_EQ_WORKERS` sweeps it in CI).
 
 use flashsim::attrib::run_profiled;
-use flashsim::engine::stream::{self, MemorySink};
 use flashsim::engine::{FaultPlan, SpanPlan, Time, TimeDelta};
 use flashsim::machine::{run_program, Machine, MachineConfig, RunResult, SchedPolicy, Watchdog};
 use flashsim::platform::{MemModel, Sim, Study};
@@ -177,68 +176,76 @@ fn candidates_match_reference_with_telemetry_and_spans() {
     }
 }
 
+/// A checkpoint's state: everything after the three header lines (the
+/// provenance names the scheduling policy) and before the checksum.
+fn ckpt_state(text: &str) -> &str {
+    let body = text.splitn(4, '\n').nth(3).expect("a header");
+    &body[..body.rfind("checksum=").expect("a trailer")]
+}
+
 #[test]
 fn observer_windows_lose_nothing_across_forks_and_barrier_cuts() {
     // The per-op observer writes — hit/miss counters, the compute
     // residual — are folded in per-node windows and reach the registry
     // and the ledger once per bucket. With telemetry and the profiler
     // both attached, at four nodes (rounds fork several at once) and a
-    // stream cutting a bucket at every barrier release: every policy must
-    // export Reference's bytes, stream Reference's buckets (totals read
-    // mid-run, so everything has to be published by then), and count
-    // every hit the caches counted.
+    // checkpoint cut at every barrier release: every policy must export
+    // Reference's bytes, checkpoint Reference's state (registry and
+    // ledger are serialized mid-run, so everything has to be published by
+    // then), and count every hit the caches counted.
     let study = Study::scaled();
     let prog = Fft::sized(ProblemScale::Tiny, 4, FftBlocking::Cache);
     let run = |cfg: MachineConfig| {
-        let (sink, buf) = MemorySink::new();
+        let ckpts = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&ckpts);
         let mut m = Machine::new(cfg, &prog).expect("machine builds");
-        m.attach_stream_sink(Box::new(sink));
+        m.attach_ckpt_sink(Box::new(move |_seq, _at: Time, text: &str| {
+            let mut ckpts = sink.lock().expect("sink lock");
+            ckpts.push(ckpt_state(text).to_owned());
+        }));
         let result = m.run().expect("run completes");
         drop(m);
-        let text = buf.lock().expect("stream buffer").clone();
+        let ckpts = std::mem::take(&mut *ckpts.lock().expect("sink lock"));
         let series = result.telemetry.as_ref().expect("telemetry attached");
         // (The miss counters also count upgrades, which the caches' own
         // statistics do not.)
         for (metric, stat) in [("mem.l1_hits", "l1.hits"), ("mem.l2_hits", "l2.hits")] {
+            let metric = series.get(metric).expect("registered");
             assert_eq!(
-                series.get(metric).expect("registered").total as f64,
+                metric.total as f64,
                 result.stats.get_or_zero(stat),
-                "{metric} must count every access behind {stat}"
+                "{} must count every access behind {stat}",
+                metric.name
+            );
+            assert_eq!(
+                metric.buckets.iter().sum::<u64>(),
+                metric.total,
+                "the {} series must add up to its total",
+                metric.name
             );
         }
-        let lines = stream::deterministic_lines(&text);
-        // FFT ends on a barrier, so the buckets cut at the releases add up
-        // to the run totals only if each cut saw everything before it.
-        let streamed: u64 = lines
-            .iter()
-            .filter_map(|l| l.split_once("\"mem.l1_hits\":"))
-            .filter_map(|(_, rest)| rest.split(|c: char| !c.is_ascii_digit()).next())
-            .filter_map(|digits| digits.parse::<u64>().ok())
-            .sum();
-        assert_eq!(
-            streamed as f64,
-            result.stats.get_or_zero("l1.hits"),
-            "streamed mem.l1_hits buckets must add up to the run's hits"
-        );
-        (result, lines)
+        (result, ckpts)
     };
     for (label, mut cfg) in platforms(&study, 4) {
         cfg.telemetry = Some(TimeDelta::from_us(1));
         cfg.profile = true;
-        let (r, r_lines) = run(with_policy(cfg.clone(), SchedPolicy::Reference));
+        let (r, r_ckpts) = run(with_policy(cfg.clone(), SchedPolicy::Reference));
         assert!(
-            r_lines.iter().any(|l| l.contains("\"ev\":\"bucket\"")),
-            "{label}: a multi-barrier run must close buckets"
+            r_ckpts.len() > 1,
+            "{label}: a multi-barrier run must cut several checkpoints"
         );
         for (pname, policy) in candidates() {
             let mut cand = with_policy(cfg.clone(), policy);
             cand.hostprof = true;
-            let (c, c_lines) = run(cand);
+            let (c, c_ckpts) = run(cand);
             assert_identical(&format!("{label}/{pname}"), &c, &r);
-            assert_eq!(
-                c_lines, r_lines,
-                "{label}/{pname}: buckets cut at barrier releases must match"
-            );
+            assert_eq!(c_ckpts.len(), r_ckpts.len(), "{label}/{pname}: cuts");
+            for (i, (c_state, r_state)) in c_ckpts.iter().zip(&r_ckpts).enumerate() {
+                assert!(
+                    c_state == r_state,
+                    "{label}/{pname}: checkpoint {i} differs from Reference's"
+                );
+            }
             if matches!(policy, SchedPolicy::Parallel { .. }) {
                 let a = c.hostprof.as_ref().expect("hostprof attached").admission;
                 assert!(
