@@ -143,6 +143,12 @@ pub struct OooCore {
     name: &'static str,
     fetch: Time,
     fetch_rem_ps: u64,
+    /// Whole picoseconds of fetch bandwidth one op consumes
+    /// (`period / effective_width`, truncated) and the thousandths of a
+    /// picosecond left over. Functions of `cfg` alone, so not
+    /// checkpointed.
+    fetch_step: u64,
+    fetch_frac: u64,
     reg_ready: [Time; Reg::COUNT],
     window: VecDeque<Time>,
     int_free: Vec<Time>,
@@ -174,11 +180,15 @@ impl OooCore {
     /// Creates an idle core; `name` distinguishes MXS from the gold
     /// standard in statistics.
     pub fn new(cfg: OooConfig, name: &'static str) -> OooCore {
+        let per_op = cfg.clock.period().as_ps() as f64 / cfg.effective_width;
+        let fetch_step = per_op as u64;
         OooCore {
             cfg,
             name,
             fetch: Time::ZERO,
             fetch_rem_ps: 0,
+            fetch_step,
+            fetch_frac: ((per_op - fetch_step as f64) * 1000.0) as u64,
             reg_ready: [Time::ZERO; Reg::COUNT],
             window: VecDeque::with_capacity(cfg.window),
             int_free: vec![Time::ZERO; cfg.int_units],
@@ -208,16 +218,12 @@ impl OooCore {
 
     /// Advances fetch by one op at the sustained width.
     fn advance_fetch(&mut self) {
-        let period = self.cfg.clock.period().as_ps();
         // One op consumes period/width of fetch bandwidth; carry the
         // remainder so long streams average exactly `effective_width`.
-        let num = period as f64 / self.cfg.effective_width;
-        let step = num as u64;
-        let frac = ((num - step as f64) * 1000.0) as u64;
-        self.fetch_rem_ps += frac;
+        self.fetch_rem_ps += self.fetch_frac;
         let extra = self.fetch_rem_ps / 1000;
         self.fetch_rem_ps %= 1000;
-        self.fetch += TimeDelta::from_ps(step + extra);
+        self.fetch += TimeDelta::from_ps(self.fetch_step + extra);
     }
 
     fn window_entry(&mut self) -> Time {
@@ -305,7 +311,7 @@ impl Core for OooCore {
             OpClass::Branch => {
                 let issue = self.unit_issue(UnitClass::Int, ready);
                 let completion = issue + self.cycles(self.cfg.latencies.branch);
-                if self.bp.mispredicts(op.id, op.taken) {
+                if self.bp.mispredicts(op.id, op.taken()) {
                     // Fetch restarts after resolution plus the penalty.
                     self.fetch = self
                         .fetch
@@ -460,9 +466,7 @@ impl Core for OooCore {
         // parallel scheduler derive a lookahead horizon for MXS and
         // R10000 instead of degrading them to serial execution.
         crate::env::ScanProfile {
-            min_ps_per_op: TimeDelta::from_ps(
-                (self.cfg.clock.period().as_ps() as f64 / self.cfg.effective_width) as u64,
-            ),
+            min_ps_per_op: TimeDelta::from_ps(self.fetch_step),
             resolves_memory: true,
         }
     }

@@ -15,6 +15,13 @@
 //!
 //! The same op stream is fed to every platform — the moral equivalent of the
 //! paper's "the same application binaries are used for all platforms".
+//!
+//! An [`Op`] is 16 bytes, pinned at compile time (its layout table is on
+//! the type): a run streams tens of millions of them from generator
+//! threads to the cores that execute them in place, so the op's size is
+//! that hand-off's memory and cache traffic. A branch's outcome has no
+//! byte of its own; it lives in the branch's unused `addr`, behind
+//! [`Op::taken`].
 
 use core::fmt;
 
@@ -168,8 +175,32 @@ impl fmt::Display for OpClass {
 }
 
 /// One operation in a thread's instruction stream.
+///
+/// Sixteen bytes, every one of them a field — streams are tens of millions
+/// of ops, handed from generator to core by reference (see
+/// [`sink`](crate::sink)), so the op's size is the hand-off's memory and
+/// cache footprint:
+///
+/// | offset | field   | type      |
+/// |--------|---------|-----------|
+/// | 0      | `addr`  | `VAddr`   |
+/// | 8      | `id`    | `u32`     |
+/// | 12     | `class` | `OpClass` |
+/// | 13     | `dst`   | `Reg`     |
+/// | 14     | `src_a` | `Reg`     |
+/// | 15     | `src_b` | `Reg`     |
+///
+/// A branch's outcome has no byte of its own: it is the low bit of the
+/// branch's otherwise unused `addr`, read through [`Op::taken`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
 pub struct Op {
+    /// Memory address for memory ops; lock-line address for lock ops; the
+    /// outcome bit for branches (see [`Op::taken`]); `VAddr(0)` otherwise.
+    pub addr: VAddr,
+    /// Barrier/lock identifier for sync ops; static branch site id for
+    /// branches (used by branch predictors); 0 otherwise.
+    pub id: u32,
     /// The instruction class.
     pub class: OpClass,
     /// Destination register (`Reg::ZERO` when the result is unused).
@@ -178,15 +209,9 @@ pub struct Op {
     pub src_a: Reg,
     /// Second source register (store data; `Reg::ZERO` if unused).
     pub src_b: Reg,
-    /// Memory address for memory ops; lock-line address for lock ops;
-    /// `VAddr(0)` otherwise.
-    pub addr: VAddr,
-    /// Barrier/lock identifier for sync ops; static branch site id for
-    /// branches (used by branch predictors); 0 otherwise.
-    pub id: u32,
-    /// For branches: whether the branch is taken.
-    pub taken: bool,
 }
+
+const _: () = assert!(core::mem::size_of::<Op>() == 16);
 
 impl Op {
     /// A pure compute op of the given class with explicit dependences.
@@ -199,7 +224,6 @@ impl Op {
             src_b,
             addr: VAddr(0),
             id: 0,
-            taken: false,
         }
     }
 
@@ -212,7 +236,6 @@ impl Op {
             src_b: Reg::ZERO,
             addr,
             id: 0,
-            taken: false,
         }
     }
 
@@ -225,7 +248,6 @@ impl Op {
             src_b: data,
             addr,
             id: 0,
-            taken: false,
         }
     }
 
@@ -238,7 +260,6 @@ impl Op {
             src_b: Reg::ZERO,
             addr,
             id: 0,
-            taken: false,
         }
     }
 
@@ -249,10 +270,16 @@ impl Op {
             dst: Reg::ZERO,
             src_a: cond,
             src_b: Reg::ZERO,
-            addr: VAddr(0),
+            addr: VAddr(taken as u64),
             id: site,
-            taken,
         }
+    }
+
+    /// For branches: whether the branch is taken. False for every other
+    /// class.
+    #[inline]
+    pub fn taken(&self) -> bool {
+        self.class == OpClass::Branch && self.addr.0 != 0
     }
 
     /// A global barrier with identifier `id`.
@@ -264,7 +291,6 @@ impl Op {
             src_b: Reg::ZERO,
             addr: VAddr(0),
             id,
-            taken: false,
         }
     }
 
@@ -277,7 +303,6 @@ impl Op {
             src_b: Reg::ZERO,
             addr,
             id,
-            taken: false,
         }
     }
 
@@ -290,7 +315,6 @@ impl Op {
             src_b: Reg::ZERO,
             addr,
             id,
-            taken: false,
         }
     }
 }
@@ -305,7 +329,7 @@ impl fmt::Display for Op {
                 f,
                 "branch @{} {}",
                 self.id,
-                if self.taken { "taken" } else { "not-taken" }
+                if self.taken() { "taken" } else { "not-taken" }
             ),
             OpClass::Barrier => write!(f, "barrier #{}", self.id),
             OpClass::LockAcquire => write!(f, "lock #{} [{}]", self.id, self.addr),
@@ -363,9 +387,17 @@ mod tests {
         assert_eq!(s.src_b, Reg(4));
         assert_eq!(s.dst, Reg::ZERO);
 
-        let b = Op::branch(9, true, Reg(6));
-        assert_eq!(b.id, 9);
-        assert!(b.taken);
+        for taken in [true, false] {
+            let b = Op::branch(9, taken, Reg(6));
+            assert_eq!(b.class, OpClass::Branch);
+            assert_eq!(b.taken(), taken);
+            assert_eq!(
+                (b.id, b.dst, b.src_a, b.src_b),
+                (9, Reg::ZERO, Reg(6), Reg::ZERO)
+            );
+        }
+        // Only a branch has an outcome, whatever its `addr` holds.
+        assert!(!l.taken() && !s.taken());
 
         let bar = Op::barrier(2);
         assert_eq!(bar.class, OpClass::Barrier);
@@ -386,7 +418,8 @@ mod tests {
 
     #[test]
     fn op_is_small() {
-        // Op streams can be tens of millions of entries; keep them compact.
-        assert!(std::mem::size_of::<Op>() <= 24);
+        assert_eq!(std::mem::size_of::<Op>(), 16);
+        // `class` has spare discriminants, so a peeked op costs no tag word.
+        assert_eq!(std::mem::size_of::<Option<Op>>(), 16);
     }
 }

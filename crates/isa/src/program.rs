@@ -133,13 +133,17 @@ pub trait Program: Send + Sync {
             h = mix(h, tid as u64);
             let mut ops = 0u64;
             for op in self.stream(tid) {
+                // A branch's outcome rides in its `addr` (see
+                // `Op::taken`); the fold keeps the two apart, so the value
+                // is the one journals recorded when `taken` was a field.
+                let taken = op.taken();
                 h = mix(h, op.class as u64);
                 h = mix(h, u64::from(op.dst.0));
                 h = mix(h, u64::from(op.src_a.0));
                 h = mix(h, u64::from(op.src_b.0));
-                h = mix(h, op.addr.get());
+                h = mix(h, if taken { 0 } else { op.addr.get() });
                 h = mix(h, u64::from(op.id));
-                h = mix(h, u64::from(op.taken));
+                h = mix(h, u64::from(taken));
                 ops += 1;
             }
             h = mix(h, ops);

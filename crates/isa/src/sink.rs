@@ -7,6 +7,16 @@
 //! materialized in memory, yet kernels read like the loops they model
 //! instead of hand-written state machines.
 //!
+//! Ops cross the channel in chunks of `CHUNK_OPS` and are then read *in
+//! place*: [`ThreadStream::pending`] lends the consumer a slice of the very
+//! buffer the kernel filled, and [`ThreadStream::consume`] moves a cursor
+//! over it, so an op is written once (by the kernel) and never copied on
+//! its way to the core that executes it. A stream holds at most
+//! `CHANNEL_CHUNKS + 2` filled chunks — the queue, the one the generator
+//! is filling or waiting to send, and the one being read — which at 16
+//! bytes an [`Op`] is 4 × 128 KiB = 512 KiB, plus the lookahead of
+//! [`ThreadStream::peek_at`] while one is buffered.
+//!
 //! Streams are fully deterministic: a kernel's output depends only on its
 //! own parameters, never on simulation timing. This is what lets the
 //! workspace uphold the paper's "same binaries on every platform" rule — an
@@ -33,11 +43,15 @@ use crate::op::{Op, OpClass, Reg, VAddr};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
-/// Ops per channel message. Large enough to amortize channel overhead,
-/// small enough to bound memory (4 chunks in flight per stream).
+/// Ops per channel message. Large enough to amortize channel overhead
+/// (1024-op chunks cost every benchmark workload 10–30 %), small enough to
+/// bound memory.
 const CHUNK_OPS: usize = 8192;
-/// Chunks buffered in the channel before the generator blocks.
-const CHANNEL_CHUNKS: usize = 4;
+/// Chunks buffered in the channel before the generator blocks. Two keep
+/// even a lone generator ahead of its consumer (a depth of four was no
+/// faster on any benchmark workload and held a fifth more memory at 64
+/// streams).
+const CHANNEL_CHUNKS: usize = 2;
 
 /// First register handed out by the rotating allocator; registers below
 /// this are reserved for kernel-managed dependence chains.
@@ -221,8 +235,13 @@ impl Sink {
 
 /// The consume side of a thread's op stream.
 ///
-/// Produced by [`spawn_stream`]; the machine layer pulls one op at a time
-/// with [`next_op`](ThreadStream::next_op).
+/// Produced by [`spawn_stream`]. The machine layer reads ops in place:
+/// [`pending`](ThreadStream::pending) lends the unconsumed ops of the
+/// chunk the generator filled, [`consume`](ThreadStream::consume) moves
+/// the cursor past the ones executed. The one-op accessors
+/// ([`peek_op`](ThreadStream::peek_op), [`advance`](ThreadStream::advance),
+/// [`next_op`](ThreadStream::next_op)) are the same two calls at a batch
+/// of one.
 #[derive(Debug)]
 pub struct ThreadStream {
     rx: Option<Receiver<Vec<Op>>>,
@@ -233,22 +252,30 @@ pub struct ThreadStream {
 }
 
 impl ThreadStream {
-    /// Pulls the next op, or `None` when the kernel has finished.
-    pub fn next_op(&mut self) -> Option<Op> {
-        let op = *self.peek_op()?;
-        self.cursor += 1;
-        self.consumed += 1;
-        Some(op)
+    /// The unconsumed ops of the cursor chunk, borrowed from the buffer
+    /// the generator filled; empty only when the kernel has finished.
+    /// Blocks on the channel for the next chunk when the cursor chunk has
+    /// been consumed; otherwise a slice of what is already here.
+    #[inline]
+    pub fn pending(&mut self) -> &[Op] {
+        if self.cursor >= self.chunk.len() {
+            self.refill();
+        }
+        &self.chunk[self.cursor..]
     }
 
-    /// The next op without consuming it, or `None` when the kernel has
-    /// finished. Refills the cursor chunk from the channel as needed, so a
-    /// peek followed by [`next_op`](ThreadStream::next_op) (or
-    /// [`advance`](ThreadStream::advance)) is the hot path: the second call
-    /// is a bounds-checked slice index, no channel traffic.
-    pub fn peek_op(&mut self) -> Option<&Op> {
+    /// Replaces the consumed cursor chunk with the next non-empty one from
+    /// the channel, or with an empty one at the end of the stream. Out of
+    /// line: it runs once per `CHUNK_OPS` ops, [`pending`]'s other branch
+    /// once per batch.
+    ///
+    /// [`pending`]: ThreadStream::pending
+    #[cold]
+    fn refill(&mut self) {
         while self.cursor >= self.chunk.len() {
-            let rx = self.rx.as_ref()?;
+            let Some(rx) = self.rx.as_ref() else {
+                return;
+            };
             match rx.recv() {
                 Ok(chunk) => {
                     self.chunk = chunk;
@@ -259,11 +286,51 @@ impl ThreadStream {
                     self.chunk = Vec::new();
                     self.cursor = 0;
                     self.join_generator();
-                    return None;
                 }
             }
         }
-        Some(&self.chunk[self.cursor])
+    }
+
+    /// Consumes the first `n` ops of the slice most recently returned by
+    /// [`pending`](ThreadStream::pending). `n` must not exceed that
+    /// slice's length; debug builds assert this.
+    #[inline]
+    pub fn consume(&mut self, n: usize) {
+        debug_assert!(self.cursor + n <= self.chunk.len(), "consume past pending");
+        self.cursor += n;
+        self.consumed += n as u64;
+    }
+
+    /// Consumes up to `n` ops without looking at them; returns how many
+    /// were there to consume (less than `n` only if the kernel finished
+    /// first). (Not `skip`: on an iterator that name is the by-value
+    /// adaptor, which method syntax would pick over this one.)
+    pub fn skip_ops(&mut self, n: u64) -> u64 {
+        let mut left = n;
+        while left > 0 {
+            let here = self.pending().len();
+            if here == 0 {
+                break;
+            }
+            let take = here.min(usize::try_from(left).unwrap_or(usize::MAX));
+            self.consume(take);
+            left -= take as u64;
+        }
+        n - left
+    }
+
+    /// Pulls the next op, or `None` when the kernel has finished.
+    pub fn next_op(&mut self) -> Option<Op> {
+        let op = *self.peek_op()?;
+        self.consume(1);
+        Some(op)
+    }
+
+    /// The next op without consuming it, or `None` when the kernel has
+    /// finished: the head of [`pending`](ThreadStream::pending).
+    #[inline]
+    pub fn peek_op(&mut self) -> Option<&Op> {
+        self.pending().first()
     }
 
     /// The op `k` positions past the cursor without consuming anything,
@@ -303,13 +370,13 @@ impl ThreadStream {
     /// Consumes the op most recently returned by
     /// [`peek_op`](ThreadStream::peek_op). Must only be called while a
     /// peeked op is pending; debug builds assert this.
+    #[inline]
     pub fn advance(&mut self) {
-        debug_assert!(self.cursor < self.chunk.len(), "advance without a peek");
-        self.cursor += 1;
-        self.consumed += 1;
+        self.consume(1);
     }
 
     /// Ops consumed so far.
+    #[inline]
     pub fn consumed(&self) -> u64 {
         self.consumed
     }
@@ -556,6 +623,123 @@ mod tests {
         }
         assert_eq!(n, total);
         assert_eq!(s.peek_op(), None);
+    }
+
+    /// A stream of `total` loads whose addresses count up, so a reader can
+    /// check both order and position.
+    fn counting(total: u64) -> ThreadStream {
+        spawn_stream(move |sink| {
+            for i in 0..total {
+                sink.load(VAddr(i * 8));
+            }
+        })
+    }
+
+    #[test]
+    fn pending_and_consume_yield_next_ops_sequence() {
+        // More than three chunk boundaries, consumed in ragged bites that
+        // straddle them, with the one-op accessors and lookahead mixed in:
+        // every read must land on the op `next_op` would have returned.
+        let total = (CHUNK_OPS * 3 + 1000) as u64;
+        let mut s = counting(total);
+        let mut oracle = counting(total);
+        let mut n = 0u64;
+        let mut round = 0usize;
+        loop {
+            let ops = s.pending();
+            if ops.is_empty() {
+                break;
+            }
+            let bite = ops.len().min([1, 4099, 0, 8192, 2741][round % 5]);
+            for (k, op) in ops[..bite].iter().enumerate() {
+                assert_eq!(op.addr, VAddr((n + k as u64) * 8));
+                assert_eq!(oracle.next_op(), Some(*op));
+            }
+            s.consume(bite);
+            n += bite as u64;
+            assert_eq!(s.consumed(), n);
+            // The one-op accessors walk the same cursor.
+            if let Some(&op) = s.peek_op() {
+                assert_eq!(op.addr, VAddr(n * 8));
+                assert_eq!(s.pending().first(), Some(&op));
+                if round.is_multiple_of(2) {
+                    s.advance();
+                } else {
+                    assert_eq!(s.next_op(), Some(op));
+                }
+                assert_eq!(oracle.next_op(), Some(op));
+                n += 1;
+            }
+            // Lookahead extends the cursor chunk in place; what `pending`
+            // lends afterwards starts at the same op.
+            if round.is_multiple_of(3) && n + 9000 < total {
+                assert_eq!(s.peek_at(9000).map(|o| o.addr), Some(VAddr((n + 9000) * 8)));
+                assert_eq!(s.pending().first().map(|o| o.addr), Some(VAddr(n * 8)));
+                assert!(s.pending().len() > 9000);
+            }
+            round += 1;
+        }
+        assert_eq!(n, total);
+        assert_eq!(s.consumed(), total);
+        assert_eq!(oracle.next_op(), None);
+        // Exhaustion is sticky.
+        assert!(s.pending().is_empty());
+        assert!(s.pending().is_empty());
+        assert_eq!(s.peek_op(), None);
+    }
+
+    #[test]
+    fn pending_on_exact_chunk_multiple_and_empty_streams() {
+        let mut s = spawn_stream(|sink| sink.alu((CHUNK_OPS * 2) as u64));
+        for _ in 0..2 {
+            assert_eq!(s.pending().len(), CHUNK_OPS);
+            s.consume(CHUNK_OPS);
+        }
+        assert!(s.pending().is_empty());
+        assert!(s.pending().is_empty());
+        assert_eq!(s.consumed(), (CHUNK_OPS * 2) as u64);
+
+        let mut empty = spawn_stream(|_sink| {});
+        assert!(empty.pending().is_empty());
+        assert!(empty.pending().is_empty());
+        empty.consume(0);
+        assert_eq!(empty.skip_ops(5), 0);
+        assert_eq!(empty.consumed(), 0);
+    }
+
+    #[test]
+    fn skip_fast_forwards_and_reports_a_short_count() {
+        let total = (CHUNK_OPS * 3 + 17) as u64;
+        let mut s = counting(total);
+        assert_eq!(s.skip_ops(0), 0);
+        assert_eq!(s.skip_ops(5), 5);
+        // Across two chunk boundaries, landing mid-chunk.
+        let far = (CHUNK_OPS * 2 + 100) as u64;
+        assert_eq!(s.skip_ops(far), far);
+        assert_eq!(s.consumed(), far + 5);
+        assert_eq!(s.next_op().map(|op| op.addr), Some(VAddr((far + 5) * 8)));
+        // Past the end: only what was left.
+        let left = total - far - 6;
+        assert_eq!(s.skip_ops(left + 1000), left);
+        assert_eq!(s.consumed(), total);
+        assert_eq!(s.skip_ops(1), 0);
+        assert_eq!(s.next_op(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel boom")]
+    fn kernel_panic_propagates_through_pending() {
+        let mut s = spawn_stream(|sink| {
+            sink.alu(1);
+            panic!("kernel boom");
+        });
+        loop {
+            let n = s.pending().len();
+            if n == 0 {
+                break;
+            }
+            s.consume(n);
+        }
     }
 
     #[test]

@@ -226,10 +226,8 @@ impl Machine {
             let consumed = r.u64("consumed")?;
             // Fast-forward the deterministic op stream to its cursor; the
             // generator re-derives every op, so none need to be stored.
-            for _ in 0..consumed {
-                if m.streams[n].next_op().is_none() {
-                    return Err(parse("consumed", consumed.to_string()).into());
-                }
+            if m.streams[n].skip_ops(consumed) != consumed {
+                return Err(parse("consumed", consumed.to_string()).into());
             }
             m.cores[n].load_ckpt(&mut r)?;
             m.mems[n].hier.load_ckpt(&mut r)?;

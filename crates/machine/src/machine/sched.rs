@@ -39,6 +39,16 @@ pub(super) enum EpochEnd {
     Fault(SimError),
 }
 
+/// Why [`Epoch::step`]'s walk over one borrowed chunk of ops stopped.
+enum Walk {
+    /// Every op of the chunk was dispatched; the batch goes on in the next.
+    Dry,
+    /// The batch ended; the laggard stays in the heap iff `runnable`.
+    Batch { runnable: bool },
+    /// The epoch ends here.
+    Epoch(EpochEnd),
+}
+
 /// Per-node fork-quota clamp and the adaptation loop's tuning knobs:
 /// the quota tracks twice the admitted-ops EWMA so a phase that forks
 /// well gets longer private runs, and a round that admits fewer than
@@ -206,6 +216,8 @@ impl Epoch<'_> {
     /// OS timer ticks charged inline (per-node state, not a batch
     /// breaker). The core's clock is read once per op: the post-op
     /// reading is the next op's start and the next schedule test's key.
+    /// Ops are read in place: the core executes `&ops[i]` out of the
+    /// chunk the generator thread filled, never a copy.
     fn step(&mut self, s: &mut Sched) -> Option<EpochEnd> {
         let Some((laggard, decision_at)) = s.heap.peek() else {
             return Some(EpochEnd::Idle);
@@ -228,60 +240,79 @@ impl Epoch<'_> {
         sched_obs.open(&obs.telemetry, decision_at, s.heap.len() as u64);
         let mut now = decision_at;
         let serial = obs.hostprof.phase(HostPhase::Serial);
+        // The batch walks the generator's own chunk: `ops` is borrowed from
+        // the stream, `i` counts the ops dispatched out of it, and one
+        // `consume(i)` settles the cursor when the walk stops — at the
+        // batch's end, or where the chunk runs dry and the next is fetched.
         let runnable = loop {
-            // (1) The stall sweep the reference loop runs before every
-            // op. Only the executing node's consumed count moves inside
-            // a batch, so checking just `n` here plus all Running nodes
-            // per scheduling decision is equivalent.
-            if s.inject_stalls && env.faults.node_stalled(laggard, stream.consumed()) {
-                status[n] = NodeStatus::Stalled;
-                break false;
-            }
-            let op = stream.peek_op().copied();
-            // (2) Would the reference scan still pick `n`? Past the
-            // strict win only node-private ops may run (they touch no
-            // shared timeline, so they commute with the runner-up's
-            // ops), and only within the conservative lookahead window.
-            if let Some((m, lim)) = limit {
-                if (now, laggard) >= (lim, m)
-                    && !(now < lim + s.lookahead && op.is_some_and(|op| op.class.is_local()))
-                {
-                    break true;
+            let base = stream.consumed();
+            let ops = stream.pending();
+            let mut i = 0;
+            let stop = loop {
+                // (1) The stall sweep the reference loop runs before every
+                // op. Only the executing node's consumed count moves inside
+                // a batch, so checking just `n` here plus all Running nodes
+                // per scheduling decision is equivalent.
+                if s.inject_stalls && env.faults.node_stalled(laggard, base + i as u64) {
+                    status[n] = NodeStatus::Stalled;
+                    break Walk::Batch { runnable: false };
                 }
-            }
-            // (3) The watchdog budget, checked per dispatch as in the
-            // reference loop (sync ops and end-of-stream discovery both
-            // count as dispatches there).
-            if s.budget.is_some_and(|b| s.executed >= b) {
-                return Some(EpochEnd::Budget);
-            }
-            // (4) Dispatch.
-            let Some(op) = op else {
+                // `None` only at the end of the stream (an empty chunk).
+                let op = ops.get(i);
+                // (2) Would the reference scan still pick `n`? Past the
+                // strict win only node-private ops may run (they touch no
+                // shared timeline, so they commute with the runner-up's
+                // ops), and only within the conservative lookahead window.
+                if let Some((m, lim)) = limit {
+                    if (now, laggard) >= (lim, m)
+                        && !(now < lim + s.lookahead && op.is_some_and(|op| op.class.is_local()))
+                    {
+                        break Walk::Batch { runnable: true };
+                    }
+                }
+                // (3) The watchdog budget, checked per dispatch as in the
+                // reference loop (sync ops and end-of-stream discovery both
+                // count as dispatches there).
+                if s.budget.is_some_and(|b| s.executed >= b) {
+                    break Walk::Epoch(EpochEnd::Budget);
+                }
+                // (4) Dispatch.
+                let Some(op) = op else {
+                    s.executed += 1;
+                    let t = core.drain();
+                    core.set_time(t);
+                    status[n] = NodeStatus::Done;
+                    break Walk::Batch { runnable: false };
+                };
+                if op.class.is_sync() {
+                    break Walk::Epoch(EpochEnd::Sync {
+                        n,
+                        decision_at,
+                        ops_before,
+                    });
+                }
                 s.executed += 1;
-                let t = core.drain();
-                core.set_time(t);
-                status[n] = NodeStatus::Done;
-                break false;
+                i += 1;
+                env.mems[n].pending.retire(now);
+                core.execute(op, env);
+                let done = core.now();
+                let busy = done.saturating_since(now);
+                obs.profiler
+                    .mark_op_in(&mut env.mems[n].obs.compute, laggard, now, busy);
+                if let Some(e) = env.fault.take() {
+                    break Walk::Epoch(EpochEnd::Fault(e));
+                }
+                now = env.sink.timer_ticks(&mut env.mems[n], &mut **core, done);
+                if i == ops.len() {
+                    break Walk::Dry;
+                }
             };
-            if op.class.is_sync() {
-                return Some(EpochEnd::Sync {
-                    n,
-                    decision_at,
-                    ops_before,
-                });
+            stream.consume(i);
+            match stop {
+                Walk::Dry => {}
+                Walk::Batch { runnable } => break runnable,
+                Walk::Epoch(end) => return Some(end),
             }
-            s.executed += 1;
-            stream.advance();
-            env.mems[n].pending.retire(now);
-            core.execute(&op, env);
-            let done = core.now();
-            let busy = done.saturating_since(now);
-            obs.profiler
-                .mark_op_in(&mut env.mems[n].obs.compute, laggard, now, busy);
-            if let Some(e) = env.fault.take() {
-                return Some(EpochEnd::Fault(e));
-            }
-            now = env.sink.timer_ticks(&mut env.mems[n], &mut **core, done);
         };
         drop(serial);
         if runnable {

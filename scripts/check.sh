@@ -125,6 +125,22 @@ if [ -n "$maps" ]; then
     exit 1
 fi
 
+echo "== op-in-place gate (the scheduler executes ops out of the generator's buffer) =="
+# `Epoch::step` borrows `ThreadStream::pending()` and hands `&ops[i]` to
+# the core; copying a peeked op onto the stack first was a failed
+# store-forward on every dispatched op. And the op stays 16 bytes: its
+# size is the hand-off's memory (`CHUNK_OPS` of them per chunk).
+copies=$(grep -rnE 'peek_op\(\)\.copied\(\)|peek_op\(\)\.cloned\(\)' crates/machine/src || true)
+if [ -n "$copies" ]; then
+    echo "op copied out of the stream in the machine layer:"
+    echo "$copies"
+    exit 1
+fi
+if ! grep -qF 'const _: () = assert!(core::mem::size_of::<Op>() == 16);' crates/isa/src/op.rs; then
+    echo "crates/isa/src/op.rs no longer pins size_of::<Op>() == 16 at compile time"
+    exit 1
+fi
+
 echo "== one-walk gate (directory transactions live in proto::walk) =="
 # FlashLite and NUMA run ONE copy of the transaction sequence and differ
 # only in their `Timing` impl. A model crate that calls the directory's

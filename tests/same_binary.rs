@@ -71,3 +71,41 @@ fn runs_are_deterministic() {
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.barrier_releases, b.barrier_releases);
 }
+
+/// `Program::fingerprint()` values recorded at the commit before `Op`
+/// lost its `taken` byte. Resumable run journals key on the fingerprint
+/// (`core/journal.rs`), so a change to how an op is stored must not move
+/// it: a moved value orphans every journal on disk.
+#[test]
+fn fingerprints_are_the_recorded_ones() {
+    type Make = fn(usize) -> Box<dyn Program>;
+    let apps: [(Make, [u64; 2]); 4] = [
+        (
+            |t| Box::new(Fft::sized(ProblemScale::Scaled, t, FftBlocking::Tlb)),
+            [0x6f97_ab68_c0bb_7faf, 0xf036_20b9_7173_e281],
+        ),
+        (
+            |t| Box::new(Radix::tuned(ProblemScale::Scaled, t)),
+            [0x5ed4_8183_c08a_22c1, 0xc832_8a54_e112_72e7],
+        ),
+        (
+            |t| Box::new(Lu::sized(ProblemScale::Scaled, t)),
+            [0x7b08_f565_77e0_92aa, 0x3882_68e2_317a_84a1],
+        ),
+        (
+            |t| Box::new(Ocean::sized(ProblemScale::Scaled, t)),
+            [0x7686_35bd_aa7f_7425, 0x17c3_803d_25d8_127b],
+        ),
+    ];
+    for (make, recorded) in apps {
+        for (threads, want) in [1, 4].into_iter().zip(recorded) {
+            let prog = make(threads);
+            assert_eq!(
+                prog.fingerprint(),
+                want,
+                "{} at {threads} threads: fingerprint moved",
+                prog.name()
+            );
+        }
+    }
+}
