@@ -39,12 +39,13 @@ impl Embra {
 }
 
 impl Core for Embra {
-    fn execute(&mut self, op: &Op, _env: &mut dyn MemEnv) {
+    fn execute(&mut self, op: &Op, _env: &mut dyn MemEnv) -> Time {
         debug_assert!(!op.class.is_sync(), "sync ops are handled by the machine");
         // One cycle per op; the environment is deliberately never touched.
         let _ = op.class == OpClass::Load;
         self.ops += 1;
         self.t += self.clock.period();
+        self.t
     }
 
     fn now(&self) -> Time {

@@ -108,8 +108,10 @@ impl ScanProfile {
 /// [`set_time`](Core::set_time) to coordinate multiprocessor scheduling.
 pub trait Core: Send {
     /// Executes one (non-sync) op, advancing internal time and possibly
-    /// calling into `env` for memory.
-    fn execute(&mut self, op: &Op, env: &mut dyn MemEnv);
+    /// calling into `env` for memory. Returns [`now`](Core::now) as it
+    /// reads after the op, so a scheduler stepping a `dyn Core` pays one
+    /// virtual call per op, not two.
+    fn execute(&mut self, op: &Op, env: &mut dyn MemEnv) -> Time;
 
     /// The core's current position on the timeline (next fetch).
     fn now(&self) -> Time;

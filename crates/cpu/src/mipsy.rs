@@ -141,7 +141,7 @@ impl Mipsy {
 }
 
 impl Core for Mipsy {
-    fn execute(&mut self, op: &Op, env: &mut dyn MemEnv) {
+    fn execute(&mut self, op: &Op, env: &mut dyn MemEnv) -> Time {
         self.ops += 1;
         match op.class {
             OpClass::IntAlu
@@ -237,6 +237,7 @@ impl Core for Mipsy {
                 unreachable!("sync ops are handled by the machine layer") // gate: allow
             }
         }
+        self.t
     }
 
     fn now(&self) -> Time {

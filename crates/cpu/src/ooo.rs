@@ -279,7 +279,7 @@ impl OooCore {
 }
 
 impl Core for OooCore {
-    fn execute(&mut self, op: &Op, env: &mut dyn MemEnv) {
+    fn execute(&mut self, op: &Op, env: &mut dyn MemEnv) -> Time {
         self.ops += 1;
         self.advance_fetch();
         let entry = self.window_entry();
@@ -414,6 +414,7 @@ impl Core for OooCore {
                 unreachable!("sync ops are handled by the machine layer") // gate: allow
             }
         }
+        self.fetch
     }
 
     fn now(&self) -> Time {

@@ -274,19 +274,16 @@ impl HostProf {
     /// resumes it on drop. Nesting is explicit via the phase stack, so
     /// e.g. a checkpoint cut inside a serial batch charges `Ckpt`, not
     /// `Serial`.
+    ///
+    /// The scheduler calls this once per decision, so the detached case
+    /// is an inlined `None` test; the lock and the clock read are out of
+    /// line.
+    #[inline]
     pub fn phase(&self, phase: HostPhase) -> PhaseGuard {
-        if let Some(inner) = &self.inner {
-            let mut s = lock_state(inner);
-            if s.running {
-                let now = s.now_ns();
-                s.touch(now);
-                s.stack.push(phase);
-                return PhaseGuard {
-                    inner: Some(Arc::clone(inner)),
-                };
-            }
+        match &self.inner {
+            None => PhaseGuard { inner: None },
+            Some(inner) => enter_phase(inner, phase),
         }
-        PhaseGuard { inner: None }
     }
 
     /// Absorbs one parallel round's fork-admission tally.
@@ -341,13 +338,36 @@ pub struct PhaseGuard {
 }
 
 impl Drop for PhaseGuard {
+    #[inline]
     fn drop(&mut self) {
-        let Some(inner) = &self.inner else { return };
-        let mut s = lock_state(inner);
-        let now = s.now_ns();
-        s.touch(now);
-        s.stack.pop();
+        if let Some(inner) = &self.inner {
+            leave_phase(inner);
+        }
     }
+}
+
+/// The attached half of [`HostProf::phase`].
+#[cold]
+fn enter_phase(inner: &Arc<Mutex<State>>, phase: HostPhase) -> PhaseGuard {
+    let mut s = lock_state(inner);
+    if !s.running {
+        return PhaseGuard { inner: None };
+    }
+    let now = s.now_ns();
+    s.touch(now);
+    s.stack.push(phase);
+    PhaseGuard {
+        inner: Some(Arc::clone(inner)),
+    }
+}
+
+/// The attached half of [`PhaseGuard`]'s drop.
+#[cold]
+fn leave_phase(inner: &Arc<Mutex<State>>) {
+    let mut s = lock_state(inner);
+    let now = s.now_ns();
+    s.touch(now);
+    s.stack.pop();
 }
 
 /// A finalized host-time decomposition of one run.

@@ -15,7 +15,7 @@
 //!   protocol processor, memory banks, network links, and the R10000
 //!   secondary-cache interface,
 //! - [`event`]: a deterministic time-ordered event queue,
-//! - [`sched`]: an indexed min-heap over node clocks for laggard-first
+//! - [`sched`]: one sorted run of node clocks for laggard-first
 //!   scheduling with a linear-scan-identical tie-break,
 //! - [`rng`]: a pinned, reproducible PRNG for workload data and hardware
 //!   run-to-run jitter,

@@ -2,14 +2,18 @@
 //!
 //! The machine driver repeatedly asks "which node has the smallest local
 //! clock?" — once per scheduling quantum. A linear scan makes that O(nodes)
-//! per decision; [`LaggardHeap`] is an indexed binary min-heap over node
-//! clocks, giving O(log nodes) updates and O(1) access to both the laggard
-//! and the runner-up (the runner-up bounds how far the laggard may run
-//! before a rescheduling decision is due).
+//! per decision; [`LaggardHeap`] keeps the node clocks as one sorted run,
+//! so the laggard and the runner-up (which bounds how far the laggard may
+//! run before a rescheduling decision is due) are its first two keys, and
+//! re-keying the laggard costs what its new place is away from the nearer
+//! end of the run: nothing when it goes to the back, O(log nodes) compares
+//! and one block move at worst. The machine's batches run the nodes nearly
+//! round-robin, so the ends are where a laggard lands (DESIGN.md §3.13 has
+//! the measured landing ranks).
 //!
 //! Ordering is lexicographic on `(clock, node index)`, which reproduces the
 //! tie-break of a first-minimum linear scan exactly: among nodes at equal
-//! clocks, the lowest-numbered node wins. This is what makes a heap-driven
+//! clocks, the lowest-numbered node wins. This is what makes a queue-driven
 //! schedule bit-identical to the historical `min_by_key` scan.
 //!
 //! # Examples
@@ -30,173 +34,213 @@
 
 use crate::time::Time;
 
-/// Sentinel position for "not in the heap".
-const ABSENT: usize = usize::MAX;
+/// How far a new key is walked in from the nearer end of the run, one
+/// compare and one move per step, before the rest of the way is found by
+/// binary search and closed with one block move. Up to 33 runnable nodes
+/// no landing is further than this from an end.
+const WALK: usize = 16;
 
-/// An indexed binary min-heap of `(clock, node)` keys over a fixed set of
-/// node ids `0..n`, with `(Time, node index)` lexicographic ordering.
+/// `(clock, node)` packed so that integer order is the tuple's
+/// lexicographic order: comparing two keys is one branch-free 128-bit
+/// compare instead of a compare, a branch and a second compare.
+#[inline]
+fn pack(t: Time, node: u32) -> u128 {
+    (u128::from(t.as_ps()) << 32) | u128::from(node)
+}
+
+#[inline]
+fn unpack(key: u128) -> (u32, Time) {
+    (key as u32, Time::from_ps((key >> 32) as u64))
+}
+
+/// A queue of `(clock, node)` keys over a fixed set of node ids `0..n`,
+/// kept as one sorted run with `(Time, node index)` lexicographic
+/// ordering. (The name is historical: the run replaced an indexed binary
+/// heap.)
 ///
-/// "Indexed" means the heap tracks each node's position, so a node's key
-/// can be updated or the node removed in O(log n) without scanning. The
-/// keys themselves sit inline in heap order, so a comparison reads two
-/// adjacent entries, not a node id and then that node's clock elsewhere.
+/// The run sits in a flat buffer with free slots on both sides, so
+/// taking the laggard off the front and appending behind the last key
+/// move nothing, and a key that lands `k` places from the nearer end
+/// moves `k` keys by one slot. Membership is one bit per node.
 #[derive(Debug, Clone)]
 pub struct LaggardHeap {
-    /// Heap-ordered `(clock, node)` entries; the tuple order is the
-    /// heap's order.
-    heap: Vec<(Time, u32)>,
-    /// Node id → position in `heap`, or [`ABSENT`].
-    pos: Vec<usize>,
+    /// `buf[head..tail]` is the run, ascending [`pack`]ed keys; the slots
+    /// outside it are stale. Twice the node count long, so a run that has
+    /// drifted to the buffer's end moves back to its start at most once
+    /// per `n` appends.
+    buf: Vec<u128>,
+    head: usize,
+    tail: usize,
+    /// Bit `node` is set iff `node` has a key in the run.
+    member: Vec<u64>,
 }
 
 impl LaggardHeap {
     /// Creates an empty heap for node ids `0..n`.
     pub fn new(n: usize) -> LaggardHeap {
         LaggardHeap {
-            heap: Vec::with_capacity(n),
-            pos: vec![ABSENT; n],
+            buf: vec![0; 2 * n],
+            head: 0,
+            tail: 0,
+            member: vec![0; n.div_ceil(64)],
         }
     }
 
     /// Number of nodes currently in the heap.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.tail - self.head
     }
 
     /// True if no node is in the heap.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.head == self.tail
     }
 
     /// True if `node` is currently in the heap.
     pub fn contains(&self, node: u32) -> bool {
-        self.pos[node as usize] != ABSENT
+        self.member[node as usize / 64] & (1 << (node % 64)) != 0
+    }
+
+    #[inline]
+    fn set_member(&mut self, node: u32, queued: bool) {
+        let (word, bit) = (node as usize / 64, 1 << (node % 64));
+        if queued {
+            self.member[word] |= bit;
+        } else {
+            self.member[word] &= !bit;
+        }
     }
 
     /// Removes every node.
     pub fn clear(&mut self) {
-        for &(_, n) in &self.heap {
-            self.pos[n as usize] = ABSENT;
-        }
-        self.heap.clear();
+        self.head = 0;
+        self.tail = 0;
+        self.member.fill(0);
     }
 
-    /// Writes `entry` at position `i` and records where its node now is.
+    /// Replaces the contents with `keys`, each node at most once: one
+    /// sort instead of an insertion per node.
+    pub fn rebuild(&mut self, keys: impl IntoIterator<Item = (u32, Time)>) {
+        self.clear();
+        for (node, t) in keys {
+            debug_assert!(!self.contains(node), "node {node} listed twice");
+            self.set_member(node, true);
+            self.buf[self.tail] = pack(t, node);
+            self.tail += 1;
+        }
+        self.buf[..self.tail].sort_unstable();
+    }
+
+    /// Writes `key`, whose node is not in the run, at its sorted place.
+    /// One compare against the middle key picks the nearer end; the keys
+    /// between that end and the landing place move one slot outwards,
+    /// into the free slot beside the run.
     #[inline]
-    fn place(&mut self, i: usize, entry: (Time, u32)) {
-        self.heap[i] = entry;
-        self.pos[entry.1 as usize] = i;
-    }
-
-    /// Settles `entry` at or above the hole at `i`: parents that order
-    /// after it move down into the hole, then the entry is written once.
-    fn sift_up(&mut self, mut i: usize, entry: (Time, u32)) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if entry >= self.heap[parent] {
-                break;
+    fn place(&mut self, key: u128) {
+        let (head, tail) = (self.head, self.tail);
+        let mid = head + (tail - head) / 2;
+        if head > 0 && mid < tail && key < self.buf[mid] {
+            // `at` is the free slot. The middle key orders after `key`, so
+            // the walk ends before it; saying so in `stop` is what lets
+            // the loop run without bounds checks.
+            let mut at = head - 1;
+            let stop = (at + WALK).min(mid);
+            while at < stop && self.buf[at + 1] < key {
+                self.buf[at] = self.buf[at + 1];
+                at += 1;
             }
-            self.place(i, self.heap[parent]);
-            i = parent;
-        }
-        self.place(i, entry);
-    }
-
-    /// Settles `entry` at or below the hole at `i`: the smaller child
-    /// moves up into the hole while it orders before the entry, then the
-    /// entry is written once.
-    fn sift_down(&mut self, mut i: usize, entry: (Time, u32)) {
-        let len = self.heap.len();
-        loop {
-            let l = 2 * i + 1;
-            if l >= len {
-                break;
+            if at == stop && at < mid && self.buf[at + 1] < key {
+                let to = at + 1 + self.buf[at + 1..mid].partition_point(|&e| e < key);
+                self.buf.copy_within(at + 1..to, at);
+                at = to - 1;
             }
-            let r = l + 1;
-            // Which child is smaller is a coin flip to a branch predictor;
-            // as arithmetic it is a compare and an add (n64 pop + insert:
-            // 61 ns as a branch, 37 ns like this).
-            let best = l + usize::from(r < len && self.heap[r] < self.heap[l]);
-            if self.heap[best] >= entry {
-                break;
-            }
-            self.place(i, self.heap[best]);
-            i = best;
-        }
-        self.place(i, entry);
-    }
-
-    /// Settles `entry` into the hole at `i` in whichever direction heap
-    /// order requires (at most one of the two sifts moves anything).
-    fn settle(&mut self, i: usize, entry: (Time, u32)) {
-        if i > 0 && entry < self.heap[(i - 1) / 2] {
-            self.sift_up(i, entry);
+            self.buf[at] = key;
+            self.head = head - 1;
         } else {
-            self.sift_down(i, entry);
+            if tail == self.buf.len() {
+                // The run has drifted to the buffer's end: back to the
+                // start. The key's node is absent, so the run is shorter
+                // than the node count and leaves room behind it.
+                self.buf.copy_within(head..tail, 0);
+                self.head = 0;
+                self.tail = tail - head;
+            }
+            let (head, tail) = (self.head, self.tail);
+            let mut at = tail;
+            let stop = at.saturating_sub(WALK).max(head);
+            while at > stop && self.buf[at - 1] > key {
+                self.buf[at] = self.buf[at - 1];
+                at -= 1;
+            }
+            if at == stop && at > head && self.buf[at - 1] > key {
+                let to = head + self.buf[head..at].partition_point(|&e| e < key);
+                self.buf.copy_within(to..at, to + 1);
+                at = to;
+            }
+            self.buf[at] = key;
+            self.tail = tail + 1;
         }
     }
 
     /// Inserts `node` with clock `t`, or updates its key if present.
     pub fn insert(&mut self, node: u32, t: Time) {
-        let i = self.pos[node as usize];
-        if i == ABSENT {
-            let at = self.heap.len();
-            self.heap.push((t, node));
-            self.sift_up(at, (t, node));
-        } else {
-            self.settle(i, (t, node));
-        }
+        self.remove(node);
+        self.set_member(node, true);
+        self.place(pack(t, node));
     }
 
     /// Removes `node` if present.
     pub fn remove(&mut self, node: u32) {
-        let i = self.pos[node as usize];
-        if i == ABSENT {
+        if !self.contains(node) {
             return;
         }
-        self.pos[node as usize] = ABSENT;
-        // The last entry fills the hole the node leaves (unless the node
-        // was the last entry).
-        if let Some(last) = self.heap.pop() {
-            if i < self.heap.len() {
-                self.settle(i, last);
-            }
+        self.set_member(node, false);
+        let run = &self.buf[self.head..self.tail];
+        let at = self.head
+            + run
+                .iter()
+                .position(|&key| key as u32 == node)
+                // gate: allow (this module keeps the bitset and the run in step)
+                .expect("a member node has a key in the run");
+        // Close the gap from the nearer end.
+        if at - self.head < self.tail - at {
+            self.buf.copy_within(self.head..at, self.head + 1);
+            self.head += 1;
+        } else {
+            self.buf.copy_within(at + 1..self.tail, at);
+            self.tail -= 1;
         }
     }
 
     /// The laggard — smallest `(clock, node)` — without removing it.
     #[inline]
     pub fn peek(&self) -> Option<(u32, Time)> {
-        self.heap.first().map(|&(t, n)| (n, t))
+        self.buf[self.head..self.tail].first().map(|&k| unpack(k))
     }
 
     /// Removes and returns the laggard.
     pub fn pop(&mut self) -> Option<(u32, Time)> {
         let top = self.peek()?;
-        self.remove(top.0);
+        self.set_member(top.0, false);
+        self.head += 1;
         Some(top)
     }
 
     /// The runner-up — second-smallest `(clock, node)` — without touching
-    /// the heap. Heap order puts it at one of the root's two children, so
-    /// this is O(1) where `pop` + `peek` costs a sift.
+    /// the heap: the run's second key.
     #[inline]
     pub fn runner_up(&self) -> Option<(u32, Time)> {
-        let &l = self.heap.get(1)?;
-        // Spelt as a select over two loaded entries so it compiles to one
-        // (`r.min(l)` and a guarded match both compile to a branch on the
-        // clocks, mispredicted about half the time).
-        let r = self.heap.get(2).map_or(l, |&r| r);
-        let (t, n) = if r < l { r } else { l };
-        Some((n, t))
+        self.buf[self.head..self.tail].get(1).map(|&k| unpack(k))
     }
 
-    /// Re-keys the laggard to clock `t` in place: one sift from the root
-    /// instead of the two a `pop` + `insert` pair pays. No-op when empty.
+    /// Re-keys the laggard to clock `t` in place: the front slot it
+    /// leaves is the room the keys before its new place move into, and a
+    /// key that lands behind every other moves nothing. No-op when empty.
     #[inline]
     pub fn update_top(&mut self, t: Time) {
-        if let Some(&(_, n)) = self.heap.first() {
-            self.sift_down(0, (t, n));
+        if let Some((node, _)) = self.peek() {
+            self.head += 1;
+            self.place(pack(t, node));
         }
     }
 }
@@ -372,5 +416,193 @@ mod tests {
         h.update_top(ns(4));
         assert_eq!(h.peek(), Some((1, ns(4))));
         assert_eq!(h.runner_up(), Some((3, ns(4))));
+    }
+
+    /// The model's keys in queue order.
+    fn sorted(model: &[Option<Time>]) -> Vec<(Time, u32)> {
+        let mut keys: Vec<(Time, u32)> = model
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| t.map(|t| (t, i as u32)))
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// Front, runner-up, length and membership against the sorted model.
+    fn check(h: &LaggardHeap, model: &[Option<Time>]) {
+        let keys = sorted(model);
+        assert_eq!(h.peek(), keys.first().map(|&(t, i)| (i, t)));
+        assert_eq!(h.runner_up(), keys.get(1).map(|&(t, i)| (i, t)));
+        assert_eq!(h.len(), keys.len());
+        assert_eq!(h.is_empty(), keys.is_empty());
+        for (i, t) in model.iter().enumerate() {
+            assert_eq!(h.contains(i as u32), t.is_some(), "node {i}");
+        }
+    }
+
+    #[test]
+    fn machine_shaped_churn_matches_the_sorted_model() {
+        // What the machine does to the queue: mostly `update_top`, the
+        // laggard landing near the front, in the middle, near the back or
+        // on another node's clock; now and then a park (`pop`/`remove`), a
+        // wake-up (`insert`) or a `rebuild`. 65 nodes put the last one in
+        // the bitset's second word; 1..=3 are the runs with no middle.
+        for n in [1u32, 2, 3, 16, 64, 65] {
+            let mut rng = crate::Rng::seeded(0xFACE + u64::from(n));
+            let mut h = LaggardHeap::new(n as usize);
+            let mut model: Vec<Option<Time>> = vec![None; n as usize];
+            for step in 0..6000 {
+                let keys = sorted(&model);
+                match rng.gen_range(20) {
+                    0 => {
+                        let want = keys.first().map(|&(t, i)| (i, t));
+                        assert_eq!(h.pop(), want);
+                        if let Some((i, _)) = want {
+                            model[i as usize] = None;
+                        }
+                    }
+                    1 => {
+                        let node = rng.gen_range(u64::from(n)) as u32;
+                        h.remove(node);
+                        model[node as usize] = None;
+                    }
+                    2 | 3 => {
+                        // Absent or present: both are legal.
+                        let node = rng.gen_range(u64::from(n)) as u32;
+                        let t = ns(rng.gen_range(64));
+                        h.insert(node, t);
+                        model[node as usize] = Some(t);
+                    }
+                    4 if step % 7 == 0 => {
+                        for (i, slot) in model.iter_mut().enumerate() {
+                            *slot = (rng.gen_range(4) != 0)
+                                .then(|| ns(rng.gen_range(32) + i as u64 % 2));
+                        }
+                        let running = model.iter().enumerate();
+                        h.rebuild(running.filter_map(|(i, t)| t.map(|t| (i as u32, t))));
+                    }
+                    _ => {
+                        // Re-key the laggard to land at rank `r` of the
+                        // others, on that key's clock (a tie the node
+                        // index breaks) or one tick past it.
+                        let Some(&(_, top)) = keys.first() else {
+                            h.update_top(ns(1));
+                            check(&h, &model);
+                            continue;
+                        };
+                        let others = &keys[1..];
+                        let r = match rng.gen_range(4) {
+                            0 => rng.gen_range(3),
+                            1 => others.len() as u64 - rng.gen_range(3).min(others.len() as u64),
+                            _ => rng.gen_range(others.len() as u64 + 1),
+                        };
+                        let at = others.get(r as usize).or(others.last());
+                        let t = at.map_or(ns(5), |&(t, _)| t);
+                        let t = if rng.gen_range(3) == 0 {
+                            t
+                        } else {
+                            Time::from_ps(t.as_ps() + 1)
+                        };
+                        h.update_top(t);
+                        model[top as usize] = Some(t);
+                    }
+                }
+                check(&h, &model);
+            }
+        }
+    }
+
+    #[test]
+    fn run_drifts_to_the_buffer_end_and_moves_back() {
+        // Every re-key lands at the back, so the run walks one slot right
+        // per decision and has to move back to the buffer's start every
+        // `n` of them; interleaved front landings must not disturb that.
+        let n = 8u32;
+        let mut h = LaggardHeap::new(n as usize);
+        let mut model: Vec<Option<Time>> = (0..n).map(|i| Some(ns(u64::from(i)))).collect();
+        h.rebuild(
+            model
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (i as u32, t.unwrap())),
+        );
+        let capacity = h.buf.len();
+        let mut moved_back = 0;
+        for step in 0..(8 * capacity as u64) {
+            let keys = sorted(&model);
+            let (top, last) = (keys[0].1, keys[keys.len() - 1].0);
+            let t = if step % 5 == 4 {
+                keys[1].0
+            } else {
+                Time::from_ps(last.as_ps() + 1)
+            };
+            let before = h.head;
+            h.update_top(t);
+            moved_back += usize::from(h.head < before);
+            model[top as usize] = Some(t);
+            check(&h, &model);
+            assert!(h.tail <= capacity);
+        }
+        assert!(
+            moved_back >= 4,
+            "the run crossed the buffer end {moved_back} times"
+        );
+    }
+
+    #[test]
+    fn insert_of_a_queued_node_rekeys_it_and_remove_closes_any_gap() {
+        let mut h = LaggardHeap::new(6);
+        let mut model: Vec<Option<Time>> = vec![None; 6];
+        for (node, t) in [(0, 10), (1, 20), (2, 30), (3, 40), (4, 50)] {
+            h.insert(node, ns(t));
+            model[node as usize] = Some(ns(t));
+        }
+        // Already queued: front to middle, back to front, middle in place.
+        for (node, t) in [(0, 35), (4, 5), (2, 30), (2, 31)] {
+            h.insert(node, ns(t));
+            model[node as usize] = Some(ns(t));
+            check(&h, &model);
+        }
+        // Order is now 4, 1, 2, 0, 3; node 5 was never queued.
+        for node in [5, 4, 2, 3, 5, 1, 0, 0] {
+            h.remove(node);
+            model[node as usize] = None;
+            check(&h, &model);
+        }
+        assert!(h.is_empty());
+    }
+
+    #[test]
+    fn rebuild_equals_clear_and_inserts() {
+        let mut rng = crate::Rng::seeded(24);
+        for n in [1usize, 2, 3, 16, 64, 65] {
+            for _ in 0..20 {
+                // A random subset, clocks drawn from few enough values to tie.
+                let mut keys: Vec<(u32, Time)> = Vec::new();
+                for node in 0..n as u32 {
+                    if rng.gen_range(3) != 0 {
+                        keys.push((node, ns(rng.gen_range(8))));
+                    }
+                }
+                let mut bulk = LaggardHeap::new(n);
+                bulk.insert(0, ns(99)); // stale contents must not survive
+                bulk.rebuild(keys.iter().copied());
+                let mut one_by_one = LaggardHeap::new(n);
+                one_by_one.clear();
+                for &(node, t) in &keys {
+                    one_by_one.insert(node, t);
+                }
+                assert_eq!(bulk.len(), keys.len());
+                for node in 0..n as u32 {
+                    assert_eq!(bulk.contains(node), one_by_one.contains(node));
+                }
+                while let Some(next) = one_by_one.pop() {
+                    assert_eq!(bulk.runner_up(), one_by_one.peek());
+                    assert_eq!(bulk.pop(), Some(next));
+                }
+                assert!(bulk.is_empty());
+            }
+        }
     }
 }

@@ -203,7 +203,7 @@ impl MachineGeometry {
 /// `Parallel` shards node batches across host worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedPolicy {
-    /// Conservative lookahead batching over a laggard min-heap: the
+    /// Conservative lookahead batching over a sorted laggard queue: the
     /// trailing node executes a run of ops per scheduling decision
     /// (bounded by shared-resource touches and the runner-up's clock plus
     /// the memory model's minimum shared-interaction latency).

@@ -255,8 +255,7 @@ fn run_fork(
         slot.dispatches += 1;
         slot.stream.advance();
         env.mem.pending.retire(now);
-        slot.core.execute(&op, &mut env);
-        let done = slot.core.now();
+        let done = slot.core.execute(&op, &mut env);
         let busy = done.saturating_since(now);
         shared
             .obs

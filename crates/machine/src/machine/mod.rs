@@ -11,8 +11,8 @@
 //! Two scheduling policies implement that discipline (see
 //! [`SchedPolicy`]): the `Reference` policy re-derives the laggard by
 //! linear scan before every single op, while the default `Batched` policy
-//! keeps node clocks in a [`LaggardHeap`] and lets the laggard at its
-//! root execute a *run* of ops per decision — ending the run before any op
+//! keeps node clocks in a [`LaggardHeap`] (one sorted run) and lets the
+//! laggard at its front execute a *run* of ops per decision — ending the run before any op
 //! that touches shared state unless the node is still the strict schedule
 //! winner, and bounding private-op overrun by the runner-up's clock plus
 //! the memory model's minimum shared-interaction latency (conservative

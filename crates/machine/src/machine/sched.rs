@@ -1,8 +1,8 @@
 //! The scheduling loops: the `Reference` oracle (linear laggard scan, one
 //! op per decision) and the production schedule shared by `Batched` and
-//! `Parallel` — laggard selection through a [`LaggardHeap`], a batch of
-//! ops per decision under conservative lookahead, run inside a
-//! borrow-split [`Epoch`].
+//! `Parallel` — laggard selection through a [`LaggardHeap`] (one sorted
+//! run of clocks), a batch of ops per decision under conservative
+//! lookahead, run inside a borrow-split [`Epoch`].
 
 use super::env::{ChargeSink, MachineEnv, Pager};
 use super::fork::ForkCtx;
@@ -92,12 +92,12 @@ impl Sched {
     /// only parks the executor pops it instead), and after a fork/join
     /// round (which moved clocks and may have parked nodes).
     fn rebuild(&mut self, status: &[NodeStatus], cores: &[Box<dyn Core>]) {
-        self.heap.clear();
-        for (n, core) in cores.iter().enumerate() {
-            if status[n] == NodeStatus::Running {
-                self.heap.insert(n as u32, core.now());
-            }
-        }
+        let running = cores
+            .iter()
+            .enumerate()
+            .filter(|(n, _)| status[*n] == NodeStatus::Running)
+            .map(|(n, core)| (n as u32, core.now()));
+        self.heap.rebuild(running);
     }
 
     /// The per-node quota of the fork/join round due now, if one is. The
@@ -198,7 +198,7 @@ impl Epoch<'_> {
     }
 
     /// One serial decision, fused with its batch: the laggard at the
-    /// heap's root executes a run of ops until a continuation rule
+    /// queue's front executes a run of ops until a continuation rule
     /// fails, bounded by the runner-up's `(node, clock)` key (`None`
     /// when no other node is runnable: then nothing can contest the
     /// schedule and the batch runs to a sync op, stream end, stall,
@@ -214,7 +214,7 @@ impl Epoch<'_> {
     /// would pick `n`), and past that point only node-private ops within
     /// the lookahead window; (3) the watchdog budget; (4) dispatch, with
     /// OS timer ticks charged inline (per-node state, not a batch
-    /// breaker). The core's clock is read once per op: the post-op
+    /// breaker). The core's clock comes back from `execute`: the post-op
     /// reading is the next op's start and the next schedule test's key.
     /// Ops are read in place: the core executes `&ops[i]` out of the
     /// chunk the generator thread filled, never a copy.
@@ -294,8 +294,7 @@ impl Epoch<'_> {
                 s.executed += 1;
                 i += 1;
                 env.mems[n].pending.retire(now);
-                core.execute(op, env);
-                let done = core.now();
+                let done = core.execute(op, env);
                 let busy = done.saturating_since(now);
                 obs.profiler
                     .mark_op_in(&mut env.mems[n].obs.compute, laggard, now, busy);
@@ -416,7 +415,7 @@ impl Machine {
 
     /// The production schedule, shared by the batched policy (`fork` is
     /// `None`) and the parallel one: laggard selection through a
-    /// min-heap, and a *batch* of ops per decision under conservative
+    /// sorted queue, and a *batch* of ops per decision under conservative
     /// lookahead.
     ///
     /// The heap mirrors the set of `Running` nodes keyed by their clocks,
@@ -597,8 +596,7 @@ impl Machine {
         let core = &mut *cores[n];
         let op_start = core.now();
         env.mems[n].pending.retire(op_start);
-        core.execute(&op, env);
-        let done = core.now();
+        let done = core.execute(&op, env);
         let busy = done.saturating_since(op_start);
         env.sink
             .obs

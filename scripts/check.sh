@@ -6,7 +6,11 @@ set -eu
 cd "$(dirname "$0")/.."
 
 echo "== cargo build --release =="
+# Whole-program (the one-profile gate below): the wall time is printed
+# because fat LTO is what a release build now spends most of it on.
+build_started=$(date +%s)
 cargo build --release --workspace
+echo "release build took $(($(date +%s) - build_started)) s"
 flashsim=./target/release/flashsim
 
 echo "== cargo test -q =="
@@ -138,6 +142,35 @@ if [ -n "$copies" ]; then
 fi
 if ! grep -qF 'const _: () = assert!(core::mem::size_of::<Op>() == 16);' crates/isa/src/op.rs; then
     echo "crates/isa/src/op.rs no longer pins size_of::<Op>() == 16 at compile time"
+    exit 1
+fi
+
+echo "== one-queue gate (the laggard queue is one sorted run) =="
+# engine::sched::LaggardHeap is a sorted run behind its historical name;
+# the binary heap it replaced (sifts, a position table) must not come back
+# beside it, in the engine or as a second structure in the machine.
+heaps=$(grep -rnE 'sift_|fn settle\(|pos:|BinaryHeap' crates/engine/src/sched.rs crates/machine/src || true)
+if [ -n "$heaps" ]; then
+    echo "a heap beside the sorted run:"
+    echo "$heaps"
+    exit 1
+fi
+
+echo "== one-profile gate (one release profile, in .cargo/config.toml) =="
+# The root workspace and benchmark/ (a workspace of its own, built from
+# the repo root) both read .cargo/config.toml and nothing else in common:
+# a [profile] table in a manifest would make the two builds differ. The
+# results gate below is what proves LTO moved no output byte.
+for setting in 'lto = "fat"' 'codegen-units = 1'; do
+    if ! grep -qxF "$setting" .cargo/config.toml; then
+        echo ".cargo/config.toml no longer sets: $setting"
+        exit 1
+    fi
+done
+profiles=$(grep -n '^\[profile\.' Cargo.toml crates/*/Cargo.toml || true)
+if [ -n "$profiles" ]; then
+    echo "a second release profile (the one profile lives in .cargo/config.toml):"
+    echo "$profiles"
     exit 1
 fi
 
