@@ -383,6 +383,9 @@ pub const VALUE_FLAGS: &[&str] = &[
     "--kill-resume-child",
 ];
 
+/// The flags of `chaos` that take no value.
+pub const SWITCHES: &[&str] = &["--kill-resume", "--full"];
+
 /// `flashsim chaos`: see the module documentation.
 pub fn run(args: &Args) {
     // Internal self-exec entry point; must not print the banner.

@@ -8,13 +8,19 @@
 //! configuration (see DESIGN.md §1 and EXPERIMENTS.md); `figures` prints
 //! the regenerated table/figure next to the paper's published values
 //! where the paper gives them. Each subcommand is a module here with a
-//! `run(&Args)` entry point, listed in [`TOOLS`]; `flashsim` strips the
-//! subcommand and hands over the rest of the command line as [`Args`].
+//! `run(&Args)` entry point, listed in [`TOOLS`] with the flags it
+//! declares; `flashsim` strips the subcommand, rejects any flag the
+//! subcommand does not declare, and hands over the rest of the command
+//! line as [`Args`].
+//!
+//! Tables go to stdout as text; every export file `report` and `spans`
+//! write is one of the `engine::Schema` formats `flashsim validate`
+//! checks.
 //!
 //! | Subcommand | Does |
 //! |---|---|
 //! | `figures NAME` | `table1` (hardware configuration), `table2` (problem sizes), `table3` (snbench latencies, calibration loop), `fig1`..`fig7`, `ablate_latency` (the §3.1.3 instruction-latency experiment), `trends` (the §3.4 accuracy/trend summary), or `all` |
-//! | `report` | unified run report, hardware vs a simulator: manifest + cycle accounting + sim-time telemetry per cell, per-class error attribution, optional host-time profile (text/HTML/JSONL/CSV/Prometheus) |
+//! | `report` | unified run report, hardware vs a simulator: manifest + cycle accounting + sim-time telemetry per cell, per-class error attribution, optional host-time profile (text, plus telemetry/span/hostprof JSONL) |
 //! | `spans [SIM]` | span diff: the same sampled transaction traced causally on hardware vs `SIM` (which legs own the latency gap), or on FlashLite vs NUMA without `SIM` |
 //! | `chaos` | fault-injection survival matrix (seeded fault plans × platforms); `--kill-resume` crash-consistency gate |
 //! | `diag` | per-run statistics for one app on hardware, SimOS-Mipsy and Solo-Mipsy |
@@ -41,18 +47,24 @@ pub fn fail(message: &str) -> ! {
 }
 
 /// One `flashsim` subcommand: its name, the flags whose next token is
-/// their value (what tells a value from a positional), and its entry
-/// point, given the command line after the subcommand.
-pub type Tool = (&'static str, &'static [&'static str], fn(&Args));
+/// their value (what tells a value from a positional), the flags that
+/// take none, and its entry point, given the command line after the
+/// subcommand. A `--flag` in neither list is a command-line error.
+pub type Tool = (
+    &'static str,
+    &'static [&'static str],
+    &'static [&'static str],
+    fn(&Args),
+);
 
 /// Every subcommand of `flashsim`.
 pub const TOOLS: [Tool; 6] = [
-    ("figures", &[], figures::run),
-    ("report", report::VALUE_FLAGS, report::run),
-    ("spans", spans::VALUE_FLAGS, spans::run),
-    ("chaos", chaos::VALUE_FLAGS, chaos::run),
-    ("diag", &[], diag::run),
-    ("validate", &[], validate::run),
+    ("figures", &[], &["--full"], figures::run),
+    ("report", report::VALUE_FLAGS, report::SWITCHES, report::run),
+    ("spans", spans::VALUE_FLAGS, spans::SWITCHES, spans::run),
+    ("chaos", chaos::VALUE_FLAGS, chaos::SWITCHES, chaos::run),
+    ("diag", &[], &["--full"], diag::run),
+    ("validate", &[], &[], validate::run),
 ];
 
 /// Splits `flashsim`'s command line (without the program name) into the
@@ -62,7 +74,9 @@ pub const TOOLS: [Tool; 6] = [
 /// # Errors
 ///
 /// The usage message listing every subcommand, when the first token is
-/// missing or names none of them.
+/// missing or names none of them; `unknown flag --x` and the tool's
+/// flags, when a `--flag` is neither a value flag nor a switch of it (a
+/// value never starts with `--`, so every such token is a flag).
 pub fn select(mut argv: Vec<String>) -> Result<(&'static Tool, Args), String> {
     let names: Vec<&str> = TOOLS.iter().map(|t| t.0).collect();
     let usage = format!("usage: flashsim {} [ARGS]", names.join("|"));
@@ -70,10 +84,19 @@ pub fn select(mut argv: Vec<String>) -> Result<(&'static Tool, Args), String> {
         return Err(usage);
     }
     let name = argv.remove(0);
-    match TOOLS.iter().find(|t| t.0 == name) {
-        Some(tool) => Ok((tool, Args::new(argv, tool.1))),
-        None => Err(format!("unknown subcommand {name}\n{usage}")),
+    let Some(tool) = TOOLS.iter().find(|t| t.0 == name) else {
+        return Err(format!("unknown subcommand {name}\n{usage}"));
+    };
+    let (_, value_flags, switches, _) = tool;
+    let declared = |a: &str| value_flags.contains(&a) || switches.contains(&a);
+    if let Some(flag) = argv.iter().find(|a| a.starts_with("--") && !declared(a)) {
+        let flags = [*value_flags, *switches].concat().join(" ");
+        return Err(format!(
+            "unknown flag {flag}\nflashsim {name} takes: {}",
+            if flags.is_empty() { "no flags" } else { &flags }
+        ));
     }
+    Ok((tool, Args::new(argv, value_flags)))
 }
 
 /// One tool's command line: flags that take a value (`--nodes 4`),
@@ -270,6 +293,36 @@ mod tests {
                     .ends_with("usage: flashsim figures|report|spans|chaos|diag|validate [ARGS]"),
                 "{message}"
             );
+        }
+    }
+
+    /// Every `"--flag"` literal in a tool's module is declared in its
+    /// `TOOLS` row, and every tool that reads [`Args::setup`] declares
+    /// `--full`: an undeclared flag could never reach the tool.
+    #[test]
+    fn every_flag_a_tool_reads_is_declared_in_its_row() {
+        let sources = [
+            ("figures", include_str!("figures.rs")),
+            ("report", include_str!("report.rs")),
+            ("spans", include_str!("spans.rs")),
+            ("chaos", include_str!("chaos.rs")),
+            ("diag", include_str!("diag.rs")),
+            ("validate", include_str!("validate.rs")),
+        ];
+        for (name, source) in sources {
+            let (_, value_flags, switches, _) = TOOLS.iter().find(|t| t.0 == name).expect("a row");
+            let declared = |f: &str| value_flags.contains(&f) || switches.contains(&f);
+            let literals = source.split("\"--").skip(1).filter_map(|rest| {
+                let flag = &rest[..rest.find('"')?];
+                let word = flag.chars().all(|c| c.is_ascii_lowercase() || c == '-');
+                (word && !flag.is_empty()).then(|| format!("--{flag}"))
+            });
+            for flag in literals {
+                assert!(declared(&flag), "{name} reads undeclared {flag}");
+            }
+            if source.contains(".setup()") {
+                assert!(declared("--full"), "{name} reads --full through setup");
+            }
         }
     }
 

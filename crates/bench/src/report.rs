@@ -1,18 +1,18 @@
 //! Unified run report: run the gold-standard hardware and a simulator
 //! over the same workload through the supervised run matrix with
 //! cycle-accounting *and* sim-time telemetry attached, then stitch each
-//! cell's manifest + accounting + telemetry series into one report
-//! (text, optionally HTML), attribute the simulator's error to stall
-//! classes ("18% optimistic, of which 11 points TLB, 5 occupancy, 2
-//! network"), and write the machine-readable exports.
+//! cell's manifest + accounting + telemetry series into one text report,
+//! attribute the simulator's error to stall classes ("18% optimistic, of
+//! which 11 points TLB, 5 occupancy, 2 network"), and write the
+//! machine-readable exports.
 //!
 //! Usage:
 //!
 //! ```text
 //! flashsim report [SIM] [--mem numa|flashlite] [--nodes N] [--workers N]
 //!        [--cadence-us N] [--heartbeat MS] [--phases] [--hostprof]
-//!        [--out PATH] [--html PATH] [--jsonl PATH] [--prom PATH]
-//!        [--spans-jsonl PATH] [--csv PREFIX] [--hostprof-jsonl PATH] [--full]
+//!        [--out PATH] [--jsonl PATH] [--spans-jsonl PATH]
+//!        [--hostprof-jsonl PATH] [--full]
 //! ```
 //!
 //! `SIM` is one of `simos-mipsy` (default), `solo-mipsy`, `simos-mxs`.
@@ -36,11 +36,10 @@
 //! `flashsim-telemetry-v1` series, `--spans-jsonl` its sampled span
 //! trees (`flashsim-span-v1`; both cells run a seeded span sampler,
 //! recorded in each manifest), `--hostprof-jsonl` (which implies
-//! `--hostprof`) its `flashsim-hostprof-v1` profile, `--prom` its
-//! telemetry, host and accounting families in Prometheus text format. `--csv PREFIX` writes
-//! `PREFIX-{hw,sim}.csv`, `PREFIX-{hw,sim}-phases.csv` and
-//! `PREFIX-attrib.csv`. Every JSONL export is validated through
-//! [`Schema`] before it is written; `flashsim validate` re-checks a file.
+//! `--hostprof`) its `flashsim-hostprof-v1` profile. Every file export
+//! is a [`Schema`] format, validated before it is written;
+//! `flashsim validate` re-checks a file. `--out PATH` writes the stitched
+//! text report there instead of to stdout.
 //!
 //! The report gates on conservation: cycle accounting must be conserved
 //! on both platforms, every telemetry occupancy integral must equal its
@@ -199,24 +198,6 @@ fn render_host(r: &HostReport, wall_seconds: f64) -> String {
     out
 }
 
-/// Wraps the text report in a minimal self-contained HTML page.
-fn to_html(text: &str) -> String {
-    let mut body = String::with_capacity(text.len() + 256);
-    for c in text.chars() {
-        match c {
-            '&' => body.push_str("&amp;"),
-            '<' => body.push_str("&lt;"),
-            '>' => body.push_str("&gt;"),
-            _ => body.push(c),
-        }
-    }
-    format!(
-        "<!doctype html>\n<html><head><meta charset=\"utf-8\">\
-         <title>flashsim run report</title></head>\n\
-         <body><h1>flashsim run report</h1>\n<pre>\n{body}</pre></body></html>\n"
-    )
-}
-
 /// A completed cell's cycle accounting.
 fn accounting(outcome: &CellOutcome) -> Option<&Accounting> {
     outcome.result()?.accounting.as_ref()
@@ -240,13 +221,13 @@ pub const VALUE_FLAGS: &[&str] = &[
     "--cadence-us",
     "--heartbeat",
     "--out",
-    "--html",
     "--jsonl",
-    "--prom",
     "--spans-jsonl",
-    "--csv",
     "--hostprof-jsonl",
 ];
+
+/// The flags of `report` that take no value.
+pub const SWITCHES: &[&str] = &["--phases", "--hostprof", "--full"];
 
 /// `flashsim report`: see the module documentation.
 pub fn run(args: &Args) {
@@ -308,8 +289,8 @@ pub fn run(args: &Args) {
     }
 
     // The simulator's error against hardware, by stall class. It follows
-    // the stitched document rather than joining it: `--out`/`--html` stay
-    // the per-cell report, byte for byte.
+    // the stitched document rather than joining it: `--out` stays the
+    // per-cell report, byte for byte.
     let (hw, sim_cell) = (&outcomes[0], &outcomes[1]);
     let mut attribution = String::new();
     let mut wrote = String::new();
@@ -329,41 +310,16 @@ pub fn run(args: &Args) {
         } else {
             failures.push(format!("attribution residual {residual:.1e} exceeds 1e-9"));
         }
-        if let Some(prefix) = args.value("--csv") {
-            for (suffix, body) in [
-                ("hw", hw_acc.to_csv()),
-                ("sim", sim_acc.to_csv()),
-                ("hw-phases", hw_acc.phases_to_csv()),
-                ("sim-phases", sim_acc.phases_to_csv()),
-                ("attrib", a.to_csv()),
-            ] {
-                write(&format!("{prefix}-{suffix}.csv"), &body, &mut wrote);
-            }
-        }
     }
 
-    if let Some(path) = args.value("--html") {
-        write(path, &to_html(&report), &mut wrote);
-    }
     // Machine-readable exports come from the simulator cell (the last
     // one); the hardware cell is the reference platform in the report.
-    let host = sim_cell.result().and_then(|r| r.hostprof.as_ref());
-    if let Some(series) = sim_cell.telemetry() {
-        if let Some(path) = args.value("--jsonl") {
-            write(path, &series.to_jsonl(), &mut wrote);
-        }
-        if let Some(path) = args.value("--prom") {
-            let mut text = series.to_prometheus();
-            if let Some(host) = host {
-                text.push_str(&host.to_prometheus());
-            }
-            if let Some(acc) = accounting(sim_cell) {
-                text.push_str(&acc.to_prometheus());
-            }
-            write(path, &text, &mut wrote);
-        }
-    }
     let exports = [
+        (
+            "--jsonl",
+            Schema::Telemetry,
+            sim_cell.telemetry().map(|series| series.to_jsonl()),
+        ),
         (
             "--spans-jsonl",
             Schema::Span,
@@ -372,7 +328,10 @@ pub fn run(args: &Args) {
         (
             "--hostprof-jsonl",
             Schema::HostProf,
-            host.map(|h| h.to_jsonl()),
+            sim_cell
+                .result()
+                .and_then(|r| r.hostprof.as_ref())
+                .map(|h| h.to_jsonl()),
         ),
     ];
     for (flag, schema, jsonl) in exports {

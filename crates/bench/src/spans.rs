@@ -315,6 +315,9 @@ pub const VALUE_FLAGS: &[&str] = &[
     "--jsonl-numa",
 ];
 
+/// The flags of `spans` that take no value.
+pub const SWITCHES: &[&str] = &["--full"];
+
 /// `flashsim spans`: see the module documentation.
 pub fn run(args: &Args) {
     if args.positional().is_some() {

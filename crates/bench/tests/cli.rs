@@ -43,6 +43,71 @@ fn unknown_subcommands_and_formats_list_the_choices_and_exit_2() {
 }
 
 #[test]
+fn an_undeclared_flag_exits_2_before_anything_runs() {
+    // The deleted Prometheus, CSV and HTML exports, typo'd switches that
+    // used to be read as "not given", and flags of another subcommand.
+    const REPORT: &str = "--mem --nodes --workers --cadence-us --heartbeat --out --jsonl \
+                          --spans-jsonl --hostprof-jsonl --phases --hostprof --full";
+    for (line, takes) in [
+        (&["report", "--prom", "F"][..], REPORT),
+        (&["report", "--csv", "P"], REPORT),
+        (&["report", "--html", "F"], REPORT),
+        (&["report", "--phses"], REPORT),
+        (
+            &["chaos", "--kill-resum"],
+            "--kills --seed --dir --seeds --base --kill-resume-child --kill-resume --full",
+        ),
+        (&["figures", "--nodes", "2", "fig3"], "--full"),
+        (&["validate", "--full", "span", "x"], "no flags"),
+    ] {
+        let (code, out, err) = flashsim(line);
+        assert_eq!(code, Some(2), "{line:?}");
+        assert!(out.is_empty(), "{line:?} printed {out}");
+        assert_eq!(
+            err,
+            format!(
+                "unknown flag {}\nflashsim {} takes: {takes}\n",
+                line[1], line[0]
+            )
+        );
+    }
+}
+
+/// The `flashsim` command lines of `scripts/check.sh`: every `$flashsim`
+/// invocation, continuation lines joined, cut at the first redirection
+/// or pipe.
+fn check_sh_command_lines() -> Vec<Vec<String>> {
+    let script = include_str!("../../../scripts/check.sh").replace("\\\n", " ");
+    script
+        .lines()
+        .filter(|l| !l.trim_start().starts_with('#'))
+        .filter_map(|l| l.split_once("$flashsim ").map(|(_, rest)| rest))
+        .map(|rest| {
+            rest.split_whitespace()
+                .take_while(|t| !t.starts_with(['>', '|', ';']) && !t.starts_with("2>"))
+                .map(str::to_owned)
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn every_command_line_in_check_sh_parses() {
+    let lines = check_sh_command_lines();
+    for tool in ["figures", "report", "spans", "chaos", "validate"] {
+        assert!(
+            lines.iter().any(|l| l[0] == tool),
+            "check.sh runs no `flashsim {tool}`: {lines:?}"
+        );
+    }
+    for line in lines {
+        if let Err(e) = flashsim_bench::select(line.clone()) {
+            panic!("check.sh line {line:?} does not parse: {e}");
+        }
+    }
+}
+
+#[test]
 fn report_rejects_node_counts_it_cannot_run_without_panicking() {
     let (code, out, err) = flashsim(&["report", "--nodes", "0"]);
     assert_eq!(code, Some(2), "{out}{err}");

@@ -115,22 +115,6 @@ impl AttributionReport {
         );
         out
     }
-
-    /// CSV export: `class,sim_ps,ref_ps,contribution`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("class,sim_ps,ref_ps,contribution\n");
-        for c in &self.classes {
-            let _ = writeln!(
-                out,
-                "{},{},{},{:.9}",
-                c.class.key(),
-                c.sim_ps,
-                c.ref_ps,
-                c.contribution
-            );
-        }
-        out
-    }
 }
 
 /// Decomposes the relative error of `sim` against `reference` into signed
@@ -249,9 +233,8 @@ mod tests {
         assert!(text.contains("slow-sim"));
         assert!(text.contains("pessimistic"));
         assert!(text.contains("l2_miss"));
-        let csv = rep.to_csv();
-        assert!(csv.starts_with("class,sim_ps,ref_ps,contribution\n"));
-        assert_eq!(csv.lines().count(), 1 + StallClass::COUNT);
+        // One table row per class, between the header and the sum line.
+        assert_eq!(text.lines().count(), 3 + StallClass::COUNT + 1);
     }
 
     #[test]

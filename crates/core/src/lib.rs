@@ -64,9 +64,7 @@ pub use metrics::{
     SimulatorScorecard, TrendFidelity,
 };
 pub use platform::{MemModel, Sim, Study, Tuning};
-pub use report::{
-    relative_to_csv, render_relative, render_speedup, render_table1, render_table3, speedup_to_csv,
-};
+pub use report::{render_relative, render_speedup, render_table1, render_table3};
 pub use runner::{
     parallel_map, relative_time, run_hardware, run_matrix, run_once, run_supervised, speedup,
     CellOutcome, HardwareMeasurement, MatrixCell, HARDWARE_JITTER, HARDWARE_RUNS,

@@ -249,84 +249,3 @@ mod tests {
         assert!(paper::LATENCY_ABLATION.0 < paper::LATENCY_ABLATION.1);
     }
 }
-
-/// Serializes a relative figure as CSV (`app,simulator,relative,error`).
-/// Failed cells leave the relative column empty and name the failure
-/// kind in the error column.
-pub fn relative_to_csv(fig: &crate::figures::RelativeFigure) -> String {
-    let mut out = String::from("app,simulator,relative,error\n");
-    for p in &fig.points {
-        match &p.error {
-            Some(kind) => {
-                let _ = std::fmt::Write::write_fmt(
-                    &mut out,
-                    format_args!("{},{},,{kind}\n", p.app, p.sim),
-                );
-            }
-            None => {
-                let _ = std::fmt::Write::write_fmt(
-                    &mut out,
-                    format_args!("{},{},{:.4},\n", p.app, p.sim, p.relative),
-                );
-            }
-        }
-    }
-    out
-}
-
-/// Serializes a speedup figure as CSV (`platform,processors,speedup`).
-pub fn speedup_to_csv(fig: &crate::figures::SpeedupFigure) -> String {
-    let mut out = String::from("platform,processors,speedup\n");
-    for c in &fig.curves {
-        for (p, s) in &c.points {
-            let _ = std::fmt::Write::write_fmt(
-                &mut out,
-                format_args!("{},{},{:.4}\n", c.platform, p, s),
-            );
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod csv_tests {
-    use super::*;
-    use crate::figures::{RelativeFigure, RelativePoint, SpeedupCurve, SpeedupFigure};
-
-    #[test]
-    fn relative_csv_roundtrips_fields() {
-        let fig = RelativeFigure {
-            title: "t".into(),
-            nodes: 1,
-            points: vec![
-                RelativePoint::measured("FFT", "SimOS-MXS 150MHz".into(), 0.7321),
-                RelativePoint {
-                    app: "LU",
-                    sim: "SimOS-MXS 150MHz".into(),
-                    relative: f64::NAN,
-                    error: Some("deadlock".into()),
-                },
-            ],
-        };
-        let csv = relative_to_csv(&fig);
-        assert!(csv.starts_with("app,simulator,relative,error\n"));
-        assert!(csv.contains("FFT,SimOS-MXS 150MHz,0.7321,"));
-        assert!(csv.contains("LU,SimOS-MXS 150MHz,,deadlock"));
-        assert_eq!(csv.lines().count(), 3);
-    }
-
-    #[test]
-    fn speedup_csv_lists_every_point() {
-        let fig = SpeedupFigure {
-            title: "t".into(),
-            curves: vec![SpeedupCurve {
-                platform: "NUMA".into(),
-                points: vec![(1, 1.0), (8, 4.7)],
-            }],
-        };
-        let csv = speedup_to_csv(&fig);
-        assert!(csv.contains("NUMA,1,1.0000"));
-        assert!(csv.contains("NUMA,8,4.7000"));
-        assert_eq!(csv.lines().count(), 3);
-    }
-}

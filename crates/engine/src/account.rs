@@ -108,7 +108,7 @@ impl StallClass {
     pub const COUNT: usize = Self::ALL.len();
 
     /// Short stable key (`"compute"`, `"l1_miss"`, ...) used in stats,
-    /// CSV, JSON, and Prometheus output.
+    /// JSON and the phase and attribution tables.
     pub const fn key(self) -> &'static str {
         match self {
             StallClass::Compute => "compute",
@@ -687,72 +687,6 @@ impl Accounting {
         out
     }
 
-    /// Per-node per-class CSV: `node,class,ps,share`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("node,class,ps,share\n");
-        for n in &self.nodes {
-            for class in StallClass::ALL {
-                let ps = n.get(class);
-                let share = if n.total_ps == 0 {
-                    0.0
-                } else {
-                    ps as f64 / n.total_ps as f64
-                };
-                out.push_str(&format!("{},{},{},{:.6}\n", n.node, class.key(), ps, share));
-            }
-        }
-        out
-    }
-
-    /// Per-phase CSV: `phase,start_ps,class,ps`.
-    pub fn phases_to_csv(&self) -> String {
-        let mut out = String::from("phase,start_ps,class,ps\n");
-        for (i, row) in self.phases.iter().enumerate() {
-            if row.iter().sum::<u64>() == 0 {
-                continue;
-            }
-            for class in StallClass::ALL {
-                out.push_str(&format!(
-                    "{},{},{},{}\n",
-                    i,
-                    i as u64 * self.phase_ps,
-                    class.key(),
-                    row[class as usize]
-                ));
-            }
-        }
-        out
-    }
-
-    /// Prometheus text-exposition export: one gauge per (node, class)
-    /// plus per-node totals, all in picoseconds. Formatting goes
-    /// through the shared [`crate::prom`] helper so this exporter and
-    /// the telemetry exporter cannot drift apart.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        crate::prom::push_type(&mut out, "flashsim_accounted_ps", "gauge");
-        for n in &self.nodes {
-            for class in StallClass::ALL {
-                crate::prom::push_sample(
-                    &mut out,
-                    "flashsim_accounted_ps",
-                    &[("node", &n.node.to_string()), ("class", class.key())],
-                    n.get(class),
-                );
-            }
-        }
-        crate::prom::push_type(&mut out, "flashsim_node_total_ps", "gauge");
-        for n in &self.nodes {
-            crate::prom::push_sample(
-                &mut out,
-                "flashsim_node_total_ps",
-                &[("node", &n.node.to_string())],
-                n.total_ps,
-            );
-        }
-        out
-    }
-
     /// Hand-rolled JSON export (no serde; fully offline build): class
     /// totals, per-node accounts, and the phase sampling.
     pub fn to_json(&self) -> String {
@@ -921,12 +855,8 @@ mod tests {
         p.charge(1, StallClass::NetTransit, at(5), ns(40));
         p.mark_op(1, at(5), ns(60));
         let a = p.snapshot(&[at(100), at(100)]).expect("enabled");
-        let csv = a.to_csv();
-        assert!(csv.starts_with("node,class,ps,share\n"));
-        assert!(csv.contains("1,net_transit,40000,"));
-        let prom = a.to_prometheus();
-        assert!(prom.contains("flashsim_accounted_ps{node=\"1\",class=\"net_transit\"} 40000"));
-        assert!(prom.contains("flashsim_node_total_ps{node=\"0\"} 100000"));
+        assert_eq!(a.nodes[1].get(StallClass::NetTransit), 40_000);
+        assert_eq!(a.nodes[0].total_ps, 100_000);
         let json = a.to_json();
         assert!(json.starts_with("{\"classes\":{\"compute\":"));
         assert!(json.contains("\"net_transit\":40000"));

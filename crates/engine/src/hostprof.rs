@@ -28,14 +28,11 @@
 //! change a single simulated byte (`tests/hostprof_isolation.rs` proves
 //! it on every platform under every policy).
 //!
-//! Exports: a versioned [`HOSTPROF_SCHEMA`] JSONL with a strict
-//! [`validate_jsonl`] (shared scanners from [`crate::jsonl`]) and
-//! Prometheus text exposition via [`crate::prom`]
-//! ([`HostReport::to_prometheus`]).
+//! Export: one versioned [`HOSTPROF_SCHEMA`] JSONL document with a
+//! strict [`validate_jsonl`] (shared scanners from [`crate::jsonl`]).
 
 use crate::jsonl::{field_str, field_u64, numbered_lines};
 use crate::pool::WorkerLane;
-use crate::prom;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -449,75 +446,6 @@ impl HostReport {
         }
         out
     }
-
-    /// Prometheus text exposition of the report.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(512);
-        prom::push_type(&mut out, "flashsim_host_total_ns", "gauge");
-        prom::push_sample(&mut out, "flashsim_host_total_ns", &[], self.total_ns);
-        prom::push_type(&mut out, "flashsim_host_phase_ns", "gauge");
-        for p in HostPhase::ALL {
-            prom::push_sample(
-                &mut out,
-                "flashsim_host_phase_ns",
-                &[("phase", p.key())],
-                self.phase(p),
-            );
-        }
-        prom::push_type(&mut out, "flashsim_host_fork_outcomes_total", "counter");
-        let a = &self.admission;
-        for (key, v) in [
-            ("rounds", a.rounds),
-            ("admitted_ops", a.admitted_ops),
-            ("forked_nodes", a.forked_nodes),
-            ("rejected_horizon", a.rejected_horizon),
-            ("rejected_shared", a.rejected_shared),
-            ("rejected_opaque", a.rejected_opaque),
-            ("stopped_sync", a.stopped_sync),
-            ("stopped_quota", a.stopped_quota),
-            ("stopped_end", a.stopped_end),
-        ] {
-            prom::push_sample(
-                &mut out,
-                "flashsim_host_fork_outcomes_total",
-                &[("outcome", key)],
-                v,
-            );
-        }
-        prom::push_type(&mut out, "flashsim_host_worker_lane_ns", "gauge");
-        for (w, lane) in self.workers.iter().enumerate() {
-            let ws = w.to_string();
-            for (lane_key, v) in [
-                ("execute", lane.execute_ns),
-                ("steal", lane.steal_ns),
-                ("idle", lane.idle_ns),
-            ] {
-                prom::push_sample(
-                    &mut out,
-                    "flashsim_host_worker_lane_ns",
-                    &[("worker", &ws), ("lane", lane_key)],
-                    v,
-                );
-            }
-        }
-        prom::push_type(&mut out, "flashsim_host_worker_jobs_total", "counter");
-        for (w, lane) in self.workers.iter().enumerate() {
-            let ws = w.to_string();
-            prom::push_sample(
-                &mut out,
-                "flashsim_host_worker_jobs_total",
-                &[("worker", &ws), ("kind", "executed")],
-                lane.jobs,
-            );
-            prom::push_sample(
-                &mut out,
-                "flashsim_host_worker_jobs_total",
-                &[("worker", &ws), ("kind", "stolen")],
-                lane.steals,
-            );
-        }
-        out
-    }
 }
 
 /// Strictly validates a [`HOSTPROF_SCHEMA`] JSONL document: header
@@ -793,16 +721,6 @@ mod tests {
         assert!(validate_jsonl(&hostile.to_jsonl())
             .expect_err("phase sum does not fit")
             .contains("overflows"));
-    }
-
-    #[test]
-    fn prometheus_export_uses_exposition_format() {
-        let text = sample_report().to_prometheus();
-        assert!(text.contains("# TYPE flashsim_host_phase_ns gauge"));
-        assert!(text.contains("flashsim_host_phase_ns{phase=\"fork\"}"));
-        assert!(text.contains("flashsim_host_fork_outcomes_total{outcome=\"admitted_ops\"} 10"));
-        assert!(text.contains("flashsim_host_worker_lane_ns{worker=\"0\",lane=\"execute\"} 1000"));
-        assert!(text.contains("flashsim_host_worker_jobs_total{worker=\"1\",kind=\"stolen\"} 0"));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   scheduling with a linear-scan-identical tie-break,
 //! - [`rng`]: a pinned, reproducible PRNG for workload data and hardware
 //!   run-to-run jitter,
-//! - [`stats`]: counters, histograms, and labelled stat sets,
+//! - [`stats`]: the labelled stat sets every layer reports through,
 //! - [`fault`]: deterministic, seeded fault injection (latency
 //!   perturbation, dropped/delayed messages, stalled nodes, resource
 //!   pressure) so robustness paths can be exercised reproducibly,
@@ -37,24 +37,23 @@
 //!   diffing one transaction's legs between platforms,
 //! - [`telemetry`]: a sim-time metrics registry (counters, gauges,
 //!   occupancy integrators in integer picoseconds) sampled into bounded
-//!   time series with JSONL/Prometheus export — how queue depths and
-//!   utilization *evolve* over a run, not just where the cycles went,
+//!   time series with a schema-validated JSONL export — how queue depths
+//!   and utilization *evolve* over a run, not just where the cycles went,
 //! - [`pool`]: a bounded pool of persistent host worker threads with
 //!   per-worker run queues and work stealing — the fan-out substrate
 //!   shared by the study runner's matrix cells and the machine's
 //!   parallel scheduling policy,
 //! - [`hostprof`]: host-time self-profiling — monotonic-clock scoped
 //!   phase timers over the scheduler's round structure, fork-admission
-//!   outcome counters, and per-worker pool lanes, with JSONL /
-//!   Prometheus export and a hard isolation contract (host clock reads
-//!   never feed simulated state),
-//! - [`prom`]: the single shared Prometheus text-exposition formatter
-//!   used by every exporter in the workspace,
+//!   outcome counters, and per-worker pool lanes, with a JSONL export
+//!   and a hard isolation contract (host clock reads never feed
+//!   simulated state),
 //! - [`jsonl`]: the JSON string escaping every exporter writes through
 //!   and the shared JSONL field scanners behind every `validate_jsonl`
 //!   schema checker (telemetry, spans, hostprof),
 //! - [`schema`]: the registry of the four `flashsim-*-v1` formats — name,
-//!   schema id and validator — behind `flashsim validate`,
+//!   schema id and validator — behind `flashsim validate`; every file
+//!   `flashsim report` and `flashsim spans` export is one of them,
 //! - [`window`]: the caller-held accumulator the per-op observer sites
 //!   write through — a sum or max over one cached bucket, published to
 //!   its telemetry or accounting handle once per bucket,
@@ -92,7 +91,6 @@ pub mod hostprof;
 pub mod jsonl;
 pub mod observers;
 pub mod pool;
-pub mod prom;
 pub mod resource;
 pub mod rng;
 pub mod sched;
@@ -117,7 +115,7 @@ pub use rng::Rng;
 pub use sched::LaggardHeap;
 pub use schema::Schema;
 pub use span::{SpanClass, SpanPlan, SpanRecord, SpanSet, SpanTracer, SpanTxn};
-pub use stats::{Counter, Histogram, StatSet};
+pub use stats::StatSet;
 pub use telemetry::{MetricId, MetricKind, MetricSeries, Telemetry, TelemetrySeries};
 pub use time::{Clock, Time, TimeDelta};
 pub use window::Window;

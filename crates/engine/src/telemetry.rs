@@ -86,7 +86,6 @@ use std::sync::{Arc, Mutex};
 
 use crate::ckpt::{CkptError, CkptReader, CkptWriter};
 use crate::jsonl::{leading_u64, push_json_escaped, scan_strings_after};
-use crate::prom;
 use crate::time::{Time, TimeDelta};
 use crate::window::Window;
 
@@ -692,26 +691,12 @@ impl TelemetrySeries {
         })
     }
 
-    /// Stable JSONL export (`flashsim-telemetry-v1`): volatile metrics
-    /// are excluded, so the output is byte-identical across scheduling
-    /// policies and reruns. One header line, then one line per
-    /// non-empty bucket.
+    /// The `flashsim-telemetry-v1` document: volatile metrics are
+    /// excluded, so the output is byte-identical across scheduling
+    /// policies and reruns (compare whole series with `==` to include
+    /// them). One header line, then one line per non-empty bucket.
     pub fn to_jsonl(&self) -> String {
-        self.jsonl(false)
-    }
-
-    /// Full JSONL export including volatile (scheduler-dependent)
-    /// metrics; same schema, comparable only within one `SchedPolicy`.
-    pub fn to_jsonl_full(&self) -> String {
-        self.jsonl(true)
-    }
-
-    fn jsonl(&self, include_volatile: bool) -> String {
-        let included: Vec<&MetricSeries> = self
-            .metrics
-            .iter()
-            .filter(|m| include_volatile || !m.volatile)
-            .collect();
+        let included: Vec<&MetricSeries> = self.metrics.iter().filter(|m| !m.volatile).collect();
         let mut out = String::new();
         out.push_str("{\"schema\":\"");
         out.push_str(SCHEMA);
@@ -755,44 +740,6 @@ impl TelemetrySeries {
                 out.push_str(&format!("\":{}", m.buckets[b]));
             }
             out.push_str("}}\n");
-        }
-        out
-    }
-
-    /// Prometheus text export via the shared [`crate::prom`] helper:
-    /// run totals plus non-empty bucket samples, all metrics included
-    /// (this surface is for humans and scrapes, not the determinism
-    /// contract — use [`TelemetrySeries::to_jsonl`] for that).
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        prom::push_type(&mut out, "flashsim_telemetry_total", "gauge");
-        for m in &self.metrics {
-            let node = m.node.map(|n| n.to_string());
-            let mut labels: Vec<(&str, &str)> = vec![("metric", &m.name), ("kind", m.kind.key())];
-            if let Some(n) = &node {
-                labels.push(("node", n));
-            }
-            prom::push_sample(&mut out, "flashsim_telemetry_total", &labels, m.total);
-        }
-        prom::push_type(&mut out, "flashsim_telemetry_bucket", "gauge");
-        for m in &self.metrics {
-            let node = m.node.map(|n| n.to_string());
-            for (i, &v) in m.buckets.iter().enumerate() {
-                if v == 0 {
-                    continue;
-                }
-                let bucket = i.to_string();
-                let start = (i as u64 * self.bucket_ps).to_string();
-                let mut labels: Vec<(&str, &str)> = vec![
-                    ("metric", &m.name),
-                    ("bucket", &bucket),
-                    ("start_ps", &start),
-                ];
-                if let Some(n) = &node {
-                    labels.push(("node", n));
-                }
-                prom::push_sample(&mut out, "flashsim_telemetry_bucket", &labels, v);
-            }
         }
         out
     }
@@ -1024,10 +971,11 @@ mod tests {
         let stable_out = s.to_jsonl();
         assert!(stable_out.contains("mem.l1_hits"));
         assert!(!stable_out.contains("sched.heap"));
-        let full_out = s.to_jsonl_full();
-        assert!(full_out.contains("sched.heap"));
+        let heap = s
+            .get("sched.heap")
+            .expect("the series keeps volatile metrics");
+        assert!(heap.volatile && heap.total == 9);
         validate_jsonl(&stable_out).expect("stable export validates");
-        validate_jsonl(&full_out).expect("full export validates");
     }
 
     #[test]
@@ -1056,8 +1004,6 @@ mod tests {
         let jsonl = s.to_jsonl();
         assert!(jsonl.contains("magic.queue_ps{node=\\\"3\\\"}"));
         validate_jsonl(&jsonl).expect("labelled export validates");
-        let prom = s.to_prometheus();
-        assert!(prom.contains("metric=\"magic.queue_ps\",kind=\"occupancy\",node=\"3\"} 70000\n"));
         assert!(s.conserved());
     }
 
@@ -1083,22 +1029,6 @@ mod tests {
         not_increasing.push_str(&bucket_line);
         not_increasing.push('\n');
         assert!(validate_jsonl(&not_increasing).is_err());
-    }
-
-    #[test]
-    fn prometheus_export_goes_through_shared_helper() {
-        let tel = Telemetry::with_cadence(TimeDelta::from_ns(1));
-        let id = tel.register("net.messages", MetricKind::Counter);
-        tel.count(id, Time::from_ns(0), 2);
-        let s = tel.snapshot(Time::from_ns(4)).expect("enabled");
-        let prom = s.to_prometheus();
-        assert!(prom.contains("# TYPE flashsim_telemetry_total gauge\n"));
-        assert!(
-            prom.contains("flashsim_telemetry_total{metric=\"net.messages\",kind=\"counter\"} 2\n")
-        );
-        assert!(prom.contains(
-            "flashsim_telemetry_bucket{metric=\"net.messages\",bucket=\"0\",start_ps=\"0\"} 2\n"
-        ));
     }
 
     #[test]

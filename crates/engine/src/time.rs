@@ -64,11 +64,6 @@ impl Time {
         self.0 as f64 / 1000.0
     }
 
-    /// Time in microseconds as a float (for reporting only).
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// The later of two times.
     pub fn max(self, other: Time) -> Time {
         Time(self.0.max(other.0))

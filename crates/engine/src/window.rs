@@ -166,11 +166,7 @@ mod tests {
         for close in [end, Time::ZERO] {
             let a = oracle.tel.snapshot(close).expect("enabled");
             let b = subject.tel.snapshot(close).expect("enabled");
-            assert_eq!(
-                a.to_jsonl_full(),
-                b.to_jsonl_full(),
-                "seed {seed} step {step}"
-            );
+            assert_eq!(a, b, "seed {seed} step {step}");
             assert!(b.conserved(), "seed {seed} step {step}");
         }
         let ends = [end; NODES];
@@ -186,7 +182,7 @@ mod tests {
     /// handle writing event by event in between, publishes at random
     /// points, and a checkpoint round trip into fresh handles half way —
     /// through per-event calls on `oracle` and through windows on
-    /// `subject`, comparing both exports after every publish.
+    /// `subject`, comparing both snapshots whole after every publish.
     fn drive(seed: u64) {
         let mut rng = Rng::seeded(seed);
         let oracle = handles();

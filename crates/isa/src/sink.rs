@@ -207,12 +207,6 @@ impl Sink {
         self.push(Op::branch(site, true, Reg::ZERO));
     }
 
-    /// Emits a data-dependent branch at site `site` with outcome `taken`,
-    /// whose condition depends on register `cond`.
-    pub fn data_branch(&mut self, site: u32, taken: bool, cond: Reg) {
-        self.push(Op::branch(site, taken, cond));
-    }
-
     /// Emits the next global barrier. Every thread of a program must call
     /// `barrier()` the same number of times in the same order; the internal
     /// counter then assigns matching ids on every thread.

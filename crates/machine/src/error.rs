@@ -10,7 +10,6 @@
 //! tail of the flight-recorder ring, so a failed cell is a diagnosis
 //! rather than a corpse.
 
-use crate::config::MachineConfig;
 use crate::machine::MachineError;
 use flashsim_engine::Time;
 use flashsim_isa::VAddr;
@@ -268,13 +267,6 @@ impl Watchdog {
             wall_limit: Some(limit),
             ..self
         }
-    }
-
-    /// A budget proportional to the configured machine and a per-node op
-    /// estimate: `nodes × per_node × slack`. Used by supervised matrices
-    /// to bound every cell without hand-tuning each workload.
-    pub fn scaled_budget(cfg: &MachineConfig, per_node_ops: u64, slack: u64) -> Watchdog {
-        Watchdog::with_budget(u64::from(cfg.nodes) * per_node_ops * slack)
     }
 }
 

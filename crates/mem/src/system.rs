@@ -187,16 +187,6 @@ pub struct LatencyBreakdown {
 }
 
 impl LatencyBreakdown {
-    /// A breakdown with everything attributed to `memory` — the honest
-    /// default for latency-only models that do not itemize.
-    pub fn all_memory(total: TimeDelta) -> LatencyBreakdown {
-        LatencyBreakdown {
-            occupancy: TimeDelta::ZERO,
-            network: TimeDelta::ZERO,
-            memory: total,
-        }
-    }
-
     /// Sum of the components.
     pub fn total(&self) -> TimeDelta {
         self.occupancy + self.network + self.memory

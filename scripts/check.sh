@@ -117,6 +117,23 @@ for gone in crates/engine/src/stream.rs crates/bench/src/streamview.rs crates/be
     fi
 done
 
+echo "== one-export-path gate (every export file is an engine::Schema format) =="
+# Tables go to stdout as text; every file a run exports is one of the
+# formats `flashsim validate` checks, and each schema id names exactly one
+# document. An export nothing validates or reads — Prometheus text, CSV,
+# an HTML page, a second telemetry document — does not come back.
+writers=$(grep -rnE 'to_prometheus|to_csv|phases_to_csv|to_jsonl_full|fn to_html|prom::' \
+    crates/*/src tests examples || true)
+if [ -n "$writers" ]; then
+    echo "export writer outside the Schema registry:"
+    echo "$writers"
+    exit 1
+fi
+if [ -e crates/engine/src/prom.rs ]; then
+    echo "crates/engine/src/prom.rs must not exist"
+    exit 1
+fi
+
 echo "== memory-path gate (no per-access hash map) =="
 # A node's in-flight fills are an arrival-ordered table retired against
 # the node clock, and a directory's headers a two-level table indexed by
