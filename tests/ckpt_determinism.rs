@@ -199,6 +199,63 @@ fn restore_under_active_fault_plan_preserves_the_fault_schedule() {
     );
 }
 
+/// The fxhash digest of every barrier checkpoint `cfg` emits on `prog()`,
+/// concatenated in emission order.
+fn ckpt_digest(cfg: MachineConfig) -> String {
+    let (_, ckpts) = run_with_ckpts(cfg, &prog());
+    let texts: String = ckpts.iter().map(|(_, text)| text.as_str()).collect();
+    ckpt::provenance_hash(&texts)
+}
+
+/// Whole-machine checkpoint bytes recorded at the commit before every
+/// component's save/load pair became one walk (`006a5c7`): each of the
+/// seven platforms under every observer, and a FlashLite cell under a
+/// fault plan that perturbs latency, drops and delays messages, clamps the
+/// directory pointer pool (a live free list) and the MAGIC queue (NACKs
+/// and retries). A moved digest means a checkpoint on disk no longer
+/// restores: the format is a contract, not an implementation detail.
+#[test]
+fn checkpoint_bytes_are_the_recorded_ones() {
+    let study = Study::scaled();
+    let recorded = [
+        ("hardware", "9c17981c045f3f68"),
+        ("simos-mipsy-150/flashlite", "0083e173f8667e7b"),
+        ("simos-mipsy-150/numa", "9ed12f96c5f2401d"),
+        ("solo-mipsy-150/flashlite", "1a247f531155f394"),
+        ("solo-mipsy-150/numa", "e125e35d08493637"),
+        ("simos-mxs/flashlite", "fcf68ee54c94abc9"),
+        ("simos-mxs/numa", "8270d0d1cc376c92"),
+    ];
+    let platforms = platforms(&study, 2);
+    assert_eq!(platforms.len(), recorded.len());
+    for ((label, cfg), (want_label, want)) in platforms.into_iter().zip(recorded) {
+        assert_eq!(label, want_label);
+        assert_eq!(
+            ckpt_digest(observed(cfg)),
+            want,
+            "{label}: checkpoint bytes moved"
+        );
+    }
+    let mut cfg = study.sim(Sim::SimosMipsy(150), 2, MemModel::FlashLite);
+    cfg.faults = Some(FaultPlan {
+        seed: 0xB17E5,
+        latency_prob: 0.3,
+        latency_spread: 1.0,
+        drop_prob: 0.02,
+        drop_timeout: TimeDelta::from_ns(1_000),
+        delay_prob: 0.1,
+        delay: TimeDelta::from_ns(500),
+        dir_pool_cap: Some(2),
+        magic_queue_ns: Some(20),
+        ..FaultPlan::default()
+    });
+    assert_eq!(
+        ckpt_digest(observed(cfg)),
+        "a6af9a22c3b5d0d5",
+        "fault-plan cell: checkpoint bytes moved"
+    );
+}
+
 #[test]
 fn corrupted_and_truncated_checkpoints_are_rejected_structurally() {
     let study = Study::scaled();
