@@ -1,7 +1,7 @@
 //! A two-bit-counter branch predictor, shared by MXS and the gold
 //! standard ("the same branch prediction strategy" — §2.2).
 
-use flashsim_engine::{CkptError, CkptReader, CkptWriter};
+use flashsim_engine::ckpt::{bad, Ckpt, CkptError};
 
 /// Saturating two-bit counters indexed by static branch site.
 #[derive(Debug, Clone)]
@@ -65,41 +65,21 @@ impl BranchPredictor {
         }
     }
 
-    /// Writes the predictor's tables and counters into the caller's
-    /// current checkpoint section.
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.u64("bp_entries", self.counters.len() as u64);
-        w.u64s(
-            "bp_counters",
-            &self.counters.iter().map(|c| *c as u64).collect::<Vec<_>>(),
-        );
-        w.u64("bp_predictions", self.predictions);
-        w.u64("bp_mispredictions", self.mispredictions);
-    }
-
-    /// Restores the state saved by [`save_ckpt`](Self::save_ckpt); fails
-    /// closed if the table size differs from this predictor's.
-    pub fn load_ckpt(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let entries = r.u64("bp_entries")?;
-        if entries as usize != self.counters.len() {
-            return Err(CkptError::Parse {
-                key: "bp_entries".to_string(),
-                value: entries.to_string(),
-            });
+    /// Walks the predictor's tables and counters in the caller's current
+    /// checkpoint section; a restore fails closed on another table size.
+    pub fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        let entries = self.counters.len();
+        c.interlock("bp_entries", &[entries as u64])?;
+        let mut counters: Vec<u64> = self.counters.iter().map(|&n| u64::from(n)).collect();
+        c.u64s("bp_counters", &mut counters, entries..=entries)?;
+        if counters.iter().any(|&n| n > 3) {
+            return Err(bad("bp_counters", "a counter above 3"));
         }
-        let counters = r.u64s("bp_counters")?;
-        if counters.len() != self.counters.len() || counters.iter().any(|c| *c > 3) {
-            return Err(CkptError::Parse {
-                key: "bp_counters".to_string(),
-                value: format!("{} entries", counters.len()),
-            });
+        for (slot, n) in self.counters.iter_mut().zip(counters) {
+            *slot = n as u8;
         }
-        for (slot, v) in self.counters.iter_mut().zip(&counters) {
-            *slot = *v as u8;
-        }
-        self.predictions = r.u64("bp_predictions")?;
-        self.mispredictions = r.u64("bp_mispredictions")?;
-        Ok(())
+        c.u64("bp_predictions", &mut self.predictions)?;
+        c.u64("bp_mispredictions", &mut self.mispredictions)
     }
 }
 

@@ -16,7 +16,7 @@
 //! which is the paper's point).
 
 use crate::env::{Core, MemEnv};
-use flashsim_engine::{CkptError, CkptReader, CkptWriter, Clock, StatSet, Time};
+use flashsim_engine::{Ckpt, CkptError, Clock, StatSet, Time};
 use flashsim_isa::{Op, OpClass};
 
 /// The Embra functional core.
@@ -85,23 +85,10 @@ impl Core for Embra {
     // attributes every one of its cycles to StallClass::Compute — which
     // is exactly the truth for a functional model.
 
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.u64("embra_period_ps", self.clock.period().as_ps());
-        w.time("t", self.t);
-        w.u64("ops", self.ops);
-    }
-
-    fn load_ckpt(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let period = r.u64("embra_period_ps")?;
-        if period != self.clock.period().as_ps() {
-            return Err(CkptError::Parse {
-                key: "embra_period_ps".to_string(),
-                value: period.to_string(),
-            });
-        }
-        self.t = r.time("t")?;
-        self.ops = r.u64("ops")?;
-        Ok(())
+    fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        c.interlock("embra_period_ps", &[self.clock.period().as_ps()])?;
+        c.time("t", &mut self.t)?;
+        c.u64("ops", &mut self.ops)
     }
 }
 

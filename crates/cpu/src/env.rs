@@ -9,7 +9,7 @@
 //! parameterized refill cost), FlashLite, or NUMA — exactly the
 //! plug-compatibility the paper's simulator family has.
 
-use flashsim_engine::{CkptError, CkptReader, CkptWriter, Observers, StatSet, Time, TimeDelta};
+use flashsim_engine::{Ckpt, CkptError, Observers, StatSet, Time, TimeDelta};
 use flashsim_isa::{Op, VAddr};
 use flashsim_mem::ProtocolCase;
 
@@ -150,20 +150,16 @@ pub trait Core: Send {
         let _ = (obs, node);
     }
 
-    /// Serializes the core's mutable timing state — clocks, buffered
-    /// stores, outstanding misses, predictor tables, counters — into the
-    /// caller's current checkpoint section. Called only at quiescent
-    /// points (barrier releases), where [`drain`](Core::drain) has already
-    /// retired in-flight work the model cannot re-derive. Required, not
-    /// defaulted: a model that silently skipped its state here would
+    /// Walks the core's mutable timing state — clocks, buffered stores,
+    /// outstanding misses, predictor tables, counters — in the caller's
+    /// current checkpoint section ([`Ckpt`]). Called only at quiescent
+    /// points (barrier releases), where [`drain`](Core::drain) has
+    /// already retired in-flight work the model cannot re-derive; a
+    /// restore goes into a freshly constructed core of the identical
+    /// configuration and fails closed on any shape mismatch. Required,
+    /// not defaulted: a model that silently skipped its state here would
     /// restore with a cold pipeline and break the byte-identity contract.
-    fn save_ckpt(&self, w: &mut CkptWriter);
-
-    /// Restores the state saved by [`save_ckpt`](Core::save_ckpt) into a
-    /// freshly constructed core of the identical configuration.
-    /// Implementations fail closed (structured [`CkptError`]) on any
-    /// shape mismatch.
-    fn load_ckpt(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError>;
+    fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError>;
 }
 
 /// A trivial environment for core unit tests: everything hits, with fixed

@@ -14,9 +14,7 @@
 
 use crate::env::{Core, MemAccessKind, MemEnv};
 use crate::lat::LatencyTable;
-use flashsim_engine::{
-    CkptError, CkptReader, CkptWriter, Clock, Observers, StallClass, StatSet, Time, TimeDelta,
-};
+use flashsim_engine::{Ckpt, CkptError, Clock, Observers, StallClass, StatSet, Time, TimeDelta};
 use flashsim_isa::{Op, OpClass};
 use std::collections::VecDeque;
 
@@ -292,89 +290,26 @@ impl Core for Mipsy {
         self.node = node;
     }
 
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.u64s(
+    fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        let cfg = self.cfg;
+        let period = cfg.clock.period().as_ps();
+        c.interlock(
             "mipsy_shape",
-            &[
-                self.cfg.clock.period().as_ps(),
-                self.cfg.write_buffer as u64,
-                self.cfg.prefetch_slots as u64,
-            ],
-        );
-        w.time("t", self.t);
-        w.u64s(
-            "l2_window",
-            &[self.l2_window.0.as_ps(), self.l2_window.1.as_ps()],
-        );
-        w.u64s(
-            "write_buffer",
-            &self
-                .write_buffer
-                .iter()
-                .map(|t| t.as_ps())
-                .collect::<Vec<_>>(),
-        );
-        w.u64s(
-            "prefetches",
-            &self
-                .prefetches
-                .iter()
-                .map(|t| t.as_ps())
-                .collect::<Vec<_>>(),
-        );
-        w.u64("ops", self.ops);
-        w.delta("mem_stall", self.mem_stall);
-        w.delta("wb_stall", self.wb_stall);
-        w.delta("tlb_stall", self.tlb_stall);
-        w.u64("loads", self.loads);
-        w.u64("stores", self.stores);
-        w.u64("load_misses", self.load_misses);
-    }
-
-    fn load_ckpt(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let shape = r.u64s("mipsy_shape")?;
-        let expected = [
-            self.cfg.clock.period().as_ps(),
-            self.cfg.write_buffer as u64,
-            self.cfg.prefetch_slots as u64,
-        ];
-        if shape != expected {
-            return Err(CkptError::Parse {
-                key: "mipsy_shape".to_string(),
-                value: format!("{shape:?}"),
-            });
-        }
-        self.t = r.time("t")?;
-        let win = r.u64s("l2_window")?;
-        let [start, end] = <[u64; 2]>::try_from(win.as_slice()).map_err(|_| CkptError::Parse {
-            key: "l2_window".to_string(),
-            value: format!("{win:?}"),
-        })?;
-        self.l2_window = (Time::from_ps(start), Time::from_ps(end));
-        let wb = r.u64s("write_buffer")?;
-        if wb.len() > self.cfg.write_buffer {
-            return Err(CkptError::Parse {
-                key: "write_buffer".to_string(),
-                value: format!("{} entries", wb.len()),
-            });
-        }
-        self.write_buffer = wb.into_iter().map(Time::from_ps).collect();
-        let pf = r.u64s("prefetches")?;
-        if pf.len() > self.cfg.prefetch_slots {
-            return Err(CkptError::Parse {
-                key: "prefetches".to_string(),
-                value: format!("{} entries", pf.len()),
-            });
-        }
-        self.prefetches = pf.into_iter().map(Time::from_ps).collect();
-        self.ops = r.u64("ops")?;
-        self.mem_stall = r.delta("mem_stall")?;
-        self.wb_stall = r.delta("wb_stall")?;
-        self.tlb_stall = r.delta("tlb_stall")?;
-        self.loads = r.u64("loads")?;
-        self.stores = r.u64("stores")?;
-        self.load_misses = r.u64("load_misses")?;
-        Ok(())
+            &[period, cfg.write_buffer as u64, cfg.prefetch_slots as u64],
+        )?;
+        c.time("t", &mut self.t)?;
+        let mut window = [self.l2_window.0.as_ps(), self.l2_window.1.as_ps()];
+        c.array("l2_window", &mut window)?;
+        self.l2_window = (Time::from_ps(window[0]), Time::from_ps(window[1]));
+        c.times("write_buffer", &mut self.write_buffer, ..=cfg.write_buffer)?;
+        c.times("prefetches", &mut self.prefetches, ..=cfg.prefetch_slots)?;
+        c.u64("ops", &mut self.ops)?;
+        c.delta("mem_stall", &mut self.mem_stall)?;
+        c.delta("wb_stall", &mut self.wb_stall)?;
+        c.delta("tlb_stall", &mut self.tlb_stall)?;
+        c.u64("loads", &mut self.loads)?;
+        c.u64("stores", &mut self.stores)?;
+        c.u64("load_misses", &mut self.load_misses)
     }
 }
 
@@ -512,13 +447,13 @@ mod tests {
 
         let mut w = flashsim_engine::CkptWriter::new("mipsy-test");
         w.section("core");
-        a.save_ckpt(&mut w);
+        a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
         let text = w.finish();
 
         let mut b = Mipsy::new(MipsyConfig::at_mhz(100));
         let mut r = flashsim_engine::CkptReader::open(&text).unwrap();
         r.section("core").unwrap();
-        b.load_ckpt(&mut r).unwrap();
+        b.ckpt(&mut Ckpt::Load(&mut r)).unwrap();
         r.finish().unwrap();
 
         // The restored core must expose the same full-buffer stall on the
@@ -535,7 +470,7 @@ mod tests {
         let mut c = Mipsy::new(cfg);
         let mut r = flashsim_engine::CkptReader::open(&text).unwrap();
         r.section("core").unwrap();
-        assert!(c.load_ckpt(&mut r).is_err());
+        assert!(c.ckpt(&mut Ckpt::Load(&mut r)).is_err());
     }
 
     #[test]

@@ -14,12 +14,11 @@
 //! - **address interlocks** (`address_interlock`): extra issue delay for
 //!   memory ops whose address register was just produced — Ofelt measured
 //!   20–30 % losses from these on the R10000 (§3.1.3),
-//! - **exception serialization** (`exception_serialize` +
-//!   `exception_flush`): a TLB refill is an exception; the R10000 drains
-//!   and refills its pipeline around one, which is why 14 handler
-//!   instructions take 65 cycles. MXS models the handler's instruction
-//!   latencies but not the pipeline flushes (its 35-cycle prediction in
-//!   §3.1.3),
+//! - **exception serialization** (`exception_serialize`): a TLB refill is
+//!   an exception; the R10000 drains and refills its pipeline around one,
+//!   which is why 14 handler instructions take 65 cycles. MXS models the
+//!   handler's instruction latencies but not the pipeline flushes (its
+//!   35-cycle prediction in §3.1.3),
 //! - **secondary-cache interface occupancy** (`l2_interface_transfer`):
 //!   while a fill streams into the off-chip L2, even tag checks wait — the
 //!   effect snbench exposed and the tuning added to Mipsy; the gold
@@ -31,9 +30,7 @@
 use crate::branch::BranchPredictor;
 use crate::env::{Core, MemAccessKind, MemEnv};
 use crate::lat::LatencyTable;
-use flashsim_engine::{
-    CkptError, CkptReader, CkptWriter, Clock, Observers, StallClass, StatSet, Time, TimeDelta,
-};
+use flashsim_engine::{Ckpt, CkptError, Clock, Observers, StallClass, StatSet, Time, TimeDelta};
 use flashsim_isa::{Op, OpClass, Reg};
 use std::collections::VecDeque;
 
@@ -63,8 +60,6 @@ pub struct OooConfig {
     pub address_interlock: u64,
     /// Whether a TLB refill serializes the pipeline (exception drain).
     pub exception_serialize: bool,
-    /// Pipeline flush cost around a serializing exception, in cycles.
-    pub exception_flush: u64,
     /// Occupancy of the secondary-cache interface per fill from memory
     /// (subsequent L1 misses wait); `None` disables the effect.
     pub l2_interface_transfer: Option<TimeDelta>,
@@ -91,7 +86,6 @@ impl OooConfig {
             latencies: LatencyTable::r10000(),
             address_interlock: 0,
             exception_serialize: false,
-            exception_flush: 0,
             l2_interface_transfer: None,
             l2_port_cycles: None,
         }
@@ -102,17 +96,16 @@ impl OooConfig {
     pub fn r10000() -> OooConfig {
         OooConfig {
             effective_width: 2.1,
-            // The R10000's active list holds 32 instructions (MXS, being
-            // generic, runs a roomier 64-entry window) — a first-order
-            // limit on how much miss latency the real machine can hide.
+            // The R10000's active list holds 32 instructions — a
+            // first-order limit on how much miss latency the real machine
+            // can hide. MXS is configured with the same 32-entry window.
             window: 32,
             address_interlock: 2,
-            exception_serialize: true,
             // The environment's 65-cycle refill is the paper's measured
-            // all-inclusive cost (handler + exception drain), so no extra
-            // flush cycles are layered on top; serialization alone models
-            // the pipeline drain's overlap loss.
-            exception_flush: 0,
+            // all-inclusive cost (handler + exception drain), so no flush
+            // cycles are layered on top; serialization alone models the
+            // pipeline drain's overlap loss.
+            exception_serialize: true,
             l2_interface_transfer: Some(TimeDelta::from_ns(160)),
             l2_port_cycles: Some(4),
             ..OooConfig::mxs()
@@ -402,10 +395,8 @@ impl Core for OooCore {
                     self.exceptions += 1;
                     if self.cfg.exception_serialize {
                         // The exception drains the pipeline: fetch resumes
-                        // after the refill completes plus the flush cost.
-                        self.fetch = self
-                            .fetch
-                            .max(res.done_at + self.cycles(self.cfg.exception_flush));
+                        // once the refill completes.
+                        self.fetch = self.fetch.max(res.done_at);
                     }
                 }
                 self.complete(completion, op.dst);
@@ -477,122 +468,35 @@ impl Core for OooCore {
         self.node = node;
     }
 
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.u64s(
-            "ooo_shape",
-            &[
-                self.cfg.clock.period().as_ps(),
-                self.cfg.window as u64,
-                self.cfg.int_units as u64,
-                self.cfg.fp_units as u64,
-                self.cfg.ls_units as u64,
-                self.cfg.mshrs as u64,
-            ],
-        );
-        w.time("fetch", self.fetch);
-        w.u64("fetch_rem_ps", self.fetch_rem_ps);
-        w.u64s(
-            "reg_ready",
-            &self.reg_ready.iter().map(|t| t.as_ps()).collect::<Vec<_>>(),
-        );
-        w.u64s(
-            "window",
-            &self.window.iter().map(|t| t.as_ps()).collect::<Vec<_>>(),
-        );
-        w.u64s(
-            "int_free",
-            &self.int_free.iter().map(|t| t.as_ps()).collect::<Vec<_>>(),
-        );
-        w.u64s(
-            "fp_free",
-            &self.fp_free.iter().map(|t| t.as_ps()).collect::<Vec<_>>(),
-        );
-        w.u64s(
-            "ls_free",
-            &self.ls_free.iter().map(|t| t.as_ps()).collect::<Vec<_>>(),
-        );
-        w.u64s(
-            "outstanding",
-            &self
-                .outstanding
-                .iter()
-                .map(|t| t.as_ps())
-                .collect::<Vec<_>>(),
-        );
-        w.u64s(
-            "l2_window",
-            &[self.l2_window.0.as_ps(), self.l2_window.1.as_ps()],
-        );
-        w.time("l2_port_free", self.l2_port_free);
-        self.bp.save_ckpt(w);
-        w.time("last_completion", self.last_completion);
-        w.u64("ops", self.ops);
-        w.u64("loads", self.loads);
-        w.u64("stores", self.stores);
-        w.u64("load_misses", self.load_misses);
-        w.u64("interlock_stalls", self.interlock_stalls);
-        w.u64("exceptions", self.exceptions);
-        w.delta("tlb_stall", self.tlb_stall);
-    }
-
-    fn load_ckpt(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let shape = r.u64s("ooo_shape")?;
-        let expected = [
-            self.cfg.clock.period().as_ps(),
-            self.cfg.window as u64,
-            self.cfg.int_units as u64,
-            self.cfg.fp_units as u64,
-            self.cfg.ls_units as u64,
-            self.cfg.mshrs as u64,
-        ];
-        if shape != expected {
-            return Err(CkptError::Parse {
-                key: "ooo_shape".to_string(),
-                value: format!("{shape:?}"),
-            });
-        }
-        self.fetch = r.time("fetch")?;
-        self.fetch_rem_ps = r.u64("fetch_rem_ps")?;
-        let times = |key: &str, vals: Vec<u64>, len: Option<usize>| {
-            if len.is_some_and(|n| vals.len() != n) {
-                return Err(CkptError::Parse {
-                    key: key.to_string(),
-                    value: format!("{} entries", vals.len()),
-                });
-            }
-            Ok(vals.into_iter().map(Time::from_ps).collect::<Vec<_>>())
-        };
-        let regs = times("reg_ready", r.u64s("reg_ready")?, Some(Reg::COUNT))?;
+    fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        let cfg = self.cfg;
+        let (int, fp, ls) = (cfg.int_units, cfg.fp_units, cfg.ls_units);
+        let period = cfg.clock.period().as_ps() as usize;
+        let shape = [period, cfg.window, int, fp, ls, cfg.mshrs].map(|n| n as u64);
+        c.interlock("ooo_shape", &shape)?;
+        c.time("fetch", &mut self.fetch)?;
+        c.u64("fetch_rem_ps", &mut self.fetch_rem_ps)?;
+        let mut regs = self.reg_ready.to_vec();
+        c.times("reg_ready", &mut regs, Reg::COUNT..=Reg::COUNT)?;
         self.reg_ready.copy_from_slice(&regs);
-        let window = times("window", r.u64s("window")?, None)?;
-        if window.len() > self.cfg.window {
-            return Err(CkptError::Parse {
-                key: "window".to_string(),
-                value: format!("{} entries", window.len()),
-            });
-        }
-        self.window = window.into_iter().collect();
-        self.int_free = times("int_free", r.u64s("int_free")?, Some(self.cfg.int_units))?;
-        self.fp_free = times("fp_free", r.u64s("fp_free")?, Some(self.cfg.fp_units))?;
-        self.ls_free = times("ls_free", r.u64s("ls_free")?, Some(self.cfg.ls_units))?;
-        self.outstanding = times("outstanding", r.u64s("outstanding")?, None)?;
-        let win = r.u64s("l2_window")?;
-        let [start, end] = <[u64; 2]>::try_from(win.as_slice()).map_err(|_| CkptError::Parse {
-            key: "l2_window".to_string(),
-            value: format!("{win:?}"),
-        })?;
-        self.l2_window = (Time::from_ps(start), Time::from_ps(end));
-        self.l2_port_free = r.time("l2_port_free")?;
-        self.bp.load_ckpt(r)?;
-        self.last_completion = r.time("last_completion")?;
-        self.ops = r.u64("ops")?;
-        self.loads = r.u64("loads")?;
-        self.stores = r.u64("stores")?;
-        self.load_misses = r.u64("load_misses")?;
-        self.interlock_stalls = r.u64("interlock_stalls")?;
-        self.exceptions = r.u64("exceptions")?;
-        self.tlb_stall = r.delta("tlb_stall")?;
-        Ok(())
+        c.times("window", &mut self.window, ..=cfg.window)?;
+        c.times("int_free", &mut self.int_free, int..=int)?;
+        c.times("fp_free", &mut self.fp_free, fp..=fp)?;
+        c.times("ls_free", &mut self.ls_free, ls..=ls)?;
+        c.times("outstanding", &mut self.outstanding, ..=cfg.mshrs)?;
+        let mut window = [self.l2_window.0.as_ps(), self.l2_window.1.as_ps()];
+        c.array("l2_window", &mut window)?;
+        self.l2_window = (Time::from_ps(window[0]), Time::from_ps(window[1]));
+        c.time("l2_port_free", &mut self.l2_port_free)?;
+        self.bp.ckpt(c)?;
+        c.time("last_completion", &mut self.last_completion)?;
+        c.u64("ops", &mut self.ops)?;
+        c.u64("loads", &mut self.loads)?;
+        c.u64("stores", &mut self.stores)?;
+        c.u64("load_misses", &mut self.load_misses)?;
+        c.u64("interlock_stalls", &mut self.interlock_stalls)?;
+        c.u64("exceptions", &mut self.exceptions)?;
+        c.delta("tlb_stall", &mut self.tlb_stall)
     }
 }
 
@@ -814,13 +718,13 @@ mod tests {
 
         let mut w = flashsim_engine::CkptWriter::new("ooo-test");
         w.section("core");
-        Core::save_ckpt(&a, &mut w);
+        Core::ckpt(&mut a, &mut Ckpt::Save(&mut w)).unwrap();
         let text = w.finish();
 
         let mut b = r10000();
         let mut r = flashsim_engine::CkptReader::open(&text).unwrap();
         r.section("core").unwrap();
-        Core::load_ckpt(&mut b, &mut r).unwrap();
+        Core::ckpt(&mut b, &mut Ckpt::Load(&mut r)).unwrap();
         r.finish().unwrap();
 
         // Subsequent execution (branches exercising the restored predictor
@@ -844,7 +748,23 @@ mod tests {
         let mut c = OooCore::new(small, "t");
         let mut r = flashsim_engine::CkptReader::open(&text).unwrap();
         r.section("core").unwrap();
-        assert!(Core::load_ckpt(&mut c, &mut r).is_err());
+        assert!(Core::ckpt(&mut c, &mut Ckpt::Load(&mut r)).is_err());
+    }
+
+    #[test]
+    fn more_misses_in_flight_than_mshrs_are_rejected() {
+        // The reorder window restores bounded by its size, and the misses
+        // in flight by the MSHRs.
+        let mut a = r10000();
+        a.outstanding = vec![Time::from_ns(1); a.cfg.mshrs + 1];
+        let mut w = flashsim_engine::CkptWriter::new("ooo-test");
+        a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
+        let text = w.finish();
+        let mut r = flashsim_engine::CkptReader::open(&text).unwrap();
+        let err = r10000()
+            .ckpt(&mut Ckpt::Load(&mut r))
+            .expect_err("5 misses, 4 MSHRs");
+        assert_eq!(err, flashsim_engine::ckpt::bad("outstanding", "5 entries"));
     }
 
     #[test]

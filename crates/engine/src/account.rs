@@ -48,7 +48,7 @@
 //! assert!(acct.conserved());
 //! ```
 
-use crate::ckpt::{CkptError, CkptReader, CkptWriter};
+use crate::ckpt::{bad, Ckpt, CkptError};
 use crate::jsonl::push_json_escaped;
 use crate::time::{Time, TimeDelta};
 use crate::window::Window;
@@ -411,7 +411,7 @@ impl Profiler {
     /// Moves whatever compute residual `w` holds for `node` into the
     /// ledger and empties it. Every window must be published before the
     /// ledger is read ([`snapshot`](Profiler::snapshot),
-    /// [`save_ckpt`](Profiler::save_ckpt)).
+    /// [`ckpt`](Profiler::ckpt)).
     pub fn publish(&self, w: &mut Window, node: u32) {
         let Some(ledger) = &self.ledger else { return };
         if let Some(held) = w.take() {
@@ -451,80 +451,35 @@ impl Profiler {
         })
     }
 
-    /// Serializes the raw ledger — per-node per-class charges, the
-    /// pending op-residual accumulators, and the phase sampling — for a
-    /// checkpoint. Raw (pre-conservation) state is what must survive:
-    /// conservation is applied only at [`Profiler::snapshot`].
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.section("profiler");
-        let Some(ledger) = &self.ledger else {
-            w.u64("enabled", 0);
-            return;
-        };
-        let b = ledger.book();
-        w.u64("enabled", 1);
-        w.u64("nodes", b.classes.len() as u64);
-        for classes in &b.classes {
-            w.u64s("classes", classes);
-        }
-        w.u64s("op_charged", &b.op_charged);
-        w.u64("phase_ps", 1 << b.phase_shift);
-        for row in &b.phases {
-            w.u64s("phase", row);
-        }
-    }
-
-    /// Restores the ledger saved by [`Profiler::save_ckpt`].
-    pub fn load_ckpt(&self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        fn classes_row(vals: Vec<u64>, key: &str) -> Result<[u64; StallClass::COUNT], CkptError> {
-            vals.try_into().map_err(|v: Vec<u64>| CkptError::Parse {
-                key: key.to_string(),
-                value: format!("{} classes", v.len()),
-            })
-        }
-        r.section("profiler")?;
-        let enabled = r.u64("enabled")?;
-        if (enabled == 1) != self.ledger.is_some() {
-            return Err(CkptError::Parse {
-                key: "enabled".to_string(),
-                value: enabled.to_string(),
-            });
-        }
+    /// Walks the raw ledger — per-node per-class charges, the pending
+    /// op-residual accumulators, and the phase sampling. Raw
+    /// (pre-conservation) state is what must survive: conservation is
+    /// applied only at [`Profiler::snapshot`].
+    pub fn ckpt(&self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        c.section("profiler")?;
+        c.interlock("enabled", &[u64::from(self.ledger.is_some())])?;
         let Some(ledger) = &self.ledger else {
             return Ok(());
         };
-        let nodes = r.u64("nodes")? as usize;
-        let mut classes = Vec::with_capacity(nodes);
-        for _ in 0..nodes {
-            classes.push(classes_row(r.u64s("classes")?, "classes")?);
-        }
-        let op_charged = r.u64s("op_charged")?;
-        if op_charged.len() != nodes {
-            return Err(CkptError::Parse {
-                key: "op_charged".to_string(),
-                value: format!("{} entries", op_charged.len()),
-            });
-        }
-        let phase_ps = r.u64("phase_ps")?;
+        let b = &mut *ledger.book();
+        c.list("nodes", &mut b.classes, |c, row| c.array("classes", row))?;
+        let nodes = b.classes.len();
+        c.u64s("op_charged", &mut b.op_charged, nodes..=nodes)?;
+        let mut phase_ps = 1u64 << b.phase_shift;
+        c.u64("phase_ps", &mut phase_ps)?;
         if !phase_ps.is_power_of_two() {
-            return Err(CkptError::Parse {
-                key: "phase_ps".to_string(),
-                value: phase_ps.to_string(),
-            });
+            return Err(bad("phase_ps", phase_ps));
         }
-        let mut phases = [[0u64; StallClass::COUNT]; PHASES];
-        for row in &mut phases {
-            *row = classes_row(r.u64s("phase")?, "phase")?;
-        }
-        let mut b = ledger.book();
-        for (n, flag) in ledger.in_op.get().into_iter().flatten().enumerate() {
-            let pending = op_charged.get(n).is_some_and(|&ps| ps != 0);
-            flag.store(pending, Ordering::Release);
-        }
-        b.classes = classes;
-        b.op_charged = op_charged;
-        b.phases = phases;
         b.phase_shift = phase_ps.trailing_zeros();
+        for row in &mut b.phases {
+            c.array("phase", row)?;
+        }
+        if c.loading() {
+            for (n, flag) in ledger.in_op.get().into_iter().flatten().enumerate() {
+                let pending = b.op_charged.get(n).is_some_and(|&ps| ps != 0);
+                flag.store(pending, Ordering::Release);
+            }
+        }
         Ok(())
     }
 }
@@ -883,11 +838,11 @@ mod tests {
         p.charge(1, StallClass::L1Miss, at(4), ns(5));
         p.mark_op(0, at(0), ns(100));
         let mut w = CkptWriter::new("t");
-        p.save_ckpt(&mut w);
+        p.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
         let text = w.finish();
         let q = Profiler::new();
         let mut r = CkptReader::open(&text).expect("intact");
-        q.load_ckpt(&mut r).expect("loads");
+        q.ckpt(&mut Ckpt::Load(&mut r)).expect("loads");
         r.finish().expect("consumed");
         // Finishing the pending op and snapshotting must agree exactly.
         p.mark_op(1, at(4), ns(40));
@@ -898,7 +853,7 @@ mod tests {
         assert!(b.conserved());
         // Enabled/disabled mismatch fails closed.
         let mut r = CkptReader::open(&text).expect("intact");
-        assert!(Profiler::disabled().load_ckpt(&mut r).is_err());
+        assert!(Profiler::disabled().ckpt(&mut Ckpt::Load(&mut r)).is_err());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! `flashsim-ckpt-v1` — the versioned checkpoint format every layer
-//! serializes into.
+//! serializes into, and [`Ckpt`], the one walk each layer writes it with.
 //!
 //! A checkpoint is taken at a **barrier release**, the machine layer's
 //! natural quiescent point: every node's clock equals the release time,
@@ -43,26 +43,54 @@
 //! which is what lets `core::runner` degrade a damaged checkpoint to
 //! restart-from-zero instead of resuming into garbage.
 //!
+//! # One walk per component
+//!
+//! A component checkpoints through one function, `ckpt(&mut self, c:
+//! &mut Ckpt<'_>)`, that names each field once. Saving, the walker writes
+//! the value behind each `&mut`; restoring, it reads into the same `&mut`.
+//! There is no second, hand-mirrored reader to drift from the writer, and
+//! every restore-time check is a walker helper ([`Ckpt::interlock`] for a
+//! shape interlock, the length bounds of [`Ckpt::u64s`] and
+//! [`Ckpt::times`], the arity of [`Ckpt::array`]) or a [`bad`] at the one
+//! site that knows the invariant. Saving never fails.
+//!
 //! # Examples
 //!
 //! ```
-//! use flashsim_engine::ckpt::{validate, CkptReader, CkptWriter};
+//! use flashsim_engine::ckpt::{validate, Ckpt, CkptError, CkptReader, CkptWriter};
+//! use flashsim_engine::Time;
 //!
+//! #[derive(Default)]
+//! struct Clock {
+//!     now: Time,
+//!     ticks: u64,
+//! }
+//!
+//! impl Clock {
+//!     fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+//!         c.section("clock")?;
+//!         c.time("now_ps", &mut self.now)?;
+//!         c.u64("ticks", &mut self.ticks)
+//!     }
+//! }
+//!
+//! let mut a = Clock { now: Time::from_ps(123_456), ticks: 7 };
 //! let mut w = CkptWriter::new("demo nodes=2 seed=7");
-//! w.section("clock");
-//! w.u64("now_ps", 123_456);
+//! a.ckpt(&mut Ckpt::Save(&mut w)).expect("saving never fails");
 //! let text = w.finish();
 //! validate(&text).expect("well-formed");
 //!
+//! let mut b = Clock::default();
 //! let mut r = CkptReader::open(&text).expect("intact");
 //! assert_eq!(r.provenance(), "demo nodes=2 seed=7");
-//! r.section("clock").expect("section");
-//! assert_eq!(r.u64("now_ps").expect("field"), 123_456);
+//! b.ckpt(&mut Ckpt::Load(&mut r)).expect("restores");
 //! r.finish().expect("fully consumed");
+//! assert_eq!((b.now, b.ticks), (a.now, a.ticks));
 //! ```
 
 use core::fmt;
 use core::hash::Hasher;
+use core::ops::RangeBounds;
 use std::sync::Mutex;
 
 use crate::fxhash::FxHasher;
@@ -312,18 +340,22 @@ impl CkptWriter {
     }
 }
 
-/// Sequential checkpoint reader over an integrity-verified text.
+/// Sequential checkpoint reader over an integrity-verified text. It owns
+/// a copy of the body, so a [`Ckpt::Load`] walk borrows it without tying
+/// every component's signature to the text's lifetime.
 #[derive(Debug)]
-pub struct CkptReader<'a> {
-    lines: Vec<&'a str>,
+pub struct CkptReader {
+    /// The lines after the provenance header, each ending in `\n`.
+    body: String,
+    /// Byte offset of the next unread line.
     pos: usize,
     provenance: String,
 }
 
-impl<'a> CkptReader<'a> {
+impl CkptReader {
     /// Verifies magic, checksum, and the provenance header, and
     /// positions the reader at the first section.
-    pub fn open(text: &'a str) -> Result<CkptReader<'a>, CkptError> {
+    pub fn open(text: &str) -> Result<CkptReader, CkptError> {
         // Format identification first: a well-formed file of another
         // version must say BadMagic, not ChecksumMismatch.
         match text.lines().next() {
@@ -355,44 +387,31 @@ impl<'a> CkptReader<'a> {
                 computed,
             });
         }
-        let mut lines = text[..tail_at].lines();
-        match lines.next() {
-            Some(l) if l == MAGIC => {}
+        let mut r = CkptReader {
+            body: text[..tail_at].to_string(),
+            pos: 0,
+            provenance: String::new(),
+        };
+        match r.next_line(MAGIC) {
+            Ok(l) if l == MAGIC => {}
             other => {
                 return Err(CkptError::BadMagic {
                     found: other.unwrap_or("").to_string(),
                 })
             }
         }
-        let provenance = match lines.next().and_then(|l| l.strip_prefix("provenance=")) {
-            Some(raw) => unescape(raw).ok_or_else(|| CkptError::Parse {
-                key: "provenance".to_string(),
-                value: raw.to_string(),
-            })?,
-            None => {
-                return Err(CkptError::MissingField {
-                    expected: "provenance".to_string(),
-                    found: String::new(),
-                })
-            }
-        };
-        match lines
-            .next()
-            .and_then(|l| l.strip_prefix("provenance_hash="))
-        {
-            Some(h) if h == provenance_hash(&provenance) => {}
-            other => {
-                return Err(CkptError::Parse {
-                    key: "provenance_hash".to_string(),
-                    value: other.unwrap_or("").to_string(),
-                })
-            }
+        let raw = r.value("provenance").map_err(|_| CkptError::MissingField {
+            expected: "provenance".to_string(),
+            found: String::new(),
+        })?;
+        let provenance = unescape(raw).ok_or_else(|| bad("provenance", raw))?;
+        match r.value("provenance_hash") {
+            Ok(h) if h == provenance_hash(&provenance) => {}
+            Ok(h) => return Err(bad("provenance_hash", h)),
+            Err(_) => return Err(bad("provenance_hash", "")),
         }
-        Ok(CkptReader {
-            lines: lines.collect(),
-            pos: 0,
-            provenance,
-        })
+        r.provenance = provenance;
+        Ok(r)
     }
 
     /// The provenance string the checkpoint was stamped with.
@@ -413,17 +432,18 @@ impl<'a> CkptReader<'a> {
         }
     }
 
-    fn next_line(&mut self, expected: &str) -> Result<&'a str, CkptError> {
-        match self.lines.get(self.pos) {
-            Some(l) => {
-                self.pos += 1;
-                Ok(l)
-            }
-            None => Err(CkptError::MissingField {
+    /// The next line (without its `\n`), for a reader expecting `expected`.
+    fn next_line(&mut self, expected: &str) -> Result<&str, CkptError> {
+        let rest = &self.body[self.pos..];
+        let Some(end) = rest.find('\n') else {
+            return Err(CkptError::MissingField {
                 expected: expected.to_string(),
                 found: "<end of checkpoint>".to_string(),
-            }),
-        }
+            });
+        };
+        self.pos += end + 1;
+        let line = &rest[..end];
+        Ok(line.strip_suffix('\r').unwrap_or(line))
     }
 
     /// Consumes the next line, which must be exactly `[name]`.
@@ -439,7 +459,7 @@ impl<'a> CkptReader<'a> {
         }
     }
 
-    fn value(&mut self, key: &str) -> Result<&'a str, CkptError> {
+    fn value(&mut self, key: &str) -> Result<&str, CkptError> {
         let line = self.next_line(key)?;
         match line.split_once('=') {
             Some((k, v)) if k == key => Ok(v),
@@ -453,10 +473,7 @@ impl<'a> CkptReader<'a> {
     /// Reads the named unsigned integer field.
     pub fn u64(&mut self, key: &str) -> Result<u64, CkptError> {
         let v = self.value(key)?;
-        v.parse().map_err(|_| CkptError::Parse {
-            key: key.to_string(),
-            value: v.to_string(),
-        })
+        v.parse().map_err(|_| bad(key, v))
     }
 
     /// Reads the named comma-separated unsigned integer list.
@@ -466,38 +483,23 @@ impl<'a> CkptReader<'a> {
             return Ok(Vec::new());
         }
         v.split(',')
-            .map(|part| {
-                part.parse().map_err(|_| CkptError::Parse {
-                    key: key.to_string(),
-                    value: v.to_string(),
-                })
-            })
+            .map(|part| part.parse().map_err(|_| bad(key, v)))
             .collect()
     }
 
     /// Reads the named float from its 16-hex-digit bit pattern.
     pub fn f64(&mut self, key: &str) -> Result<f64, CkptError> {
         let v = self.value(key)?;
-        let bits = u64::from_str_radix(v, 16).map_err(|_| CkptError::Parse {
-            key: key.to_string(),
-            value: v.to_string(),
-        })?;
-        if v.len() != 16 {
-            return Err(CkptError::Parse {
-                key: key.to_string(),
-                value: v.to_string(),
-            });
+        match u64::from_str_radix(v, 16) {
+            Ok(bits) if v.len() == 16 => Ok(f64::from_bits(bits)),
+            _ => Err(bad(key, v)),
         }
-        Ok(f64::from_bits(bits))
     }
 
     /// Reads the named string field, unescaping `\\`/`\n`/`\r`.
     pub fn str_field(&mut self, key: &str) -> Result<String, CkptError> {
         let v = self.value(key)?;
-        unescape(v).ok_or_else(|| CkptError::Parse {
-            key: key.to_string(),
-            value: v.to_string(),
-        })
+        unescape(v).ok_or_else(|| bad(key, v))
     }
 
     /// Reads the named simulation timestamp.
@@ -513,12 +515,213 @@ impl<'a> CkptReader<'a> {
     /// Asserts the checkpoint is fully consumed — unread state means a
     /// layout mismatch between writer and reader builds.
     pub fn finish(&mut self) -> Result<(), CkptError> {
-        match self.lines.get(self.pos) {
+        match self.body[self.pos..].lines().next() {
             None => Ok(()),
             Some(l) => Err(CkptError::TrailingData {
                 line: l.to_string(),
             }),
         }
+    }
+}
+
+/// The `Parse` error for field `key` holding `value`: a value that
+/// parsed but breaks an invariant of the state it restores.
+pub fn bad(key: &str, value: impl fmt::Display) -> CkptError {
+    CkptError::Parse {
+        key: key.to_string(),
+        value: value.to_string(),
+    }
+}
+
+/// One checkpoint walk: [`Ckpt::Save`] writes every value a component
+/// names, [`Ckpt::Load`] reads each back into the same `&mut`. Saving
+/// never fails; restoring fails closed with the first divergent field.
+#[derive(Debug)]
+pub enum Ckpt<'a> {
+    /// Writing a checkpoint.
+    Save(&'a mut CkptWriter),
+    /// Restoring one.
+    Load(&'a mut CkptReader),
+}
+
+impl Ckpt<'_> {
+    /// True while restoring: only a component that rebuilds a table from
+    /// its rows (a hash map, a sorted dump, a re-interned label) asks.
+    pub fn loading(&self) -> bool {
+        matches!(self, Ckpt::Load(_))
+    }
+
+    /// The `[name]` section header.
+    pub fn section(&mut self, name: &str) -> Result<(), CkptError> {
+        match self {
+            Ckpt::Save(w) => w.section(name),
+            Ckpt::Load(r) => r.section(name)?,
+        }
+        Ok(())
+    }
+
+    /// An unsigned integer field.
+    pub fn u64(&mut self, key: &str, v: &mut u64) -> Result<(), CkptError> {
+        match self {
+            Ckpt::Save(w) => w.u64(key, *v),
+            Ckpt::Load(r) => *v = r.u64(key)?,
+        }
+        Ok(())
+    }
+
+    /// A simulation timestamp (raw picoseconds).
+    pub fn time(&mut self, key: &str, v: &mut Time) -> Result<(), CkptError> {
+        match self {
+            Ckpt::Save(w) => w.time(key, *v),
+            Ckpt::Load(r) => *v = r.time(key)?,
+        }
+        Ok(())
+    }
+
+    /// A simulation time span (raw picoseconds).
+    pub fn delta(&mut self, key: &str, v: &mut TimeDelta) -> Result<(), CkptError> {
+        match self {
+            Ckpt::Save(w) => w.delta(key, *v),
+            Ckpt::Load(r) => *v = r.delta(key)?,
+        }
+        Ok(())
+    }
+
+    /// A float, as its exact bit pattern.
+    pub fn f64(&mut self, key: &str, v: &mut f64) -> Result<(), CkptError> {
+        match self {
+            Ckpt::Save(w) => w.f64(key, *v),
+            Ckpt::Load(r) => *v = r.f64(key)?,
+        }
+        Ok(())
+    }
+
+    /// A label from a small fixed vocabulary (a span leg kind, a protocol
+    /// case), re-interned on restore; see [`intern`].
+    pub fn label(&mut self, key: &str, v: &mut &'static str) -> Result<(), CkptError> {
+        match self {
+            Ckpt::Save(w) => w.str(key, v),
+            Ckpt::Load(r) => *v = intern(&r.str_field(key)?),
+        }
+        Ok(())
+    }
+
+    /// A string interlock: written on save, and on restore the field must
+    /// read back exactly `want` (a resource's or a metric's name).
+    pub fn name(&mut self, key: &str, want: &str) -> Result<(), CkptError> {
+        match self {
+            Ckpt::Save(w) => w.str(key, want),
+            Ckpt::Load(r) => {
+                let found = r.str_field(key)?;
+                if found != want {
+                    return Err(bad(key, format!("{found}, expected {want}")));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A shape interlock: `want` is written on save, and on restore the
+    /// field must read back exactly `want` — a configuration the state
+    /// was sized for, or whether an optional part is present.
+    pub fn interlock(&mut self, key: &str, want: &[u64]) -> Result<(), CkptError> {
+        match self {
+            Ckpt::Save(w) => w.u64s(key, want),
+            Ckpt::Load(r) => {
+                let found = r.u64s(key)?;
+                if found != want {
+                    return Err(bad(key, format!("{found:?}, expected {want:?}")));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A list of integers whose restored length must fall in `len`.
+    pub fn u64s(
+        &mut self,
+        key: &str,
+        v: &mut Vec<u64>,
+        len: impl RangeBounds<usize>,
+    ) -> Result<(), CkptError> {
+        match self {
+            Ckpt::Save(w) => w.u64s(key, v),
+            Ckpt::Load(r) => {
+                let found = r.u64s(key)?;
+                if !len.contains(&found.len()) {
+                    return Err(bad(key, format!("{} entries", found.len())));
+                }
+                *v = found;
+            }
+        }
+        Ok(())
+    }
+
+    /// A fixed-arity row: exactly `N` integers.
+    pub fn array<const N: usize>(
+        &mut self,
+        key: &str,
+        row: &mut [u64; N],
+    ) -> Result<(), CkptError> {
+        match self {
+            Ckpt::Save(w) => w.u64s(key, row),
+            Ckpt::Load(r) => {
+                let found = r.u64s(key)?;
+                *row = found
+                    .try_into()
+                    .map_err(|v: Vec<u64>| bad(key, format!("{} words", v.len())))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// A collection of timestamps (a write buffer, a reorder window, the
+    /// misses in flight) whose restored length must fall in `len`.
+    pub fn times<C>(
+        &mut self,
+        key: &str,
+        v: &mut C,
+        len: impl RangeBounds<usize>,
+    ) -> Result<(), CkptError>
+    where
+        C: FromIterator<Time>,
+        for<'c> &'c C: IntoIterator<Item = &'c Time>,
+    {
+        let mut ps: Vec<u64> = v.into_iter().map(|t| t.as_ps()).collect();
+        self.u64s(key, &mut ps, len)?;
+        if self.loading() {
+            *v = ps.into_iter().map(Time::from_ps).collect();
+        }
+        Ok(())
+    }
+
+    /// A table length: `n` is written on save; the restored count is
+    /// returned (rows then fail closed one by one, so it sizes nothing).
+    pub fn count(&mut self, key: &str, n: usize) -> Result<usize, CkptError> {
+        let mut n = n as u64;
+        self.u64(key, &mut n)?;
+        Ok(n as usize)
+    }
+
+    /// A table: its length under `key`, then `row` walks each element. On
+    /// restore `v` is rebuilt from default elements.
+    pub fn list<T: Default>(
+        &mut self,
+        key: &str,
+        v: &mut Vec<T>,
+        mut row: impl FnMut(&mut Self, &mut T) -> Result<(), CkptError>,
+    ) -> Result<(), CkptError> {
+        let n = self.count(key, v.len())?;
+        if self.loading() {
+            v.clear();
+        }
+        for i in 0..n {
+            if self.loading() {
+                v.push(T::default());
+            }
+            row(self, &mut v[i])?;
+        }
+        Ok(())
     }
 }
 
@@ -543,16 +746,13 @@ pub fn validate(text: &str) -> Result<CkptStats, CkptError> {
     let r = CkptReader::open(text)?;
     let mut sections = 0usize;
     let mut fields = 0usize;
-    for line in &r.lines {
+    for line in r.body[r.pos..].lines() {
         if line.starts_with('[') && line.ends_with(']') && line.len() > 2 {
             sections += 1;
         } else if line.split_once('=').is_some_and(|(k, _)| !k.is_empty()) {
             fields += 1;
         } else {
-            return Err(CkptError::Parse {
-                key: "<body>".to_string(),
-                value: line.to_string(),
-            });
+            return Err(bad("<body>", line));
         }
     }
     Ok(CkptStats {

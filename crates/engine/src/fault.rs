@@ -25,7 +25,7 @@
 //! assert_eq!(a.message_fate(0, 1), b.message_fate(0, 1));
 //! ```
 
-use crate::ckpt::{CkptError, CkptReader, CkptWriter};
+use crate::ckpt::{Ckpt, CkptError};
 use crate::rng::Rng;
 use crate::stats::StatSet;
 use crate::time::TimeDelta;
@@ -240,70 +240,26 @@ impl FaultInjector {
             .map(|m| f(&mut m.lock().expect("fault injector poisoned"))) // gate: allow
     }
 
-    /// Serializes the injector's mutable state — the decision-stream
-    /// position and the counters — into a checkpoint. The plan itself is
-    /// immutable run identity and lives in the provenance string.
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.section("fault");
-        match self.with_inner(|inner| {
-            (
-                inner.rng.state(),
-                inner.counters.perturbed,
-                inner.counters.extra_latency,
-                inner.counters.dropped,
-                inner.counters.delayed,
-                inner.counters.stalled_ops,
-            )
-        }) {
-            Some((state, perturbed, extra, dropped, delayed, stalled)) => {
-                w.u64("active", 1);
-                w.u64s("rng", &state);
-                w.u64("perturbed", perturbed);
-                w.delta("extra_latency", extra);
-                w.u64("dropped", dropped);
-                w.u64("delayed", delayed);
-                w.u64("stalled_ops", stalled);
-            }
-            None => w.u64("active", 0),
-        }
-    }
-
-    /// Restores the decision stream and counters saved by
-    /// [`FaultInjector::save_ckpt`]. The injector must have been built
-    /// from the same plan (guaranteed by the provenance interlock).
-    pub fn load_ckpt(&self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        r.section("fault")?;
-        let active = r.u64("active")?;
-        if (active == 1) != self.inner.is_some() {
-            return Err(CkptError::Parse {
-                key: "active".to_string(),
-                value: active.to_string(),
-            });
-        }
-        if active == 0 {
+    /// Walks the injector's mutable state — the decision-stream
+    /// position and the counters. The plan itself is immutable run
+    /// identity and lives in the provenance string, so a restoring
+    /// injector was built from the same plan.
+    pub fn ckpt(&self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        c.section("fault")?;
+        c.interlock("active", &[u64::from(self.inner.is_some())])?;
+        let Some(inner) = &self.inner else {
             return Ok(());
-        }
-        let state = r.u64s("rng")?;
-        if state.len() != 4 {
-            return Err(CkptError::Parse {
-                key: "rng".to_string(),
-                value: format!("{} words", state.len()),
-            });
-        }
-        let perturbed = r.u64("perturbed")?;
-        let extra = r.delta("extra_latency")?;
-        let dropped = r.u64("dropped")?;
-        let delayed = r.u64("delayed")?;
-        let stalled = r.u64("stalled_ops")?;
-        self.with_inner(|inner| {
-            inner.rng = Rng::from_state([state[0], state[1], state[2], state[3]]);
-            inner.counters.perturbed = perturbed;
-            inner.counters.extra_latency = extra;
-            inner.counters.dropped = dropped;
-            inner.counters.delayed = delayed;
-            inner.counters.stalled_ops = stalled;
-        });
-        Ok(())
+        };
+        let inner = &mut *inner.lock().expect("fault injector poisoned"); // gate: allow
+        let mut rng = inner.rng.state();
+        c.array("rng", &mut rng)?;
+        inner.rng = Rng::from_state(rng);
+        let n = &mut inner.counters;
+        c.u64("perturbed", &mut n.perturbed)?;
+        c.delta("extra_latency", &mut n.extra_latency)?;
+        c.u64("dropped", &mut n.dropped)?;
+        c.u64("delayed", &mut n.delayed)?;
+        c.u64("stalled_ops", &mut n.stalled_ops)
     }
 
     /// Extra latency to add to a memory transaction that took `base`.
@@ -375,6 +331,7 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ckpt::{CkptReader, CkptWriter};
 
     #[test]
     fn inert_injector_is_free_and_silent() {
@@ -458,11 +415,11 @@ mod tests {
             a.message_fate(0, 1);
         }
         let mut w = CkptWriter::new("p");
-        a.save_ckpt(&mut w);
+        a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
         let text = w.finish();
         let b = FaultInjector::new(plan);
         let mut r = CkptReader::open(&text).expect("intact");
-        b.load_ckpt(&mut r).expect("loads");
+        b.ckpt(&mut Ckpt::Load(&mut r)).expect("loads");
         r.finish().expect("consumed");
         // Identical decisions and identical counters from here on.
         for i in 0..50 {

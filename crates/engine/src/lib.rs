@@ -103,7 +103,7 @@ pub mod trace;
 pub mod window;
 
 pub use account::{Accounting, NodeAccount, Profiler, StallClass};
-pub use ckpt::{CkptError, CkptReader, CkptWriter};
+pub use ckpt::{Ckpt, CkptError, CkptReader, CkptWriter};
 pub use event::EventQueue;
 pub use fault::{FaultInjector, FaultPlan, MessageFate};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};

@@ -25,7 +25,7 @@
 //! assert_eq!(g1.wait.as_ns(), 70);
 //! ```
 
-use crate::ckpt::{CkptError, CkptReader, CkptWriter};
+use crate::ckpt::{bad, Ckpt, CkptError};
 use crate::time::{Time, TimeDelta};
 
 /// The outcome of acquiring a [`Resource`]: when service began and ended,
@@ -129,32 +129,15 @@ impl Resource {
         *self = Resource::new(self.name);
     }
 
-    /// Serializes the occupancy timeline and counters (name-stamped so a
-    /// restore against the wrong resource fails closed).
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.str("res", self.name);
-        w.time("busy_until", self.busy_until);
-        w.delta("busy_total", self.busy_total);
-        w.delta("wait_total", self.wait_total);
-        w.u64("grants", self.grants);
-        w.u64("contended_grants", self.contended_grants);
-    }
-
-    /// Restores the state saved by [`Resource::save_ckpt`].
-    pub fn load_ckpt(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let name = r.str_field("res")?;
-        if name != self.name {
-            return Err(CkptError::Parse {
-                key: "res".to_string(),
-                value: name,
-            });
-        }
-        self.busy_until = r.time("busy_until")?;
-        self.busy_total = r.delta("busy_total")?;
-        self.wait_total = r.delta("wait_total")?;
-        self.grants = r.u64("grants")?;
-        self.contended_grants = r.u64("contended_grants")?;
-        Ok(())
+    /// Walks the occupancy timeline and counters, name-stamped so a
+    /// restore against the wrong resource fails closed.
+    pub fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        c.name("res", self.name)?;
+        c.time("busy_until", &mut self.busy_until)?;
+        c.delta("busy_total", &mut self.busy_total)?;
+        c.delta("wait_total", &mut self.wait_total)?;
+        c.u64("grants", &mut self.grants)?;
+        c.u64("contended_grants", &mut self.contended_grants)
     }
 }
 
@@ -230,32 +213,21 @@ impl ResourcePool {
         self.grants
     }
 
-    /// Serializes the per-server timelines and counters.
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.str("pool", self.name);
-        let free: Vec<u64> = self.free_at.iter().map(|t| t.as_ps()).collect();
-        w.u64s("free_at", &free);
-        w.delta("busy_total", self.busy_total);
-        w.delta("wait_total", self.wait_total);
-        w.u64("grants", self.grants);
-    }
-
-    /// Restores the state saved by [`ResourcePool::save_ckpt`]. The pool
-    /// must have been built with the same name and server count.
-    pub fn load_ckpt(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let name = r.str_field("pool")?;
-        let free = r.u64s("free_at")?;
-        if name != self.name || free.len() != self.free_at.len() {
-            return Err(CkptError::Parse {
-                key: "pool".to_string(),
-                value: format!("{name} x{}", free.len()),
-            });
+    /// Walks the per-server timelines and counters. The pool must have
+    /// been built with the same name and server count.
+    pub fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        let servers = self.free_at.len();
+        c.name("pool", self.name)?;
+        c.times("free_at", &mut self.free_at, ..)?;
+        if self.free_at.len() != servers {
+            return Err(bad(
+                "pool",
+                format!("{} x{}", self.name, self.free_at.len()),
+            ));
         }
-        self.free_at = free.into_iter().map(Time::from_ps).collect();
-        self.busy_total = r.delta("busy_total")?;
-        self.wait_total = r.delta("wait_total")?;
-        self.grants = r.u64("grants")?;
-        Ok(())
+        c.delta("busy_total", &mut self.busy_total)?;
+        c.delta("wait_total", &mut self.wait_total)?;
+        c.u64("grants", &mut self.grants)
     }
 }
 
@@ -350,14 +322,14 @@ mod tests {
         p.acquire(Time::ZERO, TimeDelta::from_ns(70));
         p.acquire(Time::from_ns(10), TimeDelta::from_ns(70));
         let mut w = CkptWriter::new("t");
-        r.save_ckpt(&mut w);
-        p.save_ckpt(&mut w);
+        r.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
+        p.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
         let text = w.finish();
         let mut r2 = Resource::new("pp");
         let mut p2 = ResourcePool::new("banks", 3);
         let mut rd = CkptReader::open(&text).expect("intact");
-        r2.load_ckpt(&mut rd).expect("resource");
-        p2.load_ckpt(&mut rd).expect("pool");
+        r2.ckpt(&mut Ckpt::Load(&mut rd)).expect("resource");
+        p2.ckpt(&mut Ckpt::Load(&mut rd)).expect("pool");
         rd.finish().expect("consumed");
         assert_eq!(r2.busy_until(), r.busy_until());
         assert_eq!(r2.wait_total(), r.wait_total());
@@ -368,6 +340,6 @@ mod tests {
         // Wrong identity fails closed.
         let mut other = Resource::new("pi");
         let mut rd = CkptReader::open(&text).expect("intact");
-        assert!(other.load_ckpt(&mut rd).is_err());
+        assert!(other.ckpt(&mut Ckpt::Load(&mut rd)).is_err());
     }
 }

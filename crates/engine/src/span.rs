@@ -34,7 +34,7 @@
 //! spans` align the same transaction on FlashLite and NUMA and diff the
 //! legs.
 
-use crate::ckpt::{CkptError, CkptReader, CkptWriter};
+use crate::ckpt::{bad, Ckpt, CkptError};
 use crate::jsonl::{field_str, field_u64};
 use crate::time::{Time, TimeDelta};
 use std::sync::{Arc, Mutex};
@@ -104,7 +104,7 @@ impl SpanClass {
 }
 
 /// One span in a transaction's tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpanRecord {
     /// Position in the transaction's span list (root is 0).
     pub id: u32,
@@ -128,7 +128,7 @@ pub struct SpanRecord {
 }
 
 /// One sampled transaction: identity, protocol case, and its span tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SpanTxn {
     /// Requesting node.
     pub node: u32,
@@ -751,148 +751,76 @@ impl SpanTracer {
         })
     }
 
-    /// Serializes the recorded transactions, the per-(node, line)
-    /// sampling ordinals, and the truncation counter. Checkpoints are
-    /// taken at barrier releases, where no transaction is mid-flight, so
-    /// the in-progress build slot is asserted empty rather than saved.
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.section("spans");
+    /// Walks the recorded transactions, the per-(node, line) sampling
+    /// ordinals, and the truncation counter. Checkpoints are taken at
+    /// barrier releases, where no transaction is mid-flight, so the
+    /// in-progress build slot is interlocked empty rather than walked.
+    /// Leg and case labels are re-interned on restore.
+    pub fn ckpt(&self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        c.section("spans")?;
+        c.interlock("enabled", &[u64::from(self.inner.is_some())])?;
         let Some(state) = &self.inner else {
-            w.u64("enabled", 0);
-            return;
-        };
-        // gate: allow — a poisoned lock means a prior panic; propagating
-        // here cannot lose more than that panic already did.
-        let s = state.lock().unwrap();
-        w.u64("enabled", 1);
-        w.u64("open_txn", u64::from(s.cur.is_some()));
-        w.u64("truncated", s.truncated);
-        let mut counters: Vec<(&(u32, u64), &u64)> = s.counters.iter().collect();
-        counters.sort();
-        w.u64("counters", counters.len() as u64);
-        for ((node, line), count) in counters {
-            w.u64s("ctr", &[u64::from(*node), *line, *count]);
-        }
-        w.u64("txns", s.txns.len() as u64);
-        for t in &s.txns {
-            w.u64s("txn", &[u64::from(t.node), t.line, t.index]);
-            w.str("kind", t.kind);
-            w.str("case", t.case);
-            w.u64("spans", t.spans.len() as u64);
-            for sp in &t.spans {
-                w.u64s(
-                    "span",
-                    &[
-                        u64::from(sp.id),
-                        sp.parent.map_or(u64::MAX, u64::from),
-                        u64::from(sp.node),
-                        sp.start.as_ps(),
-                        sp.end.as_ps(),
-                        match sp.class {
-                            None => 0,
-                            Some(SpanClass::Occupancy) => 1,
-                            Some(SpanClass::Network) => 2,
-                            Some(SpanClass::Memory) => 3,
-                        },
-                        sp.charge.as_ps(),
-                    ],
-                );
-                w.str("leg", sp.kind);
-            }
-        }
-    }
-
-    /// Restores the state saved by [`SpanTracer::save_ckpt`]. Leg and
-    /// case labels are re-interned through [`crate::ckpt::intern`] into
-    /// `&'static str`s from the fixed leg-kind vocabulary.
-    pub fn load_ckpt(&self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        fn words<const N: usize>(vals: Vec<u64>, key: &str) -> Result<[u64; N], CkptError> {
-            vals.try_into().map_err(|v: Vec<u64>| CkptError::Parse {
-                key: key.to_string(),
-                value: format!("{} words", v.len()),
-            })
-        }
-        r.section("spans")?;
-        let enabled = r.u64("enabled")?;
-        if (enabled == 1) != self.inner.is_some() {
-            return Err(CkptError::Parse {
-                key: "enabled".to_string(),
-                value: enabled.to_string(),
-            });
-        }
-        if enabled == 0 {
             return Ok(());
+        };
+        let s = &mut *lock(state);
+        c.interlock("open_txn", &[u64::from(s.cur.is_some())])?;
+        c.u64("truncated", &mut s.truncated)?;
+        let mut counters: Vec<[u64; 3]> = s
+            .counters
+            .iter()
+            .map(|(&(node, line), &count)| [u64::from(node), line, count])
+            .collect();
+        counters.sort_unstable();
+        c.list("counters", &mut counters, |c, row| c.array("ctr", row))?;
+        if c.loading() {
+            let rows = counters.into_iter();
+            s.counters = rows
+                .map(|[node, line, n]| ((node as u32, line), n))
+                .collect();
         }
-        let open = r.u64("open_txn")?;
-        if open != 0 {
-            return Err(CkptError::Parse {
-                key: "open_txn".to_string(),
-                value: open.to_string(),
-            });
-        }
-        let truncated = r.u64("truncated")?;
-        let n_counters = r.u64("counters")?;
-        let mut counters = crate::fxhash::FxHashMap::default();
-        for _ in 0..n_counters {
-            let [node, line, count] = words(r.u64s("ctr")?, "ctr")?;
-            counters.insert((node as u32, line), count);
-        }
-        let n_txns = r.u64("txns")?;
-        let mut txns = Vec::with_capacity(n_txns as usize);
-        for _ in 0..n_txns {
-            let [node, line, index] = words(r.u64s("txn")?, "txn")?;
-            let kind = crate::ckpt::intern(&r.str_field("kind")?);
-            let case = crate::ckpt::intern(&r.str_field("case")?);
-            let n_spans = r.u64("spans")?;
-            let mut spans = Vec::with_capacity(n_spans as usize);
-            for _ in 0..n_spans {
-                let [id, parent, sp_node, start, end, class, charge] =
-                    words(r.u64s("span")?, "span")?;
-                let leg = crate::ckpt::intern(&r.str_field("leg")?);
-                spans.push(SpanRecord {
-                    id: id as u32,
-                    parent: (parent != u64::MAX).then_some(parent as u32),
-                    kind: leg,
-                    node: sp_node as u32,
-                    start: Time::from_ps(start),
-                    end: Time::from_ps(end),
-                    class: match class {
-                        0 => None,
-                        1 => Some(SpanClass::Occupancy),
-                        2 => Some(SpanClass::Network),
-                        3 => Some(SpanClass::Memory),
-                        other => {
-                            return Err(CkptError::Parse {
-                                key: "span".to_string(),
-                                value: format!("class {other}"),
-                            })
-                        }
-                    },
-                    charge: TimeDelta::from_ps(charge),
-                });
-            }
-            txns.push(SpanTxn {
-                node: node as u32,
-                line,
-                index,
-                kind,
-                case,
-                spans,
-            });
-        }
-        self.with(|s| {
-            s.counters = counters;
-            s.txns = txns;
-            s.truncated = truncated;
-            s.cur = None;
-        });
-        Ok(())
+        c.list("txns", &mut s.txns, |c, t| {
+            let mut row = [u64::from(t.node), t.line, t.index];
+            c.array("txn", &mut row)?;
+            (t.node, t.line, t.index) = (row[0] as u32, row[1], row[2]);
+            c.label("kind", &mut t.kind)?;
+            c.label("case", &mut t.case)?;
+            c.list("spans", &mut t.spans, |c, sp| {
+                let class = sp.class.map_or(0, |k| k as u64 + 1);
+                let parent = sp.parent.map_or(u64::MAX, u64::from);
+                let (start, end) = (sp.start.as_ps(), sp.end.as_ps());
+                let id = u64::from(sp.id);
+                let mut row = [
+                    id,
+                    parent,
+                    u64::from(sp.node),
+                    start,
+                    end,
+                    class,
+                    sp.charge.as_ps(),
+                ];
+                c.array("span", &mut row)?;
+                let [id, parent, node, start, end, class, charge] = row;
+                sp.class = match class {
+                    0 => None,
+                    1 => Some(SpanClass::Occupancy),
+                    2 => Some(SpanClass::Network),
+                    3 => Some(SpanClass::Memory),
+                    other => return Err(bad("span", format!("class {other}"))),
+                };
+                (sp.id, sp.node) = (id as u32, node as u32);
+                sp.parent = (parent != u64::MAX).then_some(parent as u32);
+                (sp.start, sp.end) = (Time::from_ps(start), Time::from_ps(end));
+                sp.charge = TimeDelta::from_ps(charge);
+                c.label("leg", &mut sp.kind)
+            })
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ckpt::{CkptReader, CkptWriter};
 
     fn ps(v: u64) -> Time {
         Time::from_ps(v)
@@ -1151,12 +1079,12 @@ mod tests {
             record(&a, 0x40 + 0x40 * (i % 3), 10 * i);
         }
         let mut w = CkptWriter::new("spans-test");
-        a.save_ckpt(&mut w);
+        a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
         let text = w.finish();
 
         let b = SpanTracer::new(SpanPlan::sampled(11, 2));
         let mut r = CkptReader::open(&text).expect("open");
-        b.load_ckpt(&mut r).expect("load");
+        b.ckpt(&mut Ckpt::Load(&mut r)).expect("load");
         r.finish().expect("fully consumed");
 
         for i in 7..20 {
@@ -1170,7 +1098,7 @@ mod tests {
         let disabled = SpanTracer::disabled();
         let mut r = CkptReader::open(&text).expect("open");
         assert!(matches!(
-            disabled.load_ckpt(&mut r),
+            disabled.ckpt(&mut Ckpt::Load(&mut r)),
             Err(CkptError::Parse { .. })
         ));
     }

@@ -84,7 +84,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::ckpt::{CkptError, CkptReader, CkptWriter};
+use crate::ckpt::{bad, Ckpt, CkptError};
 use crate::jsonl::{leading_u64, push_json_escaped, scan_strings_after};
 use crate::time::{Time, TimeDelta};
 use crate::window::Window;
@@ -491,7 +491,7 @@ impl Telemetry {
 
     /// Moves whatever `w` holds for `id` into the registry and empties
     /// it. Every window must be published before the registry is read
-    /// ([`snapshot`](Telemetry::snapshot), [`save_ckpt`](Telemetry::save_ckpt)).
+    /// ([`snapshot`](Telemetry::snapshot), [`ckpt`](Telemetry::ckpt)).
     pub fn publish(&self, w: &mut Window, id: MetricId) {
         let Some(inner) = &self.inner else { return };
         if let Some(held) = w.take() {
@@ -527,95 +527,53 @@ impl Telemetry {
         })
     }
 
-    /// Serializes the numeric state of every **stable** (non-volatile)
-    /// metric, plus the shared bucket geometry. Volatile metrics are
+    /// Walks the numeric state of every **stable** (non-volatile) metric,
+    /// plus the shared bucket geometry. Volatile metrics are
     /// scheduler-shaped, excluded from the stable export, and registered
     /// lazily inside the run loops — a resumed run re-registers and
     /// re-records them from scratch, which is exactly what a straight
     /// run of the remaining ops would have produced for its own policy.
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.section("telemetry");
-        let Some(inner) = &self.inner else {
-            w.u64("enabled", 0);
-            return;
-        };
-        let reg = inner.lock().expect("telemetry registry poisoned"); // gate: allow
-        w.u64("enabled", 1);
-        w.u64("bucket_ps", reg.bucket_ps);
-        w.u64("high_ps", reg.high_ps);
-        let stable: Vec<&Metric> = reg.metrics.iter().filter(|m| !m.volatile).collect();
-        w.u64("metrics", stable.len() as u64);
-        for m in stable {
-            w.str("name", m.name);
-            w.u64("node", m.node.map_or(u64::MAX, u64::from));
-            w.u64("total", m.total);
-            w.u64("last_value", m.last_value);
-            w.u64("last_at", m.last_at);
-            w.u64s("buckets", &m.buckets);
-        }
-    }
-
-    /// Restores the state saved by [`Telemetry::save_ckpt`] into a
-    /// freshly built registry whose stable metrics were re-registered in
-    /// the same deterministic order (machine construction guarantees
-    /// this); each metric is matched by name and node label before its
-    /// numeric state is overwritten.
-    pub fn load_ckpt(&self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        r.section("telemetry")?;
-        let enabled = r.u64("enabled")?;
-        if (enabled == 1) != self.inner.is_some() {
-            return Err(CkptError::Parse {
-                key: "enabled".to_string(),
-                value: enabled.to_string(),
-            });
-        }
+    /// A restoring registry re-registered its stable metrics in the same
+    /// deterministic order (machine construction guarantees this); each
+    /// is matched by name and node label before its state is read.
+    pub fn ckpt(&self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        c.section("telemetry")?;
+        c.interlock("enabled", &[u64::from(self.inner.is_some())])?;
         let Some(inner) = &self.inner else {
             return Ok(());
         };
-        let mut reg = inner.lock().expect("telemetry registry poisoned"); // gate: allow
-        let bucket_ps = r.u64("bucket_ps")?;
-        if bucket_ps == 0 {
-            return Err(CkptError::Parse {
-                key: "bucket_ps".to_string(),
-                value: bucket_ps.to_string(),
-            });
+        let reg = &mut *inner.lock().expect("telemetry registry poisoned"); // gate: allow
+        c.u64("bucket_ps", &mut reg.bucket_ps)?;
+        if reg.bucket_ps == 0 {
+            return Err(bad("bucket_ps", 0));
         }
-        reg.bucket_ps = bucket_ps;
-        reg.cur_hi = 0;
-        reg.high_ps = r.u64("high_ps")?;
-        let count = r.u64("metrics")?;
+        if c.loading() {
+            reg.cur_hi = 0;
+        }
+        c.u64("high_ps", &mut reg.high_ps)?;
         let stable = reg.metrics.iter().filter(|m| !m.volatile).count();
-        if count != stable as u64 {
-            return Err(CkptError::Parse {
-                key: "metrics".to_string(),
-                value: format!("{count} saved, {stable} registered"),
-            });
+        let count = c.count("metrics", stable)?;
+        if count != stable {
+            return Err(bad(
+                "metrics",
+                format!("{count} saved, {stable} registered"),
+            ));
         }
-        for i in 0..reg.metrics.len() {
-            if reg.metrics[i].volatile {
-                continue;
+        for m in reg.metrics.iter_mut().filter(|m| !m.volatile) {
+            let want = m.node.map_or(u64::MAX, u64::from);
+            let mut node = want;
+            c.name("name", m.name)?;
+            c.u64("node", &mut node)?;
+            if node != want {
+                return Err(bad(
+                    "name",
+                    format!("{} node={node}, expected {want}", m.name),
+                ));
             }
-            let name = r.str_field("name")?;
-            let node = r.u64("node")?;
-            let m = &mut reg.metrics[i];
-            let want_node = m.node.map_or(u64::MAX, u64::from);
-            if name != m.name || node != want_node {
-                return Err(CkptError::Parse {
-                    key: "name".to_string(),
-                    value: format!("{name} node={node}, expected {} node={want_node}", m.name),
-                });
-            }
-            m.total = r.u64("total")?;
-            m.last_value = r.u64("last_value")?;
-            m.last_at = r.u64("last_at")?;
-            let buckets = r.u64s("buckets")?;
-            if buckets.len() != BUCKETS {
-                return Err(CkptError::Parse {
-                    key: "buckets".to_string(),
-                    value: format!("{} slots", buckets.len()),
-                });
-            }
-            reg.metrics[i].buckets = buckets;
+            c.u64("total", &mut m.total)?;
+            c.u64("last_value", &mut m.last_value)?;
+            c.u64("last_at", &mut m.last_at)?;
+            c.u64s("buckets", &mut m.buckets, BUCKETS..=BUCKETS)?;
         }
         Ok(())
     }
@@ -1043,14 +1001,14 @@ mod tests {
         tel.occupy(o, Time::from_ns(25), 1);
         tel.gauge(v, Time::from_ns(5), 9);
         let mut w = CkptWriter::new("t");
-        tel.save_ckpt(&mut w);
+        tel.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
         let text = w.finish();
         // Fresh registry with the same registration order.
         let tel2 = Telemetry::with_cadence(TimeDelta::from_ns(10));
         tel2.register("hits", MetricKind::Counter);
         tel2.register_node("queue_ps", 2, MetricKind::Occupancy);
         let mut r = CkptReader::open(&text).expect("intact");
-        tel2.load_ckpt(&mut r).expect("loads");
+        tel2.ckpt(&mut Ckpt::Load(&mut r)).expect("loads");
         r.finish().expect("consumed");
         // Continue recording identically on both; stable exports match.
         for t in [&tel, &tel2] {
@@ -1068,7 +1026,7 @@ mod tests {
         tel3.register("misses", MetricKind::Counter);
         tel3.register_node("queue_ps", 2, MetricKind::Occupancy);
         let mut r = CkptReader::open(&text).expect("intact");
-        assert!(tel3.load_ckpt(&mut r).is_err());
+        assert!(tel3.ckpt(&mut Ckpt::Load(&mut r)).is_err());
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl Window {
 mod tests {
     use super::*;
     use crate::account::{Profiler, StallClass};
-    use crate::ckpt::{CkptReader, CkptWriter};
+    use crate::ckpt::{Ckpt, CkptReader, CkptWriter};
     use crate::rng::Rng;
     use crate::telemetry::{MetricId, MetricKind, Telemetry};
     use crate::time::{Time, TimeDelta};
@@ -253,13 +253,19 @@ mod tests {
             if step == EVENTS / 2 {
                 w.publish(&subject);
                 let mut out = CkptWriter::new("window");
-                subject.tel.save_ckpt(&mut out);
-                subject.prof.save_ckpt(&mut out);
+                subject.tel.ckpt(&mut Ckpt::Save(&mut out)).unwrap();
+                subject.prof.ckpt(&mut Ckpt::Save(&mut out)).unwrap();
                 let text = out.finish();
                 subject = handles();
                 let mut r = CkptReader::open(&text).expect("intact");
-                subject.tel.load_ckpt(&mut r).expect("telemetry loads");
-                subject.prof.load_ckpt(&mut r).expect("ledger loads");
+                subject
+                    .tel
+                    .ckpt(&mut Ckpt::Load(&mut r))
+                    .expect("telemetry loads");
+                subject
+                    .prof
+                    .ckpt(&mut Ckpt::Load(&mut r))
+                    .expect("ledger loads");
                 r.finish().expect("consumed");
             }
         }

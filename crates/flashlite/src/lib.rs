@@ -46,7 +46,7 @@ pub mod params;
 
 pub use params::FlashLiteParams;
 
-use flashsim_engine::ckpt::{CkptError, CkptReader, CkptWriter};
+use flashsim_engine::ckpt::{Ckpt, CkptError};
 use flashsim_engine::{
     FaultInjector, MessageFate, MetricId, MetricKind, Observers, Resource, StatSet, Time, TimeDelta,
 };
@@ -326,27 +326,15 @@ impl MemorySystem for FlashLite {
         "flashlite"
     }
 
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        self.walk.save_ckpt(w);
-        let m = &self.magic;
-        w.u64("nacks", m.nacks);
-        w.u64("retries", m.retries);
-        w.delta("nack_backoff", m.nack_backoff);
-        m.net.save_ckpt(w);
-        for r in m.pp.iter().chain(&m.pi) {
-            r.save_ckpt(w);
-        }
-    }
-
-    fn load_ckpt(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        self.walk.load_ckpt(r)?;
+    fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        self.walk.ckpt(c)?;
         let m = &mut self.magic;
-        m.nacks = r.u64("nacks")?;
-        m.retries = r.u64("retries")?;
-        m.nack_backoff = r.delta("nack_backoff")?;
-        m.net.load_ckpt(r)?;
-        for res in m.pp.iter_mut().chain(&mut m.pi) {
-            res.load_ckpt(r)?;
+        c.u64("nacks", &mut m.nacks)?;
+        c.u64("retries", &mut m.retries)?;
+        c.delta("nack_backoff", &mut m.nack_backoff)?;
+        m.net.ckpt(c)?;
+        for unit in m.pp.iter_mut().chain(&mut m.pi) {
+            unit.ckpt(c)?;
         }
         Ok(())
     }
@@ -363,6 +351,7 @@ impl MemorySystem for FlashLite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flashsim_engine::ckpt::{CkptReader, CkptWriter};
     use flashsim_mem::system::{AccessKind, ProtocolCase};
 
     fn fl(nodes: u32) -> FlashLite {
@@ -602,12 +591,12 @@ mod tests {
             now: Time::from_ns(1_000),
         });
         let mut w = CkptWriter::new("fl-test");
-        a.save_ckpt(&mut w);
+        a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
         let text = w.finish();
 
         let mut b = fl(4);
         let mut r = CkptReader::open(&text).expect("open");
-        b.load_ckpt(&mut r).expect("load");
+        b.ckpt(&mut Ckpt::Load(&mut r)).expect("load");
         r.finish().expect("fully consumed");
 
         assert_eq!(a.stats().to_json(), b.stats().to_json());
@@ -624,7 +613,7 @@ mod tests {
         let mut other = fl(8);
         let mut r = CkptReader::open(&text).expect("open");
         assert!(matches!(
-            other.load_ckpt(&mut r),
+            other.ckpt(&mut Ckpt::Load(&mut r)),
             Err(CkptError::Parse { .. })
         ));
     }

@@ -698,6 +698,26 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_a_fill_in_flight_the_l2_does_not_hold() {
+        use flashsim_engine::ckpt::{bad, provenance_hash};
+        let prog = small_prog(2);
+        let c = || cfg(2, mipsy(150), OsModel::simos_tuned(), fl());
+        let (_, ckpts) = run_with_ckpts(&c, &prog);
+        let text = &ckpts[0].1;
+        let body = &text[..text.rfind("checksum=").expect("a trailer")];
+        // Restored unchecked, the next barrier's pending-fill settle
+        // asserted the line resident and panicked (debug builds).
+        let far = body.replacen("pending=0\n", "pending=1\npend=1099511627776,1,0,0,0\n", 1);
+        assert_ne!(far, body);
+        let far = format!("{far}checksum={}\n", provenance_hash(&far));
+        let err = Machine::restore(c(), &prog, &far).expect_err("a fill of a line no L2 holds");
+        assert!(
+            matches!(&err, RestoreError::Ckpt(e) if *e == bad("pend", "l:0x10000000000 is not in the L2")),
+            "got {err}"
+        );
+    }
+
+    #[test]
     fn restored_run_continues_checkpoint_numbering() {
         use std::sync::{Arc, Mutex};
         let prog = small_prog(2);

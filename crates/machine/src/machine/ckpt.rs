@@ -1,13 +1,13 @@
 //! Checkpoint and restore: `flashsim-ckpt-v1` snapshots taken at barrier
 //! releases, and the run-identity string that guards them.
 
-use super::sync::LockState;
+use super::pending::Fill;
 use super::{Machine, MachineError};
 use crate::config::MachineConfig;
-use flashsim_engine::{CkptError, CkptReader, CkptWriter, Time, TimeDelta};
+use flashsim_engine::ckpt::bad;
+use flashsim_engine::{Ckpt, CkptError, CkptReader, CkptWriter, Time, TimeDelta};
 use flashsim_isa::{Program, VAddr};
 use flashsim_mem::{LatencyBreakdown, LineAddr};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// A checkpoint consumer: called at every barrier release with
@@ -95,78 +95,23 @@ impl Machine {
     /// text. Callable only at quiescent points (barrier releases) — the
     /// scheduler's in-flight state (arrival queues, lock waiters, batch
     /// scratch) is asserted empty rather than saved, which is what makes
-    /// the format closed under every layer's `save_ckpt`.
-    pub fn checkpoint(&self) -> String {
+    /// the format closed under every layer's walk.
+    pub fn checkpoint(&mut self) -> String {
         debug_assert!(
             self.barrier_arrivals.is_empty(),
             "checkpoint outside a quiescent point"
+        );
+        debug_assert!(
+            self.locks.values().all(|lock| lock.queue.is_empty()),
+            "lock waiters at a quiescent point"
         );
         debug_assert!(
             self.observers_published(),
             "checkpoint with observer windows unpublished"
         );
         let mut w = CkptWriter::new(&self.provenance());
-        w.section("machine");
-        w.u64("ckpt_seq", self.ckpt_seq);
-        w.u64("nodes", u64::from(self.cfg.nodes));
-        w.u64("barrier_releases", self.barrier_releases.len() as u64);
-        for (id, t) in &self.barrier_releases {
-            w.u64s("rel", &[u64::from(*id), t.as_ps()]);
-        }
-        let mut lock_ids: Vec<u32> = self.locks.keys().copied().collect();
-        lock_ids.sort_unstable();
-        w.u64("locks", lock_ids.len() as u64);
-        for id in lock_ids {
-            let lock = &self.locks[&id];
-            debug_assert!(lock.queue.is_empty(), "lock waiters at a quiescent point");
-            w.u64s(
-                "lock",
-                &[
-                    u64::from(id),
-                    lock.held_by.map_or(u64::MAX, |h| h as u64),
-                    self.lock_addr.get(&id).map_or(u64::MAX, |a| a.get()),
-                ],
-            );
-        }
-        for n in 0..self.cfg.nodes as usize {
-            w.section(&format!("node{n}"));
-            w.u64("consumed", self.streams[n].consumed());
-            self.cores[n].save_ckpt(&mut w);
-            let mem = &self.mems[n];
-            mem.hier.save_ckpt(&mut w);
-            w.u64("has_tlb", u64::from(mem.tlb.is_some()));
-            if let Some(tlb) = &mem.tlb {
-                tlb.save_ckpt(&mut w);
-            }
-            let mut pend = mem.pending.fills().to_vec();
-            pend.sort_unstable_by_key(|f| f.line.get());
-            w.u64("pending", pend.len() as u64);
-            for f in pend {
-                let bd = f.breakdown;
-                w.u64s(
-                    "pend",
-                    &[
-                        f.line.get(),
-                        f.arrives.as_ps(),
-                        bd.occupancy.as_ps(),
-                        bd.network.as_ps(),
-                        bd.memory.as_ps(),
-                    ],
-                );
-            }
-            w.u64("page_faults", mem.page_faults);
-            w.u64("tlb_refills", mem.tlb_refills);
-            w.time("next_tick", mem.next_tick);
-        }
-        w.section("os");
-        self.pt.save_ckpt(&mut w);
-        self.alloc.save_ckpt(&mut w);
-        w.section("memsys");
-        self.memsys.save_ckpt(&mut w);
-        self.injector.save_ckpt(&mut w);
-        self.obs.profiler.save_ckpt(&mut w);
-        self.obs.telemetry.save_ckpt(&mut w);
-        self.obs.spans.save_ckpt(&mut w);
+        let saved = self.ckpt(&mut Ckpt::Save(&mut w));
+        debug_assert!(saved.is_ok(), "saving never fails: {saved:?}");
         w.finish()
     }
 
@@ -187,86 +132,112 @@ impl Machine {
         program: &dyn Program,
         text: &str,
     ) -> Result<Machine, RestoreError> {
-        let parse = |key: &str, value: String| CkptError::Parse {
-            key: key.to_string(),
-            value,
-        };
         let mut m = Machine::new(cfg, program)?;
         let mut r = CkptReader::open(text)?;
         r.expect_provenance(&m.provenance())?;
-        r.section("machine")?;
-        m.ckpt_seq = r.u64("ckpt_seq")?;
-        let nodes = r.u64("nodes")?;
-        if nodes != u64::from(m.cfg.nodes) {
-            return Err(parse("nodes", nodes.to_string()).into());
-        }
-        for _ in 0..r.u64("barrier_releases")? {
-            let v = r.u64s("rel")?;
-            let [id, ps] =
-                <[u64; 2]>::try_from(v.as_slice()).map_err(|_| parse("rel", format!("{v:?}")))?;
-            m.barrier_releases.push((id as u32, Time::from_ps(ps)));
-        }
-        for _ in 0..r.u64("locks")? {
-            let v = r.u64s("lock")?;
-            let [id, held, addr] =
-                <[u64; 3]>::try_from(v.as_slice()).map_err(|_| parse("lock", format!("{v:?}")))?;
-            m.locks.insert(
-                id as u32,
-                LockState {
-                    held_by: (held != u64::MAX).then_some(held as usize),
-                    queue: VecDeque::new(),
-                },
-            );
-            if addr != u64::MAX {
-                m.lock_addr.insert(id as u32, VAddr(addr));
-            }
-        }
-        for n in 0..m.cfg.nodes as usize {
-            r.section(&format!("node{n}"))?;
-            let consumed = r.u64("consumed")?;
-            // Fast-forward the deterministic op stream to its cursor; the
-            // generator re-derives every op, so none need to be stored.
-            if m.streams[n].skip_ops(consumed) != consumed {
-                return Err(parse("consumed", consumed.to_string()).into());
-            }
-            m.cores[n].load_ckpt(&mut r)?;
-            m.mems[n].hier.load_ckpt(&mut r)?;
-            let has_tlb = r.u64("has_tlb")? != 0;
-            if has_tlb != m.mems[n].tlb.is_some() {
-                return Err(parse("has_tlb", has_tlb.to_string()).into());
-            }
-            if let Some(tlb) = &mut m.mems[n].tlb {
-                tlb.load_ckpt(&mut r)?;
-            }
-            m.mems[n].pending.clear();
-            for _ in 0..r.u64("pending")? {
-                let v = r.u64s("pend")?;
-                let [line, arrives, occ, net, memory] = <[u64; 5]>::try_from(v.as_slice())
-                    .map_err(|_| parse("pend", format!("{v:?}")))?;
-                m.mems[n].pending.insert(
-                    LineAddr(line),
-                    Time::from_ps(arrives),
-                    LatencyBreakdown {
-                        occupancy: TimeDelta::from_ps(occ),
-                        network: TimeDelta::from_ps(net),
-                        memory: TimeDelta::from_ps(memory),
-                    },
-                );
-            }
-            m.mems[n].page_faults = r.u64("page_faults")?;
-            m.mems[n].tlb_refills = r.u64("tlb_refills")?;
-            m.mems[n].next_tick = r.time("next_tick")?;
-        }
-        r.section("os")?;
-        m.pt.load_ckpt(&mut r)?;
-        m.alloc.load_ckpt(&mut r)?;
-        r.section("memsys")?;
-        m.memsys.load_ckpt(&mut r)?;
-        m.injector.load_ckpt(&mut r)?;
-        m.obs.profiler.load_ckpt(&mut r)?;
-        m.obs.telemetry.load_ckpt(&mut r)?;
-        m.obs.spans.load_ckpt(&mut r)?;
+        m.ckpt(&mut Ckpt::Load(&mut r))?;
         r.finish()?;
         Ok(m)
     }
+
+    /// The one walk over the machine's state and every layer's, in
+    /// format order: scheduler bookkeeping, then each node's stream
+    /// cursor, core, caches, TLB and fills in flight, then the OS, the
+    /// memory system, the fault stream and the observers.
+    fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        c.section("machine")?;
+        c.u64("ckpt_seq", &mut self.ckpt_seq)?;
+        c.interlock("nodes", &[u64::from(self.cfg.nodes)])?;
+        c.list(
+            "barrier_releases",
+            &mut self.barrier_releases,
+            |c, (id, at)| {
+                let mut row = [u64::from(*id), at.as_ps()];
+                c.array("rel", &mut row)?;
+                (*id, *at) = (row[0] as u32, Time::from_ps(row[1]));
+                Ok(())
+            },
+        )?;
+        let mut locks: Vec<[u64; 3]> = self
+            .locks
+            .iter()
+            .map(|(id, lock)| {
+                let held = lock.held_by.map_or(u64::MAX, |h| h as u64);
+                let addr = self.lock_addr.get(id).map_or(u64::MAX, |a| a.get());
+                [u64::from(*id), held, addr]
+            })
+            .collect();
+        locks.sort_unstable();
+        c.list("locks", &mut locks, |c, row| c.array("lock", row))?;
+        if c.loading() {
+            for [id, held, addr] in locks {
+                let held_by = (held != u64::MAX).then_some(held as usize);
+                self.locks.entry(id as u32).or_default().held_by = held_by;
+                if addr != u64::MAX {
+                    self.lock_addr.insert(id as u32, VAddr(addr));
+                }
+            }
+        }
+        for n in 0..self.cfg.nodes as usize {
+            c.section(&format!("node{n}"))?;
+            let mut consumed = self.streams[n].consumed();
+            c.u64("consumed", &mut consumed)?;
+            // Fast-forward the deterministic op stream to its cursor; the
+            // generator re-derives every op, so none need to be stored.
+            if c.loading() && self.streams[n].skip_ops(consumed) != consumed {
+                return Err(bad("consumed", consumed));
+            }
+            self.cores[n].ckpt(c)?;
+            let mem = &mut self.mems[n];
+            mem.hier.ckpt(c)?;
+            c.interlock("has_tlb", &[u64::from(mem.tlb.is_some())])?;
+            if let Some(tlb) = &mut mem.tlb {
+                tlb.ckpt(c)?;
+            }
+            let mut fills: Vec<[u64; 5]> = mem.pending.fills().iter().map(fill_row).collect();
+            fills.sort_unstable();
+            c.list("pending", &mut fills, |c, row| c.array("pend", row))?;
+            if c.loading() {
+                mem.pending.clear();
+                for [line, arrives, occupancy, network, memory] in fills {
+                    let ps = TimeDelta::from_ps;
+                    let breakdown = LatencyBreakdown {
+                        occupancy: ps(occupancy),
+                        network: ps(network),
+                        memory: ps(memory),
+                    };
+                    mem.pending
+                        .insert(LineAddr(line), Time::from_ps(arrives), breakdown);
+                }
+            }
+            c.u64("page_faults", &mut mem.page_faults)?;
+            c.u64("tlb_refills", &mut mem.tlb_refills)?;
+            c.time("next_tick", &mut mem.next_tick)?;
+            // Checked only here, past the section's last field: a row
+            // count that cut a table short fails at the field it misreads.
+            if c.loading() {
+                mem.hier.check_inclusion()?;
+                if let Some(f) = mem.pending.fills().iter().find(|f| !mem.hier.holds(f.line)) {
+                    return Err(bad("pend", format!("{} is not in the L2", f.line)));
+                }
+            }
+        }
+        c.section("os")?;
+        self.pt.ckpt(c)?;
+        self.alloc.ckpt(c)?;
+        c.section("memsys")?;
+        self.memsys.ckpt(c)?;
+        self.injector.ckpt(c)?;
+        self.obs.profiler.ckpt(c)?;
+        self.obs.telemetry.ckpt(c)?;
+        self.obs.spans.ckpt(c)
+    }
+}
+
+/// A fill in flight as its checkpoint row: the line first, so rows sort
+/// by line.
+fn fill_row(f: &Fill) -> [u64; 5] {
+    let bd = f.breakdown;
+    let [occupancy, network, memory] = [bd.occupancy, bd.network, bd.memory].map(|d| d.as_ps());
+    [f.line.get(), f.arrives.as_ps(), occupancy, network, memory]
 }

@@ -12,7 +12,7 @@
 
 use crate::addr::{LineAddr, PAddr};
 use core::fmt;
-use flashsim_engine::ckpt::{CkptError, CkptReader, CkptWriter};
+use flashsim_engine::ckpt::{bad, Ckpt, CkptError};
 
 /// Coherence state of a cached line (MESI without a distinct Owned state,
 /// matching FLASH's dirty-exclusive protocol).
@@ -94,6 +94,16 @@ struct Way {
     valid: bool,
 }
 
+impl Way {
+    /// An invalid slot: what a new cache and a restore start from.
+    const EMPTY: Way = Way {
+        line: LineAddr(0),
+        state: LineState::Shared,
+        last_used: 0,
+        valid: false,
+    };
+}
+
 /// What happened on a cache probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Probe {
@@ -147,15 +157,9 @@ impl Cache {
             "cache geometry must have power-of-two line size and set count"
         );
         let slots = (geom.sets() * u64::from(geom.ways)) as usize;
-        let empty = Way {
-            line: LineAddr(0),
-            state: LineState::Shared,
-            last_used: 0,
-            valid: false,
-        };
         Cache {
             geom,
-            ways: vec![empty; slots],
+            ways: vec![Way::EMPTY; slots],
             line_shift: geom.line_bytes.trailing_zeros(),
             set_mask: geom.sets() - 1,
             tick: 0,
@@ -346,98 +350,60 @@ impl Cache {
         self.invalidations_received
     }
 
-    /// Serializes the cache contents and counters into the current
-    /// checkpoint section. Only valid ways are written: probe, fill, and
-    /// eviction never read an invalid slot's payload, so restoring
-    /// invalid slots to the canonical empty way is behaviourally exact
-    /// while keeping checkpoints proportional to cache *occupancy*.
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.u64s(
-            "geom",
-            &[
-                self.geom.bytes,
-                self.geom.line_bytes,
-                u64::from(self.geom.ways),
-            ],
-        );
-        w.u64("tick", self.tick);
-        w.u64("hits", self.hits);
-        w.u64("misses", self.misses);
-        w.u64("upgrades", self.upgrades);
-        w.u64("evictions", self.evictions);
-        w.u64("dirty_evictions", self.dirty_evictions);
-        w.u64("invalidations_received", self.invalidations_received);
-        let valid = self.ways.iter().filter(|way| way.valid).count();
-        w.u64("valid", valid as u64);
-        for (slot, way) in self.ways.iter().enumerate() {
-            if !way.valid {
-                continue;
+    /// Walks the cache contents and counters in the current checkpoint
+    /// section. Only valid ways are written: probe, fill, and eviction
+    /// never read an invalid slot's payload, so restoring invalid slots
+    /// to the canonical empty way is behaviourally exact while keeping
+    /// checkpoints proportional to cache *occupancy*. A restore fails
+    /// closed on another geometry, and on a way that does not hold an
+    /// aligned line of its own set.
+    pub fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        let g = self.geom;
+        c.interlock("geom", &[g.bytes, g.line_bytes, u64::from(g.ways)])?;
+        c.u64("tick", &mut self.tick)?;
+        c.u64("hits", &mut self.hits)?;
+        c.u64("misses", &mut self.misses)?;
+        c.u64("upgrades", &mut self.upgrades)?;
+        c.u64("evictions", &mut self.evictions)?;
+        c.u64("dirty_evictions", &mut self.dirty_evictions)?;
+        c.u64("invalidations_received", &mut self.invalidations_received)?;
+        let valid = self.ways.iter().enumerate().filter(|(_, way)| way.valid);
+        let mut rows: Vec<[u64; 4]> = valid
+            .map(|(slot, w)| [slot as u64, w.line.get(), w.state as u64, w.last_used])
+            .collect();
+        c.list("valid", &mut rows, |c, row| c.array("way", row))?;
+        if c.loading() {
+            self.ways.fill(Way::EMPTY);
+            for [slot, line, state, last_used] in rows {
+                let bad_row = || bad("way", format!("{slot},{line},{state},{last_used}"));
+                let state = match state {
+                    0 => LineState::Shared,
+                    1 => LineState::Exclusive,
+                    2 => LineState::Modified,
+                    _ => return Err(bad_row()),
+                };
+                // A way holds an aligned line of its own set: a probe never
+                // finds any other row, and evicting it would hand the
+                // protocol a line it has no header for.
+                let line = LineAddr(line);
+                let aligned = line.get().is_multiple_of(g.line_bytes);
+                if !aligned || !self.set_slots(line).contains(&(slot as usize)) {
+                    return Err(bad_row());
+                }
+                self.ways[slot as usize] = Way {
+                    line,
+                    state,
+                    last_used,
+                    valid: true,
+                };
             }
-            let state = match way.state {
-                LineState::Shared => 0,
-                LineState::Exclusive => 1,
-                LineState::Modified => 2,
-            };
-            w.u64s("way", &[slot as u64, way.line.get(), state, way.last_used]);
-        }
-    }
-
-    /// Restores the state saved by [`Cache::save_ckpt`]. Fails closed if
-    /// the checkpoint was taken with a different geometry.
-    pub fn load_ckpt(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let geom = r.u64s("geom")?;
-        let expect = [
-            self.geom.bytes,
-            self.geom.line_bytes,
-            u64::from(self.geom.ways),
-        ];
-        if geom != expect {
-            return Err(CkptError::Parse {
-                key: "geom".to_string(),
-                value: format!("{geom:?}, cache has {expect:?}"),
-            });
-        }
-        self.tick = r.u64("tick")?;
-        self.hits = r.u64("hits")?;
-        self.misses = r.u64("misses")?;
-        self.upgrades = r.u64("upgrades")?;
-        self.evictions = r.u64("evictions")?;
-        self.dirty_evictions = r.u64("dirty_evictions")?;
-        self.invalidations_received = r.u64("invalidations_received")?;
-        for way in self.ways.iter_mut() {
-            *way = Way {
-                line: LineAddr(0),
-                state: LineState::Shared,
-                last_used: 0,
-                valid: false,
-            };
-        }
-        let valid = r.u64("valid")?;
-        for _ in 0..valid {
-            let vals = r.u64s("way")?;
-            let bad = |vals: &[u64]| CkptError::Parse {
-                key: "way".to_string(),
-                value: format!("{vals:?}"),
-            };
-            let [slot, line, state, last_used] = match <[u64; 4]>::try_from(vals.as_slice()) {
-                Ok(v) => v,
-                Err(_) => return Err(bad(&vals)),
-            };
-            let state = match state {
-                0 => LineState::Shared,
-                1 => LineState::Exclusive,
-                2 => LineState::Modified,
-                _ => return Err(bad(&vals)),
-            };
-            let way = self.ways.get_mut(slot as usize).ok_or_else(|| bad(&vals))?;
-            *way = Way {
-                line: LineAddr(line),
-                state,
-                last_used,
-                valid: true,
-            };
         }
         Ok(())
+    }
+
+    /// The lines the cache holds, in slot order.
+    pub(crate) fn lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
+        self.ways.iter().filter(|w| w.valid).map(|w| w.line)
     }
 
     /// Miss ratio over all probes, or 0 if no probes.
@@ -469,6 +435,7 @@ impl fmt::Display for Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flashsim_engine::ckpt::{CkptReader, CkptWriter};
 
     fn small() -> Cache {
         // 4 sets x 2 ways x 64B = 512B
@@ -595,11 +562,11 @@ mod tests {
         a.invalidate(LineAddr(0x9999)); // absent, no count
 
         let mut w = CkptWriter::new("cache-test");
-        a.save_ckpt(&mut w);
+        a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
         let text = w.finish();
         let mut b = small();
         let mut r = CkptReader::open(&text).expect("open");
-        b.load_ckpt(&mut r).expect("load");
+        b.ckpt(&mut Ckpt::Load(&mut r)).expect("load");
         r.finish().expect("fully consumed");
 
         // Same future behaviour: the restored LRU picks the same victim.
@@ -617,9 +584,29 @@ mod tests {
         let mut other = Cache::new(CacheGeometry::new(1024, 64, 2));
         let mut r = CkptReader::open(&text).expect("open");
         assert!(matches!(
-            other.load_ckpt(&mut r),
+            other.ckpt(&mut Ckpt::Load(&mut r)),
             Err(CkptError::Parse { .. })
         ));
+    }
+
+    #[test]
+    fn a_way_holding_no_aligned_line_of_its_set_is_rejected() {
+        // Slot 0 is in set 0 (4 sets x 2 ways x 64 B). Restored unchecked,
+        // such a way broke inclusion on the next write hit, or handed the
+        // protocol a line of no directory when evicted.
+        for line in [64, 8] {
+            let mut a = small();
+            a.fill(LineAddr(0), LineState::Shared);
+            a.ways[0].line = LineAddr(line);
+            let mut w = CkptWriter::new("cache-test");
+            a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
+            let text = w.finish();
+            let mut r = CkptReader::open(&text).expect("open");
+            let err = small()
+                .ckpt(&mut Ckpt::Load(&mut r))
+                .expect_err("off its set");
+            assert_eq!(err, bad("way", format!("0,{line},0,1")));
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use crate::addr::{LineAddr, PAddr};
 use crate::cache::{Cache, CacheGeometry, LineState, Probe, Victim};
+use flashsim_engine::ckpt::{bad, Ckpt, CkptError};
 
 /// Where an access was satisfied, as seen by the processor's timing model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,19 +262,24 @@ impl CacheHierarchy {
         self.l2.peek(l2_line).is_some()
     }
 
-    /// Serializes both levels into the current checkpoint section.
-    pub fn save_ckpt(&self, w: &mut flashsim_engine::CkptWriter) {
-        self.l1.save_ckpt(w);
-        self.l2.save_ckpt(w);
+    /// Walks both levels in the current checkpoint section.
+    pub fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        self.l1.ckpt(c)?;
+        self.l2.ckpt(c)
     }
 
-    /// Restores the state saved by [`CacheHierarchy::save_ckpt`].
-    pub fn load_ckpt(
-        &mut self,
-        r: &mut flashsim_engine::CkptReader<'_>,
-    ) -> Result<(), flashsim_engine::CkptError> {
-        self.l1.load_ckpt(r)?;
-        self.l2.load_ckpt(r)
+    /// Inclusion, checked once a restore has read past both levels: every
+    /// L1 line lies in a line the L2 holds. (A write hit on any other L1
+    /// line finds no L2 line to mark Modified.)
+    pub fn check_inclusion(&self) -> Result<(), CkptError> {
+        match self
+            .l1
+            .lines()
+            .find(|l| !self.holds(self.l2_line(l.paddr())))
+        {
+            Some(line) => Err(bad("way", format!("L1 line {line} outside the L2"))),
+            None => Ok(()),
+        }
     }
 }
 
@@ -287,6 +293,16 @@ mod tests {
             CacheGeometry::new(512, 32, 2),
             CacheGeometry::new(4096, 128, 2),
         )
+    }
+
+    #[test]
+    fn the_inclusion_check_finds_an_l1_line_the_l2_lacks() {
+        let mut h = hier();
+        h.fill_from_memory(PAddr(0x1000), false, true);
+        assert_eq!(h.check_inclusion(), Ok(()));
+        h.l2.invalidate(LineAddr(0x1000));
+        let err = h.check_inclusion().expect_err("no L2 line for the L1's");
+        assert_eq!(err, bad("way", "L1 line l:0x1000 outside the L2"));
     }
 
     #[test]

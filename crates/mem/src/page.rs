@@ -21,7 +21,7 @@
 //!   to Solo's packing — the paper's surprise).
 
 use crate::addr::PAddr;
-use flashsim_engine::ckpt::{CkptError, CkptReader, CkptWriter};
+use flashsim_engine::ckpt::{Ckpt, CkptError};
 use flashsim_engine::fxhash::FxHashMap;
 use flashsim_isa::VAddr;
 
@@ -138,58 +138,20 @@ impl FrameAllocator {
         Some(u64::from(node) * self.frames_per_node + local)
     }
 
-    /// Serializes the free-frame bins and allocation counter into the
-    /// current section. Bin stacks are written in pop order, so restored
-    /// allocators hand out the exact same frame sequence.
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        let policy = match self.policy {
-            AllocPolicy::Sequential => 0,
-            AllocPolicy::ColorHashed => 1,
-        };
-        w.u64s(
+    /// Walks the free-frame bins and allocation counter in the current
+    /// section. Bin stacks are written in pop order, so restored
+    /// allocators hand out the exact same frame sequence; a restore fails
+    /// closed on an allocator built with different parameters.
+    pub fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        let policy = u64::from(self.policy == AllocPolicy::ColorHashed);
+        let (frames, page, colors) = (self.frames_per_node, self.page_bytes, self.colors);
+        c.interlock(
             "shape",
-            &[
-                policy,
-                self.bins.len() as u64,
-                self.frames_per_node,
-                self.page_bytes,
-                self.colors,
-            ],
-        );
-        w.u64("allocated", self.allocated);
-        for per_color in &self.bins {
-            for bin in per_color {
-                w.u64s("bin", bin);
-            }
-        }
-    }
-
-    /// Restores the state saved by [`FrameAllocator::save_ckpt`]. Fails
-    /// closed if the allocator was built with different parameters.
-    pub fn load_ckpt(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let policy = match self.policy {
-            AllocPolicy::Sequential => 0,
-            AllocPolicy::ColorHashed => 1,
-        };
-        let shape = r.u64s("shape")?;
-        let expect = [
-            policy,
-            self.bins.len() as u64,
-            self.frames_per_node,
-            self.page_bytes,
-            self.colors,
-        ];
-        if shape != expect {
-            return Err(CkptError::Parse {
-                key: "shape".to_string(),
-                value: format!("{shape:?}, allocator has {expect:?}"),
-            });
-        }
-        self.allocated = r.u64("allocated")?;
-        for per_color in self.bins.iter_mut() {
-            for bin in per_color.iter_mut() {
-                *bin = r.u64s("bin")?;
-            }
+            &[policy, self.bins.len() as u64, frames, page, colors],
+        )?;
+        c.u64("allocated", &mut self.allocated)?;
+        for bin in self.bins.iter_mut().flatten() {
+            c.u64s("bin", bin, ..)?;
         }
         Ok(())
     }
@@ -250,30 +212,15 @@ impl PageTable {
             .map(|pfn| crate::addr::translate(vaddr, pfn, page_bytes))
     }
 
-    /// Serializes the mappings, sorted by virtual page so the bytes never
-    /// depend on hash-map iteration order.
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        let mut pairs: Vec<(u64, u64)> = self.map.iter().map(|(v, p)| (*v, *p)).collect();
+    /// Walks the mappings, sorted by virtual page so the bytes never
+    /// depend on hash-map iteration order; a restore replaces any
+    /// existing mappings.
+    pub fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        let mut pairs: Vec<[u64; 2]> = self.map.iter().map(|(&v, &p)| [v, p]).collect();
         pairs.sort_unstable();
-        w.u64("mapped", pairs.len() as u64);
-        for (vpn, pfn) in pairs {
-            w.u64s("map", &[vpn, pfn]);
-        }
-    }
-
-    /// Restores the state saved by [`PageTable::save_ckpt`], replacing
-    /// any existing mappings.
-    pub fn load_ckpt(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        self.map.clear();
-        let mapped = r.u64("mapped")?;
-        for _ in 0..mapped {
-            let vals = r.u64s("map")?;
-            let [vpn, pfn] =
-                <[u64; 2]>::try_from(vals.as_slice()).map_err(|_| CkptError::Parse {
-                    key: "map".to_string(),
-                    value: format!("{vals:?}"),
-                })?;
-            self.map.insert(vpn, pfn);
+        c.list("mapped", &mut pairs, |c, row| c.array("map", row))?;
+        if c.loading() {
+            self.map = pairs.into_iter().map(|[vpn, pfn]| (vpn, pfn)).collect();
         }
         Ok(())
     }
@@ -282,6 +229,7 @@ impl PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flashsim_engine::ckpt::{CkptReader, CkptWriter};
 
     #[test]
     fn sequential_allocates_in_frame_order() {
@@ -372,15 +320,15 @@ mod tests {
             pt.map(vpn, pfn);
         }
         let mut w = CkptWriter::new("page-test");
-        a.save_ckpt(&mut w);
-        pt.save_ckpt(&mut w);
+        a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
+        pt.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
         let text = w.finish();
 
         let mut b = FrameAllocator::new(AllocPolicy::ColorHashed, 2, 64, 4096, 8);
         let mut pt2 = PageTable::new();
         let mut r = CkptReader::open(&text).expect("open");
-        b.load_ckpt(&mut r).expect("alloc load");
-        pt2.load_ckpt(&mut r).expect("pt load");
+        b.ckpt(&mut Ckpt::Load(&mut r)).expect("alloc load");
+        pt2.ckpt(&mut Ckpt::Load(&mut r)).expect("pt load");
         r.finish().expect("fully consumed");
 
         assert_eq!(a.allocated(), b.allocated());
@@ -397,7 +345,7 @@ mod tests {
         let mut other = FrameAllocator::new(AllocPolicy::Sequential, 2, 64, 4096, 8);
         let mut r = CkptReader::open(&text).expect("open");
         assert!(matches!(
-            other.load_ckpt(&mut r),
+            other.ckpt(&mut Ckpt::Load(&mut r)),
             Err(CkptError::Parse { .. })
         ));
     }

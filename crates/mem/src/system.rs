@@ -11,7 +11,7 @@
 
 use crate::addr::LineAddr;
 use core::fmt;
-use flashsim_engine::ckpt::{CkptError, CkptReader, CkptWriter};
+use flashsim_engine::ckpt::{Ckpt, CkptError};
 use flashsim_engine::{FaultInjector, Observers, StatSet, Time, TimeDelta};
 
 /// A node identifier (0-based).
@@ -245,20 +245,16 @@ pub trait MemorySystem {
         let _ = faults;
     }
 
-    /// Serializes the model's mutable state — directory entries,
+    /// Walks the model's mutable state — directory entries,
     /// controller/bank timelines, network links and in-flight messages,
-    /// protocol-case ledgers — into the checkpoint being written. Called
-    /// only at quiescent points (barrier releases), where no transaction
-    /// is mid-flight through the model. Required, not defaulted: a model
-    /// that silently skipped its state here would restore into a cold
-    /// memory system and break the byte-identity contract.
-    fn save_ckpt(&self, w: &mut CkptWriter);
-
-    /// Restores the state saved by
-    /// [`save_ckpt`](MemorySystem::save_ckpt) into a freshly constructed
-    /// model of the identical configuration. Implementations fail closed
-    /// (structured [`CkptError`]) on any shape mismatch.
-    fn load_ckpt(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError>;
+    /// protocol-case ledgers — in the checkpoint ([`Ckpt`]). Called only
+    /// at quiescent points (barrier releases), where no transaction is
+    /// mid-flight through the model; a restore goes into a freshly
+    /// constructed model of the identical configuration and fails closed
+    /// on any shape mismatch. Required, not defaulted: a model that
+    /// silently skipped its state here would restore into a cold memory
+    /// system and break the byte-identity contract.
+    fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError>;
 
     /// A conservative lower bound on the latency of *any* demand
     /// transaction this model can serve — the scheduler's lookahead in the

@@ -8,7 +8,7 @@
 //! effect. This module models the reach structure; refill *cost* is owned
 //! by the environment model in `flashsim-os`.
 
-use flashsim_engine::ckpt::{CkptError, CkptReader, CkptWriter};
+use flashsim_engine::ckpt::{bad, Ckpt, CkptError};
 use flashsim_engine::fxhash::FxHashMap;
 use flashsim_isa::VAddr;
 
@@ -27,7 +27,7 @@ pub struct Tlb {
     slots: Vec<(u64, u64, u64)>,
     // The `(vpn, slot)` the last hit or insert resolved to: a repeat
     // lookup of the same page skips the hash probe. Whatever moves or
-    // drops a slot (`insert`, `flush`, `load_ckpt`) re-aims or clears it.
+    // drops a slot (`insert`, `flush`, `ckpt`) re-aims or clears it.
     memo: Option<(u64, usize)>,
     tick: u64,
     hits: u64,
@@ -143,52 +143,31 @@ impl Tlb {
         self.misses
     }
 
-    /// Serializes the translation entries (sorted by virtual page, so
-    /// the bytes never depend on which slot an entry landed in), the LRU
-    /// clock, and the hit/miss counters into the current section.
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.u64s("shape", &[self.entries as u64, self.page_bytes]);
-        w.u64("tick", self.tick);
-        w.u64("hits", self.hits);
-        w.u64("misses", self.misses);
-        let mut entries = self.slots.clone();
-        entries.sort_unstable();
-        w.u64("mapped", entries.len() as u64);
-        for (vpn, pfn, last) in entries {
-            w.u64s("ent", &[vpn, pfn, last]);
-        }
-    }
-
-    /// Restores the state saved by [`Tlb::save_ckpt`]. Fails closed on a
-    /// different entry count or page size, a repeated page, or more
-    /// entries than the TLB holds.
-    pub fn load_ckpt(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let shape = r.u64s("shape")?;
-        if shape != [self.entries as u64, self.page_bytes] {
-            return Err(CkptError::Parse {
-                key: "shape".to_string(),
-                value: format!("{shape:?}"),
-            });
-        }
-        self.tick = r.u64("tick")?;
-        self.hits = r.u64("hits")?;
-        self.misses = r.u64("misses")?;
-        self.flush();
-        let mapped = r.u64("mapped")?;
-        for _ in 0..mapped {
-            let vals = r.u64s("ent")?;
-            let bad = || CkptError::Parse {
-                key: "ent".to_string(),
-                value: format!("{vals:?}"),
-            };
-            let [vpn, pfn, last] = <[u64; 3]>::try_from(vals.as_slice()).map_err(|_| bad())?;
-            // One slot per vpn and at most `entries` of them, or the
-            // dense scan and the map would disagree about what is mapped.
-            if self.slots.len() == self.entries || self.map.insert(vpn, self.slots.len()).is_some()
-            {
-                return Err(bad());
+    /// Walks the translation entries (sorted by virtual page, so the
+    /// bytes never depend on which slot an entry landed in), the LRU
+    /// clock, and the hit/miss counters in the current section. A restore
+    /// fails closed on a different entry count or page size, a repeated
+    /// page, or more entries than the TLB holds.
+    pub fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        c.interlock("shape", &[self.entries as u64, self.page_bytes])?;
+        c.u64("tick", &mut self.tick)?;
+        c.u64("hits", &mut self.hits)?;
+        c.u64("misses", &mut self.misses)?;
+        let mut rows: Vec<[u64; 3]> = self.slots.iter().map(|&(v, p, t)| [v, p, t]).collect();
+        rows.sort_unstable();
+        c.list("mapped", &mut rows, |c, row| c.array("ent", row))?;
+        if c.loading() {
+            self.flush();
+            for [vpn, pfn, last] in rows {
+                // One slot per vpn and at most `entries` of them, or the
+                // dense scan and the map would disagree about what is mapped.
+                if self.slots.len() == self.entries
+                    || self.map.insert(vpn, self.slots.len()).is_some()
+                {
+                    return Err(bad("ent", format!("{vpn},{pfn},{last}")));
+                }
+                self.slots.push((vpn, pfn, last));
             }
-            self.slots.push((vpn, pfn, last));
         }
         Ok(())
     }
@@ -207,6 +186,7 @@ impl Tlb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flashsim_engine::ckpt::{CkptReader, CkptWriter};
 
     #[test]
     fn hit_after_insert() {
@@ -295,12 +275,12 @@ mod tests {
         a.insert(2, 20);
         a.translate(VAddr(4096)); // vpn 1 hot, vpn 2 LRU
         let mut w = CkptWriter::new("tlb-test");
-        a.save_ckpt(&mut w);
+        a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
         let text = w.finish();
 
         let mut b = Tlb::new(2, 4096);
         let mut r = CkptReader::open(&text).expect("open");
-        b.load_ckpt(&mut r).expect("load");
+        b.ckpt(&mut Ckpt::Load(&mut r)).expect("load");
         r.finish().expect("fully consumed");
         for t in [&mut a, &mut b] {
             t.insert(3, 30); // must evict vpn 2, keep vpn 1
@@ -313,7 +293,7 @@ mod tests {
         let mut other = Tlb::new(4, 4096);
         let mut r = CkptReader::open(&text).expect("open");
         assert!(matches!(
-            other.load_ckpt(&mut r),
+            other.ckpt(&mut Ckpt::Load(&mut r)),
             Err(CkptError::Parse { .. })
         ));
     }
@@ -336,7 +316,7 @@ mod tests {
             let text = w.finish();
             let mut r = CkptReader::open(&text).expect("open");
             assert!(matches!(
-                Tlb::new(2, 4096).load_ckpt(&mut r),
+                Tlb::new(2, 4096).ckpt(&mut Ckpt::Load(&mut r)),
                 Err(CkptError::Parse { .. })
             ));
         }

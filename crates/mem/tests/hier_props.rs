@@ -5,7 +5,7 @@
 //! from seeded loops over the in-tree [`flashsim_engine::Rng`] (this
 //! workspace builds offline, so no external property-testing framework).
 
-use flashsim_engine::ckpt::{CkptReader, CkptWriter};
+use flashsim_engine::ckpt::{Ckpt, CkptReader, CkptWriter};
 use flashsim_engine::Rng;
 use flashsim_isa::VAddr;
 use flashsim_mem::addr::{LineAddr, PAddr};
@@ -237,7 +237,7 @@ impl HashedTlb {
 
 fn tlb_ckpt(tlb: &Tlb) -> String {
     let mut w = CkptWriter::new("tlb-props");
-    tlb.save_ckpt(&mut w);
+    tlb.clone().ckpt(&mut Ckpt::Save(&mut w)).unwrap();
     w.finish()
 }
 
@@ -291,7 +291,7 @@ fn tlb_memo_is_invisible_against_an_always_hashed_model() {
                 _ => {
                     let text = tlb_ckpt(&tlb);
                     let mut r = CkptReader::open(&text).expect("open");
-                    tlb.load_ckpt(&mut r).expect("load");
+                    tlb.ckpt(&mut Ckpt::Load(&mut r)).expect("load");
                     r.finish().expect("fully consumed");
                 }
             }

@@ -26,7 +26,7 @@
 #![warn(missing_docs)]
 
 use core::fmt;
-use flashsim_engine::ckpt::{CkptError, CkptReader, CkptWriter};
+use flashsim_engine::ckpt::{Ckpt, CkptError};
 use flashsim_engine::{MetricId, MetricKind, Observers, Resource, StatSet, Time, TimeDelta};
 
 /// A hypercube topology over a power-of-two number of nodes.
@@ -313,46 +313,21 @@ impl Network {
         self.params.hop_latency * u64::from(hops)
     }
 
-    /// Serializes link occupancy timelines, traffic counters, and the
-    /// in-flight arrival set into the current checkpoint section.
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.u64s(
-            "shape",
-            &[
-                u64::from(self.topo.nodes),
-                u64::from(self.params.contention),
-            ],
-        );
-        w.u64("messages", self.messages);
-        w.u64("total_hops", self.total_hops);
-        w.delta("total_wait", self.total_wait);
-        let inflight: Vec<u64> = self.inflight.iter().map(|t| t.as_ps()).collect();
-        w.u64s("inflight", &inflight);
-        for link in &self.links {
-            link.save_ckpt(w);
-        }
-    }
-
-    /// Restores the state saved by [`Network::save_ckpt`]. Fails closed
-    /// on a different topology or contention setting.
-    pub fn load_ckpt(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let shape = r.u64s("shape")?;
-        let expect = [
+    /// Walks link occupancy timelines, traffic counters, and the
+    /// in-flight arrival set in the current checkpoint section; a restore
+    /// fails closed on a different topology or contention setting.
+    pub fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        let shape = [
             u64::from(self.topo.nodes),
             u64::from(self.params.contention),
         ];
-        if shape != expect {
-            return Err(CkptError::Parse {
-                key: "shape".to_string(),
-                value: format!("{shape:?}, network has {expect:?}"),
-            });
-        }
-        self.messages = r.u64("messages")?;
-        self.total_hops = r.u64("total_hops")?;
-        self.total_wait = r.delta("total_wait")?;
-        self.inflight = r.u64s("inflight")?.into_iter().map(Time::from_ps).collect();
-        for link in self.links.iter_mut() {
-            link.load_ckpt(r)?;
+        c.interlock("shape", &shape)?;
+        c.u64("messages", &mut self.messages)?;
+        c.u64("total_hops", &mut self.total_hops)?;
+        c.delta("total_wait", &mut self.total_wait)?;
+        c.times("inflight", &mut self.inflight, ..)?;
+        for link in &mut self.links {
+            link.ckpt(c)?;
         }
         Ok(())
     }
@@ -372,6 +347,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flashsim_engine::ckpt::{CkptReader, CkptWriter};
 
     #[test]
     fn hypercube_construction() {
@@ -501,12 +477,12 @@ mod tests {
         a.send(0, 3, 128, Time::ZERO);
         a.send(0, 1, 128, Time::from_ns(1));
         let mut w = CkptWriter::new("net-test");
-        a.save_ckpt(&mut w);
+        a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
         let text = w.finish();
 
         let mut b = Network::new(Topology::hypercube(4).unwrap(), NetworkParams::flash());
         let mut r = CkptReader::open(&text).expect("open");
-        b.load_ckpt(&mut r).expect("load");
+        b.ckpt(&mut Ckpt::Load(&mut r)).expect("load");
         r.finish().expect("fully consumed");
 
         // Identical future behaviour: same queueing on the shared link.
@@ -518,7 +494,7 @@ mod tests {
         let mut other = Network::new(Topology::hypercube(8).unwrap(), NetworkParams::flash());
         let mut r = CkptReader::open(&text).expect("open");
         assert!(matches!(
-            other.load_ckpt(&mut r),
+            other.ckpt(&mut Ckpt::Load(&mut r)),
             Err(CkptError::Parse { .. })
         ));
     }

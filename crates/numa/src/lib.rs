@@ -41,7 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use flashsim_engine::ckpt::{CkptError, CkptReader, CkptWriter};
+use flashsim_engine::ckpt::{Ckpt, CkptError};
 use flashsim_engine::{Observers, StatSet, Time, TimeDelta};
 use flashsim_mem::system::{MemOutcome, MemRequest, MemorySystem, NodeId};
 use flashsim_mem::LineAddr;
@@ -240,12 +240,8 @@ impl MemorySystem for Numa {
         "numa"
     }
 
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        self.walk.save_ckpt(w);
-    }
-
-    fn load_ckpt(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        self.walk.load_ckpt(r)
+    fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        self.walk.ckpt(c)
     }
 
     fn min_shared_latency(&self) -> TimeDelta {
@@ -259,6 +255,7 @@ impl MemorySystem for Numa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flashsim_engine::ckpt::{CkptReader, CkptWriter};
     use flashsim_mem::system::{AccessKind, ProtocolCase};
 
     fn numa(nodes: u32) -> Numa {
@@ -356,12 +353,12 @@ mod tests {
             read(&mut a, 1, 0x1000 + i * 128, 20_000); // bank contention
         }
         let mut w = CkptWriter::new("numa-test");
-        MemorySystem::save_ckpt(&a, &mut w);
+        MemorySystem::ckpt(&mut a, &mut Ckpt::Save(&mut w)).unwrap();
         let text = w.finish();
 
         let mut b = numa(4);
         let mut r = CkptReader::open(&text).expect("open");
-        b.load_ckpt(&mut r).expect("load");
+        b.ckpt(&mut Ckpt::Load(&mut r)).expect("load");
         r.finish().expect("fully consumed");
 
         assert_eq!(a.stats().to_json(), b.stats().to_json());
@@ -377,7 +374,7 @@ mod tests {
         let mut other = numa(8);
         let mut r = CkptReader::open(&text).expect("open");
         assert!(matches!(
-            other.load_ckpt(&mut r),
+            other.ckpt(&mut Ckpt::Load(&mut r)),
             Err(CkptError::Parse { .. })
         ));
     }

@@ -15,7 +15,7 @@
 //! behaviour is identical, mirroring the paper's "the same protocol is
 //! used in FlashLite and on the real hardware".
 
-use flashsim_engine::ckpt::{CkptError, CkptReader, CkptWriter};
+use flashsim_engine::ckpt::{bad, Ckpt, CkptError};
 use flashsim_mem::addr::LineAddr;
 use flashsim_mem::system::NodeId;
 
@@ -38,10 +38,21 @@ struct Header {
     list: Option<u32>,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct PoolSlot {
     node: NodeId,
     next: Option<u32>,
+}
+
+/// A pointer-store link as a checkpoint writes it: `u64::MAX` for none.
+fn link(at: Option<u32>) -> u64 {
+    at.map_or(u64::MAX, u64::from)
+}
+
+/// [`link`] read back; a value past `u32` saturates, and so falls outside
+/// any pool.
+fn unlink(v: u64) -> Option<u32> {
+    (v != u64::MAX).then(|| v.try_into().unwrap_or(u32::MAX))
 }
 
 /// Where the data for a read comes from.
@@ -565,94 +576,117 @@ impl Directory {
         }
     }
 
-    /// Serializes the headers (sorted by line address, which is the
-    /// table's own order), the pointer store in slot order (indices are
-    /// links), and the free-list head.
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.u64("pool_capacity", u64::from(self.pool_capacity));
-        w.u64("pool_used", u64::from(self.pool_used));
-        w.u64("reclaims", self.reclaims);
-        w.u64("free", self.free.map_or(u64::MAX, u64::from));
-        w.u64("pool", self.pool.len() as u64);
-        for slot in &self.pool {
-            w.u64s(
-                "slot",
-                &[u64::from(slot.node), slot.next.map_or(u64::MAX, u64::from)],
-            );
+    /// Walks the headers (sorted by line address, which is the table's
+    /// own order), the pointer store in slot order (indices are links),
+    /// and the free-list head. A restore fails closed on a different
+    /// pointer-pool capacity, on a row the header table cannot hold, and
+    /// on a pointer store some operation could index out of bounds or
+    /// chase forever ([`Directory::check_pool`]).
+    pub fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        c.interlock("pool_capacity", &[u64::from(self.pool_capacity)])?;
+        let mut used = u64::from(self.pool_used);
+        c.u64("pool_used", &mut used)?;
+        c.u64("reclaims", &mut self.reclaims)?;
+        let mut free = link(self.free);
+        c.u64("free", &mut free)?;
+        c.list("pool", &mut self.pool, |c, slot| {
+            let mut row = [u64::from(slot.node), link(slot.next)];
+            c.array("slot", &mut row)?;
+            (slot.node, slot.next) = (row[0] as NodeId, unlink(row[1]));
+            Ok(())
+        })?;
+        let mut rows: Vec<[u64; 4]> = self
+            .headers
+            .iter()
+            .map(|(line, h)| [line.get(), h.state as u64, u64::from(h.head), link(h.list)])
+            .collect();
+        c.list("headers", &mut rows, |c, row| c.array("hdr", row))?;
+        if !c.loading() {
+            return Ok(());
         }
-        w.u64("headers", self.headers.iter().count() as u64);
-        for (line, h) in self.headers.iter() {
-            w.u64s(
-                "hdr",
-                &[
-                    line.get(),
-                    match h.state {
-                        DirState::Shared => 0,
-                        DirState::Owned => 1,
-                    },
-                    u64::from(h.head),
-                    h.list.map_or(u64::MAX, u64::from),
-                ],
-            );
-        }
-    }
-
-    /// Restores the state saved by [`Directory::save_ckpt`]. Fails
-    /// closed on a different pointer-pool capacity.
-    pub fn load_ckpt(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let cap = r.u64("pool_capacity")?;
-        if cap != u64::from(self.pool_capacity) {
-            return Err(CkptError::Parse {
-                key: "pool_capacity".to_string(),
-                value: format!("{cap}, directory has {}", self.pool_capacity),
-            });
-        }
-        self.pool_used = r.u64("pool_used")? as u32;
-        self.reclaims = r.u64("reclaims")?;
-        let free = r.u64("free")?;
-        self.free = (free != u64::MAX).then_some(free as u32);
-        let pool_len = r.u64("pool")?;
-        self.pool.clear();
-        for _ in 0..pool_len {
-            let vals = r.u64s("slot")?;
-            let [node, next] =
-                <[u64; 2]>::try_from(vals.as_slice()).map_err(|_| CkptError::Parse {
-                    key: "slot".to_string(),
-                    value: format!("{vals:?}"),
-                })?;
-            self.pool.push(PoolSlot {
-                node: node as NodeId,
-                next: (next != u64::MAX).then_some(next as u32),
-            });
-        }
-        let headers = r.u64("headers")?;
+        (self.pool_used, self.free) = (used.try_into().unwrap_or(u32::MAX), unlink(free));
         self.headers.clear();
-        for _ in 0..headers {
-            let vals = r.u64s("hdr")?;
-            let bad = |vals: &[u64]| CkptError::Parse {
-                key: "hdr".to_string(),
-                value: format!("{vals:?}"),
-            };
-            let [line, state, head, list] = match <[u64; 4]>::try_from(vals.as_slice()) {
-                Ok(v) => v,
-                Err(_) => return Err(bad(&vals)),
-            };
+        for [line, state, head, list] in rows {
+            let bad_row = || bad("hdr", format!("{line},{state},{head},{list}"));
             let state = match state {
                 0 => DirState::Shared,
                 1 => DirState::Owned,
-                _ => return Err(bad(&vals)),
+                _ => return Err(bad_row()),
             };
             if self.headers.try_locate(LineAddr(line)).is_none() {
-                return Err(bad(&vals));
+                return Err(bad_row());
             }
             let at = self.headers.entry(LineAddr(line));
+            let list = unlink(list);
             self.headers.slots[at] = Some(Header {
                 state,
                 head: head as NodeId,
-                list: (list != u64::MAX).then_some(list as u32),
+                list,
             });
         }
+        self.check_pool()
+    }
+
+    /// What a restored pointer store must satisfy for every operation to
+    /// stay in bounds and terminate: the store and its use within
+    /// capacity, every link inside the store, and every chain — the free
+    /// list and each header's sharer list — ending without meeting a
+    /// slot another chain (or itself) already holds. Slots listed by
+    /// headers count against `pool_used`, so freeing them cannot take it
+    /// below zero. Each condition holds of any prefix of the header rows,
+    /// so it never masks a row-count error the reader reports next.
+    fn check_pool(&self) -> Result<(), CkptError> {
+        let len = self.pool.len();
+        if len > self.pool_capacity as usize {
+            return Err(bad("pool", format!("{len} slots over capacity")));
+        }
+        if self.pool_used > self.pool_capacity {
+            return Err(bad("pool_used", self.pool_used));
+        }
+        if let Some(next) = self
+            .pool
+            .iter()
+            .find_map(|s| s.next.filter(|&n| n as usize >= len))
+        {
+            return Err(bad("slot", format!("next {next} outside a pool of {len}")));
+        }
+        let mut held = vec![false; len];
+        let mut listed = 0u32;
+        let lists = self.headers.iter().map(|(_, h)| ("hdr", h.list));
+        for (key, mut cur) in std::iter::once(("free", self.free)).chain(lists) {
+            while let Some(at) = cur {
+                match held.get_mut(at as usize) {
+                    Some(h) if !*h => *h = true,
+                    Some(_) => return Err(bad(key, format!("slot {at} on a second chain"))),
+                    None => return Err(bad(key, format!("{at} outside a pool of {len}"))),
+                }
+                listed += u32::from(key == "hdr");
+                cur = self.pool[at as usize].next;
+            }
+        }
+        if listed > self.pool_used {
+            return Err(bad(
+                "pool_used",
+                format!("{} below {listed} listed", self.pool_used),
+            ));
+        }
         Ok(())
+    }
+
+    /// Checked after a restore: every node the directory names — a
+    /// header's owner or first sharer, a pointer-store slot's sharer — is
+    /// one of the machine's `nodes`, or an invalidation would go nowhere.
+    pub(crate) fn check_nodes(&self, nodes: NodeId) -> Result<(), CkptError> {
+        if let Some((line, h)) = self.headers.iter().find(|(_, h)| h.head >= nodes) {
+            return Err(bad(
+                "hdr",
+                format!("{line} names node {} of {nodes}", h.head),
+            ));
+        }
+        match self.pool.iter().find(|s| s.node >= nodes) {
+            Some(s) => Err(bad("slot", format!("node {} of {nodes}", s.node))),
+            None => Ok(()),
+        }
     }
 
     /// True if `line` is owned dirty-exclusive by some node.
@@ -672,6 +706,7 @@ impl Directory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flashsim_engine::ckpt::{CkptReader, CkptWriter};
 
     const L: LineAddr = LineAddr(0x1000);
 
@@ -844,12 +879,12 @@ mod tests {
         a.read_exclusive(l2, 4);
         a.writeback(l2, 4); // exercises the free list
         let mut w = CkptWriter::new("dir-test");
-        a.save_ckpt(&mut w);
+        a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
         let text = w.finish();
 
         let mut b = Directory::new(2);
         let mut r = CkptReader::open(&text).expect("open");
-        b.load_ckpt(&mut r).expect("load");
+        b.ckpt(&mut Ckpt::Load(&mut r)).expect("load");
         r.finish().expect("fully consumed");
 
         assert_eq!(a.sharers(L), b.sharers(L));
@@ -862,7 +897,7 @@ mod tests {
         let mut other = Directory::new(16);
         let mut r = CkptReader::open(&text).expect("open");
         assert!(matches!(
-            other.load_ckpt(&mut r),
+            other.ckpt(&mut Ckpt::Load(&mut r)),
             Err(CkptError::Parse { .. })
         ));
     }
@@ -929,9 +964,117 @@ mod tests {
             let text = w.finish();
             let mut r = CkptReader::open(&text).expect("open");
             assert!(matches!(
-                Directory::for_home(2, 1, 1 << 24, 128).load_ckpt(&mut r),
+                Directory::for_home(2, 1, 1 << 24, 128).ckpt(&mut Ckpt::Load(&mut r)),
                 Err(CkptError::Parse { .. })
             ));
         }
+    }
+
+    const NONE: u64 = u64::MAX;
+
+    /// Restores a two-slot-pool directory from the fields after
+    /// `pool_capacity`, written as a checkpoint would carry them.
+    fn restore(
+        used: u64,
+        free: u64,
+        slots: &[[u64; 2]],
+        hdrs: &[[u64; 4]],
+    ) -> Result<Directory, CkptError> {
+        let mut w = CkptWriter::new("dir-test");
+        w.u64("pool_capacity", 2);
+        w.u64("pool_used", used);
+        w.u64("reclaims", 0);
+        w.u64("free", free);
+        w.u64("pool", slots.len() as u64);
+        for slot in slots {
+            w.u64s("slot", slot);
+        }
+        w.u64("headers", hdrs.len() as u64);
+        for hdr in hdrs {
+            w.u64s("hdr", hdr);
+        }
+        let text = w.finish();
+        let mut r = CkptReader::open(&text).expect("open");
+        let mut d = Directory::new(2);
+        d.ckpt(&mut Ckpt::Load(&mut r))?;
+        r.finish().expect("fully consumed");
+        Ok(d)
+    }
+
+    #[test]
+    fn a_consistent_pointer_store_restores() {
+        // Line 0 shared by 1 (inline) and 0 (slot 0); slot 1 free.
+        let d = restore(1, 1, &[[0, NONE], [1, NONE]], &[[0, 0, 1, 0]]).expect("restores");
+        assert_eq!(d.sharers(LineAddr(0)), [0, 1]);
+        assert_eq!(d.check_nodes(2), Ok(()));
+    }
+
+    #[test]
+    fn a_sharer_list_past_the_pool_is_rejected() {
+        // Restored unchecked, this directory panicked on the first read of
+        // line 0: "index out of bounds: the len is 1 but the index is 99".
+        let err = restore(1, NONE, &[[0, NONE]], &[[0, 0, 1, 99]]).expect_err("dangling list");
+        assert_eq!(err, bad("hdr", "99 outside a pool of 1"));
+    }
+
+    #[test]
+    fn a_free_list_past_the_pool_is_rejected() {
+        let err = restore(0, 1, &[[0, NONE]], &[]).expect_err("dangling free list");
+        assert_eq!(err, bad("free", "1 outside a pool of 1"));
+    }
+
+    #[test]
+    fn a_slot_link_past_the_pool_is_rejected() {
+        let err = restore(0, NONE, &[[0, 7]], &[]).expect_err("dangling slot link");
+        assert_eq!(err, bad("slot", "next 7 outside a pool of 1"));
+    }
+
+    #[test]
+    fn a_pool_over_capacity_is_rejected() {
+        let slots = [[0, NONE]; 3];
+        let err = restore(0, NONE, &slots, &[]).expect_err("three slots in a pool of two");
+        assert_eq!(err, bad("pool", "3 slots over capacity"));
+    }
+
+    #[test]
+    fn pool_use_over_capacity_is_rejected() {
+        let err = restore(3, NONE, &[], &[]).expect_err("three used of two");
+        assert_eq!(err, bad("pool_used", 3));
+    }
+
+    #[test]
+    fn a_sharer_chain_with_a_cycle_is_rejected() {
+        // Restored unchecked, the first read of line 0 walked this chain
+        // forever: a hang, not a panic.
+        let slots = [[0, 1], [2, 0]];
+        let err = restore(2, NONE, &slots, &[[0, 0, 1, 0]]).expect_err("cyclic chain");
+        assert_eq!(err, bad("hdr", "slot 0 on a second chain"));
+    }
+
+    #[test]
+    fn a_slot_on_two_chains_is_rejected() {
+        // Free and listed at once: the next allocation would splice the
+        // free list into line 0's sharers.
+        let err = restore(1, 0, &[[0, NONE]], &[[0, 0, 1, 0]]).expect_err("shared slot");
+        assert_eq!(err, bad("hdr", "slot 0 on a second chain"));
+    }
+
+    #[test]
+    fn more_listed_slots_than_pool_use_is_rejected() {
+        // Freeing line 0's one listed slot would take `pool_used` below 0.
+        let err = restore(0, NONE, &[[0, NONE]], &[[0, 0, 1, 0]]).expect_err("underflow");
+        assert_eq!(err, bad("pool_used", "0 below 1 listed"));
+    }
+
+    #[test]
+    fn nodes_past_the_machine_are_found() {
+        let d = restore(1, NONE, &[[5, NONE]], &[[0, 0, 1, 0]]).expect("a pointer store in order");
+        assert_eq!(d.check_nodes(8), Ok(()));
+        assert_eq!(d.check_nodes(2), Err(bad("slot", "node 5 of 2")));
+        let d = restore(0, NONE, &[], &[[0x80, 1, 8, NONE]]).expect("one owned line");
+        assert_eq!(
+            d.check_nodes(2),
+            Err(bad("hdr", "l:0x80 names node 8 of 2"))
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! The per-case transaction ledger both memory-system models keep.
 
-use flashsim_engine::ckpt::{CkptError, CkptReader, CkptWriter};
+use flashsim_engine::ckpt::{bad, Ckpt, CkptError};
 use flashsim_engine::{StatSet, TimeDelta};
 use flashsim_mem::system::ProtocolCase;
 
@@ -46,44 +46,30 @@ impl CaseLedger {
         }
     }
 
-    /// Serializes the cases that occurred into the current section.
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.u64("cases", self.present().count() as u64);
-        for (case, count) in self.present() {
-            w.str("case", case.key());
-            w.u64("count", count);
-            w.f64("latency_ns", self.latency_ns[case.index()]);
+    /// Walks the cases that occurred in the current section; a restore
+    /// replaces the ledger and fails closed on an unknown case key or a
+    /// case listed with no transactions.
+    pub fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        let mut keys: Vec<&'static str> = self.present().map(|(case, _)| case.key()).collect();
+        if c.loading() {
+            *self = CaseLedger::default();
         }
-    }
-
-    /// Restores the state saved by [`CaseLedger::save_ckpt`]. Fails
-    /// closed on an unknown case key or a case listed with no
-    /// transactions.
-    pub fn load_ckpt(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        *self = CaseLedger::default();
-        for _ in 0..r.u64("cases")? {
-            let key = r.str_field("case")?;
-            let case = ProtocolCase::from_key(&key).ok_or_else(|| CkptError::Parse {
-                key: "case".to_string(),
-                value: key.clone(),
-            })?;
-            let count = r.u64("count")?;
-            if count == 0 {
-                return Err(CkptError::Parse {
-                    key: "count".to_string(),
-                    value: format!("0 for case {key}"),
-                });
+        c.list("cases", &mut keys, |c, key| {
+            c.label("case", key)?;
+            let case = ProtocolCase::from_key(key).ok_or_else(|| bad("case", *key))?;
+            c.u64("count", &mut self.counts[case.index()])?;
+            if self.counts[case.index()] == 0 {
+                return Err(bad("count", format!("0 for case {key}")));
             }
-            self.counts[case.index()] = count;
-            self.latency_ns[case.index()] = r.f64("latency_ns")?;
-        }
-        Ok(())
+            c.f64("latency_ns", &mut self.latency_ns[case.index()])
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flashsim_engine::ckpt::{CkptReader, CkptWriter};
 
     #[test]
     fn lists_only_cases_that_occurred_in_declaration_order() {
@@ -100,7 +86,7 @@ mod tests {
         assert_eq!(s.get("proto.remote_clean.count"), None);
 
         let mut w = CkptWriter::new("ledger-test");
-        l.save_ckpt(&mut w);
+        l.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
         let text = w.finish();
         let (a, b) = (
             text.find("local_clean").expect("listed"),
@@ -112,10 +98,10 @@ mod tests {
         let mut back = CaseLedger::default();
         back.record(ProtocolCase::RemoteClean, TimeDelta::from_ns(1));
         let mut r = CkptReader::open(&text).expect("open");
-        back.load_ckpt(&mut r).expect("load");
+        back.ckpt(&mut Ckpt::Load(&mut r)).expect("load");
         r.finish().expect("fully consumed");
         let mut w = CkptWriter::new("ledger-test");
-        back.save_ckpt(&mut w);
+        back.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
         assert_eq!(w.finish(), text);
     }
 }

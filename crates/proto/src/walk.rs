@@ -21,7 +21,7 @@
 //! charge; work that overlaps the critical path runs inside
 //! [`Walk::offpath`], which records it uncharged.
 
-use flashsim_engine::ckpt::{CkptError, CkptReader, CkptWriter};
+use flashsim_engine::ckpt::{Ckpt, CkptError};
 use flashsim_engine::{
     MetricId, MetricKind, Observers, ResourcePool, SpanClass, StatSet, Telemetry, Time, TimeDelta,
 };
@@ -197,35 +197,20 @@ impl Walk {
         s.set("mem.bank_wait_ns", bank_wait);
     }
 
-    /// Serializes the machine shape, case ledger, directories and bank
-    /// timelines.
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.u64s("shape", &[self.dirs.len() as u64, self.node_mem_bytes]);
-        self.cases.save_ckpt(w);
-        for dir in &self.dirs {
-            dir.save_ckpt(w);
+    /// Walks the machine shape, case ledger, directories and bank
+    /// timelines; a restore fails closed on a walk of another shape.
+    pub fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+        c.interlock("shape", &[self.dirs.len() as u64, self.node_mem_bytes])?;
+        self.cases.ckpt(c)?;
+        let nodes = self.dirs.len() as NodeId;
+        for dir in &mut self.dirs {
+            dir.ckpt(c)?;
+            if c.loading() {
+                dir.check_nodes(nodes)?;
+            }
         }
-        for m in &self.banks {
-            m.save_ckpt(w);
-        }
-    }
-
-    /// Restores the state saved by [`Walk::save_ckpt`] into a walk of the
-    /// same shape; fails closed on any other.
-    pub fn load_ckpt(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let shape = r.u64s("shape")?;
-        if shape != [self.dirs.len() as u64, self.node_mem_bytes] {
-            return Err(CkptError::Parse {
-                key: "shape".to_string(),
-                value: format!("{shape:?}"),
-            });
-        }
-        self.cases.load_ckpt(r)?;
-        for dir in self.dirs.iter_mut() {
-            dir.load_ckpt(r)?;
-        }
-        for m in self.banks.iter_mut() {
-            m.load_ckpt(r)?;
+        for bank in &mut self.banks {
+            bank.ckpt(c)?;
         }
         Ok(())
     }

@@ -6,7 +6,7 @@
 //! (this workspace builds offline, so no external property-testing
 //! framework).
 
-use flashsim_engine::ckpt::CkptWriter;
+use flashsim_engine::ckpt::{Ckpt, CkptWriter};
 use flashsim_engine::Rng;
 use flashsim_mem::LineAddr;
 use flashsim_proto::{DataSource, Directory};
@@ -194,7 +194,7 @@ fn recorded_scenario(mut dir: Directory) -> String {
         }
     }
     let mut w = CkptWriter::new("recorded-scenario");
-    dir.save_ckpt(&mut w);
+    dir.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
     w.finish()
 }
 

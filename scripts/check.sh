@@ -203,6 +203,28 @@ if [ -n "$walks" ]; then
     exit 1
 fi
 
+echo "== one-checkpoint-walk gate (each component checkpoints through one walk) =="
+# A component names each checkpointed field once, in one
+# `ckpt(&mut self, c: &mut Ckpt)` that both saves and restores: a
+# hand-mirrored save/load pair does not come back, and a restore-time
+# check is an engine::ckpt walker helper or `ckpt::bad`, not an inline
+# `CkptError::Parse` outside the format layer. (Test modules, which match
+# on the error's kind, are exempt.) `OooConfig::exception_flush`, a knob
+# zero on every config, stays deleted.
+pairs=$(grep -rnE 'fn (save_ckpt|load_ckpt)\b' crates/*/src || true)
+literals=$(find crates -name '*.rs' -path '*/src/*' ! -path crates/engine/src/ckpt.rs \
+    -exec awk '
+        FNR == 1 { intest = 0 }
+        /#\[cfg\(test\)\]/ { intest = 1 }
+        !intest && /CkptError::Parse \{/ { print FILENAME ":" FNR ": " $0 }
+    ' {} +)
+flush=$(grep -rn 'exception_flush' crates || true)
+if [ -n "$pairs$literals$flush" ]; then
+    echo "a second checkpoint path, an inline Parse error, or exception_flush:"
+    printf '%s\n' "$pairs" "$literals" "$flush" | sed '/^$/d'
+    exit 1
+fi
+
 echo "== one-tool gate (one binary, one validate entry point) =="
 # Every command-line surface is a subcommand of `flashsim`; a second file
 # under src/bin is a second tool, and a format validator called past the

@@ -5,10 +5,15 @@
 //! boundary and hit with seeded single-byte mutations, and every
 //! variant goes through `Schema::validate`. A checkpoint's checksum
 //! stops almost all of those at the door, so a second pass reseals each
-//! mutated checkpoint and hands it to `Machine::restore` as well.
+//! mutated checkpoint and hands it to `Machine::restore` as well, and a
+//! third reseals structural mutations of its lines (one deleted,
+//! duplicated, or swapped with the next). A restore that succeeds must
+//! also *run* without panicking: the restored state is what the
+//! simulator then trusts.
 
+use flashsim::engine::ckpt::CkptError;
 use flashsim::engine::{ckpt, Rng, Schema, SpanPlan, Time, TimeDelta};
-use flashsim::machine::{Machine, MachineConfig, RestoreError};
+use flashsim::machine::{run_program, Machine, MachineConfig, RestoreError, Watchdog};
 use flashsim::platform::{MemModel, Sim, Study};
 use flashsim::workloads::{Fft, FftBlocking, ProblemScale};
 use std::panic::catch_unwind;
@@ -131,10 +136,11 @@ fn resealed(body: &str) -> String {
     format!("{body}checksum={}\n", ckpt::provenance_hash(body))
 }
 
-#[test]
-fn checkpoint_mutations_that_survive_the_checksum_never_panic_restore() {
-    // A 256-point FFT: every restore spawns the program's generator
-    // threads and replays the ops consumed so far, 2 400 times over.
+/// The observed configuration, the 256-point FFT every restore replays,
+/// and its checkpoint at the middle barrier split into the three header
+/// lines and the state below them: a mutated header is rejected before
+/// any field parser runs, so damage goes below it.
+fn restore_subject() -> (MachineConfig, Fft, String, String) {
     let (cfg, program) = (observed(), Fft::new(1 << 8, 2, FftBlocking::Cache));
     let (_, good) = documents(cfg.clone(), &program)
         .into_iter()
@@ -143,9 +149,6 @@ fn checkpoint_mutations_that_survive_the_checksum_never_panic_restore() {
     let body = &good[..good.rfind("checksum=").expect("a trailer")];
     assert_eq!(resealed(body), good, "the trailer is recomputed as written");
     Machine::restore(cfg.clone(), &program, &good).expect("the pristine checkpoint restores");
-
-    // Damage below the provenance header only: a mutated header is
-    // rejected before any field parser runs.
     let header = body
         .match_indices('\n')
         .nth(2)
@@ -153,22 +156,54 @@ fn checkpoint_mutations_that_survive_the_checksum_never_panic_restore() {
         .0
         + 1;
     let (header, state) = body.split_at(header);
+    (cfg, program, header.to_owned(), state.to_owned())
+}
+
+/// `cfg` under a watchdog of twice the ops its straight run of `program`
+/// executes, so that a restored state that never finishes fails the run
+/// instead of hanging the test.
+fn watched(mut cfg: MachineConfig, program: &Fft) -> MachineConfig {
+    let straight = run_program(cfg.clone(), program).expect("straight run");
+    cfg.watchdog = Watchdog::with_budget(2 * straight.ops_per_node.iter().sum::<u64>());
+    cfg
+}
+
+/// Restores `text` and, if `run` and the restore succeeds, runs the
+/// machine; a panic in either fails the test with the offending input.
+/// Returns whether `text` restored.
+fn restore_then_run(cfg: &MachineConfig, program: &Fft, text: &str, run: bool) -> bool {
+    let outcome = catch_unwind(|| match Machine::restore(cfg.clone(), program, text) {
+        Ok(mut m) => {
+            if run {
+                let _ = m.run();
+            }
+            true
+        }
+        Err(_) => false,
+    });
+    outcome.unwrap_or_else(|_| panic!("a resealed checkpoint panicked restore or its run:\n{text}"))
+}
+
+#[test]
+fn checkpoint_mutations_that_survive_the_checksum_never_panic_restore() {
+    // A 256-point FFT: every restore spawns the program's generator
+    // threads and replays the ops consumed so far, 2 400 times over.
+    let (cfg, program, header, state) = restore_subject();
+    let watched = watched(cfg.clone(), &program);
     let mut rng = Rng::seeded(0xC4A7);
     let hostile = (0..MUTATIONS)
-        .map(|_| mutated(state, &mut rng))
-        .chain(saturated(state, 400));
+        .map(|_| mutated(&state, &mut rng))
+        .chain(saturated(&state, 400));
     let (mut tried, mut past_the_door) = (0u64, 0u64);
-    for state in hostile {
+    for (i, state) in hostile.enumerate() {
         let text = resealed(&format!("{header}{state}"));
-        let outcome = catch_unwind(|| {
-            let valid = Schema::Ckpt.validate(&text).is_ok();
-            let _ = Machine::restore(cfg.clone(), &program, &text);
-            valid
-        });
-        match outcome {
-            Ok(valid) => past_the_door += u64::from(valid),
-            Err(_) => panic!("a resealed checkpoint panicked a reader:\n{text}"),
-        }
+        let valid = catch_unwind(|| Schema::Ckpt.validate(&text).is_ok())
+            .unwrap_or_else(|_| panic!("a resealed checkpoint panicked a reader:\n{text}"));
+        past_the_door += u64::from(valid);
+        // Every tenth byte mutation — 200 of them — also runs what it
+        // restored.
+        let run = i < MUTATIONS as usize && i % 10 == 0;
+        restore_then_run(&watched, &program, &text, run);
         tried += 1;
     }
     assert!(tried >= 2_000, "{tried} mutations");
@@ -178,6 +213,7 @@ fn checkpoint_mutations_that_survive_the_checksum_never_panic_restore() {
     );
 
     // The parent format: two stream-position fields after `ckpt_seq`.
+    let body = format!("{header}{state}");
     let old = body.replacen("\nnodes=", "\nstream_seq=7\nstream_last_ps=1000\nnodes=", 1);
     assert_ne!(old, body);
     let old = resealed(&old);
@@ -188,4 +224,54 @@ fn checkpoint_mutations_that_survive_the_checksum_never_panic_restore() {
         Machine::restore(cfg, &program, &old),
         Err(RestoreError::Ckpt(_))
     ));
+}
+
+/// Every structural mutation of the state lines — each line deleted,
+/// duplicated, and swapped with the next — restores or is rejected, and
+/// what restores runs, without a panic; and a header whose sharer list
+/// points past the directory's pointer store is rejected at restore, not
+/// found by the first read of its line.
+#[test]
+fn structural_checkpoint_mutations_never_panic_restore_or_the_run() {
+    let (cfg, program, header, state) = restore_subject();
+    let watched = watched(cfg, &program);
+    let lines: Vec<&str> = state.lines().collect();
+    let (mut tried, mut restored) = (0u64, 0u64);
+    for i in 0..lines.len() {
+        let mut deleted = lines.clone();
+        deleted.remove(i);
+        let mut duplicated = lines.clone();
+        duplicated.insert(i, lines[i]);
+        let mut swapped = lines.clone();
+        swapped.swap(i, (i + 1).min(lines.len() - 1));
+        for mutant in [deleted, duplicated, swapped] {
+            let text = resealed(&format!("{header}{}\n", mutant.join("\n")));
+            restored += u64::from(restore_then_run(&watched, &program, &text, true));
+            tried += 1;
+        }
+    }
+    assert!(tried > 3_000, "{tried} structural mutations");
+    assert!(restored > 0, "no structural mutation restored");
+
+    // The dangling sharer list: the first header becomes a Shared line
+    // whose chain starts one slot past its directory's pointer store.
+    let hdr = lines
+        .iter()
+        .position(|l| l.starts_with("hdr="))
+        .expect("a directory header");
+    let pool = lines[..hdr]
+        .iter()
+        .rev()
+        .find_map(|l| l.strip_prefix("pool="))
+        .expect("its pointer store");
+    let line = lines[hdr].split(['=', ',']).nth(1).expect("a line");
+    let mut dangling = lines.clone();
+    let row = format!("hdr={line},0,1,{pool}");
+    dangling[hdr] = &row;
+    let text = resealed(&format!("{header}{}\n", dangling.join("\n")));
+    let err = Machine::restore(watched, &program, &text).expect_err("a dangling list");
+    assert!(
+        matches!(&err, RestoreError::Ckpt(CkptError::Parse { key, .. }) if key == "hdr"),
+        "got {err}"
+    );
 }
