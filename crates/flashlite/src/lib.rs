@@ -91,6 +91,10 @@ impl FlashLite {
     /// # Errors
     ///
     /// Returns an error if `nodes` is not a power of two (hypercube).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node_mem_bytes` is not a power of two.
     pub fn new(
         nodes: u32,
         node_mem_bytes: u64,

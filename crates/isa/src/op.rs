@@ -40,9 +40,9 @@ impl VAddr {
         self.0
     }
 
-    /// The virtual page number for a given page size.
-    pub const fn vpn(self, page_bytes: u64) -> u64 {
-        self.0 / page_bytes
+    /// The virtual page number for pages of `1 << page_shift` bytes.
+    pub const fn vpn(self, page_shift: u32) -> u64 {
+        self.0 >> page_shift
     }
 }
 
@@ -347,8 +347,8 @@ mod tests {
     fn vaddr_offset_and_vpn() {
         let a = VAddr(0x1000);
         assert_eq!(a.offset(0x234).get(), 0x1234);
-        assert_eq!(VAddr(0x2fff).vpn(4096), 2);
-        assert_eq!(VAddr(0x3000).vpn(4096), 3);
+        assert_eq!(VAddr(0x2fff).vpn(12), 2);
+        assert_eq!(VAddr(0x3000).vpn(12), 3);
     }
 
     #[test]

@@ -193,6 +193,39 @@ impl MachineGeometry {
     pub fn frames_per_node(&self) -> u64 {
         self.node_mem_bytes / self.page_bytes
     }
+
+    /// log2 of the page size, which [`Machine::new`](crate::Machine::new)
+    /// has checked is a power of two.
+    pub(crate) fn page_shift(&self) -> u32 {
+        self.page_bytes.trailing_zeros()
+    }
+
+    /// What [`Machine::new`](crate::Machine::new) requires before it
+    /// builds anything: page size and node memory are non-zero powers of
+    /// two, so every page number, frame number and home node is a shift,
+    /// and each node's memory holds at least one frame per L2 page colour.
+    ///
+    /// # Errors
+    ///
+    /// Says which requirement fails, with the offending sizes.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        for (what, bytes) in [
+            ("page size", self.page_bytes),
+            ("node memory", self.node_mem_bytes),
+        ] {
+            if !bytes.is_power_of_two() {
+                return Err(format!("{what} {bytes} is not a power of two"));
+            }
+        }
+        let (frames, colors) = (self.frames_per_node(), self.colors());
+        if frames < colors {
+            return Err(format!(
+                "node memory {} holds {frames} frames, fewer than the {colors} L2 page colours",
+                self.node_mem_bytes
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// How the machine driver schedules node execution.

@@ -288,6 +288,35 @@ mod tests {
     }
 
     #[test]
+    fn a_malformed_geometry_is_an_error_not_a_panic() {
+        // Each used to panic, to fail as a misaligned segment, or to run
+        // with homes and frames a shift would place wrongly. The scaled
+        // L2 has 32 page colours, so 64 KiB of node memory is too small.
+        let bad = [
+            (0, 32 << 20, "page size 0"),
+            (3000, 32 << 20, "page size 3000"),
+            (4096, 0, "node memory 0"),
+            (4096, (32 << 20) + 100, "node memory 33554532"),
+            (4096, 3 << 20, "node memory 3145728"),
+            (4096, 64 << 10, "16 frames, fewer than the 32"),
+        ];
+        for os in [OsModel::simos_tuned(), OsModel::solo()] {
+            for (page_bytes, node_mem_bytes, why) in bad {
+                let mut c = cfg(1, mipsy(150), os, fl());
+                c.geometry.page_bytes = page_bytes;
+                c.geometry.node_mem_bytes = node_mem_bytes;
+                let err = Machine::new(c.clone(), &small_prog(1)).expect_err(why);
+                assert!(
+                    matches!(&err, MachineError::Geometry(m) if m.contains(why)),
+                    "{err}"
+                );
+                let run = run_program(c, &small_prog(1));
+                assert!(matches!(run, Err(SimError::Build(_))), "{run:?}");
+            }
+        }
+    }
+
+    #[test]
     fn numa_and_flashlite_agree_on_protocol_counts() {
         let prog = small_prog(2);
         let a = run_program(cfg(2, mipsy(150), OsModel::simos_tuned(), fl()), &prog).unwrap();

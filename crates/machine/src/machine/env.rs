@@ -140,10 +140,11 @@ pub(super) fn resolve_private(
         at >= mem.pending.floor(),
         "access issued before its op's start clock"
     );
-    let page_bytes = sink.cfg.geometry.page_bytes;
+    let page_shift = sink.cfg.geometry.page_shift();
+    let vpn = addr.vpn(page_shift);
     // The walk, with the page-fault time it cost this node.
     let walked = |page_faults: &mut u64| {
-        let w = walk(addr.vpn(page_bytes))?;
+        let w = walk(vpn)?;
         let mut fault = TimeDelta::ZERO;
         if w.first_touch {
             *page_faults += 1;
@@ -157,7 +158,7 @@ pub(super) fn resolve_private(
             Some(pfn) => (pfn, TimeDelta::ZERO, TimeDelta::ZERO),
             None => {
                 let (pfn, fault) = walked(&mut mem.page_faults)?;
-                tlb.insert(addr.vpn(page_bytes), pfn);
+                tlb.insert(vpn, pfn);
                 mem.tlb_refills += 1;
                 (pfn, sink.clock.cycles(refill_cycles), fault)
             }
@@ -166,7 +167,7 @@ pub(super) fn resolve_private(
         let (pfn, fault) = walked(&mut mem.page_faults)?;
         (pfn, TimeDelta::ZERO, fault)
     };
-    let paddr = flashsim_mem::addr::translate(addr, pfn, page_bytes);
+    let paddr = flashsim_mem::addr::translate(addr, pfn, page_shift);
     let t = at + refill + fault;
     let write = kind == MemAccessKind::Write;
 
@@ -281,7 +282,7 @@ impl Pager<'_> {
                 let off = addr.get() - seg.base.get();
                 ((off * nodes / seg.bytes) as u32).min(cfg.nodes - 1)
             }
-            Placement::Interleaved => (addr.vpn(cfg.geometry.page_bytes) % nodes) as u32,
+            Placement::Interleaved => (addr.vpn(cfg.geometry.page_shift()) % nodes) as u32,
         })
     }
 

@@ -72,6 +72,10 @@ pub enum MachineError {
         /// Nodes the machine was asked for.
         nodes: u32,
     },
+    /// The geometry's page size or node memory is unusable: each must be
+    /// a non-zero power of two, and a node's memory must hold at least one
+    /// frame per L2 page colour.
+    Geometry(String),
 }
 
 impl fmt::Display for MachineError {
@@ -86,6 +90,7 @@ impl fmt::Display for MachineError {
                 f,
                 "the memory system needs a power-of-two node count, got {nodes}"
             ),
+            MachineError::Geometry(msg) => write!(f, "invalid geometry: {msg}"),
         }
     }
 }
@@ -177,8 +182,8 @@ impl Machine {
     /// # Errors
     ///
     /// Returns [`MachineError`] if the program's thread count does not
-    /// match `cfg.nodes`, its segments are malformed, or the memory
-    /// system cannot span `cfg.nodes` nodes.
+    /// match `cfg.nodes`, the geometry is malformed, its segments are
+    /// malformed, or the memory system cannot span `cfg.nodes` nodes.
     pub fn new(cfg: MachineConfig, program: &dyn Program) -> Result<Machine, MachineError> {
         if program.num_threads() != cfg.nodes as usize {
             return Err(MachineError::ThreadMismatch {
@@ -186,6 +191,7 @@ impl Machine {
                 nodes: cfg.nodes,
             });
         }
+        cfg.geometry.check().map_err(MachineError::Geometry)?;
         if !cfg.memsys.supports_nodes(cfg.nodes) {
             return Err(MachineError::Topology { nodes: cfg.nodes });
         }

@@ -34,9 +34,9 @@ impl PAddr {
         LineAddr(self.0 & !(line_bytes - 1))
     }
 
-    /// The physical frame number for a given page size.
-    pub const fn pfn(self, page_bytes: u64) -> u64 {
-        self.0 / page_bytes
+    /// The physical frame number for pages of `1 << page_shift` bytes.
+    pub const fn pfn(self, page_shift: u32) -> u64 {
+        self.0 >> page_shift
     }
 }
 
@@ -67,9 +67,9 @@ impl LineAddr {
         PAddr(self.0)
     }
 
-    /// The physical frame number for a given page size.
-    pub const fn pfn(self, page_bytes: u64) -> u64 {
-        self.0 / page_bytes
+    /// The physical frame number for pages of `1 << page_shift` bytes.
+    pub const fn pfn(self, page_shift: u32) -> u64 {
+        self.0 >> page_shift
     }
 }
 
@@ -79,10 +79,11 @@ impl fmt::Display for LineAddr {
     }
 }
 
-/// Combines a virtual page number with a physical frame to translate a
-/// virtual address, preserving the in-page offset.
-pub fn translate(vaddr: VAddr, pfn: u64, page_bytes: u64) -> PAddr {
-    PAddr(pfn * page_bytes + vaddr.get() % page_bytes)
+/// Combines a virtual address with the physical frame backing its page
+/// of `1 << page_shift` bytes, preserving the in-page offset.
+pub fn translate(vaddr: VAddr, pfn: u64, page_shift: u32) -> PAddr {
+    let offset = vaddr.get() & ((1 << page_shift) - 1);
+    PAddr(pfn << page_shift | offset)
 }
 
 #[cfg(test)]
@@ -98,13 +99,13 @@ mod tests {
 
     #[test]
     fn pfn_divides_by_page() {
-        assert_eq!(PAddr(0x2fff).pfn(4096), 2);
-        assert_eq!(LineAddr(0x3000).pfn(4096), 3);
+        assert_eq!(PAddr(0x2fff).pfn(12), 2);
+        assert_eq!(LineAddr(0x3000).pfn(12), 3);
     }
 
     #[test]
     fn translate_preserves_offset() {
-        let p = translate(VAddr(0x1234), 7, 4096);
+        let p = translate(VAddr(0x1234), 7, 12);
         assert_eq!(p, PAddr(7 * 4096 + 0x234));
     }
 

@@ -307,17 +307,17 @@ impl Cache {
     }
 
     /// Demotes `line` to Shared (directory-initiated intervention on a
-    /// dirty line). Returns true if the line was present and dirty.
-    pub fn downgrade(&mut self, line: LineAddr) -> bool {
+    /// dirty line). Returns the state it had, or `None` if absent.
+    pub fn downgrade(&mut self, line: LineAddr) -> Option<LineState> {
         let slots = self.set_slots(line);
         for way in self.ways[slots].iter_mut() {
             if way.valid && way.line == line {
-                let was_dirty = way.state.is_dirty();
+                let was = way.state;
                 way.state = LineState::Shared;
-                return was_dirty;
+                return Some(was);
             }
         }
-        false
+        None
     }
 
     /// Hit count.
@@ -522,12 +522,13 @@ mod tests {
         let mut c = small();
         let line = LineAddr(64);
         c.fill(line, LineState::Modified);
-        assert!(c.downgrade(line));
+        assert_eq!(c.downgrade(line), Some(LineState::Modified));
         assert_eq!(c.peek(line), Some(LineState::Shared));
-        assert!(!c.downgrade(line)); // already clean
+        assert_eq!(c.downgrade(line), Some(LineState::Shared)); // already clean
         assert_eq!(c.invalidate(line), Some(LineState::Shared));
         assert_eq!(c.peek(line), None);
         assert_eq!(c.invalidate(line), None); // absent is fine
+        assert_eq!(c.downgrade(line), None);
         assert_eq!(c.invalidations_received(), 1);
     }
 

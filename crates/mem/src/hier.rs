@@ -33,6 +33,8 @@ pub enum HierProbe {
 pub struct CacheHierarchy {
     l1: Cache,
     l2: Cache,
+    /// L1 lines per L2 line.
+    sublines: u64,
 }
 
 impl CacheHierarchy {
@@ -50,6 +52,7 @@ impl CacheHierarchy {
         CacheHierarchy {
             l1: Cache::new(l1),
             l2: Cache::new(l2),
+            sublines: l2.line_bytes / l1.line_bytes,
         }
     }
 
@@ -162,7 +165,13 @@ impl CacheHierarchy {
         } else {
             LineState::Shared
         };
-        if let Some(victim) = self.l1.fill(l1_line, l1_state) {
+        self.fill_l1(l1_line, l1_state);
+    }
+
+    /// Installs `l1_line`, absent from the L1, with `state`. An L1
+    /// victim's dirty data folds into its L2 line.
+    fn fill_l1(&mut self, l1_line: LineAddr, state: LineState) {
+        if let Some(victim) = self.l1.fill(l1_line, state) {
             if victim.dirty {
                 // Write the dirty subline back into the (inclusive) L2 copy.
                 let vline = victim.line.paddr().line(self.l2.geometry().line_bytes);
@@ -191,19 +200,15 @@ impl CacheHierarchy {
         } else {
             LineState::Shared
         };
-        let victim = self.l2.fill(l2_line, l2_state);
-        if let Some(v) = victim {
-            // Inclusion: remove the victim's L1 sublines; fold dirty data.
-            let mut dirty = v.dirty;
-            dirty |= self.invalidate_l1_sublines(v.line);
-            self.fill_l1_from_l2(paddr, write);
-            return Some(Victim {
-                line: v.line,
-                dirty,
-            });
-        }
-        self.fill_l1_from_l2(paddr, write);
-        None
+        // Inclusion: remove the victim's L1 sublines; fold dirty data.
+        let victim = self.l2.fill(l2_line, l2_state).map(|v| Victim {
+            line: v.line,
+            dirty: self.invalidate_l1_sublines(v.line) | v.dirty,
+        });
+        // The L2 missed the line, so by inclusion the L1 holds none of its
+        // sublines: the accessed one goes in with the L2 line's state.
+        self.fill_l1(self.l1.line_of(paddr), l2_state);
+        victim
     }
 
     /// After the directory granted an upgrade for an `L2Upgrade` probe.
@@ -220,9 +225,8 @@ impl CacheHierarchy {
 
     fn invalidate_l1_sublines(&mut self, l2_line: LineAddr) -> bool {
         let l1_bytes = self.l1.geometry().line_bytes;
-        let sublines = self.l2.geometry().line_bytes / l1_bytes;
         let mut dirty = false;
-        for i in 0..sublines {
+        for i in 0..self.sublines {
             if let Some(state) = self.l1.invalidate(LineAddr(l2_line.get() + i * l1_bytes)) {
                 dirty |= state.is_dirty();
             }
@@ -233,27 +237,31 @@ impl CacheHierarchy {
     /// Directory-initiated invalidation of an L2 line (and its L1
     /// sublines). Returns true if any level held dirty data (the protocol
     /// then carries the data, not just the ack).
+    ///
+    /// The directory still lists sharers that silently evicted the line.
+    /// The L2 goes first: when it lacks the line, inclusion says no L1
+    /// subline is present either, and the L1 is not scanned.
     pub fn invalidate_line(&mut self, l2_line: LineAddr) -> bool {
-        let l1_dirty = self.invalidate_l1_sublines(l2_line);
-        let l2_dirty = self
-            .l2
-            .invalidate(l2_line)
-            .map(|s| s.is_dirty())
-            .unwrap_or(false);
-        l1_dirty || l2_dirty
+        let Some(l2_state) = self.l2.invalidate(l2_line) else {
+            return false;
+        };
+        self.invalidate_l1_sublines(l2_line) | l2_state.is_dirty()
     }
 
     /// Directory-initiated downgrade to Shared of a dirty L2 line (a
     /// *dirty intervention*). Returns true if dirty data was supplied.
+    /// As in [`Self::invalidate_line`], a line the L2 lacks has no L1
+    /// subline to scan.
     pub fn downgrade_line(&mut self, l2_line: LineAddr) -> bool {
+        let Some(l2_state) = self.l2.downgrade(l2_line) else {
+            return false;
+        };
         let l1_bytes = self.l1.geometry().line_bytes;
-        let sublines = self.l2.geometry().line_bytes / l1_bytes;
-        let mut dirty = false;
-        for i in 0..sublines {
+        let mut dirty = l2_state.is_dirty();
+        for i in 0..self.sublines {
             let l1_line = LineAddr(l2_line.get() + i * l1_bytes);
-            dirty |= self.l1.downgrade(l1_line);
+            dirty |= self.l1.downgrade(l1_line).is_some_and(|s| s.is_dirty());
         }
-        dirty |= self.l2.downgrade(l2_line);
         dirty
     }
 
@@ -404,6 +412,41 @@ mod tests {
         assert_eq!(h.probe(p, false), HierProbe::L2Miss);
         // Invalidating an absent line is harmless and clean.
         assert!(!h.invalidate_line(LineAddr(0x7f00)));
+    }
+
+    #[test]
+    fn coherence_actions_on_a_line_the_l2_lacks_change_nothing() {
+        // Lines in every L2 set, some dirty, with L1 sublines; then every
+        // line of the range the L2 does not hold, as a directory that
+        // still lists silently evicted sharers sends them.
+        let mut h = hier();
+        let mut rng = flashsim_engine::Rng::seeded(0x1AC);
+        for _ in 0..200 {
+            let p = PAddr(rng.gen_range(256) * 32);
+            let write = rng.gen_range(2) == 0;
+            match h.probe(p, write) {
+                HierProbe::L1Hit => {}
+                HierProbe::L2Hit => h.fill_l1_from_l2(p, write),
+                HierProbe::L2Upgrade => h.complete_upgrade(p),
+                HierProbe::L2Miss => drop(h.fill_from_memory(p, write, true)),
+            }
+        }
+        let before = format!("{h:?}");
+        let (present, absent): (Vec<_>, Vec<_>) = (0..64u64)
+            .map(|i| LineAddr(i * 128))
+            .partition(|&l| h.holds(l));
+        assert!(absent.len() > 10, "{} absent lines", absent.len());
+        for &line in &absent {
+            assert!(!h.invalidate_line(line), "{line}");
+            assert!(!h.downgrade_line(line), "{line}");
+            assert_eq!(format!("{h:?}"), before, "{line}");
+        }
+        // A line the L2 holds still goes, with every L1 subline it has.
+        for line in present {
+            h.invalidate_line(line);
+            assert!(!h.holds(line), "{line}");
+        }
+        assert_eq!(h.check_inclusion(), Ok(()));
     }
 
     #[test]

@@ -39,7 +39,8 @@ pub enum AllocPolicy {
 #[derive(Debug, Clone)]
 pub struct FrameAllocator {
     policy: AllocPolicy,
-    page_bytes: u64,
+    /// log2 of the page size.
+    page_shift: u32,
     frames_per_node: u64,
     colors: u64,
     /// Per node, per colour: stack of free local frame numbers.
@@ -61,7 +62,8 @@ impl FrameAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if any argument is zero or `frames_per_node < colors`.
+    /// Panics if any argument is zero, `page_bytes` is not a power of
+    /// two, or `frames_per_node < colors`.
     pub fn new(
         policy: AllocPolicy,
         nodes: u32,
@@ -69,7 +71,11 @@ impl FrameAllocator {
         page_bytes: u64,
         colors: u64,
     ) -> FrameAllocator {
-        assert!(nodes > 0 && frames_per_node > 0 && page_bytes > 0 && colors > 0);
+        assert!(nodes > 0 && frames_per_node > 0 && colors > 0);
+        assert!(
+            page_bytes.is_power_of_two(),
+            "page size must be a power of two"
+        );
         assert!(
             frames_per_node >= colors,
             "each node needs at least one frame per colour"
@@ -87,7 +93,7 @@ impl FrameAllocator {
             .collect();
         FrameAllocator {
             policy,
-            page_bytes,
+            page_shift: page_bytes.trailing_zeros(),
             frames_per_node,
             colors,
             bins,
@@ -144,7 +150,7 @@ impl FrameAllocator {
     /// closed on an allocator built with different parameters.
     pub fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
         let policy = u64::from(self.policy == AllocPolicy::ColorHashed);
-        let (frames, page, colors) = (self.frames_per_node, self.page_bytes, self.colors);
+        let (frames, page, colors) = (self.frames_per_node, 1 << self.page_shift, self.colors);
         c.interlock(
             "shape",
             &[policy, self.bins.len() as u64, frames, page, colors],
@@ -163,7 +169,7 @@ impl FrameAllocator {
 
     /// The node that owns physical address `paddr`.
     pub fn home_of(&self, paddr: PAddr) -> u32 {
-        self.home_of_frame(paddr.pfn(self.page_bytes))
+        self.home_of_frame(paddr.pfn(self.page_shift))
     }
 }
 
@@ -206,10 +212,20 @@ impl PageTable {
         self.map.is_empty()
     }
 
-    /// Translates a full virtual address, if its page is mapped.
+    /// Translates a full virtual address, if its page (of `page_bytes`) is
+    /// mapped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page_bytes` is not a power of two.
     pub fn translate(&self, vaddr: VAddr, page_bytes: u64) -> Option<PAddr> {
-        self.lookup(vaddr.vpn(page_bytes))
-            .map(|pfn| crate::addr::translate(vaddr, pfn, page_bytes))
+        assert!(
+            page_bytes.is_power_of_two(),
+            "page size must be a power of two"
+        );
+        let shift = page_bytes.trailing_zeros();
+        self.lookup(vaddr.vpn(shift))
+            .map(|pfn| crate::addr::translate(vaddr, pfn, shift))
     }
 
     /// Walks the mappings, sorted by virtual page so the bytes never

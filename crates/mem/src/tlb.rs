@@ -7,17 +7,28 @@
 //! tuning: 25/35 cycles instead of the measured 65) misses a first-order
 //! effect. This module models the reach structure; refill *cost* is owned
 //! by the environment model in `flashsim-os`.
+//!
+//! The TLB sits on every load and store, and on a thrashing workload
+//! nearly every one of them refills it, so both paths are kept short. The
+//! page size is a power of two, held as a shift. A hit asks a last-hit
+//! memo, then the `vpn -> slot` hash. A refill makes one hash probe that
+//! finds the page or its place; only an eviction probes again, to drop
+//! the victim's page. The victim itself comes from a scan of the dense
+//! slots.
 
 use flashsim_engine::ckpt::{bad, Ckpt, CkptError};
 use flashsim_engine::fxhash::FxHashMap;
 use flashsim_isa::VAddr;
+use std::collections::hash_map::Entry;
 
 /// A fully-associative, LRU-replacement TLB mapping virtual page numbers to
 /// physical frame numbers.
 #[derive(Debug, Clone)]
 pub struct Tlb {
     entries: usize,
-    page_bytes: u64,
+    /// log2 of the page size: the page number is a shift, never a
+    /// division.
+    page_shift: u32,
     // vpn -> index into `slots`. Point lookups only (never iterated), so
     // the fast fixed-seed hasher is behaviour-neutral.
     map: FxHashMap<u64, usize>,
@@ -48,7 +59,7 @@ impl Tlb {
         );
         Tlb {
             entries,
-            page_bytes,
+            page_shift: page_bytes.trailing_zeros(),
             map: FxHashMap::with_capacity_and_hasher(entries, Default::default()),
             slots: Vec::with_capacity(entries),
             memo: None,
@@ -65,12 +76,12 @@ impl Tlb {
 
     /// Page size in bytes.
     pub fn page_bytes(&self) -> u64 {
-        self.page_bytes
+        1 << self.page_shift
     }
 
     /// Reach in bytes (entries × page size).
     pub fn reach_bytes(&self) -> u64 {
-        self.entries as u64 * self.page_bytes
+        (self.entries as u64) << self.page_shift
     }
 
     /// Looks up `vaddr`; on a hit returns the frame number and refreshes
@@ -78,7 +89,7 @@ impl Tlb {
     /// the refill handler and then calls [`insert`](Tlb::insert)).
     pub fn translate(&mut self, vaddr: VAddr) -> Option<u64> {
         self.tick += 1;
-        let vpn = vaddr.vpn(self.page_bytes);
+        let vpn = vaddr.vpn(self.page_shift);
         let slot = match self.memo {
             Some((last_vpn, slot)) if last_vpn == vpn => slot,
             _ => match self.map.get(&vpn) {
@@ -100,28 +111,31 @@ impl Tlb {
 
     /// Installs a translation after a refill, evicting the LRU entry if
     /// full. Re-inserting an existing vpn updates its frame.
+    ///
+    /// One probe finds `vpn` or the place to insert it; only an eviction
+    /// probes again, to drop the victim's page.
     pub fn insert(&mut self, vpn: u64, pfn: u64) {
         self.tick += 1;
         let entry = (vpn, pfn, self.tick);
-        let slot = if let Some(&slot) = self.map.get(&vpn) {
-            self.slots[slot] = entry;
-            slot
-        } else if self.slots.len() < self.entries {
-            self.map.insert(vpn, self.slots.len());
-            self.slots.push(entry);
-            self.slots.len() - 1
-        } else {
-            let mut lru = 0;
-            for (i, s) in self.slots.iter().enumerate() {
-                if s.2 < self.slots[lru].2 {
-                    lru = i;
-                }
+        let slot = match self.map.entry(vpn) {
+            Entry::Occupied(at) => *at.get(),
+            Entry::Vacant(at) if self.slots.len() < self.entries => {
+                self.slots.push(entry);
+                *at.insert(self.slots.len() - 1)
             }
-            self.map.remove(&self.slots[lru].0);
-            self.map.insert(vpn, lru);
-            self.slots[lru] = entry;
-            lru
+            Entry::Vacant(at) => {
+                let (mut lru, mut oldest) = (0, u64::MAX);
+                for (i, s) in self.slots.iter().enumerate() {
+                    if s.2 < oldest {
+                        (lru, oldest) = (i, s.2);
+                    }
+                }
+                at.insert(lru);
+                self.map.remove(&self.slots[lru].0);
+                lru
+            }
         };
+        self.slots[slot] = entry;
         // The access that took the refill repeats on this page next.
         self.memo = Some((vpn, slot));
     }
@@ -149,7 +163,7 @@ impl Tlb {
     /// fails closed on a different entry count or page size, a repeated
     /// page, or more entries than the TLB holds.
     pub fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
-        c.interlock("shape", &[self.entries as u64, self.page_bytes])?;
+        c.interlock("shape", &[self.entries as u64, self.page_bytes()])?;
         c.u64("tick", &mut self.tick)?;
         c.u64("hits", &mut self.hits)?;
         c.u64("misses", &mut self.misses)?;
@@ -324,27 +338,55 @@ mod tests {
 
     #[test]
     fn eviction_order_matches_a_naive_lru_model() {
-        // Seeded translate/insert churn over more pages than slots, checked
-        // against a list kept in recency order.
-        let mut rng = flashsim_engine::Rng::seeded(0x71B);
-        let mut t = Tlb::new(8, 4096);
-        let mut model: Vec<(u64, u64)> = Vec::new(); // LRU first
-        for i in 0..20_000u64 {
-            let vpn = rng.gen_range(24);
-            let at = model.iter().position(|&(v, _)| v == vpn);
-            let got = t.translate(VAddr(vpn * 4096));
-            assert_eq!(got, at.map(|k| model[k].1));
-            let pfn = match at {
-                Some(k) => model.remove(k).1,
-                None => {
-                    t.insert(vpn, i);
-                    if model.len() == 8 {
-                        model.remove(0);
-                    }
-                    i
+        // Seeded lookups (often repeating the last page, so the memo is
+        // live), refills, and inserts of pages the TLB may already hold, at
+        // several sizes, checked against a list kept in recency order:
+        // every answer, the hit and miss counts, and exactly which page
+        // each eviction drops.
+        for entries in [1usize, 8, 16, 64] {
+            let mut rng = flashsim_engine::Rng::seeded(0x71B ^ entries as u64);
+            let mut t = Tlb::new(entries, 4096);
+            let mut model: Vec<(u64, u64)> = Vec::new(); // LRU first
+            let (mut hits, mut misses, mut reinserts, mut evictions) = (0, 0, 0, 0);
+            let mut vpn = 0;
+            for i in 0..20_000u64 {
+                if rng.gen_range(3) == 0 {
+                    vpn = rng.gen_range(3 * entries as u64);
                 }
-            };
-            model.push((vpn, pfn));
+                let at = model.iter().position(|&(v, _)| v == vpn);
+                let inserting = rng.gen_range(8) == 0;
+                if !inserting {
+                    let got = t.translate(VAddr(vpn * 4096 + rng.gen_range(4096)));
+                    assert_eq!(got, at.map(|k| model[k].1), "{entries}: step {i}");
+                    if let Some(k) = at {
+                        hits += 1;
+                        let e = model.remove(k);
+                        model.push(e);
+                        continue;
+                    }
+                    misses += 1;
+                }
+                // A refill, or an insert nobody asked for: it re-maps a
+                // present page in place, or evicts the LRU page if full.
+                t.insert(vpn, i);
+                match at {
+                    Some(k) => {
+                        reinserts += 1;
+                        model.remove(k);
+                    }
+                    None if model.len() == entries => {
+                        evictions += 1;
+                        let (gone, _) = model.remove(0);
+                        assert!(!t.map.contains_key(&gone), "{entries}: kept {gone}");
+                    }
+                    None => {}
+                }
+                model.push((vpn, i));
+                assert_eq!(t.map.len(), model.len());
+                assert!(model.iter().all(|&(v, p)| t.slots[t.map[&v]].1 == p));
+            }
+            assert_eq!((t.hits(), t.misses()), (hits, misses), "{entries}");
+            assert!(reinserts > 100 && evictions > 100, "{entries}");
         }
     }
 }

@@ -183,7 +183,7 @@ impl HashedTlb {
 
     fn translate(&mut self, vaddr: VAddr) -> Option<u64> {
         self.tick += 1;
-        match self.map.get(&vaddr.vpn(self.page_bytes)) {
+        match self.map.get(&vaddr.vpn(self.page_bytes.trailing_zeros())) {
             Some(&slot) => {
                 self.slots[slot].2 = self.tick;
                 self.hits += 1;

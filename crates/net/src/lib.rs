@@ -9,6 +9,11 @@
 //! disabled the message sails through at pure latency (the generic NUMA
 //! model).
 //!
+//! A message's route is e-cube: it corrects the differing address bits
+//! from least to most significant. [`Network::deliver`] walks the set bits
+//! of `from ^ to` in that order, one hop per bit, with no per-dimension
+//! test, and prices a message's link occupancy once, not per hop.
+//!
 //! # Examples
 //!
 //! ```
@@ -252,22 +257,24 @@ impl Network {
                 wait: TimeDelta::ZERO,
             };
         }
+        debug_assert!(from < self.topo.nodes && to < self.topo.nodes);
         let mut t = now;
         let mut cur = from;
         let mut waited = TimeDelta::ZERO;
         let spans_on = self.obs.spans.is_enabled();
-        // Walk the e-cube route inline (least- to most-significant differing
-        // bit) rather than materializing it: deliver() runs once per protocol
-        // message and a per-call route Vec was measurable in profiles.
-        for dim in 0..self.topo.dims {
+        let occupancy = self.params.occupancy(bytes);
+        // Walk the e-cube route inline rather than materializing it:
+        // deliver() runs once per protocol message. The set bits of
+        // `from ^ to`, lowest first, are exactly the dimensions
+        // `Topology::route` corrects, in its order.
+        let mut differ = from ^ to;
+        while differ != 0 {
+            let dim = differ.trailing_zeros();
             let bit = 1u32 << dim;
-            if (cur ^ to) & bit == 0 {
-                continue;
-            }
+            differ ^= bit;
             let hop_from = t;
             if self.params.contention {
                 let idx = self.topo.link_index(cur, dim);
-                let occupancy = self.params.occupancy(bytes);
                 let grant = self.links[idx].acquire(t, occupancy);
                 self.total_wait += grant.wait;
                 waited += grant.wait;
@@ -393,6 +400,41 @@ mod tests {
                     assert_eq!(*route.last().unwrap(), to);
                 } else {
                     assert_eq!(from, to);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn deliver_grants_exactly_the_links_of_the_route_in_order() {
+        // One message on an idle network: its k-th hop claims the link out
+        // of the k-th node of `route` at k hop latencies, and no other link
+        // is touched.
+        let p = NetworkParams::flash();
+        for nodes in [1u32, 2, 4, 16, 64] {
+            let topo = Topology::hypercube(nodes).unwrap();
+            for from in 0..nodes {
+                for to in 0..nodes {
+                    let mut net = Network::new(topo, p);
+                    let d = net.deliver(from, to, 16, Time::ZERO);
+                    let route = topo.route(from, to);
+                    let hops = route.len() as u64;
+                    assert_eq!(d.arrival, Time::ZERO + p.hop_latency * hops);
+                    assert_eq!(net.stats().get_or_zero("net.hops"), hops as f64);
+                    let mut expect = vec![None; topo.links()];
+                    let mut cur = from;
+                    for (k, &next) in route.iter().enumerate() {
+                        let dim = (cur ^ next).trailing_zeros();
+                        let start = Time::ZERO + p.hop_latency * k as u64;
+                        expect[topo.link_index(cur, dim)] = Some(start + p.occupancy(16));
+                        cur = next;
+                    }
+                    let granted: Vec<Option<Time>> = net
+                        .links
+                        .iter()
+                        .map(|l| (l.grants() > 0).then(|| l.busy_until()))
+                        .collect();
+                    assert_eq!(granted, expect, "{from} -> {to} of {nodes}");
                 }
             }
         }

@@ -130,7 +130,8 @@ impl Numa {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is zero.
+    /// Panics if `nodes` is zero or `node_mem_bytes` is not a power of
+    /// two.
     pub fn new(nodes: u32, node_mem_bytes: u64, params: NumaParams) -> Numa {
         assert!(nodes > 0, "need at least one node");
         let common = Common {

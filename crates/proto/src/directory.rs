@@ -10,6 +10,14 @@
 //! exhaustion (which reclaims a pointer by invalidating an existing
 //! sharer, as the real protocol does).
 //!
+//! A header is 16 bytes: state, the inline node, the link to the chain
+//! (a `u32` with a sentinel end), and a 32-bit membership filter with bit
+//! `node % 32` set for every node the header lists. "Is this node listed?"
+//! is asked on every read of a shared line and is nearly always "no", so a
+//! clear bit answers it without walking the chain. Bits are added as nodes
+//! are listed and dropped only when the header is rebuilt, for any node
+//! count; the filter is recomputed on restore, never checkpointed.
+//!
 //! Timing is *not* here — FlashLite and NUMA price these transitions
 //! differently; both call into the same directory so their protocol
 //! behaviour is identical, mirroring the paper's "the same protocol is
@@ -28,14 +36,46 @@ enum DirState {
     Owned,
 }
 
-/// A directory header: state + inline first sharer + chained extras.
+/// A directory header: state + inline first sharer + chained extras +
+/// a membership filter over them.
 #[derive(Debug, Clone, Copy)]
 struct Header {
     state: DirState,
     /// Owner when `Owned`; the inline head sharer when `Shared`.
     head: NodeId,
-    /// Index into the pointer store of the rest of the sharer list.
-    list: Option<u32>,
+    /// Index into the pointer store of the rest of the sharer list, or
+    /// [`NIL`].
+    list: u32,
+    /// Bit `n % 32` is set for every node `n` the header lists (head or
+    /// chain). Bits are only ever added, until the header is rebuilt, so
+    /// a clear bit proves a node absent and a set bit is confirmed by the
+    /// chain walk. Never checkpointed: a restore recomputes it.
+    filter: u32,
+}
+
+// A header stays 16 bytes, one per cached line of the node's memory: the
+// filter takes the bytes an `Option<u32>` list spent on its tag.
+const _: () = assert!(std::mem::size_of::<Option<Header>>() == 16);
+
+/// The end of a sharer list.
+const NIL: u32 = u32::MAX;
+
+/// `node`'s bit in a [`Header::filter`].
+const fn filter_bit(node: NodeId) -> u32 {
+    1 << (node % 32)
+}
+
+impl Header {
+    /// A header listing `head` and the chain at `list`; `chained` holds
+    /// the filter bits of the chain's nodes.
+    fn new(state: DirState, head: NodeId, list: u32, chained: u32) -> Header {
+        Header {
+            state,
+            head,
+            list,
+            filter: filter_bit(head) | chained,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -53,6 +93,18 @@ fn link(at: Option<u32>) -> u64 {
 /// any pool.
 fn unlink(v: u64) -> Option<u32> {
     (v != u64::MAX).then(|| v.try_into().unwrap_or(u32::MAX))
+}
+
+/// A header's list as a pointer-store link.
+fn list_link(list: u32) -> Option<u32> {
+    (list != NIL).then_some(list)
+}
+
+/// A restored header list: a link that would read as [`NIL`] is moved
+/// one below it, still outside any pool a checkpoint can carry, so the
+/// pool check rejects it rather than taking it for the end of the list.
+fn list_of(link: Option<u32>) -> u32 {
+    link.map_or(NIL, |at| at.min(NIL - 1))
 }
 
 /// Where the data for a read comes from.
@@ -356,7 +408,7 @@ impl Directory {
 
     fn collect_sharers(&self, header: &Header) -> Vec<NodeId> {
         let mut nodes = vec![header.head];
-        let mut cur = header.list;
+        let mut cur = list_link(header.list);
         while let Some(idx) = cur {
             let slot = self.pool[idx as usize];
             nodes.push(slot.node);
@@ -365,15 +417,31 @@ impl Directory {
         nodes
     }
 
-    /// The listed sharers other than `node`, head first.
+    /// The listed sharers other than `node`, head first. Allocates only
+    /// when there is one.
     fn sharers_but(&self, header: &Header, node: NodeId) -> Vec<NodeId> {
-        let mut nodes = self.collect_sharers(header);
-        nodes.retain(|n| *n != node);
+        let mut nodes = Vec::new();
+        if header.head != node {
+            nodes.push(header.head);
+        }
+        let mut cur = list_link(header.list);
+        while let Some(idx) = cur {
+            let slot = self.pool[idx as usize];
+            if slot.node != node {
+                nodes.push(slot.node);
+            }
+            cur = slot.next;
+        }
         nodes
     }
 
+    /// Whether `header` lists `node`. The filter answers "no" for most
+    /// nodes without walking the chain.
     fn sharer_listed(&self, header: &Header, node: NodeId) -> bool {
-        let mut cur = header.list;
+        if header.filter & filter_bit(node) == 0 {
+            return false;
+        }
+        let mut cur = list_link(header.list);
         while let Some(idx) = cur {
             let slot = self.pool[idx as usize];
             if slot.node == node {
@@ -395,12 +463,15 @@ impl Directory {
             return None;
         }
         let mut victim = None;
-        match self.alloc_slot(node, header.list) {
-            Some(idx) => header.list = Some(idx),
+        header.filter |= filter_bit(node);
+        match self.alloc_slot(node, list_link(header.list)) {
+            Some(idx) => header.list = idx,
             None => {
                 // Pool exhausted: reclaim the first chained pointer by
-                // invalidating its node, then reuse the slot.
-                match header.list {
+                // invalidating its node, then reuse the slot. The victim's
+                // filter bit stays: a stale bit costs a walk, never a
+                // wrong answer.
+                match list_link(header.list) {
                     Some(idx) => {
                         victim = Some(self.pool[idx as usize].node);
                         self.reclaims += 1;
@@ -422,11 +493,7 @@ impl Directory {
 
     /// Makes `requester` the owner of the line whose header sits at `at`.
     fn set_owner(&mut self, at: usize, requester: NodeId) {
-        self.headers.slots[at] = Some(Header {
-            state: DirState::Owned,
-            head: requester,
-            list: None,
-        });
+        self.headers.slots[at] = Some(Header::new(DirState::Owned, requester, NIL, 0));
     }
 
     /// A read-shared request from `requester` for a line homed here.
@@ -457,15 +524,10 @@ impl Directory {
                 }
                 // Dirty intervention: owner supplies data and is downgraded;
                 // line becomes shared by {owner, requester}.
-                let mut header = Header {
-                    state: DirState::Shared,
-                    head: owner,
-                    list: None,
-                };
                 let mut invalidate = Vec::new();
                 let mut downgrade = Some(owner);
-                match self.alloc_slot(requester, None) {
-                    Some(idx) => header.list = Some(idx),
+                let header = match self.alloc_slot(requester, None) {
+                    Some(idx) => Header::new(DirState::Shared, owner, idx, filter_bit(requester)),
                     None => {
                         // Pool exhausted: cannot chain the requester; the
                         // protocol falls back to invalidating the old owner
@@ -473,9 +535,9 @@ impl Directory {
                         invalidate.push(owner);
                         downgrade = None;
                         self.reclaims += 1;
-                        header.head = requester;
+                        Header::new(DirState::Shared, requester, NIL, 0)
                     }
-                }
+                };
                 self.headers.slots[at] = Some(header);
                 DirResponse {
                     source: DataSource::Owner(owner),
@@ -515,7 +577,7 @@ impl Directory {
             }
             Some(h) => {
                 let invalidate = self.sharers_but(&h, requester);
-                self.free_list(h.list);
+                self.free_list(list_link(h.list));
                 (DataSource::Memory, invalidate)
             }
         };
@@ -537,7 +599,7 @@ impl Directory {
         match self.headers.slots[at] {
             Some(h) if h.state == DirState::Shared && self.sharer_listed(&h, requester) => {
                 let invalidate = self.sharers_but(&h, requester);
-                self.free_list(h.list);
+                self.free_list(list_link(h.list));
                 self.set_owner(at, requester);
                 DirResponse {
                     source: DataSource::Memory, // no data actually moves
@@ -598,7 +660,10 @@ impl Directory {
         let mut rows: Vec<[u64; 4]> = self
             .headers
             .iter()
-            .map(|(line, h)| [line.get(), h.state as u64, u64::from(h.head), link(h.list)])
+            .map(|(line, h)| {
+                let list = link(list_link(h.list));
+                [line.get(), h.state as u64, u64::from(h.head), list]
+            })
             .collect();
         c.list("headers", &mut rows, |c, row| c.array("hdr", row))?;
         if !c.loading() {
@@ -617,14 +682,26 @@ impl Directory {
                 return Err(bad_row());
             }
             let at = self.headers.entry(LineAddr(line));
-            let list = unlink(list);
-            self.headers.slots[at] = Some(Header {
-                state,
-                head: head as NodeId,
-                list,
-            });
+            let list = list_of(unlink(list));
+            self.headers.slots[at] = Some(Header::new(state, head as NodeId, list, 0));
         }
-        self.check_pool()
+        self.check_pool()?;
+        self.refilter();
+        Ok(())
+    }
+
+    /// Recomputes every header's filter from its chain: what a restored
+    /// header lists, exactly. Runs once the pool check has proved every
+    /// chain ends inside the pool.
+    fn refilter(&mut self) {
+        for h in self.headers.slots.iter_mut().flatten() {
+            let mut cur = list_link(h.list);
+            while let Some(idx) = cur {
+                let slot = self.pool[idx as usize];
+                h.filter |= filter_bit(slot.node);
+                cur = slot.next;
+            }
+        }
     }
 
     /// What a restored pointer store must satisfy for every operation to
@@ -652,7 +729,7 @@ impl Directory {
         }
         let mut held = vec![false; len];
         let mut listed = 0u32;
-        let lists = self.headers.iter().map(|(_, h)| ("hdr", h.list));
+        let lists = self.headers.iter().map(|(_, h)| ("hdr", list_link(h.list)));
         for (key, mut cur) in std::iter::once(("free", self.free)).chain(lists) {
             while let Some(at) = cur {
                 match held.get_mut(at as usize) {
@@ -900,6 +977,46 @@ mod tests {
             other.ckpt(&mut Ckpt::Load(&mut r)),
             Err(CkptError::Parse { .. })
         ));
+    }
+
+    #[test]
+    fn the_filter_never_hides_a_listed_sharer() {
+        // Seeded churn over 40 nodes (so filter bits alias) with a two-slot
+        // pool (so reclaims happen), restored from its own checkpoint now
+        // and then: at every step, for every line and node, the filtered
+        // answer equals a plain walk of head and chain.
+        let lines = [L, LineAddr(0x2000), LineAddr(0x3000)];
+        let mut rng = flashsim_engine::Rng::seeded(0xF117);
+        let mut d = Directory::new(2);
+        for step in 0..20_000 {
+            let line = lines[rng.gen_range(3) as usize];
+            let node = rng.gen_range(40) as NodeId;
+            match rng.gen_range(16) {
+                0..=8 => drop(d.read(line, node)),
+                9..=10 => drop(d.read_exclusive(line, node)),
+                11..=12 => drop(d.upgrade(line, node)),
+                13..=14 => d.writeback(line, node),
+                _ => {
+                    let mut w = CkptWriter::new("dir-test");
+                    d.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
+                    let text = w.finish();
+                    let mut r = CkptReader::open(&text).expect("open");
+                    d = Directory::new(2);
+                    d.ckpt(&mut Ckpt::Load(&mut r)).expect("load");
+                }
+            }
+            for line in lines {
+                let Some(h) = d.headers.get(line) else {
+                    continue;
+                };
+                let chain = d.collect_sharers(&h);
+                for n in 0..40 {
+                    let listed = chain.contains(&n);
+                    assert_eq!(d.sharer_listed(&h, n), listed, "step {step} {line} {n}");
+                }
+            }
+        }
+        assert!(d.reclaims() > 100, "{} reclaims", d.reclaims());
     }
 
     #[test]

@@ -108,7 +108,8 @@ pub struct Common {
 #[derive(Debug)]
 pub struct Walk {
     common: Common,
-    node_mem_bytes: u64,
+    /// log2 of each node's memory: a line's home is a shift.
+    node_shift: u32,
     dirs: Vec<Directory>,
     banks: Vec<ResourcePool>,
     cases: CaseLedger,
@@ -128,11 +129,19 @@ pub struct Walk {
 
 impl Walk {
     /// A walk over `nodes` homes of `node_mem_bytes` each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node_mem_bytes` is not a power of two.
     pub fn new(nodes: u32, node_mem_bytes: u64, common: Common) -> Walk {
+        assert!(
+            node_mem_bytes.is_power_of_two(),
+            "node memory must be a power of two"
+        );
         let dir = |n| Directory::for_home(common.dir_pool, n, node_mem_bytes, common.line_bytes);
         Walk {
             common,
-            node_mem_bytes,
+            node_shift: node_mem_bytes.trailing_zeros(),
             dirs: (0..nodes).map(dir).collect(),
             banks: (0..nodes)
                 .map(|_| ResourcePool::new("mem-banks", common.mem_banks))
@@ -154,7 +163,7 @@ impl Walk {
     // helpers are calls across the crate boundary (~8 per transaction).
     #[inline]
     pub fn home_of(&self, line: LineAddr) -> NodeId {
-        ((line.get() / self.node_mem_bytes) as u32).min(self.dirs.len() as u32 - 1)
+        ((line.get() >> self.node_shift) as u32).min(self.dirs.len() as u32 - 1)
     }
 
     /// The directories, indexed by home node.
@@ -200,7 +209,7 @@ impl Walk {
     /// Walks the machine shape, case ledger, directories and bank
     /// timelines; a restore fails closed on a walk of another shape.
     pub fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
-        c.interlock("shape", &[self.dirs.len() as u64, self.node_mem_bytes])?;
+        c.interlock("shape", &[self.dirs.len() as u64, 1 << self.node_shift])?;
         self.cases.ckpt(c)?;
         let nodes = self.dirs.len() as NodeId;
         for dir in &mut self.dirs {
@@ -359,13 +368,15 @@ impl Walk {
         &mut self,
         tm: &mut T,
         home: NodeId,
-        victims: &[NodeId],
+        victims: impl Iterator<Item = NodeId>,
         t: Time,
         class: Option<SpanClass>,
     ) -> Time {
         self.offpath(tm, "inval_round", home, t, class, |w, tm| {
             let mut done = t;
-            for &v in victims {
+            let mut any = false;
+            for v in victims {
+                any = true;
                 let mut tv = w.step(tm, Step::Out, home, t);
                 if v != home {
                     tv = w.send_as(tm, "net", home, v, false, tv);
@@ -376,10 +387,10 @@ impl Walk {
                 }
                 done = done.max(tv);
             }
-            if victims.is_empty() {
-                done
-            } else {
+            if any {
                 tm.collect_acks(w, home, done)
+            } else {
+                done
             }
         })
     }
@@ -432,16 +443,16 @@ impl Walk {
         // Invalidations (a read-exclusive of a shared line, or a pointer
         // reclaim) run alongside the data fetch. The owner that supplies
         // the data is not in the round: its intervention is the data path.
-        let victims: Vec<NodeId> = resp
+        let owner = resp.source.owner();
+        let victims = resp
             .invalidate
             .iter()
             .copied()
-            .filter(|v| Some(*v) != resp.source.owner())
-            .collect();
-        let acked = if victims.is_empty() {
+            .filter(|&v| Some(v) != owner);
+        let acked = if resp.invalidate.iter().all(|&v| Some(v) == owner) {
             t
         } else {
-            self.inval_round(tm, home, &victims, t, None)
+            self.inval_round(tm, home, victims, t, None)
         };
 
         let data = match resp.source {
@@ -496,7 +507,7 @@ impl Walk {
         // duration is charged as occupancy (charging each of the parallel
         // legs would over-count).
         let occupancy = Some(SpanClass::Occupancy);
-        let mut acked = self.inval_round(tm, home, &resp.invalidate, t, occupancy);
+        let mut acked = self.inval_round(tm, home, resp.invalidate.iter().copied(), t, occupancy);
         self.occ += acked - t;
         if req.node != home {
             acked = self.post(tm, home, req.node, false, acked);

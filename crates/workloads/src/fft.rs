@@ -363,7 +363,7 @@ mod tests {
                 match op.class {
                     OpClass::Barrier => barrier_count += 1,
                     OpClass::Store if barrier_count == 1 => {
-                        window.push(op.addr.vpn(4096));
+                        window.push(op.addr.vpn(12));
                         if window.len() > 512 {
                             window.remove(0);
                         }

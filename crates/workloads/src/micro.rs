@@ -457,7 +457,7 @@ mod tests {
             match op.class {
                 OpClass::Barrier => barriers += 1,
                 OpClass::Load if barriers == 1 => {
-                    pages.insert(op.addr.vpn(4096));
+                    pages.insert(op.addr.vpn(12));
                 }
                 _ => {}
             }

@@ -399,7 +399,7 @@ mod tests {
                         in_permutation = barriers == 3; // after hist+prefix
                     }
                     OpClass::Store if in_permutation && op.addr >= SEG_B && op.addr < SEG_C => {
-                        window.push(op.addr.vpn(4096));
+                        window.push(op.addr.vpn(12));
                         if window.len() > 256 {
                             window.remove(0);
                         }

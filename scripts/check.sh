@@ -145,6 +145,22 @@ if [ -n "$maps" ]; then
     echo "$maps"
     exit 1
 fi
+# Page numbers, in-page offsets, frame numbers and home nodes are shifts
+# and masks: `Machine::new` rejects a page size or node memory that is not
+# a power of two (`MachineError::Geometry`), so nothing on a shared miss
+# divides by one.
+divs=$(grep -nE '(/|%) *(self\.)?(page_bytes|node_mem_bytes)\b' \
+    crates/isa/src/op.rs crates/mem/src/addr.rs crates/mem/src/tlb.rs \
+    crates/mem/src/page.rs crates/proto/src/walk.rs crates/machine/src/machine/env.rs || true)
+if [ -n "$divs" ]; then
+    echo "runtime division by a page or node-memory size on the memory path:"
+    echo "$divs"
+    exit 1
+fi
+if ! grep -rqF 'MachineError::Geometry' crates/machine/src; then
+    echo "crates/machine/src no longer rejects a malformed geometry (MachineError::Geometry)"
+    exit 1
+fi
 
 echo "== op-in-place gate (the scheduler executes ops out of the generator's buffer) =="
 # `Epoch::step` borrows `ThreadStream::pending()` and hands `&ops[i]` to
