@@ -17,10 +17,10 @@
 //!   arithmetic.
 //! - Charges are integers in picoseconds, so conservation is exact (no
 //!   float drift), and snapshots are byte-deterministic.
-//! - Charges are also bucketed into at most [`PHASES`] equal-width time
-//!   phases; when a run outgrows the buckets, adjacent pairs merge and
-//!   the width doubles — a deterministic single-pass scheme that needs no
-//!   prior knowledge of run length.
+//! - Charges are also bucketed into [`BUCKETS`] time phases on the axis
+//!   telemetry uses too (`window::Axis`): when a run outgrows them, adjacent
+//!   pairs merge and the width doubles — a deterministic single-pass scheme
+//!   that needs no prior knowledge of run length.
 //!
 //! Two charge entry points exist because the compute residual is computed
 //! per op: [`Profiler::charge`] for time accrued *inside* an op's
@@ -48,20 +48,13 @@
 //! assert!(acct.conserved());
 //! ```
 
-use crate::ckpt::{bad, Ckpt, CkptError};
+use crate::ckpt::{Ckpt, CkptError};
 use crate::jsonl::push_json_escaped;
 use crate::time::{Time, TimeDelta};
-use crate::window::Window;
+use crate::window::{self, halve, last_filled, Axis, Series, Window, BUCKETS, INITIAL_WIDTH_PS};
 use core::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-
-/// Number of time-phase buckets an [`Accounting`] samples a run into.
-pub const PHASES: usize = 64;
-
-/// Initial phase-bucket width in picoseconds (~1 µs); doubles whenever
-/// the run outgrows [`PHASES`] buckets.
-const INITIAL_PHASE_PS: u64 = 1 << 20;
 
 /// Where a simulated picosecond went: the stall-class taxonomy of the
 /// accounting profiler.
@@ -152,11 +145,8 @@ struct Book {
     /// `mark_op` — the amount subtracted from the next op span.
     op_charged: Vec<u64>,
     /// Per-phase per-class charged picoseconds.
-    phases: [[u64; StallClass::COUNT]; PHASES],
-    /// log2 of the current phase-bucket width in picoseconds: the width
-    /// starts a power of two and only doubles, so a phase index is a
-    /// shift.
-    phase_shift: u32,
+    phases: [[u64; StallClass::COUNT]; BUCKETS],
+    axis: Axis,
 }
 
 impl Book {
@@ -164,8 +154,8 @@ impl Book {
         Book {
             classes: Vec::new(),
             op_charged: Vec::new(),
-            phases: [[0; StallClass::COUNT]; PHASES],
-            phase_shift: INITIAL_PHASE_PS.trailing_zeros(),
+            phases: [[0; StallClass::COUNT]; BUCKETS],
+            axis: Axis::new(INITIAL_WIDTH_PS),
         }
     }
 
@@ -185,22 +175,14 @@ impl Book {
     }
 
     /// The phase bucket for time `ps`, doubling the bucket width
-    /// (merging adjacent pairs) until it fits.
-    fn phase_of(&mut self, ps: u64) -> usize {
-        while ps >> self.phase_shift >= PHASES as u64 {
-            for i in 0..PHASES / 2 {
-                let mut merged = self.phases[2 * i];
-                for (m, c) in merged.iter_mut().zip(self.phases[2 * i + 1]) {
-                    *m += c;
-                }
-                self.phases[i] = merged;
-            }
-            for slot in &mut self.phases[PHASES / 2..] {
-                *slot = [0; StallClass::COUNT];
-            }
-            self.phase_shift += 1;
-        }
-        (ps >> self.phase_shift) as usize
+    /// (summing adjacent rows) until it fits.
+    #[inline]
+    fn slot(&mut self, ps: u64) -> usize {
+        self.axis.slot(ps, || {
+            halve(&mut self.phases, |a, b| {
+                std::array::from_fn(|k| a[k].saturating_add(b[k]))
+            })
+        })
     }
 
     fn add(&mut self, node: u32, class: StallClass, at_ps: u64, ps: u64, in_op: bool) {
@@ -210,14 +192,24 @@ impl Book {
         if in_op {
             self.op_charged[n] += ps;
         }
-        let phase = self.phase_of(at_ps);
-        self.phases[phase][class as usize] += ps;
+        let phase = self.slot(at_ps);
+        let cell = &mut self.phases[phase][class as usize];
+        *cell = cell.saturating_add(ps);
     }
+}
+
+impl Series for Book {
+    type Key = u32;
 
     /// Adds what a [`Window`] folded for `node` — compute residual, at the
     /// largest op start it absorbed.
     fn publish(&mut self, node: u32, (last, fold): (u64, u64)) {
         self.add(node, StallClass::Compute, last, fold, false);
+    }
+
+    fn axis_at(&mut self, ps: u64) -> &Axis {
+        self.slot(ps);
+        &self.axis
     }
 }
 
@@ -247,21 +239,6 @@ impl Ledger {
     #[inline]
     fn in_op(&self, node: u32) -> Option<&AtomicBool> {
         self.in_op.get()?.get(node as usize)
-    }
-
-    /// The lock-taking half of [`Profiler::mark_op_in`]'s window path, out
-    /// of line so that the inlined half is two compares and an add:
-    /// publishes `w`'s fold, if it holds one, and re-aims it at the phase
-    /// bucket of the residual `(at_ps, first)` that fell outside it.
-    #[cold]
-    #[inline(never)]
-    fn turn(&self, w: &mut Window, node: u32, at_ps: u64, first: u64) {
-        let mut b = self.book();
-        if let Some(held) = w.take() {
-            b.publish(node, held);
-        }
-        let lo = (b.phase_of(at_ps) as u64) << b.phase_shift;
-        w.aim(lo, lo.saturating_add(1 << b.phase_shift), at_ps, first);
     }
 
     /// The per-op path: the residual of `busy` over what was charged
@@ -404,7 +381,7 @@ impl Profiler {
         if !uncharged {
             ledger.mark_op(node, at, busy);
         } else if !busy.is_zero() && !w.sum(at.as_ps(), busy.as_ps()) {
-            ledger.turn(w, node, at.as_ps(), busy.as_ps());
+            window::turn(&ledger.book, w, node, at.as_ps(), busy.as_ps());
         }
     }
 
@@ -447,7 +424,7 @@ impl Profiler {
         Some(Accounting {
             nodes,
             phases: b.phases.to_vec(),
-            phase_ps: 1 << b.phase_shift,
+            phase_ps: b.axis.width(),
         })
     }
 
@@ -465,15 +442,12 @@ impl Profiler {
         c.list("nodes", &mut b.classes, |c, row| c.array("classes", row))?;
         let nodes = b.classes.len();
         c.u64s("op_charged", &mut b.op_charged, nodes..=nodes)?;
-        let mut phase_ps = 1u64 << b.phase_shift;
-        c.u64("phase_ps", &mut phase_ps)?;
-        if !phase_ps.is_power_of_two() {
-            return Err(bad("phase_ps", phase_ps));
-        }
-        b.phase_shift = phase_ps.trailing_zeros();
-        for row in &mut b.phases {
-            c.array("phase", row)?;
-        }
+        b.axis.ckpt(c, "phase_ps", |c| {
+            for row in &mut b.phases {
+                c.array("phase", row)?;
+            }
+            Ok(last_filled(&b.phases))
+        })?;
         if c.loading() {
             for (n, flag) in ledger.in_op.get().into_iter().flatten().enumerate() {
                 let pending = b.op_charged.get(n).is_some_and(|&ps| ps != 0);
@@ -540,7 +514,7 @@ impl NodeAccount {
 pub struct Accounting {
     /// One account per node.
     pub nodes: Vec<NodeAccount>,
-    /// Per-phase per-class picoseconds ([`PHASES`] buckets of `phase_ps`
+    /// Per-phase per-class picoseconds ([`BUCKETS`] buckets of `phase_ps`
     /// width). Phases sample raw charges (pre-conservation), so they show
     /// *where in time* stalls cluster; exact conservation is a property
     /// of the per-node class totals.
@@ -625,7 +599,7 @@ impl Accounting {
         }
         out.push('\n');
         for (i, row) in self.phases.iter().enumerate() {
-            let sum: u64 = row.iter().sum();
+            let sum = row.iter().fold(0u64, |a, &ps| a.saturating_add(ps));
             if sum == 0 {
                 continue;
             }
@@ -675,7 +649,7 @@ impl Accounting {
         out.push_str(&format!("],\"phase_ps\":{},\"phases\":[", self.phase_ps));
         let mut first = true;
         for (i, row) in self.phases.iter().enumerate() {
-            if row.iter().sum::<u64>() == 0 {
+            if row.iter().all(|&ps| ps == 0) {
                 continue;
             }
             if !first {
@@ -789,10 +763,10 @@ mod tests {
         // First charge lands in bucket 0 at the initial width.
         p.charge_wall(0, StallClass::Os, Time::ZERO, ns(1));
         // A charge far beyond the initial 64-bucket span forces doubling.
-        let far = Time::from_ps(INITIAL_PHASE_PS * PHASES as u64 * 4);
+        let far = Time::from_ps(INITIAL_WIDTH_PS * BUCKETS as u64 * 4);
         p.charge_wall(0, StallClass::Os, far, ns(1));
         let a = p.snapshot(&[far]).expect("enabled");
-        assert_eq!(a.phase_ps, INITIAL_PHASE_PS * 8);
+        assert_eq!(a.phase_ps, INITIAL_WIDTH_PS * 8);
         let populated: Vec<usize> = a
             .phases
             .iter()
@@ -854,6 +828,39 @@ mod tests {
         // Enabled/disabled mismatch fails closed.
         let mut r = CkptReader::open(&text).expect("intact");
         assert!(Profiler::disabled().ckpt(&mut Ckpt::Load(&mut r)).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_a_width_no_charge_could_reach() {
+        use crate::ckpt::{provenance_hash, CkptReader, CkptWriter};
+        let p = Profiler::new();
+        p.charge_wall(
+            0,
+            StallClass::Os,
+            Time::from_ps(63 * INITIAL_WIDTH_PS),
+            ns(1),
+        );
+        let mut w = CkptWriter::new("t");
+        p.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
+        let text = w.finish();
+        let body = &text[..text.rfind("checksum=").expect("a trailer")];
+        let from = format!("phase_ps={INITIAL_WIDTH_PS}\n");
+        assert!(body.contains(&from));
+        // Phase 63 filled: at 2^57 it starts inside u64, at 2^62 past it.
+        for (width, ok) in [(1u64 << 57, true), (1 << 62, false), (3 << 20, false)] {
+            let body = body.replacen(&from, &format!("phase_ps={width}\n"), 1);
+            let text = format!("{body}checksum={}\n", provenance_hash(&body));
+            let q = Profiler::new();
+            let mut r = CkptReader::open(&text).expect("resealed");
+            match q.ckpt(&mut Ckpt::Load(&mut r)) {
+                Ok(()) if ok => {
+                    let a = q.snapshot(&[Time::ZERO]).expect("enabled");
+                    assert!(a.render_phases().contains("\n   63 "));
+                }
+                Err(CkptError::Parse { key, .. }) if !ok => assert_eq!(key, "phase_ps"),
+                other => panic!("phase_ps={width}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -54,9 +54,9 @@
 //! - [`schema`]: the registry of the four `flashsim-*-v1` formats — name,
 //!   schema id and validator — behind `flashsim validate`; every file
 //!   `flashsim report` and `flashsim spans` export is one of them,
-//! - [`window`]: the caller-held accumulator the per-op observer sites
-//!   write through — a sum or max over one cached bucket, published to
-//!   its telemetry or accounting handle once per bucket,
+//! - [`window`]: the one bucket axis telemetry and accounting series lie
+//!   on, and the caller-held fold the per-op observer sites write through
+//!   — a sum or max over one cached bucket, published once per bucket,
 //! - [`fxhash`]: the fast fixed-function hasher behind the hot-path maps
 //!   (page table, TLB), with no per-process random seed,
 //! - [`observers`]: the bundle of the four recording handles (profiler,

@@ -28,14 +28,14 @@
 //!   `total / elapsed_ps` is the time-weighted mean with no rounding
 //!   loss (conservation is asserted in `tests/telemetry_determinism.rs`).
 //!
-//! Series are bounded the same way as accounting phases: a fixed
-//! [`BUCKETS`]-slot buffer whose window width starts at the configured
-//! cadence and doubles (merging adjacent buckets — sums for counters
-//! and occupancy, maxes for gauges) whenever simulated time outgrows
-//! the buffer. Memory is therefore constant regardless of run length,
-//! and because `floor(floor(t/w)/2) == floor(t/2w)` the final series
-//! depends only on the recorded samples and the final width, not on
-//! when the doublings happened.
+//! Every metric is a [`BUCKETS`]-slot series on the registry's one
+//! `window::Axis`, the bucket axis the accounting phases use too: its
+//! width starts at the configured cadence and doubles whenever simulated
+//! time outgrows the buffer, merging adjacent buckets — sums for
+//! counters and occupancy, maxes for gauges. Memory is therefore
+//! constant regardless of run length, and the final series depends only
+//! on the recorded samples and the final width, not on when the
+//! doublings happened (see [`crate::window`]).
 //!
 //! # Determinism
 //!
@@ -87,18 +87,10 @@ use std::sync::{Arc, Mutex};
 use crate::ckpt::{bad, Ckpt, CkptError};
 use crate::jsonl::{leading_u64, push_json_escaped, scan_strings_after};
 use crate::time::{Time, TimeDelta};
-use crate::window::Window;
+use crate::window::{self, halve, last_filled, Axis, Series, Window, BUCKETS, INITIAL_WIDTH_PS};
 
 /// Schema identifier stamped on the JSONL header line.
 pub const SCHEMA: &str = "flashsim-telemetry-v1";
-
-/// Number of time buckets per series; fixed so telemetry memory is
-/// constant regardless of run length (mirrors `account::PHASES`).
-pub const BUCKETS: usize = 64;
-
-/// Default initial bucket width (~1 µs), matching the accounting
-/// profiler's initial phase width.
-const DEFAULT_BUCKET_PS: u64 = 1 << 20;
 
 /// What a metric measures, fixed at registration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,100 +143,35 @@ struct Metric {
 
 #[derive(Debug, Clone)]
 struct Registry {
-    bucket_ps: u64,
+    axis: Axis,
     /// High-water mark of any recorded timestamp, so a snapshot taken
     /// at the final core clock still covers late memory-system events.
     high_ps: u64,
-    /// The bucket `[cur_lo, cur_hi)` the last counter or gauge event fell
-    /// in, and its index: consecutive events mostly share a bucket, and
-    /// finding it again then takes no division. Empty (`cur_hi == 0`)
-    /// until the first event and after every change of `bucket_ps`.
-    cur_lo: u64,
-    cur_hi: u64,
-    cur_idx: usize,
     metrics: Vec<Metric>,
 }
 
 impl Registry {
     fn new(cadence_ps: u64) -> Registry {
         Registry {
-            bucket_ps: cadence_ps.max(1),
+            axis: Axis::new(cadence_ps),
             high_ps: 0,
-            cur_lo: 0,
-            cur_hi: 0,
-            cur_idx: 0,
             metrics: Vec::new(),
         }
     }
 
-    fn register(
-        &mut self,
-        name: &'static str,
-        node: Option<u32>,
-        kind: MetricKind,
-        volatile: bool,
-    ) -> MetricId {
-        if let Some(i) = self
-            .metrics
-            .iter()
-            .position(|m| m.name == name && m.node == node)
-        {
-            return MetricId(i as u32);
-        }
-        self.metrics.push(Metric {
-            name,
-            node,
-            kind,
-            volatile,
-            total: 0,
-            last_value: 0,
-            last_at: 0,
-            buckets: vec![0; BUCKETS],
-        });
-        MetricId((self.metrics.len() - 1) as u32)
-    }
-
-    /// Doubles the bucket width (merging adjacent pairs) until `ps`
-    /// fits inside the buffer. Counter/occupancy pairs sum; gauge
-    /// pairs take the max.
-    fn grow_to(&mut self, ps: u64) {
-        self.high_ps = self.high_ps.max(ps);
-        while ps / self.bucket_ps >= BUCKETS as u64 {
-            for m in &mut self.metrics {
-                for i in 0..BUCKETS / 2 {
-                    let (a, b) = (m.buckets[2 * i], m.buckets[2 * i + 1]);
-                    m.buckets[i] = match m.kind {
-                        MetricKind::Gauge => a.max(b),
-                        _ => a.saturating_add(b),
-                    };
-                }
-                for b in &mut m.buckets[BUCKETS / 2..] {
-                    *b = 0;
-                }
-            }
-            self.bucket_ps = self.bucket_ps.saturating_mul(2);
-            self.cur_hi = 0;
-        }
-    }
-
-    /// The bucket index of `ps`, growing the buffer to hold it.
+    /// The bucket index of `ps`, growing the buffer to hold it: counter
+    /// and occupancy pairs merge by sum, gauge pairs by max.
     #[inline]
     fn slot(&mut self, ps: u64) -> usize {
         self.high_ps = self.high_ps.max(ps);
-        if !(self.cur_lo..self.cur_hi).contains(&ps) {
-            self.seek(ps);
-        }
-        self.cur_idx
-    }
-
-    /// Moves the cached bucket to the one holding `ps`.
-    #[cold]
-    fn seek(&mut self, ps: u64) {
-        self.grow_to(ps);
-        let idx = ps / self.bucket_ps;
-        self.cur_idx = idx as usize;
-        self.cur_lo = idx * self.bucket_ps;
-        self.cur_hi = self.cur_lo.saturating_add(self.bucket_ps);
+        self.axis.slot(ps, || {
+            for m in &mut self.metrics {
+                match m.kind {
+                    MetricKind::Gauge => halve(&mut m.buckets, u64::max),
+                    _ => halve(&mut m.buckets, u64::saturating_add),
+                }
+            }
+        })
     }
 
     fn count(&mut self, id: MetricId, ps: u64, n: u64) {
@@ -263,19 +190,10 @@ impl Registry {
         }
     }
 
-    /// Publishes what a [`Window`] folded — a sum for a counter, a
-    /// maximum for a gauge — at `ps`, the largest timestamp it absorbed.
-    fn publish(&mut self, id: MetricId, (ps, fold): (u64, u64)) {
-        match self.metrics.get(id.0 as usize).map(|m| m.kind) {
-            Some(MetricKind::Gauge) => self.gauge(id, ps, fold),
-            _ => self.count(id, ps, fold),
-        }
-    }
-
     fn occupy(&mut self, id: MetricId, at: Time, value: u64) {
         let ps = at.as_ps();
-        self.grow_to(ps);
-        let bucket_ps = self.bucket_ps;
+        self.slot(ps);
+        let bucket_ps = self.axis.width();
         if let Some(m) = self.metrics.get_mut(id.0 as usize) {
             if ps > m.last_at {
                 integrate(bucket_ps, m, ps);
@@ -290,8 +208,8 @@ impl Registry {
     fn snapshot(&self, end: Time) -> TelemetrySeries {
         let mut reg = self.clone();
         let end_ps = end.as_ps().max(reg.high_ps);
-        reg.grow_to(end_ps);
-        let bucket_ps = reg.bucket_ps;
+        reg.slot(end_ps);
+        let bucket_ps = reg.axis.width();
         for m in &mut reg.metrics {
             if m.kind == MetricKind::Occupancy && end_ps > m.last_at {
                 integrate(bucket_ps, m, end_ps);
@@ -316,6 +234,24 @@ impl Registry {
     }
 }
 
+impl Series for Registry {
+    type Key = MetricId;
+
+    /// Publishes what a [`Window`] folded — a sum for a counter, a
+    /// maximum for a gauge — at `ps`, the largest timestamp it absorbed.
+    fn publish(&mut self, id: MetricId, (ps, fold): (u64, u64)) {
+        match self.metrics.get(id.0 as usize).map(|m| m.kind) {
+            Some(MetricKind::Gauge) => self.gauge(id, ps, fold),
+            _ => self.count(id, ps, fold),
+        }
+    }
+
+    fn axis_at(&mut self, ps: u64) -> &Axis {
+        self.slot(ps);
+        &self.axis
+    }
+}
+
 /// Integrates `m.last_value` over `[m.last_at, to_ps)`, splitting the
 /// integral exactly at bucket boundaries so per-bucket integrals always
 /// sum to the running total. Caller guarantees `to_ps` fits the buffer.
@@ -331,22 +267,6 @@ fn integrate(bucket_ps: u64, m: &mut Metric, to_ps: u64) {
         cur = stop;
     }
     m.last_at = to_ps;
-}
-
-/// The lock-taking half of [`Telemetry::count_in`] and
-/// [`Telemetry::gauge_in`], out of line so that the inlined half is two
-/// compares and an add: publishes `w`'s fold, if it holds one, and
-/// re-aims it at the bucket of the event `(ps, first)` that fell outside
-/// it.
-#[cold]
-#[inline(never)]
-fn turn(inner: &Mutex<Registry>, w: &mut Window, id: MetricId, ps: u64, first: u64) {
-    let mut reg = inner.lock().expect("telemetry registry poisoned"); // gate: allow
-    if let Some(held) = w.take() {
-        reg.publish(id, held);
-    }
-    reg.slot(ps);
-    w.aim(reg.cur_lo, reg.cur_hi, ps, first);
 }
 
 /// Runs `f` on the locked registry: the out-of-line half of a record
@@ -373,7 +293,7 @@ impl Telemetry {
 
     /// An enabled registry with the default ~1 µs initial bucket width.
     pub fn new() -> Telemetry {
-        Telemetry::with_cadence(TimeDelta::from_ps(DEFAULT_BUCKET_PS))
+        Telemetry::with_cadence(TimeDelta::from_ps(INITIAL_WIDTH_PS))
     }
 
     /// An enabled registry whose initial bucket width is `cadence`
@@ -390,16 +310,34 @@ impl Telemetry {
         self.inner.is_some()
     }
 
+    /// Registers (or looks up, by name and node label) a metric: the one
+    /// body of the four `register*` calls.
+    fn add(&self, name: &'static str, node: Option<u32>, kind: MetricKind, vol: bool) -> MetricId {
+        let Some(inner) = &self.inner else {
+            return MetricId::NONE;
+        };
+        let metrics = &mut inner.lock().expect("telemetry registry poisoned").metrics; // gate: allow
+        let known = |m: &Metric| m.name == name && m.node == node;
+        if let Some(i) = metrics.iter().position(known) {
+            return MetricId(i as u32);
+        }
+        metrics.push(Metric {
+            name,
+            node,
+            kind,
+            volatile: vol,
+            total: 0,
+            last_value: 0,
+            last_at: 0,
+            buckets: vec![0; BUCKETS],
+        });
+        MetricId((metrics.len() - 1) as u32)
+    }
+
     /// Registers (or looks up, by name) a policy-invariant metric.
     /// Returns [`MetricId::NONE`] on a disabled handle.
     pub fn register(&self, name: &'static str, kind: MetricKind) -> MetricId {
-        match &self.inner {
-            Some(inner) => inner
-                .lock()
-                .expect("telemetry registry poisoned") // gate: allow
-                .register(name, None, kind, false),
-            None => MetricId::NONE,
-        }
+        self.add(name, None, kind, false)
     }
 
     /// Registers a per-node variant of `name` — a bounded-cardinality
@@ -408,28 +346,13 @@ impl Telemetry {
     /// callers bound the label set (one id per node, registered up
     /// front), never one per transaction.
     pub fn register_node(&self, name: &'static str, node: u32, kind: MetricKind) -> MetricId {
-        match &self.inner {
-            // gate: allow — a poisoned registry lock is a prior panic
-            Some(inner) => inner.lock().expect("telemetry registry poisoned").register(
-                name,
-                Some(node),
-                kind,
-                false,
-            ),
-            None => MetricId::NONE,
-        }
+        self.add(name, Some(node), kind, false)
     }
 
     /// Registers a scheduler-dependent metric, excluded from the stable
     /// JSONL export (see the module docs on determinism).
     pub fn register_volatile(&self, name: &'static str, kind: MetricKind) -> MetricId {
-        match &self.inner {
-            Some(inner) => inner
-                .lock()
-                .expect("telemetry registry poisoned") // gate: allow
-                .register(name, None, kind, true),
-            None => MetricId::NONE,
-        }
+        self.add(name, None, kind, true)
     }
 
     /// Registers a per-node scheduler-dependent metric — the volatile
@@ -442,16 +365,7 @@ impl Telemetry {
         node: u32,
         kind: MetricKind,
     ) -> MetricId {
-        match &self.inner {
-            // gate: allow — a poisoned registry lock is a prior panic
-            Some(inner) => inner.lock().expect("telemetry registry poisoned").register(
-                name,
-                Some(node),
-                kind,
-                true,
-            ),
-            None => MetricId::NONE,
-        }
+        self.add(name, Some(node), kind, true)
     }
 
     /// Adds `n` to a counter at simulated time `at`.
@@ -476,7 +390,7 @@ impl Telemetry {
     pub fn count_in(&self, w: &mut Window, id: MetricId, at: Time, n: u64) {
         let Some(inner) = &self.inner else { return };
         if !w.sum(at.as_ps(), n) {
-            turn(inner, w, id, at.as_ps(), n);
+            window::turn(inner, w, id, at.as_ps(), n);
         }
     }
 
@@ -486,7 +400,7 @@ impl Telemetry {
     pub fn gauge_in(&self, w: &mut Window, id: MetricId, at: Time, value: u64) {
         let Some(inner) = &self.inner else { return };
         if !w.max(at.as_ps(), value) {
-            turn(inner, w, id, at.as_ps(), value);
+            window::turn(inner, w, id, at.as_ps(), value);
         }
     }
 
@@ -496,10 +410,7 @@ impl Telemetry {
     pub fn publish(&self, w: &mut Window, id: MetricId) {
         let Some(inner) = &self.inner else { return };
         if let Some(held) = w.take() {
-            inner
-                .lock()
-                .expect("telemetry registry poisoned") // gate: allow
-                .publish(id, held);
+            locked(inner, |reg| reg.publish(id, held));
         }
     }
 
@@ -517,12 +428,9 @@ impl Telemetry {
     /// occupancy integrals at `end` (or at the latest recorded sample,
     /// whichever is later). `None` on a disabled handle.
     pub fn snapshot(&self, end: Time) -> Option<TelemetrySeries> {
-        self.inner.as_ref().map(|inner| {
-            inner
-                .lock()
-                .expect("telemetry registry poisoned") // gate: allow
-                .snapshot(end)
-        })
+        let inner = self.inner.as_ref()?;
+        let reg = inner.lock().expect("telemetry registry poisoned"); // gate: allow
+        Some(reg.snapshot(end))
     }
 
     /// Walks the numeric state of every **stable** (non-volatile) metric,
@@ -541,39 +449,35 @@ impl Telemetry {
             return Ok(());
         };
         let reg = &mut *inner.lock().expect("telemetry registry poisoned"); // gate: allow
-        c.u64("bucket_ps", &mut reg.bucket_ps)?;
-        if reg.bucket_ps == 0 {
-            return Err(bad("bucket_ps", 0));
-        }
-        if c.loading() {
-            reg.cur_hi = 0;
-        }
-        c.u64("high_ps", &mut reg.high_ps)?;
-        let stable = reg.metrics.iter().filter(|m| !m.volatile).count();
-        let count = c.count("metrics", stable)?;
-        if count != stable {
-            return Err(bad(
-                "metrics",
-                format!("{count} saved, {stable} registered"),
-            ));
-        }
-        for m in reg.metrics.iter_mut().filter(|m| !m.volatile) {
-            let want = m.node.map_or(u64::MAX, u64::from);
-            let mut node = want;
-            c.name("name", m.name)?;
-            c.u64("node", &mut node)?;
-            if node != want {
+        reg.axis.ckpt(c, "bucket_ps", |c| {
+            c.u64("high_ps", &mut reg.high_ps)?;
+            let stable = reg.metrics.iter().filter(|m| !m.volatile).count();
+            let count = c.count("metrics", stable)?;
+            if count != stable {
                 return Err(bad(
-                    "name",
-                    format!("{} node={node}, expected {want}", m.name),
+                    "metrics",
+                    format!("{count} saved, {stable} registered"),
                 ));
             }
-            c.u64("total", &mut m.total)?;
-            c.u64("last_value", &mut m.last_value)?;
-            c.u64("last_at", &mut m.last_at)?;
-            c.u64s("buckets", &mut m.buckets, BUCKETS..=BUCKETS)?;
-        }
-        Ok(())
+            for m in reg.metrics.iter_mut().filter(|m| !m.volatile) {
+                let want = m.node.map_or(u64::MAX, u64::from);
+                let mut node = want;
+                c.name("name", m.name)?;
+                c.u64("node", &mut node)?;
+                if node != want {
+                    return Err(bad(
+                        "name",
+                        format!("{} node={node}, expected {want}", m.name),
+                    ));
+                }
+                c.u64("total", &mut m.total)?;
+                c.u64("last_value", &mut m.last_value)?;
+                c.u64("last_at", &mut m.last_at)?;
+                c.u64s("buckets", &mut m.buckets, BUCKETS..=BUCKETS)?;
+            }
+            let last = reg.metrics.iter().map(|m| last_filled(&m.buckets));
+            Ok(last.max().unwrap_or(0))
+        })
     }
 }
 
@@ -1025,6 +929,47 @@ mod tests {
         tel3.register_node("queue_ps", 2, MetricKind::Occupancy);
         let mut r = CkptReader::open(&text).expect("intact");
         assert!(tel3.ckpt(&mut Ckpt::Load(&mut r)).is_err());
+    }
+
+    /// The saved checkpoint of `tel` with `bucket_ps` replaced by `width`,
+    /// its checksum recomputed, restored into a fresh default registry
+    /// with one counter.
+    fn restore_with_width(tel: &Telemetry, width: u64) -> Result<(), CkptError> {
+        use crate::ckpt::{provenance_hash, CkptReader, CkptWriter};
+        let mut w = CkptWriter::new("t");
+        tel.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
+        let text = w.finish();
+        let body = &text[..text.rfind("checksum=").expect("a trailer")];
+        let from = format!("bucket_ps={INITIAL_WIDTH_PS}\n");
+        assert!(body.contains(&from));
+        let body = body.replacen(&from, &format!("bucket_ps={width}\n"), 1);
+        let text = format!("{body}checksum={}\n", provenance_hash(&body));
+        let fresh = Telemetry::new();
+        fresh.register("hits", MetricKind::Counter);
+        let mut r = CkptReader::open(&text).expect("resealed");
+        fresh.ckpt(&mut Ckpt::Load(&mut r))?;
+        let series = fresh.snapshot(Time::ZERO).expect("enabled");
+        assert!(series.to_jsonl().contains("\"bucket\":63"));
+        Ok(())
+    }
+
+    #[test]
+    fn restore_rejects_a_width_no_event_could_reach() {
+        let tel = Telemetry::new();
+        let id = tel.register("hits", MetricKind::Counter);
+        tel.count(id, Time::from_ps(63 * INITIAL_WIDTH_PS), 1);
+        // Bucket 63 filled: at 2^57 it starts inside u64, at 2^60 past it.
+        restore_with_width(&tel, 1 << 57).expect("a reachable width restores");
+        for (width, why) in [
+            (1 << 60, "overflows"),
+            (0, "zero"),
+            (3 << 20, "not doubled"),
+        ] {
+            match restore_with_width(&tel, width) {
+                Err(CkptError::Parse { key, .. }) => assert_eq!(key, "bucket_ps", "{why}"),
+                other => panic!("bucket_ps={width} ({why}) restored: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,29 +1,158 @@
-//! Window-local accumulation for the hottest observer writes.
+//! The bucket axis every sim-time series lies on, and window-local
+//! accumulation for the hottest observer writes.
 //!
-//! [`crate::telemetry`] counters and gauges and the [`crate::account`]
-//! compute residual are bucketed by simulated time, and consecutive events
-//! from one call site almost always land in the bucket the previous one
-//! did. A [`Window`] lets the call site keep that bucket to itself: it
-//! caches one bucket-aligned interval `[lo, hi)` of the handle's current
-//! geometry and folds every event inside it — a sum or a max — into one
-//! word, so such an event costs two compares and an add, with no lock and
-//! no division. The handle's lock is taken only when an event falls
-//! outside the interval (the fold is published and the window re-aimed)
-//! and when a reader needs the handle complete (`publish`).
+//! [`crate::telemetry`] metrics and [`crate::account`] phases are
+//! [`BUCKETS`]-slot series on one `Axis`, whose width starts at the
+//! owner's cadence and doubles whenever an event lands past the last
+//! bucket, folding aligned pairs with the owner's merge (`halve`: a
+//! saturating sum, or a max for gauges). As `floor(floor(t/w)/2) ==
+//! floor(t/2w)`, a series depends only on its events and its final width.
+//! The axis caches its last event's bucket: a division only on a miss.
 //!
-//! Deferring the writes cannot change a byte of any export:
-//!
-//! - bucket sums and maxima commute, so the order in which a fold and
-//!   other handles' per-event writes reach a bucket is immaterial;
-//! - bucket widths only ever double, merging aligned pairs, so an interval
-//!   aligned at the width it was cached at stays inside one bucket at
-//!   every later width;
-//! - the fold is published at the largest timestamp it absorbed, so the
-//!   handle's high-water mark — and with it every doubling — ends up where
-//!   per-event writes would have put it.
-//!
-//! What remains is the caller's duty: publish every window before anything
-//! reads the handle (snapshot, checkpoint).
+//! A [`Window`] gives one call site such a bucket `[lo, hi)` of its own,
+//! folding every event inside it — a sum or a max — into one word: two
+//! compares and an add, no lock, no division. The handle's lock is taken
+//! when an event falls outside (`turn` publishes the fold and re-aims the
+//! window) and when a reader needs the handle complete (`publish`). No
+//! export byte can change: sums and maxima commute; an axis width only
+//! doubles by merging aligned pairs, so an interval aligned at the width
+//! it was cached at stays inside one bucket at every later width; and the
+//! fold is published at the largest timestamp it absorbed, so the handle's
+//! high-water mark, and every doubling, ends up where per-event writes put
+//! it. The caller's duty: publish every window before anything reads the
+//! handle (snapshot, checkpoint).
+
+use crate::ckpt::{bad, Ckpt, CkptError};
+use std::sync::Mutex;
+
+/// Buckets per sim-time series, so a series' memory is constant.
+pub const BUCKETS: usize = 64;
+
+/// The first width (2²⁰ ps, ~1 µs) of a series with no cadence of its own.
+pub(crate) const INITIAL_WIDTH_PS: u64 = 1 << 20;
+
+/// The time axis of a [`BUCKETS`]-slot series whose owner keeps the
+/// cells: its width, and the bucket `[lo, hi)` (index `idx`) the last
+/// event fell in — empty, `hi == 0`, until the first event and after each
+/// doubling.
+#[derive(Debug, Clone)]
+pub(crate) struct Axis {
+    /// The first width; every later one is this one doubled.
+    start: u64,
+    width: u64,
+    lo: u64,
+    hi: u64,
+    idx: usize,
+}
+
+impl Axis {
+    /// An axis whose first width is `start_ps` (clamped to ≥ 1 ps).
+    pub(crate) fn new(start_ps: u64) -> Axis {
+        let start = start_ps.max(1);
+        Axis {
+            start,
+            width: start,
+            lo: 0,
+            hi: 0,
+            idx: 0,
+        }
+    }
+
+    /// The current bucket width in picoseconds.
+    pub(crate) fn width(&self) -> u64 {
+        self.width
+    }
+
+    /// The bucket index of `ps`. Off the cached bucket, the width first
+    /// doubles until `ps` fits, running `merge` (the owner's `halve` of its
+    /// cells) once per doubling.
+    #[inline]
+    pub(crate) fn slot(&mut self, ps: u64, merge: impl FnMut()) -> usize {
+        if !(self.lo..self.hi).contains(&ps) {
+            self.aim(ps, merge);
+        }
+        self.idx
+    }
+
+    #[cold]
+    fn aim(&mut self, ps: u64, mut merge: impl FnMut()) {
+        while ps / self.width >= BUCKETS as u64 {
+            merge();
+            self.width = self.width.saturating_mul(2);
+        }
+        self.idx = (ps / self.width) as usize;
+        self.lo = self.idx as u64 * self.width;
+        self.hi = self.lo.saturating_add(self.width);
+    }
+
+    /// Walks the width under `key`, then the owner's `cells`, which returns
+    /// the last bucket holding anything. Both checks fail under `key`: the
+    /// width must be the first one doubled (so never `0`), and the last
+    /// filled bucket must start inside `u64`, as one an event reached does.
+    pub(crate) fn ckpt(
+        &mut self,
+        c: &mut Ckpt<'_>,
+        key: &str,
+        cells: impl FnOnce(&mut Ckpt<'_>) -> Result<usize, CkptError>,
+    ) -> Result<(), CkptError> {
+        c.u64(key, &mut self.width)?;
+        let (w, s) = (self.width, self.start);
+        if w < s || w % s != 0 || !(w / s).is_power_of_two() {
+            return Err(bad(key, w));
+        }
+        self.hi = 0;
+        let last = cells(c)?;
+        if (last as u64).checked_mul(w).is_none() {
+            return Err(bad(key, format!("{w} with bucket {last} filled")));
+        }
+        Ok(())
+    }
+}
+
+/// One doubling of a cell array: bucket `i` becomes buckets `2i` and
+/// `2i + 1` folded by `pair`, and the upper half empties.
+pub(crate) fn halve<T: Copy + Default>(cells: &mut [T], pair: impl Fn(T, T) -> T) {
+    let half = cells.len() / 2;
+    for i in 0..half {
+        cells[i] = pair(cells[2 * i], cells[2 * i + 1]);
+    }
+    cells[half..].fill(T::default());
+}
+
+/// The last bucket of `cells` holding anything (`0` when none does).
+pub(crate) fn last_filled<T: Default + PartialEq>(cells: &[T]) -> usize {
+    cells.iter().rposition(|c| *c != T::default()).unwrap_or(0)
+}
+
+/// A handle's locked state, as its [`Window`]s publish into it.
+pub(crate) trait Series {
+    /// What one window serves: a telemetry metric, an accounting node.
+    type Key: Copy;
+    /// Adds a window's `(last_at, fold)` for `key`.
+    fn publish(&mut self, key: Self::Key, held: (u64, u64));
+    /// The axis, its cached bucket on the one holding `ps`.
+    fn axis_at(&mut self, ps: u64) -> &Axis;
+}
+
+/// The lock-taking half of every window write (`Telemetry::count_in`,
+/// `gauge_in`, `Profiler::mark_op_in`), out of line so that the inlined
+/// half is two compares and an add: publishes `w`'s fold, if it holds one,
+/// and re-aims it at the bucket of the event `(ps, first)` outside it.
+#[cold]
+#[inline(never)]
+pub(crate) fn turn<S: Series>(m: &Mutex<S>, w: &mut Window, key: S::Key, ps: u64, first: u64) {
+    let mut s = m.lock().expect("observer series poisoned"); // gate: allow
+    if let Some(held) = w.take() {
+        s.publish(key, held);
+    }
+    let Axis { lo, hi, .. } = *s.axis_at(ps);
+    *w = Window {
+        lo,
+        hi,
+        last_at: ps,
+        fold: first,
+    };
+}
 
 /// One caller-held fold over a cached bucket interval; see the module
 /// docs. A window serves one metric (or one node's compute residual) of
@@ -84,18 +213,6 @@ impl Window {
         *self = Window::new();
         held
     }
-
-    /// Re-aims the emptied window at `[lo, hi)`, which contains `at`,
-    /// starting the fold from the event `(at, first)`.
-    pub(crate) fn aim(&mut self, lo: u64, hi: u64, at: u64, first: u64) {
-        debug_assert!((lo..hi).contains(&at), "window aimed off its event");
-        *self = Window {
-            lo,
-            hi,
-            last_at: at,
-            fold: first,
-        };
-    }
 }
 
 #[cfg(test)]
@@ -112,6 +229,75 @@ mod tests {
     const CADENCE_PS: u64 = 250_000;
     const NODES: usize = 4;
     const EVENTS: usize = 6000;
+
+    /// The three cells a series keeps, one per merge: a sum, a max, and a
+    /// per-class row.
+    #[derive(Debug, PartialEq)]
+    struct Cells {
+        sum: [u64; BUCKETS],
+        max: [u64; BUCKETS],
+        rows: [[u64; 8]; BUCKETS],
+    }
+
+    impl Cells {
+        fn new() -> Cells {
+            Cells {
+                sum: [0; BUCKETS],
+                max: [0; BUCKETS],
+                rows: [[0; 8]; BUCKETS],
+            }
+        }
+
+        fn merge(&mut self) {
+            halve(&mut self.sum, u64::saturating_add);
+            halve(&mut self.max, u64::max);
+            halve(&mut self.rows, |a, b| std::array::from_fn(|k| a[k] + b[k]));
+        }
+
+        fn record(&mut self, idx: usize, (v, class): (u64, usize)) {
+            self.sum[idx] += v;
+            self.max[idx] = self.max[idx].max(v);
+            self.rows[idx][class] += v;
+        }
+    }
+
+    /// Over seeded streams — a start width that is not a power of two,
+    /// timestamps that wander backwards, leaps, and doublings forced at
+    /// arbitrary moments with no event at them (as a snapshot's or an
+    /// integrator's fit makes) — the series built online equals every
+    /// recorded event re-bucketed offline at the final width, cell for
+    /// cell.
+    #[test]
+    fn online_series_equal_offline_rebucketing_at_the_final_width() {
+        for seed in 0..32 {
+            let mut rng = Rng::seeded(seed);
+            let start = 3 * (1 + rng.gen_range(1 << 16));
+            let mut axis = Axis::new(start);
+            let mut online = Cells::new();
+            let mut events = Vec::new();
+            let mut now = 0u64;
+            for _ in 0..EVENTS {
+                now += match rng.gen_range(50) {
+                    0 => rng.gen_range(40 * start),
+                    _ => rng.gen_range(start / 2 + 1),
+                };
+                if rng.gen_range(100) == 0 {
+                    axis.slot(now + rng.gen_range(80 * start), || online.merge());
+                }
+                let ps = now.saturating_sub(rng.gen_range(3 * start));
+                let event = (rng.gen_range(1000), rng.gen_range(8) as usize);
+                let idx = axis.slot(ps, || online.merge());
+                online.record(idx, event);
+                events.push((ps, event));
+            }
+            assert!(axis.width() >= 4 * start, "seed {seed}: too few doublings");
+            let mut offline = Cells::new();
+            for &(ps, event) in &events {
+                offline.record((ps / axis.width()) as usize, event);
+            }
+            assert_eq!(online, offline, "seed {seed}");
+        }
+    }
 
     /// One telemetry registry and one ledger, identically registered.
     struct Handles {

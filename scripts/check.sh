@@ -241,6 +241,22 @@ if [ -n "$pairs$literals$flush" ]; then
     exit 1
 fi
 
+echo "== one-bucket-series gate (every sim-time series lies on engine::window::Axis) =="
+# Telemetry metrics and accounting phases share one 64-bucket doubling
+# axis: one width, one merge, one index, one window re-aim, one
+# checkpointed width. A second copy of that geometry does not come back.
+copies=$(grep -rnE 'phase_of|phase_shift|grow_to|fn seek|INITIAL_PHASE_PS|DEFAULT_BUCKET_PS|pub const PHASES' \
+    crates/engine/src || true)
+turns=$(grep -rnE 'fn turn[(<]' crates/engine/src | wc -l)
+if [ -n "$copies" ] || [ "$turns" -gt 1 ]; then
+    echo "a second bucket geometry in crates/engine/src ($turns window re-aims):"
+    echo "$copies"
+    exit 1
+fi
+engine_lines=$(awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n }' \
+    crates/engine/src/*.rs)
+echo "engine non-test lines: $engine_lines"
+
 echo "== one-tool gate (one binary, one validate entry point) =="
 # Every command-line surface is a subcommand of `flashsim`; a second file
 # under src/bin is a second tool, and a format validator called past the
