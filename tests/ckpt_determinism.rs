@@ -7,10 +7,14 @@
 //! the study, under both scheduling policies, with an active fault plan,
 //! and across stats, accounting, telemetry JSONL, and span JSONL. A
 //! checkpoint that has been corrupted or truncated must be rejected with
-//! a structured error, never mis-restored.
+//! a structured error, never mis-restored. The checkpoint bytes and the
+//! telemetry, span and hostprof export bytes are each pinned to digests
+//! recorded before their writers were last rewritten.
 
 use flashsim::engine::ckpt::{self, CkptError};
-use flashsim::engine::{FaultPlan, SpanPlan, Time, TimeDelta};
+use flashsim::engine::{
+    FaultPlan, ForkAdmission, HostPhase, HostReport, SpanPlan, Time, TimeDelta, WorkerLane,
+};
 use flashsim::machine::{
     run_program, Machine, MachineConfig, RestoreError, RunResult, SchedPolicy,
 };
@@ -253,6 +257,98 @@ fn checkpoint_bytes_are_the_recorded_ones() {
         ckpt_digest(observed(cfg)),
         "a6af9a22c3b5d0d5",
         "fault-plan cell: checkpoint bytes moved"
+    );
+}
+
+/// Export bytes recorded at the commit before each `flashsim-*-v1` JSONL
+/// writer and its validator became one walk (`fbf2e80`): the telemetry
+/// and span documents of the observed FFT on each of the seven platforms,
+/// and the hostprof document of one hand-built report (a run's host wall
+/// times differ from run to run). The determinism suites compare one
+/// run's export with another run's, so only a digest sees a writer change
+/// that moves every run's bytes the same way.
+#[test]
+fn export_bytes_are_the_recorded_ones() {
+    let study = Study::scaled();
+    let recorded = [
+        ("hardware", "1e67de6e2e95f108", "f02435e1ae1a88d4"),
+        (
+            "simos-mipsy-150/flashlite",
+            "764826b491f1a5d0",
+            "06ba570fab9a0e9f",
+        ),
+        (
+            "simos-mipsy-150/numa",
+            "29883ac53f608192",
+            "ca1357536527cdb0",
+        ),
+        (
+            "solo-mipsy-150/flashlite",
+            "cd79d6566c6cd443",
+            "2829152523a2d4fd",
+        ),
+        (
+            "solo-mipsy-150/numa",
+            "3858d7ea01066f27",
+            "872e075726ebf7c6",
+        ),
+        (
+            "simos-mxs/flashlite",
+            "bd47c6bdcc357097",
+            "7a7328de813d848f",
+        ),
+        ("simos-mxs/numa", "8d686568867ac051", "302dd1d8fd47ea34"),
+    ];
+    let platforms = platforms(&study, 2);
+    assert_eq!(platforms.len(), recorded.len());
+    for ((label, cfg), (want_label, telemetry, spans)) in platforms.into_iter().zip(recorded) {
+        assert_eq!(label, want_label);
+        let r = run_program(observed(cfg), &prog()).expect("observed run");
+        let digest = |text: String| ckpt::provenance_hash(&text);
+        assert_eq!(
+            digest(r.telemetry.expect("telemetry").to_jsonl()),
+            telemetry,
+            "{label}: telemetry bytes moved"
+        );
+        assert_eq!(
+            digest(r.spans.expect("spans").to_jsonl()),
+            spans,
+            "{label}: span bytes moved"
+        );
+    }
+    let mut phase_ns = [0; HostPhase::COUNT];
+    for (i, ns) in phase_ns.iter_mut().enumerate() {
+        *ns = 1_000 * (i as u64 + 1) + 7;
+    }
+    let report = HostReport {
+        total_ns: phase_ns.iter().sum(),
+        phase_ns,
+        admission: ForkAdmission {
+            rounds: 12,
+            admitted_ops: 3_456,
+            forked_nodes: 20,
+            rejected_horizon: 3,
+            rejected_shared: 2,
+            rejected_opaque: 1,
+            stopped_sync: 5,
+            stopped_quota: 4,
+            stopped_end: 6,
+        },
+        workers: vec![
+            WorkerLane {
+                execute_ns: 9_000,
+                steal_ns: 40,
+                idle_ns: 1_200,
+                jobs: 11,
+                steals: 2,
+            },
+            WorkerLane::default(),
+        ],
+    };
+    assert_eq!(
+        ckpt::provenance_hash(&report.to_jsonl()),
+        "7fe2adc8524bc233",
+        "hostprof bytes moved"
     );
 }
 
