@@ -8,10 +8,15 @@
 //! ```
 //!
 //! Runs nothing: every file is read and strictly validated as one
-//! document of the named format — for `span`, the charge-tiling
-//! invariant; for `hostprof`, the phase-tiling identity; for `ckpt`,
-//! magic, checksum, provenance and body shape. The format is always
-//! named, never sniffed, and an empty file is invalid in every format.
+//! document of the named format. A JSONL document (`telemetry`, `span`,
+//! `hostprof`) must read through its format's one `engine::jsonl` walk —
+//! exactly the writer's keys in its order, nothing after a line's closing
+//! brace —, keep the writer's invariants (telemetry: totals conserved;
+//! span: nesting, charges that fit and tile; hostprof: phases that tile
+//! the window), and render back byte for byte, so it accepts only what
+//! the writer could have written; a `ckpt` its magic, checksum,
+//! provenance and body shape. The format is always named, never sniffed,
+//! and an empty file is invalid in every format.
 //!
 //! Prints one verdict per file and exits 1 if any file is unreadable or
 //! invalid; `scripts/check.sh` runs it over every export its smokes

@@ -91,6 +91,7 @@
 use core::fmt;
 use core::hash::Hasher;
 use core::ops::RangeBounds;
+use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 use crate::fxhash::FxHasher;
@@ -763,18 +764,20 @@ pub fn validate(text: &str) -> Result<CkptStats, CkptError> {
 }
 
 /// Restores a `&'static str` label (span leg kinds, protocol case
-/// names) from checkpoint text. Labels come from a small fixed
-/// vocabulary, so the registry deduplicates and only leaks a string
-/// the first time a given label is ever seen in this process — bounded
-/// by the vocabulary, not by the number of restores.
+/// names) from checkpoint text or a span export. Labels come from a
+/// small fixed vocabulary, so the registry deduplicates and only leaks
+/// a string the first time a given label is ever seen in this process —
+/// bounded by the vocabulary, not by the number of restores (a hostile
+/// document can add its own distinct labels; each lookup stays
+/// logarithmic).
 pub fn intern(s: &str) -> &'static str {
-    static REGISTRY: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+    static REGISTRY: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
     let mut reg = REGISTRY.lock().expect("intern registry poisoned"); // gate: allow
-    if let Some(existing) = reg.iter().find(|e| **e == s) {
+    if let Some(existing) = reg.get(s) {
         return existing;
     }
     let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-    reg.push(leaked);
+    reg.insert(leaked);
     leaked
 }
 

@@ -28,10 +28,9 @@
 //! change a single simulated byte (`tests/hostprof_isolation.rs` proves
 //! it on every platform under every policy).
 //!
-//! Export: one versioned [`HOSTPROF_SCHEMA`] JSONL document with a
-//! strict [`validate_jsonl`] (shared scanners from [`crate::jsonl`]).
+//! Export: one [`HOSTPROF_SCHEMA`] document, one [`crate::jsonl`] walk.
 
-use crate::jsonl::{field_str, field_u64, numbered_lines};
+use crate::jsonl::{self, Step, Walk};
 use crate::pool::WorkerLane;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -86,27 +85,14 @@ impl HostPhase {
 
     /// Stable lower-case key used in every export.
     pub const fn key(self) -> &'static str {
-        match self {
-            HostPhase::Drive => "drive",
-            HostPhase::Scan => "scan",
-            HostPhase::Fork => "fork",
-            HostPhase::Commit => "commit",
-            HostPhase::Serial => "serial",
-            HostPhase::Ckpt => "ckpt",
-            HostPhase::Stream => "stream",
-        }
+        [
+            "drive", "scan", "fork", "commit", "serial", "ckpt", "stream",
+        ][self.index()]
     }
 
+    /// Its position in [`HostPhase::ALL`], the declaration order.
     const fn index(self) -> usize {
-        match self {
-            HostPhase::Drive => 0,
-            HostPhase::Scan => 1,
-            HostPhase::Fork => 2,
-            HostPhase::Commit => 3,
-            HostPhase::Serial => 4,
-            HostPhase::Ckpt => 5,
-            HostPhase::Stream => 6,
-        }
+        self as usize
     }
 }
 
@@ -368,7 +354,7 @@ fn leave_phase(inner: &Arc<Mutex<State>>) {
 }
 
 /// A finalized host-time decomposition of one run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HostReport {
     /// Run-window wall-clock length in nanoseconds.
     pub total_ns: u64,
@@ -407,152 +393,74 @@ impl HostReport {
     /// one line per phase in [`HostPhase::ALL`] order, one admission
     /// line, and one line per worker lane.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str(&format!(
-            "{{\"schema\":\"{HOSTPROF_SCHEMA}\",\"total_ns\":{},\"phases\":{},\"workers\":{},\"rounds\":{}}}\n",
-            self.total_ns,
-            HostPhase::COUNT,
-            self.workers.len(),
-            self.admission.rounds,
-        ));
+        let mut report = self.clone();
+        Walk::render(|w| report.walk(w))
+    }
+
+    /// The one walk of the document [`to_jsonl`](Self::to_jsonl) renders;
+    /// returns the header's `rounds`.
+    fn walk(&mut self, w: &mut Walk<'_>) -> Step<u64> {
+        let (workers, rounds) = w.line(|w| {
+            w.fixed("schema", HOSTPROF_SCHEMA)?;
+            w.field("total_ns", &mut self.total_ns)?;
+            w.derived("phases", HostPhase::COUNT as u64)?;
+            let workers = w.derived("workers", self.workers.len() as u64)?;
+            Ok((workers, w.derived("rounds", self.admission.rounds)?))
+        })?;
         for p in HostPhase::ALL {
-            out.push_str(&format!(
-                "{{\"phase\":\"{}\",\"ns\":{}}}\n",
-                p.key(),
-                self.phase(p)
-            ));
+            w.line(|w| {
+                w.fixed("phase", p.key())?;
+                w.field("ns", &mut self.phase_ns[p.index()])
+            })?;
         }
-        let a = &self.admission;
-        out.push_str(&format!(
-            "{{\"ev\":\"admission\",\"rounds\":{},\"admitted_ops\":{},\"forked_nodes\":{},\
-             \"rejected_horizon\":{},\"rejected_shared\":{},\"rejected_opaque\":{},\
-             \"stopped_sync\":{},\"stopped_quota\":{},\"stopped_end\":{}}}\n",
-            a.rounds,
-            a.admitted_ops,
-            a.forked_nodes,
-            a.rejected_horizon,
-            a.rejected_shared,
-            a.rejected_opaque,
-            a.stopped_sync,
-            a.stopped_quota,
-            a.stopped_end,
-        ));
-        for (w, lane) in self.workers.iter().enumerate() {
-            out.push_str(&format!(
-                "{{\"worker\":{w},\"execute_ns\":{},\"steal_ns\":{},\"idle_ns\":{},\
-                 \"jobs\":{},\"steals\":{}}}\n",
-                lane.execute_ns, lane.steal_ns, lane.idle_ns, lane.jobs, lane.steals,
-            ));
-        }
-        out
+        w.line(|w| admission_line(w, &mut self.admission))?;
+        w.rows(workers, &mut self.workers, |w, i, lane| {
+            w.line(|w| lane_line(w, i, lane))
+        })?;
+        Ok(rounds)
     }
 }
 
-/// Strictly validates a [`HOSTPROF_SCHEMA`] JSONL document: header
-/// first with the right schema and counts, exactly one line per phase in
-/// [`HostPhase::ALL`] order, phase nanoseconds that sum to the header's
-/// `total_ns` **exactly** (the tiling invariant), one admission line
-/// whose `rounds` matches the header, and one line per declared worker
-/// in index order.
-///
-/// # Errors
-///
-/// A human-readable description of the first violation, prefixed with
-/// its 1-based line number.
+/// The admission line: every [`ForkAdmission`] counter.
+fn admission_line(w: &mut Walk<'_>, a: &mut ForkAdmission) -> Step {
+    w.fixed("ev", "admission")?;
+    w.field("rounds", &mut a.rounds)?;
+    w.field("admitted_ops", &mut a.admitted_ops)?;
+    w.field("forked_nodes", &mut a.forked_nodes)?;
+    w.field("rejected_horizon", &mut a.rejected_horizon)?;
+    w.field("rejected_shared", &mut a.rejected_shared)?;
+    w.field("rejected_opaque", &mut a.rejected_opaque)?;
+    w.field("stopped_sync", &mut a.stopped_sync)?;
+    w.field("stopped_quota", &mut a.stopped_quota)?;
+    w.field("stopped_end", &mut a.stopped_end)
+}
+
+/// Worker `w`'s lane line.
+fn lane_line(w: &mut Walk<'_>, i: u64, lane: &mut WorkerLane) -> Step {
+    w.derived("worker", i)?;
+    w.field("execute_ns", &mut lane.execute_ns)?;
+    w.field("steal_ns", &mut lane.steal_ns)?;
+    w.field("idle_ns", &mut lane.idle_ns)?;
+    w.field("jobs", &mut lane.jobs)?;
+    w.field("steals", &mut lane.steals)
+}
+
+/// Strictly validates a [`HOSTPROF_SCHEMA`] document: it must read
+/// through the one walk, its phases must tile `total_ns` exactly, the
+/// admission `rounds` must be the header's, and it must render back to
+/// its bytes.
 pub fn validate_jsonl(text: &str) -> Result<(), String> {
-    let mut lines = numbered_lines(text);
-    let (ln, header) = lines.next().ok_or("empty hostprof document")?;
-    let schema = field_str(header, "schema")
-        .ok_or_else(|| format!("line {ln}: missing \"schema\" in header"))?;
-    if schema != HOSTPROF_SCHEMA {
-        return Err(format!(
-            "line {ln}: schema {schema:?}, expected {HOSTPROF_SCHEMA:?}"
-        ));
-    }
-    let total_ns =
-        field_u64(header, "total_ns").ok_or_else(|| format!("line {ln}: missing total_ns"))?;
-    let phases = field_u64(header, "phases").ok_or_else(|| format!("line {ln}: missing phases"))?;
-    if phases != HostPhase::COUNT as u64 {
-        return Err(format!(
-            "line {ln}: {phases} phases declared, expected {}",
-            HostPhase::COUNT
-        ));
-    }
-    let workers =
-        field_u64(header, "workers").ok_or_else(|| format!("line {ln}: missing workers"))?;
-    let rounds = field_u64(header, "rounds").ok_or_else(|| format!("line {ln}: missing rounds"))?;
-
-    let mut sum = 0u64;
-    for expect in HostPhase::ALL {
-        let (ln, line) = lines
-            .next()
-            .ok_or_else(|| format!("truncated: missing phase {:?}", expect.key()))?;
-        let got =
-            field_str(line, "phase").ok_or_else(|| format!("line {ln}: expected a phase line"))?;
-        if got != expect.key() {
-            return Err(format!(
-                "line {ln}: phase {got:?} out of order, expected {:?}",
-                expect.key()
-            ));
+    let check = |r: &HostReport, rounds: u64| {
+        let sum = r.phase_ns.iter().try_fold(0u64, |s, &ns| s.checked_add(ns));
+        let sum = sum.ok_or("phase sum overflows")?;
+        if sum != r.total_ns {
+            return Err(format!("phase sum {sum}ns does not tile {}ns", r.total_ns));
         }
-        let ns = field_u64(line, "ns").ok_or_else(|| format!("line {ln}: missing ns"))?;
-        sum = sum
-            .checked_add(ns)
-            .ok_or_else(|| format!("line {ln}: phase sum overflows"))?;
-    }
-    if sum != total_ns {
-        return Err(format!(
-            "phase sum {sum}ns does not tile the {total_ns}ns window"
-        ));
-    }
-
-    let (ln, adm) = lines.next().ok_or("truncated: missing admission line")?;
-    if field_str(adm, "ev") != Some("admission") {
-        return Err(format!("line {ln}: expected the admission line"));
-    }
-    let adm_rounds =
-        field_u64(adm, "rounds").ok_or_else(|| format!("line {ln}: missing rounds"))?;
-    if adm_rounds != rounds {
-        return Err(format!(
-            "line {ln}: admission rounds {adm_rounds} != header rounds {rounds}"
-        ));
-    }
-    for key in [
-        "admitted_ops",
-        "forked_nodes",
-        "rejected_horizon",
-        "rejected_shared",
-        "rejected_opaque",
-        "stopped_sync",
-        "stopped_quota",
-        "stopped_end",
-    ] {
-        if field_u64(adm, key).is_none() {
-            return Err(format!("line {ln}: missing {key}"));
-        }
-    }
-
-    for w in 0..workers {
-        let (ln, line) = lines
-            .next()
-            .ok_or_else(|| format!("truncated: missing worker {w} line"))?;
-        let got =
-            field_u64(line, "worker").ok_or_else(|| format!("line {ln}: expected worker line"))?;
-        if got != w {
-            return Err(format!(
-                "line {ln}: worker {got} out of order, expected {w}"
-            ));
-        }
-        for key in ["execute_ns", "steal_ns", "idle_ns", "jobs", "steals"] {
-            if field_u64(line, key).is_none() {
-                return Err(format!("line {ln}: missing {key}"));
-            }
-        }
-    }
-    if let Some((ln, _)) = lines.next() {
-        return Err(format!("line {ln}: trailing content after worker lanes"));
-    }
-    Ok(())
+        let adm = r.admission.rounds;
+        let same = (adm == rounds).then_some(());
+        same.ok_or(format!("admission rounds {adm}, header {rounds}"))
+    };
+    jsonl::validate(text, HostReport::default(), HostReport::walk, check)
 }
 
 #[cfg(test)]

@@ -48,9 +48,8 @@
 //!   outcome counters, and per-worker pool lanes, with a JSONL export
 //!   and a hard isolation contract (host clock reads never feed
 //!   simulated state),
-//! - [`jsonl`]: the JSON string escaping every exporter writes through
-//!   and the shared JSONL field scanners behind every `validate_jsonl`
-//!   schema checker (telemetry, spans, hostprof),
+//! - [`jsonl`]: JSON string escaping, and the one walk each JSONL format
+//!   (telemetry, spans, hostprof) is written and strictly read with,
 //! - [`schema`]: the registry of the four `flashsim-*-v1` formats — name,
 //!   schema id and validator — behind `flashsim validate`; every file
 //!   `flashsim report` and `flashsim spans` export is one of them,

@@ -77,9 +77,9 @@ impl Resource {
         self.busy_until = end;
         self.busy_total += service;
         self.wait_total += wait;
-        self.grants += 1;
+        self.grants = self.grants.saturating_add(1);
         if !wait.is_zero() {
-            self.contended_grants += 1;
+            self.contended_grants = self.contended_grants.saturating_add(1);
         }
         Grant { start, end, wait }
     }
@@ -194,7 +194,7 @@ impl ResourcePool {
         self.free_at[idx] = end;
         self.busy_total += service;
         self.wait_total += wait;
-        self.grants += 1;
+        self.grants = self.grants.saturating_add(1);
         Grant { start, end, wait }
     }
 

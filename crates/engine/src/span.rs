@@ -35,7 +35,7 @@
 //! legs.
 
 use crate::ckpt::{bad, Ckpt, CkptError};
-use crate::jsonl::{field_str, field_u64};
+use crate::jsonl::{self, Step, Walk};
 use crate::time::{Time, TimeDelta};
 use std::sync::{Arc, Mutex};
 
@@ -95,13 +95,18 @@ pub enum SpanClass {
 impl SpanClass {
     /// Stable export key.
     pub const fn key(self) -> &'static str {
-        match self {
-            SpanClass::Occupancy => "occupancy",
-            SpanClass::Network => "network",
-            SpanClass::Memory => "memory",
-        }
+        ["occupancy", "network", "memory"][self as usize]
     }
 }
+
+/// Every span class, `None` (no class) first: the export keys' and the
+/// checkpoint's order.
+const CLASSES: [Option<SpanClass>; 4] = [
+    None,
+    Some(SpanClass::Occupancy),
+    Some(SpanClass::Network),
+    Some(SpanClass::Memory),
+];
 
 /// One span in a transaction's tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -252,7 +257,7 @@ pub fn kinds_only_in<'a>(a: &'a SpanTxn, b: &SpanTxn) -> Vec<&'a str> {
 }
 
 /// Every sampled transaction of one run, with the plan that produced it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpanSet {
     /// Sampler seed.
     pub seed: u64,
@@ -285,182 +290,96 @@ impl SpanSet {
     }
 
     /// Serializes to the `flashsim-span-v1` JSONL format: a header line,
-    /// then per transaction one summary line followed by one line per
-    /// span. All values are integers or fixed strings, so the bytes are
-    /// a pure function of the recorded spans — byte-identical across
-    /// reruns whenever the simulation itself is deterministic.
+    /// then per transaction one summary line and one line per span. The
+    /// bytes are a pure function of the recorded spans.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(128 + self.txns.len() * 256);
-        out.push_str(&format!(
-            "{{\"schema\":\"{SCHEMA}\",\"seed\":{},\"period\":{},\"txns\":{},\"truncated\":{}}}\n",
-            self.seed,
-            self.period,
-            self.txns.len(),
-            self.truncated
-        ));
-        for (i, txn) in self.txns.iter().enumerate() {
-            let (start, end) = match txn.root() {
-                Some(r) => (r.start.as_ps(), r.end.as_ps()),
-                None => (0, 0),
-            };
-            out.push_str(&format!(
-                "{{\"txn\":{i},\"node\":{},\"line\":{},\"index\":{},\"kind\":\"{}\",\
-                 \"case\":\"{}\",\"start_ps\":{start},\"end_ps\":{end},\"spans\":{}}}\n",
-                txn.node,
-                txn.line,
-                txn.index,
-                txn.kind,
-                txn.case,
-                txn.spans.len()
-            ));
-            for s in &txn.spans {
-                let parent = match s.parent {
-                    Some(p) => p.to_string(),
-                    None => "null".to_string(),
-                };
-                let class = match s.class {
-                    Some(c) => c.key(),
-                    None => "none",
-                };
-                out.push_str(&format!(
-                    "{{\"txn\":{i},\"span\":{},\"parent\":{parent},\"kind\":\"{}\",\
-                     \"node\":{},\"class\":\"{class}\",\"start_ps\":{},\"end_ps\":{},\
-                     \"charge_ps\":{}}}\n",
-                    s.id,
-                    s.kind,
-                    s.node,
-                    s.start.as_ps(),
-                    s.end.as_ps(),
-                    s.charge.as_ps()
+        Walk::render(|w| self.clone().walk(w))
+    }
+
+    /// The one walk of the document [`to_jsonl`](Self::to_jsonl) renders;
+    /// read, labels are re-interned as a checkpoint's are.
+    fn walk(&mut self, w: &mut Walk<'_>) -> Step {
+        let n = w.line(|w| {
+            w.fixed("schema", SCHEMA)?;
+            w.field("seed", &mut self.seed)?;
+            w.field("period", &mut self.period)?;
+            let n = w.derived("txns", self.txns.len() as u64)?;
+            w.field("truncated", &mut self.truncated)?;
+            Ok(n)
+        })?;
+        w.rows(n, &mut self.txns, |w, i, t| {
+            let n = w.line(|w| {
+                w.derived("txn", i)?;
+                w.field("node", &mut t.node)?;
+                w.field("line", &mut t.line)?;
+                w.field("index", &mut t.index)?;
+                w.field("kind", &mut t.kind)?;
+                w.field("case", &mut t.case)?;
+                let start = w.derived("start_ps", t.root().map_or(0, |r| r.start.as_ps()))?;
+                let end = w.derived("end_ps", t.root().map_or(0, |r| r.end.as_ps()))?;
+                if start > end {
+                    return Err(format!("transaction runs backwards: {start} > {end}"));
+                }
+                w.derived("spans", t.spans.len() as u64)
+            })?;
+            w.rows(n, &mut t.spans, |w, _, s| w.line(|w| s.walk(w, i)))
+        })
+    }
+
+    /// The invariants the tracer keeps: every transaction's spans nest
+    /// ([`SpanTxn::nested`]), each charge fits its span, and the charges
+    /// below the root tile the end-to-end latency in integer picoseconds.
+    fn check(&self) -> Step {
+        if self.period == 0 {
+            return Err("period must be >= 1".to_string());
+        }
+        for (i, t) in self.txns.iter().enumerate() {
+            if !t.nested() {
+                return Err(format!("txn {i}: spans do not nest in their parents"));
+            }
+            if t.spans.iter().any(|s| s.charge > s.end - s.start) {
+                return Err(format!("txn {i}: a charge exceeds its span's duration"));
+            }
+            let mut charges = t.spans.iter().skip(1);
+            let charge_sum = charges.try_fold(0u64, |sum, s| sum.checked_add(s.charge.as_ps()));
+            let charge_sum = charge_sum.ok_or_else(|| format!("txn {i}: charge sum overflows"))?;
+            let latency = t.total().as_ps();
+            if !t.spans.is_empty() && charge_sum != latency {
+                return Err(format!(
+                    "txn {i}: charges {charge_sum} ps do not tile {latency} ps"
                 ));
             }
         }
-        out
+        Ok(())
     }
 }
 
-/// Validates a `flashsim-span-v1` JSONL export.
-///
-/// Beyond the schema (header fields, line counts, span/txn indices),
-/// this enforces the semantic invariants the tracer guarantees: spans
-/// nest exactly within their parents, every charge fits inside its span,
-/// and the charges of each transaction sum to its end-to-end latency in
-/// integer picoseconds. `scripts/check.sh` runs it as a CI gate via
-/// `flashsim validate span`.
+impl SpanRecord {
+    /// Its line in transaction `txn`.
+    fn walk(&mut self, w: &mut Walk<'_>, txn: u64) -> Step {
+        w.derived("txn", txn)?;
+        w.field("span", &mut self.id)?;
+        w.field("parent", &mut self.parent)?;
+        w.field("kind", &mut self.kind)?;
+        w.field("node", &mut self.node)?;
+        let key = |c: Option<SpanClass>| c.map_or("none", SpanClass::key);
+        w.tag("class", &mut self.class, &CLASSES, key)?;
+        let mut ps = [self.start.as_ps(), self.end.as_ps(), self.charge.as_ps()];
+        w.field("start_ps", &mut ps[0])?;
+        w.field("end_ps", &mut ps[1])?;
+        w.field("charge_ps", &mut ps[2])?;
+        (self.start, self.end) = (Time::from_ps(ps[0]), Time::from_ps(ps[1]));
+        self.charge = TimeDelta::from_ps(ps[2]);
+        Ok(())
+    }
+}
+
+/// Strictly validates a `flashsim-span-v1` document (the `flashsim
+/// validate span` gate): it must read through the one walk, keep the
+/// tracer's invariants (nesting, charges that fit and tile), and render
+/// back to its bytes.
 pub fn validate_jsonl(text: &str) -> Result<(), String> {
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines.next().ok_or("empty export")?;
-    if !header.contains(&format!("\"schema\":\"{SCHEMA}\"")) {
-        return Err(format!("line 1: missing schema declaration {SCHEMA}"));
-    }
-    for key in ["seed", "period", "txns", "truncated"] {
-        if field_u64(header, key).is_none() {
-            return Err(format!("line 1: missing integer field \"{key}\""));
-        }
-    }
-    let txns = field_u64(header, "txns").unwrap_or(0);
-    if field_u64(header, "period").unwrap_or(0) == 0 {
-        return Err("line 1: period must be >= 1".to_string());
-    }
-
-    for want_txn in 0..txns {
-        let (no, line) = lines
-            .next()
-            .ok_or_else(|| format!("truncated: expected transaction {want_txn}"))?;
-        let err = |msg: String| format!("line {}: {msg}", no + 1);
-        if field_u64(line, "txn") != Some(want_txn) {
-            return Err(err(format!("expected \"txn\":{want_txn} summary")));
-        }
-        let nspans =
-            field_u64(line, "spans").ok_or_else(|| err("missing \"spans\" count".to_string()))?;
-        for key in ["node", "line", "index", "start_ps", "end_ps"] {
-            if field_u64(line, key).is_none() {
-                return Err(err(format!("missing integer field \"{key}\"")));
-            }
-        }
-        let (t_start, t_end) = (
-            field_u64(line, "start_ps").unwrap_or(0),
-            field_u64(line, "end_ps").unwrap_or(0),
-        );
-        let latency = t_end
-            .checked_sub(t_start)
-            .ok_or_else(|| err(format!("transaction runs backwards: {t_start} > {t_end}")))?;
-        if field_str(line, "kind").is_none() || field_str(line, "case").is_none() {
-            return Err(err("missing \"kind\"/\"case\"".to_string()));
-        }
-
-        // `nspans` is input: grow as lines arrive, never reserve for it.
-        let mut bounds: Vec<(u64, u64)> = Vec::new();
-        let mut charge_sum: u64 = 0;
-        for want_span in 0..nspans {
-            let (no, line) = lines
-                .next()
-                .ok_or_else(|| format!("truncated: txn {want_txn} expected span {want_span}"))?;
-            let err = |msg: String| format!("line {}: {msg}", no + 1);
-            if field_u64(line, "txn") != Some(want_txn)
-                || field_u64(line, "span") != Some(want_span)
-            {
-                return Err(err(format!("expected txn {want_txn} span {want_span}")));
-            }
-            let start = field_u64(line, "start_ps")
-                .ok_or_else(|| err("missing \"start_ps\"".to_string()))?;
-            let end =
-                field_u64(line, "end_ps").ok_or_else(|| err("missing \"end_ps\"".to_string()))?;
-            let charge = field_u64(line, "charge_ps")
-                .ok_or_else(|| err("missing \"charge_ps\"".to_string()))?;
-            if start > end {
-                return Err(err(format!("span runs backwards: {start} > {end}")));
-            }
-            if charge > end - start {
-                return Err(err(format!(
-                    "charge {charge} exceeds span duration {}",
-                    end - start
-                )));
-            }
-            match field_str(line, "class") {
-                Some("occupancy" | "network" | "memory" | "none") => {}
-                other => return Err(err(format!("bad class {other:?}"))),
-            }
-            if line.contains("\"parent\":null") {
-                if want_span != 0 {
-                    return Err(err("only span 0 may be parentless".to_string()));
-                }
-                if (start, end) != (t_start, t_end) {
-                    return Err(err("root bounds disagree with summary".to_string()));
-                }
-            } else {
-                let parent =
-                    field_u64(line, "parent").ok_or_else(|| err("missing parent".to_string()))?;
-                let &(ps, pe) = bounds
-                    .get(parent as usize)
-                    .filter(|_| parent < want_span)
-                    .ok_or_else(|| err(format!("parent {parent} does not precede span")))?;
-                // Charged spans nest exactly; a zero-charged span may
-                // end past its parent (a background tail, e.g. a
-                // sharing writeback completing after the processor
-                // restarts) without breaking the tiling invariant.
-                if start < ps || (end > pe && charge != 0) {
-                    return Err(err(format!(
-                        "span [{start},{end}] escapes parent [{ps},{pe}]"
-                    )));
-                }
-                charge_sum = charge_sum
-                    .checked_add(charge)
-                    .ok_or_else(|| err("charge sum overflows".to_string()))?;
-            }
-            bounds.push((start, end));
-        }
-        if nspans > 0 && charge_sum != latency {
-            return Err(format!(
-                "txn {want_txn}: charges sum to {charge_sum} ps but end-to-end \
-                 latency is {latency} ps — legs do not tile the transaction"
-            ));
-        }
-    }
-    if let Some((no, _)) = lines.next() {
-        return Err(format!("line {}: trailing data after last span", no + 1));
-    }
-    Ok(())
+    jsonl::validate(text, SpanSet::default(), SpanSet::walk, |s, ()| s.check())
 }
 
 /// The splitmix64 finalizer behind the sampler (no host randomness
@@ -529,7 +448,7 @@ impl SpanState {
         let index = {
             let c = self.counters.entry((node, line)).or_insert(0);
             let index = *c;
-            *c += 1;
+            *c = c.saturating_add(1);
             index
         };
         if self.cur.is_some() || !sampled(&self.plan, node, line, index) {
@@ -808,13 +727,8 @@ impl SpanTracer {
                 ];
                 c.array("span", &mut row)?;
                 let [id, parent, node, start, end, class, charge] = row;
-                sp.class = match class {
-                    0 => None,
-                    1 => Some(SpanClass::Occupancy),
-                    2 => Some(SpanClass::Network),
-                    3 => Some(SpanClass::Memory),
-                    other => return Err(bad("span", format!("class {other}"))),
-                };
+                let known = CLASSES.get(class as usize);
+                sp.class = *known.ok_or_else(|| bad("span", format!("class {class}")))?;
                 (sp.id, sp.node) = (id as u32, node as u32);
                 sp.parent = (parent != u64::MAX).then_some(parent as u32);
                 (sp.start, sp.end) = (Time::from_ps(start), Time::from_ps(end));

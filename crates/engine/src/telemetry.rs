@@ -82,10 +82,11 @@
 //! assert!(series.conserved());
 //! ```
 
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 use crate::ckpt::{bad, Ckpt, CkptError};
-use crate::jsonl::{leading_u64, push_json_escaped, scan_strings_after};
+use crate::jsonl::{self, Step, Walk};
 use crate::time::{Time, TimeDelta};
 use crate::window::{self, halve, last_filled, Axis, Series, Window, BUCKETS, INITIAL_WIDTH_PS};
 
@@ -107,13 +108,16 @@ pub enum MetricKind {
 impl MetricKind {
     /// Stable lower-case key used in exports.
     pub const fn key(self) -> &'static str {
-        match self {
-            MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
-            MetricKind::Occupancy => "occupancy",
-        }
+        ["counter", "gauge", "occupancy"][self as usize]
     }
 }
+
+/// Every metric kind, for reading one back by its key.
+const KINDS: [MetricKind; 3] = [
+    MetricKind::Counter,
+    MetricKind::Gauge,
+    MetricKind::Occupancy,
+];
 
 /// Handle to a registered metric. Cheap to copy and store in hot
 /// structs; recording through an id on a disabled registry is a no-op.
@@ -127,27 +131,16 @@ impl MetricId {
 }
 
 #[derive(Debug, Clone)]
-struct Metric {
-    name: &'static str,
-    /// Per-node variant of `name` (e.g. `magic.queue_ps` broken out by
-    /// home node). `None` is the aggregate.
-    node: Option<u32>,
-    kind: MetricKind,
-    volatile: bool,
-    total: u64,
-    /// Occupancy only: current level and the time it was established.
-    last_value: u64,
-    last_at: u64,
-    buckets: Vec<u64>,
-}
-
-#[derive(Debug, Clone)]
 struct Registry {
     axis: Axis,
     /// High-water mark of any recorded timestamp, so a snapshot taken
     /// at the final core clock still covers late memory-system events.
     high_ps: u64,
-    metrics: Vec<Metric>,
+    /// The registered metrics, each in its exported shape.
+    metrics: Vec<MetricSeries>,
+    /// Per metric (occupancy only): the current level and the time it
+    /// was established.
+    levels: Vec<(u64, u64)>,
 }
 
 impl Registry {
@@ -156,6 +149,7 @@ impl Registry {
             axis: Axis::new(cadence_ps),
             high_ps: 0,
             metrics: Vec::new(),
+            levels: Vec::new(),
         }
     }
 
@@ -194,11 +188,12 @@ impl Registry {
         let ps = at.as_ps();
         self.slot(ps);
         let bucket_ps = self.axis.width();
-        if let Some(m) = self.metrics.get_mut(id.0 as usize) {
-            if ps > m.last_at {
-                integrate(bucket_ps, m, ps);
+        let i = id.0 as usize;
+        if let (Some(m), Some(level)) = (self.metrics.get_mut(i), self.levels.get_mut(i)) {
+            if ps > level.1 {
+                integrate(bucket_ps, m, level, ps);
             }
-            m.last_value = value;
+            level.0 = value;
         }
     }
 
@@ -210,26 +205,15 @@ impl Registry {
         let end_ps = end.as_ps().max(reg.high_ps);
         reg.slot(end_ps);
         let bucket_ps = reg.axis.width();
-        for m in &mut reg.metrics {
-            if m.kind == MetricKind::Occupancy && end_ps > m.last_at {
-                integrate(bucket_ps, m, end_ps);
+        for (m, level) in reg.metrics.iter_mut().zip(&mut reg.levels) {
+            if m.kind == MetricKind::Occupancy && end_ps > level.1 {
+                integrate(bucket_ps, m, level, end_ps);
             }
         }
         TelemetrySeries {
             bucket_ps,
             end_ps,
-            metrics: reg
-                .metrics
-                .into_iter()
-                .map(|m| MetricSeries {
-                    name: m.name.to_string(),
-                    node: m.node,
-                    kind: m.kind,
-                    volatile: m.volatile,
-                    total: m.total,
-                    buckets: m.buckets,
-                })
-                .collect(),
+            metrics: reg.metrics,
         }
     }
 }
@@ -252,21 +236,22 @@ impl Series for Registry {
     }
 }
 
-/// Integrates `m.last_value` over `[m.last_at, to_ps)`, splitting the
-/// integral exactly at bucket boundaries so per-bucket integrals always
-/// sum to the running total. Caller guarantees `to_ps` fits the buffer.
-fn integrate(bucket_ps: u64, m: &mut Metric, to_ps: u64) {
-    let mut cur = m.last_at;
+/// Integrates the `(value, since)` level over `[since, to_ps)`, splitting
+/// the integral exactly at bucket boundaries so per-bucket integrals
+/// always sum to the running total. Caller guarantees `to_ps` fits the
+/// buffer.
+fn integrate(bucket_ps: u64, m: &mut MetricSeries, level: &mut (u64, u64), to_ps: u64) {
+    let mut cur = level.1;
     while cur < to_ps {
         let idx = (cur / bucket_ps) as usize;
         let bucket_end = (idx as u64 + 1).saturating_mul(bucket_ps);
         let stop = bucket_end.min(to_ps);
-        let area = m.last_value.saturating_mul(stop - cur);
+        let area = level.0.saturating_mul(stop - cur);
         m.buckets[idx] = m.buckets[idx].saturating_add(area);
         m.total = m.total.saturating_add(area);
         cur = stop;
     }
-    m.last_at = to_ps;
+    level.1 = to_ps;
 }
 
 /// Runs `f` on the locked registry: the out-of-line half of a record
@@ -316,22 +301,15 @@ impl Telemetry {
         let Some(inner) = &self.inner else {
             return MetricId::NONE;
         };
-        let metrics = &mut inner.lock().expect("telemetry registry poisoned").metrics; // gate: allow
-        let known = |m: &Metric| m.name == name && m.node == node;
-        if let Some(i) = metrics.iter().position(known) {
+        let reg = &mut *inner.lock().expect("telemetry registry poisoned"); // gate: allow
+        let known = |m: &MetricSeries| m.name == name && m.node == node;
+        if let Some(i) = reg.metrics.iter().position(known) {
             return MetricId(i as u32);
         }
-        metrics.push(Metric {
-            name,
-            node,
-            kind,
-            volatile: vol,
-            total: 0,
-            last_value: 0,
-            last_at: 0,
-            buckets: vec![0; BUCKETS],
-        });
-        MetricId((metrics.len() - 1) as u32)
+        reg.metrics
+            .push(MetricSeries::empty(name.to_string(), node, kind, vol));
+        reg.levels.push((0, 0));
+        MetricId((reg.metrics.len() - 1) as u32)
     }
 
     /// Registers (or looks up, by name) a policy-invariant metric.
@@ -459,10 +437,16 @@ impl Telemetry {
                     format!("{count} saved, {stable} registered"),
                 ));
             }
-            for m in reg.metrics.iter_mut().filter(|m| !m.volatile) {
+            let levels = reg.levels.iter_mut();
+            for (m, level) in reg
+                .metrics
+                .iter_mut()
+                .zip(levels)
+                .filter(|(m, _)| !m.volatile)
+            {
                 let want = m.node.map_or(u64::MAX, u64::from);
                 let mut node = want;
-                c.name("name", m.name)?;
+                c.name("name", &m.name)?;
                 c.u64("node", &mut node)?;
                 if node != want {
                     return Err(bad(
@@ -471,8 +455,8 @@ impl Telemetry {
                     ));
                 }
                 c.u64("total", &mut m.total)?;
-                c.u64("last_value", &mut m.last_value)?;
-                c.u64("last_at", &mut m.last_at)?;
+                c.u64("last_value", &mut level.0)?;
+                c.u64("last_at", &mut level.1)?;
                 c.u64s("buckets", &mut m.buckets, BUCKETS..=BUCKETS)?;
             }
             let last = reg.metrics.iter().map(|m| last_filled(&m.buckets));
@@ -502,7 +486,7 @@ pub struct MetricSeries {
 
 /// A frozen telemetry snapshot: every registered metric's bounded time
 /// series plus the common bucket geometry.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TelemetrySeries {
     /// Final bucket width in picoseconds (after any doublings).
     pub bucket_ps: u64,
@@ -513,6 +497,31 @@ pub struct TelemetrySeries {
 }
 
 impl MetricSeries {
+    /// A series with nothing recorded yet.
+    fn empty(name: String, node: Option<u32>, kind: MetricKind, volatile: bool) -> MetricSeries {
+        MetricSeries {
+            name,
+            node,
+            kind,
+            volatile,
+            total: 0,
+            buckets: vec![0; BUCKETS],
+        }
+    }
+
+    /// Its declaration in a telemetry header; read, a metric keeps its
+    /// [`key`](MetricSeries::key) as its name.
+    fn walk(&mut self, w: &mut Walk<'_>) -> Step {
+        let mut key = Cow::Owned(self.key());
+        w.field("name", &mut key)?;
+        w.tag("kind", &mut self.kind, &KINDS, MetricKind::key)?;
+        w.field("total", &mut self.total)?;
+        if w.reading() {
+            self.name = key.into_owned();
+        }
+        Ok(())
+    }
+
     /// The unique export key: the bare name for aggregates, a
     /// Prometheus-style `name{node="N"}` for per-node variants.
     pub fn key(&self) -> String {
@@ -556,52 +565,39 @@ impl TelemetrySeries {
     /// policies and reruns (compare whole series with `==` to include
     /// them). One header line, then one line per non-empty bucket.
     pub fn to_jsonl(&self) -> String {
-        let included: Vec<&MetricSeries> = self.metrics.iter().filter(|m| !m.volatile).collect();
-        let mut out = String::new();
-        out.push_str("{\"schema\":\"");
-        out.push_str(SCHEMA);
-        out.push_str(&format!(
-            "\",\"bucket_ps\":{},\"end_ps\":{},\"metrics\":[",
-            self.bucket_ps, self.end_ps
-        ));
-        for (i, m) in included.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":\"");
-            push_json_escaped(&mut out, &m.key());
-            out.push_str(&format!(
-                "\",\"kind\":\"{}\",\"total\":{}}}",
-                m.kind.key(),
-                m.total
-            ));
-        }
-        out.push_str("]}\n");
+        let mut stable = self.clone();
+        stable.metrics.retain(|m| !m.volatile);
+        Walk::render(|w| stable.walk(w))
+    }
+
+    /// The one walk of the document [`to_jsonl`](Self::to_jsonl) renders;
+    /// bucket values are keyed in metric order.
+    fn walk(&mut self, w: &mut Walk<'_>) -> Step {
+        let blank = MetricSeries::empty(String::new(), None, MetricKind::Counter, false);
+        w.line(|w| {
+            w.fixed("schema", SCHEMA)?;
+            w.field("bucket_ps", &mut self.bucket_ps)?;
+            w.field("end_ps", &mut self.end_ps)?;
+            w.list("metrics", &mut self.metrics, &blank, MetricSeries::walk)
+        })?;
         for b in 0..BUCKETS {
-            if included.iter().all(|m| m.buckets[b] == 0) {
-                continue;
-            }
-            out.push_str(&format!(
-                "{{\"bucket\":{},\"start_ps\":{},\"values\":{{",
-                b,
-                b as u64 * self.bucket_ps
-            ));
-            let mut first = true;
-            for m in &included {
-                if m.buckets[b] == 0 {
-                    continue;
-                }
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push('"');
-                push_json_escaped(&mut out, &m.key());
-                out.push_str(&format!("\":{}", m.buckets[b]));
-            }
-            out.push_str("}}\n");
+            let filled = self.metrics.iter().any(|m| m.buckets[b] != 0);
+            w.maybe(filled, |w| {
+                w.line(|w| {
+                    let this = w.derived("bucket", b as u64)? == b as u64;
+                    this.then_some(()).ok_or("another bucket's line")?;
+                    let start = (b as u64).checked_mul(self.bucket_ps);
+                    w.derived("start_ps", start.ok_or("the bucket starts past u64")?)?;
+                    w.nested("values", |w| {
+                        self.metrics.iter_mut().try_for_each(|m| {
+                            let key = m.key();
+                            w.maybe(m.buckets[b] != 0, |w| w.field(&key, &mut m.buckets[b]))
+                        })
+                    })
+                })
+            })?;
         }
-        out
+        Ok(())
     }
 
     /// Human-readable table: one row per metric with its total and a
@@ -653,62 +649,22 @@ impl TelemetrySeries {
     }
 }
 
-/// Validates `flashsim-telemetry-v1` JSONL structure: schema header,
-/// metric declarations, strictly increasing in-range bucket lines whose
-/// value keys all refer to declared metrics. Returns a description of
-/// the first violation. This is the `flashsim validate telemetry` /
-/// `check.sh` gate, hand-rolled like the rest of the JSON layer.
+/// Strictly validates a `flashsim-telemetry-v1` document (the `flashsim
+/// validate telemetry` gate): it must read through the one walk, have a
+/// non-zero `bucket_ps` and every total
+/// [conserved](TelemetrySeries::conserved), and render back to its bytes.
 pub fn validate_jsonl(text: &str) -> Result<(), String> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let Some((_, header)) = lines.next() else {
-        return Err("empty telemetry file".to_string());
+    let check = |s: &TelemetrySeries, ()| match (s.bucket_ps, s.conserved()) {
+        (0, _) => Err("bucket_ps is 0".to_string()),
+        (_, false) => Err("a metric's total is not what its buckets fold to".to_string()),
+        _ => Ok(()),
     };
-    let schema_prefix = format!("{{\"schema\":\"{SCHEMA}\"");
-    if !header.starts_with(&schema_prefix) {
-        return Err(format!("line 1: header must start with {schema_prefix}"));
-    }
-    for key in ["\"bucket_ps\":", "\"end_ps\":", "\"metrics\":["] {
-        if !header.contains(key) {
-            return Err(format!("line 1: header missing {key}"));
-        }
-    }
-    let declared = scan_strings_after(header, "\"name\":");
-    let mut prev_bucket: Option<u64> = None;
-    for (i, line) in lines {
-        let n = i + 1;
-        let Some(rest) = line.strip_prefix("{\"bucket\":") else {
-            return Err(format!("line {n}: expected a {{\"bucket\":…}} line"));
-        };
-        let Some(bucket) = leading_u64(rest) else {
-            return Err(format!("line {n}: bucket index is not an integer"));
-        };
-        if bucket >= BUCKETS as u64 {
-            return Err(format!(
-                "line {n}: bucket {bucket} out of range (<{BUCKETS})"
-            ));
-        }
-        if let Some(p) = prev_bucket {
-            if bucket <= p {
-                return Err(format!("line {n}: bucket {bucket} not after {p}"));
-            }
-        }
-        prev_bucket = Some(bucket);
-        if !line.contains("\"start_ps\":") || !line.contains("\"values\":{") {
-            return Err(format!("line {n}: missing start_ps or values"));
-        }
-        let Some(values) = line.split("\"values\":{").nth(1) else {
-            return Err(format!("line {n}: malformed values object"));
-        };
-        for key in scan_strings_after(values, "") {
-            if !declared.contains(&key) {
-                return Err(format!("line {n}: undeclared metric {key:?}"));
-            }
-        }
-    }
-    Ok(())
+    jsonl::validate(
+        text,
+        TelemetrySeries::default(),
+        TelemetrySeries::walk,
+        check,
+    )
 }
 
 #[cfg(test)]

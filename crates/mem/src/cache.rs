@@ -199,7 +199,7 @@ impl Cache {
     /// performs the directory upgrade, then calls
     /// [`grant_ownership`](Cache::grant_ownership)).
     pub fn probe(&mut self, line: LineAddr, write: bool) -> Probe {
-        self.tick += 1;
+        self.tick = self.tick.saturating_add(1);
         let tick = self.tick;
         let slots = self.set_slots(line);
         let set = &mut self.ways[slots];
@@ -240,7 +240,7 @@ impl Cache {
     ///
     /// Panics if the line is already present (fills must follow misses).
     pub fn fill(&mut self, line: LineAddr, state: LineState) -> Option<Victim> {
-        self.tick += 1;
+        self.tick = self.tick.saturating_add(1);
         let tick = self.tick;
         let slots = self.set_slots(line);
         let set = &mut self.ways[slots];

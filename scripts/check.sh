@@ -257,6 +257,44 @@ engine_lines=$(awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { n++ } 
     crates/engine/src/*.rs)
 echo "engine non-test lines: $engine_lines"
 
+echo "== one-export-walk gate (each JSONL format is written and read by one walk) =="
+# Each flashsim-{telemetry,span,hostprof}-v1 line shape names its keys
+# once, in one engine::jsonl walk that both renders the line and reads it
+# back: the substring scanners the validators once shared do not come
+# back, no JSON is spelled by hand beside the walk (an escaped `\"key\":`
+# in a string), and no walk function names a key twice. (A key two line
+# shapes share, like a span line's and its summary's `txn`, is named
+# once in each shape's walk.)
+scanners=$(grep -rnwE 'field_u64|field_str|scan_strings_after|leading_u64|numbered_lines' \
+    crates/engine/src || true)
+twice=$(for f in telemetry span hostprof; do
+    awk '
+        FNR == 1 { intest = 0 }
+        /^#\[cfg\(test\)\]/ { intest = 1 }
+        intest { next }
+        { stripped = $0; sub(/^[ \t]+/, "", stripped) }
+        stripped ~ /^\/\// { next }
+        match($0, /fn [a-z_]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) " at line " FNR }
+        /\\"[a-z_]+\\":/ { print FILENAME ":" FNR ": JSON spelled by hand: " $0 }
+        {
+            rest = $0
+            while (match(rest, /\.(field|fixed|tag|derived|list|nested)\("[a-z_]+"/)) {
+                key = substr(rest, RSTART, RLENGTH)
+                rest = substr(rest, RSTART + RLENGTH)
+                sub(/^[^"]*"/, "", key)
+                sub(/"$/, "", key)
+                if (seen[fn "/" key]++) print FILENAME ":" FNR ": \"" key "\" named twice in " fn
+            }
+        }
+    ' "crates/engine/src/$f.rs"
+done)
+if [ -n "$scanners$twice" ]; then
+    echo "a second spelling of an export key beside its walk:"
+    printf '%s\n' "$scanners" "$twice" | sed '/^$/d'
+    exit 1
+fi
+echo "engine non-test lines: $engine_lines (6102 before the one export walk)"
+
 echo "== one-tool gate (one binary, one validate entry point) =="
 # Every command-line surface is a subcommand of `flashsim`; a second file
 # under src/bin is a second tool, and a format validator called past the

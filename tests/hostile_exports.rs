@@ -1,6 +1,6 @@
-//! Every reader of a `flashsim-*-v1` format is total (ROADMAP item 1(c),
-//! first slice): fed truncated or mutated bytes it returns — `Ok` or
-//! `Err` — and never panics. One valid document per [`Schema::ALL`]
+//! Every reader of a `flashsim-*-v1` format is total (ROADMAP item 2):
+//! fed truncated or mutated bytes it returns — `Ok` or `Err` — and never
+//! panics. One valid document per [`Schema::ALL`]
 //! comes from a real 2-node run; each is then cut at every line
 //! boundary and hit with seeded single-byte mutations, and every
 //! variant goes through `Schema::validate`. A checkpoint's checksum
@@ -9,7 +9,9 @@
 //! third reseals structural mutations of its lines (one deleted,
 //! duplicated, or swapped with the next). A restore that succeeds must
 //! also *run* without panicking: the restored state is what the
-//! simulator then trusts.
+//! simulator then trusts. And the JSONL validators accept only what their
+//! writers could have written: ten fixed damaged documents, none of
+//! which a writer can produce, are each rejected.
 
 use flashsim::engine::ckpt::CkptError;
 use flashsim::engine::{ckpt, Rng, Schema, SpanPlan, Time, TimeDelta};
@@ -59,16 +61,11 @@ fn documents(cfg: MachineConfig, program: &Fft) -> Vec<(Schema, String)> {
         .collect()
 }
 
-/// Validates `text`; a panic fails the test with the offending input.
-fn readers_return(schema: Schema, text: &str, what: &str) {
-    let outcome = catch_unwind(|| {
-        let _ = schema.validate(text);
-    });
-    assert!(
-        outcome.is_ok(),
-        "{} reader panicked on {what}:\n{text}",
-        schema.key()
-    );
+/// Validates `text` and says whether it is valid; a panic fails the test
+/// with the offending input.
+fn readers_return(schema: Schema, text: &str, what: &str) -> bool {
+    let outcome = catch_unwind(|| schema.validate(text).is_ok());
+    outcome.unwrap_or_else(|_| panic!("{} reader panicked on {what}:\n{text}", schema.key()))
 }
 
 /// One seeded single-byte mutation of `good`. Half the mutations write a
@@ -121,9 +118,13 @@ fn truncated_and_mutated_documents_never_panic_a_reader() {
             readers_return(schema, &good[..torn], "a torn-line truncation");
         }
 
-        for _ in 0..MUTATIONS {
-            readers_return(schema, &mutated(&good, &mut rng), "a single-byte mutation");
-        }
+        let accepted = (0..MUTATIONS)
+            .filter(|_| readers_return(schema, &mutated(&good, &mut rng), "a single-byte mutation"))
+            .count();
+        eprintln!(
+            "{}: {accepted} of {MUTATIONS} single-byte mutations validate",
+            schema.key()
+        );
         for text in saturated(&good, 150) {
             readers_return(schema, &text, "a number saturated to u64::MAX");
         }
@@ -200,9 +201,9 @@ fn checkpoint_mutations_that_survive_the_checksum_never_panic_restore() {
         let valid = catch_unwind(|| Schema::Ckpt.validate(&text).is_ok())
             .unwrap_or_else(|_| panic!("a resealed checkpoint panicked a reader:\n{text}"));
         past_the_door += u64::from(valid);
-        // Every tenth byte mutation — 200 of them — also runs what it
-        // restored.
-        let run = i < MUTATIONS as usize && i % 10 == 0;
+        // Every tenth byte mutation — 200 of them — and every saturated
+        // number also runs what it restored.
+        let run = i >= MUTATIONS as usize || i % 10 == 0;
         restore_then_run(&watched, &program, &text, run);
         tried += 1;
     }
@@ -274,4 +275,111 @@ fn structural_checkpoint_mutations_never_panic_restore_or_the_run() {
         matches!(&err, RestoreError::Ckpt(CkptError::Parse { key, .. }) if key == "hdr"),
         "got {err}"
     );
+}
+
+/// `text` with the first run of digits after the first `after` replaced
+/// by `by`.
+fn renumbered(text: &str, after: &str, by: impl FnOnce(u64) -> String) -> String {
+    let at = text.find(after).expect("the pattern") + after.len();
+    let len = text[at..].bytes().take_while(u8::is_ascii_digit).count();
+    let old: u64 = text[at..at + len].parse().expect("a number");
+    format!("{}{}{}", &text[..at], by(old), &text[at + len..])
+}
+
+/// `text` with its line `n` (0-based) passed through `f`.
+fn line_edited(text: &str, n: usize, f: impl FnOnce(&str) -> String) -> String {
+    let mut lines: Vec<String> = text.split('\n').map(str::to_owned).collect();
+    lines[n] = f(&lines[n]);
+    lines.join("\n")
+}
+
+/// Ten damaged documents, none of which a writer can produce, are each
+/// rejected.
+#[test]
+fn documents_no_writer_can_produce_are_rejected() {
+    let program = Fft::sized(ProblemScale::Tiny, 2, FftBlocking::Cache);
+    let docs = documents(observed(), &program);
+    let doc = |schema| {
+        &docs
+            .iter()
+            .find(|(s, _)| *s == schema)
+            .expect("a document")
+            .1
+    };
+    let (tel, span, host) = (
+        doc(Schema::Telemetry),
+        doc(Schema::Span),
+        doc(Schema::HostProf),
+    );
+    let damaged = [
+        (
+            Schema::Telemetry,
+            "a bucket that does not start at bucket × bucket_ps",
+            line_edited(tel, 1, |l| l.replacen("\"start_ps\":", "\"start_ps\":1", 1)),
+        ),
+        (
+            Schema::Telemetry,
+            "a metric kind of \"bogus\"",
+            tel.replacen("\"kind\":\"counter\"", "\"kind\":\"bogus\"", 1),
+        ),
+        (
+            Schema::Telemetry,
+            "a bucket value of -5",
+            line_edited(tel, 1, |l| {
+                let at = l.find("\"values\":{").expect("values") + 10;
+                let first = renumbered(&l[at..], "\":", |_| "-5".to_owned());
+                format!("{}{first}", &l[..at])
+            }),
+        ),
+        (
+            Schema::Telemetry,
+            "a total that is not its buckets' sum",
+            renumbered(tel, "\"total\":", |n| (n + 1).to_string()),
+        ),
+        (
+            Schema::Telemetry,
+            "a bucket_ps of 0",
+            renumbered(tel, "\"bucket_ps\":", |_| "0".to_owned()),
+        ),
+        (
+            Schema::Span,
+            "a span line without its node",
+            line_edited(span, 2, |l| {
+                let at = l.find(",\"node\":").expect("a node");
+                let len = 8 + l[at + 8..].bytes().take_while(u8::is_ascii_digit).count();
+                format!("{}{}", &l[..at], &l[at + len..])
+            }),
+        ),
+        (
+            Schema::Span,
+            "a span kind that is a number",
+            line_edited(span, 2, |l| {
+                let at = l.find("\"kind\":\"").expect("a kind") + 7;
+                let len = l[at + 1..].find('"').expect("a closing quote") + 2;
+                format!("{}7{}", &l[..at], &l[at + len..])
+            }),
+        ),
+        (
+            Schema::HostProf,
+            "text after a line's closing brace",
+            line_edited(host, 0, |l| format!("{l}x")),
+        ),
+        (
+            Schema::HostProf,
+            "\"admitted_ops\":0abc",
+            renumbered(host, "\"admitted_ops\":", |_| "0abc".to_owned()),
+        ),
+        (
+            Schema::HostProf,
+            "a phase line with \"ns\" twice",
+            line_edited(host, 1, |l| {
+                let ns = &l[l.find(",\"ns\":").expect("ns")..l.len() - 1];
+                format!("{}{ns}}}", &l[..l.len() - 1])
+            }),
+        ),
+    ];
+    for (schema, what, text) in damaged {
+        assert_ne!(&text, doc(schema), "{what}: the damage applies");
+        assert!(schema.validate(&text).is_err(), "{what} validates:\n{text}");
+    }
 }
