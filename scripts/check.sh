@@ -23,20 +23,27 @@ echo "== benchmark package (its own workspace) =="
 # public-API change would first fail in the benchmark pipeline.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "== scheduler equivalence worker sweep (1, 2, host parallelism) =="
-# The parallel policy must be byte-identical to the reference
-# interleaving at *every* worker count, not just the suite's default of
-# 2: one worker (pure fork overhead, no concurrency), two (the smallest
-# real interleaving), and 0 = one per available host core. That includes
-# the runs with telemetry, the profiler and a checkpoint sink attached
-# (the per-op observer writes ride in per-node windows across every fork
-# and join:
-# `observer_windows_lose_nothing_across_forks_and_barrier_cuts`), and the
-# host profiler's isolation suite, which reads the same variable.
-for w in 1 2 0; do
+echo "== parallel-policy worker sweep (1, and host parallelism where it is not 2) =="
+# Every `P` cell of the digest matrix (tests/matrix/mod.rs) must reproduce
+# its class's recorded row at *every* worker count, not just the default
+# of 2 that the `cargo test` pass above ran: one worker (pure fork
+# overhead, no concurrency) and 0 = one per available host core, which is
+# 2 again on a 2-core host. That includes the cells with telemetry, the
+# profiler, the host profiler and a checkpoint sink attached. Only `P`
+# cells read FLASHSIM_EQ_WORKERS, so only the suites that run them re-run
+# (tests/digest_matrix.rs fails if a suite with a `P` cell is missing
+# here).
+sweep="1"
+if [ "$(nproc)" != 2 ]; then
+    sweep="1 0"
+fi
+sweep_started=$(date +%s)
+for w in $sweep; do
     echo "-- FLASHSIM_EQ_WORKERS=$w --"
-    FLASHSIM_EQ_WORKERS=$w cargo test -q --test sched_equivalence --test hostprof_isolation
+    FLASHSIM_EQ_WORKERS=$w cargo test -q --test hostprof_isolation --test sched_equivalence \
+        --test span_determinism
 done
+echo "worker sweep took $(($(date +%s) - sweep_started)) s"
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
@@ -294,6 +301,27 @@ if [ -n "$scanners$twice" ]; then
     exit 1
 fi
 echo "engine non-test lines: $engine_lines (6102 before the one export walk)"
+
+echo "== one-digest-matrix gate (one table of cells pins every determinism contract) =="
+# Every determinism and equivalence contract is a row of one table in
+# tests/matrix/mod.rs, checked against recorded digests. The suites that
+# read it (each tests/*.rs with `mod matrix;`) run no machine of their
+# own, and no test file grows a second platform list or a second
+# policy-comparison harness.
+suites=$(grep -lx 'mod matrix;' tests/*.rs)
+own=$(grep -nE 'run_program\(|run_profiled\(|Machine::new\(' $suites || true)
+if [ -n "$own" ]; then
+    echo "a digest-matrix suite running a machine of its own (add a cell to the table):"
+    echo "$own"
+    exit 1
+fi
+harness=$(grep -lE 'fn (platforms|assert_identical|observable_bytes)\(' tests/*.rs tests/*/*.rs \
+    | grep -vx 'tests/matrix/mod.rs' || true)
+if [ -n "$harness" ]; then
+    echo "a second platform list or policy-comparison harness outside tests/matrix/mod.rs:"
+    echo "$harness"
+    exit 1
+fi
 
 echo "== one-tool gate (one binary, one validate entry point) =="
 # Every command-line surface is a subcommand of `flashsim`; a second file

@@ -1,80 +1,56 @@
-//! Integration tests for the cycle-accounting loop: identically seeded
-//! runs produce byte-identical accounting and attribution output on
-//! every platform, every simulated cycle is attributed to exactly one
-//! stall class, and the attribution differ's per-class contributions sum
-//! to the total relative error.
+//! The cycle-accounting loop: identically seeded runs produce the
+//! recorded accounting on every platform, every simulated cycle is
+//! attributed to exactly one stall class, and the attribution differ's
+//! per-class contributions sum to the total relative error. The runs are
+//! the `account` cells of the digest matrix (`tests/matrix/mod.rs`): the
+//! 2-node FFT profiled, as `attrib::run_profiled` runs it, under the
+//! `Reference` policy on each platform.
 
-use flashsim::attrib::{attribute, run_profiled};
+mod matrix;
+
+use flashsim::attrib::attribute;
 use flashsim::engine::{Accounting, StallClass};
-use flashsim::machine::MachineConfig;
-use flashsim::platform::{MemModel, Sim, Study};
-use flashsim::workloads::{Fft, FftBlocking, ProblemScale};
-use flashsim_isa::Program;
 
-fn fft(threads: usize) -> Fft {
-    Fft::sized(ProblemScale::Tiny, threads, FftBlocking::Cache)
+/// The accounting of the `fft2/profile` class on each platform.
+fn accounts() -> Vec<(String, Accounting)> {
+    let classes = matrix::ran("fft2/profile");
+    let platform = |name: &str| name["fft2/profile/".len()..].to_owned();
+    let acct = |ran: &[matrix::Ran]| ran[0].ok().accounting.clone().expect("profiled");
+    classes
+        .into_iter()
+        .map(|(c, ran)| (platform(&c.name), acct(ran)))
+        .collect()
 }
 
-fn profiled(cfg: MachineConfig, prog: &dyn Program) -> Accounting {
-    run_profiled(cfg, prog)
-        .expect("profiled run completes")
-        .accounting
-        .expect("profiler was attached")
+fn acct(platform: &str) -> Accounting {
+    let hit = accounts().into_iter().find(|(label, _)| label == platform);
+    hit.expect(platform).1
 }
 
-/// Every platform of the study, at a small node count.
-fn platforms(study: &Study, nodes: u32) -> Vec<(String, MachineConfig)> {
-    let mut out = vec![("hardware".to_owned(), study.hardware(nodes))];
-    for sim in [Sim::SimosMipsy(150), Sim::SoloMipsy(150), Sim::SimosMxs] {
-        for mem in [MemModel::FlashLite, MemModel::Numa] {
-            let cfg = study.sim(sim, nodes, mem);
-            out.push((cfg.label(), cfg));
-        }
-    }
-    out
-}
-
+/// Each platform's accounting is the recorded one: the `acct` digest
+/// covers the whole `Accounting` value (every node's classes and total,
+/// every phase row and the phase width), all that `==` compares, so this
+/// run ≡ every earlier run of the same seed.
 #[test]
 fn identically_seeded_accounting_is_byte_identical_on_every_platform() {
-    let study = Study::scaled();
-    for (label, cfg) in platforms(&study, 2) {
-        let a = profiled(cfg.clone(), &fft(2));
-        let b = profiled(cfg, &fft(2));
-        assert_eq!(
-            a.to_json(),
-            b.to_json(),
-            "{label}: accounting JSON must be byte-identical"
-        );
-        // Every node's classes and total, every phase row and the phase
-        // width: everything any rendering of an accounting is made from.
-        assert_eq!(a, b, "{label}: accountings must be identical");
+    let classes = matrix::ran("fft2/profile");
+    assert_eq!(classes.len(), 7, "every platform");
+    for (class, ran) in classes {
+        assert!(ran.iter().all(|r| r.has("acct")), "{}", class.name);
     }
 }
 
 #[test]
 fn every_platform_conserves_every_cycle() {
-    let study = Study::scaled();
-    for (label, cfg) in platforms(&study, 2) {
-        let acc = profiled(cfg, &fft(2));
-        assert!(acc.conserved(), "{label}: accounting not conserved");
-        for node in &acc.nodes {
-            assert_eq!(
-                node.classes.iter().sum::<u64>(),
-                node.total_ps,
-                "{label}: node {} class sums != total",
-                node.node
-            );
-        }
-        assert!(acc.total_ps() > 0, "{label}: nothing accounted");
+    for (label, acc) in accounts() {
+        matrix::check_accounting(&label, &acc);
     }
 }
 
 #[test]
 fn attribution_is_deterministic_and_sums_to_total_error() {
-    let study = Study::scaled();
-    let hw = profiled(study.hardware(2), &fft(2));
-    for (label, cfg) in platforms(&study, 2) {
-        let sim = profiled(cfg, &fft(2));
+    let hw = acct("hardware");
+    for (label, sim) in accounts() {
         let rep = attribute(&sim, &label, &hw, "hardware");
         // The identity the differ is built on: per-class contributions
         // reproduce the total relative error.
@@ -94,10 +70,8 @@ fn numa_omits_the_occupancy_flashlite_models() {
     // NUMA model omits directory/MAGIC occupancy. The attribution differ
     // must expose that as a negative occupancy contribution when NUMA is
     // judged against the same processor model running FlashLite.
-    let study = Study::scaled();
-    let sim = Sim::SimosMipsy(150);
-    let fl = profiled(study.sim(sim, 2, MemModel::FlashLite), &fft(2));
-    let numa = profiled(study.sim(sim, 2, MemModel::Numa), &fft(2));
+    let fl = acct("simos-mipsy-150/flashlite");
+    let numa = acct("simos-mipsy-150/numa");
     let rep = attribute(&numa, "numa", &fl, "flashlite");
     let occ = rep.classes[StallClass::DirOccupancy as usize];
     assert!(
