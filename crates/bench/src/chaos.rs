@@ -78,7 +78,7 @@ pub fn platforms(study: &Study, nodes: u32) -> Vec<(&'static str, MachineConfig)
 }
 
 /// Single-character cell verdict: `.` for a completed run, otherwise the
-/// failure kind (`D`eadlock, `S`talled, `T`imeout, `U`nmapped, oo`M`,
+/// failure kind (`D`eadlock, `S`talled, `U`nmapped, oo`M`,
 /// unheld-`L`ock, `B`uild, `P`anic).
 pub fn outcome_char(outcome: &CellOutcome) -> char {
     match outcome.error() {
@@ -86,7 +86,6 @@ pub fn outcome_char(outcome: &CellOutcome) -> char {
         Some(e) => match e.kind() {
             "deadlock" => 'D',
             "stalled" => 'S',
-            "timeout" => 'T',
             "unmapped" => 'U',
             "oom" => 'M',
             "unheld_lock" => 'L',
@@ -200,7 +199,7 @@ pub fn survival_matrix(study: &Study, seeds: &[u64]) -> Survival {
     let cells = outcomes.len();
     let _ = writeln!(
         grid,
-        "legend: . ok  D deadlock  S stalled  T timeout  U unmapped  M oom  L unheld-lock  \
+        "legend: . ok  D deadlock  S stalled  U unmapped  M oom  L unheld-lock  \
          B build  P panic"
     );
     let _ = write!(grid, "survival: {completed}/{cells} completed");
@@ -459,7 +458,7 @@ mod tests {
     #[test]
     fn outcome_chars_are_distinct_per_kind() {
         // The legend relies on one char per failure kind.
-        let chars = ['.', 'D', 'S', 'T', 'U', 'M', 'L', 'B', 'P'];
+        let chars = ['.', 'D', 'S', 'U', 'M', 'L', 'B', 'P'];
         let mut sorted = chars.to_vec();
         sorted.sort_unstable();
         sorted.dedup();

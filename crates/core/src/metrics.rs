@@ -30,11 +30,6 @@ impl RelativeError {
         RelativeError { relative }
     }
 
-    /// Absolute fractional error, |rel − 1|.
-    pub fn magnitude(&self) -> f64 {
-        (self.relative - 1.0).abs()
-    }
-
     /// True if the simulator predicted a shorter time than hardware.
     pub fn optimistic(&self) -> bool {
         self.relative < 1.0
@@ -258,7 +253,6 @@ mod tests {
     fn relative_error_direction() {
         assert!(RelativeError::new(0.7).optimistic());
         assert!(!RelativeError::new(1.3).optimistic());
-        assert!((RelativeError::new(0.7).magnitude() - 0.3).abs() < 1e-12);
     }
 
     #[test]

@@ -180,15 +180,6 @@ pub mod paper {
     /// §3.1.3: SimOS-Mipsy-225 Radix-Sort relative time without → with
     /// instruction latencies.
     pub const LATENCY_ABLATION: (f64, f64) = (0.71, 1.02);
-
-    /// §3.1.2: FFT TLB-blocking gains (uniprocessor, 4-processor).
-    pub const FFT_BLOCKING_GAIN: (f64, f64) = (0.14, 0.16);
-
-    /// §3.1.2: Radix radix-reduction gains (uniprocessor, 4-processor).
-    pub const RADIX_TUNING_GAIN: (f64, f64) = (0.31, 0.34);
-
-    /// §3.1.3: MXS runs 20-30% faster than the hardware.
-    pub const MXS_FAST_BAND: (f64, f64) = (0.70, 0.80);
 }
 
 #[cfg(test)]

@@ -45,20 +45,6 @@ impl LatencyTable {
         }
     }
 
-    /// Mipsy's view of the world: every instruction takes one cycle.
-    pub fn unit() -> LatencyTable {
-        LatencyTable {
-            int_alu: 1,
-            int_mul: 1,
-            int_div: 1,
-            fp_add: 1,
-            fp_mul: 1,
-            fp_div: 1,
-            branch: 1,
-            load_use: 1,
-        }
-    }
-
     /// The latency in cycles for a compute/branch class.
     ///
     /// # Panics
@@ -90,27 +76,5 @@ mod tests {
         assert_eq!(t.cycles(OpClass::IntMul), 5);
         assert_eq!(t.cycles(OpClass::IntDiv), 19);
         assert_eq!(t.cycles(OpClass::IntAlu), 1);
-    }
-
-    #[test]
-    fn unit_table_is_flat() {
-        let t = LatencyTable::unit();
-        for c in [
-            OpClass::IntAlu,
-            OpClass::IntMul,
-            OpClass::IntDiv,
-            OpClass::FpAdd,
-            OpClass::FpMul,
-            OpClass::FpDiv,
-            OpClass::Branch,
-        ] {
-            assert_eq!(t.cycles(c), 1);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "no fixed latency")]
-    fn memory_class_panics() {
-        LatencyTable::r10000().cycles(OpClass::Load);
     }
 }

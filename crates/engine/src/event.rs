@@ -19,7 +19,6 @@
 //! assert_eq!(q.pop(), None);
 //! ```
 
-use crate::telemetry::{MetricId, Telemetry};
 use crate::time::Time;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -31,8 +30,6 @@ pub struct EventQueue<T> {
     payloads: Vec<Option<T>>,
     free: Vec<usize>,
     seq: u64,
-    telemetry: Telemetry,
-    depth_metric: MetricId,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -49,18 +46,7 @@ impl<T> EventQueue<T> {
             payloads: Vec::new(),
             free: Vec::new(),
             seq: 0,
-            telemetry: Telemetry::disabled(),
-            depth_metric: MetricId::NONE,
         }
-    }
-
-    /// Records the pending-event depth into `metric` (typically a
-    /// volatile gauge — delivery order is a scheduling artifact) of
-    /// `telemetry` at every push and pop. Costs one branch per operation
-    /// while no depth is tracked.
-    pub fn track_depth(&mut self, telemetry: Telemetry, metric: MetricId) {
-        self.telemetry = telemetry;
-        self.depth_metric = metric;
     }
 
     /// Schedules `payload` at time `at`.
@@ -77,8 +63,6 @@ impl<T> EventQueue<T> {
         };
         self.heap.push(Reverse((at, self.seq, slot)));
         self.seq += 1;
-        self.telemetry
-            .gauge(self.depth_metric, at, self.heap.len() as u64);
     }
 
     /// Removes and returns the earliest event.
@@ -86,14 +70,7 @@ impl<T> EventQueue<T> {
         let Reverse((at, _, slot)) = self.heap.pop()?;
         let payload = self.payloads[slot].take().expect("slot holds a payload"); // gate: allow
         self.free.push(slot);
-        self.telemetry
-            .gauge(self.depth_metric, at, self.heap.len() as u64);
         Some((at, payload))
-    }
-
-    /// The time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
     }
 
     /// Number of pending events.
@@ -135,15 +112,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.push(Time::from_ns(7), "x");
-        assert_eq!(q.peek_time(), Some(Time::from_ns(7)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
     fn slots_are_reused() {
         let mut q = EventQueue::new();
         for round in 0..5 {
@@ -159,7 +127,6 @@ mod tests {
         let mut q: EventQueue<u8> = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
@@ -220,24 +187,5 @@ mod tests {
             assert!(q.is_empty());
             assert_eq!(q.payloads.len(), 16, "cycle {cycle} leaked slots");
         }
-    }
-
-    #[test]
-    fn attached_telemetry_tracks_depth() {
-        use crate::telemetry::{MetricKind, Telemetry};
-        use crate::time::TimeDelta;
-
-        let tel = Telemetry::with_cadence(TimeDelta::from_ns(100));
-        let id = tel.register_volatile("engine.event_queue_depth", MetricKind::Gauge);
-        let mut q = EventQueue::new();
-        q.track_depth(tel.clone(), id);
-        q.push(Time::from_ns(10), 'a');
-        q.push(Time::from_ns(20), 'b');
-        q.push(Time::from_ns(30), 'c');
-        q.pop();
-        let series = tel.snapshot(Time::from_ns(40)).expect("enabled");
-        let m = series.get("engine.event_queue_depth").expect("registered");
-        assert_eq!(m.total, 3, "peak depth was three pending events");
-        assert!(m.volatile, "delivery order is a scheduling artifact");
     }
 }

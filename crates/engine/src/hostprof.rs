@@ -382,13 +382,6 @@ impl HostReport {
         }
     }
 
-    /// Difference between the window length and the phase sum — zero by
-    /// construction; exported so validators can enforce it.
-    pub fn unaccounted_ns(&self) -> u64 {
-        self.total_ns
-            .abs_diff(self.phase_ns.iter().copied().sum::<u64>())
-    }
-
     /// Renders the [`HOSTPROF_SCHEMA`] JSONL document: a header line,
     /// one line per phase in [`HostPhase::ALL`] order, one admission
     /// line, and one line per worker lane.
@@ -507,7 +500,8 @@ mod tests {
         }
         hp.run_end();
         let r = hp.report().expect("finalized report");
-        assert_eq!(r.unaccounted_ns(), 0, "phases must tile the window");
+        let phases: u64 = r.phase_ns.iter().sum();
+        assert_eq!(phases, r.total_ns, "phases must tile the window");
         assert!(r.phase(HostPhase::Scan) >= 200_000);
         assert!(r.phase(HostPhase::Ckpt) >= 100_000);
         assert!(r.phase(HostPhase::Serial) >= 100_000);
@@ -556,7 +550,7 @@ mod tests {
         hp.run_end();
         let r = hp.report().expect("report");
         assert_eq!(r.admission.rejected_opaque, 0);
-        assert_eq!(r.unaccounted_ns(), 0);
+        assert_eq!(r.phase_ns.iter().sum::<u64>(), r.total_ns);
     }
 
     fn sample_report() -> HostReport {

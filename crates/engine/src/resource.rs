@@ -115,20 +115,6 @@ impl Resource {
         self.contended_grants
     }
 
-    /// Utilization over the window ending at `horizon`: busy time divided by
-    /// elapsed time. Returns 0 for an empty window.
-    pub fn utilization(&self, horizon: Time) -> f64 {
-        if horizon == Time::ZERO {
-            return 0.0;
-        }
-        self.busy_total.as_ps() as f64 / horizon.as_ps() as f64
-    }
-
-    /// Forgets all occupancy and statistics, returning to the idle state.
-    pub fn reset(&mut self) {
-        *self = Resource::new(self.name);
-    }
-
     /// Walks the occupancy timeline and counters, name-stamped so a
     /// restore against the wrong resource fails closed.
     pub fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
@@ -274,23 +260,6 @@ mod tests {
         assert_eq!(r.wait_at(Time::from_ns(30)).as_ns(), 70);
         assert_eq!(r.wait_at(Time::from_ns(200)), TimeDelta::ZERO);
         assert_eq!(r.grants(), 1);
-    }
-
-    #[test]
-    fn utilization_is_busy_over_elapsed() {
-        let mut r = Resource::new("r");
-        r.acquire(Time::ZERO, TimeDelta::from_ns(25));
-        assert!((r.utilization(Time::from_ns(100)) - 0.25).abs() < 1e-12);
-        assert_eq!(r.utilization(Time::ZERO), 0.0);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut r = Resource::new("r");
-        r.acquire(Time::ZERO, TimeDelta::from_ns(100));
-        r.reset();
-        assert_eq!(r.busy_until(), Time::ZERO);
-        assert_eq!(r.grants(), 0);
     }
 
     #[test]

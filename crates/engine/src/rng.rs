@@ -90,14 +90,6 @@ impl Rng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.gen_range(i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
-    }
-
     /// A multiplicative jitter factor in `[1-spread, 1+spread]`, used to
     /// model run-to-run variation of the "hardware" gold standard.
     pub fn jitter(&mut self, spread: f64) -> f64 {
@@ -169,16 +161,6 @@ mod tests {
             let x = r.gen_f64();
             assert!((0.0..1.0).contains(&x));
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = Rng::seeded(11);
-        let mut v: Vec<u32> = (0..64).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..64).collect::<Vec<_>>());
     }
 
     #[test]

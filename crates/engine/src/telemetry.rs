@@ -534,19 +534,11 @@ impl MetricSeries {
 
 impl TelemetrySeries {
     /// Looks the *aggregate* metric up by registered name (per-node
-    /// variants share the base name; use
-    /// [`get_node`](TelemetrySeries::get_node) for those).
+    /// variants share the base name and are never returned).
     pub fn get(&self, name: &str) -> Option<&MetricSeries> {
         self.metrics
             .iter()
             .find(|m| m.name == name && m.node.is_none())
-    }
-
-    /// Looks a per-node metric variant up.
-    pub fn get_node(&self, name: &str, node: u32) -> Option<&MetricSeries> {
-        self.metrics
-            .iter()
-            .find(|m| m.name == name && m.node == Some(node))
     }
 
     /// Checks the bucketing invariant for every metric: counter and
@@ -812,10 +804,15 @@ mod tests {
         // `get` finds the aggregate, never a node variant.
         assert_eq!(s.get("magic.queue_ps").expect("aggregate").node, None);
         assert_eq!(s.get("magic.queue_ps").expect("aggregate").total, 70_000);
-        let per_node = s.get_node("magic.queue_ps", 3).expect("node 3");
+        let node = |n| {
+            s.metrics
+                .iter()
+                .find(|m| m.name == "magic.queue_ps" && m.node == Some(n))
+        };
+        let per_node = node(3).expect("node 3");
         assert_eq!(per_node.total, 70_000);
         assert_eq!(per_node.key(), "magic.queue_ps{node=\"3\"}");
-        assert_eq!(s.get_node("magic.queue_ps", 1), None);
+        assert_eq!(node(1), None);
         // Exports stay well-formed with the labelled key.
         let jsonl = s.to_jsonl();
         assert!(jsonl.contains("magic.queue_ps{node=\\\"3\\\"}"));

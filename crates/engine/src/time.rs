@@ -269,16 +269,6 @@ impl Clock {
     pub fn cycles_in(self, delta: TimeDelta) -> u64 {
         delta.0 / self.period_ps
     }
-
-    /// Rounds `t` up to the next cycle boundary of this clock.
-    pub fn align_up(self, t: Time) -> Time {
-        let rem = t.0 % self.period_ps;
-        if rem == 0 {
-            t
-        } else {
-            Time(t.0 + (self.period_ps - rem))
-        }
-    }
 }
 
 impl fmt::Display for Clock {
@@ -328,14 +318,6 @@ mod tests {
         let c = Clock::from_mhz(100);
         assert_eq!(c.cycles(3).as_ns(), 30);
         assert_eq!(c.cycles_in(TimeDelta::from_ns(95)), 9);
-    }
-
-    #[test]
-    fn clock_align_up() {
-        let c = Clock::from_mhz(100); // 10ns period
-        assert_eq!(c.align_up(Time::from_ns(10)), Time::from_ns(10));
-        assert_eq!(c.align_up(Time::from_ns(11)), Time::from_ns(20));
-        assert_eq!(c.align_up(Time::ZERO), Time::ZERO);
     }
 
     #[test]

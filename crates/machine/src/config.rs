@@ -374,6 +374,7 @@ impl fmt::Display for MachineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flashsim_os::TLB_REFILL_TRUE;
 
     #[test]
     fn cpu_model_clocks() {
@@ -447,7 +448,7 @@ mod tests {
                 model_int_latencies: false,
                 l2_iface: None,
             },
-            OsModel::simos_tuned(),
+            OsModel::simos_mipsy().with_tlb_refill(TLB_REFILL_TRUE),
             MemSysKind::FlashLite(FlashLiteParams::hardware()),
             MachineGeometry::scaled(),
         );

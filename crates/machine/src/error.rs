@@ -140,20 +140,6 @@ pub enum SimError {
         /// Where each node was.
         nodes: Vec<NodeSnapshot>,
     },
-    /// The run exceeded its wall-clock budget. Unlike [`Stalled`]
-    /// (simulated progress lost), the simulation may be perfectly healthy
-    /// — just too slow for the harness's patience; the snapshots say
-    /// where the time went.
-    ///
-    /// [`Stalled`]: SimError::Stalled
-    Timeout {
-        /// Host wall-clock time elapsed when the watchdog tripped.
-        elapsed: std::time::Duration,
-        /// The configured wall-clock budget.
-        budget: std::time::Duration,
-        /// Where each node was.
-        nodes: Vec<NodeSnapshot>,
-    },
     /// A panic escaped a supervised cell; the payload message is kept.
     Panic(String),
 }
@@ -169,7 +155,6 @@ impl SimError {
             SimError::OutOfPhysicalMemory { .. } => "oom",
             SimError::UnheldLock { .. } => "unheld_lock",
             SimError::Stalled { .. } => "stalled",
-            SimError::Timeout { .. } => "timeout",
             SimError::Panic(_) => "panic",
         }
     }
@@ -208,19 +193,6 @@ impl fmt::Display for SimError {
                 write!(f, "stalled: no forward progress after {ops_executed} ops")?;
                 write_nodes(f, nodes)
             }
-            SimError::Timeout {
-                elapsed,
-                budget,
-                nodes,
-            } => {
-                write!(
-                    f,
-                    "timeout: wall clock {:.1}s exceeded budget {:.1}s",
-                    elapsed.as_secs_f64(),
-                    budget.as_secs_f64()
-                )?;
-                write_nodes(f, nodes)
-            }
             SimError::Panic(msg) => write!(f, "panicked: {msg}"),
         }
     }
@@ -245,11 +217,6 @@ pub struct Watchdog {
     /// Maximum ops executed across all nodes before the run is declared
     /// stalled. `None` disables the watchdog.
     pub max_ops: Option<u64>,
-    /// Maximum host wall-clock time before the run is declared timed out
-    /// ([`SimError::Timeout`]). `None` disables the wall-clock limit.
-    /// Checked amortized (every few thousand scheduling decisions), so
-    /// actual overshoot is bounded by one scheduling quantum.
-    pub wall_limit: Option<std::time::Duration>,
 }
 
 impl Watchdog {
@@ -257,15 +224,6 @@ impl Watchdog {
     pub fn with_budget(max_ops: u64) -> Watchdog {
         Watchdog {
             max_ops: Some(max_ops),
-            ..Watchdog::default()
-        }
-    }
-
-    /// Adds a wall-clock budget to this watchdog.
-    pub fn with_wall_limit(self, limit: std::time::Duration) -> Watchdog {
-        Watchdog {
-            wall_limit: Some(limit),
-            ..self
         }
     }
 }
@@ -307,11 +265,6 @@ mod tests {
                 ops_executed: 18,
                 nodes: nodes.clone(),
             },
-            SimError::Timeout {
-                elapsed: std::time::Duration::from_secs(2),
-                budget: std::time::Duration::from_secs(1),
-                nodes: nodes.clone(),
-            },
         ] {
             let msg = format!("{e}");
             assert!(msg.contains("barrier 3"), "{msg}");
@@ -345,12 +298,6 @@ mod tests {
             .kind(),
             SimError::Stalled {
                 ops_executed: 0,
-                nodes: vec![],
-            }
-            .kind(),
-            SimError::Timeout {
-                elapsed: std::time::Duration::ZERO,
-                budget: std::time::Duration::ZERO,
                 nodes: vec![],
             }
             .kind(),

@@ -62,7 +62,7 @@ mod tests {
     use flashsim_flashlite::FlashLiteParams;
     use flashsim_isa::{OpClass, Placement, Program, Segment, Sink, VAddr};
     use flashsim_numa::NumaParams;
-    use flashsim_os::OsModel;
+    use flashsim_os::{OsModel, TLB_REFILL_TRUE};
 
     /// A parallel program: each thread walks its own block of a shared
     /// array, then all barrier, then thread 0 reads everyone's data
@@ -181,7 +181,7 @@ mod tests {
             cfg(
                 2,
                 mipsy(225),
-                OsModel::simos_tuned(),
+                OsModel::simos_mipsy().with_tlb_refill(TLB_REFILL_TRUE),
                 MemSysKind::Numa(NumaParams::matched()),
             ),
         ];
@@ -237,7 +237,16 @@ mod tests {
     fn simos_models_tlb_solo_does_not() {
         let prog = small_prog(1);
         let solo = run_program(cfg(1, mipsy(150), OsModel::solo(), fl()), &prog).unwrap();
-        let simos = run_program(cfg(1, mipsy(150), OsModel::simos_tuned(), fl()), &prog).unwrap();
+        let simos = run_program(
+            cfg(
+                1,
+                mipsy(150),
+                OsModel::simos_mipsy().with_tlb_refill(TLB_REFILL_TRUE),
+                fl(),
+            ),
+            &prog,
+        )
+        .unwrap();
         assert_eq!(solo.stats.get_or_zero("os.tlb_refills"), 0.0);
         assert!(simos.stats.get_or_zero("os.tlb_refills") > 0.0);
     }
@@ -245,7 +254,12 @@ mod tests {
     #[test]
     fn remote_reads_generate_protocol_traffic() {
         let r = run_program(
-            cfg(4, mipsy(150), OsModel::simos_tuned(), fl()),
+            cfg(
+                4,
+                mipsy(150),
+                OsModel::simos_mipsy().with_tlb_refill(TLB_REFILL_TRUE),
+                fl(),
+            ),
             &small_prog(4),
         )
         .unwrap();
@@ -300,7 +314,10 @@ mod tests {
             (4096, 3 << 20, "node memory 3145728"),
             (4096, 64 << 10, "16 frames, fewer than the 32"),
         ];
-        for os in [OsModel::simos_tuned(), OsModel::solo()] {
+        for os in [
+            OsModel::simos_mipsy().with_tlb_refill(TLB_REFILL_TRUE),
+            OsModel::solo(),
+        ] {
             for (page_bytes, node_mem_bytes, why) in bad {
                 let mut c = cfg(1, mipsy(150), os, fl());
                 c.geometry.page_bytes = page_bytes;
@@ -319,12 +336,21 @@ mod tests {
     #[test]
     fn numa_and_flashlite_agree_on_protocol_counts() {
         let prog = small_prog(2);
-        let a = run_program(cfg(2, mipsy(150), OsModel::simos_tuned(), fl()), &prog).unwrap();
+        let a = run_program(
+            cfg(
+                2,
+                mipsy(150),
+                OsModel::simos_mipsy().with_tlb_refill(TLB_REFILL_TRUE),
+                fl(),
+            ),
+            &prog,
+        )
+        .unwrap();
         let b = run_program(
             cfg(
                 2,
                 mipsy(150),
-                OsModel::simos_tuned(),
+                OsModel::simos_mipsy().with_tlb_refill(TLB_REFILL_TRUE),
                 MemSysKind::Numa(NumaParams::matched()),
             ),
             &prog,
@@ -379,7 +405,14 @@ mod tests {
     #[test]
     fn disabled_profiler_changes_nothing() {
         let prog = small_prog(2);
-        let c = || cfg(2, mipsy(150), OsModel::simos_tuned(), fl());
+        let c = || {
+            cfg(
+                2,
+                mipsy(150),
+                OsModel::simos_mipsy().with_tlb_refill(TLB_REFILL_TRUE),
+                fl(),
+            )
+        };
         let plain = run_program(c(), &prog).unwrap();
         assert!(plain.accounting.is_none());
         assert!(plain.manifest.account.is_none());
@@ -402,7 +435,12 @@ mod tests {
             bytes_per_thread: 32 * 1024,
             use_lock: true,
         };
-        let mut c = cfg(4, mipsy(150), OsModel::simos_tuned(), fl());
+        let mut c = cfg(
+            4,
+            mipsy(150),
+            OsModel::simos_mipsy().with_tlb_refill(TLB_REFILL_TRUE),
+            fl(),
+        );
         c.profile = true;
         let r = run_program(c, &prog).unwrap();
         let acc = r.accounting.as_ref().expect("profile is on");
@@ -607,7 +645,12 @@ mod tests {
         use flashsim_engine::FaultPlan;
         let prog = small_prog(2);
         let run = || {
-            let mut c = cfg(2, mipsy(150), OsModel::simos_tuned(), fl());
+            let mut c = cfg(
+                2,
+                mipsy(150),
+                OsModel::simos_mipsy().with_tlb_refill(TLB_REFILL_TRUE),
+                fl(),
+            );
             c.faults = Some(FaultPlan::chaos(1234));
             c.watchdog = Watchdog::with_budget(10_000_000);
             run_program(c, &prog)
@@ -666,7 +709,14 @@ mod tests {
     #[test]
     fn checkpoint_sink_does_not_perturb_the_run() {
         let prog = small_prog(2);
-        let c = || cfg(2, mipsy(150), OsModel::simos_tuned(), fl());
+        let c = || {
+            cfg(
+                2,
+                mipsy(150),
+                OsModel::simos_mipsy().with_tlb_refill(TLB_REFILL_TRUE),
+                fl(),
+            )
+        };
         let plain = run_program(c(), &prog).unwrap();
         let (observed, ckpts) = run_with_ckpts(&c, &prog);
         assert_eq!(plain.total_time, observed.total_time);
@@ -680,7 +730,14 @@ mod tests {
     #[test]
     fn restore_from_any_barrier_finishes_byte_identical() {
         let prog = small_prog(2);
-        let c = || cfg(2, mipsy(150), OsModel::simos_tuned(), fl());
+        let c = || {
+            cfg(
+                2,
+                mipsy(150),
+                OsModel::simos_mipsy().with_tlb_refill(TLB_REFILL_TRUE),
+                fl(),
+            )
+        };
         let (straight, ckpts) = run_with_ckpts(&c, &prog);
         for (seq, text) in &ckpts {
             let mut m = Machine::restore(c(), &prog, text).unwrap();
@@ -700,12 +757,24 @@ mod tests {
     fn restore_rejects_wrong_identity_and_corruption() {
         use flashsim_engine::CkptError;
         let prog = small_prog(2);
-        let c = || cfg(2, mipsy(150), OsModel::simos_tuned(), fl());
+        let c = || {
+            cfg(
+                2,
+                mipsy(150),
+                OsModel::simos_mipsy().with_tlb_refill(TLB_REFILL_TRUE),
+                fl(),
+            )
+        };
         let (_, ckpts) = run_with_ckpts(&c, &prog);
         let text = &ckpts[0].1;
 
         // Different platform => provenance mismatch, not a mis-restore.
-        let other = cfg(2, mipsy(300), OsModel::simos_tuned(), fl());
+        let other = cfg(
+            2,
+            mipsy(300),
+            OsModel::simos_mipsy().with_tlb_refill(TLB_REFILL_TRUE),
+            fl(),
+        );
         let err = Machine::restore(other, &prog, text).expect_err("wrong clock");
         assert!(
             matches!(&err, RestoreError::Ckpt(CkptError::ManifestMismatch { .. })),
@@ -730,7 +799,14 @@ mod tests {
     fn restore_rejects_a_fill_in_flight_the_l2_does_not_hold() {
         use flashsim_engine::ckpt::{bad, provenance_hash};
         let prog = small_prog(2);
-        let c = || cfg(2, mipsy(150), OsModel::simos_tuned(), fl());
+        let c = || {
+            cfg(
+                2,
+                mipsy(150),
+                OsModel::simos_mipsy().with_tlb_refill(TLB_REFILL_TRUE),
+                fl(),
+            )
+        };
         let (_, ckpts) = run_with_ckpts(&c, &prog);
         let text = &ckpts[0].1;
         let body = &text[..text.rfind("checksum=").expect("a trailer")];
@@ -750,7 +826,14 @@ mod tests {
     fn restored_run_continues_checkpoint_numbering() {
         use std::sync::{Arc, Mutex};
         let prog = small_prog(2);
-        let c = || cfg(2, mipsy(150), OsModel::simos_tuned(), fl());
+        let c = || {
+            cfg(
+                2,
+                mipsy(150),
+                OsModel::simos_mipsy().with_tlb_refill(TLB_REFILL_TRUE),
+                fl(),
+            )
+        };
         let (_, ckpts) = run_with_ckpts(&c, &prog);
         // Resume from the first checkpoint with a fresh sink: the next
         // emission must carry seq 1, not restart at 0.
@@ -762,30 +845,6 @@ mod tests {
         }));
         m.run().unwrap();
         assert_eq!(*seqs.lock().unwrap(), vec![1, 2]);
-    }
-
-    #[test]
-    fn wall_clock_timeout_trips_as_structured_timeout() {
-        let mut c = cfg(2, mipsy(150), OsModel::solo(), fl());
-        c.watchdog = Watchdog::default().with_wall_limit(std::time::Duration::ZERO);
-        let err = run_program(c, &small_prog(2)).expect_err("zero wall budget");
-        let SimError::Timeout {
-            elapsed,
-            budget,
-            nodes,
-        } = &err
-        else {
-            panic!("expected Timeout, got {err}");
-        };
-        assert!(*elapsed >= *budget);
-        assert_eq!(nodes.len(), 2);
-        assert_eq!(err.kind(), "timeout");
-        let msg = err.to_string();
-        let mut lines = msg.lines();
-        let header = lines.next().expect("a header line");
-        assert!(header.starts_with("timeout: wall clock "), "{msg}");
-        assert!(header.ends_with(" exceeded budget 0.0s"), "{msg}");
-        assert_one_line_per_node(lines, nodes);
     }
 
     #[test]

@@ -292,11 +292,7 @@ impl Machine {
     /// tunes the per-node quota, and a low-yield round backs off to
     /// serial batches for a while — both driven only by simulated state,
     /// so the adaptation itself is deterministic.
-    pub(super) fn run_parallel(
-        &mut self,
-        workers: usize,
-        wall_start: std::time::Instant,
-    ) -> Result<(), SimError> {
+    pub(super) fn run_parallel(&mut self, workers: usize) -> Result<(), SimError> {
         let pool = WorkerPool::new(workers);
         let fork = ForkCtx {
             pool: &pool,
@@ -320,7 +316,7 @@ impl Machine {
                 .collect(),
             busy_prev: vec![0; pool.size()],
         };
-        let out = self.run_scheduled(Some(fork), wall_start);
+        let out = self.run_scheduled(Some(fork));
         // Harvest the pool's per-worker host-time lanes before the pool
         // (and its counters) is dropped. Host observability only.
         self.obs.hostprof.record_workers(pool.lanes());

@@ -320,9 +320,9 @@ impl Machine {
         let nodes = self.cfg.nodes as usize;
         self.status = vec![NodeStatus::Running; nodes];
         let ran = match self.cfg.sched {
-            SchedPolicy::Batched => self.run_scheduled(None, wall_start),
-            SchedPolicy::Reference => self.run_reference(wall_start),
-            SchedPolicy::Parallel { workers } => self.run_parallel(workers, wall_start),
+            SchedPolicy::Batched => self.run_scheduled(None),
+            SchedPolicy::Reference => self.run_reference(),
+            SchedPolicy::Parallel { workers } => self.run_parallel(workers),
         };
         self.obs.hostprof.run_end();
         self.settle_pending();

@@ -31,8 +31,6 @@ pub(super) enum EpochEnd {
     /// The next decision's heartbeat tick is the one that reads the
     /// wall clock.
     Heartbeat,
-    /// The wall-clock limit expired.
-    Timeout(std::time::Duration),
     /// The watchdog's op budget expired.
     Budget,
     /// A program fault parked by [`MachineEnv::resolve`].
@@ -67,12 +65,9 @@ pub(super) struct Sched {
     /// Ops dispatched so far; sync ops and end-of-stream discovery count,
     /// as in the reference loop.
     executed: u64,
-    decisions: u64,
     lookahead: TimeDelta,
     inject_stalls: bool,
     budget: Option<u64>,
-    wall_start: std::time::Instant,
-    wall_limit: Option<std::time::Duration>,
     /// Whether fork/join rounds may run at all (parallel policy, two or
     /// more nodes, transparent scan profiles).
     can_fork: bool,
@@ -153,21 +148,12 @@ pub(super) struct Epoch<'a> {
 impl Epoch<'_> {
     /// Runs serial scheduling decisions until one needs the whole
     /// machine. Each iteration is the per-decision prologue both policy
-    /// loops have always run — wall-limit cadence, the stall sweep over
+    /// loops have always run — the stall sweep over
     /// every Running node, the fork gate — then one fused
     /// [`step`](Epoch::step). The caller ticks the heartbeat for the
     /// first decision; the ticks for the following ones happen here.
     fn run(&mut self, s: &mut Sched) -> EpochEnd {
         loop {
-            s.decisions += 1;
-            if let Some(limit) = s.wall_limit {
-                // Amortized wall-clock check (first decision, then once
-                // per 4096); batches and rounds both bound the time
-                // between decisions.
-                if s.decisions & 0xFFF == 1 && s.wall_start.elapsed() >= limit {
-                    return EpochEnd::Timeout(limit);
-                }
-            }
             if s.inject_stalls {
                 for n in 0..self.status.len() {
                     if self.status[n] == NodeStatus::Running
@@ -363,27 +349,17 @@ impl Machine {
     /// The historical schedule: one op per decision, linear laggard scan.
     /// Kept as the oracle the batched policy is proven bit-identical
     /// against, and as a debugging fallback.
-    pub(super) fn run_reference(&mut self, wall_start: std::time::Instant) -> Result<(), SimError> {
+    pub(super) fn run_reference(&mut self) -> Result<(), SimError> {
         let nodes = self.cfg.nodes as usize;
         let inject_stalls = self.injector.is_active();
-        let wall_limit = self.cfg.watchdog.wall_limit;
         // Resumed runs re-enter mid-stream: the dispatch counter continues
         // from the restored streams' consumed ops, so watchdog budgets and
         // stall reports read the same as in an uninterrupted run. (At a
         // quiescent point no node has hit end-of-stream, so consumed ops
         // and dispatches agree.) Zero for fresh runs.
         let mut executed: u64 = self.streams.iter().map(|s| s.consumed()).sum();
-        let mut decisions: u64 = 0;
         loop {
             self.heartbeat_tick(executed, None);
-            decisions += 1;
-            if let Some(limit) = wall_limit {
-                // Amortized wall-clock check: the `Instant` read happens
-                // on the first decision, then once per 4096.
-                if decisions & 0xFFF == 1 && wall_start.elapsed() >= limit {
-                    return Err(self.timeout_error(wall_start, limit));
-                }
-            }
             if inject_stalls {
                 for n in 0..nodes {
                     if self.status[n] == NodeStatus::Running
@@ -423,11 +399,7 @@ impl Machine {
     /// decisions run back to back inside an [`Epoch`]; this loop handles
     /// only what ends one: sync ops, fork/join rounds, the heartbeat's
     /// wall-clock sample, and the run's end.
-    pub(super) fn run_scheduled(
-        &mut self,
-        mut fork: Option<ForkCtx<'_>>,
-        wall_start: std::time::Instant,
-    ) -> Result<(), SimError> {
+    pub(super) fn run_scheduled(&mut self, mut fork: Option<ForkCtx<'_>>) -> Result<(), SimError> {
         let nodes = self.cfg.nodes as usize;
         let transparent = fork.as_ref().is_some_and(|f| {
             f.shared
@@ -439,12 +411,9 @@ impl Machine {
             heap: LaggardHeap::new(nodes),
             // See run_reference: continues from restored streams on resume.
             executed: self.streams.iter().map(|s| s.consumed()).sum(),
-            decisions: 0,
             lookahead: self.memsys.min_shared_latency(),
             inject_stalls: self.injector.is_active(),
             budget: self.cfg.watchdog.max_ops,
-            wall_start,
-            wall_limit: self.cfg.watchdog.wall_limit,
             can_fork: nodes >= 2 && transparent,
             opaque_serial: nodes >= 2 && fork.is_some() && !transparent,
             ewma: FORK_MAX_QUOTA / 2.0,
@@ -505,7 +474,6 @@ impl Machine {
                     s.rebuild(&self.status, &self.cores);
                 }
                 EpochEnd::Idle => return self.idle_outcome(s.executed),
-                EpochEnd::Timeout(limit) => return Err(self.timeout_error(wall_start, limit)),
                 EpochEnd::Budget => return Err(self.stall_error(s.executed)),
                 EpochEnd::Fault(e) => return Err(e),
             }
@@ -563,18 +531,6 @@ impl Machine {
     fn stall_error(&self, executed: u64) -> SimError {
         SimError::Stalled {
             ops_executed: executed,
-            nodes: self.snapshots(),
-        }
-    }
-
-    fn timeout_error(
-        &self,
-        wall_start: std::time::Instant,
-        budget: std::time::Duration,
-    ) -> SimError {
-        SimError::Timeout {
-            elapsed: wall_start.elapsed(),
-            budget,
             nodes: self.snapshots(),
         }
     }

@@ -79,11 +79,6 @@ impl CacheGeometry {
     pub const fn sets(self) -> u64 {
         self.bytes / (self.line_bytes * self.ways as u64)
     }
-
-    /// The set index for a line.
-    pub const fn set_of(self, line: LineAddr) -> usize {
-        ((line.get() / self.line_bytes) % self.sets()) as usize
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -446,9 +441,6 @@ mod tests {
     fn geometry_math() {
         let g = CacheGeometry::new(32 * 1024, 32, 2);
         assert_eq!(g.sets(), 512);
-        assert_eq!(g.set_of(LineAddr(0)), 0);
-        assert_eq!(g.set_of(LineAddr(32)), 1);
-        assert_eq!(g.set_of(LineAddr(512 * 32)), 0);
     }
 
     #[test]

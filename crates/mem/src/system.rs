@@ -31,11 +31,6 @@ pub enum AccessKind {
 }
 
 impl AccessKind {
-    /// True if the transaction stalls the requesting processor.
-    pub const fn is_demand(self) -> bool {
-        !matches!(self, AccessKind::Writeback)
-    }
-
     /// Stable lower-case key, used as the root span kind when a
     /// transaction is driven straight at a memory system (the machine
     /// layer roots spans at the cpu access kind instead).
@@ -303,14 +298,6 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), 7);
-    }
-
-    #[test]
-    fn demand_vs_background() {
-        assert!(AccessKind::ReadShared.is_demand());
-        assert!(AccessKind::ReadExclusive.is_demand());
-        assert!(AccessKind::Upgrade.is_demand());
-        assert!(!AccessKind::Writeback.is_demand());
     }
 
     #[test]

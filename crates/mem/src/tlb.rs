@@ -79,11 +79,6 @@ impl Tlb {
         1 << self.page_shift
     }
 
-    /// Reach in bytes (entries × page size).
-    pub fn reach_bytes(&self) -> u64 {
-        (self.entries as u64) << self.page_shift
-    }
-
     /// Looks up `vaddr`; on a hit returns the frame number and refreshes
     /// LRU, on a miss records the miss and returns `None` (the caller runs
     /// the refill handler and then calls [`insert`](Tlb::insert)).
@@ -238,7 +233,6 @@ mod tests {
     #[test]
     fn reach_and_flush() {
         let mut t = Tlb::new(64, 4096);
-        assert_eq!(t.reach_bytes(), 64 * 4096);
         t.insert(0, 0);
         t.flush();
         assert_eq!(t.translate(VAddr(0)), None);

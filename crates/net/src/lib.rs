@@ -148,14 +148,6 @@ impl NetworkParams {
         }
     }
 
-    /// Latency-only (no contention) variant used by the NUMA model.
-    pub fn latency_only() -> NetworkParams {
-        NetworkParams {
-            contention: false,
-            ..NetworkParams::flash()
-        }
-    }
-
     /// Occupancy of one link by a message of `bytes` payload.
     pub fn occupancy(&self, bytes: u64) -> TimeDelta {
         self.occupancy_base + TimeDelta::from_ps(self.ps_per_byte * bytes)
@@ -315,11 +307,6 @@ impl Network {
         }
     }
 
-    /// The pure (zero-load) latency of a message over `hops` hops.
-    pub fn uncontended_latency(&self, hops: u32) -> TimeDelta {
-        self.params.hop_latency * u64::from(hops)
-    }
-
     /// Walks link occupancy timelines, traffic counters, and the
     /// in-flight arrival set in the current checkpoint section; a restore
     /// fails closed on a different topology or contention setting.
@@ -467,10 +454,11 @@ mod tests {
 
     #[test]
     fn latency_only_ignores_contention() {
-        let mut net = Network::new(
-            Topology::hypercube(2).unwrap(),
-            NetworkParams::latency_only(),
-        );
+        let params = NetworkParams {
+            contention: false,
+            ..NetworkParams::flash()
+        };
+        let mut net = Network::new(Topology::hypercube(2).unwrap(), params);
         let a = net.send(0, 1, 128, Time::ZERO);
         let b = net.send(0, 1, 128, Time::ZERO);
         assert_eq!(a, b, "latency-only model must not queue");
@@ -508,9 +496,11 @@ mod tests {
 
     #[test]
     fn uncontended_latency_matches_hops() {
-        let net = Network::new(Topology::hypercube(16).unwrap(), NetworkParams::flash());
-        assert_eq!(net.uncontended_latency(4).as_ns(), 200);
-        assert_eq!(net.uncontended_latency(0), TimeDelta::ZERO);
+        // On an idle network a message pays one hop latency per
+        // dimension it corrects: 0 -> 15 is four hops.
+        let mut net = Network::new(Topology::hypercube(16).unwrap(), NetworkParams::flash());
+        assert_eq!(net.send(0, 15, 128, Time::ZERO).as_ns(), 200);
+        assert_eq!(net.send(3, 3, 128, Time::ZERO), Time::ZERO);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   IRIX page-coloured, timer interrupts tick — but before tuning, the
 //!   processor models charge the *wrong* TLB-refill cost: 25 cycles under
 //!   Mipsy and 35 under MXS instead of the 65 the R10000 really takes
-//!   ([`OsModel::simos_mipsy`], [`OsModel::simos_mxs`], and the tuned
-//!   [`OsModel::simos_tuned`]).
+//!   ([`OsModel::simos_mipsy`], [`OsModel::simos_mxs`]; tuning sets the
+//!   true cost through [`OsModel::with_tlb_refill`]).
 //! - **IRIX on the gold standard** is the same model with the true refill
 //!   cost ([`OsModel::irix_hardware`]).
 //!
@@ -113,11 +113,6 @@ impl OsModel {
         OsModel::simos(TLB_REFILL_MXS)
     }
 
-    /// SimOS after microbenchmark tuning (65-cycle refills).
-    pub fn simos_tuned() -> OsModel {
-        OsModel::simos(TLB_REFILL_TRUE)
-    }
-
     /// IRIX on the gold-standard hardware (true refill cost).
     pub fn irix_hardware() -> OsModel {
         OsModel {
@@ -180,7 +175,7 @@ mod tests {
             TlbModel::Modeled { refill_cycles, .. } => assert_eq!(refill_cycles, 35),
             TlbModel::None => panic!(),
         }
-        match OsModel::simos_tuned().tlb {
+        match OsModel::simos_mipsy().with_tlb_refill(TLB_REFILL_TRUE).tlb {
             TlbModel::Modeled { refill_cycles, .. } => assert_eq!(refill_cycles, 65),
             TlbModel::None => panic!(),
         }
@@ -189,7 +184,7 @@ mod tests {
     #[test]
     fn irix_matches_tuned_simos_costs() {
         let hw = OsModel::irix_hardware();
-        let tuned = OsModel::simos_tuned();
+        let tuned = OsModel::simos_mipsy().with_tlb_refill(TLB_REFILL_TRUE);
         assert_eq!(hw.tlb, tuned.tlb);
         assert_eq!(hw.alloc_policy, AllocPolicy::ColorHashed);
         assert_eq!(hw.name, "irix");
@@ -197,7 +192,9 @@ mod tests {
 
     #[test]
     fn tlb_entries_override_for_scaled_configs() {
-        let scaled = OsModel::simos_tuned().with_tlb_entries(16);
+        let scaled = OsModel::simos_mipsy()
+            .with_tlb_refill(TLB_REFILL_TRUE)
+            .with_tlb_entries(16);
         match scaled.tlb {
             TlbModel::Modeled {
                 entries,

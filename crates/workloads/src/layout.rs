@@ -74,8 +74,6 @@ pub const SEG_D: VAddr = VAddr(0x4000_0000);
 /// Scratch/auxiliary base.
 pub const SEG_E: VAddr = VAddr(0x5000_0000);
 
-/// Bytes per double-precision word.
-pub const F64_BYTES: u64 = 8;
 /// Bytes per complex double (re, im).
 pub const COMPLEX_BYTES: u64 = 16;
 
