@@ -630,6 +630,24 @@ mod tests {
     }
 
     #[test]
+    fn a_mispredicted_branch_restarts_fetch_exactly_the_penalty_after_it_resolves() {
+        // Every predictor counter starts weakly taken, so the first
+        // not-taken branch at a site mispredicts.
+        let mut env = FixedEnv::all_hits();
+        let mut core = mxs();
+        core.execute(&Op::branch(5, false, Reg::ZERO), &mut env);
+        assert_eq!(core.bp.mispredictions(), 1);
+        let resolved = core.last_completion;
+        assert_eq!(core.cfg.mispredict_penalty, 6);
+        assert_eq!(core.fetch, resolved + Clock::from_mhz(150).cycles(6));
+        // A taken branch is predicted: fetch runs ahead of its resolution.
+        let mut taken = mxs();
+        taken.execute(&Op::branch(5, true, Reg::ZERO), &mut env);
+        assert_eq!(taken.bp.mispredictions(), 0);
+        assert!(taken.fetch < taken.last_completion);
+    }
+
+    #[test]
     fn tlb_exception_serializes_only_the_gold_standard() {
         let mk = |core: &mut OooCore| {
             let mut env = FixedEnv::all_hits();

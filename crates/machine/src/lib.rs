@@ -848,6 +848,43 @@ mod tests {
     }
 
     #[test]
+    fn a_timer_tick_due_at_an_ops_completion_is_charged_with_that_op() {
+        struct Alu;
+        impl Program for Alu {
+            fn name(&self) -> String {
+                "alu".into()
+            }
+            fn num_threads(&self) -> usize {
+                1
+            }
+            fn segments(&self) -> Vec<Segment> {
+                vec![Segment::new("data", VAddr(BASE), 4096, Placement::Node(0))]
+            }
+            fn thread_body(&self, _tid: usize) -> Box<dyn FnOnce(&mut Sink) + Send + 'static> {
+                Box::new(|sink| sink.alu(3))
+            }
+        }
+        let cost = flashsim_engine::TimeDelta::from_ns(7);
+        let run = |interval| {
+            let os = OsModel {
+                timer_interval: interval,
+                timer_cost: cost,
+                ..OsModel::solo()
+            };
+            run_program(cfg(1, mipsy(100), os, fl()), &Alu)
+                .unwrap()
+                .total_time
+        };
+        let untimed = run(None);
+        // The first tick falls due exactly when the last op completes: it
+        // is charged then, not left for an op that never comes.
+        assert_eq!(run(Some(untimed)), untimed + cost);
+        // One picosecond later it is not yet due.
+        let later = untimed + flashsim_engine::TimeDelta::from_ps(1);
+        assert_eq!(run(Some(later)), untimed);
+    }
+
+    #[test]
     fn dir_pool_pressure_forces_reclaims() {
         use flashsim_engine::FaultPlan;
         // All four nodes read the same node-0 lines so the directory

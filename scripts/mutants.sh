@@ -86,19 +86,15 @@ src=$dir/src
 results=$dir/results.tsv
 rm -rf "$src"
 mkdir -p "$src"
-git archive HEAD | tar -x -C "$src"
+git archive HEAD | tar -x -m -C "$src"
 cp -r .cargo "$src/" 2>/dev/null
 export CARGO_TARGET_DIR=$dir/target
 cargo_() {
-    (cd "$src" && timeout "$TIMEOUT" cargo "$@" --offline -q --config profile.dev.opt-level=1)
+    (cd "$src" && cargo "$@" --offline -q --config profile.dev.opt-level=1)
 }
-
-# Build everything once, unmutated, so each mutant pays only its rebuild.
-if ! cargo_ test --workspace --no-run >/dev/null 2>&1 ||
-    ! cargo_ build -p flashsim-bench >/dev/null 2>&1; then
-    echo "HEAD does not build" >&2
-    exit 1
-fi
+test_() {
+    (cd "$src" && timeout "$TIMEOUT" cargo test "$@" --offline -q --config profile.dev.opt-level=1)
+}
 
 # Runs one mutant's checks in $src (already mutated); prints "verdict by".
 judge() {
@@ -107,17 +103,17 @@ judge() {
         echo "unviable build"
         return
     }
-    cargo_ test --test ckpt_determinism >/dev/null 2>&1 || {
+    test_ --test ckpt_determinism >/dev/null 2>&1 || {
         echo "test ckpt_determinism"
         return
     }
-    cargo_ test -p "$crate" --lib >/dev/null 2>&1 || {
+    test_ -p "$crate" --lib >/dev/null 2>&1 || {
         echo "test $crate"
         return
     }
     local s
     for s in $SUITES; do
-        cargo_ test --test "$s" >/dev/null 2>&1 || {
+        test_ --test "$s" >/dev/null 2>&1 || {
             echo "test $s"
             return
         }
@@ -136,6 +132,19 @@ judge() {
     done
     echo "survived -"
 }
+
+# Build everything once, so each mutant pays only its rebuild, and check
+# that HEAD itself passes every step: otherwise each mutant would count as
+# killed.
+if ! cargo_ test --workspace --no-run >/dev/null 2>&1; then
+    echo "HEAD does not build" >&2
+    exit 1
+fi
+baseline=$(judge flashsim-machine)
+if [ "$baseline" != "survived -" ]; then
+    echo "HEAD fails its own checks: $baseline" >&2
+    exit 1
+fi
 
 want=" $* "
 while IFS=$'\t' read -r id kind file orig repl; do
