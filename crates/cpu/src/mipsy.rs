@@ -102,12 +102,6 @@ impl Mipsy {
         self.cfg.clock.period()
     }
 
-    fn retire_completed(queue: &mut VecDeque<Time>, now: Time) {
-        while queue.front().is_some_and(|done| *done <= now) {
-            queue.pop_front();
-        }
-    }
-
     fn compute_cost(&self, class: OpClass) -> TimeDelta {
         if self.cfg.model_int_latencies {
             self.cfg.clock.cycles(self.lat.cycles(class))
@@ -184,9 +178,12 @@ impl Core for Mipsy {
             OpClass::Store => {
                 self.stores += 1;
                 self.t += self.cycle();
-                Self::retire_completed(&mut self.write_buffer, self.t);
                 if self.write_buffer.len() >= self.cfg.write_buffer {
-                    // Buffer full: stall until the oldest entry drains.
+                    // Buffer full: the oldest entry leaves, and the store
+                    // stalls until it drains if it has not yet. (Entries
+                    // are never retired early: a drained one at the front
+                    // leaves here at no cost, which times every store
+                    // exactly as retiring the drained prefix would.)
                     let free_at = self.write_buffer.pop_front().expect("non-empty"); // gate: allow
                     if free_at > self.t {
                         // The exposed part of a store's memory latency is
@@ -213,8 +210,8 @@ impl Core for Mipsy {
             }
             OpClass::Prefetch => {
                 self.t += self.cycle();
-                Self::retire_completed(&mut self.prefetches, self.t);
                 if self.prefetches.len() >= self.cfg.prefetch_slots {
+                    // As for the write buffer: the oldest slot frees.
                     let free_at = self.prefetches.pop_front().expect("non-empty"); // gate: allow
                     if free_at > self.t {
                         self.obs.profiler.charge(

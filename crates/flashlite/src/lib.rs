@@ -372,6 +372,20 @@ mod tests {
     }
 
     #[test]
+    fn a_home_busy_exactly_the_nack_threshold_admits_the_request() {
+        let mut m = fl(4);
+        let FlashLite { walk, magic } = &mut m;
+        let threshold = magic.params.nack_threshold;
+        magic.pp[0].acquire(Time::ZERO, threshold);
+        assert_eq!(magic.admit(walk, 1, 0, Time::ZERO), Time::ZERO);
+        assert_eq!(magic.nacks, 0);
+        // One picosecond more of queued work and the home bounces it.
+        magic.pp[0].acquire(Time::ZERO, TimeDelta::from_ps(1));
+        assert!(magic.admit(walk, 1, 0, Time::ZERO) > Time::ZERO);
+        assert!(magic.nacks > 0);
+    }
+
+    #[test]
     fn local_clean_read_latency_near_table3() {
         let mut m = fl(4);
         let out = read(&mut m, 0, 0x100, 0);

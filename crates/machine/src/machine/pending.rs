@@ -178,6 +178,7 @@ mod tests {
                     0..=2 => {
                         floor += TimeDelta::from_ns(rng.gen_range(400));
                         table.retire(floor);
+                        assert_eq!(table.floor(), floor);
                     }
                     // A hit, issued anywhere at or after the op-start
                     // clock — an out-of-order core's issue times are not

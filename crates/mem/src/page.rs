@@ -166,11 +166,6 @@ impl FrameAllocator {
     pub fn home_of_frame(&self, pfn: u64) -> u32 {
         (pfn / self.frames_per_node) as u32
     }
-
-    /// The node that owns physical address `paddr`.
-    pub fn home_of(&self, paddr: PAddr) -> u32 {
-        self.home_of_frame(paddr.pfn(self.page_shift))
-    }
 }
 
 /// The per-run virtual-to-physical mapping, filled in on first touch.
@@ -263,7 +258,7 @@ mod tests {
         assert_eq!(a.alloc(1, 1).unwrap(), 64);
         assert_eq!(a.alloc(1, 2).unwrap(), 65);
         assert_eq!(a.home_of_frame(64), 1);
-        assert_eq!(a.home_of(PAddr(63 * 4096)), 0);
+        assert_eq!(a.home_of_frame(63), 0);
     }
 
     #[test]

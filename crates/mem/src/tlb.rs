@@ -69,11 +69,6 @@ impl Tlb {
         }
     }
 
-    /// Number of entries.
-    pub fn entries(&self) -> usize {
-        self.entries
-    }
-
     /// Page size in bytes.
     pub fn page_bytes(&self) -> u64 {
         1 << self.page_shift

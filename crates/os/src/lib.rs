@@ -161,6 +161,7 @@ mod tests {
 
     #[test]
     fn simos_models_tlb_with_wrong_costs_until_tuned() {
+        assert!(OsModel::simos_mipsy().tlb.is_modeled());
         match OsModel::simos_mipsy().tlb {
             TlbModel::Modeled {
                 refill_cycles,

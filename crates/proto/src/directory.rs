@@ -361,11 +361,6 @@ impl Directory {
         self.pool_used
     }
 
-    /// Pointer-store capacity this directory was built with.
-    pub fn pool_capacity(&self) -> u32 {
-        self.pool_capacity
-    }
-
     /// One coherent view of the pointer-pool state (fill, capacity,
     /// cumulative reclaims) for sim-time telemetry: callers record the
     /// fill as a gauge and reclaim deltas as a counter after each
@@ -561,11 +556,6 @@ impl Directory {
     /// A read-exclusive request from `requester`.
     pub fn read_exclusive(&mut self, line: LineAddr, requester: NodeId) -> DirResponse {
         let at = self.headers.entry(line);
-        self.read_exclusive_at(at, requester)
-    }
-
-    /// [`read_exclusive`](Directory::read_exclusive) on the header at `at`.
-    fn read_exclusive_at(&mut self, at: usize, requester: NodeId) -> DirResponse {
         let (source, invalidate) = match self.headers.slots[at] {
             None => (DataSource::Memory, Vec::new()),
             Some(h) if h.state == DirState::Owned => {
@@ -591,25 +581,13 @@ impl Directory {
     }
 
     /// An ownership upgrade from `requester`, which believes it holds the
-    /// line Shared. If the directory no longer lists the requester (its
-    /// copy was reclaimed), this degenerates to a read-exclusive and
-    /// `source` indicates the data transfer that must happen.
+    /// line Shared. The directory answers it exactly as a
+    /// [`read_exclusive`](Directory::read_exclusive): a listed sharer and
+    /// one whose copy was reclaimed both get every other sharer
+    /// invalidated and a `Memory` source (for a listed sharer no data
+    /// actually moves); an owned line's owner is the source.
     pub fn upgrade(&mut self, line: LineAddr, requester: NodeId) -> DirResponse {
-        let at = self.headers.entry(line);
-        match self.headers.slots[at] {
-            Some(h) if h.state == DirState::Shared && self.sharer_listed(&h, requester) => {
-                let invalidate = self.sharers_but(&h, requester);
-                self.free_list(list_link(h.list));
-                self.set_owner(at, requester);
-                DirResponse {
-                    source: DataSource::Memory, // no data actually moves
-                    exclusive: true,
-                    invalidate,
-                    downgrade: None,
-                }
-            }
-            _ => self.read_exclusive_at(at, requester),
-        }
+        self.read_exclusive(line, requester)
     }
 
     /// A writeback of a dirty line by `owner`. Stale writebacks (the
@@ -980,6 +958,24 @@ mod tests {
     }
 
     #[test]
+    fn a_restore_drops_every_header_the_directory_held_before() {
+        let mut a = Directory::new(2);
+        a.read(L, 0);
+        let mut w = CkptWriter::new("dir-test");
+        a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
+        let text = w.finish();
+        // Restoring into a directory that is not fresh: a line the
+        // checkpoint does not hold must come back uncached.
+        let mut b = Directory::new(2);
+        let stale = LineAddr(0x3000);
+        b.read(stale, 7);
+        let mut r = CkptReader::open(&text).expect("open");
+        b.ckpt(&mut Ckpt::Load(&mut r)).expect("load");
+        assert_eq!(b.sharers(L), vec![0]);
+        assert!(b.sharers(stale).is_empty());
+    }
+
+    #[test]
     fn the_filter_never_hides_a_listed_sharer() {
         // Seeded churn over 40 nodes (so filter bits alias) with a two-slot
         // pool (so reclaims happen), restored from its own checkpoint now
@@ -1186,12 +1182,14 @@ mod tests {
     #[test]
     fn nodes_past_the_machine_are_found() {
         let d = restore(1, NONE, &[[5, NONE]], &[[0, 0, 1, 0]]).expect("a pointer store in order");
-        assert_eq!(d.check_nodes(8), Ok(()));
+        assert_eq!(d.check_nodes(6), Ok(()));
+        assert_eq!(d.check_nodes(5), Err(bad("slot", "node 5 of 5")));
         assert_eq!(d.check_nodes(2), Err(bad("slot", "node 5 of 2")));
         let d = restore(0, NONE, &[], &[[0x80, 1, 8, NONE]]).expect("one owned line");
+        assert_eq!(d.check_nodes(9), Ok(()));
         assert_eq!(
-            d.check_nodes(2),
-            Err(bad("hdr", "l:0x80 names node 8 of 2"))
+            d.check_nodes(8),
+            Err(bad("hdr", "l:0x80 names node 8 of 8"))
         );
     }
 }

@@ -339,6 +339,15 @@ if [ -n "$direct" ]; then
     echo "$direct"
     exit 1
 fi
+
+echo "== mutant-list gate (every listed mutant still applies to HEAD) =="
+# scripts/mutants.txt is the mutation sweep's input; its verdicts are in
+# EXPERIMENTS. A mutant whose original text is gone or no longer unique in
+# its file would silently drop out of the next sweep, so a change that
+# edits a mutated line updates the list with it. The sweep itself
+# (scripts/mutants.sh) is run by hand.
+scripts/mutants.sh --check
+
 echo "== results gate (results/*.txt regenerate byte-for-byte) =="
 # The committed tables and figures are the repo's accuracy artifact: each
 # must be exactly what this build prints. `figures` is deterministic, so

@@ -14,8 +14,8 @@
 # working tree), then for each mutant rewrites its one file there and:
 #   1. runs the digest matrix's fast kill test
 #      (`cargo test --test ckpt_determinism`);
-#   2. only if the mutant survives that: the mutated crate's unit tests,
-#      the other model-level integration suites (SUITES below), and
+#   2. only if the mutant survives that: the mutated crate's own tests
+#      (unit and integration), the other integration suites (SUITES), and
 #      `flashsim figures table3` and `fig3` compared against results/;
 # then puts the file back. Every cargo command builds the dev profile at
 # opt-level 1 (`--config profile.dev.opt-level=1`): debug assertions and
@@ -34,14 +34,13 @@ set -u
 cd "$(dirname "$0")/.."
 list=scripts/mutants.txt
 # Suites step 2 runs besides ckpt_determinism. Left out: digest_matrix
-# (checks the table's shape, runs no cell), figures_smoke (step 2 compares
-# the figures' bytes itself) and hostile_exports (feeds damaged documents
-# to the parsers).
-SUITES="account_determinism calibration_loop hostprof_isolation memsys_walk paper_shapes
-random_programs same_binary sched_equivalence span_determinism telemetry_determinism
-telemetry_hotspot"
+# (checks the table's shape, runs no cell) and figures_smoke (step 2
+# compares the figures' bytes itself).
+SUITES="account_determinism calibration_loop hostile_exports hostprof_isolation memsys_walk
+paper_shapes random_programs same_binary sched_equivalence span_determinism
+telemetry_determinism telemetry_hotspot"
 FIGURES="table3 fig3"
-TIMEOUT=300
+TIMEOUT=90
 
 # Prints "ID<TAB>kind<TAB>file<TAB>original<TAB>replacement" lines of the
 # list (comments and blank lines dropped).
@@ -107,7 +106,7 @@ judge() {
         echo "test ckpt_determinism"
         return
     }
-    test_ -p "$crate" --lib >/dev/null 2>&1 || {
+    test_ -p "$crate" --lib --tests >/dev/null 2>&1 || {
         echo "test $crate"
         return
     }
