@@ -180,10 +180,8 @@ impl Core for Mipsy {
                 self.t += self.cycle();
                 if self.write_buffer.len() >= self.cfg.write_buffer {
                     // Buffer full: the oldest entry leaves, and the store
-                    // stalls until it drains if it has not yet. (Entries
-                    // are never retired early: a drained one at the front
-                    // leaves here at no cost, which times every store
-                    // exactly as retiring the drained prefix would.)
+                    // stalls until it drains if it has not yet (a drained
+                    // entry needs no earlier retirement: it leaves free).
                     let free_at = self.write_buffer.pop_front().expect("non-empty"); // gate: allow
                     if free_at > self.t {
                         // The exposed part of a store's memory latency is
@@ -211,7 +209,6 @@ impl Core for Mipsy {
             OpClass::Prefetch => {
                 self.t += self.cycle();
                 if self.prefetches.len() >= self.cfg.prefetch_slots {
-                    // As for the write buffer: the oldest slot frees.
                     let free_at = self.prefetches.pop_front().expect("non-empty"); // gate: allow
                     if free_at > self.t {
                         self.obs.profiler.charge(

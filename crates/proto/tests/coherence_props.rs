@@ -103,6 +103,7 @@ fn directory_invariants_hold() {
                     assert!(r.exclusive, "read-exclusive must grant exclusivity");
                     reference.apply_response(line, node, true, &r.invalidate, r.downgrade);
                     assert_eq!(dir.owner(line_addr(line)), Some(node));
+                    assert!(dir.is_owned(line_addr(line)));
                 }
                 Txn::Upgrade { line, node } => {
                     let r = dir.upgrade(line_addr(line), node);
