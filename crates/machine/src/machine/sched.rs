@@ -148,8 +148,8 @@ pub(super) struct Epoch<'a> {
 impl Epoch<'_> {
     /// Runs serial scheduling decisions until one needs the whole
     /// machine. Each iteration is the per-decision prologue both policy
-    /// loops have always run — the stall sweep over
-    /// every Running node, the fork gate — then one fused
+    /// loops have always run — the stall sweep over every Running node,
+    /// the fork gate — then one fused
     /// [`step`](Epoch::step). The caller ticks the heartbeat for the
     /// first decision; the ticks for the following ones happen here.
     fn run(&mut self, s: &mut Sched) -> EpochEnd {

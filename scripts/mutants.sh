@@ -21,11 +21,11 @@
 # opt-level 1 (`--config profile.dev.opt-level=1`): debug assertions and
 # overflow checks stay on, the suites run about four times faster, and
 # both figures still regenerate byte for byte. A test that runs past
-# TIMEOUT seconds counts as failed (a mutant can stop the clock).
+# TIMEOUT seconds counts as failed (a mutant can make a loop endless).
 #
 # Each mutant's verdict is appended to DIR/results.tsv and printed:
 #   ID  test|bytes|survived|unviable|stale  by-what  seconds
-# `test`: a test failed (by = the suite, or the crate's unit tests);
+# `test`: a test failed (by = the suite, or the crate whose tests failed);
 # `bytes`: every test passed but a results file moved (by = the figure);
 # `unviable`: the mutant does not build; `stale`: its original text is
 # not in its file exactly once.
