@@ -77,4 +77,10 @@ mod tests {
         assert_eq!(t.cycles(OpClass::IntDiv), 19);
         assert_eq!(t.cycles(OpClass::IntAlu), 1);
     }
+
+    #[test]
+    #[should_panic(expected = "no fixed latency")]
+    fn memory_class_panics() {
+        LatencyTable::r10000().cycles(OpClass::Load);
+    }
 }
