@@ -86,7 +86,6 @@ results=$dir/results.tsv
 rm -rf "$src"
 mkdir -p "$src"
 git archive HEAD | tar -x -m -C "$src"
-cp -r .cargo "$src/" 2>/dev/null
 export CARGO_TARGET_DIR=$dir/target
 cargo_() {
     (cd "$src" && cargo "$@" --offline -q --config profile.dev.opt-level=1)
@@ -163,6 +162,6 @@ while IFS=$'\t' read -r id kind file orig repl; do
         # A fresh mtime, so the next build sees the original again.
         printf '%s\n' "$text" >"$path"
     fi
-    line=$(printf '%s\t%s\t%s\t%s' "$id" "${verdict% *}" "${verdict#* }" $(($(date +%s) - started)))
-    echo "$line" | tee -a "$results"
+    printf '%s\t%s\t%s\t%s\n' "$id" "${verdict% *}" "${verdict#* }" $(($(date +%s) - started)) |
+        tee -a "$results"
 done < <(entries)
