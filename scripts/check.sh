@@ -354,13 +354,13 @@ echo "== results gate (results/*.txt regenerate byte-for-byte) =="
 # the tolerance is zero; a change that moves a number regenerates the
 # file (`./target/release/flashsim figures NAME > results/NAME.txt`) and
 # says why.
-for name in table1 table2 table3 fig1 fig2 fig3 fig4 fig5 fig6 fig7 ablate_latency; do
+for name in table1 table2 table3 fig1 fig2 fig3 fig4 fig5 fig6 fig7 ablate_latency trends; do
     if ! $flashsim figures "$name" | cmp -s - "results/$name.txt"; then
         echo "FAIL: \`flashsim figures $name\` no longer prints results/$name.txt"
         exit 1
     fi
 done
-echo "all eleven results files reproduce"
+echo "all twelve results files reproduce"
 
 echo "== bench history (commit backfill) =="
 # A PR's history line is written before its commit exists, so it lands
