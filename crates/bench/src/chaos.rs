@@ -41,7 +41,7 @@ use flashsim_core::platform::{MemModel, Sim, Study};
 use flashsim_core::runner::{run_matrix, CellOutcome, MatrixCell};
 use flashsim_engine::{FaultPlan, Rng, TimeDelta};
 use flashsim_isa::Program;
-use flashsim_machine::{MachineConfig, SchedPolicy, Watchdog};
+use flashsim_machine::{MachineConfig, SchedPolicy};
 use flashsim_workloads::micro::{SnCase, Snbench};
 use flashsim_workloads::{Fft, FftBlocking};
 use std::collections::BTreeMap;
@@ -131,7 +131,7 @@ pub fn survival_matrix(study: &Study, seeds: &[u64]) -> Survival {
         for (_, cfg) in &plats {
             let mut cfg = cfg.clone();
             cfg.faults = Some(FaultPlan::chaos(*seed));
-            cfg.watchdog = Watchdog::with_budget(CELL_BUDGET);
+            cfg.max_ops = Some(CELL_BUDGET);
             cells.push((cfg, Arc::clone(&bench)));
         }
     }

@@ -16,9 +16,8 @@
 //! residual`] exposes the (floating-point-only) difference, which is
 //! bounded by a few ulps.
 
-use crate::machine::{run_program, MachineConfig, RunResult, SimError};
+use crate::machine::MachineConfig;
 use flashsim_engine::{Accounting, StallClass};
-use flashsim_isa::Program;
 use std::fmt::Write as _;
 
 /// One stall class's share of the error between two platforms.
@@ -164,22 +163,12 @@ pub fn attribute(
     }
 }
 
-/// `cfg` with the cycle-accounting profiler switched on — the exact
-/// config [`run_profiled`] runs, so a machine built from it writes
+/// `cfg` with the cycle-accounting profiler switched on, so a run's
+/// `result.accounting` is populated and a machine built from it writes
 /// checkpoints whose provenance says `profile=true` and restores.
 pub fn profiled(mut cfg: MachineConfig) -> MachineConfig {
     cfg.profile = true;
     cfg
-}
-
-/// Builds and runs `program` under [`profiled`]`(cfg)`, so
-/// `result.accounting` is populated.
-///
-/// # Errors
-///
-/// Propagates every structured failure from [`run_program`].
-pub fn run_profiled(cfg: MachineConfig, program: &dyn Program) -> Result<RunResult, SimError> {
-    run_program(profiled(cfg), program)
 }
 
 #[cfg(test)]

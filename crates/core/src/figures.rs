@@ -2,8 +2,11 @@
 //!
 //! Each `figN` function runs the exact experiment matrix behind the
 //! corresponding figure and returns structured data; `flashsim-bench`
-//! binaries render them. All runs within a figure execute in parallel on
-//! host threads (each simulation is single-threaded and independent).
+//! binaries render them. A figure is one list of cells — the hardware and
+//! every simulator at every application or processor count — run by one
+//! [`run_matrix`] call, so its cells run side by side on host threads
+//! (each simulation is single-threaded and independent) and a failed cell
+//! degrades only the points it measures or normalises.
 //!
 //! | Function | Paper figure | Matrix |
 //! |---|---|---|
@@ -17,12 +20,34 @@
 //! | [`latency_ablation`] | §3.1.3 | Radix on SimOS-Mipsy-225 ± real mul/div latencies |
 
 use crate::platform::{MemModel, Sim, Study, Tuning};
-use crate::runner::{parallel_map, relative_time, run_hardware, run_once, run_supervised, speedup};
+use crate::runner::{hardware_mean, relative_time, run_matrix, speedup, CellOutcome, MatrixCell};
 use flashsim_engine::TimeDelta;
 use flashsim_isa::Program;
-use flashsim_machine::{CpuModel, MachineConfig};
+use flashsim_machine::CpuModel;
 use flashsim_workloads::{Fft, FftBlocking, Lu, Ocean, ProblemScale, Radix};
 use std::sync::Arc;
+
+/// A cell's measured time, or the kind of its failure.
+fn time_of(cell: &CellOutcome) -> Result<TimeDelta, &'static str> {
+    match cell {
+        CellOutcome::Completed(r) => Ok(r.parallel_time),
+        CellOutcome::Failed { error, .. } => Err(error.kind()),
+    }
+}
+
+/// A hardware cell's time as the paper measures it: the mean of
+/// jittered runs, as [`crate::runner::run_hardware`] averages them.
+fn hardware_time(cell: &CellOutcome) -> Result<TimeDelta, &'static str> {
+    time_of(cell).map(|t| hardware_mean(t, cell.manifest().nodes).0)
+}
+
+/// `sim` over `hw`, or the failure kind of the cell that failed.
+fn relative(
+    sim: Result<TimeDelta, &'static str>,
+    hw: Result<TimeDelta, &'static str>,
+) -> Result<f64, &'static str> {
+    Ok(relative_time(sim?, hw?))
+}
 
 /// The four applications at a given thread count, in figure order.
 /// `apps_tuned` applies the Figure-2 TLB-blocking fixes.
@@ -115,52 +140,31 @@ fn relative_figure(
     tuning: Option<&Tuning>,
 ) -> RelativeFigure {
     let sims = Sim::figure_order();
-    // Hardware baselines (one per app), in parallel.
-    let hw_times: Vec<TimeDelta> = parallel_map(apps.clone(), |(_, prog)| {
-        run_hardware(study, nodes, prog.as_ref()).parallel_time
-    });
-
-    let mut jobs: Vec<(usize, Sim, Arc<dyn Program>)> = Vec::new();
-    for (app_idx, (_, prog)) in apps.iter().enumerate() {
-        for sim in &sims {
-            jobs.push((app_idx, *sim, Arc::clone(prog)));
+    // Per app: the hardware cell, then one cell per simulator.
+    let mut cells: Vec<MatrixCell> = Vec::new();
+    for (_, prog) in &apps {
+        cells.push((study.hardware(nodes), Arc::clone(prog)));
+        for &sim in &sims {
+            let cfg = study.sim_with(sim, nodes, MemModel::FlashLite, tuning);
+            cells.push((cfg, Arc::clone(prog)));
         }
     }
-    // Every simulator cell runs supervised: a deadlocked or faulted cell
-    // becomes a marked degraded bar instead of sinking the whole figure.
-    let results: Vec<(usize, Sim, Result<TimeDelta, String>)> =
-        parallel_map(jobs, |(app_idx, sim, prog)| {
-            let cfg = match tuning {
-                None => study.sim(sim, nodes, MemModel::FlashLite),
-                Some(t) => study.sim_tuned(sim, nodes, MemModel::FlashLite, t),
-            };
-            let outcome = run_supervised(cfg, prog.as_ref());
-            let cell = match outcome.parallel_time() {
-                Some(t) => Ok(t),
-                None => Err(outcome
-                    .error()
-                    .map(|e| e.kind().to_owned())
-                    .unwrap_or_else(|| "unknown".to_owned())),
-            };
-            (app_idx, sim, cell)
-        });
-
-    let points = results
-        .into_iter()
-        .map(|(app_idx, sim, cell)| match cell {
-            Ok(t) => RelativePoint::measured(
-                apps[app_idx].0,
-                sim.label(),
-                relative_time(t, hw_times[app_idx]),
-            ),
-            Err(kind) => RelativePoint {
-                app: apps[app_idx].0,
-                sim: sim.label(),
-                relative: f64::NAN,
-                error: Some(kind),
-            },
-        })
-        .collect();
+    let outcomes = run_matrix(cells, None);
+    let mut points = Vec::new();
+    for ((app, _), row) in apps.iter().zip(outcomes.chunks(1 + sims.len())) {
+        let hw = hardware_time(&row[0]);
+        for (sim, cell) in sims.iter().zip(&row[1..]) {
+            points.push(match relative(time_of(cell), hw) {
+                Ok(relative) => RelativePoint::measured(app, sim.label(), relative),
+                Err(kind) => RelativePoint {
+                    app,
+                    sim: sim.label(),
+                    relative: f64::NAN,
+                    error: Some(kind.to_owned()),
+                },
+            });
+        }
+    }
     RelativeFigure {
         title: title.to_owned(),
         nodes,
@@ -245,56 +249,69 @@ impl SpeedupFigure {
     }
 }
 
-/// Builds one speedup curve for a platform given a program factory.
-///
-/// Failed cells are dropped from the curve; if the P=1 baseline itself
-/// fails, the curve is returned with no points (the platform label is
-/// kept so renderers can mark it degraded) instead of panicking.
-fn speedup_curve<F, G>(label: &str, counts: &[u32], make_prog: &F, make_cfg: &G) -> SpeedupCurve
-where
-    F: Fn(u32) -> Arc<dyn Program> + Sync,
-    G: Fn(u32) -> Option<MachineConfig> + Sync,
-{
-    let times: Vec<(u32, Option<TimeDelta>)> = parallel_map(counts.to_vec(), |p| {
-        let prog = make_prog(p);
-        let t = match make_cfg(p) {
-            Some(cfg) => run_supervised(cfg, prog.as_ref()).parallel_time(),
-            None => {
-                // Hardware path: averaged measurement handled by caller.
-                unreachable!("hardware curves use speedup_curve_hw") // gate: allow
-            }
-        };
-        (p, t)
-    });
-    let t1 = times.iter().find(|(p, _)| *p == 1).and_then(|(_, t)| *t);
-    let points = match t1 {
-        Some(t1) => times
-            .into_iter()
-            .filter_map(|(p, t)| t.map(|t| (p, speedup(t1, t))))
-            .collect(),
-        None => Vec::new(),
-    };
-    SpeedupCurve {
-        platform: label.to_owned(),
-        points,
+/// One simulator curve of a speedup figure: its label, and the simulator,
+/// memory model and tuning it runs at every processor count.
+type SimCurve<'a> = (String, Sim, MemModel, Option<&'a Tuning>);
+
+/// A speedup figure: the hardware curve, then one curve per entry of
+/// `sims`, each over `counts` processors running `make_prog(p)`.
+fn speedup_figure(
+    study: &Study,
+    title: &str,
+    counts: &[u32],
+    make_prog: impl Fn(u32) -> Arc<dyn Program>,
+    sims: &[SimCurve<'_>],
+) -> SpeedupFigure {
+    // `None` is the hardware.
+    let platforms: Vec<Option<&SimCurve<'_>>> =
+        std::iter::once(None).chain(sims.iter().map(Some)).collect();
+    let progs: Vec<Arc<dyn Program>> = counts.iter().map(|&p| make_prog(p)).collect();
+    let mut cells: Vec<MatrixCell> = Vec::new();
+    for platform in &platforms {
+        for (&p, prog) in counts.iter().zip(&progs) {
+            let cfg = match platform {
+                None => study.hardware(p),
+                Some(&(_, sim, mem, tuning)) => study.sim_with(sim, p, mem, tuning),
+            };
+            cells.push((cfg, Arc::clone(prog)));
+        }
+    }
+    let outcomes = run_matrix(cells, None);
+    let curves = platforms
+        .iter()
+        .zip(outcomes.chunks(counts.len()))
+        .map(|(platform, row)| match platform {
+            None => speedup_curve("FLASH 150MHz", counts, row.iter().map(hardware_time)),
+            Some((label, ..)) => speedup_curve(label, counts, row.iter().map(time_of)),
+        })
+        .collect();
+    SpeedupFigure {
+        title: title.to_owned(),
+        curves,
     }
 }
 
-fn speedup_curve_hw<F>(study: &Study, counts: &[u32], make_prog: &F) -> SpeedupCurve
-where
-    F: Fn(u32) -> Arc<dyn Program> + Sync,
-{
-    let times: Vec<(u32, TimeDelta)> = parallel_map(counts.to_vec(), |p| {
-        let prog = make_prog(p);
-        (p, run_hardware(study, p, prog.as_ref()).parallel_time)
-    });
-    let t1 = times.iter().find(|(p, _)| *p == 1).expect("has 1p").1; // gate: allow
+/// One platform's speedup curve from its cells' `times` at `counts`
+/// processors. A failed cell drops its point; if the P=1 baseline fails,
+/// the curve keeps its label (so renderers can mark it degraded) and has
+/// no points.
+fn speedup_curve(
+    platform: &str,
+    counts: &[u32],
+    times: impl Iterator<Item = Result<TimeDelta, &'static str>>,
+) -> SpeedupCurve {
+    let times: Vec<(u32, TimeDelta)> = counts
+        .iter()
+        .zip(times)
+        .filter_map(|(&p, t)| Some((p, t.ok()?)))
+        .collect();
+    let points = match times.iter().find(|(p, _)| *p == 1) {
+        Some(&(_, t1)) => times.iter().map(|&(p, t)| (p, speedup(t1, t))).collect(),
+        None => Vec::new(),
+    };
     SpeedupCurve {
-        platform: "FLASH 150MHz".to_owned(),
-        points: times
-            .into_iter()
-            .map(|(p, t)| (p, speedup(t1, t)))
-            .collect(),
+        platform: platform.to_owned(),
+        points,
     }
 }
 
@@ -304,87 +321,70 @@ pub const SPEEDUP_COUNTS: [u32; 5] = [1, 2, 4, 8, 16];
 /// Figure 5: FFT speedup — hardware, SimOS-MXS, and the misleading
 /// SimOS-Mipsy at 300 MHz (plus 150 MHz for reference).
 pub fn fig5(study: &Study, scale: ProblemScale, tuning: &Tuning) -> SpeedupFigure {
-    let make_fft =
-        |p: u32| Arc::new(Fft::sized(scale, p as usize, FftBlocking::Tlb)) as Arc<dyn Program>;
-    let mut curves = vec![speedup_curve_hw(study, &SPEEDUP_COUNTS, &make_fft)];
-    for sim in [Sim::SimosMxs, Sim::SimosMipsy(300), Sim::SimosMipsy(150)] {
-        curves.push(speedup_curve(
-            &sim.label(),
-            &SPEEDUP_COUNTS,
-            &make_fft,
-            &|p| Some(study.sim_tuned(sim, p, MemModel::FlashLite, tuning)),
-        ));
-    }
-    SpeedupFigure {
-        title: "Figure 5: Speedup trend study for FFT".to_owned(),
-        curves,
-    }
+    speedup_figure(
+        study,
+        "Figure 5: Speedup trend study for FFT",
+        &SPEEDUP_COUNTS,
+        |p| Arc::new(Fft::sized(scale, p as usize, FftBlocking::Tlb)),
+        &[Sim::SimosMxs, Sim::SimosMipsy(300), Sim::SimosMipsy(150)]
+            .map(|sim| (sim.label(), sim, MemModel::FlashLite, Some(tuning))),
+    )
 }
 
 /// Figure 6: Radix speedup — hardware, SimOS-Mipsy-225, and Solo-Mipsy-225
 /// (which wrongly predicts good speedup).
 pub fn fig6(study: &Study, scale: ProblemScale, tuning: &Tuning) -> SpeedupFigure {
-    let make_radix = |p: u32| Arc::new(Radix::tuned(scale, p as usize)) as Arc<dyn Program>;
-    let mut curves = vec![speedup_curve_hw(study, &SPEEDUP_COUNTS, &make_radix)];
-    for sim in [Sim::SimosMipsy(225), Sim::SoloMipsy(225)] {
-        curves.push(speedup_curve(
-            &sim.label(),
-            &SPEEDUP_COUNTS,
-            &make_radix,
-            &|p| Some(study.sim_tuned(sim, p, MemModel::FlashLite, tuning)),
-        ));
-    }
-    SpeedupFigure {
-        title: "Figure 6: Speedup trend study for Radix".to_owned(),
-        curves,
-    }
+    speedup_figure(
+        study,
+        "Figure 6: Speedup trend study for Radix",
+        &SPEEDUP_COUNTS,
+        |p| Arc::new(Radix::tuned(scale, p as usize)),
+        &[Sim::SimosMipsy(225), Sim::SoloMipsy(225)]
+            .map(|sim| (sim.label(), sim, MemModel::FlashLite, Some(tuning))),
+    )
 }
 
 /// Figure 7: unplaced Radix-Sort speedup under SimOS-Mipsy-225 — the
 /// hotspot experiment separating FlashLite (occupancy) from NUMA
 /// (latency only).
 pub fn fig7(study: &Study, scale: ProblemScale, tuning: &Tuning) -> SpeedupFigure {
-    let counts = [1u32, 8, 16];
-    let make = |p: u32| Arc::new(Radix::unplaced(scale, p as usize)) as Arc<dyn Program>;
     let sim = Sim::SimosMipsy(225);
-
-    let mut curves = vec![speedup_curve_hw(study, &counts, &make)];
-    curves.push(speedup_curve("Tuned FlashLite", &counts, &make, &|p| {
-        Some(study.sim_tuned(sim, p, MemModel::FlashLite, tuning))
-    }));
-    curves.push(speedup_curve("Untuned FlashLite", &counts, &make, &|p| {
-        Some(study.sim(sim, p, MemModel::FlashLite))
-    }));
-    curves.push(speedup_curve("NUMA", &counts, &make, &|p| {
-        Some(study.sim_tuned(sim, p, MemModel::Numa, tuning))
-    }));
-    SpeedupFigure {
-        title: "Figure 7: Speedup for unplaced Radix-Sort (SimOS-Mipsy 225MHz)".to_owned(),
-        curves,
-    }
+    speedup_figure(
+        study,
+        "Figure 7: Speedup for unplaced Radix-Sort (SimOS-Mipsy 225MHz)",
+        &[1, 8, 16],
+        |p| Arc::new(Radix::unplaced(scale, p as usize)),
+        &[
+            ("Tuned FlashLite", MemModel::FlashLite, Some(tuning)),
+            ("Untuned FlashLite", MemModel::FlashLite, None),
+            ("NUMA", MemModel::Numa, Some(tuning)),
+        ]
+        .map(|(label, mem, tuning)| (label.to_owned(), sim, mem, tuning)),
+    )
 }
 
 /// The §3.1.3 instruction-latency ablation: Radix-Sort relative time on
 /// SimOS-Mipsy-225 without and with the R10000's mul/div latencies.
-/// The paper reports 0.71 → 1.02.
+/// The paper reports 0.71 → 1.02. A failed cell makes its value NaN.
 pub fn latency_ablation(study: &Study, scale: ProblemScale, tuning: &Tuning) -> (f64, f64) {
-    let radix = Radix::tuned(scale, 1);
-    let hw = run_hardware(study, 1, &radix).parallel_time;
-
-    let base_cfg = study.sim_tuned(Sim::SimosMipsy(225), 1, MemModel::FlashLite, tuning);
-    let without = run_once(base_cfg.clone(), &radix).parallel_time;
-
-    let mut with_cfg = base_cfg;
-    with_cfg.cpu = match with_cfg.cpu {
-        CpuModel::Mipsy { mhz, l2_iface, .. } => CpuModel::Mipsy {
-            mhz,
-            model_int_latencies: true,
-            l2_iface,
-        },
-        other => other,
-    };
-    let with = run_once(with_cfg, &radix).parallel_time;
-    (relative_time(without, hw), relative_time(with, hw))
+    let radix: Arc<dyn Program> = Arc::new(Radix::tuned(scale, 1));
+    let without = study.sim_tuned(Sim::SimosMipsy(225), 1, MemModel::FlashLite, tuning);
+    let mut with = without.clone();
+    if let CpuModel::Mipsy {
+        model_int_latencies,
+        ..
+    } = &mut with.cpu
+    {
+        *model_int_latencies = true;
+    }
+    let cells = [study.hardware(1), without, with]
+        .into_iter()
+        .map(|cfg| (cfg, Arc::clone(&radix)))
+        .collect();
+    let outcomes = run_matrix(cells, None);
+    let hw = hardware_time(&outcomes[0]);
+    let rel = |cell| relative(time_of(cell), hw).unwrap_or(f64::NAN);
+    (rel(&outcomes[1]), rel(&outcomes[2]))
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@
 //! artifacts, `flashsim report`); while it runs, progress is the stderr
 //! line of [`MachineConfig::heartbeat`].
 
-use crate::runner::{failed_manifest, parallel_map, supervise, CellOutcome, MatrixCell};
+use crate::runner::{budgeted, failed_manifest, parallel_map, supervise, CellOutcome, MatrixCell};
 use flashsim_engine::{ckpt, Schema};
 use flashsim_isa::Program;
 use flashsim_machine::{Machine, MachineConfig};
@@ -303,8 +303,9 @@ pub fn render_artifacts(outcome: &CellOutcome) -> String {
 /// those happened in each [`CellReport::resume`].
 ///
 /// `budget` is the same per-cell watchdog op budget as `run_matrix`,
-/// applied only to cells whose own watchdog is unbounded (a configured
-/// wall-clock limit is preserved).
+/// applied the same way: only to cells whose own
+/// [`MachineConfig::max_ops`](flashsim_machine::MachineConfig::max_ops)
+/// is unbounded.
 ///
 /// # Errors
 ///
@@ -344,12 +345,8 @@ pub fn run_matrix_journaled(
         .map(|(idx, (cell, p))| (idx, cell, p))
         .collect();
 
-    Ok(parallel_map(jobs, |(idx, (mut cfg, prog), prior)| {
-        if cfg.watchdog.max_ops.is_none() {
-            if let Some(b) = budget {
-                cfg.watchdog.max_ops = Some(b);
-            }
-        }
+    Ok(parallel_map(jobs, |(idx, (cfg, prog), prior)| {
+        let cfg = budgeted(cfg, budget);
         let apath = artifacts_path(dir, idx);
         let expected = cell_identity(&cfg, prog.as_ref());
         let identity_matches = prior.hash.as_deref() == Some(expected.as_str());

@@ -52,7 +52,7 @@ pub mod platform;
 pub mod report;
 pub mod runner;
 
-pub use attrib::{attribute, profiled, run_profiled, AttributionReport, ClassContribution};
+pub use attrib::{attribute, profiled, AttributionReport, ClassContribution};
 pub use calibrate::{calibrate, Calibration, Table3Row, TlbCalibration};
 pub use figures::{
     apps_tuned, apps_untuned, fig1, fig2, fig3, fig4, fig5, fig6, fig7, latency_ablation,
@@ -66,8 +66,8 @@ pub use metrics::{
 pub use platform::{MemModel, Sim, Study, Tuning};
 pub use report::{render_relative, render_speedup, render_table1, render_table3};
 pub use runner::{
-    parallel_map, relative_time, run_hardware, run_matrix, run_once, run_supervised, speedup,
-    CellOutcome, HardwareMeasurement, MatrixCell, HARDWARE_JITTER, HARDWARE_RUNS,
+    parallel_map, relative_time, run_hardware, run_matrix, run_once, speedup, CellOutcome,
+    HardwareMeasurement, MatrixCell, HARDWARE_JITTER, HARDWARE_RUNS,
 };
 
 // Re-export the layers below for umbrella users.

@@ -113,7 +113,7 @@ impl Study {
         self.sim_with(sim, nodes, mem, Some(tuning))
     }
 
-    fn sim_with(
+    pub(crate) fn sim_with(
         &self,
         sim: Sim,
         nodes: u32,

@@ -8,20 +8,21 @@
 //! measurement protocol (and giving the validation layer a non-degenerate
 //! notion of hardware variance).
 //!
-//! Experiment matrices run *supervised*: [`run_supervised`] wraps each
-//! cell in `catch_unwind` and converts structured [`SimError`]s and
-//! caught panics into [`CellOutcome::Failed`], so one broken cell —
-//! deadlocked workload, exhausted directory pool, injected fault — never
-//! takes down the rest of the matrix. Figures render partial matrices
-//! with the degraded cells marked.
+//! Experiment matrices run *supervised*: [`run_matrix`] wraps each cell in
+//! `catch_unwind` and converts structured [`SimError`]s and caught panics
+//! into [`CellOutcome::Failed`], so one broken cell — deadlocked
+//! workload, exhausted directory pool, injected fault — never takes down
+//! the rest of the matrix. Every figure is one matrix, and renders with
+//! its degraded cells marked.
 
 use crate::platform::Study;
-use flashsim_engine::pool::{ScopedJob, WorkerPool};
+use flashsim_engine::pool::WorkerPool;
 use flashsim_engine::{Rng, TimeDelta};
 use flashsim_isa::Program;
-use flashsim_machine::{run_program, MachineConfig, RunManifest, RunResult, SimError, Watchdog};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use flashsim_machine::{run_program, MachineConfig, RunManifest, RunResult, SimError};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Hardware runs averaged per measurement (paper: "at least 5").
 pub const HARDWARE_RUNS: usize = 5;
@@ -153,19 +154,10 @@ pub(crate) fn failed_manifest(cfg: &MachineConfig, program: &dyn Program) -> Run
     }
 }
 
-/// Runs one matrix cell under supervision: structured errors come back as
-/// [`CellOutcome::Failed`], and a panic escaping the machine layer is
-/// caught and converted to [`SimError::Panic`] instead of poisoning the
-/// rest of the matrix.
-pub fn run_supervised(cfg: MachineConfig, program: &dyn Program) -> CellOutcome {
-    let manifest = Box::new(failed_manifest(&cfg, program));
-    supervise(manifest, || run_program(cfg, program))
-}
-
 /// Runs `f` under `catch_unwind`, converting its structured error — or a
 /// caught panic — into [`CellOutcome::Failed`] carrying `manifest`. The
 /// journaled matrix uses this to supervise restored machines the same way
-/// [`run_supervised`] supervises fresh ones.
+/// [`run_matrix`] supervises fresh ones.
 pub(crate) fn supervise(
     manifest: Box<RunManifest>,
     f: impl FnOnce() -> Result<RunResult, SimError>,
@@ -195,32 +187,45 @@ pub type MatrixCell = (MachineConfig, Arc<dyn Program>);
 /// [`CellOutcome::Failed`] while every other cell still produces its
 /// result.
 ///
-/// `budget` is a watchdog op budget applied to cells whose own watchdog
-/// is unbounded, so a cell that stops making forward progress is reported
-/// as [`SimError::Stalled`] instead of hanging the whole matrix.
+/// `budget` is a watchdog op budget applied to cells whose own
+/// [`MachineConfig::max_ops`] is unbounded, so a cell that stops making
+/// forward progress is reported as [`SimError::Stalled`] instead of
+/// hanging the whole matrix.
 pub fn run_matrix(cells: Vec<MatrixCell>, budget: Option<u64>) -> Vec<CellOutcome> {
-    parallel_map(cells, |(mut cfg, prog)| {
-        if cfg.watchdog.max_ops.is_none() {
-            if let Some(b) = budget {
-                cfg.watchdog = Watchdog::with_budget(b);
-            }
-        }
-        run_supervised(cfg, prog.as_ref())
+    parallel_map(cells, |(cfg, prog)| {
+        let cfg = budgeted(cfg, budget);
+        let manifest = Box::new(failed_manifest(&cfg, prog.as_ref()));
+        supervise(manifest, || run_program(cfg, prog.as_ref()))
     })
+}
+
+/// `cfg` under the matrix op `budget`, unless it carries a budget of its
+/// own.
+pub(crate) fn budgeted(mut cfg: MachineConfig, budget: Option<u64>) -> MachineConfig {
+    cfg.max_ops = cfg.max_ops.or(budget);
+    cfg
+}
+
+/// The mean of [`HARDWARE_RUNS`] runs of a `nodes`-processor hardware
+/// measurement whose deterministic time is `base`, each jittered by
+/// [`HARDWARE_JITTER`] from a stream seeded by `nodes`, and the runs
+/// themselves (ns).
+pub(crate) fn hardware_mean(base: TimeDelta, nodes: u32) -> (TimeDelta, Vec<f64>) {
+    let mut rng = Rng::seeded(0xF1A5_4000 + u64::from(nodes));
+    let runs_ns: Vec<f64> = (0..HARDWARE_RUNS)
+        .map(|_| base.as_ns_f64() * rng.jitter(HARDWARE_JITTER))
+        .collect();
+    let mean = runs_ns.iter().sum::<f64>() / runs_ns.len() as f64;
+    (TimeDelta::from_ps((mean * 1000.0) as u64), runs_ns)
 }
 
 /// Runs `program` on the gold-standard hardware, averaging
 /// [`HARDWARE_RUNS`] jittered measurements.
 pub fn run_hardware(study: &Study, nodes: u32, program: &dyn Program) -> HardwareMeasurement {
     let result = run_once(study.hardware(nodes), program);
-    let base = result.parallel_time.as_ns_f64();
-    let mut rng = Rng::seeded(0xF1A5_4000 + u64::from(nodes));
-    let runs_ns: Vec<f64> = (0..HARDWARE_RUNS)
-        .map(|_| base * rng.jitter(HARDWARE_JITTER))
-        .collect();
-    let mean = runs_ns.iter().sum::<f64>() / runs_ns.len() as f64;
+    let (parallel_time, runs_ns) = hardware_mean(result.parallel_time, nodes);
     HardwareMeasurement {
-        parallel_time: TimeDelta::from_ps((mean * 1000.0) as u64),
+        parallel_time,
         runs_ns,
         result,
     }
@@ -241,43 +246,48 @@ pub fn speedup(t1: TimeDelta, tp: TimeDelta) -> f64 {
 /// Runs independent jobs on a bounded set of host worker threads and
 /// collects results in input order.
 ///
-/// The batch is fed through the engine's shared
-/// [`WorkerPool`](flashsim_engine::pool::WorkerPool) scheduling
-/// substrate (scoped flavor, so jobs may borrow the caller's state) —
-/// the same per-worker queues and work stealing the machine's parallel
-/// scheduling policy runs on. It is sized `min(available_parallelism,
-/// jobs)`: a large experiment matrix never spawns one thread per cell
-/// (hundreds of simultaneous machines oversubscribed the host and
-/// ballooned peak memory); excess jobs queue and are claimed by
-/// whichever worker frees up first. With one usable core the jobs run
-/// inline on the caller's thread. Each job writes into its own
-/// pre-indexed slot, so ordering is independent of which worker
-/// finished when.
+/// At most `min(host parallelism, jobs)` scoped threads run, so jobs may
+/// borrow the caller's state and a large experiment matrix never spawns
+/// one thread per cell; each thread claims the next unclaimed job through
+/// an atomic index until none is left. With one usable core the jobs run
+/// inline on the caller's thread. A job that panics does not stop the
+/// others: the batch drains, then the earliest such job's panic is
+/// re-raised on the caller.
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let n = items.len();
-    let workers = WorkerPool::host_parallelism().min(n);
-    if workers <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let jobs = out
-        .iter_mut()
-        .zip(items)
-        .map(|(slot, item)| {
-            let f = &f;
-            Box::new(move |_worker: usize| {
-                *slot = Some(f(item));
-            }) as ScopedJob<'_>
-        })
-        .collect();
-    WorkerPool::run_scoped(workers, jobs);
-    out.into_iter()
-        .map(|r| r.expect("every finished job filled its slot")) // gate: allow
+    let run = |item| catch_unwind(AssertUnwindSafe(|| f(item)));
+    let (n, workers) = (items.len(), WorkerPool::host_parallelism().min(items.len()));
+    let done: Vec<std::thread::Result<R>> = if workers <= 1 {
+        items.into_iter().map(run).collect()
+    } else {
+        let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        let next = AtomicUsize::new(0);
+        let worker = || {
+            std::iter::repeat_with(|| next.fetch_add(1, Ordering::Relaxed))
+                .take_while(|&i| i < n)
+                .filter_map(|i| {
+                    // Each index is claimed once, so the slot is still full.
+                    let item = items[i].lock().unwrap_or_else(|e| e.into_inner()).take()?;
+                    Some((i, run(item)))
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut done: Vec<(usize, std::thread::Result<R>)> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            threads
+                .into_iter()
+                .flat_map(|t| t.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                .collect()
+        });
+        done.sort_unstable_by_key(|(i, _)| *i);
+        done.into_iter().map(|(_, r)| r).collect()
+    };
+    done.into_iter()
+        .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
         .collect()
 }
 
@@ -408,6 +418,35 @@ mod tests {
     }
 
     #[test]
+    fn parallel_map_jobs_borrow_caller_state() {
+        let offsets: Vec<u64> = (0..257).map(|i| i * 3).collect();
+        let mut hits = vec![0u64; 257];
+        let out = parallel_map(hits.iter_mut().zip(&offsets).collect(), |(hit, off)| {
+            *hit += 1;
+            off + 1
+        });
+        assert!(out.iter().zip(&offsets).all(|(&r, &o)| r == o + 1));
+        assert!(hits.iter().all(|&h| h == 1));
+    }
+
+    #[test]
+    fn parallel_map_panic_reaches_the_caller_after_the_batch_drains() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let ran = AtomicUsize::new(0);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            parallel_map((0..8).collect(), |k: usize| {
+                if k == 3 {
+                    panic!("job 3 exploded"); // gate: allow
+                }
+                ran.fetch_add(1, Ordering::SeqCst);
+            })
+        }));
+        let payload = caught.expect_err("the panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"job 3 exploded"));
+        assert_eq!(ran.load(Ordering::SeqCst), 7, "every other job ran first");
+    }
+
+    #[test]
     fn spread_is_finite_for_degenerate_measurements() {
         let study = Study::scaled();
         let result = run_once(study.hardware(1), &RestartProbe::new(1_000));
@@ -452,8 +491,8 @@ mod tests {
     #[test]
     fn panicking_cell_is_caught_as_structured_error() {
         let study = Study::scaled();
-        let outcome = run_supervised(study.hardware(1), &PanickingKernel);
-        let err = outcome.error().expect("panic must be caught");
+        let outcomes = run_matrix(vec![(study.hardware(1), Arc::new(PanickingKernel))], None);
+        let err = outcomes[0].error().expect("panic must be caught");
         assert_eq!(err.kind(), "panic");
         assert!(format!("{err}").contains("kernel exploded on purpose"));
     }

@@ -40,9 +40,8 @@
 //!   time series with a schema-validated JSONL export — how queue depths
 //!   and utilization *evolve* over a run, not just where the cycles went,
 //! - [`pool`]: a bounded pool of persistent host worker threads with
-//!   per-worker run queues and work stealing — the fan-out substrate
-//!   shared by the study runner's matrix cells and the machine's
-//!   parallel scheduling policy,
+//!   per-worker run queues and work stealing — the fan-out substrate of
+//!   the machine's parallel scheduling policy,
 //! - [`hostprof`]: host-time self-profiling — monotonic-clock scoped
 //!   phase timers over the scheduler's round structure, fork-admission
 //!   outcome counters, and per-worker pool lanes, with a JSONL export

@@ -1,12 +1,10 @@
 //! A bounded pool of persistent host worker threads with per-worker run
 //! queues and work stealing.
 //!
-//! Two layers of the workspace fan work out across host cores: the study
-//! runner executes independent matrix cells, and the machine's parallel
-//! scheduling policy forks per-node op batches between synchronization
-//! points. Both need the same substrate — a fixed set of long-lived
+//! The machine's parallel scheduling policy forks per-node op batches
+//! between synchronization points. It needs a fixed set of long-lived
 //! threads, a way to hand them a batch of closures, and a barrier that
-//! returns once every closure ran — and both live under
+//! returns once every closure ran — and it lives under
 //! `#![forbid(unsafe_code)]`, so the pool is built purely from the
 //! standard library's safe primitives:
 //!
@@ -22,6 +20,9 @@
 //! - a panicking job is caught at the worker, the latch still drops (so
 //!   the barrier never wedges), and the first payload is re-thrown from
 //!   `run_all` on the caller's thread.
+//!
+//! The study runner's independent matrix cells need none of this: its
+//! `parallel_map` is a plain map over `std::thread::scope`.
 //!
 //! Jobs receive the executing worker's index, which is how the machine
 //! attributes per-worker busy time to its `sched.worker_busy_ps`
@@ -70,14 +71,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-/// One unit of work: a closure taking the executing worker's index.
-/// Scoped batches ([`WorkerPool::run_scoped`]) may borrow caller state
-/// for the duration of the batch.
-pub type ScopedJob<'env> = Box<dyn FnOnce(usize) + Send + 'env>;
-
-/// One unit of work for a persistent pool: jobs outlive the submitting
-/// call, so they must own their state.
-pub type Job = ScopedJob<'static>;
+/// One unit of work: a closure taking the executing worker's index. Jobs
+/// outlive the submitting call, so they must own their state.
+pub type Job = Box<dyn FnOnce(usize) + Send>;
 
 /// Hard ceiling on explicit worker requests, bounding thread spawn on
 /// any host. Generously above every simulated-node count in the study.
@@ -150,8 +146,8 @@ struct Latch {
     panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
-struct Shared<'env> {
-    queues: Vec<Mutex<VecDeque<ScopedJob<'env>>>>,
+struct Shared {
+    queues: Vec<Mutex<VecDeque<Job>>>,
     park: Mutex<Park>,
     wake: Condvar,
     latch: Mutex<Latch>,
@@ -159,7 +155,7 @@ struct Shared<'env> {
     lanes: Vec<LaneCells>,
 }
 
-impl<'env> Shared<'env> {
+impl Shared {
     /// Claims one job ticket for worker `me`, parking until one is
     /// available; the wait is charged to the worker's idle lane. Returns
     /// `false` on shutdown with no tickets left.
@@ -188,7 +184,7 @@ impl<'env> Shared<'env> {
     /// guarantees at least one job exists across all queues, so the scan
     /// retries (yielding) until it wins one. A win from a sibling's
     /// queue is charged to the worker's steal lane.
-    fn pop(&self, me: usize) -> ScopedJob<'env> {
+    fn pop(&self, me: usize) -> Job {
         let n = self.queues.len();
         let started = std::time::Instant::now();
         loop {
@@ -213,7 +209,7 @@ impl<'env> Shared<'env> {
 
     /// Runs one job with execute-lane accounting and panic capture, then
     /// drops the completion latch.
-    fn execute(&self, me: usize, job: ScopedJob<'env>) {
+    fn execute(&self, me: usize, job: Job) {
         let started = std::time::Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(move || job(me)));
         let spent = started.elapsed().as_nanos() as u64;
@@ -233,7 +229,7 @@ impl<'env> Shared<'env> {
     }
 }
 
-fn worker_main(shared: Arc<Shared<'static>>, me: usize) {
+fn worker_main(shared: Arc<Shared>, me: usize) {
     while shared.claim(me) {
         let job = shared.pop(me);
         shared.execute(me, job);
@@ -243,7 +239,7 @@ fn worker_main(shared: Arc<Shared<'static>>, me: usize) {
 /// A fixed-size pool of persistent worker threads. See the module docs
 /// for the queueing discipline and determinism contract.
 pub struct WorkerPool {
-    shared: Arc<Shared<'static>>,
+    shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
     /// Serializes concurrent `run_all` batches (the latch counts one
     /// batch at a time).
@@ -264,24 +260,17 @@ impl WorkerPool {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     }
 
-    /// Resolves a worker request to an actual thread count: `0` means
-    /// "one per available host core", explicit requests are clamped to
-    /// the [`MAX_WORKERS`] ceiling.
-    fn sized(workers: usize) -> usize {
-        if workers == 0 {
-            WorkerPool::host_parallelism()
-        } else {
-            workers.min(MAX_WORKERS)
-        }
-    }
-
     /// Spawns a pool of `workers` threads. `0` means "one per available
     /// host core". An explicit request is honored even past the host's
     /// parallelism (oversubscription still exercises real concurrent
     /// interleavings, which the correctness gates rely on) but clamped
     /// to a hard ceiling so a typo can't spawn unbounded threads.
     pub fn new(workers: usize) -> WorkerPool {
-        let size = WorkerPool::sized(workers);
+        let size = if workers == 0 {
+            WorkerPool::host_parallelism()
+        } else {
+            workers.min(MAX_WORKERS)
+        };
         let shared = Arc::new(Shared {
             queues: (0..size).map(|_| Mutex::new(VecDeque::new())).collect(),
             park: Mutex::new(Park {
@@ -360,56 +349,6 @@ impl WorkerPool {
         }
         if let Some(payload) = l.panic.take() {
             drop(l);
-            resume_unwind(payload);
-        }
-    }
-
-    /// Executes one batch of jobs that may *borrow* caller state, on a
-    /// temporary set of scoped worker threads, blocking until all
-    /// complete. Same queueing, stealing, and panic discipline as
-    /// [`WorkerPool::run_all`]; `workers` resolves like
-    /// [`WorkerPool::new`]. The study runner's `parallel_map` feeds its
-    /// matrix cells through here so both fan-out layers of the
-    /// workspace share one scheduling substrate.
-    pub fn run_scoped(workers: usize, jobs: Vec<ScopedJob<'_>>) {
-        if jobs.is_empty() {
-            return;
-        }
-        let size = WorkerPool::sized(workers);
-        let count = jobs.len();
-        let shared = Shared {
-            queues: (0..size).map(|_| Mutex::new(VecDeque::new())).collect(),
-            // Tickets for the whole batch are issued up front and
-            // shutdown is pre-signalled: workers drain the queues, then
-            // the next claim fails and the scope joins them.
-            park: Mutex::new(Park {
-                tickets: count,
-                shutdown: true,
-            }),
-            wake: Condvar::new(),
-            latch: Mutex::new(Latch {
-                inflight: count,
-                panic: None,
-            }),
-            done: Condvar::new(),
-            lanes: (0..size).map(|_| LaneCells::default()).collect(),
-        };
-        for (k, job) in jobs.into_iter().enumerate() {
-            lock_ok(&shared.queues[k % size]).push_back(job);
-        }
-        std::thread::scope(|scope| {
-            for me in 0..size {
-                let shared = &shared;
-                scope.spawn(move || {
-                    while shared.claim(me) {
-                        let job = shared.pop(me);
-                        shared.execute(me, job);
-                    }
-                });
-            }
-        });
-        let payload = lock_ok(&shared.latch).panic.take();
-        if let Some(payload) = payload {
             resume_unwind(payload);
         }
     }
@@ -560,45 +499,5 @@ mod tests {
         let pool = WorkerPool::new(2);
         pool.run_all(Vec::new());
         assert_eq!(pool.size(), 2);
-    }
-
-    #[test]
-    fn scoped_batch_borrows_caller_state() {
-        let mut out = vec![0u64; 257];
-        let jobs = out
-            .iter_mut()
-            .enumerate()
-            .map(|(i, slot)| {
-                Box::new(move |_w: usize| {
-                    *slot = i as u64 + 1;
-                }) as ScopedJob
-            })
-            .collect();
-        WorkerPool::run_scoped(3, jobs);
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i as u64 + 1));
-        WorkerPool::run_scoped(3, Vec::new());
-    }
-
-    #[test]
-    fn scoped_panic_propagates_after_the_batch_drains() {
-        let ran = AtomicUsize::new(0);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            WorkerPool::run_scoped(
-                2,
-                (0..8)
-                    .map(|k| {
-                        let ran = &ran;
-                        Box::new(move |_w: usize| {
-                            if k == 3 {
-                                panic!("scoped boom"); // gate: allow
-                            }
-                            ran.fetch_add(1, Ordering::Relaxed);
-                        }) as ScopedJob
-                    })
-                    .collect(),
-            );
-        }));
-        assert!(caught.is_err(), "panic must reach the caller");
-        assert_eq!(ran.load(Ordering::Relaxed), 7, "other jobs still ran");
     }
 }

@@ -14,7 +14,6 @@
 //! full validation matrix run in seconds. EXPERIMENTS.md records which
 //! geometry each experiment used.
 
-use crate::error::Watchdog;
 use flashsim_cpu::{Mipsy, MipsyConfig, OooConfig, OooCore};
 use flashsim_engine::{Clock, FaultPlan, TimeDelta};
 use flashsim_flashlite::{FlashLite, FlashLiteParams};
@@ -272,6 +271,13 @@ impl SchedPolicy {
     }
 }
 
+/// Secondary-cache hit service time.
+pub(crate) const L2_HIT: TimeDelta = TimeDelta::from_ns(60);
+/// Barrier release overhead: `BARRIER_BASE + BARRIER_PER_NODE × nodes`.
+pub(crate) const BARRIER_BASE: TimeDelta = TimeDelta::from_us(2);
+/// Per-node component of barrier overhead.
+pub(crate) const BARRIER_PER_NODE: TimeDelta = TimeDelta::from_ns(300);
+
 /// A complete machine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
@@ -285,14 +291,10 @@ pub struct MachineConfig {
     pub memsys: MemSysKind,
     /// Cache/memory geometry.
     pub geometry: MachineGeometry,
-    /// Secondary-cache hit service time.
-    pub l2_hit: TimeDelta,
-    /// Barrier release overhead: `base + per_node × nodes`.
-    pub barrier_base: TimeDelta,
-    /// Per-node component of barrier overhead.
-    pub barrier_per_node: TimeDelta,
-    /// Forward-progress watchdog (default: unbounded).
-    pub watchdog: Watchdog,
+    /// Forward-progress watchdog: the most ops executed across all nodes
+    /// before the run ends in [`crate::SimError::Stalled`] instead of
+    /// spinning forever (default: `None`, unbounded).
+    pub max_ops: Option<u64>,
     /// Fault plan injected into the run (default: none).
     pub faults: Option<FaultPlan>,
     /// Scheduling policy (default: lookahead-batched).
@@ -340,10 +342,7 @@ impl MachineConfig {
             os: os.with_tlb_entries(geometry.tlb_entries),
             memsys,
             geometry,
-            l2_hit: TimeDelta::from_ns(60),
-            barrier_base: TimeDelta::from_us(2),
-            barrier_per_node: TimeDelta::from_ns(300),
-            watchdog: Watchdog::default(),
+            max_ops: None,
             faults: None,
             sched: SchedPolicy::default(),
             telemetry: None,
@@ -375,6 +374,18 @@ impl fmt::Display for MachineConfig {
 mod tests {
     use super::*;
     use flashsim_os::TLB_REFILL_TRUE;
+
+    #[test]
+    fn max_ops_default_is_unbounded() {
+        let cfg = MachineConfig::new(
+            1,
+            CpuModel::Mxs,
+            OsModel::solo(),
+            MemSysKind::Numa(NumaParams::matched()),
+            MachineGeometry::scaled(),
+        );
+        assert_eq!(cfg.max_ops, None);
+    }
 
     #[test]
     fn cpu_model_clocks() {

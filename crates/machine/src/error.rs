@@ -206,28 +206,6 @@ impl From<MachineError> for SimError {
     }
 }
 
-/// Forward-progress watchdog configuration.
-///
-/// The watchdog bounds a run by total ops executed machine-wide; when the
-/// budget expires the run ends in [`SimError::Stalled`] carrying per-node
-/// snapshots, instead of spinning forever. The default is unbounded,
-/// preserving the exact behaviour of unsupervised runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Watchdog {
-    /// Maximum ops executed across all nodes before the run is declared
-    /// stalled. `None` disables the watchdog.
-    pub max_ops: Option<u64>,
-}
-
-impl Watchdog {
-    /// A watchdog with the given op budget.
-    pub fn with_budget(max_ops: u64) -> Watchdog {
-        Watchdog {
-            max_ops: Some(max_ops),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,11 +285,5 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), kinds.len());
-    }
-
-    #[test]
-    fn watchdog_default_is_unbounded() {
-        assert_eq!(Watchdog::default().max_ops, None);
-        assert_eq!(Watchdog::with_budget(100).max_ops, Some(100));
     }
 }

@@ -51,7 +51,7 @@ pub mod error;
 pub mod machine;
 
 pub use config::{CpuModel, MachineConfig, MachineGeometry, MemSysKind, SchedPolicy};
-pub use error::{NodeSnapshot, NodeState, SimError, Watchdog};
+pub use error::{NodeSnapshot, NodeState, SimError};
 pub use machine::{
     run_program, CkptSink, Machine, MachineError, RestoreError, RunManifest, RunResult,
 };
@@ -602,7 +602,7 @@ mod tests {
     #[test]
     fn watchdog_budget_trips_as_stalled_with_snapshots() {
         let mut c = cfg(2, mipsy(150), OsModel::solo(), fl());
-        c.watchdog = Watchdog::with_budget(50);
+        c.max_ops = Some(50);
         let err = run_program(c, &small_prog(2)).expect_err("budget far too small");
         let SimError::Stalled {
             ops_executed,
@@ -652,7 +652,7 @@ mod tests {
                 fl(),
             );
             c.faults = Some(FaultPlan::chaos(1234));
-            c.watchdog = Watchdog::with_budget(10_000_000);
+            c.max_ops = Some(10_000_000);
             run_program(c, &prog)
         };
         match (run(), run()) {

@@ -3,7 +3,7 @@
 
 use super::pending::Fill;
 use super::{Machine, MachineError};
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, BARRIER_BASE, BARRIER_PER_NODE, L2_HIT};
 use flashsim_engine::ckpt::bad;
 use flashsim_engine::{Ckpt, CkptError, CkptReader, CkptWriter, Time, TimeDelta};
 use flashsim_isa::{Program, VAddr};
@@ -65,7 +65,7 @@ impl Machine {
     /// checkpoint this machine writes. It covers everything that shapes
     /// simulated behaviour — config, workload, seed, scheduling policy,
     /// fault plan, telemetry cadence, span plan — so a checkpoint can
-    /// never restore against the wrong run. Host-side knobs (watchdog,
+    /// never restore against the wrong run. Host-side knobs (`max_ops`,
     /// heartbeat, hostprof) are deliberately excluded: resuming with a
     /// different wall-clock budget is legitimate.
     pub fn provenance(&self) -> String {
@@ -78,9 +78,9 @@ impl Machine {
             self.cfg.os,
             self.cfg.memsys,
             self.cfg.geometry,
-            self.cfg.l2_hit,
-            self.cfg.barrier_base,
-            self.cfg.barrier_per_node,
+            L2_HIT,
+            BARRIER_BASE,
+            BARRIER_PER_NODE,
             self.cfg.sched.key(),
             self.cfg.faults,
             self.cfg.telemetry,

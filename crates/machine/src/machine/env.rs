@@ -7,7 +7,7 @@
 
 use super::observe::TelIds;
 use super::NodeMem;
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, L2_HIT};
 use crate::error::SimError;
 use flashsim_cpu::env::{AccessLevel, Core, MemAccessKind, MemEnv, Resolution};
 use flashsim_engine::{Clock, FaultInjector, Observers, StallClass, Time, TimeDelta};
@@ -208,9 +208,9 @@ pub(super) fn resolve_private(
         HierProbe::L2Hit => {
             mem.hier.fill_l1_from_l2(paddr, write);
             if demand_read {
-                sink.account(StallClass::L1Miss, t, sink.cfg.l2_hit);
+                sink.account(StallClass::L1Miss, t, L2_HIT);
             }
-            let done = mem.await_fill(sink, paddr, t + sink.cfg.l2_hit, demand_read);
+            let done = mem.await_fill(sink, paddr, t + L2_HIT, demand_read);
             Some((done, AccessLevel::L2))
         }
         HierProbe::L2Upgrade | HierProbe::L2Miss => None,

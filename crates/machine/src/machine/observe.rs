@@ -250,7 +250,7 @@ impl Machine {
     /// `pool` is the parallel policy's worker pool, whose busy counters
     /// are read only when a sample is due.
     pub(super) fn heartbeat_tick(&mut self, executed: u64, pool: Option<&WorkerPool>) {
-        let budget = self.cfg.watchdog.max_ops;
+        let budget = self.cfg.max_ops;
         let Some(hb) = self.heartbeat.as_mut() else {
             return;
         };

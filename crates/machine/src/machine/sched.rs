@@ -379,7 +379,7 @@ impl Machine {
             let Some(n) = next else {
                 return self.idle_outcome(executed);
             };
-            if let Some(budget) = self.cfg.watchdog.max_ops {
+            if let Some(budget) = self.cfg.max_ops {
                 if executed >= budget {
                     return Err(self.stall_error(executed));
                 }
@@ -413,7 +413,7 @@ impl Machine {
             executed: self.streams.iter().map(|s| s.consumed()).sum(),
             lookahead: self.memsys.min_shared_latency(),
             inject_stalls: self.injector.is_active(),
-            budget: self.cfg.watchdog.max_ops,
+            budget: self.cfg.max_ops,
             can_fork: nodes >= 2 && transparent,
             opaque_serial: nodes >= 2 && fork.is_some() && !transparent,
             ewma: FORK_MAX_QUOTA / 2.0,

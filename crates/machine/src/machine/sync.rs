@@ -6,6 +6,7 @@
 
 use super::sched::Epoch;
 use super::{Machine, NodeStatus};
+use crate::config::{BARRIER_BASE, BARRIER_PER_NODE};
 use crate::error::SimError;
 use flashsim_cpu::env::{MemAccessKind, MemEnv};
 use flashsim_engine::{HostPhase, StallClass, Time, TimeDelta};
@@ -22,7 +23,7 @@ pub(super) struct LockState {
 
 impl Machine {
     fn barrier_overhead(&self) -> TimeDelta {
-        self.cfg.barrier_base + self.cfg.barrier_per_node * u64::from(self.cfg.nodes)
+        BARRIER_BASE + BARRIER_PER_NODE * u64::from(self.cfg.nodes)
     }
 
     pub(super) fn handle_sync(&mut self, n: usize, op: &flashsim_isa::Op) -> Result<(), SimError> {

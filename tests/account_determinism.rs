@@ -3,7 +3,7 @@
 //! attributed to exactly one stall class, and the attribution differ's
 //! per-class contributions sum to the total relative error. The runs are
 //! the `account` cells of the digest matrix (`tests/matrix/mod.rs`): the
-//! 2-node FFT profiled, as `attrib::run_profiled` runs it, under the
+//! 2-node FFT profiled (`attrib::profiled`), under the
 //! `Reference` policy on each platform.
 
 mod matrix;

@@ -82,7 +82,7 @@ fn batched_restore_still_matches_reference_policy() {
 }
 
 /// Every profiled class is built with `attrib::profiled`, the config
-/// `run_profiled` builds its machine from, so a checkpoint's provenance
+/// a profiled run builds its machine from, so a checkpoint's provenance
 /// says `profile=true` and the restored machine has a ledger to load into.
 /// (A profiler attached behind a `profile=false` config passed the
 /// provenance check and then failed in the ledger with

@@ -15,7 +15,7 @@
 
 use flashsim::engine::ckpt::CkptError;
 use flashsim::engine::{ckpt, Rng, Schema, SpanPlan, Time, TimeDelta};
-use flashsim::machine::{run_program, Machine, MachineConfig, RestoreError, Watchdog};
+use flashsim::machine::{run_program, Machine, MachineConfig, RestoreError};
 use flashsim::platform::{MemModel, Sim, Study};
 use flashsim::workloads::{Fft, FftBlocking, ProblemScale};
 use std::panic::catch_unwind;
@@ -165,7 +165,7 @@ fn restore_subject() -> (MachineConfig, Fft, String, String) {
 /// instead of hanging the test.
 fn watched(mut cfg: MachineConfig, program: &Fft) -> MachineConfig {
     let straight = run_program(cfg.clone(), program).expect("straight run");
-    cfg.watchdog = Watchdog::with_budget(2 * straight.ops_per_node.iter().sum::<u64>());
+    cfg.max_ops = Some(2 * straight.ops_per_node.iter().sum::<u64>());
     cfg
 }
 

@@ -36,7 +36,7 @@ use flashsim::engine::{
     TimeDelta,
 };
 use flashsim::journal::render_artifacts;
-use flashsim::machine::{Machine, MachineConfig, RunResult, SchedPolicy, SimError, Watchdog};
+use flashsim::machine::{Machine, MachineConfig, RunResult, SchedPolicy, SimError};
 use flashsim::platform::{MemModel, Sim, Study};
 use flashsim::runner::CellOutcome;
 
@@ -186,7 +186,7 @@ fn program(name: &str, study: &Study) -> Box<dyn Program> {
 /// telemetry at 500 ns, every span), or sampled spans alone.
 fn observe(obs: &str, mut cfg: MachineConfig) -> MachineConfig {
     if obs == "profile" || obs == "all" {
-        // The config `attrib::run_profiled` runs, so its checkpoints
+        // The profiled config (`attrib::profiled`), so its checkpoints
         // restore into a machine with a ledger to load.
         cfg = profiled(cfg);
     }
@@ -243,7 +243,7 @@ impl Fault {
                 format!("/stall{node}@{ops}")
             }
             Budget(ops) => {
-                cfg.watchdog = Watchdog::with_budget(ops);
+                cfg.max_ops = Some(ops);
                 format!("/budget{ops}")
             }
         }
