@@ -36,7 +36,7 @@ fn time_of(cell: &CellOutcome) -> Result<TimeDelta, &'static str> {
 }
 
 /// A hardware cell's time as the paper measures it: the mean of
-/// jittered runs, as [`crate::runner::run_hardware`] averages them.
+/// [`HARDWARE_RUNS`](crate::runner::HARDWARE_RUNS) jittered runs.
 fn hardware_time(cell: &CellOutcome) -> Result<TimeDelta, &'static str> {
     time_of(cell).map(|t| hardware_mean(t, cell.manifest().nodes).0)
 }
@@ -390,6 +390,59 @@ pub fn latency_ablation(study: &Study, scale: ProblemScale, tuning: &Tuning) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flashsim_isa::{Placement, Segment, Sink, VAddr};
+
+    const BASE: u64 = 0x1_0000;
+
+    /// Thread 0 skips the barrier every other thread waits at: one
+    /// thread runs to completion, two or more deadlock.
+    struct SkippedBarrier(usize);
+    impl Program for SkippedBarrier {
+        fn name(&self) -> String {
+            "skipped-barrier".into()
+        }
+        fn num_threads(&self) -> usize {
+            self.0
+        }
+        fn segments(&self) -> Vec<Segment> {
+            vec![Segment::new("d", VAddr(BASE), 4096, Placement::Node(0))]
+        }
+        fn thread_body(&self, tid: usize) -> Box<dyn FnOnce(&mut Sink) + Send + 'static> {
+            Box::new(move |sink| {
+                sink.load(VAddr(BASE));
+                if tid != 0 {
+                    sink.barrier();
+                }
+            })
+        }
+    }
+
+    #[test]
+    fn a_failed_hardware_cell_degrades_every_bar_it_normalises() {
+        let apps = vec![("skip", Arc::new(SkippedBarrier(2)) as Arc<dyn Program>)];
+        let fig = relative_figure(&Study::scaled(), "t", 2, apps, None);
+        assert_eq!(fig.points.len(), Sim::figure_order().len());
+        assert_eq!(fig.failed_cells(), fig.points.len());
+        for p in &fig.points {
+            assert!(p.relative.is_nan(), "{p:?}");
+            assert_eq!(p.error.as_deref(), Some("deadlock"), "{p:?}");
+        }
+    }
+
+    #[test]
+    fn a_failed_cell_drops_its_speedup_point_and_a_failed_baseline_empties_the_curve() {
+        let study = Study::scaled();
+        let solo = Sim::SoloMipsy(150);
+        let sims = [(solo.label(), solo, MemModel::FlashLite, None)];
+        let make = |p: u32| Arc::new(SkippedBarrier(p as usize)) as Arc<dyn Program>;
+        let fig = speedup_figure(&study, "t", &[1, 2], make, &sims);
+        let labels: Vec<_> = fig.curves.iter().map(|c| c.platform.as_str()).collect();
+        assert_eq!(labels, ["FLASH 150MHz", "Solo-Mipsy 150MHz"]);
+        assert!(fig.curves.iter().all(|c| c.points == [(1, 1.0)]));
+        let fig = speedup_figure(&study, "t", &[2, 4], make, &sims);
+        assert_eq!(fig.curves.len(), 2);
+        assert!(fig.curves.iter().all(|c| c.points.is_empty()));
+    }
 
     #[test]
     fn app_lists_cover_table2_in_order() {
