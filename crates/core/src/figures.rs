@@ -154,14 +154,12 @@ fn relative_figure(
     for ((app, _), row) in apps.iter().zip(outcomes.chunks(1 + sims.len())) {
         let hw = hardware_time(&row[0]);
         for (sim, cell) in sims.iter().zip(&row[1..]) {
-            points.push(match relative(time_of(cell), hw) {
-                Ok(relative) => RelativePoint::measured(app, sim.label(), relative),
-                Err(kind) => RelativePoint {
-                    app,
-                    sim: sim.label(),
-                    relative: f64::NAN,
-                    error: Some(kind.to_owned()),
-                },
+            let r = relative(time_of(cell), hw);
+            points.push(RelativePoint {
+                app,
+                sim: sim.label(),
+                relative: r.unwrap_or(f64::NAN),
+                error: r.err().map(str::to_owned),
             });
         }
     }

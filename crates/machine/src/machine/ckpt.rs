@@ -67,7 +67,7 @@ impl Machine {
     /// fault plan, telemetry cadence, span plan — so a checkpoint can
     /// never restore against the wrong run. Host-side knobs (`max_ops`,
     /// heartbeat, hostprof) are deliberately excluded: resuming with a
-    /// different wall-clock budget is legitimate.
+    /// different op budget is legitimate.
     pub fn provenance(&self) -> String {
         format!(
             "flashsim nodes={} cpu={:?} os={:?} memsys={:?} geometry={:?} l2_hit={:?} \
