@@ -10,8 +10,8 @@
 //!    becomes the simulators' refill parameter.
 //! 2. **FlashLite latencies** ([`calibrate_flashlite`]): snbench
 //!    dependent-load chains measure the five Table-3 protocol cases on the
-//!    gold standard; coordinate descent then adjusts one FlashLite knob
-//!    per case (reply path, remote directory handler, processor
+//!    gold standard; a damped Newton fit then adjusts five FlashLite
+//!    knobs (reply path, remote directory handler, processor
 //!    intervention, dirty-path handler, network-out handler) until the
 //!    simulated latencies match — the paper's "we easily tuned FlashLite
 //!    parameters until read latencies for all five protocol read cases
@@ -22,13 +22,19 @@
 //!    Mipsy's tuned `l2_interface_transfer`.
 //!
 //! [`calibrate`] runs all three and returns the [`Tuning`] used by every
-//! "tuned" platform in Figures 3–7.
+//! "tuned" platform in Figures 3–7. No run of a step depends on another
+//! run of the same step, so each step is one batch on host threads
+//! ([`parallel_map`]): an opening batch (the TLB pair, and every case on
+//! the hardware and on untuned FlashLite), then per Newton round the
+//! Jacobian's 25 runs and the 5 re-measures. The results, and so the
+//! arithmetic, come back in the serial loop's order.
 
 use crate::platform::{MemModel, Sim, Study, Tuning};
-use crate::runner::run_once;
+use crate::runner::{parallel_map, run_once};
 use flashsim_engine::{Clock, TimeDelta};
 use flashsim_flashlite::FlashLiteParams;
-use flashsim_machine::MachineConfig;
+use flashsim_isa::Program;
+use flashsim_machine::{MachineConfig, RunResult};
 use flashsim_mem::ProtocolCase;
 use flashsim_workloads::micro::{SnCase, Snbench, TlbTimer};
 
@@ -81,36 +87,60 @@ pub struct Calibration {
     pub rounds: u32,
 }
 
-/// Measures the mean dependent-load latency for `case` under `cfg`.
-fn snbench_mean_ns(cfg: MachineConfig, case: SnCase, l2_bytes: u64) -> f64 {
-    let bench = Snbench::new(case, l2_bytes);
-    let r = run_once(cfg, &bench);
-    let key = format!("proto.{}.mean_ns", case.case().key());
-    r.stats
-        .get(&key)
-        // A missing snbench stat is a programming error in this crate's
-        // own microbenchmark, not a runtime condition. gate: allow
-        .unwrap_or_else(|| panic!("snbench run produced no {key}: {}", r.stats))
+/// Runs a batch of independent measurements on host threads
+/// ([`parallel_map`]) and returns their results in input order. A run
+/// that panics re-raises its panic on the caller once the batch drains.
+fn run_batch(jobs: Vec<(MachineConfig, &dyn Program)>) -> Vec<RunResult> {
+    parallel_map(jobs, |(cfg, program)| run_once(cfg, program))
 }
 
-fn all_case_means(study: &Study, params: Option<FlashLiteParams>) -> Vec<f64> {
+/// The five snbench runs, one per Table-3 case, on a machine whose L2
+/// holds `l2_bytes`.
+fn snbenches(study: &Study) -> Vec<Snbench> {
     let l2 = study.geometry.l2.bytes;
     SnCase::all()
         .into_iter()
-        .map(|case| {
-            let cfg = match params {
-                None => study.hardware(Snbench::NODES as u32),
-                Some(p) => {
-                    let mut cfg = study.sim(
-                        Sim::SimosMipsy(150),
-                        Snbench::NODES as u32,
-                        MemModel::FlashLite,
-                    );
-                    cfg.memsys = flashsim_machine::MemSysKind::FlashLite(p);
-                    cfg
-                }
-            };
-            snbench_mean_ns(cfg, case, l2)
+        .map(|case| Snbench::new(case, l2))
+        .collect()
+}
+
+/// One job per snbench: on the gold standard (`params` is `None`) or on
+/// Mipsy over FlashLite with `params`.
+fn case_jobs<'a>(
+    study: &Study,
+    params: Option<FlashLiteParams>,
+    benches: &'a [Snbench],
+) -> Vec<(MachineConfig, &'a dyn Program)> {
+    let cfg = match params {
+        None => study.hardware(Snbench::NODES as u32),
+        Some(p) => {
+            let mut cfg = study.sim(
+                Sim::SimosMipsy(150),
+                Snbench::NODES as u32,
+                MemModel::FlashLite,
+            );
+            cfg.memsys = flashsim_machine::MemSysKind::FlashLite(p);
+            cfg
+        }
+    };
+    benches
+        .iter()
+        .map(|bench| (cfg.clone(), bench as &dyn Program))
+        .collect()
+}
+
+/// The mean dependent-load latency of each case's run, ns.
+fn case_means(runs: &[RunResult]) -> Vec<f64> {
+    SnCase::all()
+        .into_iter()
+        .zip(runs)
+        .map(|(case, r)| {
+            let key = format!("proto.{}.mean_ns", case.case().key());
+            r.stats
+                .get(&key)
+                // A missing snbench stat is a programming error in this
+                // crate's own microbenchmark, not a runtime condition. gate: allow
+                .unwrap_or_else(|| panic!("snbench run produced no {key}: {}", r.stats))
         })
         .collect()
 }
@@ -189,10 +219,37 @@ fn solve_linear(mut a: [[f64; KNOBS]; KNOBS], mut b: [f64; KNOBS]) -> Option<[f6
 /// dirty-remote transaction, so independent per-case adjustment
 /// oscillates — and a linear solve yields the joint update. Returns the
 /// fitted parameters, the Table-3 record, and the Newton rounds taken.
-#[allow(clippy::needless_range_loop)] // small fixed-size matrix assembly
 pub fn calibrate_flashlite(study: &Study) -> (FlashLiteParams, Vec<Table3Row>, u32) {
-    let hardware = all_case_means(study, None);
-    let untuned = all_case_means(study, Some(FlashLiteParams::untuned()));
+    let benches = snbenches(study);
+    let mut jobs = case_jobs(study, None, &benches);
+    jobs.extend(case_jobs(study, Some(FlashLiteParams::untuned()), &benches));
+    let mut hardware = run_batch(jobs);
+    let untuned = hardware.split_off(benches.len());
+    let fit = fit_flashlite(study, &benches, &hardware, untuned);
+    (fit.params, fit.table3, fit.rounds)
+}
+
+/// The outcome of [`fit_flashlite`].
+struct Fit {
+    params: FlashLiteParams,
+    table3: Vec<Table3Row>,
+    rounds: u32,
+    /// The snbench runs of the fitted `params`, one per case.
+    tuned: Vec<RunResult>,
+}
+
+/// The Newton fit of [`calibrate_flashlite`], from the hardware and
+/// untuned runs of each case. Each round measures its Jacobian as one
+/// batch of 5 × 5 runs and its update as one batch of 5.
+#[allow(clippy::needless_range_loop)] // small fixed-size matrix assembly
+fn fit_flashlite(
+    study: &Study,
+    benches: &[Snbench],
+    hardware_runs: &[RunResult],
+    untuned_runs: Vec<RunResult>,
+) -> Fit {
+    let hardware = case_means(hardware_runs);
+    let untuned = case_means(&untuned_runs);
 
     let mut params = FlashLiteParams::untuned();
     let mut rounds = 0;
@@ -204,6 +261,7 @@ pub fn calibrate_flashlite(study: &Study) -> (FlashLiteParams, Vec<Table3Row>, u
     const MAX_STEP_NS: f64 = 400.0;
 
     let mut current = untuned.clone();
+    let mut current_runs = untuned_runs;
     while rounds < MAX_ROUNDS {
         let worst = hardware
             .iter()
@@ -215,15 +273,22 @@ pub fn calibrate_flashlite(study: &Study) -> (FlashLiteParams, Vec<Table3Row>, u
         }
         rounds += 1;
 
-        // Finite-difference Jacobian: jac[case][knob].
+        // Finite-difference Jacobian: jac[case][knob], knob k's five runs
+        // at jobs 5k..5k+5 of one batch.
         let knobs = read_knobs(&params);
+        let jobs = (0..KNOBS)
+            .flat_map(|k| {
+                let mut perturbed = knobs;
+                perturbed[k] += STEP_NS;
+                let mut p = params;
+                write_knobs(&mut p, perturbed);
+                case_jobs(study, Some(p), benches)
+            })
+            .collect();
+        let runs = run_batch(jobs);
         let mut jac = [[0.0; KNOBS]; KNOBS];
-        for k in 0..KNOBS {
-            let mut perturbed = knobs;
-            perturbed[k] += STEP_NS;
-            let mut p = params;
-            write_knobs(&mut p, perturbed);
-            let measured = all_case_means(study, Some(p));
+        for (k, knob_runs) in runs.chunks(KNOBS).enumerate() {
+            let measured = case_means(knob_runs);
             for (case, (m, cur)) in measured.iter().zip(current.iter()).enumerate() {
                 jac[case][k] = (m - cur) / STEP_NS;
             }
@@ -258,7 +323,8 @@ pub fn calibrate_flashlite(study: &Study) -> (FlashLiteParams, Vec<Table3Row>, u
             next[k] += (dx[k] * DAMPING).clamp(-MAX_STEP_NS, MAX_STEP_NS);
         }
         write_knobs(&mut params, next);
-        current = all_case_means(study, Some(params));
+        current_runs = run_batch(case_jobs(study, Some(params), benches));
+        current = case_means(&current_runs);
     }
 
     let table3 = SnCase::all()
@@ -271,24 +337,31 @@ pub fn calibrate_flashlite(study: &Study) -> (FlashLiteParams, Vec<Table3Row>, u
             tuned_ns: current[idx],
         })
         .collect();
-    (params, table3, rounds)
+    Fit {
+        params,
+        table3,
+        rounds,
+        tuned: current_runs,
+    }
 }
 
-/// Calibrates the TLB refill cost from the page-walk timer.
-pub fn calibrate_tlb(study: &Study) -> TlbCalibration {
+/// The page-walk timer and its two machines: the gold standard, and the
+/// gold standard with a TLB big enough to always hit.
+fn tlb_jobs(study: &Study) -> (TlbTimer, [MachineConfig; 2]) {
     let entries = study.geometry.tlb_entries as u64;
     let pages = entries * 4;
-    let timer = TlbTimer::new(pages, study.geometry.page_bytes);
-
-    let missing = run_once(study.hardware(1), &timer);
-    let missing_per = missing.parallel_time.as_ns_f64() / timer.loads() as f64;
-
-    // Baseline: the same walk with a TLB big enough to always hit.
     let mut base_cfg = study.hardware(1);
     base_cfg.os = base_cfg.os.with_tlb_entries((pages * 2) as usize);
-    let baseline = run_once(base_cfg, &timer);
-    let baseline_per = baseline.parallel_time.as_ns_f64() / timer.loads() as f64;
+    (
+        TlbTimer::new(pages, study.geometry.page_bytes),
+        [study.hardware(1), base_cfg],
+    )
+}
 
+/// The TLB record from the timer's missing and baseline runs.
+fn tlb_calibration(timer: &TlbTimer, missing: &RunResult, baseline: &RunResult) -> TlbCalibration {
+    let missing_per = missing.parallel_time.as_ns_f64() / timer.loads() as f64;
+    let baseline_per = baseline.parallel_time.as_ns_f64() / timer.loads() as f64;
     let cpu = Clock::from_mhz(150);
     let refill_ns = (missing_per - baseline_per).max(0.0);
     let inferred = (refill_ns / cpu.period().as_ns_f64()).round() as u64;
@@ -299,25 +372,19 @@ pub fn calibrate_tlb(study: &Study) -> TlbCalibration {
     }
 }
 
-/// Calibrates Mipsy's secondary-cache interface occupancy: the residual
-/// wall-clock gap per back-to-back local miss after FlashLite is tuned.
-pub fn calibrate_mipsy_iface(study: &Study, flashlite: FlashLiteParams) -> Option<TimeDelta> {
-    let l2 = study.geometry.l2.bytes;
-    let bench = Snbench::new(SnCase::all()[0], l2); // local clean chase
+/// Calibrates the TLB refill cost from the page-walk timer.
+pub fn calibrate_tlb(study: &Study) -> TlbCalibration {
+    let (timer, cfgs) = tlb_jobs(study);
+    let runs = run_batch(cfgs.map(|cfg| (cfg, &timer as &dyn Program)).into());
+    tlb_calibration(&timer, &runs[0], &runs[1])
+}
+
+/// The interface occupancy from the local-clean chase `bench` on the gold
+/// standard (`hw`) and on tuned Mipsy over FlashLite (`sim`).
+fn mipsy_iface(bench: &Snbench, hw: &RunResult, sim: &RunResult) -> Option<TimeDelta> {
     let loads = bench.chase_loads() as f64;
-
-    let hw = run_once(study.hardware(Snbench::NODES as u32), &bench);
     let hw_per = hw.parallel_time.as_ns_f64() / loads;
-
-    let mut cfg = study.sim(
-        Sim::SimosMipsy(150),
-        Snbench::NODES as u32,
-        MemModel::FlashLite,
-    );
-    cfg.memsys = flashsim_machine::MemSysKind::FlashLite(flashlite);
-    let sim = run_once(cfg, &bench);
     let sim_per = sim.parallel_time.as_ns_f64() / loads;
-
     let gap = hw_per - sim_per;
     if gap < 5.0 {
         None
@@ -326,20 +393,45 @@ pub fn calibrate_mipsy_iface(study: &Study, flashlite: FlashLiteParams) -> Optio
     }
 }
 
+/// Calibrates Mipsy's secondary-cache interface occupancy: the residual
+/// wall-clock gap per back-to-back local miss after FlashLite is tuned.
+pub fn calibrate_mipsy_iface(study: &Study, flashlite: FlashLiteParams) -> Option<TimeDelta> {
+    let benches = snbenches(study);
+    let local_clean = &benches[..1];
+    let mut jobs = case_jobs(study, None, local_clean);
+    jobs.extend(case_jobs(study, Some(flashlite), local_clean));
+    let runs = run_batch(jobs);
+    mipsy_iface(&benches[0], &runs[0], &runs[1])
+}
+
 /// Runs the full calibration: TLB, FlashLite, then the Mipsy interface.
+///
+/// The runs that do not depend on the fit — the TLB pair, and every
+/// case on the hardware and on untuned FlashLite — are one opening
+/// batch. The Mipsy interface reads the hardware and final tuned
+/// local-clean runs the fit already made.
 pub fn calibrate(study: &Study) -> Calibration {
-    let tlb = calibrate_tlb(study);
-    let (flashlite, table3, rounds) = calibrate_flashlite(study);
-    let mipsy_l2_iface = calibrate_mipsy_iface(study, flashlite);
+    let (timer, tlb_cfgs) = tlb_jobs(study);
+    let benches = snbenches(study);
+    let mut jobs: Vec<(MachineConfig, &dyn Program)> =
+        tlb_cfgs.map(|cfg| (cfg, &timer as &dyn Program)).into();
+    jobs.extend(case_jobs(study, None, &benches));
+    jobs.extend(case_jobs(study, Some(FlashLiteParams::untuned()), &benches));
+    let mut hardware = run_batch(jobs);
+    let untuned = hardware.split_off(2 + benches.len());
+    let tlb = tlb_calibration(&timer, &hardware[0], &hardware[1]);
+    let hardware = &hardware[2..];
+    let fit = fit_flashlite(study, &benches, hardware, untuned);
+    let mipsy_l2_iface = mipsy_iface(&benches[0], &hardware[0], &fit.tuned[0]);
     Calibration {
         tuning: Tuning {
             tlb_refill_cycles: tlb.inferred_refill_cycles,
             mipsy_l2_iface,
-            flashlite,
+            flashlite: fit.params,
         },
-        table3,
+        table3: fit.table3,
         tlb,
-        rounds,
+        rounds: fit.rounds,
     }
 }
 

@@ -468,6 +468,25 @@ mod tests {
     }
 
     #[test]
+    fn miss_at_the_window_start_waits_for_the_transfer() {
+        let mut cfg = MipsyConfig::at_mhz(100); // 10ns cycle
+        cfg.l2_interface_transfer = Some(TimeDelta::from_ns(200));
+        let mut core = Mipsy::new(cfg);
+        let mut env = FixedEnv::new(0x1000, TimeDelta::from_ns(500));
+        // The prefetch issues at 10ns and its fill lands at 510ns, opening
+        // the interface window [510ns, 710ns).
+        core.execute(&Op::prefetch(VAddr(0x1000)), &mut env);
+        for _ in 0..49 {
+            core.execute(&alu(), &mut env);
+        }
+        assert_eq!(core.now().as_ns(), 500);
+        // The load's tag check lands at 510ns, exactly the window start:
+        // its fill waits the whole 200ns transfer.
+        core.execute(&Op::load(VAddr(0x2000), Reg(8), Reg::ZERO), &mut env);
+        assert_eq!(core.now().as_ns(), 510 + 500 + 200);
+    }
+
+    #[test]
     fn tlb_refill_is_charged_and_counted() {
         let mut core = Mipsy::new(MipsyConfig::at_mhz(100));
         let mut env = FixedEnv::all_hits();

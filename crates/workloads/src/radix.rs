@@ -47,10 +47,12 @@ impl Radix {
     ///
     /// # Panics
     ///
-    /// Panics unless `keys` and `radix` are powers of two, `radix ≥ 2`,
-    /// and `threads` divides into the key count.
+    /// Panics unless `keys` and `radix` are powers of two, `2 ≤ radix ≤
+    /// 2¹⁶` (a digit is planned as a `u16`), and `threads` divides into
+    /// the key count.
     pub fn new(keys: u64, radix: u64, threads: usize, placed: bool) -> Radix {
-        assert!(keys.is_power_of_two() && radix.is_power_of_two() && radix >= 2);
+        assert!(keys.is_power_of_two() && radix.is_power_of_two());
+        assert!((2..=1 << 16).contains(&radix));
         assert!(threads > 0 && keys >= threads as u64);
         Radix {
             keys,
@@ -139,54 +141,53 @@ impl Radix {
         base.offset((thread * self.radix + digit) * Self::COUNTER_STRIDE)
     }
 
-    /// Computes the full key arrangement entering `pass` and each key's
-    /// destination index. Every generator thread recomputes this locally
-    /// from the seed, keeping streams deterministic with zero cross-thread
-    /// communication.
-    fn plan_pass(&self, pass: u32) -> (Vec<u64>, Vec<u64>) {
-        let n = self.keys as usize;
-        // Key values as arranged at the start of `pass`.
-        let mut current: Vec<u64> = (0..self.keys).map(|i| key_value(self.seed, i)).collect();
-        for p in 0..pass {
-            let mut counts = vec![0u64; self.radix as usize];
-            for &k in &current {
-                counts[self.digit(k, p) as usize] += 1;
-            }
-            let mut offsets = vec![0u64; self.radix as usize];
-            let mut acc = 0;
-            for d in 0..self.radix as usize {
-                offsets[d] = acc;
-                acc += counts[d];
-            }
-            let mut next = vec![0u64; n];
-            for &k in &current {
-                let d = self.digit(k, p) as usize;
-                next[offsets[d] as usize] = k;
-                offsets[d] += 1;
-            }
-            current = next;
+    /// Plans thread block `[k0, k1)` of `pass` in O(block) memory: the
+    /// digit of each key the block holds entering `pass`, and the
+    /// destination of the block's first key of each digit (each later key
+    /// of a digit lands one slot after the previous one). Every generator
+    /// thread recomputes this locally from the seed, keeping streams
+    /// deterministic with zero cross-thread communication.
+    ///
+    /// Earlier passes are LSD counting sorts, so the key at index `i`
+    /// enters `pass` at its stable rank by its low `pass` digits: two
+    /// streams over the keys with one counter per low-digit value (the
+    /// radix itself for the second pass) place it without materialising
+    /// the arrangement.
+    fn plan_block(&self, pass: u32, k0: u64, k1: u64) -> (Vec<u16>, Vec<u64>) {
+        let low = |key: u64| (key & ((1 << (pass * self.digit_bits())) - 1)) as usize;
+        let keys = || (0..self.keys).map(|i| key_value(self.seed, i));
+        let mut rank = vec![0u64; 1 << (pass * self.digit_bits())];
+        for key in keys() {
+            rank[low(key)] += 1;
         }
-        // Destinations for this pass.
-        let mut counts = vec![0u64; self.radix as usize];
-        for &k in &current {
-            counts[self.digit(k, pass) as usize] += 1;
-        }
-        let mut offsets = vec![0u64; self.radix as usize];
         let mut acc = 0;
-        for d in 0..self.radix as usize {
-            offsets[d] = acc;
-            acc += counts[d];
+        for r in &mut rank {
+            (*r, acc) = (acc, acc + *r);
         }
-        let dest: Vec<u64> = current
+        let mut digits = vec![0u16; (k1 - k0) as usize];
+        let mut total = vec![0u64; self.radix as usize];
+        let mut before = vec![0u64; self.radix as usize];
+        for key in keys() {
+            let r = &mut rank[low(key)];
+            let (at, d) = (*r, self.digit(key, pass));
+            *r += 1;
+            total[d as usize] += 1;
+            if at < k0 {
+                before[d as usize] += 1;
+            } else if at < k1 {
+                digits[(at - k0) as usize] = d as u16;
+            }
+        }
+        let mut start = 0;
+        let first = total
             .iter()
-            .map(|&k| {
-                let d = self.digit(k, pass) as usize;
-                let pos = offsets[d];
-                offsets[d] += 1;
-                pos
+            .zip(&before)
+            .map(|(&n, &b)| {
+                start += n;
+                start - n + b
             })
             .collect();
-        (current, dest)
+        (digits, first)
     }
 }
 
@@ -240,7 +241,7 @@ impl Program for Radix {
             let mut src = SEG_A;
             let mut dst = SEG_B;
             for pass in 0..PASSES {
-                let (keys_now, dest) = rx.plan_pass(pass);
+                let (digits, mut dest) = rx.plan_block(pass, k0, k1);
 
                 // Histogram: load key, extract the digit (a multiply in
                 // the radix arithmetic plus shift/mask work), bump count.
@@ -251,7 +252,7 @@ impl Program for Radix {
                     }
                     let k = sink.load(rx.key_addr(src, i));
                     let d = sink.mul(k, Reg::ZERO);
-                    let digit = rx.digit(keys_now[i as usize], pass);
+                    let digit = u64::from(digits[(i - k0) as usize]);
                     let c = sink.load_dep(rx.hist_addr(SEG_C, t, digit), d);
                     let c2 = sink.chain(flashsim_isa::OpClass::IntAlu, 1, c);
                     sink.store_dep(rx.hist_addr(SEG_C, t, digit), d, c2);
@@ -293,10 +294,12 @@ impl Program for Radix {
                     }
                     let k = sink.load(rx.key_addr(src, i));
                     let d = sink.div(k, Reg::ZERO); // rank/digit division
-                    let digit = rx.digit(keys_now[i as usize], pass);
+                    let digit = u64::from(digits[(i - k0) as usize]);
                     let off = sink.load_dep(rx.hist_addr(SEG_D, t, digit), d);
                     let pos = sink.chain(flashsim_isa::OpClass::IntAlu, 1, off);
-                    sink.store_dep(rx.key_addr(dst, dest[i as usize]), pos, k);
+                    let to = &mut dest[digit as usize];
+                    sink.store_dep(rx.key_addr(dst, *to), pos, k);
+                    *to += 1;
                     sink.store_dep(rx.hist_addr(SEG_D, t, digit), d, pos);
                     sink.loop_branch(30 + pass);
                 }
@@ -308,6 +311,58 @@ impl Program for Radix {
 
     fn timing_barrier(&self) -> Option<u32> {
         Some(0)
+    }
+}
+
+#[cfg(test)]
+impl Radix {
+    /// The test oracle for [`Radix::plan_block`]: the full key
+    /// arrangement entering `pass` and each key's destination index, by
+    /// running the earlier passes' counting sorts over all keys.
+    fn plan_pass(&self, pass: u32) -> (Vec<u64>, Vec<u64>) {
+        let n = self.keys as usize;
+        // Key values as arranged at the start of `pass`.
+        let mut current: Vec<u64> = (0..self.keys).map(|i| key_value(self.seed, i)).collect();
+        for p in 0..pass {
+            let mut counts = vec![0u64; self.radix as usize];
+            for &k in &current {
+                counts[self.digit(k, p) as usize] += 1;
+            }
+            let mut offsets = vec![0u64; self.radix as usize];
+            let mut acc = 0;
+            for d in 0..self.radix as usize {
+                offsets[d] = acc;
+                acc += counts[d];
+            }
+            let mut next = vec![0u64; n];
+            for &k in &current {
+                let d = self.digit(k, p) as usize;
+                next[offsets[d] as usize] = k;
+                offsets[d] += 1;
+            }
+            current = next;
+        }
+        // Destinations for this pass.
+        let mut counts = vec![0u64; self.radix as usize];
+        for &k in &current {
+            counts[self.digit(k, pass) as usize] += 1;
+        }
+        let mut offsets = vec![0u64; self.radix as usize];
+        let mut acc = 0;
+        for d in 0..self.radix as usize {
+            offsets[d] = acc;
+            acc += counts[d];
+        }
+        let dest: Vec<u64> = current
+            .iter()
+            .map(|&k| {
+                let d = self.digit(k, pass) as usize;
+                let pos = offsets[d];
+                offsets[d] += 1;
+                pos
+            })
+            .collect();
+        (current, dest)
     }
 }
 
@@ -354,6 +409,29 @@ mod tests {
         let mask = (1u64 << bits) - 1;
         for w in sorted.windows(2) {
             assert!(w[0] & mask <= w[1] & mask, "two-pass radix sort broken");
+        }
+    }
+
+    #[test]
+    fn block_plans_match_the_whole_array_oracle() {
+        for (keys, radix) in [(1 << 12, 16), (1 << 10, 256)] {
+            for threads in [1, 2, 4, 16] {
+                let rx = Radix::new(keys, radix, threads, true);
+                for pass in 0..PASSES {
+                    let (arranged, dest) = rx.plan_pass(pass);
+                    for tid in 0..threads {
+                        let (k0, k1) = block_range(keys, threads, tid);
+                        let (digits, mut next) = rx.plan_block(pass, k0, k1);
+                        assert_eq!(digits.len() as u64, k1 - k0);
+                        for (i, &d) in (k0..k1).zip(&digits) {
+                            let at = format!("{threads} threads, pass {pass}, key {i}");
+                            assert_eq!(u64::from(d), rx.digit(arranged[i as usize], pass), "{at}");
+                            assert_eq!(next[d as usize], dest[i as usize], "{at}");
+                            next[d as usize] += 1;
+                        }
+                    }
+                }
+            }
         }
     }
 

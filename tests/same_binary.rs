@@ -73,9 +73,11 @@ fn runs_are_deterministic() {
 }
 
 /// `Program::fingerprint()` values recorded at the commit before `Op`
-/// lost its `taken` byte. Resumable run journals key on the fingerprint
-/// (`core/journal.rs`), so a change to how an op is stored must not move
-/// it: a moved value orphans every journal on disk.
+/// lost its `taken` byte (the two 16-thread Tiny Radix variants: before
+/// Radix's generator planned each key block in O(block) memory).
+/// Resumable run journals key on the fingerprint (`core/journal.rs`), so a
+/// change to how an op is stored or generated must not move it: a moved
+/// value orphans every journal on disk.
 #[test]
 fn fingerprints_are_the_recorded_ones() {
     type Make = fn(usize) -> Box<dyn Program>;
@@ -97,15 +99,32 @@ fn fingerprints_are_the_recorded_ones() {
             [0x7686_35bd_aa7f_7425, 0x17c3_803d_25d8_127b],
         ),
     ];
-    for (make, recorded) in apps {
-        for (threads, want) in [1, 4].into_iter().zip(recorded) {
-            let prog = make(threads);
-            assert_eq!(
-                prog.fingerprint(),
-                want,
-                "{} at {threads} threads: fingerprint moved",
-                prog.name()
-            );
-        }
+    let radix16: [(Make, u64); 2] = [
+        (
+            |t| Box::new(Radix::untuned(ProblemScale::Tiny, t)),
+            0x8ea9_ae13_86df_0fdf,
+        ),
+        (
+            |t| Box::new(Radix::unplaced(ProblemScale::Tiny, t)),
+            0x38df_260a_f551_a797,
+        ),
+    ];
+    let pins = apps
+        .into_iter()
+        .flat_map(|(make, recorded)| {
+            [1, 4]
+                .into_iter()
+                .zip(recorded)
+                .map(move |(t, w)| (make, t, w))
+        })
+        .chain(radix16.into_iter().map(|(make, want)| (make, 16, want)));
+    for (make, threads, want) in pins {
+        let prog = make(threads);
+        assert_eq!(
+            prog.fingerprint(),
+            want,
+            "{} at {threads} threads: fingerprint moved",
+            prog.name()
+        );
     }
 }
