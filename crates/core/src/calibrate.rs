@@ -94,8 +94,8 @@ fn run_batch(jobs: Vec<(MachineConfig, &dyn Program)>) -> Vec<RunResult> {
     parallel_map(jobs, |(cfg, program)| run_once(cfg, program))
 }
 
-/// The five snbench runs, one per Table-3 case, on a machine whose L2
-/// holds `l2_bytes`.
+/// The five snbench programs, one per Table-3 case, sized to the study's
+/// L2.
 fn snbenches(study: &Study) -> Vec<Snbench> {
     let l2 = study.geometry.l2.bytes;
     SnCase::all()

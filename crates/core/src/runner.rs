@@ -246,13 +246,16 @@ pub fn speedup(t1: TimeDelta, tp: TimeDelta) -> f64 {
 /// Runs independent jobs on a bounded set of host worker threads and
 /// collects results in input order.
 ///
-/// At most `min(host parallelism, jobs)` scoped threads run, so jobs may
-/// borrow the caller's state and a large experiment matrix never spawns
-/// one thread per cell; each thread claims the next unclaimed job through
-/// an atomic index until none is left. With one usable core the jobs run
-/// inline on the caller's thread. A job that panics does not stop the
-/// others: the batch drains, then the earliest such job's panic is
-/// re-raised on the caller.
+/// At most `min(host parallelism, jobs)` threads run jobs: the caller and
+/// one fewer scoped threads, so jobs may borrow the caller's state and a
+/// large experiment matrix never spawns one thread per cell; each thread
+/// claims the next unclaimed job through an atomic index until none is
+/// left. With one usable core the jobs run inline on the caller's thread
+/// alone. The caller works rather than waits: a thread's first allocation
+/// gives it an allocator arena that keeps memory after the thread exits,
+/// so each thread a batch spawns adds to the process's peak RSS. A job
+/// that panics does not stop the others: the batch drains, then the
+/// earliest such job's panic is re-raised on the caller.
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -277,11 +280,14 @@ where
                 .collect::<Vec<_>>()
         };
         let mut done: Vec<(usize, std::thread::Result<R>)> = std::thread::scope(|scope| {
-            let threads: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
-            threads
-                .into_iter()
-                .flat_map(|t| t.join().unwrap_or_else(|payload| resume_unwind(payload)))
-                .collect()
+            let threads: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+            let mut claimed = worker();
+            claimed.extend(
+                threads
+                    .into_iter()
+                    .flat_map(|t| t.join().unwrap_or_else(|payload| resume_unwind(payload))),
+            );
+            claimed
         });
         done.sort_unstable_by_key(|(i, _)| *i);
         done.into_iter().map(|(_, r)| r).collect()
