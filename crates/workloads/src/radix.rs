@@ -156,6 +156,7 @@ impl Radix {
     fn plan_block(&self, pass: u32, k0: u64, k1: u64) -> (Vec<u16>, Vec<u64>) {
         let low = |key: u64| (key & ((1 << (pass * self.digit_bits())) - 1)) as usize;
         let keys = || (0..self.keys).map(|i| key_value(self.seed, i));
+        // rank[v]: where the next key whose low digits are `v` enters `pass`.
         let mut rank = vec![0u64; 1 << (pass * self.digit_bits())];
         for key in keys() {
             rank[low(key)] += 1;
@@ -165,6 +166,7 @@ impl Radix {
             (*r, acc) = (acc, acc + *r);
         }
         let mut digits = vec![0u16; (k1 - k0) as usize];
+        // Per digit of `pass`: keys in all, and keys entering before `k0`.
         let mut total = vec![0u64; self.radix as usize];
         let mut before = vec![0u64; self.radix as usize];
         for key in keys() {
