@@ -417,10 +417,10 @@ pub fn calibrate(study: &Study) -> Calibration {
         tlb_cfgs.map(|cfg| (cfg, &timer as &dyn Program)).into();
     jobs.extend(case_jobs(study, None, &benches));
     jobs.extend(case_jobs(study, Some(FlashLiteParams::untuned()), &benches));
-    let mut hardware = run_batch(jobs);
-    let untuned = hardware.split_off(2 + benches.len());
-    let tlb = tlb_calibration(&timer, &hardware[0], &hardware[1]);
-    let hardware = &hardware[2..];
+    let mut opening = run_batch(jobs);
+    let untuned = opening.split_off(2 + benches.len());
+    let tlb = tlb_calibration(&timer, &opening[0], &opening[1]);
+    let hardware = &opening[2..];
     let fit = fit_flashlite(study, &benches, hardware, untuned);
     let mipsy_l2_iface = mipsy_iface(&benches[0], &hardware[0], &fit.tuned[0]);
     Calibration {
