@@ -6,8 +6,9 @@
 //! flashsim diag [APP] [THREADS] [--full]
 //! ```
 //!
-//! `APP` is `fft` (default), `fftc`, `radix`, `radix256`, `lu` or `ocean`.
-use crate::{fail, Args};
+//! `APP` is `fft` (default), `fftc`, `radix`, `radix256`, `lu` or `ocean`;
+//! `THREADS` (default 1) is a node count [`node_count`] accepts.
+use crate::{fail, node_count, Args};
 use flashsim_core::platform::{MemModel, Sim};
 use flashsim_core::runner::run_once;
 use flashsim_isa::Program;
@@ -19,12 +20,14 @@ pub fn run(args: &Args) {
     let (study, scale) = (setup.study, setup.scale);
     let mut positionals = args.positionals();
     let app = positionals.next().unwrap_or("fft");
-    let threads: usize = match positionals.next() {
+    let n = match positionals.next() {
         Some(text) => text
             .parse()
             .unwrap_or_else(|_| fail("THREADS takes a number")),
         None => 1,
     };
+    let n = node_count("THREADS", n);
+    let threads = n as usize;
     let prog: Box<dyn Program> = match app {
         "fft" => Box::new(Fft::sized(scale, threads, FftBlocking::Tlb)),
         "fftc" => Box::new(Fft::sized(scale, threads, FftBlocking::Cache)),
@@ -36,7 +39,6 @@ pub fn run(args: &Args) {
             "unknown app {other} (fft|fftc|radix|radix256|lu|ocean)"
         )),
     };
-    let n = threads as u32;
     let hw = run_once(study.hardware(n), prog.as_ref());
     let sim = run_once(
         study.sim(Sim::SimosMipsy(150), n, MemModel::FlashLite),

@@ -46,6 +46,24 @@ pub fn fail(message: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The largest node count a command line may ask for: the largest machine
+/// any figure, test or benchmark cell builds. Every node of a cell is a
+/// generator thread.
+const MAX_NODES: u32 = 64;
+
+/// `nodes`, read from the command-line argument `what`, if it is a power
+/// of two (the hardware cell is always FlashLite, whose hypercube needs
+/// one) no larger than 64; anything else, 0 included, is reported and
+/// exits with status 2 before anything runs.
+pub fn node_count(what: &str, nodes: u32) -> u32 {
+    if !nodes.is_power_of_two() || nodes > MAX_NODES {
+        fail(&format!(
+            "{what} takes a power-of-two node count from 1 to {MAX_NODES}, got {nodes}"
+        ));
+    }
+    nodes
+}
+
 /// One `flashsim` subcommand: its name, the flags whose next token is
 /// their value (what tells a value from a positional), the flags that
 /// take none, and its entry point, given the command line after the
@@ -176,7 +194,7 @@ impl Args {
 /// The simulated platform a tool compares against hardware, from its
 /// `[SIM] [--mem flashlite|numa] [--nodes N]` arguments: `SIM` is
 /// `simos-mipsy` (default), `solo-mipsy` or `simos-mxs`; 4 nodes unless
-/// given. Anything else, `--nodes 0` included, is reported and exits
+/// given, checked by [`node_count`]. Anything else is reported and exits
 /// with status 2.
 pub fn platform_from_args(args: &Args) -> (Sim, MemModel, u32) {
     let sim = match args.positional() {
@@ -192,10 +210,7 @@ pub fn platform_from_args(args: &Args) -> (Sim, MemModel, u32) {
         Some("numa") => MemModel::Numa,
         Some(other) => fail(&format!("unknown memory model {other} (flashlite|numa)")),
     };
-    let nodes = args.get("--nodes").unwrap_or(4);
-    if nodes == 0 {
-        fail("--nodes takes a node count of at least 1");
-    }
+    let nodes = node_count("--nodes", args.get("--nodes").unwrap_or(4));
     (sim, mem, nodes)
 }
 

@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! flashsim report [SIM] [--mem numa|flashlite] [--nodes N] [--workers N]
-//!        [--cadence-us N] [--heartbeat MS] [--phases] [--hostprof]
+//!        [--cadence-us N] [--phases] [--hostprof]
 //!        [--out PATH] [--jsonl PATH] [--spans-jsonl PATH]
 //!        [--hostprof-jsonl PATH] [--full]
 //! ```
@@ -19,9 +19,8 @@
 //! `--workers N` runs both cells under the parallel scheduling policy
 //! with `N` host worker threads (0 = one per host core). `--cadence-us`
 //! sets the telemetry bucket width (default 1 µs of sim time; buckets
-//! merge-double as the run grows). `--heartbeat MS` enables the live
-//! stderr progress line. `--phases` adds the 64-interval time-phase
-//! table to each cell.
+//! merge-double as the run grows). `--phases` adds the 64-interval
+//! time-phase table to each cell.
 //!
 //! `--hostprof` attaches the host-time self-profiler to both cells and
 //! adds a host-time section per cell: where the simulator's own wall
@@ -219,7 +218,6 @@ pub const VALUE_FLAGS: &[&str] = &[
     "--nodes",
     "--workers",
     "--cadence-us",
-    "--heartbeat",
     "--out",
     "--jsonl",
     "--spans-jsonl",
@@ -239,7 +237,6 @@ pub fn run(args: &Args) {
     );
 
     let cadence_us: u64 = args.get("--cadence-us").unwrap_or(1);
-    let heartbeat_ms: Option<u64> = args.get("--heartbeat");
     let workers: Option<usize> = args.get("--workers");
     let hostprof = args.has("--hostprof") || args.value("--hostprof-jsonl").is_some();
 
@@ -261,9 +258,6 @@ pub fn run(args: &Args) {
         cfg.hostprof = hostprof;
         if let Some(workers) = workers {
             cfg.sched = SchedPolicy::Parallel { workers };
-        }
-        if let Some(ms) = heartbeat_ms {
-            cfg.heartbeat = Some(std::time::Duration::from_millis(ms.max(1)));
         }
         cells.push((
             cfg,

@@ -44,12 +44,14 @@ fn unknown_subcommands_and_formats_list_the_choices_and_exit_2() {
 
 #[test]
 fn an_undeclared_flag_exits_2_before_anything_runs() {
-    // The deleted Prometheus, CSV and HTML exports, typo'd switches that
-    // used to be read as "not given", and flags of another subcommand.
-    const REPORT: &str = "--mem --nodes --workers --cadence-us --heartbeat --out --jsonl \
+    // The deleted Prometheus, CSV and HTML exports and stderr progress
+    // line, typo'd switches that used to be read as "not given", and flags
+    // of another subcommand.
+    const REPORT: &str = "--mem --nodes --workers --cadence-us --out --jsonl \
                           --spans-jsonl --hostprof-jsonl --phases --hostprof --full";
     for (line, takes) in [
         (&["report", "--prom", "F"][..], REPORT),
+        (&["report", "--heartbeat", "100"], REPORT),
         (&["report", "--csv", "P"], REPORT),
         (&["report", "--html", "F"], REPORT),
         (&["report", "--phses"], REPORT),
@@ -107,18 +109,26 @@ fn every_command_line_in_check_sh_parses() {
     }
 }
 
+/// Zero nodes, a count FlashLite's hypercube cannot span, and more than
+/// the largest machine anything builds: `report --nodes` and `diag
+/// THREADS` report each with exit 2 before a machine or a generator
+/// thread exists.
 #[test]
 fn report_rejects_node_counts_it_cannot_run_without_panicking() {
-    let (code, out, err) = flashsim(&["report", "--nodes", "0"]);
-    assert_eq!(code, Some(2), "{out}{err}");
-    assert!(err.contains("--nodes takes a node count"), "{err}");
-    // FlashLite's hypercube cannot span three nodes: both cells fail to
-    // build, and say so, instead of panicking under the supervisor.
-    let (code, out, err) = flashsim(&["report", "--nodes", "3"]);
-    assert_eq!(code, Some(1), "{out}{err}");
-    assert_eq!(out.matches("RUN FAILED: machine build failed").count(), 2);
-    assert!(out.contains("power-of-two node count, got 3"), "{out}");
-    assert!(!out.contains("panicked") && !err.contains("panicked"));
+    for (tool, what) in [
+        (["report", "--nodes"], "--nodes"),
+        (["diag", "fft"], "THREADS"),
+    ] {
+        for nodes in ["0", "3", "128"] {
+            let line = [&tool[..], &[nodes]].concat();
+            let (code, out, err) = flashsim(&line);
+            assert_eq!(code, Some(2), "{line:?}: {out}{err}");
+            assert!(out.is_empty(), "{line:?} printed {out}");
+            let message =
+                format!("{what} takes a power-of-two node count from 1 to 64, got {nodes}");
+            assert_eq!(err, message + "\n");
+        }
+    }
 }
 
 #[test]

@@ -28,9 +28,9 @@
 //! chaos harness assert kill-and-resume equivalence at the file level.
 //!
 //! This is the one way a long run survives: there is no live event
-//! protocol and no dashboard. A run is observed after it ends (its
-//! artifacts, `flashsim report`); while it runs, progress is the stderr
-//! line of [`MachineConfig::heartbeat`].
+//! protocol, no dashboard and no progress line. A run is observed after
+//! it ends (its artifacts, `flashsim report`, the host profiler's
+//! report).
 
 use crate::runner::{budgeted, failed_manifest, parallel_map, supervise, CellOutcome, MatrixCell};
 use flashsim_engine::{ckpt, Schema};

@@ -502,4 +502,15 @@ mod tests {
         assert_eq!(err.kind(), "panic");
         assert!(format!("{err}").contains("kernel exploded on purpose"));
     }
+
+    #[test]
+    fn unbuildable_cell_is_caught_as_structured_error() {
+        let study = Study::scaled();
+        let outcomes = run_matrix(vec![(study.hardware(2), Arc::new(PanickingKernel))], None);
+        let err = outcomes[0].error().expect("one thread on two nodes");
+        assert_eq!(err.kind(), "build");
+        let text = err.to_string();
+        assert!(text.starts_with("machine build failed: "), "{text}");
+        assert_eq!(outcomes[0].manifest().nodes, 2);
+    }
 }

@@ -20,7 +20,8 @@
 //! rejected-predicted-shared) and per-worker lanes harvested from the
 //! [`crate::pool::WorkerPool`] (execute / steal / idle — the pool's
 //! always-on [`crate::pool::WorkerLane`] counters, which also back the
-//! heartbeat's `busy` fraction, so there is one source of truth).
+//! fork rounds' `sched.worker_busy_ps` telemetry, so there is one source
+//! of truth).
 //!
 //! The hard invariant is **isolation**: host clock reads never feed
 //! simulated state. No [`HostProf`] method returns a time into the
@@ -43,7 +44,7 @@ pub const HOSTPROF_SCHEMA: &str = "flashsim-hostprof-v1";
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostPhase {
     /// Scheduler bookkeeping between the named phases: heap maintenance,
-    /// horizon derivation, heartbeat ticks, loop overhead.
+    /// horizon derivation, loop overhead.
     Drive,
     /// Parallel round phase A: refreshing stale lookahead bounds
     /// (building scan jobs, running them on the pool, harvesting).

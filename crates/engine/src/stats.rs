@@ -13,18 +13,19 @@
 //! node.add("l2.misses", 3.0);
 //! node.add("l2.misses", 1.0);
 //! let mut machine = StatSet::new();
-//! machine.absorb("node0", &node);
-//! assert_eq!(machine.get("node0.l2.misses"), Some(4.0));
+//! machine.set("l2.misses", 2.0);
+//! machine.absorb_flat(&node);
+//! assert_eq!(machine.get("l2.misses"), Some(6.0));
 //! ```
 
 use core::fmt;
 use std::collections::BTreeMap;
 
-/// A labelled, ordered collection of statistics, merged hierarchically.
+/// A labelled, ordered collection of statistics, summed on merge.
 ///
-/// Components report scalar metrics under string keys; the machine layer
-/// prefixes keys per node (e.g. `node3.l2.misses`) and the validation layer
-/// reads them back uniformly.
+/// Components report scalar metrics under dotted string keys (e.g.
+/// `l2.misses`, summed over the nodes by the machine layer) and the
+/// validation layer reads them back uniformly.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatSet {
     values: BTreeMap<String, f64>,
@@ -54,13 +55,6 @@ impl StatSet {
     /// Reads `key`, or 0 if absent.
     pub fn get_or_zero(&self, key: &str) -> f64 {
         self.get(key).unwrap_or(0.0)
-    }
-
-    /// Merges `other` under a `prefix.` namespace, summing on collision.
-    pub fn absorb(&mut self, prefix: &str, other: &StatSet) {
-        for (k, v) in &other.values {
-            self.add(format!("{prefix}.{k}"), *v);
-        }
     }
 
     /// Merges `other` at top level, summing on collision.
@@ -137,15 +131,6 @@ mod tests {
         assert_eq!(s.get("a"), Some(3.0));
         assert_eq!(s.get_or_zero("missing"), 0.0);
         assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn statset_absorb_prefixes() {
-        let mut node = StatSet::new();
-        node.set("l2.misses", 7.0);
-        let mut top = StatSet::new();
-        top.absorb("node0", &node);
-        assert_eq!(top.get("node0.l2.misses"), Some(7.0));
     }
 
     #[test]

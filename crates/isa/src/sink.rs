@@ -65,7 +65,6 @@ pub struct Sink {
     live: bool,
     rotate: u8,
     next_barrier: u32,
-    emitted: u64,
 }
 
 impl Sink {
@@ -76,7 +75,6 @@ impl Sink {
             live: true,
             rotate: ROTATE_FIRST,
             next_barrier: 0,
-            emitted: 0,
         }
     }
 
@@ -87,15 +85,8 @@ impl Sink {
         self.live
     }
 
-    /// Total ops emitted so far (including any discarded after the
-    /// consumer detached).
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
     /// Emits a raw [`Op`]. Prefer the typed helpers below.
     pub fn push(&mut self, op: Op) {
-        self.emitted += 1;
         if !self.live {
             return;
         }
@@ -500,16 +491,6 @@ mod tests {
         });
         let _ = s.next_op();
         drop(s); // must return promptly
-    }
-
-    #[test]
-    fn sink_tracks_emitted_count() {
-        let mut s = spawn_stream(|sink| {
-            sink.alu(5);
-            assert_eq!(sink.emitted(), 5);
-            assert!(sink.is_live());
-        });
-        assert_eq!(s.by_ref().count(), 5);
     }
 
     #[test]

@@ -308,8 +308,6 @@ pub struct MachineConfig {
     /// off), so matrix-driven runs can carry accounting without the
     /// caller holding the [`crate::Machine`].
     pub profile: bool,
-    /// Live stderr heartbeat interval (host wall-clock; default: off).
-    pub heartbeat: Option<std::time::Duration>,
     /// Causal span-tracer sampling plan (default: disabled). When set,
     /// the machine attaches an enabled [`flashsim_engine::SpanTracer`]
     /// at construction, records the plan in the run manifest, and the
@@ -347,7 +345,6 @@ impl MachineConfig {
             sched: SchedPolicy::default(),
             telemetry: None,
             profile: false,
-            heartbeat: None,
             spans: None,
             hostprof: false,
         }

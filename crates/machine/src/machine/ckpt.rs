@@ -66,8 +66,8 @@ impl Machine {
     /// simulated behaviour — config, workload, seed, scheduling policy,
     /// fault plan, telemetry cadence, span plan — so a checkpoint can
     /// never restore against the wrong run. Host-side knobs (`max_ops`,
-    /// heartbeat, hostprof) are deliberately excluded: resuming with a
-    /// different op budget is legitimate.
+    /// hostprof) are deliberately excluded: resuming with a different op
+    /// budget is legitimate.
     pub fn provenance(&self) -> String {
         format!(
             "flashsim nodes={} cpu={:?} os={:?} memsys={:?} geometry={:?} l2_hit={:?} \

@@ -49,7 +49,7 @@ use flashsim_engine::{
 use flashsim_isa::{check_segments, Program, Segment, ThreadStream, VAddr};
 use flashsim_mem::{CacheHierarchy, FrameAllocator, MemorySystem, PageTable, Tlb};
 use flashsim_os::TlbModel;
-use observe::{Heartbeat, NodeObs, SchedObs, TelIds};
+use observe::{NodeObs, SchedObs, TelIds};
 use pending::Pending;
 use std::collections::HashMap;
 use std::fmt;
@@ -153,7 +153,6 @@ pub struct Machine {
     injector: FaultInjector,
     tel: TelIds,
     sched_obs: SchedObs,
-    heartbeat: Option<Heartbeat>,
     fault: Option<SimError>,
     workload: String,
     workload_seed: Option<u64>,
@@ -175,9 +174,9 @@ impl fmt::Debug for Machine {
 impl Machine {
     /// Builds a machine for `program` under `cfg`. The config is the only
     /// switch for the profiler ([`MachineConfig::profile`]), telemetry,
-    /// spans, the host profiler and the stderr heartbeat: each is built
-    /// here, attached to every layer once, and covered by
-    /// [`Machine::provenance`] where it can change a checkpoint.
+    /// spans and the host profiler: each is built here, attached to every
+    /// layer once, and covered by [`Machine::provenance`] where it can
+    /// change a checkpoint.
     ///
     /// # Errors
     ///
@@ -258,7 +257,6 @@ impl Machine {
 
         let mut machine = Machine {
             clock: cfg.cpu.clock(),
-            heartbeat: cfg.heartbeat.map(Heartbeat::new),
             cfg,
             cores,
             mems,

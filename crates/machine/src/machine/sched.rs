@@ -6,7 +6,7 @@
 
 use super::env::{ChargeSink, MachineEnv, Pager};
 use super::fork::ForkCtx;
-use super::observe::{SchedObs, HEARTBEAT_SAMPLE_MASK};
+use super::observe::SchedObs;
 use super::{Machine, NodeStatus};
 use crate::error::{NodeSnapshot, NodeState, SimError};
 use flashsim_cpu::env::Core;
@@ -28,9 +28,6 @@ pub(super) enum EpochEnd {
     },
     /// A fork/join round is due, at this per-node op quota.
     Fork(u64),
-    /// The next decision's heartbeat tick is the one that reads the
-    /// wall clock.
-    Heartbeat,
     /// The watchdog's op budget expired.
     Budget,
     /// A program fault parked by [`MachineEnv::resolve`].
@@ -141,17 +138,13 @@ pub(super) struct Epoch<'a> {
     streams: &'a mut [ThreadStream],
     status: &'a mut [NodeStatus],
     sched_obs: &'a mut SchedObs,
-    /// The attached heartbeat's decision-tick counter.
-    hb_ticks: Option<&'a mut u64>,
 }
 
 impl Epoch<'_> {
     /// Runs serial scheduling decisions until one needs the whole
     /// machine. Each iteration is the per-decision prologue both policy
     /// loops have always run — the stall sweep over every Running node,
-    /// the fork gate — then one fused
-    /// [`step`](Epoch::step). The caller ticks the heartbeat for the
-    /// first decision; the ticks for the following ones happen here.
+    /// the fork gate — then one fused [`step`](Epoch::step).
     fn run(&mut self, s: &mut Sched) -> EpochEnd {
         loop {
             if s.inject_stalls {
@@ -173,12 +166,6 @@ impl Epoch<'_> {
             s.serial_backoff = s.serial_backoff.saturating_sub(1);
             if let Some(end) = self.step(s) {
                 return end;
-            }
-            if let Some(ticks) = self.hb_ticks.as_deref_mut() {
-                if (*ticks + 1) & HEARTBEAT_SAMPLE_MASK == 0 {
-                    return EpochEnd::Heartbeat;
-                }
-                *ticks += 1;
             }
         }
     }
@@ -217,7 +204,6 @@ impl Epoch<'_> {
             streams,
             status,
             sched_obs,
-            ..
         } = self;
         let obs = env.sink.obs;
         let (core, stream) = (&mut cores[n], &mut streams[n]);
@@ -342,7 +328,6 @@ impl Machine {
             streams: &mut self.streams,
             status: &mut self.status,
             sched_obs: &mut self.sched_obs,
-            hb_ticks: self.heartbeat.as_mut().map(|hb| &mut hb.ticks),
         }
     }
 
@@ -359,7 +344,6 @@ impl Machine {
         // and dispatches agree.) Zero for fresh runs.
         let mut executed: u64 = self.streams.iter().map(|s| s.consumed()).sum();
         loop {
-            self.heartbeat_tick(executed, None);
             if inject_stalls {
                 for n in 0..nodes {
                     if self.status[n] == NodeStatus::Running
@@ -397,8 +381,7 @@ impl Machine {
     /// The heap mirrors the set of `Running` nodes keyed by their clocks,
     /// ordered `(clock, node)` — the reference scan's tie-break. Serial
     /// decisions run back to back inside an [`Epoch`]; this loop handles
-    /// only what ends one: sync ops, fork/join rounds, the heartbeat's
-    /// wall-clock sample, and the run's end.
+    /// only what ends one: sync ops, fork/join rounds, and the run's end.
     pub(super) fn run_scheduled(&mut self, mut fork: Option<ForkCtx<'_>>) -> Result<(), SimError> {
         let nodes = self.cfg.nodes as usize;
         let transparent = fork.as_ref().is_some_and(|f| {
@@ -421,11 +404,9 @@ impl Machine {
         };
         s.rebuild(&self.status, &self.cores);
         loop {
-            self.heartbeat_tick(s.executed, fork.as_ref().map(|f| f.pool));
             // (`step` points the environment at each decision's laggard.)
             let end = self.epoch(0, true).run(&mut s);
             match end {
-                EpochEnd::Heartbeat => {}
                 EpochEnd::Sync {
                     n,
                     decision_at,

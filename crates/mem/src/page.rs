@@ -161,11 +161,6 @@ impl FrameAllocator {
         }
         Ok(())
     }
-
-    /// The node that owns global frame `pfn` (the line's *home*).
-    pub fn home_of_frame(&self, pfn: u64) -> u32 {
-        (pfn / self.frames_per_node) as u32
-    }
 }
 
 /// The per-run virtual-to-physical mapping, filled in on first touch.
@@ -257,8 +252,6 @@ mod tests {
         assert_eq!(a.alloc(0, 0).unwrap(), 0);
         assert_eq!(a.alloc(1, 1).unwrap(), 64);
         assert_eq!(a.alloc(1, 2).unwrap(), 65);
-        assert_eq!(a.home_of_frame(64), 1);
-        assert_eq!(a.home_of_frame(63), 0);
     }
 
     #[test]

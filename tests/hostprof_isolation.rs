@@ -5,15 +5,17 @@
 //! without it on every simulated observable — stats JSON, accounting,
 //! cycle times, per-node op counts, barrier releases, telemetry JSONL,
 //! span JSONL, and every per-barrier checkpoint — on every platform,
-//! under both the serial Reference policy and the Parallel policy (where
-//! the profiler instruments the fork/join rounds themselves).
+//! under the serial Reference and Batched policies and the Parallel
+//! policy (where the profiler instruments the fork/join rounds
+//! themselves).
 //!
 //! The runs are the `hostprof` cells of the digest matrix
 //! (`tests/matrix/mod.rs`): the 2-node FFT under every observer with the
-//! host profiler (and a heartbeat) attached, on every platform. Each
-//! must reproduce its class's recorded row, which the other suites'
-//! cells reproduce with the profiler detached — and carry no host report,
-//! which the matrix checks of every cell.
+//! host profiler attached, on every platform, and the long contested
+//! phase of `EpochEdges` under `Batched` and `Parallel`. Each must
+//! reproduce its class's recorded row, which the other suites' cells
+//! reproduce with the profiler detached — and carry no host report, which
+//! the matrix checks of every cell.
 
 mod matrix;
 
@@ -64,5 +66,29 @@ fn hostprof_leaves_checkpoints_and_artifacts_untouched() {
             "{}",
             restored.label
         );
+    }
+}
+
+/// `Batched` runs its serial decisions inside long epochs, timed by the
+/// `Serial` phase guard: over a contested phase of more than 8192
+/// decisions, the `B+host` and `P+host` cells reproduce the class's
+/// recorded row on both platforms, its `Batched`-only `series` included.
+#[test]
+fn hostprof_changes_no_simulated_byte_under_batched() {
+    let classes = matrix::ran("edges-long/all");
+    assert_eq!(classes.len(), 2, "hardware and SimOS-Mipsy");
+    for (class, ran) in classes {
+        assert_eq!(matrix::letters(ran), "BP", "{}", class.name);
+        for r in ran {
+            assert!(r.cell.host, "{}", r.label);
+            for field in ["run", "acct", "tel", "spans"] {
+                assert!(r.has(field), "{}: {field}", r.label);
+            }
+        }
+        let batched = &ran[0];
+        assert!(batched.has("series"), "{}", batched.label);
+        let series = batched.ok().telemetry.as_ref().expect("telemetry");
+        let decisions = series.get("sched.batches").map_or(0, |m| m.total);
+        assert!(decisions > 8192, "{}: {decisions} decisions", batched.label);
     }
 }

@@ -1,13 +1,13 @@
 //! The one digest matrix: every determinism and equivalence contract of
 //! the simulator as one table of cells. A cell's *class* is a platform, a
 //! program at a node count, an observer set and a fault plan; the cell
-//! adds a scheduling policy, host observers (the host profiler and an
-//! hour-long heartbeat) on or off, a checkpoint sink on or off, and a
-//! restore point. Each cell runs once, its outputs are digested with
-//! `ckpt::provenance_hash`, and every cell of a class must reproduce the
-//! class's one recorded row: that carries `Reference` ≡ `Batched` ≡
-//! `Parallel`, host observers attached ≡ detached, sink attached ≡
-//! straight, straight ≡ restored, and this run ≡ the recorded one.
+//! adds a scheduling policy, the host profiler on or off, a checkpoint
+//! sink on or off, and a restore point. Each cell runs once, its outputs
+//! are digested with `ckpt::provenance_hash`, and every cell of a class
+//! must reproduce the class's one recorded row: that carries `Reference`
+//! ≡ `Batched` ≡ `Parallel`, host profiler attached ≡ detached, sink
+//! attached ≡ straight, straight ≡ restored, and this run ≡ the recorded
+//! one.
 //!
 //! Row fields, each where some cell of the class produces it: `run`, the
 //! `flashsim-artifacts-v1` rendering (times, per-node ops, barrier
@@ -76,8 +76,9 @@ pub const TABLE: &[(&str, &str, Fault, &str, &str)] = &[
     // [`EpochEdges`] (3432 ops, 1533 on node 0, 900 of them alone); failing
     // mid-batch (stalls in the solo run, the contested phase and the lock
     // ping-pong; budgets inside the solo batch, the last on the barrier
-    // ending it); and a long contested phase under the heartbeat, which
-    // ends the serial epoch at every 4096th scheduling decision.
+    // ending it); and a long contested phase of more than 8192
+    // scheduling decisions, with the host profiler on `Batched` and
+    // `Parallel`.
     ("edges", "profile", Clean, "every", "sched: R B P"),
     ("edges", "none", Stall(3, 0, 1083), "pair", "sched: R B P"),
     ("edges", "none", Stall(3, 2, 350), "pair", "sched: R B P"),
@@ -85,7 +86,7 @@ pub const TABLE: &[(&str, &str, Fault, &str, &str)] = &[
     ("edges", "none", Budget(2982), "pair", "sched: R B P"),
     ("edges", "none", Budget(3430), "pair", "sched: R B P"),
     ("edges", "none", Budget(3431), "pair", "sched: R B P"),
-    ("edges-hb", "all", Clean, "pair", "sched: R B B+host P P+host"),
+    ("edges-long", "all", Clean, "pair", "sched: R B P; hostprof: B+host P+host"),
 ];
 
 /// Every recorded row: a class name, then `field:digest`. The `tel`,
@@ -161,8 +162,8 @@ pub const RECORDED: &[&str] = &[
     "edges/none/budget3430/simos-mipsy-150/flashlite err:8010a4fc297b92de",
     "edges/none/budget3431/hardware err:4d7e693d3986c356",
     "edges/none/budget3431/simos-mipsy-150/flashlite err:1a58340eb638f25d",
-    "edges-hb/all/hardware run:6a706b90e999e064 acct:7bbb010a745eb0d9 tel:ac48a7782b2e87cc spans:372f7bf08e9c78dc series:087872a4c2c19191",
-    "edges-hb/all/simos-mipsy-150/flashlite run:00136faf184e39df acct:e65938b25c448479 tel:963caefdfea14042 spans:5f6302ca8e8c5911 series:0127b8ac63c67e8f",
+    "edges-long/all/hardware run:6a706b90e999e064 acct:7bbb010a745eb0d9 tel:ac48a7782b2e87cc spans:372f7bf08e9c78dc series:087872a4c2c19191",
+    "edges-long/all/simos-mipsy-150/flashlite run:00136faf184e39df acct:e65938b25c448479 tel:963caefdfea14042 spans:5f6302ca8e8c5911 series:0127b8ac63c67e8f",
 ];
 
 /// The table's programs, by name.
@@ -177,7 +178,7 @@ fn program(name: &str, study: &Study) -> Box<dyn Program> {
         "storm2" => Box::new(SyncStorm::new(2, 4, 3)),
         "grid64" => Box::new(SyncGrid { rounds: 6 }),
         "edges" => edges(600, 900),
-        "edges-hb" => edges(9000, 50),
+        "edges-long" => edges(9000, 50),
         _ => panic!("no program {name}"),
     }
 }
@@ -322,7 +323,7 @@ fn eq_workers() -> usize {
 /// One cell of a class, parsed from a token such as `P+host+sink` or
 /// `B@every`: `R`, `B` and `P` are `Reference`, `Batched` and `Parallel`
 /// at [`eq_workers`] (`P:N` and `P:host` fix the count), `+host` attaches
-/// the host profiler and a heartbeat, `+sink` a checkpoint sink, and
+/// the host profiler alone, `+sink` a checkpoint sink, and
 /// `@every`/`@mid` restores from every checkpoint of the first sink cell
 /// its suite runs of the class under the same policy, or from its middle
 /// one.
@@ -404,10 +405,7 @@ fn run_cell(
 ) -> Ran {
     let mut cfg = class.cfg.clone();
     cfg.sched = cell.policy;
-    if cell.host {
-        cfg.hostprof = true;
-        cfg.heartbeat = Some(std::time::Duration::from_secs(3600));
-    }
+    cfg.hostprof = cell.host;
     let mut m = match from {
         None => Machine::new(cfg, &*class.prog).expect("machine builds"),
         Some(text) => Machine::restore(cfg, &*class.prog, text)
