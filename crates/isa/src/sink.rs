@@ -2,19 +2,21 @@
 //!
 //! Workload kernels are ordinary Rust functions that *emit* operations into
 //! a [`Sink`]; the machine layer *consumes* them through a [`ThreadStream`].
-//! Generation runs on a dedicated OS thread per simulated processor with a
-//! small bounded channel in between, so multi-million-op streams are never
+//! Generation runs on a dedicated OS thread per simulated processor, handing
+//! over one chunk at a time, so multi-million-op streams are never
 //! materialized in memory, yet kernels read like the loops they model
 //! instead of hand-written state machines.
 //!
-//! Ops cross the channel in chunks of `CHUNK_OPS` and are then read *in
-//! place*: [`ThreadStream::pending`] lends the consumer a slice of the very
-//! buffer the kernel filled, and [`ThreadStream::consume`] moves a cursor
-//! over it, so an op is written once (by the kernel) and never copied on
-//! its way to the core that executes it. A stream holds at most
-//! `CHANNEL_CHUNKS + 2` filled chunks — the queue, the one the generator
-//! is filling or waiting to send, and the one being read — which at 16
-//! bytes an [`Op`] is 4 × 128 KiB = 512 KiB, plus the lookahead of
+//! Ops cross a rendezvous channel in chunks of `CHUNK_OPS` and are then read
+//! *in place*: [`ThreadStream::pending`] lends the consumer a slice of the
+//! very buffer the kernel filled, and [`ThreadStream::consume`] moves a
+//! cursor over it, so an op is written once (by the kernel) and never
+//! copied on its way to the core that executes it. The channel holds
+//! nothing: a full chunk waits in [`Sink`] until the consumer takes it, and
+//! the generator fills the next one while the consumer reads (double
+//! buffering). A stream therefore holds at most two chunks — the one being
+//! read and the one being filled or waiting — which at 16 bytes an [`Op`]
+//! is 2 × 128 KiB = 256 KiB, plus the lookahead of
 //! [`ThreadStream::peek_at`] while one is buffered.
 //!
 //! Streams are fully deterministic: a kernel's output depends only on its
@@ -43,15 +45,12 @@ use crate::op::{Op, OpClass, Reg, VAddr};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
-/// Ops per channel message. Large enough to amortize channel overhead
-/// (1024-op chunks cost every benchmark workload 10–30 %), small enough to
-/// bound memory.
+/// Ops per hand-over. Large enough to amortize channel overhead (1024-op
+/// chunks cost every benchmark workload 10–30 %), small enough to bound
+/// memory: a stream holds two chunks of 128 KiB, the one being read and
+/// the one being filled (queueing two more full chunks was no faster on
+/// any benchmark workload and held a third more memory at 64 streams).
 const CHUNK_OPS: usize = 8192;
-/// Chunks buffered in the channel before the generator blocks. Two keep
-/// even a lone generator ahead of its consumer (a depth of four was no
-/// faster on any benchmark workload and held a fifth more memory at 64
-/// streams).
-const CHANNEL_CHUNKS: usize = 2;
 
 /// First register handed out by the rotating allocator; registers below
 /// this are reserved for kernel-managed dependence chains.
@@ -96,13 +95,16 @@ impl Sink {
         }
     }
 
+    /// Hands the full chunk over, blocking until the consumer takes it,
+    /// then starts the next one.
     fn flush(&mut self) {
         if self.buf.is_empty() {
             return;
         }
-        let chunk = std::mem::replace(&mut self.buf, Vec::with_capacity(CHUNK_OPS));
-        if let Some(tx) = &self.tx {
-            if tx.send(chunk).is_err() {
+        let chunk = std::mem::take(&mut self.buf);
+        match &self.tx {
+            Some(tx) if tx.send(chunk).is_ok() => self.buf = Vec::with_capacity(CHUNK_OPS),
+            _ => {
                 self.live = false;
                 self.tx = None;
             }
@@ -408,7 +410,7 @@ pub fn spawn_stream<F>(kernel: F) -> ThreadStream
 where
     F: FnOnce(&mut Sink) + Send + 'static,
 {
-    let (tx, rx) = sync_channel(CHANNEL_CHUNKS);
+    let (tx, rx) = sync_channel(0);
     let handle = std::thread::Builder::new()
         .name("flashsim-opgen".to_owned())
         .spawn(move || {
@@ -484,13 +486,36 @@ mod tests {
     #[test]
     fn dropping_stream_early_does_not_hang() {
         let mut s = spawn_stream(|sink| {
-            // Much more than the channel can buffer.
+            // Far more than the two chunks a stream holds: the generator
+            // is blocked handing one over when the stream drops.
             for i in 0..1_000_000u64 {
                 sink.load(VAddr(i));
             }
         });
         let _ = s.next_op();
         drop(s); // must return promptly
+    }
+
+    #[test]
+    fn a_stream_holds_at_most_two_chunks() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        let emitted = Arc::new(AtomicU64::new(0));
+        let count = Arc::clone(&emitted);
+        let mut s = spawn_stream(move |sink| {
+            for i in 0..1_000_000u64 {
+                sink.load(VAddr(i));
+                count.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let _ = s.next_op();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        // The chunk being read, and the next one filled and waiting.
+        let held = emitted.load(Ordering::Relaxed);
+        assert!(
+            held <= 2 * CHUNK_OPS as u64,
+            "generator ran {held} ops ahead"
+        );
     }
 
     #[test]

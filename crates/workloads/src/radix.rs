@@ -20,6 +20,7 @@
 
 use crate::layout::{block_range, page_round, ProblemScale, SEG_A, SEG_B, SEG_C, SEG_D};
 use flashsim_isa::{Placement, Program, Reg, Segment, Sink, VAddr};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 const KEY_BYTES: u64 = 8;
 const PASSES: u32 = 2;
@@ -32,6 +33,22 @@ fn key_value(seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One pass planned for every thread block: what each generator needs to
+/// name its keys' digits and destinations without sorting anything.
+#[derive(Debug)]
+struct PassPlan {
+    /// The digit of the pass of the key at each index entering it.
+    digits: Vec<u16>,
+    /// Per thread block, per digit: where the block's first key of that
+    /// digit lands (each later key of a digit lands one slot after the
+    /// previous one).
+    first: Vec<u64>,
+}
+
+/// Every pass's plan, each built by the first generator that reaches it.
+#[derive(Debug, Default)]
+struct Plans([OnceLock<PassPlan>; PASSES as usize]);
+
 /// The Radix-Sort workload.
 #[derive(Debug, Clone)]
 pub struct Radix {
@@ -40,6 +57,8 @@ pub struct Radix {
     threads: usize,
     placed: bool,
     seed: u64,
+    /// The plans the generators of a run share, while one holds them.
+    plans: Arc<Mutex<Weak<Plans>>>,
 }
 
 impl Radix {
@@ -60,6 +79,7 @@ impl Radix {
             threads,
             placed,
             seed: 0x5eed_4a11,
+            plans: Arc::default(),
         }
     }
 
@@ -141,19 +161,31 @@ impl Radix {
         base.offset((thread * self.radix + digit) * Self::COUNTER_STRIDE)
     }
 
-    /// Plans thread block `[k0, k1)` of `pass` in O(block) memory: the
-    /// digit of each key the block holds entering `pass`, and the
-    /// destination of the block's first key of each digit (each later key
-    /// of a digit lands one slot after the previous one). Every generator
-    /// thread recomputes this locally from the seed, keeping streams
-    /// deterministic with zero cross-thread communication.
+    /// The plans of the run whose generators are being handed out: the
+    /// ones a live generator still holds, else a fresh set. They are
+    /// dropped with the last generator holding them, so no plan outlives
+    /// its run.
+    fn shared_plans(&self) -> Arc<Plans> {
+        let mut slot = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
+        slot.upgrade().unwrap_or_else(|| {
+            let plans = Arc::default();
+            *slot = Arc::downgrade(&plans);
+            plans
+        })
+    }
+
+    /// Plans `pass` for every thread block from the seed alone: the digit
+    /// of each key the array holds entering `pass`, and each block's first
+    /// destination per digit. One plan serves every generator of a run,
+    /// keeping streams deterministic with no other cross-thread
+    /// communication.
     ///
     /// Earlier passes are LSD counting sorts, so the key at index `i`
     /// enters `pass` at its stable rank by its low `pass` digits: two
     /// streams over the keys with one counter per low-digit value (the
     /// radix itself for the second pass) place it without materialising
     /// the arrangement.
-    fn plan_block(&self, pass: u32, k0: u64, k1: u64) -> (Vec<u16>, Vec<u64>) {
+    fn plan(&self, pass: u32) -> PassPlan {
         let low = |key: u64| (key & ((1 << (pass * self.digit_bits())) - 1)) as usize;
         let keys = || (0..self.keys).map(|i| key_value(self.seed, i));
         // rank[v]: where the next key whose low digits are `v` enters `pass`.
@@ -165,31 +197,30 @@ impl Radix {
         for r in &mut rank {
             (*r, acc) = (acc, acc + *r);
         }
-        let mut digits = vec![0u16; (k1 - k0) as usize];
-        // Per digit of `pass`: keys in all, and keys entering before `k0`.
-        let mut total = vec![0u64; self.radix as usize];
-        let mut before = vec![0u64; self.radix as usize];
+        let mut digits = vec![0u16; self.keys as usize];
         for key in keys() {
             let r = &mut rank[low(key)];
-            let (at, d) = (*r, self.digit(key, pass));
+            digits[*r as usize] = self.digit(key, pass) as u16;
             *r += 1;
-            total[d as usize] += 1;
-            if at < k0 {
-                before[d as usize] += 1;
-            } else if at < k1 {
-                digits[(at - k0) as usize] = d as u16;
+        }
+        // next[d]: where the next key of digit `d` lands, block by block.
+        let mut next = vec![0u64; self.radix as usize];
+        for &d in &digits {
+            next[usize::from(d)] += 1;
+        }
+        let mut acc = 0;
+        for n in &mut next {
+            (*n, acc) = (acc, acc + *n);
+        }
+        let mut first = Vec::with_capacity(self.threads * next.len());
+        for tid in 0..self.threads {
+            first.extend_from_slice(&next);
+            let (k0, k1) = block_range(self.keys, self.threads, tid);
+            for &d in &digits[k0 as usize..k1 as usize] {
+                next[usize::from(d)] += 1;
             }
         }
-        let mut start = 0;
-        let first = total
-            .iter()
-            .zip(&before)
-            .map(|(&n, &b)| {
-                start += n;
-                start - n + b
-            })
-            .collect();
-        (digits, first)
+        PassPlan { digits, first }
     }
 }
 
@@ -227,6 +258,7 @@ impl Program for Radix {
 
     fn thread_body(&self, tid: usize) -> Box<dyn FnOnce(&mut Sink) + Send + 'static> {
         let rx = self.clone();
+        let plans = self.shared_plans();
         Box::new(move |sink| {
             let t = tid as u64;
             let (k0, k1) = block_range(rx.keys, rx.threads, tid);
@@ -243,7 +275,9 @@ impl Program for Radix {
             let mut src = SEG_A;
             let mut dst = SEG_B;
             for pass in 0..PASSES {
-                let (digits, mut dest) = rx.plan_block(pass, k0, k1);
+                let plan = plans.0[pass as usize].get_or_init(|| rx.plan(pass));
+                let radix = rx.radix as usize;
+                let mut dest = plan.first[tid * radix..][..radix].to_vec();
 
                 // Histogram: load key, extract the digit (a multiply in
                 // the radix arithmetic plus shift/mask work), bump count.
@@ -254,7 +288,7 @@ impl Program for Radix {
                     }
                     let k = sink.load(rx.key_addr(src, i));
                     let d = sink.mul(k, Reg::ZERO);
-                    let digit = u64::from(digits[(i - k0) as usize]);
+                    let digit = u64::from(plan.digits[i as usize]);
                     let c = sink.load_dep(rx.hist_addr(SEG_C, t, digit), d);
                     let c2 = sink.chain(flashsim_isa::OpClass::IntAlu, 1, c);
                     sink.store_dep(rx.hist_addr(SEG_C, t, digit), d, c2);
@@ -296,7 +330,7 @@ impl Program for Radix {
                     }
                     let k = sink.load(rx.key_addr(src, i));
                     let d = sink.div(k, Reg::ZERO); // rank/digit division
-                    let digit = u64::from(digits[(i - k0) as usize]);
+                    let digit = u64::from(plan.digits[i as usize]);
                     let off = sink.load_dep(rx.hist_addr(SEG_D, t, digit), d);
                     let pos = sink.chain(flashsim_isa::OpClass::IntAlu, 1, off);
                     let to = &mut dest[digit as usize];
@@ -318,7 +352,7 @@ impl Program for Radix {
 
 #[cfg(test)]
 impl Radix {
-    /// The test oracle for [`Radix::plan_block`]: the full key
+    /// The test oracle for [`Radix::plan`]: the full key
     /// arrangement entering `pass` and each key's destination index, by
     /// running the earlier passes' counting sorts over all keys.
     fn plan_pass(&self, pass: u32) -> (Vec<u64>, Vec<u64>) {
@@ -419,13 +453,18 @@ mod tests {
         for (keys, radix) in [(1 << 12, 16), (1 << 10, 256)] {
             for threads in [1, 2, 4, 16] {
                 let rx = Radix::new(keys, radix, threads, true);
+                let plans = rx.shared_plans();
                 for pass in 0..PASSES {
                     let (arranged, dest) = rx.plan_pass(pass);
+                    let plan = plans.0[pass as usize].get_or_init(|| rx.plan(pass));
+                    assert_eq!(plan.digits.len() as u64, keys);
+                    assert_eq!(plan.first.len() as u64, threads as u64 * radix);
                     for tid in 0..threads {
                         let (k0, k1) = block_range(keys, threads, tid);
-                        let (digits, mut next) = rx.plan_block(pass, k0, k1);
-                        assert_eq!(digits.len() as u64, k1 - k0);
-                        for (i, &d) in (k0..k1).zip(&digits) {
+                        let row = radix as usize * tid;
+                        let mut next = plan.first[row..row + radix as usize].to_vec();
+                        for i in k0..k1 {
+                            let d = plan.digits[i as usize];
                             let at = format!("{threads} threads, pass {pass}, key {i}");
                             assert_eq!(u64::from(d), rx.digit(arranged[i as usize], pass), "{at}");
                             assert_eq!(next[d as usize], dest[i as usize], "{at}");
@@ -435,6 +474,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_runs_generators_share_one_plan_and_drop_it_with_the_last() {
+        let rx = Radix::new(1 << 10, 16, 2, true);
+        let held = rx.shared_plans();
+        assert!(Arc::ptr_eq(&held, &rx.shared_plans()));
+        drop(held);
+        let live = || rx.plans.lock().unwrap().upgrade().is_some();
+        assert!(!live());
+        let stream = rx.stream(1);
+        assert!(live());
+        assert!(stream.count() > 0);
+        assert!(!live(), "a finished generator keeps no plan alive");
     }
 
     #[test]

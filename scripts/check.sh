@@ -364,17 +364,21 @@ echo "all twelve results files reproduce"
 
 echo "== bench history (commit backfill) =="
 # A PR's history line is written before its commit exists, so it lands
-# with "commit":null; fill each from the commit whose subject starts
-# "PR N:" once there is one. Only the newest line may stay null.
+# with "commit":null. The next PR's line names its "parent", the tree it
+# measured against, which holds every commit of the PR before it: fill
+# each null from the "parent" of the line after it. Only the newest line
+# may stay null.
 hist=results/BENCH_history.jsonl
-if git rev-parse --git-dir > /dev/null 2>&1; then
-    for pr in $(sed -n 's/.*"pr":\([0-9]*\),"commit":null.*/\1/p' "$hist"); do
-        hash=$(git log --format=%h --grep "^PR $pr:" | tail -n 1)
-        if [ -n "$hash" ]; then
-            sed -i "s/\"pr\":$pr,\"commit\":null/\"pr\":$pr,\"commit\":\"$hash\"/" "$hist"
-        fi
-    done
-fi
+awk '{ line[NR] = $0 }
+     END {
+         for (i = 1; i <= NR; i++) {
+             if (i < NR && line[i] ~ /"commit":null/ && match(line[i + 1], /"parent":"[0-9a-f]+"/)) {
+                 sub(/"commit":null/, "\"commit\":\"" substr(line[i + 1], RSTART + 10, RLENGTH - 11) "\"", line[i])
+             }
+             print line[i]
+         }
+     }' "$hist" > "$hist.filled"
+mv "$hist.filled" "$hist"
 if sed '$d' "$hist" | grep -q '"commit":null'; then
     echo "FAIL: $hist has a line with no commit before its newest line"
     exit 1
