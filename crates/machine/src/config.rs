@@ -241,8 +241,8 @@ pub enum SchedPolicy {
     /// the memory model's minimum shared-interaction latency).
     #[default]
     Batched,
-    /// The historical one-op-per-decision schedule (`quantum = 1`,
-    /// linear `min_by_key` laggard scan).
+    /// The historical one-op-per-decision schedule (`quantum = 1`, the
+    /// laggard the first minimum of a per-node clock vector).
     Reference,
     /// Fork/join rounds over a host worker pool: every node whose next
     /// shared interaction provably lies beyond the conservative horizon

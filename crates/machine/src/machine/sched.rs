@@ -1,4 +1,4 @@
-//! The scheduling loops: the `Reference` oracle (linear laggard scan, one
+//! The scheduling loops: the `Reference` oracle (a flat clock vector, one
 //! op per decision) and the production schedule shared by `Batched` and
 //! `Parallel` — laggard selection through a [`LaggardHeap`] (one sorted
 //! run of clocks), a batch of ops per decision under conservative
@@ -298,6 +298,64 @@ impl Epoch<'_> {
     }
 }
 
+/// Nodes per group of [`OracleClocks`]: the square root of the largest
+/// machine, so a re-key at 64 nodes reads 8 + 8 entries, not 64.
+const ORACLE_GROUP: usize = 8;
+
+/// The reference oracle's running set, a flat clock vector: `clock[n]` is
+/// node `n`'s clock while it is `Running` and `Time::MAX` otherwise, and
+/// `least[g]` is the first minimum `(clock, node)` of the `g`-th group of
+/// [`ORACLE_GROUP`] entries. The first minimum of `least` is the first
+/// minimum of `clock`: the running node with the least `(clock, node)`.
+#[derive(Default)]
+struct OracleClocks {
+    clock: Vec<Time>,
+    least: Vec<(Time, usize)>,
+}
+
+impl OracleClocks {
+    /// The first entry with the least clock; `(Time::MAX, usize::MAX)`
+    /// when no clock is below `Time::MAX`.
+    fn first_min(entries: impl Iterator<Item = (Time, usize)>) -> (Time, usize) {
+        entries.fold(
+            (Time::MAX, usize::MAX),
+            |best, e| if e.0 < best.0 { e } else { best },
+        )
+    }
+
+    /// Re-reads every node's entry from the machine.
+    fn read(&mut self, m: &Machine) {
+        self.clock.clear();
+        self.clock
+            .extend((0..m.cfg.nodes as usize).map(|n| m.oracle_clock(n)));
+        let groups = self.clock.len().div_ceil(ORACLE_GROUP);
+        self.least.resize(groups, (Time::MAX, usize::MAX));
+        for g in 0..groups {
+            self.rekey(g);
+        }
+    }
+
+    /// Sets node `n`'s entry to `t`.
+    fn set(&mut self, n: usize, t: Time) {
+        self.clock[n] = t;
+        self.rekey(n / ORACLE_GROUP);
+    }
+
+    /// Re-derives group `g`'s minimum from its entries.
+    fn rekey(&mut self, g: usize) {
+        let first = g * ORACLE_GROUP;
+        let group = &self.clock[first..self.clock.len().min(first + ORACLE_GROUP)];
+        self.least[g] = Self::first_min(group.iter().copied().zip(first..));
+    }
+
+    /// The running node with the least `(clock, node)`, or `None` when no
+    /// entry is below `Time::MAX`.
+    fn laggard(&self) -> Option<usize> {
+        let (t, n) = Self::first_min(self.least.iter().copied());
+        (t < Time::MAX).then_some(n)
+    }
+}
+
 impl Machine {
     /// Splits the machine into the execution environment of `node` plus
     /// the per-node vectors a scheduler steps — the one place the borrow
@@ -331,9 +389,18 @@ impl Machine {
         }
     }
 
-    /// The historical schedule: one op per decision, linear laggard scan.
-    /// Kept as the oracle the batched policy is proven bit-identical
-    /// against, and as a debugging fallback.
+    /// The historical schedule: one op per decision, the laggard re-derived
+    /// before every op from an [`OracleClocks`] vector. Kept as the oracle
+    /// the batched policy is proven bit-identical against, and as a
+    /// debugging fallback.
+    ///
+    /// A non-sync op moves only its own node's clock and status (the
+    /// borrow split hands it no other core and no status), so after one
+    /// only that node's entry is refreshed; the whole vector is re-read at
+    /// entry, after a sync op (a barrier release or a lock hand-off moves
+    /// other clocks) and after the stall sweep stalls a node. A one-node
+    /// machine skips the vector. Debug builds check every pick against the
+    /// plain scan of `status` and the cores' clocks.
     pub(super) fn run_reference(&mut self) -> Result<(), SimError> {
         let nodes = self.cfg.nodes as usize;
         let inject_stalls = self.injector.is_active();
@@ -343,8 +410,11 @@ impl Machine {
         // quiescent point no node has hit end-of-stream, so consumed ops
         // and dispatches agree.) Zero for fresh runs.
         let mut executed: u64 = self.streams.iter().map(|s| s.consumed()).sum();
+        let mut clocks = OracleClocks::default();
+        clocks.read(self);
         loop {
             if inject_stalls {
+                let mut stalled = false;
                 for n in 0..nodes {
                     if self.status[n] == NodeStatus::Running
                         && self
@@ -352,14 +422,35 @@ impl Machine {
                             .node_stalled(n as u32, self.streams[n].consumed())
                     {
                         self.status[n] = NodeStatus::Stalled;
+                        stalled = true;
                     }
+                }
+                if stalled {
+                    clocks.read(self);
                 }
             }
 
-            // Laggard-first: the running node with the smallest clock.
-            let next = (0..nodes)
-                .filter(|n| self.status[*n] == NodeStatus::Running)
-                .min_by_key(|n| self.cores[*n].now());
+            // Laggard-first: the running node with the smallest clock, the
+            // lowest-numbered on a tie. (Only when no running node is
+            // below `Time::MAX` does the vector not tell them from parked
+            // ones; then the plain scan's pick is the first running node.)
+            // One node is the laggard while it runs: keeping the vector
+            // would put its own clock on the path to every op's pick,
+            // which cost lu/1 about a fifth of its wall.
+            let next = if nodes == 1 {
+                (self.status[0] == NodeStatus::Running).then_some(0)
+            } else {
+                clocks
+                    .laggard()
+                    .or_else(|| self.status.iter().position(|s| *s == NodeStatus::Running))
+            };
+            debug_assert_eq!(
+                next,
+                (0..nodes)
+                    .filter(|n| self.status[*n] == NodeStatus::Running)
+                    .min_by_key(|n| self.cores[*n].now()),
+                "the clock vector's pick is the plain scan's"
+            );
             let Some(n) = next else {
                 return self.idle_outcome(executed);
             };
@@ -369,7 +460,11 @@ impl Machine {
                 }
             }
             executed += 1;
-            self.step_node(n)?;
+            if self.step_node(n)? {
+                clocks.read(self);
+            } else if nodes > 1 {
+                clocks.set(n, self.oracle_clock(n));
+            }
         }
     }
 
@@ -516,21 +611,34 @@ impl Machine {
         }
     }
 
-    /// Executes exactly one op on node `n` (reference policy).
-    fn step_node(&mut self, n: usize) -> Result<(), SimError> {
+    /// Node `n`'s entry in the reference oracle's clock vector: its clock
+    /// while it is `Running`, `Time::MAX` otherwise.
+    fn oracle_clock(&self, n: usize) -> Time {
+        if self.status[n] == NodeStatus::Running {
+            self.cores[n].now()
+        } else {
+            Time::MAX
+        }
+    }
+
+    /// Executes exactly one op on node `n` (reference policy). Returns
+    /// whether it was a sync op, the only kind that can move another
+    /// node's clock or status.
+    fn step_node(&mut self, n: usize) -> Result<bool, SimError> {
         let Some(op) = self.streams[n].next_op() else {
             let t = self.cores[n].drain();
             self.cores[n].set_time(t);
             self.status[n] = NodeStatus::Done;
-            return Ok(());
+            return Ok(false);
         };
 
         if op.class.is_sync() {
-            return self.handle_sync(n, &op);
+            self.handle_sync(n, &op)?;
+            return Ok(true);
         }
 
-        let Epoch { env, cores, .. } = &mut self.epoch(n, true);
-        let core = &mut *cores[n];
+        let split = &mut self.epoch(n, true);
+        let (env, core) = (&mut split.env, &mut *split.cores[n]);
         let op_start = core.now();
         env.mems[n].pending.retire(op_start);
         let done = core.execute(&op, env);
@@ -543,6 +651,6 @@ impl Machine {
             return Err(e);
         }
         env.sink.timer_ticks(&mut env.mems[n], core, done);
-        Ok(())
+        Ok(false)
     }
 }

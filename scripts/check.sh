@@ -196,6 +196,26 @@ if [ -n "$heaps" ]; then
     exit 1
 fi
 
+echo "== oracle-independence gate (the Reference oracle derives the schedule alone) =="
+# `Machine::run_reference` and its `step_node` are the second derivation
+# of the schedule that the batched and parallel policies are proven
+# bit-identical against: one op per decision, the laggard re-read from
+# the oracle's own clock vector. Their bodies name no part of the
+# production schedule, so a shared defect cannot pass the equivalence.
+oracle=$(awk '/fn (run_reference|step_node)\(/,/^    }$/' crates/machine/src/machine/sched.rs)
+for f in run_reference step_node; do
+    if ! printf '%s\n' "$oracle" | grep -q "fn $f("; then
+        echo "crates/machine/src/machine/sched.rs has no fn $f"
+        exit 1
+    fi
+done
+shared=$(printf '%s\n' "$oracle" | grep -wE 'LaggardHeap|Sched|Epoch|run_scheduled' || true)
+if [ -n "$shared" ]; then
+    echo "the Reference oracle names the production schedule:"
+    echo "$shared"
+    exit 1
+fi
+
 echo "== one-profile gate (one release profile, in .cargo/config.toml) =="
 # The root workspace and benchmark/ (a workspace of its own, built from
 # the repo root) both read .cargo/config.toml and nothing else in common:

@@ -73,6 +73,15 @@ pub const TABLE: &[(&str, &str, Fault, &str, &str)] = &[
     ("snbench", "none", Clean, "pair", "sched: R B P"),
     ("storm2", "none", Stall(7, 1, 120), "one", "sched: R B P"),
     ("grid64", "profile", Clean, "pair", "sched: R B P:1 P:2 P:host"),
+    // The same 64 nodes with node 37 stalled mid-run, and with a watchdog
+    // budget expiring mid-run: the stall sweep's and the budget stop's
+    // 64-node paths through the reference oracle's clock vector. The
+    // budget row has no `B` cell: `Batched` runs node-private ops ahead
+    // of the reference order inside its lookahead window, so a budget
+    // that expires in a contested phase stops it with a different
+    // per-node split of the same 40 000 ops (ROADMAP, "Budget stops").
+    ("grid64", "none", Stall(5, 37, 500), "one", "sched: R B"),
+    ("grid64", "none", Budget(40_000), "one", "sched: R"),
     // [`EpochEdges`] (3432 ops, 1533 on node 0, 900 of them alone); failing
     // mid-batch (stalls in the solo run, the contested phase and the lock
     // ping-pong; budgets inside the solo batch, the last on the barrier
@@ -143,6 +152,8 @@ pub const RECORDED: &[&str] = &[
     "storm2/none/stall1@120/simos-mipsy-150/flashlite err:ea28516b335cbd07",
     "grid64/profile/hardware run:3ec07a6496a96b26 acct:72b97c23a1146288",
     "grid64/profile/simos-mipsy-150/flashlite run:362a20c2561b6396 acct:ced4a40f0b0550a6",
+    "grid64/none/stall37@500/simos-mipsy-150/flashlite err:8d4d9bce1ee575b5",
+    "grid64/none/budget40000/simos-mipsy-150/flashlite err:b406d7b4fe753905",
     "edges/profile/hardware run:64011e2f61a9a99d acct:07724a3ae63f4241",
     "edges/profile/simos-mipsy-150/flashlite run:1b53775551626de5 acct:b1e5819bce84d59a",
     "edges/profile/simos-mipsy-150/numa run:ec4be3db293cebfd acct:eb1d9be7ed06c840",

@@ -2,8 +2,8 @@
 //! run under the default `Batched` policy *and* under the `Parallel`
 //! policy (nodes sharded across host worker threads under the
 //! conservative lookahead horizon) is *bit-identical* to the same run
-//! under the `Reference` policy (one op per scheduling decision, linear
-//! laggard scan) — same stats JSON, same accounting, same parallel/total
+//! under the `Reference` policy (one op per scheduling decision, the
+//! laggard re-read from its own clock vector) — same stats JSON, same accounting, same parallel/total
 //! times, same barrier releases, same per-node op counts, same telemetry
 //! and span JSONL. The batching, the laggard heap, the flat stream
 //! cursor, the L1-hit fast path, and the fork/join rounds are all pure
@@ -18,6 +18,7 @@
 
 mod matrix;
 
+use flashsim::machine::{NodeState, SimError};
 use matrix::{letters, Class, Ran};
 
 /// Every class of `row` ran the policies `expect` (letters of its
@@ -236,4 +237,29 @@ fn candidates_match_reference_at_64_nodes_with_parking_sync_ops() {
         assert!(moved > 0.0, "{}: the lock line never moved", class.name);
     }
     assert_eq!(classes.len(), 2, "hardware and SimOS-Mipsy");
+}
+
+/// The same 64 nodes failing mid-run: node 37 stalled after 500 of its
+/// ops, stopping `Reference` exactly where `Batched` stops; and a
+/// watchdog budget expiring after 40 000 dispatches, which only the
+/// oracle's row pins (see the table). Both stop with most nodes still
+/// holding work.
+#[test]
+fn reference_stops_mid_run_at_64_nodes() {
+    for (row, policies) in [
+        ("grid64/none/stall37@500", "RB"),
+        ("grid64/none/budget40000", "R"),
+    ] {
+        for (class, ran) in assert_policies(row, policies, &["err"]) {
+            let Err(SimError::Stalled { nodes, .. }) = &ran[0].result else {
+                panic!(
+                    "{}: not a stall: {:?}",
+                    class.name,
+                    ran[0].result.as_ref().err()
+                );
+            };
+            let done = nodes.iter().filter(|n| n.state == NodeState::Done).count();
+            assert!(done < nodes.len() / 2, "{}: stopped mid-run", class.name);
+        }
+    }
 }
