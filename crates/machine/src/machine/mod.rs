@@ -12,8 +12,8 @@
 //! [`SchedPolicy`]): the `Reference` policy re-derives the laggard from
 //! a clock vector of its own before every single op, while the default
 //! `Batched` policy keeps node clocks in a [`LaggardHeap`] (one sorted
-//! run) and lets the
-//! laggard at its front execute a *run* of ops per decision — ending the run before any op
+//! run) and lets the laggard at its front execute a *run* of ops per
+//! decision — ending the run before any op
 //! that touches shared state unless the node is still the strict schedule
 //! winner, and bounding private-op overrun by the runner-up's clock plus
 //! the memory model's minimum shared-interaction latency (conservative

@@ -79,7 +79,7 @@ pub const TABLE: &[(&str, &str, Fault, &str, &str)] = &[
     // budget row has no `B` cell: `Batched` runs node-private ops ahead
     // of the reference order inside its lookahead window, so a budget
     // that expires in a contested phase stops it with a different
-    // per-node split of the same 40 000 ops (ROADMAP, "Budget stops").
+    // per-node split of the same 40 000 ops (ROADMAP item 6).
     ("grid64", "none", Stall(5, 37, 500), "one", "sched: R B"),
     ("grid64", "none", Budget(40_000), "one", "sched: R"),
     // [`EpochEdges`] (3432 ops, 1533 on node 0, 900 of them alone); failing
