@@ -12,6 +12,7 @@
 
 use crate::{fail, header, Args, Setup};
 use flashsim_core::calibrate::{calibrate, Calibration};
+use flashsim_core::figures::{RelativeFigure, SpeedupFigure};
 use flashsim_core::metrics::{render_scorecards, scorecards, trend_fidelity};
 use flashsim_core::platform::Tuning;
 use flashsim_core::report::{paper, render_relative, render_speedup, render_table1, render_table3};
@@ -19,10 +20,14 @@ use flashsim_core::{figures, workloads};
 use std::cell::OnceCell;
 
 /// What one target runs under: the setup, plus the calibration loop's
-/// result, computed the first time a target needs it.
+/// result and the figures `trends` reads again, each computed the first
+/// time a target needs it.
 struct Ctx {
     setup: Setup,
     cal: OnceCell<Calibration>,
+    fig3: OnceCell<RelativeFigure>,
+    fig5: OnceCell<SpeedupFigure>,
+    fig6: OnceCell<SpeedupFigure>,
 }
 
 impl Ctx {
@@ -32,6 +37,24 @@ impl Ctx {
 
     fn tuning(&self) -> &Tuning {
         &self.cal().tuning
+    }
+
+    fn fig3(&self) -> &RelativeFigure {
+        let s = &self.setup;
+        self.fig3
+            .get_or_init(|| figures::fig3(&s.study, s.scale, self.tuning()))
+    }
+
+    fn fig5(&self) -> &SpeedupFigure {
+        let s = &self.setup;
+        self.fig5
+            .get_or_init(|| figures::fig5(&s.study, s.scale, self.tuning()))
+    }
+
+    fn fig6(&self) -> &SpeedupFigure {
+        let s = &self.setup;
+        self.fig6
+            .get_or_init(|| figures::fig6(&s.study, s.scale, self.tuning()))
     }
 }
 
@@ -99,8 +122,7 @@ fn fig2(c: &Ctx) {
 
 /// Figure 3: final uniprocessor comparison with calibrated simulators.
 fn fig3(c: &Ctx) {
-    let fig = figures::fig3(&c.setup.study, c.setup.scale, c.tuning());
-    print!("{}", render_relative(&fig));
+    print!("{}", render_relative(c.fig3()));
 }
 
 /// Figure 4: final 4-processor comparison with calibrated simulators.
@@ -112,16 +134,14 @@ fn fig4(c: &Ctx) {
 /// Figure 5: the FFT speedup trend study (hardware vs SimOS-MXS vs the
 /// misleading SimOS-Mipsy at 300 MHz).
 fn fig5(c: &Ctx) {
-    let fig = figures::fig5(&c.setup.study, c.setup.scale, c.tuning());
-    print!("{}", render_speedup(&fig));
+    print!("{}", render_speedup(c.fig5()));
 }
 
 /// Figure 6: the Radix-Sort speedup trend study (hardware vs
 /// SimOS-Mipsy-225 vs Solo-Mipsy-225, which wrongly predicts good
 /// speedup). Paper: hardware speedup is only ~5.3 at 16 processors.
 fn fig6(c: &Ctx) {
-    let fig = figures::fig6(&c.setup.study, c.setup.scale, c.tuning());
-    print!("{}", render_speedup(&fig));
+    print!("{}", render_speedup(c.fig6()));
     println!(
         "(paper: hardware Radix speedup at P=16 is {:.1})",
         paper::RADIX_SPEEDUP_16
@@ -159,17 +179,13 @@ fn ablate_latency(c: &Ctx) {
 /// The paper's §3.4 summary judgement: ranks the simulators by absolute
 /// accuracy (MARE over the Figure-3 suite) and scores their speedup-trend
 /// fidelity (Figures 5-6) — the "even inaccurate simulators predict
-/// trends, if the important effects are modelled" analysis.
+/// trends, if the important effects are modelled" analysis. Under `all`
+/// it reads the figures those targets already ran.
 fn trends(c: &Ctx) {
-    let (study, scale) = (&c.setup.study, c.setup.scale);
-    let grid = figures::fig3(study, scale, c.tuning());
     println!("Absolute accuracy over the tuned uniprocessor suite:");
-    print!("{}", render_scorecards(&scorecards(&grid)));
+    print!("{}", render_scorecards(&scorecards(c.fig3())));
 
-    for (name, fig) in [
-        ("FFT (Figure 5)", figures::fig5(study, scale, c.tuning())),
-        ("Radix (Figure 6)", figures::fig6(study, scale, c.tuning())),
-    ] {
+    for (name, fig) in [("FFT (Figure 5)", c.fig5()), ("Radix (Figure 6)", c.fig6())] {
         println!("\nSpeedup-trend fidelity, {name}:");
         let hw = fig.curve("FLASH 150MHz").expect("hardware curve");
         for curve in &fig.curves {
@@ -199,6 +215,9 @@ pub fn run(args: &Args) {
     let ctx = Ctx {
         setup: args.setup(),
         cal: OnceCell::new(),
+        fig3: OnceCell::new(),
+        fig5: OnceCell::new(),
+        fig6: OnceCell::new(),
     };
     let names = || {
         let names: Vec<&str> = TARGETS.iter().map(|t| t.0).collect();

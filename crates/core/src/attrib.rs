@@ -6,9 +6,10 @@
 //! processor models skip, MAGIC occupancy the NUMA model omits, network
 //! contention, ...). This module answers that question mechanically: run
 //! the same program on two platforms with cycle accounting on
-//! ([`profiled`]), and [`attribute`] decomposes the total relative
-//! error into signed per-class contributions — "18% optimistic, of which
-//! 11 points TLB, 5 occupancy, 2 network".
+//! ([`MachineConfig::profile`](crate::machine::MachineConfig::profile)),
+//! and [`attribute`] decomposes the total relative error into signed
+//! per-class contributions — "18% optimistic, of which 11 points TLB, 5
+//! occupancy, 2 network".
 //!
 //! Because each [`Accounting`] is exactly conserved (per-node class
 //! totals sum to the node's total time), the per-class contributions sum
@@ -16,7 +17,6 @@
 //! residual`] exposes the (floating-point-only) difference, which is
 //! bounded by a few ulps.
 
-use crate::machine::MachineConfig;
 use flashsim_engine::{Accounting, StallClass};
 use std::fmt::Write as _;
 
@@ -161,14 +161,6 @@ pub fn attribute(
         total_error: (sim_total as f64 - ref_total as f64) / denom,
         classes,
     }
-}
-
-/// `cfg` with the cycle-accounting profiler switched on, so a run's
-/// `result.accounting` is populated and a machine built from it writes
-/// checkpoints whose provenance says `profile=true` and restores.
-pub fn profiled(mut cfg: MachineConfig) -> MachineConfig {
-    cfg.profile = true;
-    cfg
 }
 
 #[cfg(test)]

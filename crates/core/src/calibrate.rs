@@ -4,26 +4,27 @@
 //! measurements against the hardware and adjusting model parameters until
 //! they agree:
 //!
-//! 1. **TLB refill** ([`calibrate_tlb`]): a page-walking microbenchmark
-//!    times TLB misses on the gold standard; the inferred per-miss cost
-//!    (the paper measures 65 cycles where Mipsy charged 25 and MXS 35)
-//!    becomes the simulators' refill parameter.
-//! 2. **FlashLite latencies** ([`calibrate_flashlite`]): snbench
-//!    dependent-load chains measure the five Table-3 protocol cases on the
-//!    gold standard; a damped Newton fit then adjusts five FlashLite
-//!    knobs (reply path, remote directory handler, processor
-//!    intervention, dirty-path handler, network-out handler) until the
-//!    simulated latencies match — the paper's "we easily tuned FlashLite
-//!    parameters until read latencies for all five protocol read cases
-//!    matched".
-//! 3. **Mipsy's secondary-cache interface** ([`calibrate_mipsy_iface`]):
-//!    the residual wall-clock gap on back-to-back local misses is the
-//!    occupancy of the R10000's external cache interface; it becomes
-//!    Mipsy's tuned `l2_interface_transfer`.
+//! 1. **TLB refill**: a page-walking microbenchmark times TLB misses on
+//!    the gold standard; the inferred per-miss cost (the paper measures
+//!    65 cycles where Mipsy charged 25 and MXS 35) becomes the
+//!    simulators' refill parameter.
+//! 2. **FlashLite latencies**: snbench dependent-load chains measure the
+//!    five Table-3 protocol cases on the gold standard; a damped Newton
+//!    fit then adjusts five FlashLite knobs (reply path, remote directory
+//!    handler, processor intervention, dirty-path handler, network-out
+//!    handler) until the simulated latencies match — the paper's "we
+//!    easily tuned FlashLite parameters until read latencies for all five
+//!    protocol read cases matched".
+//! 3. **Mipsy's secondary-cache interface**: the residual wall-clock gap
+//!    on back-to-back local misses is the occupancy of the R10000's
+//!    external cache interface; it becomes Mipsy's tuned
+//!    `l2_interface_transfer`.
 //!
 //! [`calibrate`] runs all three and returns the [`Tuning`] used by every
-//! "tuned" platform in Figures 3–7. No run of a step depends on another
-//! run of the same step, so each step is one batch on host threads
+//! "tuned" platform in Figures 3–7, with each step's record
+//! ([`Calibration::tlb`], [`Calibration::table3`],
+//! [`Calibration::rounds`]). No run of a step depends on another run of
+//! the same step, so each step is one batch on host threads
 //! ([`parallel_map`]): an opening batch (the TLB pair, and every case on
 //! the hardware and on untuned FlashLite), then per Newton round the
 //! Jacobian's 25 runs and the 5 re-measures. The results, and so the
@@ -208,27 +209,6 @@ fn solve_linear(mut a: [[f64; KNOBS]; KNOBS], mut b: [f64; KNOBS]) -> Option<[f6
     Some(x)
 }
 
-/// Calibrates FlashLite against the gold standard's snbench latencies.
-///
-/// The fit is a damped Newton iteration: the Jacobian of the five
-/// Table-3 case latencies with respect to the five timing knobs (reply
-/// path, remote directory handler, processor intervention, dirty-path
-/// handler, network-out handler) is measured by finite differences —
-/// knobs interact, since the reply path is on every case's critical path
-/// and the network-out handler is charged on up to three legs of a
-/// dirty-remote transaction, so independent per-case adjustment
-/// oscillates — and a linear solve yields the joint update. Returns the
-/// fitted parameters, the Table-3 record, and the Newton rounds taken.
-pub fn calibrate_flashlite(study: &Study) -> (FlashLiteParams, Vec<Table3Row>, u32) {
-    let benches = snbenches(study);
-    let mut jobs = case_jobs(study, None, &benches);
-    jobs.extend(case_jobs(study, Some(FlashLiteParams::untuned()), &benches));
-    let mut hardware = run_batch(jobs);
-    let untuned = hardware.split_off(benches.len());
-    let fit = fit_flashlite(study, &benches, &hardware, untuned);
-    (fit.params, fit.table3, fit.rounds)
-}
-
 /// The outcome of [`fit_flashlite`].
 struct Fit {
     params: FlashLiteParams,
@@ -238,9 +218,19 @@ struct Fit {
     tuned: Vec<RunResult>,
 }
 
-/// The Newton fit of [`calibrate_flashlite`], from the hardware and
-/// untuned runs of each case. Each round measures its Jacobian as one
-/// batch of 5 × 5 runs and its update as one batch of 5.
+/// Fits FlashLite to the gold standard's snbench latencies, from the
+/// hardware and untuned runs of each case.
+///
+/// The fit is a damped Newton iteration: the Jacobian of the five
+/// Table-3 case latencies with respect to the five timing knobs (reply
+/// path, remote directory handler, processor intervention, dirty-path
+/// handler, network-out handler) is measured by finite differences —
+/// knobs interact, since the reply path is on every case's critical path
+/// and the network-out handler is charged on up to three legs of a
+/// dirty-remote transaction, so independent per-case adjustment
+/// oscillates — and a linear solve yields the joint update. Each round
+/// measures its Jacobian as one batch of 5 × 5 runs and its update as one
+/// batch of 5.
 #[allow(clippy::needless_range_loop)] // small fixed-size matrix assembly
 fn fit_flashlite(
     study: &Study,
@@ -372,13 +362,6 @@ fn tlb_calibration(timer: &TlbTimer, missing: &RunResult, baseline: &RunResult) 
     }
 }
 
-/// Calibrates the TLB refill cost from the page-walk timer.
-pub fn calibrate_tlb(study: &Study) -> TlbCalibration {
-    let (timer, cfgs) = tlb_jobs(study);
-    let runs = run_batch(cfgs.map(|cfg| (cfg, &timer as &dyn Program)).into());
-    tlb_calibration(&timer, &runs[0], &runs[1])
-}
-
 /// The interface occupancy from the local-clean chase `bench` on the gold
 /// standard (`hw`) and on tuned Mipsy over FlashLite (`sim`).
 fn mipsy_iface(bench: &Snbench, hw: &RunResult, sim: &RunResult) -> Option<TimeDelta> {
@@ -391,17 +374,6 @@ fn mipsy_iface(bench: &Snbench, hw: &RunResult, sim: &RunResult) -> Option<TimeD
     } else {
         Some(TimeDelta::from_ps((gap.min(500.0) * 1000.0) as u64))
     }
-}
-
-/// Calibrates Mipsy's secondary-cache interface occupancy: the residual
-/// wall-clock gap per back-to-back local miss after FlashLite is tuned.
-pub fn calibrate_mipsy_iface(study: &Study, flashlite: FlashLiteParams) -> Option<TimeDelta> {
-    let benches = snbenches(study);
-    let local_clean = &benches[..1];
-    let mut jobs = case_jobs(study, None, local_clean);
-    jobs.extend(case_jobs(study, Some(flashlite), local_clean));
-    let runs = run_batch(jobs);
-    mipsy_iface(&benches[0], &runs[0], &runs[1])
 }
 
 /// Runs the full calibration: TLB, FlashLite, then the Mipsy interface.
@@ -438,10 +410,17 @@ pub fn calibrate(study: &Study) -> Calibration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The one scaled-study calibration every test here reads.
+    fn cal() -> &'static Calibration {
+        static CAL: OnceLock<Calibration> = OnceLock::new();
+        CAL.get_or_init(|| calibrate(&Study::scaled()))
+    }
 
     #[test]
     fn tlb_calibration_recovers_the_true_cost() {
-        let cal = calibrate_tlb(&Study::scaled());
+        let cal = &cal().tlb;
         assert!(
             (55..=80).contains(&cal.inferred_refill_cycles),
             "inferred {} cycles, expected ≈65",
@@ -452,10 +431,11 @@ mod tests {
 
     #[test]
     fn flashlite_calibration_converges() {
-        let (params, table3, rounds) = calibrate_flashlite(&Study::scaled());
-        assert!(rounds <= 8);
+        let cal = cal();
+        let (params, table3) = (cal.tuning.flashlite, &cal.table3);
+        assert!(cal.rounds <= 8);
         assert_eq!(table3.len(), 5);
-        for row in &table3 {
+        for row in table3 {
             assert!(
                 (row.tuned_relative() - 1.0).abs() < 0.05,
                 "{}: tuned {} vs hw {} (rel {:.3})",
@@ -487,7 +467,7 @@ mod tests {
 
     #[test]
     fn untuned_table3_errors_have_paper_signs() {
-        let (_, table3, _) = calibrate_flashlite(&Study::scaled());
+        let table3 = &cal().table3;
         // Paper Table 3: untuned FlashLite is fast on Local-clean and slow
         // on Remote-dirty-remote.
         let lc = &table3[0];
@@ -506,10 +486,9 @@ mod tests {
 
     #[test]
     fn mipsy_iface_calibration_finds_the_occupancy() {
-        let study = Study::scaled();
-        let (flashlite, _, _) = calibrate_flashlite(&study);
-        let iface = calibrate_mipsy_iface(&study, flashlite);
-        let ns = iface
+        let ns = cal()
+            .tuning
+            .mipsy_l2_iface
             .expect("gold standard has interface occupancy")
             .as_ns_f64();
         assert!(

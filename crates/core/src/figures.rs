@@ -35,10 +35,9 @@ fn time_of(cell: &CellOutcome) -> Result<TimeDelta, &'static str> {
     }
 }
 
-/// A hardware cell's time as the paper measures it: the mean of
-/// [`HARDWARE_RUNS`](crate::runner::HARDWARE_RUNS) jittered runs.
+/// A hardware cell's time as the paper measures it ([`hardware_mean`]).
 fn hardware_time(cell: &CellOutcome) -> Result<TimeDelta, &'static str> {
-    time_of(cell).map(|t| hardware_mean(t, cell.manifest().nodes).0)
+    time_of(cell).map(|t| hardware_mean(t, cell.manifest().nodes))
 }
 
 /// `sim` over `hw`, or the failure kind of the cell that failed.

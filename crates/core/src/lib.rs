@@ -8,9 +8,10 @@
 //! 1. **Platforms** ([`platform`]): the gold-standard "hardware" and the
 //!    seven simulator configurations of the paper's figures, in untuned
 //!    (design-time) and tuned states.
-//! 2. **Measurement** ([`runner`]): averaged hardware runs (≥5 with
-//!    seeded jitter, as the paper averages real runs), relative execution
-//!    time, speedup, and a *supervised* parallel run-matrix executor:
+//! 2. **Measurement** ([`runner`]): the hardware normaliser
+//!    ([`hardware_mean`]: the mean of 5 seeded-jitter runs, as the paper
+//!    averages real runs), relative execution time, speedup, and a
+//!    *supervised* parallel run-matrix executor:
 //!    each cell runs under `catch_unwind` with a watchdog budget, and a
 //!    failed cell becomes a structured [`CellOutcome::Failed`] while the
 //!    rest of the matrix completes.
@@ -52,7 +53,7 @@ pub mod platform;
 pub mod report;
 pub mod runner;
 
-pub use attrib::{attribute, profiled, AttributionReport, ClassContribution};
+pub use attrib::{attribute, AttributionReport, ClassContribution};
 pub use calibrate::{calibrate, Calibration, Table3Row, TlbCalibration};
 pub use figures::{
     apps_tuned, apps_untuned, fig1, fig2, fig3, fig4, fig5, fig6, fig7, latency_ablation,
@@ -66,8 +67,8 @@ pub use metrics::{
 pub use platform::{MemModel, Sim, Study, Tuning};
 pub use report::{render_relative, render_speedup, render_table1, render_table3};
 pub use runner::{
-    parallel_map, relative_time, run_hardware, run_matrix, run_once, speedup, CellOutcome,
-    HardwareMeasurement, MatrixCell, HARDWARE_JITTER, HARDWARE_RUNS,
+    hardware_mean, parallel_map, relative_time, run_matrix, run_once, speedup, CellOutcome,
+    MatrixCell, HARDWARE_JITTER, HARDWARE_RUNS,
 };
 
 // Re-export the layers below for umbrella users.

@@ -229,10 +229,12 @@ impl MachineGeometry {
 
 /// How the machine driver schedules node execution.
 ///
-/// Every policy produces bit-identical results — `tests/sched_equivalence.rs`
-/// asserts it on every platform. `Reference` exists as the oracle for that
-/// proof and for debugging; `Batched` is the serial production hot path;
-/// `Parallel` shards node batches across host worker threads.
+/// Every policy produces bit-identical results for a run that ends by
+/// itself or by a fault — `tests/sched_equivalence.rs` asserts it on every
+/// platform. A [`MachineConfig::max_ops`] stop is policy-dependent: see
+/// there. `Reference` exists as the oracle for that proof and for
+/// debugging; `Batched` is the serial production hot path; `Parallel`
+/// shards node batches across host worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedPolicy {
     /// Conservative lookahead batching over a sorted laggard queue: the
@@ -293,7 +295,12 @@ pub struct MachineConfig {
     pub geometry: MachineGeometry,
     /// Forward-progress watchdog: the most ops executed across all nodes
     /// before the run ends in [`crate::SimError::Stalled`] instead of
-    /// spinning forever (default: `None`, unbounded).
+    /// spinning forever (default: `None`, unbounded). The stop comes after
+    /// the same op count under every [`SchedPolicy`], but one in a
+    /// contested phase splits those ops between nodes differently under
+    /// `Batched` and `Parallel` than under `Reference`: node-private ops
+    /// a lookahead window admitted ahead of the reference order have
+    /// already run.
     pub max_ops: Option<u64>,
     /// Fault plan injected into the run (default: none).
     pub faults: Option<FaultPlan>,

@@ -20,7 +20,9 @@
 //! lookahead). Every shared interaction therefore happens in exactly the
 //! order the reference policy would produce, and the two policies are
 //! bit-identical in stats, accounting, and times (asserted by
-//! `tests/sched_equivalence.rs`; DESIGN.md details the argument).
+//! `tests/sched_equivalence.rs`; DESIGN.md details the argument) — except
+//! where an op budget ([`MachineConfig::max_ops`]) stops a contested
+//! phase, which stops with a policy-dependent per-node split.
 //!
 //! Synchronization is handled here, not in the cores: barriers collect all
 //! nodes and release them together (with a size-dependent overhead), and

@@ -6,7 +6,7 @@
 //! ```
 
 use flashsim::platform::{MemModel, Sim, Study};
-use flashsim::runner::{relative_time, run_hardware, run_once};
+use flashsim::runner::{hardware_mean, relative_time, run_once};
 use flashsim::workloads::{Fft, FftBlocking, ProblemScale};
 
 fn main() {
@@ -18,13 +18,8 @@ fn main() {
 
     // Gold standard: averaged over 5 jittered runs, as the paper averages
     // real hardware runs.
-    let hw = run_hardware(&study, 1, &fft);
-    println!(
-        "FLASH hardware:      {:8.2} ms  (spread over {} runs: {:.1}%)",
-        hw.parallel_time.as_ns_f64() / 1e6,
-        hw.runs_ns.len(),
-        hw.spread() * 100.0
-    );
+    let hw = hardware_mean(run_once(study.hardware(1), &fft).parallel_time, 1);
+    println!("FLASH hardware:      {:8.2} ms", hw.as_ns_f64() / 1e6);
 
     // An untuned simulator configuration.
     for sim in [Sim::SimosMipsy(150), Sim::SimosMipsy(225), Sim::SimosMxs] {
@@ -33,7 +28,7 @@ fn main() {
             "{:<20} {:8.2} ms  relative={:.2}",
             sim.label(),
             r.parallel_time.as_ns_f64() / 1e6,
-            relative_time(r.parallel_time, hw.parallel_time)
+            relative_time(r.parallel_time, hw)
         );
     }
     println!("\n(relative 1.0 = simulator matches hardware; <1 = optimistic)");

@@ -124,6 +124,20 @@ for gone in crates/engine/src/stream.rs crates/bench/src/streamview.rs crates/be
     fi
 done
 
+echo "== one-measurement-path gate (calibrate, runner::hardware_mean) =="
+# The §3.1.2 loop runs through `calibrate` alone, which returns every
+# step's record in `Calibration`, and every hardware time is normalised
+# through `runner::hardware_mean` alone. The step calibrators, the
+# jittered-run record with its spread, and the one-field profiler
+# wrapper do not come back.
+dups=$(grep -rnE '\b(calibrate_(tlb|flashlite|mipsy_iface)|run_hardware|HardwareMeasurement)\b|attrib::profiled\b|fn profiled\b' \
+    crates/*/src tests examples || true)
+if [ -n "$dups" ]; then
+    echo "second measurement path is back:"
+    echo "$dups"
+    exit 1
+fi
+
 echo "== one-export-path gate (every export file is an engine::Schema format) =="
 # Tables go to stdout as text; every file a run exports is one of the
 # formats `flashsim validate` checks, and each schema id names exactly one

@@ -2,14 +2,20 @@
 //! measure the gold standard, the fit tunes the simulators, and the tuned
 //! simulators agree with the hardware on every Table-3 protocol case.
 
-use flashsim::calibrate::calibrate;
+use flashsim::calibrate::{calibrate, Calibration};
 use flashsim::platform::Study;
 use flashsim::report::{paper, render_table3};
+use std::sync::OnceLock;
+
+/// The scaled-study calibration this binary's tests share.
+fn shared() -> &'static Calibration {
+    static CAL: OnceLock<Calibration> = OnceLock::new();
+    CAL.get_or_init(|| calibrate(&Study::scaled()))
+}
 
 #[test]
 fn closing_the_simulation_loop() {
-    let study = Study::scaled();
-    let cal = calibrate(&study);
+    let cal = shared();
 
     // The TLB microbenchmark recovers approximately the true 65-cycle
     // refill cost (against the 25/35-cycle untuned model predictions).
@@ -58,7 +64,7 @@ fn closing_the_simulation_loop() {
     );
 
     // The rendered table is complete and self-consistent.
-    let rendered = render_table3(&cal);
+    let rendered = render_table3(cal);
     for label in [
         "Local, clean",
         "Local, dirty remote",
@@ -73,9 +79,8 @@ fn closing_the_simulation_loop() {
 
 #[test]
 fn calibration_is_reproducible() {
-    let study = Study::scaled();
-    let a = calibrate(&study);
-    let b = calibrate(&study);
+    let a = calibrate(&Study::scaled());
+    let b = shared();
     assert_eq!(a.tuning.tlb_refill_cycles, b.tuning.tlb_refill_cycles);
     assert_eq!(a.tuning.flashlite, b.tuning.flashlite);
     assert_eq!(a.tuning.mipsy_l2_iface, b.tuning.mipsy_l2_iface);

@@ -81,8 +81,8 @@ fn batched_restore_still_matches_reference_policy() {
     }
 }
 
-/// Every profiled class is built with `attrib::profiled`, the config
-/// a profiled run builds its machine from, so a checkpoint's provenance
+/// Every profiled class switches the profiler on in its config
+/// (`MachineConfig::profile`), so a checkpoint's provenance
 /// says `profile=true` and the restored machine has a ledger to load into.
 /// (A profiler attached behind a `profile=false` config passed the
 /// provenance check and then failed in the ledger with

@@ -5,7 +5,7 @@
 use flashsim::figures::{apps_tuned, RelativeFigure, RelativePoint};
 use flashsim::platform::{MemModel, Sim, Study};
 use flashsim::report::render_relative;
-use flashsim::runner::{parallel_map, relative_time, run_hardware, run_once};
+use flashsim::runner::{hardware_mean, parallel_map, relative_time, run_once};
 use flashsim::workloads::ProblemScale;
 use std::sync::Arc;
 
@@ -17,7 +17,7 @@ fn tiny_grid() -> RelativeFigure {
     let apps = apps_tuned(ProblemScale::Tiny, 1);
     let hw: Vec<_> = apps
         .iter()
-        .map(|(_, p)| run_hardware(&study, 1, p.as_ref()).parallel_time)
+        .map(|(_, p)| hardware_mean(run_once(study.hardware(1), p.as_ref()).parallel_time, 1))
         .collect();
 
     let mut jobs = Vec::new();

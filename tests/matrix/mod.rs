@@ -29,7 +29,6 @@
 
 #![allow(dead_code)] // each suite reads part of it
 
-use flashsim::attrib::profiled;
 use flashsim::engine::ckpt;
 use flashsim::engine::{
     span, telemetry, Accounting, FaultPlan, SpanPlan, SpanSet, StatSet, TelemetrySeries, Time,
@@ -198,9 +197,9 @@ fn program(name: &str, study: &Study) -> Box<dyn Program> {
 /// telemetry at 500 ns, every span), or sampled spans alone.
 fn observe(obs: &str, mut cfg: MachineConfig) -> MachineConfig {
     if obs == "profile" || obs == "all" {
-        // The profiled config (`attrib::profiled`), so its checkpoints
+        // The profiler is switched on in the config, so its checkpoints
         // restore into a machine with a ledger to load.
-        cfg = profiled(cfg);
+        cfg.profile = true;
     }
     if obs == "all" {
         cfg.telemetry = Some(TimeDelta::from_ns(500));
