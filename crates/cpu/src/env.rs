@@ -103,8 +103,10 @@ impl ScanProfile {
 
 /// A processor timing model.
 ///
-/// The machine feeds ops one at a time (synchronization ops never reach
-/// the core) and uses [`now`](Core::now)/[`drain`](Core::drain)/
+/// The machine feeds memory ops one at a time through
+/// [`execute`](Core::execute), and node-local ops (compute and branches)
+/// as runs through [`run_local`](Core::run_local); synchronization ops
+/// never reach the core. It uses [`now`](Core::now)/[`drain`](Core::drain)/
 /// [`set_time`](Core::set_time) to coordinate multiprocessor scheduling.
 pub trait Core: Send {
     /// Executes one (non-sync) op, advancing internal time and possibly
@@ -112,6 +114,25 @@ pub trait Core: Send {
     /// reads after the op, so a scheduler stepping a `dyn Core` pays one
     /// virtual call per op, not two.
     fn execute(&mut self, op: &Op, env: &mut dyn MemEnv) -> Time;
+
+    /// Executes a run of node-local ops from the front of `ops` in one
+    /// call, and returns how many ran and [`now`](Core::now) after them.
+    /// `ops[0]` must be local and always runs. Each later op runs only if
+    /// it is local and the clock before it is below `stop`; the run ends
+    /// after the first op whose completion reaches `tick`. The result is
+    /// exactly that of calling [`execute`](Core::execute) on the same ops
+    /// under the same rule, which is what the default does; a model
+    /// overrides it with a tight loop over its compute and branch arms.
+    fn run_local(
+        &mut self,
+        ops: &[Op],
+        stop: Time,
+        tick: Time,
+        env: &mut dyn MemEnv,
+    ) -> (usize, Time) {
+        let now = self.now();
+        local_run(ops, stop, tick, now, |op| self.execute(op, env))
+    }
 
     /// The core's current position on the timeline (next fetch).
     fn now(&self) -> Time;
@@ -160,6 +181,35 @@ pub trait Core: Send {
     /// not defaulted: a model that silently skipped its state here would
     /// restore with a cold pipeline and break the byte-identity contract.
     fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError>;
+}
+
+/// The rule of [`Core::run_local`] over `step`, which executes one op and
+/// returns the clock after it; `now` is the clock before `ops[0]`.
+/// Returns how many ops ran and the clock after the last.
+#[inline]
+pub(crate) fn local_run(
+    ops: &[Op],
+    stop: Time,
+    tick: Time,
+    mut now: Time,
+    mut step: impl FnMut(&Op) -> Time,
+) -> (usize, Time) {
+    debug_assert!(
+        ops.first().is_some_and(|op| op.class.is_local()),
+        "a local run starts at a local op"
+    );
+    let mut ran = 0;
+    for op in ops {
+        if ran > 0 && (!op.class.is_local() || now >= stop) {
+            break;
+        }
+        now = step(op);
+        ran += 1;
+        if now >= tick {
+            break;
+        }
+    }
+    (ran, now)
 }
 
 /// A trivial environment for core unit tests: everything hits, with fixed

@@ -12,7 +12,7 @@
 //! experiment: adding the R10000's 5-cycle multiply and 19-cycle divide to
 //! Mipsy moves Radix-Sort's prediction from 0.71 to ≈1.0.
 
-use crate::env::{Core, MemAccessKind, MemEnv};
+use crate::env::{local_run, Core, MemAccessKind, MemEnv};
 use crate::lat::LatencyTable;
 use flashsim_engine::{Ckpt, CkptError, Clock, Observers, StallClass, StatSet, Time, TimeDelta};
 use flashsim_isa::{Op, OpClass};
@@ -102,8 +102,11 @@ impl Mipsy {
         self.cfg.clock.period()
     }
 
-    fn compute_cost(&self, class: OpClass) -> TimeDelta {
-        if self.cfg.model_int_latencies {
+    /// What a compute op or a branch costs: one cycle, or the R10000's
+    /// latency for a compute op under the latency ablation. A branch is
+    /// one cycle either way: no pipeline, so no misprediction to model.
+    fn local_cost(&self, class: OpClass) -> TimeDelta {
+        if self.cfg.model_int_latencies && class != OpClass::Branch {
             self.cfg.clock.cycles(self.lat.cycles(class))
         } else {
             self.cycle()
@@ -141,12 +144,9 @@ impl Core for Mipsy {
             | OpClass::IntDiv
             | OpClass::FpAdd
             | OpClass::FpMul
-            | OpClass::FpDiv => {
-                self.t += self.compute_cost(op.class);
-            }
-            OpClass::Branch => {
-                // No pipeline => no misprediction cost to model.
-                self.t += self.cycle();
+            | OpClass::FpDiv
+            | OpClass::Branch => {
+                self.t += self.local_cost(op.class);
             }
             OpClass::Load => {
                 self.loads += 1;
@@ -230,6 +230,21 @@ impl Core for Mipsy {
             }
         }
         self.t
+    }
+
+    fn run_local(
+        &mut self,
+        ops: &[Op],
+        stop: Time,
+        tick: Time,
+        _env: &mut dyn MemEnv,
+    ) -> (usize, Time) {
+        let (ran, t) = local_run(ops, stop, tick, self.t, |op| {
+            self.t += self.local_cost(op.class);
+            self.t
+        });
+        self.ops += ran as u64;
+        (ran, t)
     }
 
     fn now(&self) -> Time {

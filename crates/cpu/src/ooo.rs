@@ -28,7 +28,7 @@
 //!   from sustaining its peak width; MXS happily streams at 4.0.
 
 use crate::branch::BranchPredictor;
-use crate::env::{Core, MemAccessKind, MemEnv};
+use crate::env::{local_run, Core, MemAccessKind, MemEnv};
 use crate::lat::LatencyTable;
 use flashsim_engine::{Ckpt, CkptError, Clock, Observers, StallClass, StatSet, Time, TimeDelta};
 use flashsim_isa::{Op, OpClass, Reg};
@@ -269,11 +269,40 @@ impl OooCore {
     fn cycles(&self, n: u64) -> TimeDelta {
         self.cfg.clock.cycles(n)
     }
+
+    /// Fetches and issues one compute op or branch: all that
+    /// [`execute`](Core::execute) does for a local op besides counting it.
+    fn issue_local(&mut self, op: &Op) {
+        self.advance_fetch();
+        let entry = self.window_entry();
+        let ready = entry
+            .max(self.reg_ready[op.src_a.index()])
+            .max(self.reg_ready[op.src_b.index()]);
+        if op.class == OpClass::Branch {
+            let issue = self.unit_issue(UnitClass::Int, ready);
+            let completion = issue + self.cycles(self.cfg.latencies.branch);
+            if self.bp.mispredicts(op.id, op.taken()) {
+                // Fetch restarts after resolution plus the penalty.
+                self.fetch = self
+                    .fetch
+                    .max(completion + self.cycles(self.cfg.mispredict_penalty));
+            }
+            self.complete(completion, op.dst);
+        } else {
+            let issue = self.unit_issue(unit_class(op.class), ready);
+            let completion = issue + self.cycles(self.cfg.latencies.cycles(op.class));
+            self.complete(completion, op.dst);
+        }
+    }
 }
 
 impl Core for OooCore {
     fn execute(&mut self, op: &Op, env: &mut dyn MemEnv) -> Time {
         self.ops += 1;
+        if op.class.is_local() {
+            self.issue_local(op);
+            return self.fetch;
+        }
         self.advance_fetch();
         let entry = self.window_entry();
         // Stores issue to the address/LS slot as soon as their ADDRESS is
@@ -291,27 +320,6 @@ impl Core for OooCore {
         };
 
         match op.class {
-            OpClass::IntAlu
-            | OpClass::IntMul
-            | OpClass::IntDiv
-            | OpClass::FpAdd
-            | OpClass::FpMul
-            | OpClass::FpDiv => {
-                let issue = self.unit_issue(unit_class(op.class), ready);
-                let completion = issue + self.cycles(self.cfg.latencies.cycles(op.class));
-                self.complete(completion, op.dst);
-            }
-            OpClass::Branch => {
-                let issue = self.unit_issue(UnitClass::Int, ready);
-                let completion = issue + self.cycles(self.cfg.latencies.branch);
-                if self.bp.mispredicts(op.id, op.taken()) {
-                    // Fetch restarts after resolution plus the penalty.
-                    self.fetch = self
-                        .fetch
-                        .max(completion + self.cycles(self.cfg.mispredict_penalty));
-                }
-                self.complete(completion, op.dst);
-            }
             OpClass::Load | OpClass::Store | OpClass::Prefetch => {
                 if op.class == OpClass::Load {
                     self.loads += 1;
@@ -401,11 +409,25 @@ impl Core for OooCore {
                 }
                 self.complete(completion, op.dst);
             }
-            OpClass::Barrier | OpClass::LockAcquire | OpClass::LockRelease => {
-                unreachable!("sync ops are handled by the machine layer") // gate: allow
-            }
+            // Local ops returned above.
+            _ => unreachable!("sync ops are handled by the machine layer"), // gate: allow
         }
         self.fetch
+    }
+
+    fn run_local(
+        &mut self,
+        ops: &[Op],
+        stop: Time,
+        tick: Time,
+        _env: &mut dyn MemEnv,
+    ) -> (usize, Time) {
+        let (ran, t) = local_run(ops, stop, tick, self.fetch, |op| {
+            self.issue_local(op);
+            self.fetch
+        });
+        self.ops += ran as u64;
+        (ran, t)
     }
 
     fn now(&self) -> Time {
@@ -449,9 +471,9 @@ impl Core for OooCore {
     }
 
     fn scan_profile(&self) -> crate::env::ScanProfile {
-        // `now()` is the fetch pointer and every `execute` begins with
-        // `advance_fetch`, which moves fetch by at least
-        // floor(period / effective_width) picoseconds per op — the
+        // `now()` is the fetch pointer and every op, executed alone or
+        // in a local run, begins with `advance_fetch`, which moves fetch
+        // by at least floor(period / effective_width) picoseconds — the
         // sustained-bandwidth lower bound. Out-of-order *completion*
         // overlap never moves fetch backwards, so the bound holds no
         // matter how many ops retire per cycle. This is what lets the

@@ -140,3 +140,122 @@ fn stats_count_every_op() {
         }
     }
 }
+
+/// A random node-local op: every compute class and branches, each reading
+/// a recent result (a dependence) or nothing.
+fn random_local(rng: &mut Rng, i: usize) -> Op {
+    let dst = Reg(8 + (i % 24) as u8);
+    let src = |rng: &mut Rng| match rng.gen_range(3) {
+        0 => Reg::ZERO,
+        _ => Reg(8 + ((i + 23 - rng.gen_range(3) as usize) % 24) as u8),
+    };
+    let classes = [
+        OpClass::IntAlu,
+        OpClass::IntMul,
+        OpClass::IntDiv,
+        OpClass::FpAdd,
+        OpClass::FpMul,
+        OpClass::FpDiv,
+    ];
+    match rng.gen_range(8) {
+        6 | 7 => Op::branch(rng.gen_range(5) as u32, rng.gen_range(3) != 0, src(rng)),
+        k => Op::compute(classes[k as usize], dst, src(rng), src(rng)),
+    }
+}
+
+/// The core's checkpoint bytes.
+fn ckpt_bytes(core: &mut dyn Core) -> String {
+    let mut w = flashsim_engine::CkptWriter::new("run-local");
+    w.section("core");
+    core.ckpt(&mut flashsim_engine::Ckpt::Save(&mut w))
+        .expect("saves");
+    w.finish()
+}
+
+/// The clocks after each of `ops` on a copy of `core` restored into
+/// `fresh`: the values at which a bound is exactly met.
+fn clocks_after(core: &mut dyn Core, mut fresh: Box<dyn Core>, ops: &[Op]) -> Vec<u64> {
+    let text = ckpt_bytes(core);
+    let mut r = flashsim_engine::CkptReader::open(&text).expect("opens");
+    r.section("core").expect("a core section");
+    fresh
+        .ckpt(&mut flashsim_engine::Ckpt::Load(&mut r))
+        .expect("restores");
+    let mut env = FixedEnv::all_hits();
+    ops.iter()
+        .map(|op| fresh.execute(op, &mut env).as_ps())
+        .collect()
+}
+
+/// `Core::run_local` is the one-op `execute` loop under its rule: the
+/// first op always runs, a later one only if it is local and the clock
+/// before it is below `stop`, and the run ends after the op whose
+/// completion reaches `tick`.
+#[test]
+fn run_local_is_the_one_op_loop() {
+    fn ablation() -> Box<dyn Core> {
+        let mut cfg = MipsyConfig::at_mhz(225);
+        cfg.model_int_latencies = true;
+        Box::new(Mipsy::new(cfg))
+    }
+    let models: [fn() -> Box<dyn Core>; 4] = [
+        || Box::new(Mipsy::new(MipsyConfig::at_mhz(150))),
+        ablation,
+        || Box::new(mxs()),
+        || Box::new(r10000()),
+    ];
+    let mut rng = Rng::seeded(0x10CA1);
+    for make in models {
+        let (mut run, mut one) = (make(), make());
+        let name = run.model_name();
+        let mut env = FixedEnv::new(0x8000, TimeDelta::from_ns(400));
+        for round in 0..400 {
+            // Some memory ops first, so misses and stores are in flight.
+            for op in random_ops(&mut rng, 0, 6) {
+                run.execute(&op, &mut env);
+                one.execute(&op, &mut env);
+            }
+            let mut ops: Vec<Op> = (0..1 + rng.gen_range(40) as usize)
+                .map(|i| random_local(&mut rng, i))
+                .collect();
+            if rng.gen_range(3) == 0 {
+                // A memory op ends the run where it stands.
+                let at = rng.gen_range(ops.len() as u64) as usize;
+                ops.insert(at.max(1), Op::load(VAddr(0x9000), Reg(9), Reg::ZERO));
+            }
+            // Bounds at or below the first op's clock, exactly at a clock
+            // the run reaches, between clocks, or out of reach.
+            let start = one.now().as_ps();
+            let clocks = clocks_after(&mut *one, make(), &ops);
+            let bound = |rng: &mut Rng| match rng.gen_range(5) {
+                0 => Time::from_ps(start.saturating_sub(rng.gen_range(20_000))),
+                1 => Time::from_ps(clocks[rng.gen_range(clocks.len() as u64) as usize]),
+                2 => Time::from_ps(start + rng.gen_range(200_000)),
+                _ => Time::MAX,
+            };
+            let (stop, tick) = (bound(&mut rng), bound(&mut rng));
+
+            let got = run.run_local(&ops, stop, tick, &mut env);
+            let mut now = one.now();
+            let mut ran = 0;
+            for op in &ops {
+                if ran > 0 && (!op.class.is_local() || now >= stop) {
+                    break;
+                }
+                now = one.execute(op, &mut env);
+                ran += 1;
+                if now >= tick {
+                    break;
+                }
+            }
+            let case = format!("{name} round {round}: stop {stop:?} tick {tick:?}");
+            assert_eq!(got, (ran, now), "{case}");
+            assert_eq!(run.now(), one.now(), "{case}");
+            assert_eq!(run.stats().to_json(), one.stats().to_json(), "{case}");
+            assert_eq!(ckpt_bytes(&mut *run), ckpt_bytes(&mut *one), "{case}");
+        }
+        run.drain();
+        one.drain();
+        assert_eq!(ckpt_bytes(&mut *run), ckpt_bytes(&mut *one), "{name}");
+    }
+}

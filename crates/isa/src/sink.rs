@@ -115,12 +115,7 @@ impl Sink {
     /// distinct registers, so independent work is visible as ILP to
     /// out-of-order models.
     pub fn next_reg(&mut self) -> Reg {
-        let r = Reg(self.rotate);
-        self.rotate += 1;
-        if self.rotate as usize >= Reg::COUNT {
-            self.rotate = ROTATE_FIRST;
-        }
-        r
+        rotate(&mut self.rotate)
     }
 
     /// Emits a load of `addr`; returns the destination register.
@@ -155,10 +150,20 @@ impl Sink {
     }
 
     /// Emits `n` mutually independent ops of `class` on rotating registers.
+    /// The ops are written straight into the chunk, up to its room, then
+    /// the chunk is handed over: the ops one [`push`](Sink::push) each
+    /// would emit, without its per-op checks.
     pub fn work(&mut self, class: OpClass, n: u64) {
-        for _ in 0..n {
-            let dst = self.next_reg();
-            self.push(Op::compute(class, dst, Reg::ZERO, Reg::ZERO));
+        let mut left = n;
+        while left > 0 && self.live {
+            let take = left.min((CHUNK_OPS - self.buf.len()) as u64);
+            let at = &mut self.rotate;
+            let ops = (0..take).map(|_| Op::compute(class, rotate(at), Reg::ZERO, Reg::ZERO));
+            self.buf.extend(ops);
+            left -= take;
+            if self.buf.len() >= CHUNK_OPS {
+                self.flush();
+            }
         }
     }
 
@@ -218,6 +223,17 @@ impl Sink {
     pub fn unlock(&mut self, id: u32, addr: VAddr) {
         self.push(Op::lock_release(id, addr));
     }
+}
+
+/// Hands out the rotating register at `*at` and moves `*at` to the next.
+#[inline]
+fn rotate(at: &mut u8) -> Reg {
+    let r = Reg(*at);
+    *at += 1;
+    if *at as usize >= Reg::COUNT {
+        *at = ROTATE_FIRST;
+    }
+    r
 }
 
 /// The consume side of a thread's op stream.
@@ -457,6 +473,38 @@ mod tests {
         assert_eq!(ops.len(), 3);
         assert_ne!(ops[0].dst, ops[1].dst);
         assert_ne!(ops[1].dst, ops[2].dst);
+    }
+
+    #[test]
+    fn work_emits_what_one_push_per_op_emits() {
+        // Bursts that fill a chunk exactly, straddle boundaries and start
+        // mid-chunk, between single pushes.
+        let script = [
+            1u64,
+            CHUNK_OPS as u64 - 1,
+            0,
+            3,
+            CHUNK_OPS as u64 * 2 + 5,
+            7,
+        ];
+        let bulk = spawn_stream(move |sink| {
+            for (k, n) in script.into_iter().enumerate() {
+                sink.work(OpClass::FpAdd, n);
+                sink.load(VAddr(k as u64 * 8));
+            }
+        });
+        let one = spawn_stream(move |sink| {
+            for (k, n) in script.into_iter().enumerate() {
+                for _ in 0..n {
+                    let dst = sink.next_reg();
+                    sink.push(Op::compute(OpClass::FpAdd, dst, Reg::ZERO, Reg::ZERO));
+                }
+                sink.load(VAddr(k as u64 * 8));
+            }
+        });
+        let (bulk, one): (Vec<_>, Vec<_>) = (bulk.collect(), one.collect());
+        assert_eq!(bulk.len() as u64, script.iter().sum::<u64>() + 6);
+        assert!(bulk == one, "the bursts emit other ops");
     }
 
     #[test]

@@ -75,6 +75,18 @@ impl ChargeSink<'_> {
         self.account(StallClass::L2Miss, at, wait - occ - net);
     }
 
+    /// The clock at which the node's next OS timer tick comes due, or
+    /// `Time::MAX` on a machine without a timer: the `tick` of
+    /// [`Core::run_local`].
+    #[inline]
+    pub(super) fn next_tick(&self, mem: &NodeMem) -> Time {
+        if self.cfg.os.timer_interval.is_some() {
+            mem.next_tick
+        } else {
+            Time::MAX
+        }
+    }
+
     /// Charges the OS timer ticks that came due on this node by `done`,
     /// its core's clock after an op, and returns the clock after them.
     /// Ticks touch only per-node state, so they never break a batch.

@@ -64,6 +64,10 @@ pub(super) struct Sched {
     executed: u64,
     lookahead: TimeDelta,
     inject_stalls: bool,
+    /// Whether a local op may take the local ops after it along in one
+    /// [`Core::run_local`] call: not while the stall injector or the
+    /// profiler is on, which work one op at a time.
+    local_runs: bool,
     budget: Option<u64>,
     /// Whether fork/join rounds may run at all (parallel policy, two or
     /// more nodes, transparent scan profiles).
@@ -187,10 +191,21 @@ impl Epoch<'_> {
     /// would pick `n`), and past that point only node-private ops within
     /// the lookahead window; (3) the watchdog budget; (4) dispatch, with
     /// OS timer ticks charged inline (per-node state, not a batch
-    /// breaker). The core's clock comes back from `execute`: the post-op
-    /// reading is the next op's start and the next schedule test's key.
-    /// Ops are read in place: the core executes `&ops[i]` out of the
-    /// chunk the generator thread filled, never a copy.
+    /// breaker). The core's clock comes back from the dispatch: the
+    /// post-op reading is the next op's start and the next schedule
+    /// test's key. Ops are read in place: the core executes `&ops[i..]`
+    /// out of the chunk the generator thread filled, never a copy.
+    ///
+    /// A local op is dispatched with the local ops after it as one
+    /// [`Core::run_local`] run, which applies rules (2)–(4) itself: rule
+    /// (2) for a local op is `clock < stop`, worked out once per batch;
+    /// rule (3) caps the run at the budget left; a run ends at the op
+    /// whose completion reaches the node's next timer tick, so ticks are
+    /// still charged right after the op that makes them due. Rule (1)
+    /// and the profiler's per-op mark cap a run at one op while they are
+    /// on. Between local ops nothing else moves: they call no
+    /// environment, fault nothing, and retire no fill that the next
+    /// memory op's retire would not.
     fn step(&mut self, s: &mut Sched) -> Option<EpochEnd> {
         let Some((laggard, decision_at)) = s.heap.peek() else {
             return Some(EpochEnd::Idle);
@@ -211,6 +226,7 @@ impl Epoch<'_> {
         env.sink.node = n;
         sched_obs.open(&obs.telemetry, decision_at, s.heap.len() as u64);
         let mut now = decision_at;
+        let stop = local_stop(laggard, limit, s.lookahead);
         let serial = obs.hostprof.phase(HostPhase::Serial);
         // The batch walks the generator's own chunk: `ops` is borrowed from
         // the stream, `i` counts the ops dispatched out of it, and one
@@ -263,10 +279,21 @@ impl Epoch<'_> {
                         ops_before,
                     });
                 }
-                s.executed += 1;
-                i += 1;
                 env.mems[n].pending.retire(now);
-                let done = core.execute(op, env);
+                let (ran, done) = if op.class.is_local() {
+                    let left = s.budget.map_or(usize::MAX, |b| (b - s.executed) as usize);
+                    let end = if s.local_runs {
+                        ops.len().min(i.saturating_add(left))
+                    } else {
+                        i + 1
+                    };
+                    let tick = env.sink.next_tick(&env.mems[n]);
+                    core.run_local(&ops[i..end], stop, tick, env)
+                } else {
+                    (1, core.execute(op, env))
+                };
+                s.executed += ran as u64;
+                i += ran;
                 let busy = done.saturating_since(now);
                 obs.profiler
                     .mark_op_in(&mut env.mems[n].obs.compute, laggard, now, busy);
@@ -296,6 +323,18 @@ impl Epoch<'_> {
         s.close_decision(sched_obs, obs, decision_at, ops_before);
         None
     }
+}
+
+/// Rule (2) of [`Epoch::step`] for a local op on `laggard`, as the clock
+/// `stop` it must start below: the op runs while `(clock, laggard)` beats
+/// the runner-up's key `(lim, m)` or the clock is inside the lookahead
+/// window `lim + lookahead`; with no runner-up it always runs.
+fn local_stop(laggard: u32, limit: Option<(u32, Time)>, lookahead: TimeDelta) -> Time {
+    limit.map_or(Time::MAX, |(m, lim)| {
+        // At `clock == lim` the key wins only on the node tie-break.
+        let tie = TimeDelta::from_ps(u64::from(laggard < m));
+        lim + lookahead.max(tie)
+    })
 }
 
 /// Nodes per group of [`OracleClocks`]: the square root of the largest
@@ -491,6 +530,7 @@ impl Machine {
             executed: self.streams.iter().map(|s| s.consumed()).sum(),
             lookahead: self.memsys.min_shared_latency(),
             inject_stalls: self.injector.is_active(),
+            local_runs: !self.injector.is_active() && !self.obs.profiler.is_enabled(),
             budget: self.cfg.max_ops,
             can_fork: nodes >= 2 && transparent,
             opaque_serial: nodes >= 2 && fork.is_some() && !transparent,
@@ -652,5 +692,30 @@ impl Machine {
         }
         env.sink.timer_ticks(&mut env.mems[n], core, done);
         Ok(false)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `clock < local_stop(..)` is rule (2) for a local op, at every
+    /// clock around the runner-up's, with and without a lookahead window
+    /// and on both sides of the node tie-break.
+    #[test]
+    fn local_stop_is_rule_two_for_a_local_op() {
+        let lim = Time::from_ps(1000);
+        for lookahead in [0, 1, 7] {
+            let lookahead = TimeDelta::from_ps(lookahead);
+            for (laggard, m) in [(0, 1), (1, 0), (2, 5), (5, 2)] {
+                let stop = local_stop(laggard, Some((m, lim)), lookahead);
+                for clock in 990..1010 {
+                    let now = Time::from_ps(clock);
+                    let rule = (now, laggard) < (lim, m) || now < lim + lookahead;
+                    assert_eq!(now < stop, rule, "{now:?} {laggard} {m} {lookahead:?}");
+                }
+            }
+            assert_eq!(local_stop(3, None, lookahead), Time::MAX);
+        }
     }
 }

@@ -215,7 +215,9 @@ echo "== oracle-independence gate (the Reference oracle derives the schedule alo
 # of the schedule that the batched and parallel policies are proven
 # bit-identical against: one op per decision, the laggard re-read from
 # the oracle's own clock vector. Their bodies name no part of the
-# production schedule, so a shared defect cannot pass the equivalence.
+# production schedule, so a shared defect cannot pass the equivalence:
+# the oracle dispatches every op through `Core::execute`, never through
+# the local runs of `Core::run_local` and the batch walk's `local_stop`.
 oracle=$(awk '/fn (run_reference|step_node)\(/,/^    }$/' crates/machine/src/machine/sched.rs)
 for f in run_reference step_node; do
     if ! printf '%s\n' "$oracle" | grep -q "fn $f("; then
@@ -223,7 +225,7 @@ for f in run_reference step_node; do
         exit 1
     fi
 done
-shared=$(printf '%s\n' "$oracle" | grep -wE 'LaggardHeap|Sched|Epoch|run_scheduled' || true)
+shared=$(printf '%s\n' "$oracle" | grep -wE 'LaggardHeap|Sched|Epoch|run_scheduled|run_local|local_stop' || true)
 if [ -n "$shared" ]; then
     echo "the Reference oracle names the production schedule:"
     echo "$shared"

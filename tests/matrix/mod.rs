@@ -43,7 +43,7 @@ use flashsim::workloads::{Fft, FftBlocking, ProblemScale, SnCase, Snbench, SyncS
 use flashsim_isa::{Placement, Program, Segment, Sink, VAddr};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, OnceLock};
-pub use Fault::{Budget, Clean, Mixed, Stall};
+pub use Fault::{Budget, Clean, Mixed, Stall, Tick};
 
 /// The table. Each line is a [`program`], an observer set ([`observe`]),
 /// a [`Fault`] plan and the [`platforms`] it runs on — one class per
@@ -70,6 +70,11 @@ pub const TABLE: &[(&str, &str, Fault, &str, &str)] = &[
     // nodes whose sync ops mostly park their node.
     ("storm", "profile", Clean, "every", "sched: R B P"),
     ("snbench", "none", Clean, "pair", "sched: R B P"),
+    // Node 1 dirtying the chase region alone, 180 ALU ops after every
+    // store: local runs of 180 ops that the timer ticks every 100 µs cut,
+    // and a watchdog budget that expires in the middle of one.
+    ("snbench-dirty", "none", Tick(100), "pair", "sched: R B P"),
+    ("snbench-dirty", "none", Budget(SN_BUDGET), "pair", "sched: R B"),
     ("storm2", "none", Stall(7, 1, 120), "one", "sched: R B P"),
     ("grid64", "profile", Clean, "pair", "sched: R B P:1 P:2 P:host"),
     // The same 64 nodes with node 37 stalled mid-run, and with a watchdog
@@ -96,6 +101,11 @@ pub const TABLE: &[(&str, &str, Fault, &str, &str)] = &[
     ("edges", "none", Budget(3431), "pair", "sched: R B P"),
     ("edges-long", "all", Clean, "pair", "sched: R B P; hostprof: B+host P+host"),
 ];
+
+/// The budget of the `snbench-dirty` row: nodes 0, 2 and 3 each dispatch
+/// their first barrier, and node 1 stops after 300 store-and-ALU groups
+/// of 181 ops and the store and 90 ALU ops of the next.
+pub const SN_BUDGET: u64 = 3 + 300 * 181 + 91;
 
 /// Every recorded row: a class name, then `field:digest`. The `tel`,
 /// `spans` and `texts` of `fft2/all/*` and `fft2/all/faults/*` predate the
@@ -148,6 +158,10 @@ pub const RECORDED: &[&str] = &[
     "storm/profile/simos-mxs/numa run:4af947756c7f5f04 acct:f32fd0d9e546529f",
     "snbench/none/hardware run:bb073e1f8818b6b3",
     "snbench/none/simos-mipsy-150/flashlite run:8a2f68a240751558",
+    "snbench-dirty/none/tick100us/hardware run:b4490816620a7f8f",
+    "snbench-dirty/none/tick100us/simos-mipsy-150/flashlite run:6206b336c2262a3b",
+    "snbench-dirty/none/budget54394/hardware err:ea48c7c7838a6b29",
+    "snbench-dirty/none/budget54394/simos-mipsy-150/flashlite err:ad2a06b49ea7037c",
     "storm2/none/stall1@120/simos-mipsy-150/flashlite err:ea28516b335cbd07",
     "grid64/profile/hardware run:3ec07a6496a96b26 acct:72b97c23a1146288",
     "grid64/profile/simos-mipsy-150/flashlite run:362a20c2561b6396 acct:ced4a40f0b0550a6",
@@ -185,6 +199,7 @@ fn program(name: &str, study: &Study) -> Box<dyn Program> {
         "fft4" => fft(4),
         "storm" => Box::new(SyncStorm::new(4, 6, 5)),
         "snbench" => Box::new(Snbench::new(SnCase::all()[2], study.geometry.l2.bytes)),
+        "snbench-dirty" => Box::new(Snbench::new(SnCase::all()[1], study.geometry.l2.bytes)),
         "storm2" => Box::new(SyncStorm::new(2, 4, 3)),
         "grid64" => Box::new(SyncGrid { rounds: 6 }),
         "edges" => edges(600, 900),
@@ -214,13 +229,15 @@ fn observe(obs: &str, mut cfg: MachineConfig) -> MachineConfig {
 /// Fault plans: none; latency perturbation (shared RNG draws on every
 /// memory transaction, which any reordering scrambles), dropped and
 /// delayed messages, a clamped directory pointer pool and MAGIC queue; a
-/// node stalled after some ops (seed, node, ops); or a watchdog budget.
+/// node stalled after some ops (seed, node, ops); a watchdog budget; or
+/// the OS timer ticking every so many microseconds instead of 10 ms.
 #[derive(Clone, Copy)]
 pub enum Fault {
     Clean,
     Mixed,
     Stall(u64, u32, u64),
     Budget(u64),
+    Tick(u64),
 }
 
 impl Fault {
@@ -256,6 +273,11 @@ impl Fault {
             Budget(ops) => {
                 cfg.max_ops = Some(ops);
                 format!("/budget{ops}")
+            }
+            Tick(us) => {
+                assert!(cfg.os.timer_interval.is_some(), "a platform with a timer");
+                cfg.os.timer_interval = Some(TimeDelta::from_us(us));
+                format!("/tick{us}us")
             }
         }
     }

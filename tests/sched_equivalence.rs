@@ -142,6 +142,26 @@ fn candidates_match_reference_on_snbench_chase() {
     assert_eq!(classes.len(), 2, "hardware and SimOS-Mipsy");
 }
 
+/// Node 1 dirtying the region alone, 180 ALU ops after every store: the
+/// batched walk hands each run of them to the core in one call, which
+/// ends a run at the op that makes a timer tick due (every 100 µs here)
+/// and at the watchdog budget, here expiring 91 ops into a group.
+#[test]
+fn candidates_match_reference_over_local_runs() {
+    for (class, ran) in assert_policies("snbench-dirty/none/tick100us", "RBP", &["run"]) {
+        let ticks = ran[0].ok().total_time.as_ns() / 100_000;
+        assert!(ticks > 100, "{}: {ticks} ticks", class.name);
+    }
+    let row = format!("snbench-dirty/none/budget{}", matrix::SN_BUDGET);
+    for (class, ran) in assert_policies(&row, "RB", &["err"]) {
+        let Err(SimError::Stalled { nodes, .. }) = &ran[0].result else {
+            panic!("{}: not a stall", class.name);
+        };
+        let ops: Vec<u64> = nodes.iter().map(|n| n.ops).collect();
+        assert_eq!(ops, [1, 300 * 181 + 91, 1, 1], "{}", class.name);
+    }
+}
+
 /// Latency perturbation draws from the injector's shared RNG on every
 /// memory transaction, so the *order* of shared interactions is directly
 /// observable: any schedule divergence scrambles the draws and the stats.
