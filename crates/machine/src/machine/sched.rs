@@ -203,7 +203,8 @@ impl Epoch<'_> {
     /// whose completion reaches the node's next timer tick, so ticks are
     /// still charged right after the op that makes them due. Rule (1)
     /// and the profiler's per-op mark cap a run at one op while they are
-    /// on. Between local ops nothing else moves: they call no
+    /// on, and a run of one reads no bound it cannot reach. Between local
+    /// ops nothing else moves: they call no
     /// environment, fault nothing, and retire no fill that the next
     /// memory op's retire would not.
     fn step(&mut self, s: &mut Sched) -> Option<EpochEnd> {
@@ -280,17 +281,16 @@ impl Epoch<'_> {
                     });
                 }
                 env.mems[n].pending.retire(now);
-                let (ran, done) = if op.class.is_local() {
+                let (ran, done) = if !op.class.is_local() {
+                    (1, core.execute(op, env))
+                } else if s.local_runs {
                     let left = s.budget.map_or(usize::MAX, |b| (b - s.executed) as usize);
-                    let end = if s.local_runs {
-                        ops.len().min(i.saturating_add(left))
-                    } else {
-                        i + 1
-                    };
+                    let end = ops.len().min(i.saturating_add(left));
                     let tick = env.sink.next_tick(&env.mems[n]);
                     core.run_local(&ops[i..end], stop, tick, env)
                 } else {
-                    (1, core.execute(op, env))
+                    // A run of one op: no later op for the bounds to stop.
+                    core.run_local(std::slice::from_ref(op), stop, Time::MAX, env)
                 };
                 s.executed += ran as u64;
                 i += ran;
