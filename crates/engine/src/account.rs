@@ -241,6 +241,15 @@ impl Ledger {
         self.in_op.get()?.get(node as usize)
     }
 
+    /// Whether nothing was charged in-op on `node` since its last mark,
+    /// read without the lock; `false` for a node outside the lock-free
+    /// range.
+    #[inline]
+    fn uncharged(&self, node: u32) -> bool {
+        self.in_op(node)
+            .is_some_and(|flag| !flag.load(Ordering::Acquire))
+    }
+
     /// The per-op path: the residual of `busy` over what was charged
     /// in-op since the last mark goes straight to Compute.
     fn mark_op(&self, node: u32, at: Time, busy: TimeDelta) {
@@ -375,13 +384,32 @@ impl Profiler {
     #[inline]
     pub fn mark_op_in(&self, w: &mut Window, node: u32, at: Time, busy: TimeDelta) {
         let Some(ledger) = &self.ledger else { return };
-        let uncharged = ledger
-            .in_op(node)
-            .is_some_and(|flag| !flag.load(Ordering::Acquire));
-        if !uncharged {
+        if !ledger.uncharged(node) {
             ledger.mark_op(node, at, busy);
         } else if !busy.is_zero() && !w.sum(at.as_ps(), busy.as_ps()) {
             window::turn(&ledger.book, w, node, at.as_ps(), busy.as_ps());
+        }
+    }
+
+    /// The clock below which every op of a run of node-local ops on
+    /// `node` starting at `at` must start, for one [`mark_op_in`] at `at`
+    /// with the run's total busy time to leave the ledger as a mark per op
+    /// would. Local ops charge nothing in-op, so `mark_op_in` folds each
+    /// op that starts in `w`'s bucket `[lo, hi)` into `w`, and a fold is
+    /// published in the bucket that holds its largest op start, whichever
+    /// start that is. The bound is `Time::MAX` on a disabled profiler, `hi`
+    /// when `mark_op_in` would fold an op starting at `at` into `w`, and
+    /// `at` otherwise: the run is then one op, and its mark re-aims `w`.
+    ///
+    /// [`mark_op_in`]: Profiler::mark_op_in
+    #[inline]
+    pub fn run_bound(&self, w: &Window, node: u32, at: Time) -> Time {
+        let Some(ledger) = &self.ledger else {
+            return Time::MAX;
+        };
+        match w.end_of(at.as_ps()) {
+            Some(hi) if ledger.uncharged(node) => Time::from_ps(hi),
+            _ => at,
         }
     }
 
@@ -860,6 +888,123 @@ mod tests {
                 Err(CkptError::Parse { key, .. }) if !ok => assert_eq!(key, "phase_ps"),
                 other => panic!("phase_ps={width}: {other:?}"),
             }
+        }
+    }
+
+    /// What happens on node 0 between two of its op starts: a local op, a
+    /// memory op that charges in-op, a span between ops, or another node's
+    /// event far ahead, which doubles the bucket width.
+    #[derive(Clone, Copy)]
+    enum Step {
+        Local(u64),
+        Memory { busy: u64, charged: u64 },
+        Wall(u64),
+        Far(u64),
+    }
+
+    /// Applies `step` to `p` at clock `at`; a local op is marked alone.
+    fn apply(p: &Profiler, w: &mut Window, at: u64, step: Step) {
+        let t = Time::from_ps(at);
+        match step {
+            Step::Local(busy) => p.mark_op_in(w, 0, t, TimeDelta::from_ps(busy)),
+            Step::Memory { busy, charged } => {
+                p.charge(0, StallClass::L2Miss, t, TimeDelta::from_ps(charged));
+                p.mark_op_in(w, 0, t, TimeDelta::from_ps(busy));
+            }
+            Step::Wall(ps) => p.charge_wall(0, StallClass::Sync, t, TimeDelta::from_ps(ps)),
+            Step::Far(ps) => p.charge_wall(1, StallClass::Os, Time::from_ps(ps), ns(1)),
+        }
+    }
+
+    /// The ledger's current bucket width.
+    fn width(p: &Profiler) -> u64 {
+        p.ledger.as_ref().expect("enabled").book().axis.width()
+    }
+
+    /// The published ledger's snapshot and checkpoint bytes.
+    fn ledger(p: &Profiler, w: &mut Window, end: u64) -> (Accounting, String) {
+        p.publish(w, 0);
+        let mut out = crate::ckpt::CkptWriter::new("runs");
+        p.ckpt(&mut Ckpt::Save(&mut out)).expect("saves");
+        let end = Time::from_ps(end);
+        (p.snapshot(&[end, end]).expect("enabled"), out.finish())
+    }
+
+    /// Over seeded op streams, marking every op with [`Profiler::mark_op_in`]
+    /// and marking each run of local ops once — at its first op's start,
+    /// with its whole busy time — leave the same snapshot and checkpoint
+    /// bytes, when a run's ops all start below [`Profiler::run_bound`]
+    /// taken at its first op. The streams hold zero-busy ops, runs that
+    /// start outside the window (after a span between ops or a charged
+    /// memory op), ops that start exactly on a bucket boundary, and
+    /// another node's event far ahead doubling the width mid-stream. Runs
+    /// are also cut short at random, as a batch's other bounds cut them.
+    #[test]
+    fn runs_marked_once_below_the_bound_leave_the_ledger_of_per_op_marks() {
+        use crate::rng::Rng;
+        for seed in 0..48 {
+            let mut rng = Rng::seeded(seed);
+            let oracle = Profiler::new();
+            oracle.reserve_nodes(2);
+            let mut w = Window::new();
+            let (mut steps, mut at) = (Vec::new(), 0u64);
+            for _ in 0..600 {
+                let step = match rng.gen_range(40) {
+                    0..=2 => Step::Memory {
+                        busy: rng.gen_range(3 * INITIAL_WIDTH_PS / 4),
+                        charged: rng.gen_range(INITIAL_WIDTH_PS / 2),
+                    },
+                    3 => Step::Wall(rng.gen_range(4 * INITIAL_WIDTH_PS)),
+                    4 if steps.len() > 300 => Step::Far(at + rng.gen_range(300) * INITIAL_WIDTH_PS),
+                    // Several ops issued in one cycle.
+                    5..=9 => Step::Local(0),
+                    // To the next bucket boundary, or past it.
+                    10..=17 => Step::Local(width(&oracle) - at % width(&oracle)),
+                    _ => Step::Local(rng.gen_range(INITIAL_WIDTH_PS / 3)),
+                };
+                apply(&oracle, &mut w, at, step);
+                steps.push((at, step));
+                at += match step {
+                    Step::Local(busy) | Step::Memory { busy, .. } | Step::Wall(busy) => busy,
+                    Step::Far(_) => 0,
+                };
+            }
+            let want = ledger(&oracle, &mut w, at);
+
+            let subject = Profiler::new();
+            subject.reserve_nodes(2);
+            let mut w = Window::new();
+            let (mut i, mut runs) = (0, 0);
+            while i < steps.len() {
+                let (start, step) = steps[i];
+                if !matches!(step, Step::Local(_)) {
+                    apply(&subject, &mut w, start, step);
+                    i += 1;
+                    continue;
+                }
+                let bound = subject.run_bound(&w, 0, Time::from_ps(start)).as_ps();
+                let (first, cut) = (i, i + 1 + rng.gen_range(40) as usize);
+                let mut busy = 0;
+                while let Some(&(op_at, Step::Local(b))) = steps.get(i) {
+                    if i > first && (op_at >= bound || i == cut) {
+                        break;
+                    }
+                    busy += b;
+                    i += 1;
+                }
+                subject.mark_op_in(&mut w, 0, Time::from_ps(start), TimeDelta::from_ps(busy));
+                runs += 1;
+            }
+            let local = steps
+                .iter()
+                .filter(|(_, s)| matches!(s, Step::Local(_)))
+                .count();
+            assert!(runs < local, "seed {seed}: every run was one op");
+            assert!(
+                want.0.phase_ps > INITIAL_WIDTH_PS,
+                "seed {seed}: no doubling"
+            );
+            assert_eq!(ledger(&subject, &mut w, at), want, "seed {seed}");
         }
     }
 

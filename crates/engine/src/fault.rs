@@ -302,6 +302,15 @@ impl FaultInjector {
         .unwrap_or(MessageFate::Deliver)
     }
 
+    /// The stalled node and the ops it executes before it stops, known
+    /// before the run starts: `node_stalled(node, ops)` is true exactly
+    /// from that count on, and for no other node. `None` when the plan
+    /// stalls nothing.
+    pub fn stall_point(&self) -> Option<(u32, u64)> {
+        let node = self.plan.stall_node?;
+        Some((node, self.plan.stall_after_ops))
+    }
+
     /// True if node `node` is stalled after having executed `ops` ops:
     /// the machine must stop scheduling it and eventually report
     /// `Stalled`, never hang.
@@ -393,9 +402,16 @@ mod tests {
             ..FaultPlan::default()
         };
         let inj = FaultInjector::new(plan);
+        assert_eq!(inj.stall_point(), Some((2, 100)));
         assert!(!inj.node_stalled(2, 99));
         assert!(inj.node_stalled(2, 100));
         assert!(!inj.node_stalled(1, 1_000_000));
+        let perturbs = FaultPlan {
+            latency_prob: 0.5,
+            ..FaultPlan::default()
+        };
+        assert_eq!(FaultInjector::new(perturbs).stall_point(), None);
+        assert_eq!(FaultInjector::inert().stall_point(), None);
     }
 
     #[test]

@@ -206,6 +206,12 @@ impl Window {
         inside
     }
 
+    /// The end `hi` of the window's interval if `at` lies inside it.
+    #[inline]
+    pub(crate) fn end_of(&self, at: u64) -> Option<u64> {
+        (self.lo..self.hi).contains(&at).then_some(self.hi)
+    }
+
     /// Empties the window, returning `(last_at, fold)` if it held
     /// anything.
     pub(crate) fn take(&mut self) -> Option<(u64, u64)> {

@@ -63,11 +63,8 @@ pub(super) struct Sched {
     /// as in the reference loop.
     executed: u64,
     lookahead: TimeDelta,
-    inject_stalls: bool,
-    /// Whether a local op may take the local ops after it along in one
-    /// [`Core::run_local`] call: not while the stall injector or the
-    /// profiler is on, which work one op at a time.
-    local_runs: bool,
+    /// The stalled node and its stall point (`FaultInjector::stall_point`).
+    stall: Option<(u32, u64)>,
     budget: Option<u64>,
     /// Whether fork/join rounds may run at all (parallel policy, two or
     /// more nodes, transparent scan profiles).
@@ -147,21 +144,21 @@ pub(super) struct Epoch<'a> {
 impl Epoch<'_> {
     /// Runs serial scheduling decisions until one needs the whole
     /// machine. Each iteration is the per-decision prologue both policy
-    /// loops have always run — the stall sweep over every Running node,
-    /// the fork gate — then one fused [`step`](Epoch::step).
+    /// loops have always run — the stall sweep, of the one node a sync op
+    /// or a fork round may have brought to its stall point outside its own
+    /// walk; the fork gate — then one fused [`step`](Epoch::step).
     fn run(&mut self, s: &mut Sched) -> EpochEnd {
         loop {
-            if s.inject_stalls {
-                for n in 0..self.status.len() {
-                    if self.status[n] == NodeStatus::Running
-                        && self
-                            .env
-                            .faults
-                            .node_stalled(n as u32, self.streams[n].consumed())
-                    {
-                        self.status[n] = NodeStatus::Stalled;
-                        s.heap.remove(n as u32);
-                    }
+            if let Some((stall, _)) = s.stall {
+                let n = stall as usize;
+                if self.status.get(n) == Some(&NodeStatus::Running)
+                    && self
+                        .env
+                        .faults
+                        .node_stalled(stall, self.streams[n].consumed())
+                {
+                    self.status[n] = NodeStatus::Stalled;
+                    s.heap.remove(stall);
                 }
             }
             if let Some(quota) = s.fork_quota() {
@@ -197,16 +194,15 @@ impl Epoch<'_> {
     /// out of the chunk the generator thread filled, never a copy.
     ///
     /// A local op is dispatched with the local ops after it as one
-    /// [`Core::run_local`] run, which applies rules (2)–(4) itself: rule
-    /// (2) for a local op is `clock < stop`, worked out once per batch;
-    /// rule (3) caps the run at the budget left; a run ends at the op
-    /// whose completion reaches the node's next timer tick, so ticks are
-    /// still charged right after the op that makes them due. Rule (1)
-    /// and the profiler's per-op mark cap a run at one op while they are
-    /// on, and a run of one reads no bound it cannot reach. Between local
-    /// ops nothing else moves: they call no
-    /// environment, fault nothing, and retire no fill that the next
-    /// memory op's retire would not.
+    /// [`Core::run_local`] run, with rules (1)–(4) as its bounds: (2) for
+    /// a local op is `clock < stop`, worked out once per batch; (1) and
+    /// (3) end the run at the stall point and the budget, known before it
+    /// runs; it ends at the op whose completion reaches the node's next
+    /// timer tick, so ticks are charged right after the op that makes
+    /// them due; and its ops start below `Profiler::run_bound`, so one
+    /// profiler mark at its start covers it. Between local ops nothing
+    /// else moves: they call no environment, charge and fault nothing,
+    /// and retire no fill that the next memory op's retire would not.
     fn step(&mut self, s: &mut Sched) -> Option<EpochEnd> {
         let Some((laggard, decision_at)) = s.heap.peek() else {
             return Some(EpochEnd::Idle);
@@ -228,6 +224,8 @@ impl Epoch<'_> {
         sched_obs.open(&obs.telemetry, decision_at, s.heap.len() as u64);
         let mut now = decision_at;
         let stop = local_stop(laggard, limit, s.lookahead);
+        // The consumed count at which the injector stalls `laggard`.
+        let stall_at = s.stall.and_then(|(m, at)| (m == laggard).then_some(at));
         let serial = obs.hostprof.phase(HostPhase::Serial);
         // The batch walks the generator's own chunk: `ops` is borrowed from
         // the stream, `i` counts the ops dispatched out of it, and one
@@ -240,9 +238,9 @@ impl Epoch<'_> {
             let stop = loop {
                 // (1) The stall sweep the reference loop runs before every
                 // op. Only the executing node's consumed count moves inside
-                // a batch, so checking just `n` here plus all Running nodes
+                // a batch, so checking just `n` here plus the stall node
                 // per scheduling decision is equivalent.
-                if s.inject_stalls && env.faults.node_stalled(laggard, base + i as u64) {
+                if stall_at.is_some() && env.faults.node_stalled(laggard, base + i as u64) {
                     status[n] = NodeStatus::Stalled;
                     break Walk::Batch { runnable: false };
                 }
@@ -283,14 +281,15 @@ impl Epoch<'_> {
                 env.mems[n].pending.retire(now);
                 let (ran, done) = if !op.class.is_local() {
                     (1, core.execute(op, env))
-                } else if s.local_runs {
-                    let left = s.budget.map_or(usize::MAX, |b| (b - s.executed) as usize);
-                    let end = ops.len().min(i.saturating_add(left));
-                    let tick = env.sink.next_tick(&env.mems[n]);
-                    core.run_local(&ops[i..end], stop, tick, env)
                 } else {
-                    // A run of one op: no later op for the bounds to stop.
-                    core.run_local(std::slice::from_ref(op), stop, Time::MAX, env)
+                    // Rules (3) and (1): the budget and the stall point.
+                    let left = s.budget.map_or(u64::MAX, |b| b - s.executed);
+                    let left = stall_at.map_or(left, |at| left.min(at - (base + i as u64)));
+                    let end = ops.len().min(i.saturating_add(left as usize));
+                    let mem = &env.mems[n];
+                    let tick = env.sink.next_tick(mem);
+                    let bound = obs.profiler.run_bound(&mem.obs.compute, laggard, now);
+                    core.run_local(&ops[i..end], stop.min(bound), tick, env)
                 };
                 s.executed += ran as u64;
                 i += ran;
@@ -529,8 +528,7 @@ impl Machine {
             // See run_reference: continues from restored streams on resume.
             executed: self.streams.iter().map(|s| s.consumed()).sum(),
             lookahead: self.memsys.min_shared_latency(),
-            inject_stalls: self.injector.is_active(),
-            local_runs: !self.injector.is_active() && !self.obs.profiler.is_enabled(),
+            stall: self.injector.stall_point(),
             budget: self.cfg.max_ops,
             can_fork: nodes >= 2 && transparent,
             opaque_serial: nodes >= 2 && fork.is_some() && !transparent,

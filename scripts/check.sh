@@ -232,6 +232,26 @@ if [ -n "$shared" ]; then
     exit 1
 fi
 
+echo "== one-dispatch gate (the batch walk takes one path whatever is attached) =="
+# `Epoch::run` and `Epoch::step` dispatch every op of a serial decision
+# the same way whether the profiler or a fault plan is on: the stall
+# point and the profiler's bucket end are bounds a local run ends at, not
+# a switch to one-op runs. Their bodies ask nothing about what is
+# attached, keep no local-run flag, and build no one-op slice.
+walk=$(awk '/fn (run|step)\(/,/^    }$/' crates/machine/src/machine/sched.rs)
+for f in run step; do
+    if ! printf '%s\n' "$walk" | grep -q "fn $f("; then
+        echo "crates/machine/src/machine/sched.rs has no fn $f"
+        exit 1
+    fi
+done
+switch=$(printf '%s\n' "$walk" | grep -wE 'is_enabled|is_active|local_runs|from_ref' || true)
+if [ -n "$switch" ]; then
+    echo "the batch walk picks its dispatch path by what is attached:"
+    echo "$switch"
+    exit 1
+fi
+
 echo "== one-profile gate (one release profile, in .cargo/config.toml) =="
 # The root workspace and benchmark/ (a workspace of its own, built from
 # the repo root) both read .cargo/config.toml and nothing else in common:

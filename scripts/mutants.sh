@@ -37,7 +37,7 @@ list=scripts/mutants.txt
 # (checks the table's shape, runs no cell) and figures_smoke (step 2
 # compares the figures' bytes itself).
 SUITES="account_determinism calibration_loop hostile_exports hostprof_isolation memsys_walk
-paper_shapes random_programs same_binary sched_equivalence span_determinism
+paper_shapes random_programs same_binary sched_equivalence small_scope span_determinism
 telemetry_determinism telemetry_hotspot"
 FIGURES="table3 fig3"
 TIMEOUT=90

@@ -29,6 +29,8 @@
 
 #![allow(dead_code)] // each suite reads part of it
 
+mod scope;
+
 use flashsim::engine::ckpt;
 use flashsim::engine::{
     span, telemetry, Accounting, FaultPlan, SpanPlan, SpanSet, StatSet, TelemetrySeries, Time,
@@ -75,6 +77,10 @@ pub const TABLE: &[(&str, &str, Fault, &str, &str)] = &[
     // and a watchdog budget that expires in the middle of one.
     ("snbench-dirty", "none", Tick(100), "pair", "sched: R B P"),
     ("snbench-dirty", "none", Budget(SN_BUDGET), "pair", "sched: R B"),
+    // The same runs ended at a stall 90 ALU ops into one of them, and
+    // marked by the profiler, whose phase buckets they cross.
+    ("snbench-dirty", "none", Stall(11, 1, SN_STALL), "pair", "sched: R B P"),
+    ("snbench-dirty", "profile", Clean, "pair", "sched: R B P"),
     ("storm2", "none", Stall(7, 1, 120), "one", "sched: R B P"),
     ("grid64", "profile", Clean, "pair", "sched: R B P:1 P:2 P:host"),
     // The same 64 nodes with node 37 stalled mid-run, and with a watchdog
@@ -100,12 +106,21 @@ pub const TABLE: &[(&str, &str, Fault, &str, &str)] = &[
     ("edges", "none", Budget(3430), "pair", "sched: R B P"),
     ("edges", "none", Budget(3431), "pair", "sched: R B P"),
     ("edges-long", "all", Clean, "pair", "sched: R B P; hostprof: B+host P+host"),
+    // A small-scope program, as `tests/small_scope.rs` prints one it finds
+    // the policies disagreeing on: node 1 stalled two ops into a 50-op
+    // local run, profiled.
+    ("scope-sAl-AsA", "profile", Stall(0, 1, 2), "hardware", "sched: R B"),
 ];
 
 /// The budget of the `snbench-dirty` row: nodes 0, 2 and 3 each dispatch
 /// their first barrier, and node 1 stops after 300 store-and-ALU groups
 /// of 181 ops and the store and 90 ALU ops of the next.
 pub const SN_BUDGET: u64 = 3 + 300 * 181 + 91;
+
+/// The stall point of the `snbench-dirty` stall row: node 1's ops at the
+/// budget stop above, 300 groups of 181 ops and then the store and 90 of
+/// the 180 ALU ops of the next, so the stall cuts a local run in half.
+pub const SN_STALL: u64 = SN_BUDGET - 3;
 
 /// Every recorded row: a class name, then `field:digest`. The `tel`,
 /// `spans` and `texts` of `fft2/all/*` and `fft2/all/faults/*` predate the
@@ -162,6 +177,10 @@ pub const RECORDED: &[&str] = &[
     "snbench-dirty/none/tick100us/simos-mipsy-150/flashlite run:6206b336c2262a3b",
     "snbench-dirty/none/budget54394/hardware err:ea48c7c7838a6b29",
     "snbench-dirty/none/budget54394/simos-mipsy-150/flashlite err:ad2a06b49ea7037c",
+    "snbench-dirty/none/stall1@54391/hardware err:441033f244cd8d37",
+    "snbench-dirty/none/stall1@54391/simos-mipsy-150/flashlite err:e586fb70c1459a35",
+    "snbench-dirty/profile/hardware run:b2796dee0b97f158 acct:57a463c965198b87",
+    "snbench-dirty/profile/simos-mipsy-150/flashlite run:bf8650c91ee02a28 acct:28847ab6f13745a2",
     "storm2/none/stall1@120/simos-mipsy-150/flashlite err:ea28516b335cbd07",
     "grid64/profile/hardware run:3ec07a6496a96b26 acct:72b97c23a1146288",
     "grid64/profile/simos-mipsy-150/flashlite run:362a20c2561b6396 acct:ced4a40f0b0550a6",
@@ -188,9 +207,11 @@ pub const RECORDED: &[&str] = &[
     "edges/none/budget3431/simos-mipsy-150/flashlite err:1a58340eb638f25d",
     "edges-long/all/hardware run:6a706b90e999e064 acct:7bbb010a745eb0d9 tel:ac48a7782b2e87cc spans:372f7bf08e9c78dc series:087872a4c2c19191",
     "edges-long/all/simos-mipsy-150/flashlite run:00136faf184e39df acct:e65938b25c448479 tel:963caefdfea14042 spans:5f6302ca8e8c5911 series:0127b8ac63c67e8f",
+    "scope-sAl-AsA/profile/stall1@2/hardware err:2886d5633db5aa41",
 ];
 
-/// The table's programs, by name.
+/// The table's programs, by name; a `scope-` name is a small-scope
+/// program ([`scope::Scope`]).
 fn program(name: &str, study: &Study) -> Box<dyn Program> {
     let fft = |n| Box::new(Fft::sized(ProblemScale::Tiny, n, FftBlocking::Cache));
     let edges = |grind, solo| Box::new(EpochEdges { grind, solo });
@@ -204,7 +225,7 @@ fn program(name: &str, study: &Study) -> Box<dyn Program> {
         "grid64" => Box::new(SyncGrid { rounds: 6 }),
         "edges" => edges(600, 900),
         "edges-long" => edges(9000, 50),
-        _ => panic!("no program {name}"),
+        _ => Box::new(scope::Scope::parse(name).unwrap_or_else(|| panic!("no program {name}"))),
     }
 }
 
@@ -286,7 +307,8 @@ impl Fault {
 /// The platforms of the study (the hardware plus each simulator × memory
 /// system) that `on` names: `every` one, the `pair` the paper validates
 /// first (hardware, SimOS-Mipsy on FlashLite), SimOS-Mipsy on both memory
-/// systems (`mipsy`) or on FlashLite alone (`one`).
+/// systems (`mipsy`) or on FlashLite alone (`one`), or the `hardware`
+/// alone (the small scope's platform, `tests/small_scope.rs`).
 fn platforms(study: &Study, nodes: u32, on: &str) -> Vec<(String, MachineConfig)> {
     let mut out = vec![("hardware".to_owned(), study.hardware(nodes))];
     for sim in [Sim::SimosMipsy(150), Sim::SoloMipsy(150), Sim::SimosMxs] {
@@ -300,6 +322,7 @@ fn platforms(study: &Study, nodes: u32, on: &str) -> Vec<(String, MachineConfig)
         "pair" => label == one || label == "hardware",
         "mipsy" => label.starts_with("simos-mipsy"),
         "one" => label == one,
+        "hardware" => label == "hardware",
         _ => true,
     });
     out

@@ -144,8 +144,9 @@ fn candidates_match_reference_on_snbench_chase() {
 
 /// Node 1 dirtying the region alone, 180 ALU ops after every store: the
 /// batched walk hands each run of them to the core in one call, which
-/// ends a run at the op that makes a timer tick due (every 100 µs here)
-/// and at the watchdog budget, here expiring 91 ops into a group.
+/// ends a run at the op that makes a timer tick due (every 100 µs here),
+/// at the watchdog budget and at the injected stall, both here 91 ops
+/// into a group, and at the profiler's phase-bucket boundary.
 #[test]
 fn candidates_match_reference_over_local_runs() {
     for (class, ran) in assert_policies("snbench-dirty/none/tick100us", "RBP", &["run"]) {
@@ -160,6 +161,15 @@ fn candidates_match_reference_over_local_runs() {
         let ops: Vec<u64> = nodes.iter().map(|n| n.ops).collect();
         assert_eq!(ops, [1, 300 * 181 + 91, 1, 1], "{}", class.name);
     }
+    let row = format!("snbench-dirty/none/stall1@{}", matrix::SN_STALL);
+    for (class, ran) in assert_policies(&row, "RBP", &["err"]) {
+        let Err(SimError::Stalled { nodes, .. }) = &ran[0].result else {
+            panic!("{}: not a stall", class.name);
+        };
+        assert_eq!(nodes[1].state, NodeState::Stalled, "{}", class.name);
+        assert_eq!(nodes[1].ops, matrix::SN_STALL, "{}", class.name);
+    }
+    assert_policies("snbench-dirty/profile", "RBP", &["run", "acct"]);
 }
 
 /// Latency perturbation draws from the injector's shared RNG on every
@@ -281,5 +291,15 @@ fn reference_stops_mid_run_at_64_nodes() {
             let done = nodes.iter().filter(|n| n.state == NodeState::Done).count();
             assert!(done < nodes.len() / 2, "{}: stopped mid-run", class.name);
         }
+    }
+}
+
+/// The small scope's programs in the table: `tests/small_scope.rs` prints
+/// each program it finds the policies disagreeing on as such a line.
+#[test]
+fn candidates_match_reference_on_small_scope_programs() {
+    let found = matrix::ran_if(|c| c.row.starts_with("scope-"), "scope-");
+    for (class, ran) in found {
+        assert_eq!(letters(ran), "RB", "{}", class.name);
     }
 }
