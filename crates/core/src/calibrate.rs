@@ -23,20 +23,23 @@
 //! [`calibrate`] runs all three and returns the [`Tuning`] used by every
 //! "tuned" platform in Figures 3–7, with each step's record
 //! ([`Calibration::tlb`], [`Calibration::table3`],
-//! [`Calibration::rounds`]). No run of a step depends on another run of
+//! [`Calibration::ledger`], [`Calibration::rounds`],
+//! [`Calibration::runs`]). No run of a step depends on another run of
 //! the same step, so each step is one batch on host threads
-//! ([`parallel_map`]): an opening batch (the TLB pair, and every case on
-//! the hardware and on untuned FlashLite), then per Newton round the
-//! Jacobian's 25 runs and the 5 re-measures. The results, and so the
-//! arithmetic, come back in the serial loop's order.
+//! ([`parallel_map`]): an opening batch of 12 (the TLB pair, and every
+//! case on the hardware and on untuned FlashLite), then per Newton round
+//! the 5 re-measures. The fit's Jacobian is not measured: it is the
+//! [`Ledger`] of one staged zero-load read per case, which states how
+//! many critical-path legs each knob is charged on. The results, and so
+//! the arithmetic, come back in the serial loop's order.
 
 use crate::platform::{MemModel, Sim, Study, Tuning};
 use crate::runner::{parallel_map, run_once};
-use flashsim_engine::{Clock, TimeDelta};
-use flashsim_flashlite::FlashLiteParams;
+use flashsim_engine::{Clock, Observers, SpanPlan, SpanTracer, SpanTxn, Time, TimeDelta};
+use flashsim_flashlite::{FlashLite, FlashLiteParams};
 use flashsim_isa::Program;
 use flashsim_machine::{MachineConfig, RunResult};
-use flashsim_mem::ProtocolCase;
+use flashsim_mem::{AccessKind, LineAddr, MemRequest, MemorySystem, ProtocolCase};
 use flashsim_workloads::micro::{SnCase, Snbench, TlbTimer};
 
 /// One row of the Table-3 reproduction.
@@ -84,8 +87,13 @@ pub struct Calibration {
     pub table3: Vec<Table3Row>,
     /// The TLB measurement.
     pub tlb: TlbCalibration,
-    /// Coordinate-descent rounds the FlashLite fit needed.
+    /// What each case's critical path charges: the fit's Jacobian.
+    pub ledger: Ledger,
+    /// Newton rounds the FlashLite fit needed.
     pub rounds: u32,
+    /// Machine runs the whole calibration made: the opening batch of 12
+    /// plus 5 per round.
+    pub runs: u32,
 }
 
 /// Runs a batch of independent measurements on host threads
@@ -149,6 +157,159 @@ fn case_means(runs: &[RunResult]) -> Vec<f64> {
 /// The five FlashLite knobs the fit adjusts, all handled in nanoseconds
 /// (cycle-granular fields are rounded to MAGIC cycles when written back).
 const KNOBS: usize = 5;
+
+/// The knobs' [`FlashLiteParams`] field names, in the fit's order.
+pub const KNOB_FIELDS: [&str; KNOBS] = [
+    "reply_fill",
+    "pp_dir_remote",
+    "proc_intervention",
+    "pp_dirty_extra",
+    "pp_ni_out",
+];
+
+/// The node every staged and measured chase reads from.
+const REQUESTER: u32 = 0;
+
+/// Per-node memory of the bare FlashLite the ledger is staged on.
+const STAGE_NODE_MEM: u64 = 1 << 24;
+
+/// The [`FlashLiteParams`] field whose time a critical-path leg of a read
+/// by `requester` is; `None` for a network leg. `dir_lookup` names both
+/// directory handlers, split by node: at the requester it is the home's
+/// own processor's lookup (`pp_dir_local`), anywhere else a network
+/// request's (`pp_dir_remote`).
+fn leg_field(kind: &str, node: u32, requester: u32) -> Option<&'static str> {
+    Some(match kind {
+        "miss_detect" => "proc_miss_detect",
+        "pi_request" => "pp_pi_request",
+        "dir_lookup" if node == requester => "pp_dir_local",
+        "dir_lookup" => "pp_dir_remote",
+        "ni_out" => "pp_ni_out",
+        "ni_reply" => "pp_ni_reply",
+        "pp_intervention" => "pp_intervention",
+        "dirty_extra" => "pp_dirty_extra",
+        "proc_intervention" => "proc_intervention",
+        "mem_bank" => "mem_access",
+        "reply_fill" => "reply_fill",
+        _ => return None,
+    })
+}
+
+/// How many critical-path legs of `txn` spend each field, in order of
+/// first appearance.
+fn leg_counts(txn: &SpanTxn) -> Vec<(&'static str, u32)> {
+    let mut counts: Vec<(&'static str, u32)> = Vec::new();
+    for leg in txn.critical_path() {
+        let Some(field) = leg_field(leg.kind, leg.node, txn.node) else {
+            continue;
+        };
+        match counts.iter_mut().find(|(f, _)| *f == field) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((field, 1)),
+        }
+    }
+    counts
+}
+
+/// One zero-load read of `case` on a bare 4-node FlashLite with `params`,
+/// traced leg by leg: the case's owner, if it has one, takes the line
+/// exclusive first, and the requester reads it once the machine is idle.
+fn stage(case: SnCase, params: FlashLiteParams) -> SpanTxn {
+    let tracer = SpanTracer::new(SpanPlan::all(0));
+    let mut fl =
+        FlashLite::new(Snbench::NODES as u32, STAGE_NODE_MEM, params).expect("a 4-node hypercube"); // gate: allow
+    fl.attach(&Observers {
+        spans: tracer.clone(),
+        ..Observers::disabled()
+    });
+    let line = LineAddr(u64::from(case.home()) * STAGE_NODE_MEM);
+    let request = |node, kind, now| MemRequest {
+        node,
+        line,
+        kind,
+        now,
+    };
+    if let Some(owner) = case.owner() {
+        fl.access(request(owner, AccessKind::ReadExclusive, Time::ZERO));
+    }
+    let now = Time::ZERO + TimeDelta::from_us(100);
+    tracer.txn_try_begin(REQUESTER, line.get(), "read", now);
+    let out = fl.access(request(REQUESTER, AccessKind::ReadShared, now));
+    tracer.txn_end(out.done_at, out.case.key());
+    let mut set = tracer.snapshot().expect("tracer is enabled"); // gate: allow
+    set.txns.pop().expect("the read is sampled") // gate: allow
+}
+
+/// What each Table-3 case's critical path charges, from one staged
+/// zero-load read per case: the number of legs that spend each
+/// [`FlashLiteParams`] field. A leg's charge is its field's value at zero
+/// load, so the counts are the exact derivatives of every case latency
+/// with respect to every field, and they do not depend on the values
+/// (while none is zero: a leg that charges nothing is off the path).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Ledger {
+    /// One row per case in [`SnCase::all`] order: (field, legs), in order
+    /// of first appearance on the path.
+    pub rows: Vec<Vec<(&'static str, u32)>>,
+}
+
+impl Ledger {
+    /// Stages every case on FlashLite with `params`.
+    pub fn staged(params: FlashLiteParams) -> Ledger {
+        let rows = SnCase::all()
+            .into_iter()
+            .map(|case| leg_counts(&stage(case, params)))
+            .collect();
+        Ledger { rows }
+    }
+
+    /// Legs of case `case` (an index into [`SnCase::all`]) that spend
+    /// `field`.
+    pub fn count(&self, case: usize, field: &str) -> u32 {
+        self.rows[case]
+            .iter()
+            .find(|(f, _)| *f == field)
+            .map_or(0, |&(_, n)| n)
+    }
+
+    /// The fit's Jacobian: `[case][knob]` is the legs case `case` charges
+    /// to knob [`KNOB_FIELDS`]`[knob]`.
+    pub fn jacobian(&self) -> [[u32; KNOBS]; KNOBS] {
+        std::array::from_fn(|case| std::array::from_fn(|k| self.count(case, KNOB_FIELDS[k])))
+    }
+
+    /// The rank of [`Ledger::jacobian`]: how many independent knob
+    /// combinations Table 3 can fix.
+    pub fn rank(&self) -> usize {
+        let mut m = self.jacobian().map(|row| row.map(f64::from));
+        let mut rank = 0;
+        for col in 0..KNOBS {
+            let Some(pivot) = (rank..KNOBS).find(|&r| m[r][col].abs() > 1e-9) else {
+                continue;
+            };
+            m.swap(rank, pivot);
+            let top = m[rank];
+            for row in m.iter_mut().skip(rank + 1) {
+                let f = row[col] / top[col];
+                for (x, t) in row.iter_mut().zip(top) {
+                    *x -= f * t;
+                }
+            }
+            rank += 1;
+        }
+        rank
+    }
+
+    /// The fields charged exactly once on every case, in the first
+    /// case's path order: Table 3 fixes only their sum.
+    pub fn once_everywhere(&self) -> Vec<&'static str> {
+        self.rows[0]
+            .iter()
+            .map(|&(f, _)| f)
+            .filter(|f| (0..self.rows.len()).all(|case| self.count(case, f) == 1))
+            .collect()
+    }
+}
 
 fn read_knobs(p: &FlashLiteParams) -> [f64; KNOBS] {
     let period = p.magic_clock.period().as_ns_f64();
@@ -224,17 +385,18 @@ struct Fit {
 /// The fit is a damped Newton iteration: the Jacobian of the five
 /// Table-3 case latencies with respect to the five timing knobs (reply
 /// path, remote directory handler, processor intervention, dirty-path
-/// handler, network-out handler) is measured by finite differences —
-/// knobs interact, since the reply path is on every case's critical path
-/// and the network-out handler is charged on up to three legs of a
+/// handler, network-out handler) is the `ledger`'s leg counts — knobs
+/// interact, since the reply path is on every case's critical path and
+/// the network-out handler is charged on up to three legs of a
 /// dirty-remote transaction, so independent per-case adjustment
 /// oscillates — and a linear solve yields the joint update. Each round
-/// measures its Jacobian as one batch of 5 × 5 runs and its update as one
-/// batch of 5.
+/// re-measures the update as one batch of 5 runs, and the stopping test
+/// reads those measured latencies, queueing and all.
 #[allow(clippy::needless_range_loop)] // small fixed-size matrix assembly
 fn fit_flashlite(
     study: &Study,
     benches: &[Snbench],
+    ledger: &Ledger,
     hardware_runs: &[RunResult],
     untuned_runs: Vec<RunResult>,
 ) -> Fit {
@@ -245,10 +407,25 @@ fn fit_flashlite(
     let mut rounds = 0;
     const MAX_ROUNDS: u32 = 8;
     const TOLERANCE: f64 = 0.02;
-    const STEP_NS: f64 = 100.0;
     const DAMPING: f64 = 0.9;
     const LAMBDA: f64 = 0.05;
     const MAX_STEP_NS: f64 = 400.0;
+
+    // Levenberg-style regularized normal equations: the LDR and RDH rows
+    // are nearly collinear (both cross the same dirty path), and two
+    // knobs share a column, so a raw Newton step can be enormous along
+    // the null direction. Solve (J'J + lambda I) dx = J' r and clamp the
+    // step. J is the ledger's, so J'J + lambda I is built once.
+    let jac = ledger.jacobian().map(|row| row.map(f64::from));
+    let mut jtj = [[0.0; KNOBS]; KNOBS];
+    for i in 0..KNOBS {
+        for j in 0..KNOBS {
+            for c in 0..KNOBS {
+                jtj[i][j] += jac[c][i] * jac[c][j];
+            }
+        }
+        jtj[i][i] += LAMBDA;
+    }
 
     let mut current = untuned.clone();
     let mut current_runs = untuned_runs;
@@ -261,58 +438,22 @@ fn fit_flashlite(
         if worst < TOLERANCE {
             break;
         }
-        rounds += 1;
 
-        // Finite-difference Jacobian: jac[case][knob], knob k's five runs
-        // at jobs 5k..5k+5 of one batch.
-        let knobs = read_knobs(&params);
-        let jobs = (0..KNOBS)
-            .flat_map(|k| {
-                let mut perturbed = knobs;
-                perturbed[k] += STEP_NS;
-                let mut p = params;
-                write_knobs(&mut p, perturbed);
-                case_jobs(study, Some(p), benches)
-            })
-            .collect();
-        let runs = run_batch(jobs);
-        let mut jac = [[0.0; KNOBS]; KNOBS];
-        for (k, knob_runs) in runs.chunks(KNOBS).enumerate() {
-            let measured = case_means(knob_runs);
-            for (case, (m, cur)) in measured.iter().zip(current.iter()).enumerate() {
-                jac[case][k] = (m - cur) / STEP_NS;
-            }
-        }
-
-        let mut residual = [0.0; KNOBS];
-        for case in 0..KNOBS {
-            residual[case] = hardware[case] - current[case];
-        }
-        // Levenberg-style regularized normal equations: the LDR and RDH
-        // rows are nearly collinear (both cross the same dirty path), so
-        // a raw Newton step can be enormous along the near-null
-        // direction. Solve (J'J + lambda I) dx = J' r and clamp the step.
-        let mut jtj = [[0.0; KNOBS]; KNOBS];
         let mut jtr = [0.0; KNOBS];
         for i in 0..KNOBS {
-            for j in 0..KNOBS {
-                for c in 0..KNOBS {
-                    jtj[i][j] += jac[c][i] * jac[c][j];
-                }
-            }
             for c in 0..KNOBS {
-                jtr[i] += jac[c][i] * residual[c];
+                jtr[i] += jac[c][i] * (hardware[c] - current[c]);
             }
-            jtj[i][i] += LAMBDA;
         }
         let Some(dx) = solve_linear(jtj, jtr) else {
             break; // singular: keep the best fit so far
         };
-        let mut next = knobs;
+        let mut next = read_knobs(&params);
         for k in 0..KNOBS {
             next[k] += (dx[k] * DAMPING).clamp(-MAX_STEP_NS, MAX_STEP_NS);
         }
         write_knobs(&mut params, next);
+        rounds += 1;
         current_runs = run_batch(case_jobs(study, Some(params), benches));
         current = case_means(&current_runs);
     }
@@ -380,8 +521,9 @@ fn mipsy_iface(bench: &Snbench, hw: &RunResult, sim: &RunResult) -> Option<TimeD
 ///
 /// The runs that do not depend on the fit — the TLB pair, and every
 /// case on the hardware and on untuned FlashLite — are one opening
-/// batch. The Mipsy interface reads the hardware and final tuned
-/// local-clean runs the fit already made.
+/// batch. The fit's Jacobian is staged once, on bare untuned FlashLite.
+/// The Mipsy interface reads the hardware and final tuned local-clean
+/// runs the fit already made.
 pub fn calibrate(study: &Study) -> Calibration {
     let (timer, tlb_cfgs) = tlb_jobs(study);
     let benches = snbenches(study);
@@ -389,11 +531,13 @@ pub fn calibrate(study: &Study) -> Calibration {
         tlb_cfgs.map(|cfg| (cfg, &timer as &dyn Program)).into();
     jobs.extend(case_jobs(study, None, &benches));
     jobs.extend(case_jobs(study, Some(FlashLiteParams::untuned()), &benches));
+    let opening_runs = jobs.len() as u32;
     let mut opening = run_batch(jobs);
     let untuned = opening.split_off(2 + benches.len());
     let tlb = tlb_calibration(&timer, &opening[0], &opening[1]);
     let hardware = &opening[2..];
-    let fit = fit_flashlite(study, &benches, hardware, untuned);
+    let ledger = Ledger::staged(FlashLiteParams::untuned());
+    let fit = fit_flashlite(study, &benches, &ledger, hardware, untuned);
     let mipsy_l2_iface = mipsy_iface(&benches[0], &hardware[0], &fit.tuned[0]);
     Calibration {
         tuning: Tuning {
@@ -403,7 +547,9 @@ pub fn calibrate(study: &Study) -> Calibration {
         },
         table3: fit.table3,
         tlb,
+        ledger,
         rounds: fit.rounds,
+        runs: opening_runs + fit.rounds * benches.len() as u32,
     }
 }
 
@@ -433,11 +579,12 @@ mod tests {
     fn flashlite_calibration_converges() {
         let cal = cal();
         let (params, table3) = (cal.tuning.flashlite, &cal.table3);
-        assert!(cal.rounds <= 8);
+        assert!(cal.rounds <= 3, "{} rounds", cal.rounds);
+        assert_eq!(cal.runs, 12 + 5 * cal.rounds);
         assert_eq!(table3.len(), 5);
         for row in table3 {
             assert!(
-                (row.tuned_relative() - 1.0).abs() < 0.05,
+                (row.tuned_relative() - 1.0).abs() < 0.02,
                 "{}: tuned {} vs hw {} (rel {:.3})",
                 row.case,
                 row.tuned_ns,
@@ -495,5 +642,107 @@ mod tests {
             (60.0..=400.0).contains(&ns),
             "calibrated interface occupancy {ns}ns implausible (true value 160ns)"
         );
+    }
+
+    /// One unit of `field`: a MAGIC cycle for a handler, 1 ns for a time.
+    fn bump(p: &mut FlashLiteParams, field: &str) -> u64 {
+        let ns = TimeDelta::from_ns(1);
+        let cycle = p.pp(1).as_ps();
+        match field {
+            "proc_miss_detect" => p.proc_miss_detect += ns,
+            "reply_fill" => p.reply_fill += ns,
+            "proc_intervention" => p.proc_intervention += ns,
+            "mem_access" => p.mem_access += ns,
+            "pp_pi_request" => p.pp_pi_request += 1,
+            "pp_dir_local" => p.pp_dir_local += 1,
+            "pp_dir_remote" => p.pp_dir_remote += 1,
+            "pp_ni_out" => p.pp_ni_out += 1,
+            "pp_ni_reply" => p.pp_ni_reply += 1,
+            "pp_intervention" => p.pp_intervention += 1,
+            "pp_dirty_extra" => p.pp_dirty_extra += 1,
+            _ => panic!("no field {field}"),
+        }
+        if field.starts_with("pp_") {
+            cycle
+        } else {
+            ns.as_ps()
+        }
+    }
+
+    #[test]
+    fn staged_ledger_is_the_exact_jacobian() {
+        let base = FlashLiteParams::untuned();
+        let ledger = Ledger::staged(base);
+        assert_eq!(
+            ledger.jacobian(),
+            [
+                [1, 0, 0, 0, 0],
+                [1, 0, 1, 1, 2],
+                [1, 1, 0, 0, 2],
+                [1, 1, 1, 1, 2],
+                [1, 1, 1, 1, 3],
+            ]
+        );
+        assert_eq!(ledger.rank(), 4);
+        assert_eq!(
+            ledger.once_everywhere(),
+            ["proc_miss_detect", "pp_pi_request", "reply_fill"]
+        );
+        assert_eq!(Ledger::staged(FlashLiteParams::hardware()), ledger);
+        let fields = [
+            "proc_miss_detect",
+            "pp_pi_request",
+            "pp_dir_local",
+            "pp_dir_remote",
+            "pp_ni_out",
+            "pp_ni_reply",
+            "pp_intervention",
+            "pp_dirty_extra",
+            "proc_intervention",
+            "mem_access",
+            "reply_fill",
+        ];
+        for (idx, case) in SnCase::all().into_iter().enumerate() {
+            let txn = stage(case, base);
+            assert_eq!(txn.case, case.case().key(), "staged case {idx}");
+            for field in fields {
+                let mut p = base;
+                let step = bump(&mut p, field);
+                let moved = stage(case, p).total().as_ps() - txn.total().as_ps();
+                assert_eq!(
+                    moved,
+                    u64::from(ledger.count(idx, field)) * step,
+                    "{}: one step of {field}",
+                    case.case().key()
+                );
+            }
+        }
+    }
+
+    /// Every sampled transaction of a case's snbench run, the chase's
+    /// reads and any write the owner makes in the same case, charges its
+    /// fields as often as the staged read does: queueing lengthens legs
+    /// but adds none.
+    #[test]
+    fn snbench_spans_carry_the_staged_counts() {
+        let study = Study::scaled();
+        let ledger = Ledger::staged(FlashLiteParams::untuned());
+        let benches = snbenches(&study);
+        let jobs = case_jobs(&study, Some(FlashLiteParams::untuned()), &benches);
+        for (idx, (mut cfg, bench)) in jobs.into_iter().enumerate() {
+            cfg.spans = Some(SpanPlan::sampled(1, 16));
+            let spans = run_once(cfg, bench).spans.expect("spans attached");
+            let key = SnCase::all()[idx].case().key();
+            let measured: Vec<&SpanTxn> = spans.txns.iter().filter(|t| t.case == key).collect();
+            assert!(
+                measured
+                    .iter()
+                    .any(|t| t.node == REQUESTER && t.kind == "read"),
+                "{key}: no chase read sampled"
+            );
+            for txn in measured {
+                assert_eq!(leg_counts(txn), ledger.rows[idx], "{key}");
+            }
+        }
     }
 }

@@ -18,8 +18,9 @@
 //! 3. **Calibration** ([`mod@calibrate`]): the §3.1.2 tuning loop —
 //!    microbenchmarks measure the gold standard (TLB refill cost, the
 //!    five Table-3 protocol-case latencies, secondary-cache interface
-//!    occupancy) and coordinate descent adjusts the simulators until they
-//!    match. This is "closing the simulation loop".
+//!    occupancy) and a damped Newton fit, its Jacobian read from the
+//!    walk's charge ledger, adjusts the simulators until they match.
+//!    This is "closing the simulation loop".
 //! 4. **Experiments** ([`figures`], [`report`]): the exact matrices
 //!    behind Figures 1–7, Tables 1–3, and the §3.1.3 instruction-latency
 //!    ablation, plus text rendering and the paper's published numbers.
@@ -54,7 +55,7 @@ pub mod report;
 pub mod runner;
 
 pub use attrib::{attribute, AttributionReport, ClassContribution};
-pub use calibrate::{calibrate, Calibration, Table3Row, TlbCalibration};
+pub use calibrate::{calibrate, Calibration, Ledger, Table3Row, TlbCalibration};
 pub use figures::{
     apps_tuned, apps_untuned, fig1, fig2, fig3, fig4, fig5, fig6, fig7, latency_ablation,
     RelativeFigure, RelativePoint, SpeedupCurve, SpeedupFigure, SPEEDUP_COUNTS,

@@ -1,9 +1,11 @@
 //! Rendering figures and tables as text, plus the paper's published
 //! numbers for side-by-side comparison.
 
-use crate::calibrate::Calibration;
+use crate::calibrate::{Calibration, KNOB_FIELDS};
 use crate::figures::{RelativeFigure, SpeedupFigure};
 use crate::platform::Sim;
+use flashsim_engine::TimeDelta;
+use flashsim_flashlite::FlashLiteParams;
 use std::fmt::Write as _;
 
 /// Renders a relative-execution-time figure as a sims × apps grid.
@@ -120,14 +122,103 @@ pub fn render_table3(cal: &Calibration) -> String {
     );
     let _ = writeln!(
         out,
-        "Mipsy L2-interface occupancy: {} (calibrated); FlashLite fit converged in {} rounds",
+        "Mipsy L2-interface occupancy: {} (calibrated)",
         match cal.tuning.mipsy_l2_iface {
             Some(t) => format!("{:.0}ns", t.as_ns_f64()),
             None => "none".to_owned(),
         },
-        cal.rounds
     );
+    render_fit(&mut out, cal);
     out
+}
+
+/// A time field to the picosecond, without trailing zeros.
+fn ns(t: TimeDelta) -> String {
+    match t.as_ps() % 1000 {
+        0 => format!("{}ns", t.as_ns()),
+        _ => format!("{:.3}ns", t.as_ns_f64()),
+    }
+}
+
+/// What the FlashLite fit can identify: the ledger's count matrix (the
+/// fit's Jacobian) and its rank, the fields every case charges once, and
+/// the tuned knobs against the hardware's values.
+fn render_fit(out: &mut String, cal: &Calibration) {
+    let jac = cal.ledger.jacobian();
+    let _ = writeln!(
+        out,
+        "FlashLite fit: critical-path legs per knob, one staged zero-load read per case"
+    );
+    let _ = write!(out, "{:<22}", "protocol case");
+    for knob in KNOB_FIELDS {
+        let _ = write!(out, "{knob:>18}");
+    }
+    let _ = writeln!(out);
+    for (row, counts) in cal.table3.iter().zip(jac) {
+        let _ = write!(out, "{:<22}", row.case.label());
+        for n in counts {
+            let _ = write!(out, "{n:>18}");
+        }
+        let _ = writeln!(out);
+    }
+    let column = |k: usize| jac.map(|row| row[k]);
+    let knobs = KNOB_FIELDS.len();
+    let tied: Vec<String> = (0..knobs)
+        .flat_map(|a| ((a + 1)..knobs).map(move |b| (a, b)))
+        .filter(|&(a, b)| column(a) == column(b))
+        .map(|(a, b)| format!("{} + {}", KNOB_FIELDS[a], KNOB_FIELDS[b]))
+        .collect();
+    let _ = write!(out, "rank {} of {knobs}", cal.ledger.rank());
+    if !tied.is_empty() {
+        let _ = write!(
+            out,
+            "; equal columns, Table 3 fixes only the sum: {}",
+            tied.join(", ")
+        );
+    }
+    let _ = writeln!(out);
+    let _ = writeln!(
+        out,
+        "charged exactly once on every case, Table 3 fixes only their sum: {}",
+        cal.ledger.once_everywhere().join(" + ")
+    );
+    let (t, h) = (&cal.tuning.flashlite, FlashLiteParams::hardware());
+    let cyc = |n: u64| format!("{n} cyc");
+    let fields = [
+        ("reply_fill", ns(t.reply_fill), ns(h.reply_fill)),
+        ("pp_dir_remote", cyc(t.pp_dir_remote), cyc(h.pp_dir_remote)),
+        (
+            "proc_intervention",
+            ns(t.proc_intervention),
+            ns(h.proc_intervention),
+        ),
+        (
+            "pp_dirty_extra",
+            cyc(t.pp_dirty_extra),
+            cyc(h.pp_dirty_extra),
+        ),
+        ("pp_ni_out", cyc(t.pp_ni_out), cyc(h.pp_ni_out)),
+        (
+            "proc_miss_detect",
+            ns(t.proc_miss_detect),
+            ns(h.proc_miss_detect),
+        ),
+        ("mem_access", ns(t.mem_access), ns(h.mem_access)),
+    ];
+    let _ = writeln!(out, "{:<22}{:>12}{:>12}", "field", "tuned", "hardware");
+    for (name, tuned, hw) in fields {
+        let fitted = if KNOB_FIELDS.contains(&name) {
+            ""
+        } else {
+            "  (not fitted)"
+        };
+        let _ = writeln!(out, "{name:<22}{tuned:>12}{hw:>12}{fitted}");
+    }
+    let _ = writeln!(
+        out,
+        "FlashLite fit converged in {} rounds, {} machine runs",
+        cal.rounds, cal.runs
+    );
 }
 
 /// Renders the paper's Table 1 (the hardware configuration we model).

@@ -51,7 +51,7 @@ impl SnCase {
     }
 
     /// The node the chased region is homed on (requester is node 0).
-    fn home(self) -> u32 {
+    pub fn home(self) -> u32 {
         match self.0 {
             ProtocolCase::LocalClean | ProtocolCase::LocalDirtyRemote => 0,
             _ => 1,
@@ -59,7 +59,7 @@ impl SnCase {
     }
 
     /// The node that dirties the region between passes, if any.
-    fn owner(self) -> Option<u32> {
+    pub fn owner(self) -> Option<u32> {
         match self.0 {
             ProtocolCase::LocalDirtyRemote => Some(1),
             ProtocolCase::RemoteDirtyHome => Some(1), // owner == home
