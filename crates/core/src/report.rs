@@ -183,30 +183,19 @@ fn render_fit(out: &mut String, cal: &Calibration) {
         cal.ledger.once_everywhere().join(" + ")
     );
     let (t, h) = (&cal.tuning.flashlite, FlashLiteParams::hardware());
-    let cyc = |n: u64| format!("{n} cyc");
+    let time = |f: fn(&FlashLiteParams) -> TimeDelta| [ns(f(t)), ns(f(&h))];
+    let cycles = |f: fn(&FlashLiteParams) -> u64| [f(t), f(&h)].map(|n| format!("{n} cyc"));
     let fields = [
-        ("reply_fill", ns(t.reply_fill), ns(h.reply_fill)),
-        ("pp_dir_remote", cyc(t.pp_dir_remote), cyc(h.pp_dir_remote)),
-        (
-            "proc_intervention",
-            ns(t.proc_intervention),
-            ns(h.proc_intervention),
-        ),
-        (
-            "pp_dirty_extra",
-            cyc(t.pp_dirty_extra),
-            cyc(h.pp_dirty_extra),
-        ),
-        ("pp_ni_out", cyc(t.pp_ni_out), cyc(h.pp_ni_out)),
-        (
-            "proc_miss_detect",
-            ns(t.proc_miss_detect),
-            ns(h.proc_miss_detect),
-        ),
-        ("mem_access", ns(t.mem_access), ns(h.mem_access)),
+        ("reply_fill", time(|p| p.reply_fill)),
+        ("pp_dir_remote", cycles(|p| p.pp_dir_remote)),
+        ("proc_intervention", time(|p| p.proc_intervention)),
+        ("pp_dirty_extra", cycles(|p| p.pp_dirty_extra)),
+        ("pp_ni_out", cycles(|p| p.pp_ni_out)),
+        ("proc_miss_detect", time(|p| p.proc_miss_detect)),
+        ("mem_access", time(|p| p.mem_access)),
     ];
     let _ = writeln!(out, "{:<22}{:>12}{:>12}", "field", "tuned", "hardware");
-    for (name, tuned, hw) in fields {
+    for (name, [tuned, hw]) in fields {
         let fitted = if KNOB_FIELDS.contains(&name) {
             ""
         } else {
