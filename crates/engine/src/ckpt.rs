@@ -883,6 +883,213 @@ mod tests {
         assert_eq!(stats.provenance, "cfg=x seed=42");
     }
 
+    /// One small walk over every field type and restore-time check.
+    #[derive(Debug, Default)]
+    struct Probe {
+        n: u64,
+        x: f64,
+        tag: &'static str,
+        list: Vec<u64>,
+        row: [u64; 2],
+        at: Time,
+    }
+
+    impl Probe {
+        fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+            c.section("probe")?;
+            c.u64("n", &mut self.n)?;
+            c.f64("x", &mut self.x)?;
+            c.label("tag", &mut self.tag)?;
+            c.name("owner", "probe")?;
+            c.interlock("shape", &[2, 3])?;
+            c.u64s("list", &mut self.list, 1..=3)?;
+            c.array("row", &mut self.row)?;
+            c.time("at", &mut self.at)
+        }
+    }
+
+    const PROBE: &str = "probe run=1";
+
+    fn probe_text() -> String {
+        let mut p = Probe {
+            n: 7,
+            x: 1.5,
+            tag: "leg",
+            list: vec![4, 5],
+            row: [8, 9],
+            at: Time::from_ps(10),
+        };
+        let mut w = CkptWriter::new(PROBE);
+        p.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
+        w.finish()
+    }
+
+    /// Opens `text` and restores a [`Probe`] from it, as a run `expected`.
+    fn restore_probe(text: &str, expected: &str) -> Result<(), CkptError> {
+        let mut r = CkptReader::open(text)?;
+        r.expect_provenance(expected)?;
+        Probe::default().ckpt(&mut Ckpt::Load(&mut r))?;
+        r.finish()
+    }
+
+    /// `body` sealed with the trailer a save appends.
+    fn reseal(body: &str) -> String {
+        format!("{body}checksum={:016x}\n", fx64(body.as_bytes()))
+    }
+
+    /// The probe checkpoint with line `from` replaced by `to`, resealed.
+    fn with_line(from: &str, to: &str) -> String {
+        let text = probe_text();
+        let body = &text[..text.rfind("checksum=").unwrap()];
+        let lines: Vec<&str> = body
+            .lines()
+            .map(|l| if l == from { to } else { l })
+            .collect();
+        assert!(lines.contains(&to), "no line {from:?}");
+        reseal(&format!("{}\n", lines.join("\n")))
+    }
+
+    #[test]
+    fn every_rejection_keeps_its_kind_and_text() {
+        let text = probe_text();
+        restore_probe(&text, PROBE).expect("the probe restores");
+        let body = &text[..text.rfind("checksum=").unwrap()];
+        let hash = provenance_hash(PROBE);
+        let cases: Vec<(&str, String, &str, &str, &str)> = vec![
+            (
+                "another version's magic",
+                text.replacen(MAGIC, "flashsim-ckpt-v2", 1),
+                PROBE,
+                "bad_magic",
+                r#"bad magic: expected "flashsim-ckpt-v1", found "flashsim-ckpt-v2""#,
+            ),
+            (
+                "garbage magic",
+                with_line(MAGIC, "garbage"),
+                PROBE,
+                "bad_magic",
+                r#"bad magic: expected "flashsim-ckpt-v1", found "garbage""#,
+            ),
+            (
+                "no trailer",
+                body.to_string(),
+                PROBE,
+                "truncated",
+                "truncated: no trailing checksum line",
+            ),
+            (
+                "torn trailer",
+                text[..text.len() - 5].to_string(),
+                PROBE,
+                "truncated",
+                "truncated: no trailing checksum line",
+            ),
+            (
+                "checksum mismatch",
+                text.replacen("n=7\n", "n=8\n", 1),
+                PROBE,
+                "checksum_mismatch",
+                "checksum mismatch: recorded 06cb69d08caf412c, computed 529fa165a2e5e438",
+            ),
+            (
+                "bad provenance_hash",
+                with_line(&format!("provenance_hash={hash}"), "provenance_hash=0"),
+                PROBE,
+                "parse",
+                r#"field "provenance_hash" has unparsable value "0""#,
+            ),
+            (
+                "provenance mismatch",
+                text.clone(),
+                "probe run=2",
+                "manifest_mismatch",
+                r#"provenance mismatch: checkpoint is for "probe run=1", this run is "probe run=2""#,
+            ),
+            (
+                "wrong section",
+                with_line("[probe]", "[other]"),
+                PROBE,
+                "bad_section",
+                r#"expected section [probe], found "[other]""#,
+            ),
+            (
+                "wrong key",
+                with_line("n=7", "m=7"),
+                PROBE,
+                "missing_field",
+                r#"expected field "n", found "m=7""#,
+            ),
+            (
+                "non-numeric u64",
+                with_line("n=7", "n=seven"),
+                PROBE,
+                "parse",
+                r#"field "n" has unparsable value "seven""#,
+            ),
+            (
+                "short f64",
+                with_line("x=3ff8000000000000", "x=3ff800000000000"),
+                PROBE,
+                "parse",
+                r#"field "x" has unparsable value "3ff800000000000""#,
+            ),
+            (
+                "non-hex f64",
+                with_line("x=3ff8000000000000", "x=3ff800000000000g"),
+                PROBE,
+                "parse",
+                r#"field "x" has unparsable value "3ff800000000000g""#,
+            ),
+            (
+                "bad escape in a label",
+                with_line("tag=leg", r"tag=l\eg"),
+                PROBE,
+                "parse",
+                r#"field "tag" has unparsable value "l\\eg""#,
+            ),
+            (
+                "name mismatch",
+                with_line("owner=probe", "owner=other"),
+                PROBE,
+                "parse",
+                r#"field "owner" has unparsable value "other, expected probe""#,
+            ),
+            (
+                "interlock mismatch",
+                with_line("shape=2,3", "shape=2,4"),
+                PROBE,
+                "parse",
+                r#"field "shape" has unparsable value "[2, 4], expected [2, 3]""#,
+            ),
+            (
+                "u64s length out of range",
+                with_line("list=4,5", "list=4,5,6,7"),
+                PROBE,
+                "parse",
+                r#"field "list" has unparsable value "4 entries""#,
+            ),
+            (
+                "wrong array arity",
+                with_line("row=8,9", "row=8,9,10"),
+                PROBE,
+                "parse",
+                r#"field "row" has unparsable value "3 words""#,
+            ),
+            (
+                "trailing line",
+                reseal(&format!("{body}extra=1\n")),
+                PROBE,
+                "trailing_data",
+                r#"trailing data after restore: "extra=1""#,
+            ),
+        ];
+        for (case, hostile, expected, kind, display) in cases {
+            let err = restore_probe(&hostile, expected).expect_err(case);
+            assert_eq!((case, err.kind()), (case, kind));
+            assert_eq!((case, err.to_string()), (case, display.to_string()));
+        }
+    }
+
     #[test]
     fn intern_dedups_and_round_trips() {
         let a = intern("ckpt-test-label-a");
