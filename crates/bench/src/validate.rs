@@ -79,9 +79,7 @@ pub fn run(args: &Args) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flashsim_engine::{
-        CkptWriter, ForkAdmission, HostPhase, HostReport, SpanPlan, SpanTracer, Time,
-    };
+    use flashsim_engine::{Ckpt, ForkAdmission, HostPhase, HostReport, SpanPlan, SpanTracer, Time};
 
     /// A minimal valid document of `schema`.
     fn valid(schema: Schema) -> String {
@@ -103,7 +101,9 @@ mod tests {
                 workers: Vec::new(),
             }
             .to_jsonl(),
-            Schema::Ckpt => CkptWriter::new("validate-test").finish(),
+            Schema::Ckpt => Ckpt::save("validate-test")
+                .finish()
+                .expect("saving never fails"),
         }
     }
 

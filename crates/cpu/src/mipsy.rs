@@ -454,15 +454,15 @@ mod tests {
             a.execute(&Op::store(VAddr(i * 0x100), Reg::ZERO, Reg(8)), &mut env);
         }
 
-        let mut w = flashsim_engine::CkptWriter::new("mipsy-test");
-        w.section("core");
-        a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-        let text = w.finish();
+        let mut w = flashsim_engine::Ckpt::save("mipsy-test");
+        w.section("core").unwrap();
+        a.ckpt(&mut w).unwrap();
+        let text = w.finish().unwrap();
 
         let mut b = Mipsy::new(MipsyConfig::at_mhz(100));
-        let mut r = flashsim_engine::CkptReader::open(&text).unwrap();
+        let mut r = flashsim_engine::Ckpt::open(&text).unwrap();
         r.section("core").unwrap();
-        b.ckpt(&mut Ckpt::Load(&mut r)).unwrap();
+        b.ckpt(&mut r).unwrap();
         r.finish().unwrap();
 
         // The restored core must expose the same full-buffer stall on the
@@ -477,9 +477,9 @@ mod tests {
         let mut cfg = MipsyConfig::at_mhz(100);
         cfg.write_buffer = 8;
         let mut c = Mipsy::new(cfg);
-        let mut r = flashsim_engine::CkptReader::open(&text).unwrap();
+        let mut r = flashsim_engine::Ckpt::open(&text).unwrap();
         r.section("core").unwrap();
-        assert!(c.ckpt(&mut Ckpt::Load(&mut r)).is_err());
+        assert!(c.ckpt(&mut r).is_err());
     }
 
     #[test]

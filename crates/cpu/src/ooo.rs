@@ -756,15 +756,15 @@ mod tests {
         }
         a.drain();
 
-        let mut w = flashsim_engine::CkptWriter::new("ooo-test");
-        w.section("core");
-        Core::ckpt(&mut a, &mut Ckpt::Save(&mut w)).unwrap();
-        let text = w.finish();
+        let mut w = flashsim_engine::Ckpt::save("ooo-test");
+        w.section("core").unwrap();
+        Core::ckpt(&mut a, &mut w).unwrap();
+        let text = w.finish().unwrap();
 
         let mut b = r10000();
-        let mut r = flashsim_engine::CkptReader::open(&text).unwrap();
+        let mut r = flashsim_engine::Ckpt::open(&text).unwrap();
         r.section("core").unwrap();
-        Core::ckpt(&mut b, &mut Ckpt::Load(&mut r)).unwrap();
+        Core::ckpt(&mut b, &mut r).unwrap();
         r.finish().unwrap();
 
         // Subsequent execution (branches exercising the restored predictor
@@ -786,9 +786,9 @@ mod tests {
         let mut small = OooConfig::r10000();
         small.window = 16;
         let mut c = OooCore::new(small, "t");
-        let mut r = flashsim_engine::CkptReader::open(&text).unwrap();
+        let mut r = flashsim_engine::Ckpt::open(&text).unwrap();
         r.section("core").unwrap();
-        assert!(Core::ckpt(&mut c, &mut Ckpt::Load(&mut r)).is_err());
+        assert!(Core::ckpt(&mut c, &mut r).is_err());
     }
 
     #[test]
@@ -797,13 +797,11 @@ mod tests {
         // in flight by the MSHRs.
         let mut a = r10000();
         a.outstanding = vec![Time::from_ns(1); a.cfg.mshrs + 1];
-        let mut w = flashsim_engine::CkptWriter::new("ooo-test");
-        a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-        let text = w.finish();
-        let mut r = flashsim_engine::CkptReader::open(&text).unwrap();
-        let err = r10000()
-            .ckpt(&mut Ckpt::Load(&mut r))
-            .expect_err("5 misses, 4 MSHRs");
+        let mut w = flashsim_engine::Ckpt::save("ooo-test");
+        a.ckpt(&mut w).unwrap();
+        let text = w.finish().unwrap();
+        let mut r = flashsim_engine::Ckpt::open(&text).unwrap();
+        let err = r10000().ckpt(&mut r).expect_err("5 misses, 4 MSHRs");
         assert_eq!(err, flashsim_engine::ckpt::bad("outstanding", "5 entries"));
     }
 

@@ -165,22 +165,19 @@ fn random_local(rng: &mut Rng, i: usize) -> Op {
 
 /// The core's checkpoint bytes.
 fn ckpt_bytes(core: &mut dyn Core) -> String {
-    let mut w = flashsim_engine::CkptWriter::new("run-local");
-    w.section("core");
-    core.ckpt(&mut flashsim_engine::Ckpt::Save(&mut w))
-        .expect("saves");
-    w.finish()
+    let mut w = flashsim_engine::Ckpt::save("run-local");
+    w.section("core").unwrap();
+    core.ckpt(&mut w).expect("saves");
+    w.finish().unwrap()
 }
 
 /// The clocks after each of `ops` on a copy of `core` restored into
 /// `fresh`: the values at which a bound is exactly met.
 fn clocks_after(core: &mut dyn Core, mut fresh: Box<dyn Core>, ops: &[Op]) -> Vec<u64> {
     let text = ckpt_bytes(core);
-    let mut r = flashsim_engine::CkptReader::open(&text).expect("opens");
+    let mut r = flashsim_engine::Ckpt::open(&text).expect("opens");
     r.section("core").expect("a core section");
-    fresh
-        .ckpt(&mut flashsim_engine::Ckpt::Load(&mut r))
-        .expect("restores");
+    fresh.ckpt(&mut r).expect("restores");
     let mut env = FixedEnv::all_hits();
     ops.iter()
         .map(|op| fresh.execute(op, &mut env).as_ps())

@@ -832,19 +832,18 @@ mod tests {
 
     #[test]
     fn ckpt_roundtrip_preserves_the_raw_ledger() {
-        use crate::ckpt::{CkptReader, CkptWriter};
         let p = Profiler::new();
         p.charge(0, StallClass::L2Miss, at(0), ns(70));
         p.charge(1, StallClass::NetTransit, at(3), ns(20));
         // Leave an op-residual accumulator pending on node 1.
         p.charge(1, StallClass::L1Miss, at(4), ns(5));
         p.mark_op(0, at(0), ns(100));
-        let mut w = CkptWriter::new("t");
-        p.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-        let text = w.finish();
+        let mut w = Ckpt::save("t");
+        p.ckpt(&mut w).unwrap();
+        let text = w.finish().unwrap();
         let q = Profiler::new();
-        let mut r = CkptReader::open(&text).expect("intact");
-        q.ckpt(&mut Ckpt::Load(&mut r)).expect("loads");
+        let mut r = Ckpt::open(&text).expect("intact");
+        q.ckpt(&mut r).expect("loads");
         r.finish().expect("consumed");
         // Finishing the pending op and snapshotting must agree exactly.
         p.mark_op(1, at(4), ns(40));
@@ -854,13 +853,13 @@ mod tests {
         assert_eq!(a, b);
         assert!(b.conserved());
         // Enabled/disabled mismatch fails closed.
-        let mut r = CkptReader::open(&text).expect("intact");
-        assert!(Profiler::disabled().ckpt(&mut Ckpt::Load(&mut r)).is_err());
+        let mut r = Ckpt::open(&text).expect("intact");
+        assert!(Profiler::disabled().ckpt(&mut r).is_err());
     }
 
     #[test]
     fn restore_rejects_a_width_no_charge_could_reach() {
-        use crate::ckpt::{provenance_hash, CkptReader, CkptWriter};
+        use crate::ckpt::provenance_hash;
         let p = Profiler::new();
         p.charge_wall(
             0,
@@ -868,9 +867,9 @@ mod tests {
             Time::from_ps(63 * INITIAL_WIDTH_PS),
             ns(1),
         );
-        let mut w = CkptWriter::new("t");
-        p.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-        let text = w.finish();
+        let mut w = Ckpt::save("t");
+        p.ckpt(&mut w).unwrap();
+        let text = w.finish().unwrap();
         let body = &text[..text.rfind("checksum=").expect("a trailer")];
         let from = format!("phase_ps={INITIAL_WIDTH_PS}\n");
         assert!(body.contains(&from));
@@ -879,8 +878,8 @@ mod tests {
             let body = body.replacen(&from, &format!("phase_ps={width}\n"), 1);
             let text = format!("{body}checksum={}\n", provenance_hash(&body));
             let q = Profiler::new();
-            let mut r = CkptReader::open(&text).expect("resealed");
-            match q.ckpt(&mut Ckpt::Load(&mut r)) {
+            let mut r = Ckpt::open(&text).expect("resealed");
+            match q.ckpt(&mut r) {
                 Ok(()) if ok => {
                     let a = q.snapshot(&[Time::ZERO]).expect("enabled");
                     assert!(a.render_phases().contains("\n   63 "));
@@ -924,10 +923,13 @@ mod tests {
     /// The published ledger's snapshot and checkpoint bytes.
     fn ledger(p: &Profiler, w: &mut Window, end: u64) -> (Accounting, String) {
         p.publish(w, 0);
-        let mut out = crate::ckpt::CkptWriter::new("runs");
-        p.ckpt(&mut Ckpt::Save(&mut out)).expect("saves");
+        let mut out = crate::ckpt::Ckpt::save("runs");
+        p.ckpt(&mut out).expect("saves");
         let end = Time::from_ps(end);
-        (p.snapshot(&[end, end]).expect("enabled"), out.finish())
+        (
+            p.snapshot(&[end, end]).expect("enabled"),
+            out.finish().unwrap(),
+        )
     }
 
     /// Over seeded op streams, marking every op with [`Profiler::mark_op_in`]

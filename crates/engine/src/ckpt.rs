@@ -28,11 +28,11 @@
 //!
 //! Values are `u64` decimal, `f64` as the exact 16-hex-digit bit
 //! pattern (byte-identical round-trips, NaN included), strings with
-//! `\\`/`\n`/`\r` escaped, and `u64` lists comma-separated. Readers are
-//! **strictly sequential**: every [`CkptReader`] accessor names the key
-//! it expects and fails with a structured [`CkptError`] on any
-//! mismatch, so a version skew or torn write surfaces as a typed error
-//! at the first divergent byte, never as silently misbound state.
+//! `\\`/`\n`/`\r` escaped, and `u64` lists comma-separated. A restore is
+//! **strictly sequential**: every [`Ckpt`] field names the key it
+//! expects and fails with a structured [`CkptError`] on any mismatch, so
+//! a version skew or torn write surfaces as a typed error at the first
+//! divergent byte, never as silently misbound state.
 //!
 //! The embedded provenance is the restore-safety interlock: a machine
 //! refuses ([`CkptError::ManifestMismatch`]) to load a checkpoint whose
@@ -46,9 +46,11 @@
 //! # One walk per component
 //!
 //! A component checkpoints through one function, `ckpt(&mut self, c:
-//! &mut Ckpt<'_>)`, that names each field once. Saving, the walker writes
+//! &mut Ckpt<'_>)`, that names each field once. Saving, the walk writes
 //! the value behind each `&mut`; restoring, it reads into the same `&mut`.
-//! There is no second, hand-mirrored reader to drift from the writer, and
+//! The walk is the format layer too: each field type's encoding and its
+//! parse are one [`Ckpt`] method, as in `crate::jsonl`'s walk. There is
+//! no second, hand-mirrored reader to drift from the writer, and
 //! every restore-time check is a walker helper ([`Ckpt::interlock`] for a
 //! shape interlock, the length bounds of [`Ckpt::u64s`] and
 //! [`Ckpt::times`], the arity of [`Ckpt::array`]) or a [`bad`] at the one
@@ -57,7 +59,7 @@
 //! # Examples
 //!
 //! ```
-//! use flashsim_engine::ckpt::{validate, Ckpt, CkptError, CkptReader, CkptWriter};
+//! use flashsim_engine::ckpt::{validate, Ckpt, CkptError};
 //! use flashsim_engine::Time;
 //!
 //! #[derive(Default)]
@@ -75,16 +77,16 @@
 //! }
 //!
 //! let mut a = Clock { now: Time::from_ps(123_456), ticks: 7 };
-//! let mut w = CkptWriter::new("demo nodes=2 seed=7");
-//! a.ckpt(&mut Ckpt::Save(&mut w)).expect("saving never fails");
-//! let text = w.finish();
+//! let mut c = Ckpt::save("demo nodes=2 seed=7");
+//! a.ckpt(&mut c).expect("saving never fails");
+//! let text = c.finish().expect("saving never fails");
 //! validate(&text).expect("well-formed");
 //!
 //! let mut b = Clock::default();
-//! let mut r = CkptReader::open(&text).expect("intact");
-//! assert_eq!(r.provenance(), "demo nodes=2 seed=7");
-//! b.ckpt(&mut Ckpt::Load(&mut r)).expect("restores");
-//! r.finish().expect("fully consumed");
+//! let mut c = Ckpt::open(&text).expect("intact");
+//! assert_eq!(c.provenance(), "demo nodes=2 seed=7");
+//! b.ckpt(&mut c).expect("restores");
+//! c.finish().expect("fully consumed");
 //! assert_eq!((b.now, b.ticks), (a.now, a.ticks));
 //! ```
 
@@ -149,7 +151,7 @@ pub enum CkptError {
         /// Provenance embedded in the checkpoint.
         found: String,
     },
-    /// [`CkptReader::finish`] found unread lines: the checkpoint holds
+    /// [`Ckpt::finish`] found unread lines: the checkpoint holds
     /// more state than the restoring build knows how to load.
     TrailingData {
         /// First unconsumed line.
@@ -251,112 +253,43 @@ fn unescape(s: &str) -> Option<String> {
     Some(out)
 }
 
-/// Sequential checkpoint writer. Field order is the schema: readers
-/// consume the exact same sequence of sections and keys.
-#[derive(Debug, Clone)]
-pub struct CkptWriter {
-    out: String,
-}
-
-impl CkptWriter {
-    /// Starts a checkpoint stamped with the run's provenance string
-    /// (the canonical pre-run identity: config label, seed, scheduling
-    /// policy, fault plan, workload).
-    pub fn new(provenance: &str) -> CkptWriter {
-        let mut out = String::new();
-        out.push_str(MAGIC);
-        out.push('\n');
-        out.push_str("provenance=");
-        push_escaped(&mut out, provenance);
-        out.push('\n');
-        out.push_str("provenance_hash=");
-        out.push_str(&provenance_hash(provenance));
-        out.push('\n');
-        CkptWriter { out }
-    }
-
-    /// Opens a named section; purely structural, for readability and
-    /// for the reader's layout cross-check.
-    pub fn section(&mut self, name: &str) {
-        self.out.push('[');
-        self.out.push_str(name);
-        self.out.push_str("]\n");
-    }
-
-    /// Writes an unsigned integer field.
-    pub fn u64(&mut self, key: &str, v: u64) {
-        self.out.push_str(key);
-        self.out.push('=');
-        self.out.push_str(&v.to_string());
-        self.out.push('\n');
-    }
-
-    /// Writes a list of unsigned integers, comma-separated (empty list
-    /// is an empty value).
-    pub fn u64s(&mut self, key: &str, vals: &[u64]) {
-        self.out.push_str(key);
-        self.out.push('=');
-        for (i, v) in vals.iter().enumerate() {
-            if i > 0 {
-                self.out.push(',');
-            }
-            self.out.push_str(&v.to_string());
-        }
-        self.out.push('\n');
-    }
-
-    /// Writes a float as its exact 16-hex-digit bit pattern, so the
-    /// round-trip is byte-identical (NaN payloads included).
-    pub fn f64(&mut self, key: &str, v: f64) {
-        self.out.push_str(key);
-        self.out.push('=');
-        self.out.push_str(&format!("{:016x}", v.to_bits()));
-        self.out.push('\n');
-    }
-
-    /// Writes a string field with `\\`/`\n`/`\r` escaped.
-    pub fn str(&mut self, key: &str, v: &str) {
-        self.out.push_str(key);
-        self.out.push('=');
-        push_escaped(&mut self.out, v);
-        self.out.push('\n');
-    }
-
-    /// Writes a simulation timestamp (raw picoseconds).
-    pub fn time(&mut self, key: &str, t: Time) {
-        self.u64(key, t.as_ps());
-    }
-
-    /// Writes a simulation time span (raw picoseconds).
-    pub fn delta(&mut self, key: &str, d: TimeDelta) {
-        self.u64(key, d.as_ps());
-    }
-
-    /// Seals the checkpoint with the trailing checksum line and
-    /// returns the full text.
-    pub fn finish(mut self) -> String {
-        let sum = format!("checksum={:016x}\n", fx64(self.out.as_bytes()));
-        self.out.push_str(&sum);
-        self.out
-    }
-}
-
-/// Sequential checkpoint reader over an integrity-verified text. It owns
-/// a copy of the body, so a [`Ckpt::Load`] walk borrows it without tying
-/// every component's signature to the text's lifetime.
+/// One checkpoint walk, saving or restoring; see the [module](self) docs.
+/// Field order is the schema: a restore reads back exactly the sections
+/// and keys a save wrote, in order. Saving never fails; restoring fails
+/// closed with the first divergent field.
 #[derive(Debug)]
-pub struct CkptReader {
-    /// The lines after the provenance header, each ending in `\n`.
-    body: String,
-    /// Byte offset of the next unread line.
-    pos: usize,
+pub struct Ckpt<'t> {
+    /// Saving: the checkpoint so far. Restoring: `None`.
+    out: Option<String>,
+    /// Restoring: the checksum-verified lines before the trailer, and the
+    /// byte the next read starts at.
+    text: &'t str,
+    at: usize,
+    /// The run identity the checkpoint is stamped with.
     provenance: String,
 }
 
-impl CkptReader {
-    /// Verifies magic, checksum, and the provenance header, and
-    /// positions the reader at the first section.
-    pub fn open(text: &str) -> Result<CkptReader, CkptError> {
+impl<'t> Ckpt<'t> {
+    /// Starts saving a checkpoint stamped with the run's provenance string
+    /// (the canonical pre-run identity: config label, seed, scheduling
+    /// policy, fault plan, workload).
+    pub fn save(provenance: &str) -> Self {
+        let mut out = format!("{MAGIC}\nprovenance=");
+        push_escaped(&mut out, provenance);
+        out.push_str("\nprovenance_hash=");
+        out.push_str(&provenance_hash(provenance));
+        out.push('\n');
+        Ckpt {
+            out: Some(out),
+            text: "",
+            at: 0,
+            provenance: provenance.to_string(),
+        }
+    }
+
+    /// Starts restoring `text`: verifies magic, checksum, and the
+    /// provenance header, and positions the walk at the first section.
+    pub fn open(text: &'t str) -> Result<Self, CkptError> {
         // Format identification first: a well-formed file of another
         // version must say BadMagic, not ChecksumMismatch.
         match text.lines().next() {
@@ -388,12 +321,13 @@ impl CkptReader {
                 computed,
             });
         }
-        let mut r = CkptReader {
-            body: text[..tail_at].to_string(),
-            pos: 0,
+        let mut c = Ckpt {
+            out: None,
+            text: &text[..tail_at],
+            at: 0,
             provenance: String::new(),
         };
-        match r.next_line(MAGIC) {
+        match c.next_line(MAGIC) {
             Ok(l) if l == MAGIC => {}
             other => {
                 return Err(CkptError::BadMagic {
@@ -401,21 +335,21 @@ impl CkptReader {
                 })
             }
         }
-        let raw = r.value("provenance").map_err(|_| CkptError::MissingField {
+        let raw = c.value("provenance").map_err(|_| CkptError::MissingField {
             expected: "provenance".to_string(),
             found: String::new(),
         })?;
         let provenance = unescape(raw).ok_or_else(|| bad("provenance", raw))?;
-        match r.value("provenance_hash") {
+        match c.value("provenance_hash") {
             Ok(h) if h == provenance_hash(&provenance) => {}
             Ok(h) => return Err(bad("provenance_hash", h)),
             Err(_) => return Err(bad("provenance_hash", "")),
         }
-        r.provenance = provenance;
-        Ok(r)
+        c.provenance = provenance;
+        Ok(c)
     }
 
-    /// The provenance string the checkpoint was stamped with.
+    /// The provenance string the checkpoint is stamped with.
     pub fn provenance(&self) -> &str {
         &self.provenance
     }
@@ -433,22 +367,81 @@ impl CkptReader {
         }
     }
 
-    /// The next line (without its `\n`), for a reader expecting `expected`.
-    fn next_line(&mut self, expected: &str) -> Result<&str, CkptError> {
-        let rest = &self.body[self.pos..];
+    /// Ends the walk. Saving, seals the checkpoint with the trailing
+    /// `checksum=` line and returns its text. Restoring, fails on an
+    /// unread line — state the restoring build does not know how to
+    /// load — and returns an empty string.
+    pub fn finish(self) -> Result<String, CkptError> {
+        let Some(mut out) = self.out else {
+            return match self.text[self.at..].lines().next() {
+                None => Ok(String::new()),
+                Some(l) => Err(CkptError::TrailingData {
+                    line: l.to_string(),
+                }),
+            };
+        };
+        let sum = format!("checksum={:016x}\n", fx64(out.as_bytes()));
+        out.push_str(&sum);
+        Ok(out)
+    }
+
+    /// True while restoring: only a component that rebuilds a table from
+    /// its rows (a hash map, a sorted dump, a re-interned label) asks.
+    pub fn loading(&self) -> bool {
+        self.out.is_none()
+    }
+
+    /// The next line (without its `\n`), for a walk expecting `expected`.
+    fn next_line(&mut self, expected: &str) -> Result<&'t str, CkptError> {
+        let rest = &self.text[self.at..];
         let Some(end) = rest.find('\n') else {
             return Err(CkptError::MissingField {
                 expected: expected.to_string(),
                 found: "<end of checkpoint>".to_string(),
             });
         };
-        self.pos += end + 1;
+        self.at += end + 1;
         let line = &rest[..end];
         Ok(line.strip_suffix('\r').unwrap_or(line))
     }
 
-    /// Consumes the next line, which must be exactly `[name]`.
+    /// The value of the next line, which must carry `key`.
+    fn value(&mut self, key: &str) -> Result<&'t str, CkptError> {
+        let line = self.next_line(key)?;
+        match line.split_once('=') {
+            Some((k, v)) if k == key => Ok(v),
+            _ => Err(CkptError::MissingField {
+                expected: key.to_string(),
+                found: line.to_string(),
+            }),
+        }
+    }
+
+    /// Saving, `key=`, the value `put` writes, and a newline; restoring,
+    /// the [`value`](Ckpt::value) read.
+    fn field(
+        &mut self,
+        key: &str,
+        put: impl FnOnce(&mut String),
+    ) -> Result<Option<&'t str>, CkptError> {
+        let Some(out) = &mut self.out else {
+            return self.value(key).map(Some);
+        };
+        out.push_str(key);
+        out.push('=');
+        put(out);
+        out.push('\n');
+        Ok(None)
+    }
+
+    /// The `[name]` section header.
     pub fn section(&mut self, name: &str) -> Result<(), CkptError> {
+        if let Some(out) = &mut self.out {
+            out.push('[');
+            out.push_str(name);
+            out.push_str("]\n");
+            return Ok(());
+        }
         let line = self.next_line(name)?;
         if line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) == Some(name) {
             Ok(())
@@ -460,149 +453,79 @@ impl CkptReader {
         }
     }
 
-    fn value(&mut self, key: &str) -> Result<&str, CkptError> {
-        let line = self.next_line(key)?;
-        match line.split_once('=') {
-            Some((k, v)) if k == key => Ok(v),
-            _ => Err(CkptError::MissingField {
-                expected: key.to_string(),
-                found: line.to_string(),
-            }),
-        }
-    }
-
-    /// Reads the named unsigned integer field.
-    pub fn u64(&mut self, key: &str) -> Result<u64, CkptError> {
-        let v = self.value(key)?;
-        v.parse().map_err(|_| bad(key, v))
-    }
-
-    /// Reads the named comma-separated unsigned integer list.
-    pub fn u64s(&mut self, key: &str) -> Result<Vec<u64>, CkptError> {
-        let v = self.value(key)?;
-        if v.is_empty() {
-            return Ok(Vec::new());
-        }
-        v.split(',')
-            .map(|part| part.parse().map_err(|_| bad(key, v)))
-            .collect()
-    }
-
-    /// Reads the named float from its 16-hex-digit bit pattern.
-    pub fn f64(&mut self, key: &str) -> Result<f64, CkptError> {
-        let v = self.value(key)?;
-        match u64::from_str_radix(v, 16) {
-            Ok(bits) if v.len() == 16 => Ok(f64::from_bits(bits)),
-            _ => Err(bad(key, v)),
-        }
-    }
-
-    /// Reads the named string field, unescaping `\\`/`\n`/`\r`.
-    pub fn str_field(&mut self, key: &str) -> Result<String, CkptError> {
-        let v = self.value(key)?;
-        unescape(v).ok_or_else(|| bad(key, v))
-    }
-
-    /// Reads the named simulation timestamp.
-    pub fn time(&mut self, key: &str) -> Result<Time, CkptError> {
-        Ok(Time::from_ps(self.u64(key)?))
-    }
-
-    /// Reads the named simulation time span.
-    pub fn delta(&mut self, key: &str) -> Result<TimeDelta, CkptError> {
-        Ok(TimeDelta::from_ps(self.u64(key)?))
-    }
-
-    /// Asserts the checkpoint is fully consumed — unread state means a
-    /// layout mismatch between writer and reader builds.
-    pub fn finish(&mut self) -> Result<(), CkptError> {
-        match self.body[self.pos..].lines().next() {
-            None => Ok(()),
-            Some(l) => Err(CkptError::TrailingData {
-                line: l.to_string(),
-            }),
-        }
-    }
-}
-
-/// The `Parse` error for field `key` holding `value`: a value that
-/// parsed but breaks an invariant of the state it restores.
-pub fn bad(key: &str, value: impl fmt::Display) -> CkptError {
-    CkptError::Parse {
-        key: key.to_string(),
-        value: value.to_string(),
-    }
-}
-
-/// One checkpoint walk: [`Ckpt::Save`] writes every value a component
-/// names, [`Ckpt::Load`] reads each back into the same `&mut`. Saving
-/// never fails; restoring fails closed with the first divergent field.
-#[derive(Debug)]
-pub enum Ckpt<'a> {
-    /// Writing a checkpoint.
-    Save(&'a mut CkptWriter),
-    /// Restoring one.
-    Load(&'a mut CkptReader),
-}
-
-impl Ckpt<'_> {
-    /// True while restoring: only a component that rebuilds a table from
-    /// its rows (a hash map, a sorted dump, a re-interned label) asks.
-    pub fn loading(&self) -> bool {
-        matches!(self, Ckpt::Load(_))
-    }
-
-    /// The `[name]` section header.
-    pub fn section(&mut self, name: &str) -> Result<(), CkptError> {
-        match self {
-            Ckpt::Save(w) => w.section(name),
-            Ckpt::Load(r) => r.section(name)?,
-        }
-        Ok(())
-    }
-
-    /// An unsigned integer field.
+    /// An unsigned integer field, in decimal.
     pub fn u64(&mut self, key: &str, v: &mut u64) -> Result<(), CkptError> {
-        match self {
-            Ckpt::Save(w) => w.u64(key, *v),
-            Ckpt::Load(r) => *v = r.u64(key)?,
+        if let Some(s) = self.field(key, |out| out.push_str(&v.to_string()))? {
+            *v = s.parse().map_err(|_| bad(key, s))?;
         }
         Ok(())
     }
 
     /// A simulation timestamp (raw picoseconds).
     pub fn time(&mut self, key: &str, v: &mut Time) -> Result<(), CkptError> {
-        match self {
-            Ckpt::Save(w) => w.time(key, *v),
-            Ckpt::Load(r) => *v = r.time(key)?,
-        }
+        let mut ps = v.as_ps();
+        self.u64(key, &mut ps)?;
+        *v = Time::from_ps(ps);
         Ok(())
     }
 
     /// A simulation time span (raw picoseconds).
     pub fn delta(&mut self, key: &str, v: &mut TimeDelta) -> Result<(), CkptError> {
-        match self {
-            Ckpt::Save(w) => w.delta(key, *v),
-            Ckpt::Load(r) => *v = r.delta(key)?,
+        let mut ps = v.as_ps();
+        self.u64(key, &mut ps)?;
+        *v = TimeDelta::from_ps(ps);
+        Ok(())
+    }
+
+    /// A float, as its exact 16-hex-digit bit pattern, so the round trip
+    /// is byte-identical (NaN payloads included).
+    pub fn f64(&mut self, key: &str, v: &mut f64) -> Result<(), CkptError> {
+        let put = |out: &mut String| out.push_str(&format!("{:016x}", v.to_bits()));
+        if let Some(s) = self.field(key, put)? {
+            match u64::from_str_radix(s, 16) {
+                Ok(bits) if s.len() == 16 => *v = f64::from_bits(bits),
+                _ => return Err(bad(key, s)),
+            }
         }
         Ok(())
     }
 
-    /// A float, as its exact bit pattern.
-    pub fn f64(&mut self, key: &str, v: &mut f64) -> Result<(), CkptError> {
-        match self {
-            Ckpt::Save(w) => w.f64(key, *v),
-            Ckpt::Load(r) => *v = r.f64(key)?,
+    /// A string with `\\`/`\n`/`\r` escaped: `v` is written; restoring,
+    /// the string read is returned.
+    fn str(&mut self, key: &str, v: &str) -> Result<Option<String>, CkptError> {
+        match self.field(key, |out| push_escaped(out, v))? {
+            Some(s) => unescape(s).map(Some).ok_or_else(|| bad(key, s)),
+            None => Ok(None),
         }
-        Ok(())
+    }
+
+    /// Integers, comma-separated (an empty list is an empty value): `v` is
+    /// written; restoring, the list read is returned.
+    fn ints(&mut self, key: &str, v: &[u64]) -> Result<Option<Vec<u64>>, CkptError> {
+        let put = |out: &mut String| {
+            for (i, x) in v.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(&x.to_string());
+            }
+        };
+        match self.field(key, put)? {
+            None => Ok(None),
+            Some("") => Ok(Some(Vec::new())),
+            Some(s) => s
+                .split(',')
+                .map(|part| part.parse().map_err(|_| bad(key, s)))
+                .collect::<Result<_, _>>()
+                .map(Some),
+        }
     }
 
     /// A label from a small fixed vocabulary (a span leg kind, a protocol
     /// case), re-interned on restore; see [`intern`].
     pub fn label(&mut self, key: &str, v: &mut &'static str) -> Result<(), CkptError> {
-        match self {
-            Ckpt::Save(w) => w.str(key, v),
-            Ckpt::Load(r) => *v = intern(&r.str_field(key)?),
+        if let Some(found) = self.str(key, v)? {
+            *v = intern(&found);
         }
         Ok(())
     }
@@ -610,32 +533,20 @@ impl Ckpt<'_> {
     /// A string interlock: written on save, and on restore the field must
     /// read back exactly `want` (a resource's or a metric's name).
     pub fn name(&mut self, key: &str, want: &str) -> Result<(), CkptError> {
-        match self {
-            Ckpt::Save(w) => w.str(key, want),
-            Ckpt::Load(r) => {
-                let found = r.str_field(key)?;
-                if found != want {
-                    return Err(bad(key, format!("{found}, expected {want}")));
-                }
-            }
+        match self.str(key, want)? {
+            Some(found) if found != want => Err(bad(key, format!("{found}, expected {want}"))),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// A shape interlock: `want` is written on save, and on restore the
     /// field must read back exactly `want` — a configuration the state
     /// was sized for, or whether an optional part is present.
     pub fn interlock(&mut self, key: &str, want: &[u64]) -> Result<(), CkptError> {
-        match self {
-            Ckpt::Save(w) => w.u64s(key, want),
-            Ckpt::Load(r) => {
-                let found = r.u64s(key)?;
-                if found != want {
-                    return Err(bad(key, format!("{found:?}, expected {want:?}")));
-                }
-            }
+        match self.ints(key, want)? {
+            Some(found) if found != want => Err(bad(key, format!("{found:?}, expected {want:?}"))),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// A list of integers whose restored length must fall in `len`.
@@ -645,17 +556,16 @@ impl Ckpt<'_> {
         v: &mut Vec<u64>,
         len: impl RangeBounds<usize>,
     ) -> Result<(), CkptError> {
-        match self {
-            Ckpt::Save(w) => w.u64s(key, v),
-            Ckpt::Load(r) => {
-                let found = r.u64s(key)?;
-                if !len.contains(&found.len()) {
-                    return Err(bad(key, format!("{} entries", found.len())));
-                }
-                *v = found;
+        match self.ints(key, v)? {
+            Some(found) if !len.contains(&found.len()) => {
+                Err(bad(key, format!("{} entries", found.len())))
             }
+            Some(found) => {
+                *v = found;
+                Ok(())
+            }
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// A fixed-arity row: exactly `N` integers.
@@ -664,14 +574,10 @@ impl Ckpt<'_> {
         key: &str,
         row: &mut [u64; N],
     ) -> Result<(), CkptError> {
-        match self {
-            Ckpt::Save(w) => w.u64s(key, row),
-            Ckpt::Load(r) => {
-                let found = r.u64s(key)?;
-                *row = found
-                    .try_into()
-                    .map_err(|v: Vec<u64>| bad(key, format!("{} words", v.len())))?;
-            }
+        if let Some(found) = self.ints(key, row)? {
+            *row = found
+                .try_into()
+                .map_err(|v: Vec<u64>| bad(key, format!("{} words", v.len())))?;
         }
         Ok(())
     }
@@ -726,6 +632,15 @@ impl Ckpt<'_> {
     }
 }
 
+/// The `Parse` error for field `key` holding `value`: a value that
+/// parsed but breaks an invariant of the state it restores.
+pub fn bad(key: &str, value: impl fmt::Display) -> CkptError {
+    CkptError::Parse {
+        key: key.to_string(),
+        value: value.to_string(),
+    }
+}
+
 /// Shape summary returned by [`validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CkptStats {
@@ -741,13 +656,13 @@ pub struct CkptStats {
 /// provenance header, and every body line either a `[section]` header
 /// or a `key=value` field. This is the `flashsim validate ckpt` /
 /// check.sh gate; it does not (and cannot) check the semantic
-/// field layout — [`CkptReader`]'s strict sequential keys do that
+/// field layout — a [`Ckpt`] walk's strict sequential keys do that
 /// during an actual restore.
 pub fn validate(text: &str) -> Result<CkptStats, CkptError> {
-    let r = CkptReader::open(text)?;
+    let c = Ckpt::open(text)?;
     let mut sections = 0usize;
     let mut fields = 0usize;
-    for line in r.body[r.pos..].lines() {
+    for line in c.text[c.at..].lines() {
         if line.starts_with('[') && line.ends_with(']') && line.len() > 2 {
             sections += 1;
         } else if line.split_once('=').is_some_and(|(k, _)| !k.is_empty()) {
@@ -757,7 +672,7 @@ pub fn validate(text: &str) -> Result<CkptStats, CkptError> {
         }
     }
     Ok(CkptStats {
-        provenance: r.provenance,
+        provenance: c.provenance,
         sections,
         fields,
     })
@@ -785,47 +700,83 @@ pub fn intern(s: &str) -> &'static str {
 mod tests {
     use super::*;
 
+    /// Every field type once, in two sections.
+    #[derive(Debug, Default, PartialEq)]
+    struct Demo {
+        count: u64,
+        mean: f64,
+        label: String,
+        list: Vec<u64>,
+        empty: Vec<u64>,
+        at: Time,
+        span: TimeDelta,
+    }
+
+    impl Demo {
+        fn ckpt(&mut self, c: &mut Ckpt<'_>) -> Result<(), CkptError> {
+            c.section("alpha")?;
+            c.u64("count", &mut self.count)?;
+            c.f64("mean", &mut self.mean)?;
+            if let Some(label) = c.str("label", &self.label)? {
+                self.label = label;
+            }
+            c.u64s("list", &mut self.list, ..)?;
+            c.u64s("empty", &mut self.empty, ..)?;
+            c.section("beta")?;
+            c.time("at", &mut self.at)?;
+            c.delta("for", &mut self.span)
+        }
+    }
+
+    fn full() -> Demo {
+        Demo {
+            count: 7,
+            mean: -0.5,
+            label: "line1\nline2\\end".to_string(),
+            list: vec![1, 2, 3],
+            empty: Vec::new(),
+            at: Time::from_ns(12),
+            span: TimeDelta::from_ps(345),
+        }
+    }
+
     fn demo() -> String {
-        let mut w = CkptWriter::new("cfg=x seed=42");
-        w.section("alpha");
-        w.u64("count", 7);
-        w.f64("mean", -0.5);
-        w.str("label", "line1\nline2\\end");
-        w.u64s("list", &[1, 2, 3]);
-        w.u64s("empty", &[]);
-        w.section("beta");
-        w.time("at", Time::from_ns(12));
-        w.delta("for", TimeDelta::from_ps(345));
-        w.finish()
+        let mut c = Ckpt::save("cfg=x seed=42");
+        full().ckpt(&mut c).unwrap();
+        c.finish().unwrap()
     }
 
     #[test]
     fn roundtrip_is_exact() {
         let text = demo();
-        let mut r = CkptReader::open(&text).expect("intact");
-        assert_eq!(r.provenance(), "cfg=x seed=42");
-        r.expect_provenance("cfg=x seed=42").expect("match");
-        r.section("alpha").expect("alpha");
-        assert_eq!(r.u64("count").expect("count"), 7);
-        assert_eq!(r.f64("mean").expect("mean"), -0.5);
-        assert_eq!(r.str_field("label").expect("label"), "line1\nline2\\end");
-        assert_eq!(r.u64s("list").expect("list"), vec![1, 2, 3]);
-        assert_eq!(r.u64s("empty").expect("empty"), Vec::<u64>::new());
-        r.section("beta").expect("beta");
-        assert_eq!(r.time("at").expect("at"), Time::from_ns(12));
-        assert_eq!(r.delta("for").expect("for"), TimeDelta::from_ps(345));
-        r.finish().expect("consumed");
+        let mut c = Ckpt::open(&text).expect("intact");
+        assert_eq!(c.provenance(), "cfg=x seed=42");
+        c.expect_provenance("cfg=x seed=42").expect("match");
+        let mut back = Demo::default();
+        back.ckpt(&mut c).expect("restores");
+        c.finish().expect("consumed");
+        assert_eq!(back, full());
     }
 
     #[test]
     fn nan_and_negative_zero_round_trip_bit_exactly() {
-        let mut w = CkptWriter::new("p");
-        w.f64("nan", f64::from_bits(0x7ff8_0000_0000_1234));
-        w.f64("nz", -0.0);
-        let text = w.finish();
-        let mut r = CkptReader::open(&text).expect("intact");
-        assert_eq!(r.f64("nan").expect("nan").to_bits(), 0x7ff8_0000_0000_1234);
-        assert_eq!(r.f64("nz").expect("nz").to_bits(), (-0.0f64).to_bits());
+        let walk = |c: &mut Ckpt<'_>, nan: &mut f64, nz: &mut f64| {
+            c.f64("nan", nan)?;
+            c.f64("nz", nz)
+        };
+        let mut c = Ckpt::save("p");
+        walk(
+            &mut c,
+            &mut f64::from_bits(0x7ff8_0000_0000_1234),
+            &mut -0.0,
+        )
+        .unwrap();
+        let text = c.finish().unwrap();
+        let (mut nan, mut nz) = (0.0, 0.0);
+        let mut c = Ckpt::open(&text).expect("intact");
+        walk(&mut c, &mut nan, &mut nz).expect("restores");
+        assert_eq!(nan.to_bits(), 0x7ff8_0000_0000_1234);
+        assert_eq!(nz.to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]
@@ -833,7 +784,7 @@ mod tests {
         let text = demo();
         // Cut anywhere before the checksum line: Truncated.
         let cut = &text[..text.len() / 2];
-        assert!(matches!(CkptReader::open(cut), Err(CkptError::Truncated)));
+        assert!(matches!(Ckpt::open(cut), Err(CkptError::Truncated)));
         assert!(matches!(validate(cut), Err(CkptError::Truncated)));
         // Flip one payload byte: ChecksumMismatch.
         let flipped = text.replacen("count=7", "count=8", 1);
@@ -851,26 +802,26 @@ mod tests {
     #[test]
     fn reader_is_strictly_sequential() {
         let text = demo();
-        let mut r = CkptReader::open(&text).expect("intact");
+        let mut c = Ckpt::open(&text).expect("intact");
         assert!(matches!(
-            r.section("beta"),
+            c.section("beta"),
             Err(CkptError::BadSection { .. })
         ));
-        let mut r = CkptReader::open(&text).expect("intact");
-        r.section("alpha").expect("alpha");
+        let mut c = Ckpt::open(&text).expect("intact");
+        c.section("alpha").expect("alpha");
         assert!(matches!(
-            r.u64("wrong_key"),
+            c.u64("wrong_key", &mut 0),
             Err(CkptError::MissingField { .. })
         ));
-        let mut r = CkptReader::open(&text).expect("intact");
-        assert!(matches!(r.finish(), Err(CkptError::TrailingData { .. })));
+        let c = Ckpt::open(&text).expect("intact");
+        assert!(matches!(c.finish(), Err(CkptError::TrailingData { .. })));
     }
 
     #[test]
     fn provenance_interlock_fails_closed() {
         let text = demo();
-        let r = CkptReader::open(&text).expect("intact");
-        let err = r.expect_provenance("cfg=y seed=42").expect_err("mismatch");
+        let c = Ckpt::open(&text).expect("intact");
+        let err = c.expect_provenance("cfg=y seed=42").expect_err("mismatch");
         assert!(matches!(err, CkptError::ManifestMismatch { .. }));
         assert_eq!(err.kind(), "manifest_mismatch");
     }
@@ -919,17 +870,17 @@ mod tests {
             row: [8, 9],
             at: Time::from_ps(10),
         };
-        let mut w = CkptWriter::new(PROBE);
-        p.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-        w.finish()
+        let mut c = Ckpt::save(PROBE);
+        p.ckpt(&mut c).unwrap();
+        c.finish().unwrap()
     }
 
     /// Opens `text` and restores a [`Probe`] from it, as a run `expected`.
     fn restore_probe(text: &str, expected: &str) -> Result<(), CkptError> {
-        let mut r = CkptReader::open(text)?;
-        r.expect_provenance(expected)?;
-        Probe::default().ckpt(&mut Ckpt::Load(&mut r))?;
-        r.finish()
+        let mut c = Ckpt::open(text)?;
+        c.expect_provenance(expected)?;
+        Probe::default().ckpt(&mut c)?;
+        c.finish().map(drop)
     }
 
     /// `body` sealed with the trailer a save appends.

@@ -340,7 +340,6 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ckpt::{CkptReader, CkptWriter};
 
     #[test]
     fn inert_injector_is_free_and_silent() {
@@ -430,12 +429,12 @@ mod tests {
             a.perturb_latency(TimeDelta::from_ns(100 + i));
             a.message_fate(0, 1);
         }
-        let mut w = CkptWriter::new("p");
-        a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-        let text = w.finish();
+        let mut w = Ckpt::save("p");
+        a.ckpt(&mut w).unwrap();
+        let text = w.finish().unwrap();
         let b = FaultInjector::new(plan);
-        let mut r = CkptReader::open(&text).expect("intact");
-        b.ckpt(&mut Ckpt::Load(&mut r)).expect("loads");
+        let mut r = Ckpt::open(&text).expect("intact");
+        b.ckpt(&mut r).expect("loads");
         r.finish().expect("consumed");
         // Identical decisions and identical counters from here on.
         for i in 0..50 {

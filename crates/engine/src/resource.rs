@@ -283,22 +283,21 @@ mod tests {
 
     #[test]
     fn ckpt_roundtrip_restores_timelines() {
-        use crate::ckpt::{CkptReader, CkptWriter};
         let mut r = Resource::new("pp");
         r.acquire(Time::ZERO, TimeDelta::from_ns(100));
         r.acquire(Time::from_ns(40), TimeDelta::from_ns(50));
         let mut p = ResourcePool::new("banks", 3);
         p.acquire(Time::ZERO, TimeDelta::from_ns(70));
         p.acquire(Time::from_ns(10), TimeDelta::from_ns(70));
-        let mut w = CkptWriter::new("t");
-        r.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-        p.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-        let text = w.finish();
+        let mut w = Ckpt::save("t");
+        r.ckpt(&mut w).unwrap();
+        p.ckpt(&mut w).unwrap();
+        let text = w.finish().unwrap();
         let mut r2 = Resource::new("pp");
         let mut p2 = ResourcePool::new("banks", 3);
-        let mut rd = CkptReader::open(&text).expect("intact");
-        r2.ckpt(&mut Ckpt::Load(&mut rd)).expect("resource");
-        p2.ckpt(&mut Ckpt::Load(&mut rd)).expect("pool");
+        let mut rd = Ckpt::open(&text).expect("intact");
+        r2.ckpt(&mut rd).expect("resource");
+        p2.ckpt(&mut rd).expect("pool");
         rd.finish().expect("consumed");
         assert_eq!(r2.busy_until(), r.busy_until());
         assert_eq!(r2.wait_total(), r.wait_total());
@@ -308,7 +307,7 @@ mod tests {
         assert_eq!(ga, gb);
         // Wrong identity fails closed.
         let mut other = Resource::new("pi");
-        let mut rd = CkptReader::open(&text).expect("intact");
-        assert!(other.ckpt(&mut Ckpt::Load(&mut rd)).is_err());
+        let mut rd = Ckpt::open(&text).expect("intact");
+        assert!(other.ckpt(&mut rd).is_err());
     }
 }

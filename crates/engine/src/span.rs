@@ -742,7 +742,6 @@ impl SpanTracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ckpt::{CkptReader, CkptWriter};
 
     fn ps(v: u64) -> Time {
         Time::from_ps(v)
@@ -1000,13 +999,13 @@ mod tests {
         for i in 0..7 {
             record(&a, 0x40 + 0x40 * (i % 3), 10 * i);
         }
-        let mut w = CkptWriter::new("spans-test");
-        a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-        let text = w.finish();
+        let mut w = Ckpt::save("spans-test");
+        a.ckpt(&mut w).unwrap();
+        let text = w.finish().unwrap();
 
         let b = SpanTracer::new(SpanPlan::sampled(11, 2));
-        let mut r = CkptReader::open(&text).expect("open");
-        b.ckpt(&mut Ckpt::Load(&mut r)).expect("load");
+        let mut r = Ckpt::open(&text).expect("open");
+        b.ckpt(&mut r).expect("load");
         r.finish().expect("fully consumed");
 
         for i in 7..20 {
@@ -1018,9 +1017,9 @@ mod tests {
 
         // A disabled tracer refuses an enabled checkpoint.
         let disabled = SpanTracer::disabled();
-        let mut r = CkptReader::open(&text).expect("open");
+        let mut r = Ckpt::open(&text).expect("open");
         assert!(matches!(
-            disabled.ckpt(&mut Ckpt::Load(&mut r)),
+            disabled.ckpt(&mut r),
             Err(CkptError::Parse { .. })
         ));
     }

@@ -846,7 +846,6 @@ mod tests {
 
     #[test]
     fn ckpt_roundtrip_restores_stable_series() {
-        use crate::ckpt::{CkptReader, CkptWriter};
         let tel = Telemetry::with_cadence(TimeDelta::from_ns(10));
         let c = tel.register("hits", MetricKind::Counter);
         let o = tel.register_node("queue_ps", 2, MetricKind::Occupancy);
@@ -855,15 +854,15 @@ mod tests {
         tel.occupy(o, Time::ZERO, 5);
         tel.occupy(o, Time::from_ns(25), 1);
         tel.gauge(v, Time::from_ns(5), 9);
-        let mut w = CkptWriter::new("t");
-        tel.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-        let text = w.finish();
+        let mut w = Ckpt::save("t");
+        tel.ckpt(&mut w).unwrap();
+        let text = w.finish().unwrap();
         // Fresh registry with the same registration order.
         let tel2 = Telemetry::with_cadence(TimeDelta::from_ns(10));
         tel2.register("hits", MetricKind::Counter);
         tel2.register_node("queue_ps", 2, MetricKind::Occupancy);
-        let mut r = CkptReader::open(&text).expect("intact");
-        tel2.ckpt(&mut Ckpt::Load(&mut r)).expect("loads");
+        let mut r = Ckpt::open(&text).expect("intact");
+        tel2.ckpt(&mut r).expect("loads");
         r.finish().expect("consumed");
         // Continue recording identically on both; stable exports match.
         for t in [&tel, &tel2] {
@@ -880,18 +879,18 @@ mod tests {
         let tel3 = Telemetry::with_cadence(TimeDelta::from_ns(10));
         tel3.register("misses", MetricKind::Counter);
         tel3.register_node("queue_ps", 2, MetricKind::Occupancy);
-        let mut r = CkptReader::open(&text).expect("intact");
-        assert!(tel3.ckpt(&mut Ckpt::Load(&mut r)).is_err());
+        let mut r = Ckpt::open(&text).expect("intact");
+        assert!(tel3.ckpt(&mut r).is_err());
     }
 
     /// The saved checkpoint of `tel` with `bucket_ps` replaced by `width`,
     /// its checksum recomputed, restored into a fresh default registry
     /// with one counter.
     fn restore_with_width(tel: &Telemetry, width: u64) -> Result<(), CkptError> {
-        use crate::ckpt::{provenance_hash, CkptReader, CkptWriter};
-        let mut w = CkptWriter::new("t");
-        tel.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-        let text = w.finish();
+        use crate::ckpt::provenance_hash;
+        let mut w = Ckpt::save("t");
+        tel.ckpt(&mut w).unwrap();
+        let text = w.finish().unwrap();
         let body = &text[..text.rfind("checksum=").expect("a trailer")];
         let from = format!("bucket_ps={INITIAL_WIDTH_PS}\n");
         assert!(body.contains(&from));
@@ -899,8 +898,8 @@ mod tests {
         let text = format!("{body}checksum={}\n", provenance_hash(&body));
         let fresh = Telemetry::new();
         fresh.register("hits", MetricKind::Counter);
-        let mut r = CkptReader::open(&text).expect("resealed");
-        fresh.ckpt(&mut Ckpt::Load(&mut r))?;
+        let mut r = Ckpt::open(&text).expect("resealed");
+        fresh.ckpt(&mut r)?;
         let series = fresh.snapshot(Time::ZERO).expect("enabled");
         assert!(series.to_jsonl().contains("\"bucket\":63"));
         Ok(())

@@ -225,7 +225,7 @@ impl Window {
 mod tests {
     use super::*;
     use crate::account::{Profiler, StallClass};
-    use crate::ckpt::{Ckpt, CkptReader, CkptWriter};
+    use crate::ckpt::Ckpt;
     use crate::rng::Rng;
     use crate::telemetry::{MetricId, MetricKind, Telemetry};
     use crate::time::{Time, TimeDelta};
@@ -444,20 +444,14 @@ mod tests {
             }
             if step == EVENTS / 2 {
                 w.publish(&subject);
-                let mut out = CkptWriter::new("window");
-                subject.tel.ckpt(&mut Ckpt::Save(&mut out)).unwrap();
-                subject.prof.ckpt(&mut Ckpt::Save(&mut out)).unwrap();
-                let text = out.finish();
+                let mut out = Ckpt::save("window");
+                subject.tel.ckpt(&mut out).unwrap();
+                subject.prof.ckpt(&mut out).unwrap();
+                let text = out.finish().unwrap();
                 subject = handles();
-                let mut r = CkptReader::open(&text).expect("intact");
-                subject
-                    .tel
-                    .ckpt(&mut Ckpt::Load(&mut r))
-                    .expect("telemetry loads");
-                subject
-                    .prof
-                    .ckpt(&mut Ckpt::Load(&mut r))
-                    .expect("ledger loads");
+                let mut r = Ckpt::open(&text).expect("intact");
+                subject.tel.ckpt(&mut r).expect("telemetry loads");
+                subject.prof.ckpt(&mut r).expect("ledger loads");
                 r.finish().expect("consumed");
             }
         }

@@ -355,7 +355,6 @@ impl MemorySystem for FlashLite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flashsim_engine::ckpt::{CkptReader, CkptWriter};
     use flashsim_mem::system::{AccessKind, ProtocolCase};
 
     fn fl(nodes: u32) -> FlashLite {
@@ -608,13 +607,13 @@ mod tests {
             kind: AccessKind::ReadExclusive,
             now: Time::from_ns(1_000),
         });
-        let mut w = CkptWriter::new("fl-test");
-        a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-        let text = w.finish();
+        let mut w = Ckpt::save("fl-test");
+        a.ckpt(&mut w).unwrap();
+        let text = w.finish().unwrap();
 
         let mut b = fl(4);
-        let mut r = CkptReader::open(&text).expect("open");
-        b.ckpt(&mut Ckpt::Load(&mut r)).expect("load");
+        let mut r = Ckpt::open(&text).expect("open");
+        b.ckpt(&mut r).expect("load");
         r.finish().expect("fully consumed");
 
         assert_eq!(a.stats().to_json(), b.stats().to_json());
@@ -629,11 +628,8 @@ mod tests {
         assert_eq!(a.stats().to_json(), b.stats().to_json());
 
         let mut other = fl(8);
-        let mut r = CkptReader::open(&text).expect("open");
-        assert!(matches!(
-            other.ckpt(&mut Ckpt::Load(&mut r)),
-            Err(CkptError::Parse { .. })
-        ));
+        let mut r = Ckpt::open(&text).expect("open");
+        assert!(matches!(other.ckpt(&mut r), Err(CkptError::Parse { .. })));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use super::pending::Fill;
 use super::{Machine, MachineError};
 use crate::config::{MachineConfig, BARRIER_BASE, BARRIER_PER_NODE, L2_HIT};
 use flashsim_engine::ckpt::bad;
-use flashsim_engine::{Ckpt, CkptError, CkptReader, CkptWriter, Time, TimeDelta};
+use flashsim_engine::{Ckpt, CkptError, Time, TimeDelta};
 use flashsim_isa::{Program, VAddr};
 use flashsim_mem::{LatencyBreakdown, LineAddr};
 use std::fmt;
@@ -109,10 +109,10 @@ impl Machine {
             self.observers_published(),
             "checkpoint with observer windows unpublished"
         );
-        let mut w = CkptWriter::new(&self.provenance());
-        let saved = self.ckpt(&mut Ckpt::Save(&mut w));
+        let mut c = Ckpt::save(&self.provenance());
+        let saved = self.ckpt(&mut c).and_then(|()| c.finish());
         debug_assert!(saved.is_ok(), "saving never fails: {saved:?}");
-        w.finish()
+        saved.unwrap_or_default()
     }
 
     /// Rebuilds a machine from a checkpoint written by
@@ -133,10 +133,10 @@ impl Machine {
         text: &str,
     ) -> Result<Machine, RestoreError> {
         let mut m = Machine::new(cfg, program)?;
-        let mut r = CkptReader::open(text)?;
-        r.expect_provenance(&m.provenance())?;
-        m.ckpt(&mut Ckpt::Load(&mut r))?;
-        r.finish()?;
+        let mut c = Ckpt::open(text)?;
+        c.expect_provenance(&m.provenance())?;
+        m.ckpt(&mut c)?;
+        c.finish()?;
         Ok(m)
     }
 

@@ -430,7 +430,6 @@ impl fmt::Display for Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flashsim_engine::ckpt::{CkptReader, CkptWriter};
 
     fn small() -> Cache {
         // 4 sets x 2 ways x 64B = 512B
@@ -554,12 +553,12 @@ mod tests {
         a.probe(LineAddr(0), false); // 256 is now LRU in set 0
         a.invalidate(LineAddr(0x9999)); // absent, no count
 
-        let mut w = CkptWriter::new("cache-test");
-        a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-        let text = w.finish();
+        let mut w = Ckpt::save("cache-test");
+        a.ckpt(&mut w).unwrap();
+        let text = w.finish().unwrap();
         let mut b = small();
-        let mut r = CkptReader::open(&text).expect("open");
-        b.ckpt(&mut Ckpt::Load(&mut r)).expect("load");
+        let mut r = Ckpt::open(&text).expect("open");
+        b.ckpt(&mut r).expect("load");
         r.finish().expect("fully consumed");
 
         // Same future behaviour: the restored LRU picks the same victim.
@@ -575,11 +574,8 @@ mod tests {
 
         // A cache of a different geometry refuses the checkpoint.
         let mut other = Cache::new(CacheGeometry::new(1024, 64, 2));
-        let mut r = CkptReader::open(&text).expect("open");
-        assert!(matches!(
-            other.ckpt(&mut Ckpt::Load(&mut r)),
-            Err(CkptError::Parse { .. })
-        ));
+        let mut r = Ckpt::open(&text).expect("open");
+        assert!(matches!(other.ckpt(&mut r), Err(CkptError::Parse { .. })));
     }
 
     #[test]
@@ -591,13 +587,11 @@ mod tests {
             let mut a = small();
             a.fill(LineAddr(0), LineState::Shared);
             a.ways[0].line = LineAddr(line);
-            let mut w = CkptWriter::new("cache-test");
-            a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-            let text = w.finish();
-            let mut r = CkptReader::open(&text).expect("open");
-            let err = small()
-                .ckpt(&mut Ckpt::Load(&mut r))
-                .expect_err("off its set");
+            let mut w = Ckpt::save("cache-test");
+            a.ckpt(&mut w).unwrap();
+            let text = w.finish().unwrap();
+            let mut r = Ckpt::open(&text).expect("open");
+            let err = small().ckpt(&mut r).expect_err("off its set");
             assert_eq!(err, bad("way", format!("0,{line},0,1")));
         }
     }

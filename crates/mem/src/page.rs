@@ -235,7 +235,6 @@ impl PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flashsim_engine::ckpt::{CkptReader, CkptWriter};
 
     #[test]
     fn sequential_allocates_in_frame_order() {
@@ -323,16 +322,16 @@ mod tests {
             let pfn = a.alloc((vpn % 2) as u32, vpn).unwrap();
             pt.map(vpn, pfn);
         }
-        let mut w = CkptWriter::new("page-test");
-        a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-        pt.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-        let text = w.finish();
+        let mut w = Ckpt::save("page-test");
+        a.ckpt(&mut w).unwrap();
+        pt.ckpt(&mut w).unwrap();
+        let text = w.finish().unwrap();
 
         let mut b = FrameAllocator::new(AllocPolicy::ColorHashed, 2, 64, 4096, 8);
         let mut pt2 = PageTable::new();
-        let mut r = CkptReader::open(&text).expect("open");
-        b.ckpt(&mut Ckpt::Load(&mut r)).expect("alloc load");
-        pt2.ckpt(&mut Ckpt::Load(&mut r)).expect("pt load");
+        let mut r = Ckpt::open(&text).expect("open");
+        b.ckpt(&mut r).expect("alloc load");
+        pt2.ckpt(&mut r).expect("pt load");
         r.finish().expect("fully consumed");
 
         assert_eq!(a.allocated(), b.allocated());
@@ -347,11 +346,8 @@ mod tests {
         }
 
         let mut other = FrameAllocator::new(AllocPolicy::Sequential, 2, 64, 4096, 8);
-        let mut r = CkptReader::open(&text).expect("open");
-        assert!(matches!(
-            other.ckpt(&mut Ckpt::Load(&mut r)),
-            Err(CkptError::Parse { .. })
-        ));
+        let mut r = Ckpt::open(&text).expect("open");
+        assert!(matches!(other.ckpt(&mut r), Err(CkptError::Parse { .. })));
     }
 
     #[test]

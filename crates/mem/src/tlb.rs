@@ -190,7 +190,6 @@ impl Tlb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flashsim_engine::ckpt::{CkptReader, CkptWriter};
 
     #[test]
     fn hit_after_insert() {
@@ -277,13 +276,13 @@ mod tests {
         a.insert(1, 10);
         a.insert(2, 20);
         a.translate(VAddr(4096)); // vpn 1 hot, vpn 2 LRU
-        let mut w = CkptWriter::new("tlb-test");
-        a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-        let text = w.finish();
+        let mut w = Ckpt::save("tlb-test");
+        a.ckpt(&mut w).unwrap();
+        let text = w.finish().unwrap();
 
         let mut b = Tlb::new(2, 4096);
-        let mut r = CkptReader::open(&text).expect("open");
-        b.ckpt(&mut Ckpt::Load(&mut r)).expect("load");
+        let mut r = Ckpt::open(&text).expect("open");
+        b.ckpt(&mut r).expect("load");
         r.finish().expect("fully consumed");
         for t in [&mut a, &mut b] {
             t.insert(3, 30); // must evict vpn 2, keep vpn 1
@@ -294,11 +293,8 @@ mod tests {
         assert_eq!(a.misses(), b.misses());
 
         let mut other = Tlb::new(4, 4096);
-        let mut r = CkptReader::open(&text).expect("open");
-        assert!(matches!(
-            other.ckpt(&mut Ckpt::Load(&mut r)),
-            Err(CkptError::Parse { .. })
-        ));
+        let mut r = Ckpt::open(&text).expect("open");
+        assert!(matches!(other.ckpt(&mut r), Err(CkptError::Parse { .. })));
     }
 
     #[test]
@@ -307,19 +303,19 @@ mod tests {
             vec![[1, 10, 1], [1, 11, 2]],
             vec![[1, 10, 1], [2, 20, 2], [3, 30, 3]],
         ] {
-            let mut w = CkptWriter::new("tlb-test");
-            w.u64s("shape", &[2, 4096]);
+            let mut w = Ckpt::save("tlb-test");
+            w.interlock("shape", &[2, 4096]).unwrap();
             for key in ["tick", "hits", "misses"] {
-                w.u64(key, 3);
+                w.u64(key, &mut 3).unwrap();
             }
-            w.u64("mapped", ents.len() as u64);
+            w.count("mapped", ents.len()).unwrap();
             for e in &ents {
-                w.u64s("ent", e);
+                w.array("ent", &mut { *e }).unwrap();
             }
-            let text = w.finish();
-            let mut r = CkptReader::open(&text).expect("open");
+            let text = w.finish().unwrap();
+            let mut r = Ckpt::open(&text).expect("open");
             assert!(matches!(
-                Tlb::new(2, 4096).ckpt(&mut Ckpt::Load(&mut r)),
+                Tlb::new(2, 4096).ckpt(&mut r),
                 Err(CkptError::Parse { .. })
             ));
         }

@@ -5,7 +5,7 @@
 //! from seeded loops over the in-tree [`flashsim_engine::Rng`] (this
 //! workspace builds offline, so no external property-testing framework).
 
-use flashsim_engine::ckpt::{Ckpt, CkptReader, CkptWriter};
+use flashsim_engine::ckpt::Ckpt;
 use flashsim_engine::Rng;
 use flashsim_isa::VAddr;
 use flashsim_mem::addr::{LineAddr, PAddr};
@@ -220,25 +220,26 @@ impl HashedTlb {
     }
 
     fn ckpt(&self) -> String {
-        let mut w = CkptWriter::new("tlb-props");
-        w.u64s("shape", &[self.entries as u64, self.page_bytes]);
-        w.u64("tick", self.tick);
-        w.u64("hits", self.hits);
-        w.u64("misses", self.misses);
+        let mut w = Ckpt::save("tlb-props");
+        w.interlock("shape", &[self.entries as u64, self.page_bytes])
+            .unwrap();
+        w.u64("tick", &mut { self.tick }).unwrap();
+        w.u64("hits", &mut { self.hits }).unwrap();
+        w.u64("misses", &mut { self.misses }).unwrap();
         let mut entries = self.slots.clone();
         entries.sort_unstable();
-        w.u64("mapped", entries.len() as u64);
+        w.count("mapped", entries.len()).unwrap();
         for (vpn, pfn, last) in entries {
-            w.u64s("ent", &[vpn, pfn, last]);
+            w.array("ent", &mut [vpn, pfn, last]).unwrap();
         }
-        w.finish()
+        w.finish().unwrap()
     }
 }
 
 fn tlb_ckpt(tlb: &Tlb) -> String {
-    let mut w = CkptWriter::new("tlb-props");
-    tlb.clone().ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-    w.finish()
+    let mut w = Ckpt::save("tlb-props");
+    tlb.clone().ckpt(&mut w).unwrap();
+    w.finish().unwrap()
 }
 
 /// The memo is invisible: under random lookups (with runs on one page, so
@@ -290,8 +291,8 @@ fn tlb_memo_is_invisible_against_an_always_hashed_model() {
                 // page, so slots move under whatever the memo held.
                 _ => {
                     let text = tlb_ckpt(&tlb);
-                    let mut r = CkptReader::open(&text).expect("open");
-                    tlb.ckpt(&mut Ckpt::Load(&mut r)).expect("load");
+                    let mut r = Ckpt::open(&text).expect("open");
+                    tlb.ckpt(&mut r).expect("load");
                     r.finish().expect("fully consumed");
                 }
             }

@@ -341,7 +341,6 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flashsim_engine::ckpt::{CkptReader, CkptWriter};
 
     #[test]
     fn hypercube_construction() {
@@ -508,13 +507,13 @@ mod tests {
         let mut a = Network::new(Topology::hypercube(4).unwrap(), NetworkParams::flash());
         a.send(0, 3, 128, Time::ZERO);
         a.send(0, 1, 128, Time::from_ns(1));
-        let mut w = CkptWriter::new("net-test");
-        a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-        let text = w.finish();
+        let mut w = Ckpt::save("net-test");
+        a.ckpt(&mut w).unwrap();
+        let text = w.finish().unwrap();
 
         let mut b = Network::new(Topology::hypercube(4).unwrap(), NetworkParams::flash());
-        let mut r = CkptReader::open(&text).expect("open");
-        b.ckpt(&mut Ckpt::Load(&mut r)).expect("load");
+        let mut r = Ckpt::open(&text).expect("open");
+        b.ckpt(&mut r).expect("load");
         r.finish().expect("fully consumed");
 
         // Identical future behaviour: same queueing on the shared link.
@@ -524,11 +523,8 @@ mod tests {
         assert_eq!(a.stats().to_json(), b.stats().to_json());
 
         let mut other = Network::new(Topology::hypercube(8).unwrap(), NetworkParams::flash());
-        let mut r = CkptReader::open(&text).expect("open");
-        assert!(matches!(
-            other.ckpt(&mut Ckpt::Load(&mut r)),
-            Err(CkptError::Parse { .. })
-        ));
+        let mut r = Ckpt::open(&text).expect("open");
+        assert!(matches!(other.ckpt(&mut r), Err(CkptError::Parse { .. })));
     }
 
     #[test]

@@ -256,7 +256,6 @@ impl MemorySystem for Numa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flashsim_engine::ckpt::{CkptReader, CkptWriter};
     use flashsim_mem::system::{AccessKind, ProtocolCase};
 
     fn numa(nodes: u32) -> Numa {
@@ -353,13 +352,13 @@ mod tests {
         for i in 0..6u64 {
             read(&mut a, 1, 0x1000 + i * 128, 20_000); // bank contention
         }
-        let mut w = CkptWriter::new("numa-test");
-        MemorySystem::ckpt(&mut a, &mut Ckpt::Save(&mut w)).unwrap();
-        let text = w.finish();
+        let mut w = Ckpt::save("numa-test");
+        MemorySystem::ckpt(&mut a, &mut w).unwrap();
+        let text = w.finish().unwrap();
 
         let mut b = numa(4);
-        let mut r = CkptReader::open(&text).expect("open");
-        b.ckpt(&mut Ckpt::Load(&mut r)).expect("load");
+        let mut r = Ckpt::open(&text).expect("open");
+        b.ckpt(&mut r).expect("load");
         r.finish().expect("fully consumed");
 
         assert_eq!(a.stats().to_json(), b.stats().to_json());
@@ -373,11 +372,8 @@ mod tests {
         assert_eq!(a.stats().to_json(), b.stats().to_json());
 
         let mut other = numa(8);
-        let mut r = CkptReader::open(&text).expect("open");
-        assert!(matches!(
-            other.ckpt(&mut Ckpt::Load(&mut r)),
-            Err(CkptError::Parse { .. })
-        ));
+        let mut r = Ckpt::open(&text).expect("open");
+        assert!(matches!(other.ckpt(&mut r), Err(CkptError::Parse { .. })));
     }
 
     #[test]

@@ -761,7 +761,6 @@ impl Directory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flashsim_engine::ckpt::{CkptReader, CkptWriter};
 
     const L: LineAddr = LineAddr(0x1000);
 
@@ -933,13 +932,13 @@ mod tests {
         let l2 = LineAddr(0x2000);
         a.read_exclusive(l2, 4);
         a.writeback(l2, 4); // exercises the free list
-        let mut w = CkptWriter::new("dir-test");
-        a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-        let text = w.finish();
+        let mut w = Ckpt::save("dir-test");
+        a.ckpt(&mut w).unwrap();
+        let text = w.finish().unwrap();
 
         let mut b = Directory::new(2);
-        let mut r = CkptReader::open(&text).expect("open");
-        b.ckpt(&mut Ckpt::Load(&mut r)).expect("load");
+        let mut r = Ckpt::open(&text).expect("open");
+        b.ckpt(&mut r).expect("load");
         r.finish().expect("fully consumed");
 
         assert_eq!(a.sharers(L), b.sharers(L));
@@ -950,27 +949,24 @@ mod tests {
         assert_eq!(a.read_exclusive(l2, 6), b.read_exclusive(l2, 6));
 
         let mut other = Directory::new(16);
-        let mut r = CkptReader::open(&text).expect("open");
-        assert!(matches!(
-            other.ckpt(&mut Ckpt::Load(&mut r)),
-            Err(CkptError::Parse { .. })
-        ));
+        let mut r = Ckpt::open(&text).expect("open");
+        assert!(matches!(other.ckpt(&mut r), Err(CkptError::Parse { .. })));
     }
 
     #[test]
     fn a_restore_drops_every_header_the_directory_held_before() {
         let mut a = Directory::new(2);
         a.read(L, 0);
-        let mut w = CkptWriter::new("dir-test");
-        a.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-        let text = w.finish();
+        let mut w = Ckpt::save("dir-test");
+        a.ckpt(&mut w).unwrap();
+        let text = w.finish().unwrap();
         // Restoring into a directory that is not fresh: a line the
         // checkpoint does not hold must come back uncached.
         let mut b = Directory::new(2);
         let stale = LineAddr(0x3000);
         b.read(stale, 7);
-        let mut r = CkptReader::open(&text).expect("open");
-        b.ckpt(&mut Ckpt::Load(&mut r)).expect("load");
+        let mut r = Ckpt::open(&text).expect("open");
+        b.ckpt(&mut r).expect("load");
         assert_eq!(b.sharers(L), vec![0]);
         assert!(b.sharers(stale).is_empty());
     }
@@ -993,12 +989,12 @@ mod tests {
                 11..=12 => drop(d.upgrade(line, node)),
                 13..=14 => d.writeback(line, node),
                 _ => {
-                    let mut w = CkptWriter::new("dir-test");
-                    d.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-                    let text = w.finish();
-                    let mut r = CkptReader::open(&text).expect("open");
+                    let mut w = Ckpt::save("dir-test");
+                    d.ckpt(&mut w).unwrap();
+                    let text = w.finish().unwrap();
+                    let mut r = Ckpt::open(&text).expect("open");
                     d = Directory::new(2);
-                    d.ckpt(&mut Ckpt::Load(&mut r)).expect("load");
+                    d.ckpt(&mut r).expect("load");
                 }
             }
             for line in lines {
@@ -1066,18 +1062,18 @@ mod tests {
     fn ckpt_rows_the_table_cannot_hold_are_rejected() {
         // Below the home's base, misaligned, and beyond the index's reach.
         for line in [0u64, (1 << 24) + 64, !127u64] {
-            let mut w = CkptWriter::new("dir-test");
-            w.u64("pool_capacity", 2);
-            w.u64("pool_used", 0);
-            w.u64("reclaims", 0);
-            w.u64("free", u64::MAX);
-            w.u64("pool", 0);
-            w.u64("headers", 1);
-            w.u64s("hdr", &[line, 1, 0, u64::MAX]);
-            let text = w.finish();
-            let mut r = CkptReader::open(&text).expect("open");
+            let mut w = Ckpt::save("dir-test");
+            w.u64("pool_capacity", &mut 2).unwrap();
+            w.u64("pool_used", &mut 0).unwrap();
+            w.u64("reclaims", &mut 0).unwrap();
+            w.u64("free", &mut { u64::MAX }).unwrap();
+            w.u64("pool", &mut 0).unwrap();
+            w.u64("headers", &mut 1).unwrap();
+            w.array("hdr", &mut [line, 1, 0, u64::MAX]).unwrap();
+            let text = w.finish().unwrap();
+            let mut r = Ckpt::open(&text).expect("open");
             assert!(matches!(
-                Directory::for_home(2, 1, 1 << 24, 128).ckpt(&mut Ckpt::Load(&mut r)),
+                Directory::for_home(2, 1, 1 << 24, 128).ckpt(&mut r),
                 Err(CkptError::Parse { .. })
             ));
         }
@@ -1093,23 +1089,23 @@ mod tests {
         slots: &[[u64; 2]],
         hdrs: &[[u64; 4]],
     ) -> Result<Directory, CkptError> {
-        let mut w = CkptWriter::new("dir-test");
-        w.u64("pool_capacity", 2);
-        w.u64("pool_used", used);
-        w.u64("reclaims", 0);
-        w.u64("free", free);
-        w.u64("pool", slots.len() as u64);
+        let mut w = Ckpt::save("dir-test");
+        w.u64("pool_capacity", &mut 2).unwrap();
+        w.u64("pool_used", &mut { used }).unwrap();
+        w.u64("reclaims", &mut 0).unwrap();
+        w.u64("free", &mut { free }).unwrap();
+        w.count("pool", slots.len()).unwrap();
         for slot in slots {
-            w.u64s("slot", slot);
+            w.array("slot", &mut { *slot }).unwrap();
         }
-        w.u64("headers", hdrs.len() as u64);
+        w.count("headers", hdrs.len()).unwrap();
         for hdr in hdrs {
-            w.u64s("hdr", hdr);
+            w.array("hdr", &mut { *hdr }).unwrap();
         }
-        let text = w.finish();
-        let mut r = CkptReader::open(&text).expect("open");
+        let text = w.finish().unwrap();
+        let mut r = Ckpt::open(&text).expect("open");
         let mut d = Directory::new(2);
-        d.ckpt(&mut Ckpt::Load(&mut r))?;
+        d.ckpt(&mut r)?;
         r.finish().expect("fully consumed");
         Ok(d)
     }

@@ -69,7 +69,6 @@ impl CaseLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flashsim_engine::ckpt::{CkptReader, CkptWriter};
 
     #[test]
     fn lists_only_cases_that_occurred_in_declaration_order() {
@@ -85,9 +84,9 @@ mod tests {
         assert_eq!(s.get("proto.writeback.mean_ns"), Some(10.0));
         assert_eq!(s.get("proto.remote_clean.count"), None);
 
-        let mut w = CkptWriter::new("ledger-test");
-        l.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-        let text = w.finish();
+        let mut w = Ckpt::save("ledger-test");
+        l.ckpt(&mut w).unwrap();
+        let text = w.finish().unwrap();
         let (a, b) = (
             text.find("local_clean").expect("listed"),
             text.find("writeback").expect("listed"),
@@ -97,11 +96,11 @@ mod tests {
 
         let mut back = CaseLedger::default();
         back.record(ProtocolCase::RemoteClean, TimeDelta::from_ns(1));
-        let mut r = CkptReader::open(&text).expect("open");
-        back.ckpt(&mut Ckpt::Load(&mut r)).expect("load");
+        let mut r = Ckpt::open(&text).expect("open");
+        back.ckpt(&mut r).expect("load");
         r.finish().expect("fully consumed");
-        let mut w = CkptWriter::new("ledger-test");
-        back.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-        assert_eq!(w.finish(), text);
+        let mut w = Ckpt::save("ledger-test");
+        back.ckpt(&mut w).unwrap();
+        assert_eq!(w.finish().unwrap(), text);
     }
 }

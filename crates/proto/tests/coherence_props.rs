@@ -6,7 +6,7 @@
 //! (this workspace builds offline, so no external property-testing
 //! framework).
 
-use flashsim_engine::ckpt::{Ckpt, CkptWriter};
+use flashsim_engine::ckpt::Ckpt;
 use flashsim_engine::Rng;
 use flashsim_mem::LineAddr;
 use flashsim_proto::{DataSource, Directory};
@@ -194,9 +194,9 @@ fn recorded_scenario(mut dir: Directory) -> String {
             }
         }
     }
-    let mut w = CkptWriter::new("recorded-scenario");
-    dir.ckpt(&mut Ckpt::Save(&mut w)).unwrap();
-    w.finish()
+    let mut w = Ckpt::save("recorded-scenario");
+    dir.ckpt(&mut w).unwrap();
+    w.finish().unwrap()
 }
 
 /// The header table writes the bytes the hash map it replaced wrote: the

@@ -290,9 +290,11 @@ echo "== one-checkpoint-walk gate (each component checkpoints through one walk) 
 # hand-mirrored save/load pair does not come back, and a restore-time
 # check is an engine::ckpt walker helper or `ckpt::bad`, not an inline
 # `CkptError::Parse` outside the format layer. (Test modules, which match
-# on the error's kind, are exempt.) `OooConfig::exception_flush`, a knob
-# zero on every config, stays deleted.
+# on the error's kind, are exempt.) The walk is the format layer too:
+# no writer/reader pair under it, in tests either. `OooConfig::exception_flush`,
+# a knob zero on every config, stays deleted.
 pairs=$(grep -rnE 'fn (save_ckpt|load_ckpt)\b' crates/*/src || true)
+pairs="$pairs$(grep -rnE 'Ckpt(Writer|Reader)|Ckpt::(Save|Load)\b' crates/*/src crates/*/tests tests examples || true)"
 literals=$(find crates -name '*.rs' -path '*/src/*' ! -path crates/engine/src/ckpt.rs \
     -exec awk '
         FNR == 1 { intest = 0 }
@@ -301,7 +303,7 @@ literals=$(find crates -name '*.rs' -path '*/src/*' ! -path crates/engine/src/ck
     ' {} +)
 flush=$(grep -rn 'exception_flush' crates || true)
 if [ -n "$pairs$literals$flush" ]; then
-    echo "a second checkpoint path, an inline Parse error, or exception_flush:"
+    echo "a second checkpoint path, a writer/reader pair, an inline Parse error, or exception_flush:"
     printf '%s\n' "$pairs" "$literals" "$flush" | sed '/^$/d'
     exit 1
 fi

@@ -131,7 +131,7 @@ fn truncated_and_mutated_documents_never_panic_a_reader() {
     }
 }
 
-/// A checkpoint body sealed with the trailer `CkptWriter::finish` would
+/// A checkpoint body sealed with the trailer a saving `Ckpt::finish` would
 /// give it (`provenance_hash` is the same fxhash, rendered the same way).
 fn resealed(body: &str) -> String {
     format!("{body}checksum={}\n", ckpt::provenance_hash(body))
