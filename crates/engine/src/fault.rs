@@ -303,25 +303,13 @@ impl FaultInjector {
     }
 
     /// The stalled node and the ops it executes before it stops, known
-    /// before the run starts: `node_stalled(node, ops)` is true exactly
-    /// from that count on, and for no other node. `None` when the plan
-    /// stalls nothing.
+    /// before the run starts: the node is stalled exactly from that
+    /// consumed count on — the machine stops scheduling it and reports
+    /// `Stalled`, never hangs — and no other node is. `None` when the
+    /// plan stalls nothing.
     pub fn stall_point(&self) -> Option<(u32, u64)> {
         let node = self.plan.stall_node?;
         Some((node, self.plan.stall_after_ops))
-    }
-
-    /// True if node `node` is stalled after having executed `ops` ops:
-    /// the machine must stop scheduling it and eventually report
-    /// `Stalled`, never hang.
-    pub fn node_stalled(&self, node: u32, ops: u64) -> bool {
-        match self.plan.stall_node {
-            Some(n) if n == node && ops >= self.plan.stall_after_ops => {
-                self.with_inner(|inner| inner.counters.stalled_ops += 1);
-                true
-            }
-            _ => false,
-        }
     }
 
     /// Folds the injector's counters into `stats` under `fault.*` keys.
@@ -350,7 +338,7 @@ mod tests {
             TimeDelta::ZERO
         );
         assert_eq!(inj.message_fate(0, 1), MessageFate::Deliver);
-        assert!(!inj.node_stalled(0, u64::MAX));
+        assert_eq!(inj.stall_point(), None);
         let mut s = StatSet::new();
         inj.absorb_into(&mut s);
         assert_eq!(s.get("fault.perturbed"), None);
@@ -402,9 +390,6 @@ mod tests {
         };
         let inj = FaultInjector::new(plan);
         assert_eq!(inj.stall_point(), Some((2, 100)));
-        assert!(!inj.node_stalled(2, 99));
-        assert!(inj.node_stalled(2, 100));
-        assert!(!inj.node_stalled(1, 1_000_000));
         let perturbs = FaultPlan {
             latency_prob: 0.5,
             ..FaultPlan::default()

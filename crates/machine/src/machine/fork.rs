@@ -200,7 +200,11 @@ fn run_fork(
     quota: u64,
 ) {
     let profile = shared.profiles[n];
-    let inject_stalls = shared.faults.is_active();
+    // The consumed count at which the injector stalls this node.
+    let stall_at = shared
+        .faults
+        .stall_point()
+        .and_then(|(m, at)| (m as usize == n).then_some(at));
     let page_bytes = shared.cfg.geometry.page_bytes;
     let mut env = ForkEnv {
         sink: ChargeSink {
@@ -218,7 +222,7 @@ fn run_fork(
     // every `break` overwrites the stop reason with its own.
     slot.stop = ForkStop::Quota;
     while slot.dispatches < quota {
-        if inject_stalls && shared.faults.node_stalled(n as u32, slot.stream.consumed()) {
+        if stall_at.is_some_and(|at| slot.stream.consumed() >= at) {
             slot.status = NodeStatus::Stalled;
             slot.stop = ForkStop::None;
             break;

@@ -149,13 +149,10 @@ impl Epoch<'_> {
     /// walk; the fork gate — then one fused [`step`](Epoch::step).
     fn run(&mut self, s: &mut Sched) -> EpochEnd {
         loop {
-            if let Some((stall, _)) = s.stall {
+            if let Some((stall, at)) = s.stall {
                 let n = stall as usize;
                 if self.status.get(n) == Some(&NodeStatus::Running)
-                    && self
-                        .env
-                        .faults
-                        .node_stalled(stall, self.streams[n].consumed())
+                    && self.streams[n].consumed() >= at
                 {
                     self.status[n] = NodeStatus::Stalled;
                     s.heap.remove(stall);
@@ -240,7 +237,7 @@ impl Epoch<'_> {
                 // op. Only the executing node's consumed count moves inside
                 // a batch, so checking just `n` here plus the stall node
                 // per scheduling decision is equivalent.
-                if stall_at.is_some() && env.faults.node_stalled(laggard, base + i as u64) {
+                if stall_at.is_some_and(|at| base + i as u64 >= at) {
                     status[n] = NodeStatus::Stalled;
                     break Walk::Batch { runnable: false };
                 }
@@ -441,7 +438,7 @@ impl Machine {
     /// plain scan of `status` and the cores' clocks.
     pub(super) fn run_reference(&mut self) -> Result<(), SimError> {
         let nodes = self.cfg.nodes as usize;
-        let inject_stalls = self.injector.is_active();
+        let stall = self.injector.stall_point();
         // Resumed runs re-enter mid-stream: the dispatch counter continues
         // from the restored streams' consumed ops, so watchdog budgets and
         // stall reports read the same as in an uninterrupted run. (At a
@@ -451,19 +448,12 @@ impl Machine {
         let mut clocks = OracleClocks::default();
         clocks.read(self);
         loop {
-            if inject_stalls {
-                let mut stalled = false;
-                for n in 0..nodes {
-                    if self.status[n] == NodeStatus::Running
-                        && self
-                            .injector
-                            .node_stalled(n as u32, self.streams[n].consumed())
-                    {
-                        self.status[n] = NodeStatus::Stalled;
-                        stalled = true;
-                    }
-                }
-                if stalled {
+            if let Some((stall, at)) = stall {
+                let n = stall as usize;
+                if self.status.get(n) == Some(&NodeStatus::Running)
+                    && self.streams[n].consumed() >= at
+                {
+                    self.status[n] = NodeStatus::Stalled;
                     clocks.read(self);
                 }
             }
