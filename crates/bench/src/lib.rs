@@ -226,14 +226,12 @@ pub struct Setup {
 /// Prints the standard experiment header.
 pub fn header(what: &str, setup: &Setup) {
     println!("== flashsim :: {what} ==");
-    println!(
-        "geometry: {} (use --full for the paper-size machine)",
-        match setup.scale {
-            ProblemScale::Full => "full Table-1 FLASH",
-            ProblemScale::Scaled => "1/8-scale (default)",
-            ProblemScale::Tiny => "tiny (tests only)",
-        }
-    );
+    let geometry = match setup.scale {
+        ProblemScale::Full => "full Table-1 FLASH",
+        ProblemScale::Scaled => "1/8-scale (default) (use --full for the paper-size machine)",
+        ProblemScale::Tiny => "tiny (tests only)",
+    };
+    println!("geometry: {geometry}");
     println!();
 }
 

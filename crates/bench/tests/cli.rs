@@ -241,3 +241,17 @@ fn validate_counts_an_unreadable_file_and_rejects_an_empty_one() {
     assert!(out.contains("UNREADABLE"), "{out}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The `--full` hint names the other size, so a `--full` run does not
+/// print it.
+#[test]
+fn only_a_scaled_run_points_at_full() {
+    let hint = "(use --full for the paper-size machine)";
+    let (code, full, _) = flashsim(&["figures", "table1", "--full"]);
+    assert_eq!(code, Some(0));
+    assert!(full.contains("geometry: full Table-1 FLASH\n"), "{full}");
+    assert!(!full.contains(hint), "{full}");
+    let (code, scaled, _) = flashsim(&["figures", "table1"]);
+    assert_eq!(code, Some(0));
+    assert!(scaled.contains(hint), "{scaled}");
+}
